@@ -1,0 +1,56 @@
+"""Byte-identity against stored reports.
+
+The files under ``tests/golden/`` are fixed references: a change that claims
+identical output must reproduce them exactly.  Regenerate them only on
+purpose, when the report schema changes, from inside ``tests/golden``:
+
+    python -m doublemirror.cli verify pp33.json --pair 1 2 --samples 30 \\
+        --prime 10007 --seed 3 --output verify-pp33-p10007.json
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from doublemirror.bridge import build_bridge, enumerate_decompositions, random_coefficients
+from doublemirror.canned import product_projective_lattice
+from doublemirror.cli import main
+from doublemirror.cones import normalize_cone
+from doublemirror.evidence import sample_determinantal_points
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (instance, prime, samples, seed)
+VERIFY_CASES = [
+    ("pp33", 10007, 30, 3),
+    ("pp33", 65537, 30, 5),
+    ("pp33", 1000003, 30, 7),
+    ("pp53", 10007, 20, 2),
+]
+
+
+@pytest.mark.parametrize("name,prime,samples,seed", VERIFY_CASES)
+def test_verify_report_matches_golden(name, prime, samples, seed, monkeypatch, capsys):
+    # the report echoes the file argument, so run from the golden directory
+    monkeypatch.chdir(GOLDEN)
+    args = ["verify", f"{name}.json", "--pair", "1", "2", "--samples", str(samples),
+            "--prime", str(prime), "--seed", str(seed)]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    expected = (GOLDEN / f"verify-{name}-p{prime}.json").read_bytes()
+    assert out.encode("utf-8") == expected
+
+
+def test_sampled_points_match_golden():
+    # the reports carry only histograms; this pins the exact D points chosen
+    golden = json.loads((GOLDEN / "samples-pp33.json").read_text(encoding="utf-8"))
+    lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
+    pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+    decs = enumerate_decompositions(pair)
+    for prime, expected in golden.items():
+        p = int(prime)
+        bridge = build_bridge(pair, decs[0], decs[1], random_coefficients(pair, p, 0))
+        samples, stats = sample_determinantal_points(bridge, 30, p, 11)
+        assert stats["line_tries"] == expected["line_tries"]
+        assert [list(s.y) for s in samples] == expected["points"]
