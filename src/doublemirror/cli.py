@@ -312,8 +312,22 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: one line on stderr, exit code 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
+def sample_count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="doublemirror",
         description="Exact toric double-mirror constructions and finite-field evidence",
     )
@@ -336,7 +350,7 @@ def build_parser():
         p.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"), default=None)
         p.add_argument("--seed", type=int, default=None)
         if name != "bridge":
-            p.add_argument("--samples", type=int, default=100)
+            p.add_argument("--samples", type=sample_count, default=100)
             p.add_argument("--prime", type=int, default=10007)
 
     p = sub.add_parser("example")

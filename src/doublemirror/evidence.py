@@ -1,8 +1,8 @@
 """Finite-field sampling evidence for birationality of toric double mirrors.
 
 Points of the determinantal locus D are sampled by restricting det A_1 to
-random coordinate lines (evaluation-interpolation on the matrix, then a full
-root scan of F_p*), rejection-testing the remaining determinants.  Fibers of
+random coordinate lines (evaluation-interpolation on the matrix, then exact
+root finding in F_p*), rejection-testing the remaining determinants.  Fibers of
 both complete intersections over a sampled point are reconstructed from the
 one-dimensional kernels of the evaluated bridge matrices, pushed to the
 unprimed torus, and verified exactly against all defining equations.
@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .bridge import BridgeData
 from .errors import InputError, InternalError
-from .fpkernels import scan_roots
-from .laurent import SplitMix64, fp_inv, is_prime
+from .laurent import SplitMix64, fp_inv, fp_roots, is_prime
 from .nefpart import is_two_independent
 
 MIN_PRIME = 101
@@ -222,7 +221,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
                 candidates = [rng.nonzero_mod(p)]
             else:
                 coeffs = _lagrange_interpolate(ts, vals, p)
-                candidates = scan_roots(coeffs, p)
+                candidates = fp_roots(coeffs, p)
             accepted = []
             for t in candidates:
                 y = tuple(t if i == free else fixed[i] for i in range(dd))

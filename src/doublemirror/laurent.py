@@ -39,18 +39,41 @@ class SplitMix64:
         return 1 + self.below(p - 1)
 
 
+# Miller-Rabin with the first 13 prime bases decides primality for every
+# n below this bound (Sorenson & Webster, Math. Comp. 86, 2017).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+
+# Fixed seed of the equal-degree splitting in ``fp_roots``.  The roots are
+# returned sorted, so the seed affects only how fast a split is found.
+ROOT_SPLIT_SEED = 0x5EED
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality test; primes >= ``MR_LIMIT`` raise ``InputError``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= MR_LIMIT:
+        raise InputError(
+            f"cannot certify a {n.bit_length()}-bit prime; primes must be below {MR_LIMIT}"
+        )
     return True
 
 
@@ -59,6 +82,105 @@ def fp_inv(x: int, p: int) -> int:
     if x == 0:
         raise ZeroDivisionError("inverse of zero in F_p")
     return pow(x, p - 2, p)
+
+
+def fp_roots(coeffs, p):
+    """Distinct roots in F_p* of ``sum coeffs[k] t**k``, ascending.
+
+    The roots in F_p* are exactly those of g = gcd(f, t**(p-1) - 1), a product
+    of distinct linear factors, which is split by Cantor-Zassenhaus
+    equal-degree factorization (von zur Gathen & Gerhard, Modern Computer
+    Algebra, ch. 14).  Cost is polynomial in deg f and log p.
+    """
+    f = _poly_trim([int(c) % p for c in coeffs])
+    if not f:
+        raise ValueError("the zero polynomial vanishes on all of F_p*")
+    if len(f) == 1:
+        return []
+    f = _poly_monic(f, p)
+    g = _poly_gcd(f, _poly_minus_one(_poly_powmod([0, 1], p - 1, f, p), p), p)
+    roots = []
+    if len(g) > 1:
+        _split_linear(g, p, SplitMix64(ROOT_SPLIT_SEED), roots)
+    return sorted(roots)
+
+
+def _split_linear(g, p, rng, out):
+    """Append the roots of a monic product of distinct linear factors to ``out``."""
+    if len(g) == 2:
+        out.append(-g[0] % p)
+        return
+    # (t + a)**((p-1)/2) is 1 at about half of the roots of g and -1 or 0 at
+    # the others, so its gcd with g is a proper factor for about half of all a
+    while True:
+        w = _poly_powmod([rng.below(p), 1], (p - 1) // 2, g, p)
+        u = _poly_gcd(g, _poly_minus_one(w, p), p)
+        if 1 < len(u) < len(g):
+            break
+    _split_linear(u, p, rng, out)
+    _split_linear(_poly_divmod(g, u, p)[0], p, rng, out)
+
+
+# Univariate polynomials over F_p below are ascending coefficient lists with
+# no zero leading coefficient; the zero polynomial is the empty list.
+
+
+def _poly_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_monic(a, p):
+    inv = fp_inv(a[-1], p)
+    return [c * inv % p for c in a]
+
+
+def _poly_minus_one(a, p):
+    a = list(a) or [0]
+    a[0] = (a[0] - 1) % p
+    return _poly_trim(a)
+
+
+def _poly_divmod(a, f, p):
+    """Quotient and remainder of ``a`` by the monic ``f``."""
+    a = list(a)
+    n = len(f) - 1
+    quo = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
+        quo[i - n] = c
+        if c:
+            for j in range(n):
+                a[i - n + j] -= c * f[j]
+    return quo, _poly_trim([c % p for c in a[:n]])
+
+
+def _poly_mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_divmod(prod, f, p)[1]
+
+
+def _poly_powmod(base, e, f, p):
+    """``base**e`` modulo the monic ``f`` by left-to-right square-and-multiply."""
+    result = [1]
+    for bit in bin(e)[2:]:
+        result = _poly_mulmod(result, result, f, p)
+        if bit == "1":
+            result = _poly_mulmod(result, base, f, p)
+    return result
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd of the monic ``a`` and any ``b``."""
+    while b:
+        b = _poly_monic(b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
 
 
 @dataclass(frozen=True)

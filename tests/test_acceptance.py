@@ -373,15 +373,14 @@ def test_criterion_7_delta_regularity():
         bridge,
         equations_e=(eq1, eq1.shift((1, 0, 0, 0)), eq1.shift((0, 1, 0, 0))),
     )
-    from doublemirror.fpkernels import scan_roots
-    from doublemirror.laurent import SplitMix64
+    from doublemirror.laurent import SplitMix64, fp_roots
 
     rng = SplitMix64(1)
     degenerate_pts = []
     while len(degenerate_pts) < 10:
         fixed = tuple(rng.nonzero_mod(prime) if i else 1 for i in range(bridge.pair.d))
         lo, cs = eq1.restrict_to_line(fixed, 0)
-        for root in scan_roots(cs, prime):
+        for root in fp_roots(cs, prime):
             degenerate_pts.append(
                 tuple(root if i == 0 else fixed[i] for i in range(bridge.pair.d))
             )

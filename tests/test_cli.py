@@ -244,6 +244,32 @@ class TestExample:
         assert code == 1
 
 
+class TestFlagValidation:
+    def test_negative_samples_rejected(self, two_segment_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", two_segment_file, "--samples", "-5"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "--samples" in err
+
+
+class TestLargePrimes:
+    @pytest.mark.parametrize("prime", [2147483659, (1 << 61) - 1])
+    def test_verify(self, prime, tmp_path, capsys):
+        inst = write_instance(tmp_path, example_instance("product-projective", 3, 3))
+        code, out = run_cli(
+            ["verify", inst, "--pair", "1", "2", "--samples", "30", "--prime", str(prime)], capsys
+        )
+        assert code == 0
+        evidence = json.loads(out)["result"]["evidence"]
+        assert evidence["verdict"] is True and evidence["samples_on_d"] == 30
+
+    def test_prime_beyond_certified_range(self, tmp_path, capsys):
+        inst = write_instance(tmp_path, example_instance("product-projective", 3, 3))
+        assert main(["verify", inst, "--prime", str((1 << 89) - 1)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = subprocess.run(
@@ -253,3 +279,12 @@ class TestEntryPoint:
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["nef_partition"]
+
+    def test_import_does_not_load_numpy(self):
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, doublemirror.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0
+        assert out.stdout.strip() == "False"

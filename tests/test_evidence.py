@@ -178,9 +178,9 @@ class TestDeltaRegularity:
         while len(pts) < 5:
             fixed = tuple(rng.nonzero_mod(P) if i else 1 for i in range(d))
             lo, coeffs = eq1.restrict_to_line(fixed, 0)
-            from doublemirror.fpkernels import scan_roots
+            from doublemirror.laurent import fp_roots
 
-            for root in scan_roots(coeffs, P):
+            for root in fp_roots(coeffs, P):
                 pts.append(tuple(root if i == 0 else fixed[i] for i in range(d)))
                 break
         rate = delta_regularity_probe(crafted, pts, P, side="e")

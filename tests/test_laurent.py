@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic, RNG determinism, coefficient assignments."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,31 @@ class TestPrimeHelpers:
     def test_is_prime(self):
         assert is_prime(10007) and is_prime(65537) and is_prime(101)
         assert not is_prime(10006) and not is_prime(1)
+
+    def test_is_prime_matches_sieve(self):
+        n = 20000
+        sieve = [False, False] + [True] * (n - 1)
+        for q in range(2, int(n**0.5) + 1):
+            if sieve[q]:
+                sieve[q * q :: q] = [False] * len(sieve[q * q :: q])
+        assert [k for k in range(n + 1) if is_prime(k)] == [k for k in range(n + 1) if sieve[k]]
+
+    def test_is_prime_large_prime_is_fast(self):
+        start = time.perf_counter()
+        assert is_prime((1 << 61) - 1)
+        assert is_prime(2147483659)
+        assert time.perf_counter() - start < 1.0
+
+    def test_is_prime_rejects_pseudoprimes(self):
+        # Carmichael numbers, then strong pseudoprimes to the bases 2..7
+        # and 2..23 respectively
+        for n in (561, 41041, 3215031751, 3825123056546413051):
+            assert not is_prime(n)
+
+    def test_is_prime_beyond_certified_range(self):
+        with pytest.raises(InputError):
+            is_prime((1 << 89) - 1)
+        assert not is_prime((1 << 89) + 1)
 
     def test_fp_inv(self):
         for x in (1, 2, 5000, 10006):

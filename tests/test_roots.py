@@ -1,0 +1,93 @@
+"""Exact root finding in F_p* against a brute-force scan of the field."""
+
+import random
+
+import pytest
+
+from doublemirror.laurent import fp_roots
+
+MERSENNE_61 = (1 << 61) - 1
+
+
+def reference_roots(coeffs, p):
+    """Every t in F_p* at which ``sum coeffs[k] t**k`` vanishes, ascending."""
+    roots = []
+    for t in range(1, p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * t + c) % p
+        if acc == 0:
+            roots.append(t)
+    return roots
+
+
+def times_linear(coeffs, r, p):
+    """Coefficients of ``(t - r) * sum coeffs[k] t**k``."""
+    out = [0] * (len(coeffs) + 1)
+    for k, c in enumerate(coeffs):
+        out[k + 1] = (out[k + 1] + c) % p
+        out[k] = (out[k] - r * c) % p
+    return out
+
+
+def from_roots(roots, p, cofactor=(1,)):
+    coeffs = list(cofactor)
+    for r in roots:
+        coeffs = times_linear(coeffs, r, p)
+    return coeffs
+
+
+class TestFpRoots:
+    def test_known_roots(self):
+        p = 101
+        # (t - 3)(t - 7) = t^2 - 10t + 21
+        assert fp_roots([21, -10 % p, 1], p) == [3, 7]
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 211])
+    def test_matches_reference(self, p):
+        rng = random.Random(p)
+        for _ in range(200):
+            coeffs = [rng.randrange(p) for _ in range(rng.randint(1, 9))]
+            if not any(coeffs):
+                continue
+            assert fp_roots(coeffs, p) == reference_roots(coeffs, p)
+
+    @pytest.mark.parametrize("p", [101, 211])
+    def test_zero_is_excluded(self, p):
+        assert fp_roots(from_roots([0, 5, 9], p), p) == [5, 9]
+        assert fp_roots([0, 0, 0, 1], p) == []
+        rng = random.Random(p + 1)
+        for _ in range(50):
+            coeffs = [0] + [rng.randrange(p) for _ in range(rng.randint(1, 8))]
+            if any(coeffs):
+                assert fp_roots(coeffs, p) == reference_roots(coeffs, p)
+
+    @pytest.mark.parametrize("p", [101, 211])
+    def test_repeated_roots_reported_once(self, p):
+        coeffs = from_roots([3, 3, 3, 7, 7, p - 1], p)
+        assert fp_roots(coeffs, p) == [3, 7, p - 1] == reference_roots(coeffs, p)
+
+    @pytest.mark.parametrize("p", [101, 211])
+    def test_splits_completely(self, p):
+        rng = random.Random(2 * p)
+        roots = rng.sample(range(1, p), 8)
+        assert fp_roots(from_roots(roots, p), p) == sorted(roots)
+        # t^(p-1) - 1 vanishes on all of F_p*
+        assert fp_roots([p - 1] + [0] * (p - 2) + [1], p) == list(range(1, p))
+
+    def test_leading_zeros_and_constants(self):
+        assert fp_roots([21, -10 % 101, 1, 0, 0], 101) == [3, 7]
+        assert fp_roots([5], 101) == []
+        with pytest.raises(ValueError):
+            fp_roots([101, 202], 101)
+
+    def test_large_prime_known_factors(self):
+        p = MERSENNE_61
+        rng = random.Random(61)
+        # t^2 - c has no root in F_p when c is a quadratic non-residue
+        c = next(c for c in range(2, 100) if pow(c, (p - 1) // 2, p) == p - 1)
+        cofactor = [-c % p, 0, 1]
+        for count in range(6):
+            roots = [rng.randrange(1, p) for _ in range(count)]
+            coeffs = from_roots(roots + roots[:1] + [0], p, cofactor)
+            assert fp_roots(coeffs, p) == sorted(set(roots))
