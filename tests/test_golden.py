@@ -6,6 +6,12 @@ purpose, when the report schema changes, from inside ``tests/golden``:
 
     python -m doublemirror.cli verify pp33.json --pair 1 2 --samples 30 \\
         --prime 10007 --seed 3 --output verify-pp33-p10007.json
+    python -m doublemirror.cli nefdual square.json --output nefdual-square.json
+
+``two-segment.json`` and ``square.json`` are the bundled examples as written
+by ``doublemirror example``; ``triangle.json`` is a non-reflexive polytope
+whose reflexivity witness is rational, so its ``dualize`` report pins how
+rational and integral coordinates are printed.
 """
 
 import json
@@ -40,6 +46,24 @@ def test_verify_report_matches_golden(name, prime, samples, seed, monkeypatch, c
     out = capsys.readouterr().out
     expected = (GOLDEN / f"verify-{name}-p{prime}.json").read_bytes()
     assert out.encode("utf-8") == expected
+
+
+# (command, instance, extra flags); golden file is f"{command}-{instance}.json"
+COMMAND_CASES = [
+    ("dualize", "triangle", []),
+    ("dualize", "square", []),
+    *[(cmd, name, []) for cmd in ("nefdual", "cone", "decompose")
+      for name in ("two-segment", "square", "pp33")],
+    ("bridge", "pp33", ["--pair", "1", "2"]),
+]
+
+
+@pytest.mark.parametrize("command,name,extra", COMMAND_CASES)
+def test_command_report_matches_golden(command, name, extra, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main([command, f"{name}.json", *extra]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"{command}-{name}.json").read_bytes()
 
 
 def test_sampled_points_match_golden():
