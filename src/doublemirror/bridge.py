@@ -15,19 +15,18 @@ Everything symbolic here is exact; the sampling harness lives in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .cones import GorensteinConePair, build_cone, cone_to_nef_partition, in_dual_cone
 from .errors import (
     DecompositionError,
     DegenerateCoefficientsError,
-    InputError,
     InternalError,
 )
 from .intmat import (
     IntMatrix,
     _snf_ext,
+    adjugate,
     dot,
     integral_preimage_lattice,
     kernel_basis,
@@ -35,6 +34,7 @@ from .intmat import (
     solve_linear_integer,
     vadd,
     vneg,
+    vscale,
     vsub,
 )
 from .lattices import sublattice_dual_pair
@@ -85,30 +85,6 @@ def block_partition(p_vectors):
         groups.setdefault(col, []).append(i)
     blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
     return tuple(blocks)
-
-
-def brute_force_block_partition(p_vectors):
-    """Exponential oracle: repeatedly strip the smallest zero-sum subset."""
-    p_vectors = [tuple(int(x) for x in p) for p in p_vectors]
-    remaining = sorted(range(len(p_vectors)))
-    blocks = []
-    while remaining:
-        found = None
-        for size in range(1, len(remaining) + 1):
-            for subset in itertools.combinations(remaining, size):
-                total = p_vectors[subset[0]]
-                for i in subset[1:]:
-                    total = vadd(total, p_vectors[i])
-                if all(x == 0 for x in total):
-                    found = subset
-                    break
-            if found:
-                break
-        if found is None:
-            raise InputError("indices do not sum to zero")
-        blocks.append(tuple(found))
-        remaining = [i for i in remaining if i not in set(found)]
-    return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
 def make_decomposition(p_vectors) -> Decomposition:
@@ -344,22 +320,6 @@ def _mbar_to_mbarprime(v, s, n_prime_basis: IntMatrix):
     return a + mprime
 
 
-def _int_inverse(mat: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    det = mat.det()
-    if det not in (1, -1):
-        raise InternalError("matrix is not unimodular")
-    n = mat.rows
-    cols = []
-    from .dd import solve_rational
-
-    for j in range(n):
-        rhs = tuple(1 if i == j else 0 for i in range(n))
-        col = solve_rational([tuple(r) for r in zip(*mat.data)], rhs)
-        cols.append(tuple(int(x) for x in col))
-    return IntMatrix(tuple(zip(*cols)))
-
-
 def build_bridge(
     pair: GorensteinConePair,
     dec_e: Decomposition,
@@ -529,9 +489,10 @@ def build_bridge(
 
     l_coords, l_m_rows = _m_level_complement(w_mprime, n_prime_basis, d)
     stack_e = IntMatrix(tuple(ann_basis.data) + tuple(l_m_rows))
-    if stack_e.rows != d or abs(stack_e.det()) != 1:
+    det_e, adj_e = adjugate(stack_e) if stack_e.rows == d else (0, None)
+    if det_e not in (1, -1):
         raise InternalError("Ann(e) does not split as Ann(e,e~) (+) L")
-    stack_e_inv = _int_inverse(stack_e)
+    stack_e_inv = IntMatrix(tuple(vscale(det_e, row) for row in adj_e.data))
 
     if w_order:
         ut_mprime = IntMatrix(
@@ -543,9 +504,10 @@ def build_bridge(
         ut_mprime = IntMatrix(())
     lt_coords, lt_m_rows = _m_level_complement(ut_mprime, n_prime_basis, d)
     stack_et = IntMatrix(tuple(ann_basis.data) + tuple(lt_m_rows))
-    if stack_et.rows != d or abs(stack_et.det()) != 1:
+    det_et, adj_et = adjugate(stack_et) if stack_et.rows == d else (0, None)
+    if det_et not in (1, -1):
         raise InternalError("Ann(e~) does not split as Ann(e,e~) (+) L~")
-    stack_et_inv = _int_inverse(stack_et)
+    stack_et_inv = IntMatrix(tuple(vscale(det_et, row) for row in adj_et.data))
 
     equations_e = tuple(
         LaurentPoly.from_dict(
@@ -697,17 +659,7 @@ def _m_level_complement(w_mprime: IntMatrix, n_prime_basis: IntMatrix, d: int):
     """
     if w_mprime.rows == 0:
         return IntMatrix(()), ()
-    bt = n_prime_basis.transpose()
-    det = bt.det()
-    # adjugate of B^T via rational inverse, scaled back to integers
-    from .dd import solve_rational
-
-    adj_cols = []
-    for j in range(d):
-        rhs = tuple(det if i == j else 0 for i in range(d))
-        col = solve_rational([tuple(r) for r in zip(*bt.data)], rhs)
-        adj_cols.append(tuple(int(x) for x in col))
-    adj = IntMatrix(tuple(zip(*adj_cols)))  # B^T adj with B^T . adj = det . I
+    det, adj = adjugate(n_prime_basis.transpose())  # B^T . adj = det . I
     num = w_mprime.mul(adj)
     if det < 0:
         num = IntMatrix(tuple(tuple(-x for x in row) for row in num.data))
@@ -760,33 +712,3 @@ def det_cofactor(matrix_rows, rank, domain):
         return total
 
     return rec(tuple(range(n)), tuple(range(n)))
-
-
-def det_permutation(matrix_rows, rank, domain):
-    """Determinant by the permutation-sum definition (independent oracle)."""
-    n = len(matrix_rows)
-    total = LaurentPoly.zero(rank, domain)
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        term = LaurentPoly.monomial(rank, (0,) * rank, sign, domain)
-        for i in range(n):
-            term = term * matrix_rows[i][perm[i]]
-        total = total + term
-    return total
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign

@@ -10,8 +10,10 @@ Exit codes: 0 success, 1 input error, 2 warnings escalated under --strict,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -372,19 +374,27 @@ def _args_echo(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.monotonic()
-    handler = COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        result, warnings, instance = handler(args)
+        return _run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # no traceback may escape main; name where it was raised
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        detail = " ".join(str(exc).split())
+        name = type(exc).__name__
+        print(f"internal error: unexpected {name} at {where}: {detail}", file=sys.stderr)
+        return 3
 
+
+def _run(args) -> int:
+    started = time.monotonic()
+    result, warnings, instance = COMMANDS[args.command](args)
     if args.command == "example":
         text = dumps(result, pretty=args.pretty)
     else:
@@ -397,8 +407,11 @@ def main(argv=None) -> int:
         }
         text = dumps(report, pretty=args.pretty)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}")
     else:
         sys.stdout.write(text)
     elapsed = time.monotonic() - started

@@ -17,9 +17,8 @@ change of coordinates back to the input frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .dd import extreme_rays, solve_rational
+from .dd import extreme_rays
 from .errors import (
     DecompositionError,
     InputError,
@@ -236,9 +235,7 @@ def cone_to_nef_partition(pair: GorensteinConePair, e_tilde) -> NefPartition:
         if not face:
             raise InternalError("slice face of a valid decomposition is empty")
         projected = [v[s:] for v in face]
-        parts.append(Polytope(pair.parts.lattice, tuple(sorted(
-            tuple(Fraction(x) for x in p) for p in projected
-        ))))
+        parts.append(Polytope(pair.parts.lattice, tuple(sorted(projected))))
     np_new = validate_nef_partition(parts)
     old_hull = set(hull_vertices([v for p in pair.parts.parts for v in p.vertices]))
     new_hull = set(hull_vertices([v for p in np_new.parts for v in p.vertices]))
@@ -260,21 +257,17 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     if IntMatrix(tuple(gens)).rank() != n:
         raise NotGorensteinError("cone is not full-dimensional")
 
-    dd_cols = [tuple(col) for col in zip(*gens)]
-    sol = solve_rational(dd_cols, (1,) * len(gens))
-    if sol is None or any(f.denominator != 1 for f in sol):
+    computed_deg_dual = _height_one_functional(gens)
+    if computed_deg_dual is None:
         raise NotGorensteinError("generators do not lie on an integral height-one hyperplane")
-    computed_deg_dual = tuple(int(f) for f in sol)
     if deg_dual is not None and tuple(deg_dual) != computed_deg_dual:
         raise InputError("supplied deg_dual does not support the generators at height one")
     deg_dual = computed_deg_dual
 
     rays = extreme_rays(gens)
-    ray_cols = [tuple(col) for col in zip(*rays)]
-    sol = solve_rational(ray_cols, (1,) * len(rays))
-    if sol is None or any(f.denominator != 1 for f in sol):
+    computed_deg = _height_one_functional(rays)
+    if computed_deg is None:
         raise NotGorensteinError("dual cone is not Gorenstein (no integral degree element)")
-    computed_deg = tuple(int(f) for f in sol)
     if deg is not None and tuple(deg) != computed_deg:
         raise InputError("supplied deg does not support the dual rays at height one")
     deg = computed_deg
@@ -343,6 +336,19 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
         "s_vertex_count": len(s_vertices),
     }
     return pair, info
+
+
+def _height_one_functional(vectors):
+    """The integral ``x`` with ``<v, x> = 1`` for every v, or None.
+
+    The vectors span the space, so the kernel of the rows ``(v, -1)`` is at
+    most a line; being saturated, it is spanned by ``+-(x, 1)`` exactly when
+    an integral x exists.
+    """
+    ker = kernel_basis(IntMatrix(tuple(tuple(v) + (-1,) for v in vectors)))
+    if ker.rows != 1 or ker.data[0][-1] not in (1, -1):
+        return None
+    return tuple(ker.data[0][-1] * x for x in ker.data[0][:-1])
 
 
 def _first_decomposition(points, target, s):

@@ -8,46 +8,8 @@ test runs on active-constraint bitsets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InternalError, RankDeficiencyError
-from .intmat import IntMatrix, vprimitive
-
-
-def solve_rational(rows, rhs):
-    """Solve ``x . rows = rhs`` exactly over the rationals, or return None.
-
-    ``rows`` is a list of equal-length sequences (the equations' coefficient
-    rows as *columns* of the system read the usual way round: we solve for a
-    coefficient per row).  Used for expressing vectors in a spanning set.
-    """
-    m = len(rows)
-    if m == 0:
-        return () if all(x == 0 for x in rhs) else None
-    n = len(rows[0])
-    aug = [[Fraction(rows[i][j]) for i in range(m)] + [Fraction(rhs[j])] for j in range(n)]
-    pivots = []
-    r = 0
-    for col in range(m):
-        pivot = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for row_idx, col in enumerate(pivots):
-        x[col] = aug[row_idx][m]
-    return tuple(x)
+from .intmat import IntMatrix, adjugate, vprimitive
 
 
 class NotPointedError(RankDeficiencyError):
@@ -84,25 +46,14 @@ def extreme_rays(constraints):
     order = chosen + [i for i in range(len(constraints)) if i not in set(chosen)]
     ordered = [constraints[i] for i in order]
 
-    base = IntMatrix(tuple(ordered[:n]))
-    det = base.det()
+    # the initial cone's rays are the columns of the adjugate, signed so that
+    # each is nonnegative on the chosen constraints
+    det, adj = adjugate(IntMatrix(tuple(ordered[:n])))
     if det == 0:
         raise InternalError("independent subset produced singular matrix")
-    rays = []
-    activity = []
-    for j in range(n):
-        target = tuple((det if i == j else 0) for i in range(n))
-        col = solve_rational([tuple(row) for row in zip(*base.data)], target)
-        if col is None:
-            raise InternalError("failed to invert initial cone basis")
-        denom = 1
-        for f in col:
-            denom = denom * f.denominator // _gcd(denom, f.denominator)
-        ray = tuple(int(f * denom) for f in col)
-        if det < 0:
-            ray = tuple(-x for x in ray)
-        rays.append(vprimitive(ray))
-        activity.append(((1 << n) - 1) ^ (1 << j))
+    sign = 1 if det > 0 else -1
+    rays = [vprimitive(tuple(sign * x for x in col)) for col in zip(*adj.data)]
+    activity = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
 
     for k in range(n, len(ordered)):
         c = ordered[k]
@@ -138,15 +89,3 @@ def extreme_rays(constraints):
         activity = keep_act + new_act
     unique = sorted(set(rays))
     return unique
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def cone_contains(point, generators):
-    """Exact membership of a rational point in the cone over ``generators``."""
-    facets = extreme_rays(generators)
-    return all(sum(f * p for f, p in zip(facet, point)) >= 0 for facet in facets)

@@ -38,6 +38,8 @@ def loads(text: str):
         return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise InputError("invalid JSON: arrays or objects nested too deeply")
 
 
 def dumps(obj, pretty=False) -> str:

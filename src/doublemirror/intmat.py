@@ -124,15 +124,19 @@ def _row_sub(m, i, j, q):
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
 
 
-def hnf(a: IntMatrix):
+def hnf(a: IntMatrix, transform=True):
     """Row Hermite normal form.
 
     Returns ``(h, u)`` with ``u`` unimodular and ``h = u * a`` in the
-    canonical form described in the module docstring.
+    canonical form described in the module docstring.  With
+    ``transform=False`` the transform is not built and ``u`` is None.
     """
     m, n = a.rows, a.cols
+    # the transform rides along as extra columns of the working rows
     h = [list(r) for r in a.data]
-    u = [list(r) for r in IntMatrix.identity(m).data]
+    if transform:
+        for i, r in enumerate(h):
+            r.extend(int(i == j) for j in range(m))
     pivot_row = 0
     for col in range(n):
         while True:
@@ -142,27 +146,51 @@ def hnf(a: IntMatrix):
             nz.sort(key=lambda i: (abs(h[i][col]), i))
             base = nz[0]
             for i in nz[1:]:
-                q = h[i][col] // h[base][col]
-                _row_sub(h, i, base, q)
-                _row_sub(u, i, base, q)
+                _row_sub(h, i, base, h[i][col] // h[base][col])
         if not nz:
             continue
         base = nz[0]
         if base != pivot_row:
             h[base], h[pivot_row] = h[pivot_row], h[base]
-            u[base], u[pivot_row] = u[pivot_row], u[base]
         if h[pivot_row][col] < 0:
             h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
         p = h[pivot_row][col]
         for i in range(pivot_row):
-            q = h[i][col] // p
-            _row_sub(h, i, pivot_row, q)
-            _row_sub(u, i, pivot_row, q)
+            _row_sub(h, i, pivot_row, h[i][col] // p)
         pivot_row += 1
         if pivot_row == m:
             break
-    return IntMatrix(h), IntMatrix(u)
+    u = IntMatrix(tuple(tuple(r[n:]) for r in h)) if transform else None
+    return IntMatrix(tuple(tuple(r[:n]) for r in h)), u
+
+
+def adjugate(a: IntMatrix):
+    """``(det, adj)`` with ``a * adj = adj * a = det * I``, fraction-free.
+
+    Bareiss's Gauss-Jordan elimination on ``[a | I]``: every division is
+    exact, and the right half ends as ``+-adj``.  A singular ``a`` gives
+    ``(0, None)``.
+    """
+    n = a.rows
+    if n != a.cols:
+        raise ValueError("adjugate of non-square matrix")
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.data)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        pk = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], m[k])]
+        prev = pk
+    return sign * prev, IntMatrix(tuple(tuple(sign * x for x in r[n:]) for r in m))
 
 
 def _snf_ext(a: IntMatrix):
@@ -281,7 +309,7 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     rows = [u.data[i] for i in range(h.rows) if all(x == 0 for x in h.data[i])]
     if not rows:
         return IntMatrix(())
-    canon, _ = hnf(IntMatrix(tuple(rows)))
+    canon, _ = hnf(IntMatrix(tuple(rows)), transform=False)
     return canon
 
 
@@ -301,7 +329,7 @@ def saturate(b: IntMatrix):
     for d in divisors[:k]:
         index *= d
     sat_rows = vinv.data[:k]
-    canon, _ = hnf(IntMatrix(sat_rows))
+    canon, _ = hnf(IntMatrix(sat_rows), transform=False)
     return canon, index
 
 
@@ -372,7 +400,7 @@ def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
         g = gcd(d, den)
         scale = den // g
         rows.append(tuple(scale * x for x in u.data[i]))
-    canon, _ = hnf(IntMatrix(tuple(rows)))
+    canon, _ = hnf(IntMatrix(tuple(rows)), transform=False)
     return canon
 
 

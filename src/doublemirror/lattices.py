@@ -138,7 +138,7 @@ def sublattice_dual_pair(basis_rows: IntMatrix, ambient_rank: int) -> DualPairin
     sat, index = saturate(basis_rows)
     if index != 1:
         raise InputError(f"sublattice basis is not saturated (index {index})")
-    canon, _ = hnf(basis_rows)
+    canon, _ = hnf(basis_rows, transform=False)
     if canon != sat:
         raise InputError("rows do not form a basis of their saturation")
     primal = LatticeEmbedding(ambient_rank, "kernel", None, basis_rows, basis_rows.rows, None)

@@ -9,7 +9,6 @@ defining duality relations are verified exactly before a dual is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DegeneratePartError,
@@ -66,7 +65,7 @@ def validate_nef_partition(parts) -> NefPartition:
             raise OriginMissingError(f"part {idx + 1} is not a lattice polytope")
         if not p.contains(origin):
             raise OriginMissingError(f"part {idx + 1} does not contain the origin")
-        if p.vertex_set() == {tuple(Fraction(0) for _ in range(lattice.rank))}:
+        if p.vertex_set() == {origin}:
             raise DegeneratePartError(
                 f"part {idx + 1} is the single point 0, giving a zero degree summand"
             )

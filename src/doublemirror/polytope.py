@@ -1,6 +1,7 @@
 """Exact rational polytopes: hulls, duality, reflexivity, lattice points.
 
-Vertices are tuples of ``Fraction`` in lattice basis coordinates.  Facets are
+Vertices are tuples in lattice basis coordinates whose entries are ``int``
+where integral and ``Fraction`` only where truly rational.  Facets are
 pairs ``(normal, offset)`` of integers, jointly primitive, meaning the
 halfspace ``<x, normal> >= -offset``.  All vertex and facet lists are sorted
 lexicographically so every derived report is byte-stable.
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .dd import NotPointedError, extreme_rays, solve_rational
+from .dd import NotPointedError, extreme_rays
 from .errors import (
     InputError,
     InternalError,
@@ -26,17 +27,27 @@ from .intmat import IntMatrix, hnf, kernel_basis, saturate, solve_linear_integer
 from .lattices import LatticeEmbedding
 
 
-def _as_fraction_tuple(point):
-    return tuple(Fraction(x) for x in point)
+def _exact(x):
+    """``x`` as an int when integral, else as a Fraction."""
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quo(a, b):
+    """``a / b`` for integers, as an int when exact, else as a Fraction."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
+def _exact_tuple(point):
+    return tuple(_exact(x) for x in point)
 
 
 def _scale_to_int(row):
     """Clear denominators and divide by the content; keeps the ray direction."""
-    denom = 1
-    for x in row:
-        denom = lcm(denom, Fraction(x).denominator)
-    ints = tuple(int(Fraction(x) * denom) for x in row)
-    return vprimitive(ints)
+    denom = lcm(*(x.denominator for x in row))
+    return vprimitive(tuple(x.numerator * (denom // x.denominator) for x in row))
 
 
 def affine_basis(points):
@@ -46,7 +57,7 @@ def affine_basis(points):
     direction space; ``W`` has zero rows removed and is saturated, so integer
     points of the affine hull have integer coordinates over it.
     """
-    pts = [_as_fraction_tuple(p) for p in points]
+    pts = [_exact_tuple(p) for p in points]
     x0 = pts[0]
     dir_rows = []
     for p in pts[1:]:
@@ -55,27 +66,48 @@ def affine_basis(points):
             dir_rows.append(_scale_to_int(d))
     if not dir_rows:
         return x0, IntMatrix(())
-    h, _ = hnf(IntMatrix(tuple(dir_rows)))
+    h, _ = hnf(IntMatrix(tuple(dir_rows)), transform=False)
     rows = tuple(r for r in h.data if any(x != 0 for x in r))
     sat, _ = saturate(IntMatrix(rows))
     return x0, sat
 
 
-def _to_affine_coords(points, x0, w: IntMatrix):
-    """Coordinates of each point over the affine basis, exact."""
+def _affine_coords(points, x0, w: IntMatrix):
+    """Coordinates ``z`` with ``p = x0 + z.W`` for each point, exact.
+
+    ``W`` is a saturated row HNF (as from ``affine_basis``), so once the
+    differences are scaled by the common denominator ``den`` the coordinates
+    are integers, found by forward substitution on the pivot columns.  The
+    residual left after subtracting ``z.W`` must vanish; a point off the
+    affine hull gets None.
+    """
+    den = lcm(*(x.denominator for p in points for x in p), *(x.denominator for x in x0))
+    x0s = [x * den for x in x0]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
     coords = []
     for p in points:
-        d = tuple(Fraction(a) - b for a, b in zip(p, x0))
-        z = solve_rational([tuple(r) for r in w.data], d)
-        if z is None:
-            raise InternalError("point left its own affine hull")
-        coords.append(z)
+        d = [int(a * den - b) for a, b in zip(p, x0s)]
+        z = []
+        for row, c in zip(w.data, pivots):
+            # rows below have zeros in column c, so a remainder here survives
+            q = d[c] // row[c]
+            d = [x - q * y for x, y in zip(d, row)]
+            z.append(q)
+        coords.append(None if any(d) else tuple(_quo(q, den) for q in z))
+    return coords
+
+
+def _to_affine_coords(points, x0, w: IntMatrix):
+    """Coordinates of each point over the affine basis, exact."""
+    coords = _affine_coords(points, x0, w)
+    if None in coords:
+        raise InternalError("point left its own affine hull")
     return coords
 
 
 def _from_affine_coords(z, x0, w: IntMatrix):
     return tuple(
-        x0[j] + sum(Fraction(zi) * w.data[i][j] for i, zi in enumerate(z))
+        _exact(x0[j] + sum(zi * w.data[i][j] for i, zi in enumerate(z)))
         for j in range(len(x0))
     )
 
@@ -103,13 +135,13 @@ def _vertices_from_facets(facets, dim):
         t = ray[0]
         if t == 0:
             raise UnboundedSliceError("polyhedron has a nonzero recession ray")
-        vertices.append(tuple(Fraction(x, t) for x in ray[1:]))
+        vertices.append(tuple(_quo(x, t) for x in ray[1:]))
     return sorted(set(vertices))
 
 
 def hull_vertices(points):
     """Extreme points of a finite rational point set, any dimension."""
-    pts = sorted(set(_as_fraction_tuple(p) for p in points))
+    pts = sorted(set(_exact_tuple(p) for p in points))
     if not pts:
         raise InputError("empty point set")
     if len(pts) == 1:
@@ -129,7 +161,7 @@ def facet_enumeration(vertices):
     Raises ``LowerDimensionalError`` (carrying the affine hull dimension)
     when the points do not span the ambient space.
     """
-    pts = [_as_fraction_tuple(p) for p in vertices]
+    pts = [_exact_tuple(p) for p in vertices]
     if not pts:
         raise InputError("empty vertex set")
     dim = len(pts[0])
@@ -175,16 +207,13 @@ class Polytope:
 
     def contains(self, point):
         """Exact membership test, valid in any dimension."""
-        p = _as_fraction_tuple(point)
+        p = _exact_tuple(point)
         if self.is_full_dimensional():
             return all(
                 sum(c * x for c, x in zip(normal, p)) >= -off for normal, off in self.facets()
             )
         x0, w = affine_basis(self.vertices)
-        d = tuple(a - b for a, b in zip(p, x0))
-        z = solve_rational([tuple(r) for r in w.data], d) if w.rows else (
-            () if all(x == 0 for x in d) else None
-        )
+        z = _affine_coords([p], x0, w)[0]
         if z is None:
             return False
         if w.rows == 0:
@@ -200,9 +229,10 @@ class Polytope:
         return set(self.vertices)
 
     def translate(self, shift):
-        shift = _as_fraction_tuple(shift)
+        shift = _exact_tuple(shift)
         return Polytope(
-            self.lattice, tuple(sorted(tuple(a + b for a, b in zip(v, shift)) for v in self.vertices))
+            self.lattice,
+            tuple(sorted(_exact_tuple(a + b for a, b in zip(v, shift)) for v in self.vertices)),
         )
 
 
@@ -225,7 +255,7 @@ def dual_polytope(p: Polytope) -> Polytope:
     if any(off <= 0 for _, off in facets):
         raise OriginNotInteriorError("origin is not strictly interior")
     dual_vertices = tuple(
-        sorted(tuple(Fraction(c, off) for c in normal) for normal, off in facets)
+        sorted(tuple(_quo(c, off) for c in normal) for normal, off in facets)
     )
     dual = Polytope(p.lattice.dual(), dual_vertices)
     # facets of the dual are the vertices of p, supporting at -1
@@ -269,7 +299,7 @@ def lattice_points(p: Polytope):
     facets = _facets_fulldim(zs)
     z_points = _enumerate_integer_points(zs, facets)
     result = [
-        tuple(int(base[j] + sum(z[i] * w.data[i][j] for i in range(w.rows))) for j in range(len(base)))
+        tuple(base[j] + sum(z[i] * w.data[i][j] for i in range(w.rows)) for j in range(len(base)))
         for z in z_points
     ]
     return sorted(result)
@@ -278,21 +308,18 @@ def lattice_points(p: Polytope):
 def _integral_point_in_affine_hull(x0, w: IntMatrix):
     """A lattice point on ``x0 + span(w)``, or None."""
     if all(x.denominator == 1 for x in x0):
-        return tuple(Fraction(int(x)) for x in x0)
+        return tuple(int(x) for x in x0)
     n = len(x0)
     normals = kernel_basis(w) if w.rows else IntMatrix.identity(n)
     if normals.rows == 0:
-        return tuple(Fraction(floor(x)) for x in x0)
+        return tuple(floor(x) for x in x0)
     rows = []
     rhs = []
     for normal in normals.data:
-        val = sum(Fraction(c) * x for c, x in zip(normal, x0))
+        val = sum(c * x for c, x in zip(normal, x0))
         rows.append(tuple(c * val.denominator for c in normal))
         rhs.append(int(val.numerator))
-    sol = solve_linear_integer(IntMatrix(tuple(rows)), tuple(rhs))
-    if sol is None:
-        return None
-    return tuple(Fraction(x) for x in sol)
+    return solve_linear_integer(IntMatrix(tuple(rows)), tuple(rhs))
 
 
 def _enumerate_integer_points(z_vertices, facets):
@@ -300,18 +327,24 @@ def _enumerate_integer_points(z_vertices, facets):
 
     Depth-first over coordinates with per-facet suffix bounds derived from the
     vertices; candidates are confirmed against the exact H-representation.
+    A partial sum ``pd`` over the first k + 1 coordinates can still be
+    completed for a facet only while ``pd + max_v <normal, v>_{>k} >= -off``;
+    with the vertices scaled by their common denominator ``den`` that reads
+    ``pd >= bound[k]`` for the integer ``bound[k] = ceil(-off - max_v(...))``.
     """
     dim = len(z_vertices[0])
     lo = [ceil(min(v[j] for v in z_vertices)) for j in range(dim)]
     hi = [floor(max(v[j] for v in z_vertices)) for j in range(dim)]
-    suffix_max = []
-    for normal, _off in facets:
-        sm = [Fraction(0)] * (dim + 1)
+    den = lcm(*(x.denominator for v in z_vertices for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in z_vertices]
+    bounds = []
+    for normal, off in facets:
+        suffix = [0] * len(scaled)
+        bound = [0] * dim
         for k in range(dim - 1, -1, -1):
-            sm[k] = max(
-                sum(Fraction(normal[j]) * v[j] for j in range(k, dim)) for v in z_vertices
-            )
-        suffix_max.append(sm)
+            bound[k] = -((den * off + max(suffix)) // den)
+            suffix = [t + normal[k] * v[k] for t, v in zip(suffix, scaled)]
+        bounds.append(bound)
     out = []
     point = [0] * dim
 
@@ -323,9 +356,9 @@ def _enumerate_integer_points(z_vertices, facets):
             point[k] = val
             ok = True
             new_partials = []
-            for f_idx, (normal, off) in enumerate(facets):
+            for f_idx, (normal, _off) in enumerate(facets):
                 pd = partials[f_idx] + normal[k] * val
-                if pd + suffix_max[f_idx][k + 1] < -off:
+                if pd < bounds[f_idx][k]:
                     ok = False
                     break
                 new_partials.append(pd)
@@ -369,9 +402,14 @@ def slice_cone(cone_generators, level_functionals, lattice: LatticeEmbedding) ->
         raise InputError("cone is not full-dimensional") from exc
     phi_rows = [tuple(int(x) for x in f) for f, _t in level_functionals]
     targets = [Fraction(t) for _f, t in level_functionals]
-    x0 = solve_rational([tuple(col) for col in zip(*phi_rows)], targets)
-    if x0 is None:
+    # a kernel vector (y, c) of [phi | -den * targets] with c != 0 gives the
+    # rational point x0 = y / (c * den) on every level set
+    den = lcm(*(t.denominator for t in targets))
+    lifted = [row + (-int(t * den),) for row, t in zip(phi_rows, targets)]
+    lift = next((r for r in kernel_basis(IntMatrix(tuple(lifted))).data if r[-1]), None)
+    if lift is None:
         return Polytope(lattice, ())
+    x0 = tuple(_quo(y, lift[-1] * den) for y in lift[:-1])
     w = kernel_basis(IntMatrix(tuple(phi_rows)))
     if w.rows == 0:
         point = tuple(x0)
@@ -381,7 +419,7 @@ def slice_cone(cone_generators, level_functionals, lattice: LatticeEmbedding) ->
     reduced = []
     for facet in cone_facets:
         coeffs = tuple(sum(facet[j] * w.data[i][j] for j in range(dim)) for i in range(w.rows))
-        off = sum(Fraction(facet[j]) * x0[j] for j in range(dim))
+        off = sum(facet[j] * x0[j] for j in range(dim))
         # <x0 + z.W, facet> >= 0  <=>  <coeffs, z> >= -off
         if all(c == 0 for c in coeffs):
             if off < 0:

@@ -1,0 +1,68 @@
+"""Slow independent oracles that the tests compare the library against."""
+
+import itertools
+
+from doublemirror.dd import extreme_rays
+from doublemirror.errors import InputError
+from doublemirror.intmat import vadd
+from doublemirror.laurent import LaurentPoly
+
+
+def cone_contains(point, generators):
+    """Exact membership of a rational point in the cone over ``generators``."""
+    facets = extreme_rays(generators)
+    return all(sum(f * p for f, p in zip(facet, point)) >= 0 for facet in facets)
+
+
+def brute_force_block_partition(p_vectors):
+    """Exponential oracle: repeatedly strip the smallest zero-sum subset."""
+    p_vectors = [tuple(int(x) for x in p) for p in p_vectors]
+    remaining = sorted(range(len(p_vectors)))
+    blocks = []
+    while remaining:
+        found = None
+        for size in range(1, len(remaining) + 1):
+            for subset in itertools.combinations(remaining, size):
+                total = p_vectors[subset[0]]
+                for i in subset[1:]:
+                    total = vadd(total, p_vectors[i])
+                if all(x == 0 for x in total):
+                    found = subset
+                    break
+            if found:
+                break
+        if found is None:
+            raise InputError("indices do not sum to zero")
+        blocks.append(tuple(found))
+        remaining = [i for i in remaining if i not in set(found)]
+    return tuple(sorted(blocks, key=lambda b: b[0]))
+
+
+def det_permutation(matrix_rows, rank, domain):
+    """Determinant by the permutation-sum definition."""
+    n = len(matrix_rows)
+    total = LaurentPoly.zero(rank, domain)
+    for perm in itertools.permutations(range(n)):
+        sign = _perm_sign(perm)
+        term = LaurentPoly.monomial(rank, (0,) * rank, sign, domain)
+        for i in range(n):
+            term = term * matrix_rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def _perm_sign(perm):
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign

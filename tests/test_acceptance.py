@@ -13,7 +13,6 @@ import pytest
 
 from doublemirror.bridge import (
     block_partition,
-    brute_force_block_partition,
     build_bridge,
     enumerate_decompositions,
     random_coefficients,
@@ -37,6 +36,7 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, dual_polytope, hull_vertices, is_reflexive
+from oracles import brute_force_block_partition
 from test_bridge import _random_block_tuple
 from test_intmat import is_row_hnf, same_row_span
 

@@ -6,10 +6,8 @@ import pytest
 
 from doublemirror.bridge import (
     block_partition,
-    brute_force_block_partition,
     build_auxiliary_lattice,
     build_bridge,
-    det_permutation,
     enumerate_decompositions,
     make_decomposition,
     random_coefficients,
@@ -22,6 +20,7 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
+from oracles import brute_force_block_partition, det_permutation
 
 
 @pytest.fixture(scope="module")

@@ -253,6 +253,33 @@ class TestFlagValidation:
         assert len(err.splitlines()) == 1 and "--samples" in err
 
 
+class TestNoTraceback:
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100000, encoding="utf-8")
+        assert main(["cone", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "nested too deeply" in err
+
+    def test_unexpected_exception_exits_3(self, two_segment_file, monkeypatch, capsys):
+        import doublemirror.cli as cli
+
+        def boom(_args):
+            raise ZeroDivisionError("first line\nsecond line")
+
+        monkeypatch.setitem(cli.COMMANDS, "cone", boom)
+        assert main(["cone", two_segment_file]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("internal error: unexpected ZeroDivisionError at test_cli.py:")
+        assert err.rstrip().endswith(": first line second line")
+
+    def test_unwritable_output_is_an_input_error(self, two_segment_file, tmp_path, capsys):
+        assert main(["cone", two_segment_file, "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+
+
 class TestLargePrimes:
     @pytest.mark.parametrize("prime", [2147483659, (1 << 61) - 1])
     def test_verify(self, prime, tmp_path, capsys):

@@ -12,12 +12,13 @@ from doublemirror.cones import (
     verify_reflexive_gorenstein,
     verify_reflexive_gorenstein_data,
 )
-from doublemirror.dd import cone_contains, extreme_rays
+from doublemirror.dd import extreme_rays
 from doublemirror.errors import DecompositionError
 from doublemirror.intmat import dot
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, hull_vertices
+from oracles import cone_contains
 
 Z2 = LatticeEmbedding.full(2)
 
