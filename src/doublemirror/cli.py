@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import time
-import traceback
 from fractions import Fraction
 
 from . import __version__
@@ -384,8 +383,10 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # no traceback may escape main; name where it was raised
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno}"
         detail = " ".join(str(exc).split())
         name = type(exc).__name__
         print(f"internal error: unexpected {name} at {where}: {detail}", file=sys.stderr)

@@ -48,9 +48,12 @@ def extreme_rays(constraints):
 
     # the initial cone's rays are the columns of the adjugate, signed so that
     # each is nonnegative on the chosen constraints
-    det, adj = adjugate(IntMatrix(tuple(ordered[:n])))
+    base = IntMatrix(tuple(ordered[:n]))
+    det, adj = adjugate(base)
     if det == 0:
         raise InternalError("independent subset produced singular matrix")
+    if base.mul(adj) != IntMatrix(tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))):
+        raise InternalError("failed to invert initial cone basis")
     sign = 1 if det > 0 else -1
     rays = [vprimitive(tuple(sign * x for x in col)) for col in zip(*adj.data)]
     activity = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
