@@ -7,6 +7,8 @@ purpose, when the report schema changes, from inside ``tests/golden``:
     python -m doublemirror.cli verify pp33.json --pair 1 2 --samples 30 \\
         --prime 10007 --seed 3 --output verify-pp33-p10007.json
     python -m doublemirror.cli nefdual square.json --output nefdual-square.json
+    python -m doublemirror.cli bridge pp33.json --pair 2 3 \\
+        --output bridge-pp33-pair23.json
 
 ``two-segment.json`` and ``square.json`` are the bundled examples as written
 by ``doublemirror example``; ``triangle.json`` is a non-reflexive polytope
@@ -64,6 +66,24 @@ def test_command_report_matches_golden(command, name, extra, monkeypatch, capsys
     assert main([command, f"{name}.json", *extra]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{command}-{name}.json").read_bytes()
+
+
+# (golden file, argv); --pair 2 3 renormalizes to a nontrivial reference
+# decomposition, which --pair 1 2 never does
+RUN_30 = ["--samples", "30", "--prime", "10007", "--seed", "3"]
+NAMED_CASES = [
+    ("bridge-pp33-pair23", ["bridge", "pp33.json", "--pair", "2", "3"]),
+    ("verify-pp33-pair23-p10007", ["verify", "pp33.json", "--pair", "2", "3", *RUN_30]),
+    ("pipeline-pp33-p10007", ["pipeline", "pp33.json", *RUN_30]),
+]
+
+
+@pytest.mark.parametrize("golden,argv", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
+def test_named_report_matches_golden(golden, argv, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
 
 
 def test_sampled_points_match_golden():
