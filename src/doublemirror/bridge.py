@@ -7,7 +7,9 @@ construction renormalizes so the first becomes the reference ``(delta_i ; 0)``
 and the second turns into difference vectors ``q_i``; the finest zero-sum
 block partition of the ``q_i`` fixes the sizes of the bridge matrices
 ``A_k(y)`` whose simultaneous determinant locus ``D`` both complete
-intersections project to.
+intersections project to.  That lattice data is built and checked once per
+pair (``bridge_skeleton``); ``BridgeSkeleton.instantiate`` adds the
+polynomials of one coefficient choice.
 
 Everything symbolic here is exact; the sampling harness lives in
 ``evidence``.
@@ -179,30 +181,32 @@ def build_auxiliary_lattice(dec: Decomposition, d: int):
 
 
 @dataclass(frozen=True)
-class BridgeData:
-    """Everything the sampling harness needs about one decomposition pair."""
+class BridgeSkeleton:
+    """The coefficient-free lattice data of one decomposition pair.
+
+    ``bridge_skeleton`` builds it once per pair and runs every check that
+    involves no coefficients; ``instantiate`` adds the polynomials of one
+    coefficient choice, so one skeleton serves every field.
+    """
 
     pair: GorensteinConePair  # renormalized so dec_e is the reference
-    dec_e: Decomposition
-    dec_etilde: Decomposition
+    dec_etilde: Decomposition  # q, with the reference decomposition trivial
     n_prime_basis: IntMatrix
     sat_index: int
     w_vectors: dict  # (block, position >= 1) -> Mbar' vector
     u_vectors: dict  # (block, position >= 0) -> Mbar' vector
+    entry_shifts: dict  # (block, row, column) -> Mbar' shift from g_ij to the entry
     ann_basis: IntMatrix  # rows: basis of {m : <m, q_i> = 0}, in M coords
-    slice_polys: dict  # (i, j) -> LaurentPoly in Mbar' exponents
-    matrices: tuple  # per block: tuple of rows of LaurentPoly, Ann coords
-    determinants: tuple
-    coeffs: CoefficientAssignment
-    equations_e: tuple  # s Laurent polynomials in M coordinates
-    equations_etilde: tuple
+    slice_supports: dict  # (i, j) -> slice points of g_ij
+    gt_supports: tuple  # per slot j: slice points of g~_j
+    partition_results: dict  # support partition identities, by report key
+    ann_coords: dict  # Mbar' exponent of a matrix entry term -> Ann(e, e~) coords
+    diag_exps: tuple  # per block: Ann exponent of the diagonal witness monomial
     stack_e_inv: IntMatrix  # inverse of [ann_basis ; L rows] over M
     stack_et_inv: IntMatrix
     l_coords: IntMatrix  # basis of L in w-combination coordinates
     lt_coords: IntMatrix
-    identity_results: dict
-    warnings: tuple
-    diag_witness: tuple  # per block: diagonal monomial coefficient nonzero?
+    wt_primes: tuple  # w~'_j in Mbar with <w~'_j, e~_i> = delta_ij
 
     @property
     def torus_rank(self):
@@ -211,6 +215,132 @@ class BridgeData:
     @property
     def blocks(self):
         return self.dec_etilde.blocks
+
+    def instantiate(self, coeffs: CoefficientAssignment) -> BridgeData:
+        """Matrices, determinants and equations for one coefficient choice."""
+        pair, blocks = self.pair, self.blocks
+        s, d, rank = pair.s, pair.d, self.torus_rank
+        domain = coeffs.domain
+
+        def poly(points, exp_of, nvars):
+            terms = {exp_of(v): coeffs.value(pair.point_to_root(v)) for v in points}
+            return LaurentPoly.from_dict(nvars, terms, domain)
+
+        def mp(v):
+            return _mbar_to_mbarprime(v, s, self.n_prime_basis)
+
+        slice_polys = {ij: poly(pts, mp, s + d) for ij, pts in self.slice_supports.items()}
+        g_slot = [poly(pts, mp, s + d) for pts in pair.slice_points()]
+        gt_polys = [poly(pts, mp, s + d) for pts in self.gt_supports]
+
+        # bridge matrices in Mbar' exponents
+        matrices_mp = tuple(
+            tuple(
+                tuple(
+                    slice_polys[(slot_i, slot_j)].shift(self.entry_shifts[(k, pos_i, pos_j)])
+                    for pos_j, slot_j in enumerate(block)
+                )
+                for pos_i, slot_i in enumerate(block)
+            )
+            for k, block in enumerate(blocks)
+        )
+
+        # symbolic identities: A_k . w_k = (X^{-u_ki} g_ki)^t and u_k . A_k = (X^{-w_kj} g~_kj)
+        identity_results = dict(self.partition_results)
+        for k, block in enumerate(blocks):
+            for pos_i, slot_i in enumerate(block):
+                acc = LaurentPoly.zero(s + d, domain)
+                for pos_j in range(len(block)):
+                    entry = matrices_mp[k][pos_i][pos_j]
+                    if pos_j >= 1:
+                        entry = entry.shift(self.w_vectors[(k, pos_j)])
+                    acc = acc + entry
+                target = g_slot[slot_i].shift(vneg(self.u_vectors[(k, pos_i)]))
+                key = f"matrix_row_identity_{k}_{pos_i}"
+                identity_results[key] = acc.terms == target.terms
+                if not identity_results[key]:
+                    raise InternalError("A_k . w_k identity failed")
+            for pos_j, slot_j in enumerate(block):
+                acc = LaurentPoly.zero(s + d, domain)
+                for pos_i in range(len(block)):
+                    acc = acc + matrices_mp[k][pos_i][pos_j].shift(self.u_vectors[(k, pos_i)])
+                shift = (0,) * (s + d)
+                if pos_j >= 1:
+                    shift = vneg(self.w_vectors[(k, pos_j)])
+                target = gt_polys[slot_j].shift(shift)
+                key = f"matrix_col_identity_{k}_{pos_j}"
+                identity_results[key] = acc.terms == target.terms
+                if not identity_results[key]:
+                    raise InternalError("u_k . A_k identity failed")
+
+        # entries over the basis of Ann(e, e~)
+        matrices = tuple(
+            tuple(
+                tuple(
+                    LaurentPoly.from_dict(
+                        rank, {self.ann_coords[e]: c for e, c in entry.terms}, domain
+                    )
+                    for entry in row
+                )
+                for row in mat
+            )
+            for mat in matrices_mp
+        )
+        determinants = tuple(det_cofactor(m, rank, domain) for m in matrices)
+        warnings = []
+        diag_witness = []
+        for k, det in enumerate(determinants):
+            if det.is_zero():
+                raise DegenerateCoefficientsError(
+                    f"det A_{k + 1} vanished for these coefficients; resample advised"
+                )
+            diag_witness.append(dict(det.terms).get(self.diag_exps[k], 0) != 0)
+            if not diag_witness[-1]:
+                warnings.append(
+                    f"diagonal witness monomial of det A_{k + 1} cancelled for these coefficients"
+                )
+
+        equations_e = tuple(poly(pts, lambda v: v[s:], d) for pts in pair.slice_points())
+        equations_et = tuple(
+            poly(pts, lambda v, wt=wt: vsub(v, wt)[s:], d)
+            for pts, wt in zip(self.gt_supports, self.wt_primes)
+        )
+        return BridgeData(
+            skeleton=self,
+            coeffs=coeffs,
+            slice_polys=slice_polys,
+            matrices=matrices,
+            determinants=determinants,
+            equations_e=equations_e,
+            equations_etilde=equations_et,
+            identity_results=identity_results,
+            warnings=tuple(warnings),
+            diag_witness=tuple(diag_witness),
+        )
+
+
+@dataclass(frozen=True)
+class BridgeData:
+    """One coefficient choice on a skeleton: what the sampling harness needs."""
+
+    skeleton: BridgeSkeleton
+    coeffs: CoefficientAssignment
+    slice_polys: dict  # (i, j) -> LaurentPoly in Mbar' exponents
+    matrices: tuple  # per block: tuple of rows of LaurentPoly, Ann coords
+    determinants: tuple
+    equations_e: tuple  # s Laurent polynomials in M coordinates
+    equations_etilde: tuple
+    identity_results: dict
+    warnings: tuple
+    diag_witness: tuple  # per block: diagonal monomial coefficient nonzero?
+
+    @property
+    def pair(self):
+        return self.skeleton.pair
+
+    @property
+    def torus_rank(self):
+        return self.skeleton.torus_rank
 
 
 def slice_root_keys(pair: GorensteinConePair):
@@ -320,18 +450,13 @@ def _mbar_to_mbarprime(v, s, n_prime_basis: IntMatrix):
     return a + mprime
 
 
-def build_bridge(
-    pair: GorensteinConePair,
-    dec_e: Decomposition,
-    dec_etilde: Decomposition,
-    coeffs: CoefficientAssignment,
-) -> BridgeData:
-    """Assemble the bridge data comparing two decompositions of deg_dual."""
-    warnings = []
+def bridge_skeleton(
+    pair: GorensteinConePair, dec_e: Decomposition, dec_etilde: Decomposition
+) -> BridgeSkeleton:
+    """The lattice data comparing two decompositions of deg_dual, all checked."""
     pair2 = _renormalize(pair, dec_e)
     s, d = pair2.s, pair2.d
     q = tuple(vsub(b, a) for a, b in zip(dec_e.p, dec_etilde.p))
-    dec_e2 = make_decomposition(tuple((0,) * d for _ in range(s)))
     dec_et2 = make_decomposition(q)
     for i, e in enumerate(dec_et2.e_tilde(s)):
         if not in_dual_cone(pair2, e):
@@ -373,117 +498,53 @@ def build_bridge(
         ann_mbar = IntMatrix(tuple((0,) * s + tuple(row) for row in ann_basis.data))
         sublattice_dual_pair(ann_mbar, s + d)
 
-    domain = coeffs.domain
-    part_points = pair2.part_points()
-
     def mp(v):
         return _mbar_to_mbarprime(v, s, n_prime_basis)
 
-    slice_polys, slice_supports, g_slot, gt_polys, identity_results = _slice_family(
-        pair2, q, blocks, coeffs, mp
-    )
-
-    # bridge matrices in Mbar' exponents
-    matrices_mp = []
+    slice_supports, gt_supports, partition_results = _slice_supports(pair2, q, blocks)
+    entry_shifts = {}
     for k, block in enumerate(blocks):
-        rows = []
-        for pos_i, slot_i in enumerate(block):
-            row = []
-            for pos_j, slot_j in enumerate(block):
+        for pos_i in range(len(block)):
+            for pos_j in range(len(block)):
                 shift = vneg(u_vectors[(k, pos_i)])
                 if pos_j >= 1:
                     shift = vsub(shift, w_vectors[(k, pos_j)])
-                row.append(slice_polys[(slot_i, slot_j)].shift(shift))
-            rows.append(tuple(row))
-        matrices_mp.append(tuple(rows))
+                entry_shifts[(k, pos_i, pos_j)] = shift
 
-    # symbolic identities: A_k . w_k = (X^{-u_ki} g_ki)^t and u_k . A_k = (X^{-w_kj} g~_kj)
-    for k, block in enumerate(blocks):
-        for pos_i, slot_i in enumerate(block):
-            acc = LaurentPoly.zero(s + d, domain)
-            for pos_j in range(len(block)):
-                entry = matrices_mp[k][pos_i][pos_j]
-                if pos_j >= 1:
-                    entry = entry.shift(w_vectors[(k, pos_j)])
-                acc = acc + entry
-            target = g_slot[slot_i].shift(vneg(u_vectors[(k, pos_i)]))
-            key = f"matrix_row_identity_{k}_{pos_i}"
-            identity_results[key] = acc.terms == target.terms
-            if not identity_results[key]:
-                raise InternalError("A_k . w_k identity failed")
-        for pos_j, slot_j in enumerate(block):
-            acc = LaurentPoly.zero(s + d, domain)
-            for pos_i in range(len(block)):
-                acc = acc + matrices_mp[k][pos_i][pos_j].shift(u_vectors[(k, pos_i)])
-            shift = (0,) * (s + d)
-            if pos_j >= 1:
-                shift = vneg(w_vectors[(k, pos_j)])
-            target = gt_polys[slot_j].shift(shift)
-            key = f"matrix_col_identity_{k}_{pos_j}"
-            identity_results[key] = acc.terms == target.terms
-            if not identity_results[key]:
-                raise InternalError("u_k . A_k identity failed")
-
-    # express entries over a basis of Ann(e, e~)
-    ann_mp_rows = [mp((0,) * s + tuple(row)) for row in ann_basis.data]
-    ann_mp = IntMatrix(tuple(r[s:] for r in ann_mp_rows))
-    exp_cache = {}
+    # every exponent a matrix entry can carry, over a basis of Ann(e, e~)
+    ann_mp = IntMatrix(tuple(mp((0,) * s + tuple(row))[s:] for row in ann_basis.data))
+    ann_mp_t = ann_mp.transpose()
+    ann_coords = {}
 
     def to_ann_coords(exp):
-        if exp in exp_cache:
-            return exp_cache[exp]
+        if exp in ann_coords:
+            return ann_coords[exp]
         if any(x != 0 for x in exp[:s]):
             raise InternalError("matrix entry exponent pairs nonzero with an e summand")
         target = exp[s:]
-        sol = solve_linear_integer(ann_mp.transpose(), target) if dd_rank else (
+        sol = solve_linear_integer(ann_mp_t, target) if dd_rank else (
             () if all(x == 0 for x in target) else None
         )
         if sol is None:
             raise InternalError("matrix entry exponent left Ann(e, e~)")
-        exp_cache[exp] = sol
+        ann_coords[exp] = sol
         return sol
 
-    matrices = []
-    for k in range(r):
-        rows = []
-        for row in matrices_mp[k]:
-            new_row = []
-            for poly in row:
-                terms = {to_ann_coords(e): c for e, c in poly.terms}
-                new_row.append(LaurentPoly.from_dict(dd_rank, terms, domain))
-            rows.append(tuple(new_row))
-        matrices.append(tuple(rows))
-    matrices = tuple(matrices)
-
-    determinants = tuple(det_cofactor(m, dd_rank, domain) for m in matrices)
-    diag_witness = []
+    for (k, pos_i, pos_j), shift in entry_shifts.items():
+        for v in slice_supports[(blocks[k][pos_i], blocks[k][pos_j])]:
+            to_ann_coords(vadd(mp(v), shift))
+    diag_exps = []
     for k, block in enumerate(blocks):
-        if determinants[k].is_zero():
-            raise DegenerateCoefficientsError(
-                f"det A_{k + 1} vanished for these coefficients; resample advised"
-            )
         exp = (0,) * dd_rank
         for pos, slot in enumerate(block):
             ident_pt = pair2.slot_point(slot, (0,) * d)
-            shift = vneg(u_vectors[(k, pos)])
-            if pos >= 1:
-                shift = vsub(shift, w_vectors[(k, pos)])
-            exp = vadd(exp, to_ann_coords(vadd(mp(ident_pt), shift)))
-        coeff = dict(determinants[k].terms).get(exp, 0)
-        diag_witness.append(coeff != 0)
-        if coeff == 0:
-            warnings.append(
-                f"diagonal witness monomial of det A_{k + 1} cancelled for these coefficients"
-            )
+            exp = vadd(exp, to_ann_coords(vadd(mp(ident_pt), entry_shifts[(k, pos, pos)])))
+        diag_exps.append(exp)
 
     # lattice split checks: Ann(e)' = Ann(e,e~) (+) span(w) and its M-level L
     w_order = [(k, pos) for k, block in enumerate(blocks) for pos in range(1, len(block))]
-    w_mprime = IntMatrix(tuple(w_vectors[key][s:] for key in w_order)) if w_order else IntMatrix(())
-    ann_mprime = IntMatrix(tuple(ann_mp.data))
-    if w_order:
-        stacked = IntMatrix(tuple(ann_mprime.data) + tuple(w_mprime.data))
-    else:
-        stacked = ann_mprime
+    w_mprime = IntMatrix(tuple(w_vectors[key][s:] for key in w_order))
+    stacked = IntMatrix(tuple(ann_mp.data) + tuple(w_mprime.data))
     if stacked.rows != d or abs(stacked.det()) != 1:
         raise InternalError("Ann(e)' does not split as Ann(e,e~) (+) span(w)")
 
@@ -494,14 +555,9 @@ def build_bridge(
         raise InternalError("Ann(e) does not split as Ann(e,e~) (+) L")
     stack_e_inv = IntMatrix(tuple(vscale(det_e, row) for row in adj_e.data))
 
-    if w_order:
-        ut_mprime = IntMatrix(
-            tuple(
-                vsub(u_vectors[(k, pos)], u_vectors[(k, 0)])[s:] for (k, pos) in w_order
-            )
-        )
-    else:
-        ut_mprime = IntMatrix(())
+    ut_mprime = IntMatrix(
+        tuple(vsub(u_vectors[(k, pos)], u_vectors[(k, 0)])[s:] for (k, pos) in w_order)
+    )
     lt_coords, lt_m_rows = _m_level_complement(ut_mprime, n_prime_basis, d)
     stack_et = IntMatrix(tuple(ann_basis.data) + tuple(lt_m_rows))
     det_et, adj_et = adjugate(stack_et) if stack_et.rows == d else (0, None)
@@ -509,137 +565,78 @@ def build_bridge(
         raise InternalError("Ann(e~) does not split as Ann(e,e~) (+) L~")
     stack_et_inv = IntMatrix(tuple(vscale(det_et, row) for row in adj_et.data))
 
-    equations_e = tuple(
-        LaurentPoly.from_dict(
-            d,
-            {tuple(m): coeffs.value(pair2.point_to_root(pair2.slot_point(i, m))) for m in part_points[i]},
-            domain,
-        )
-        for i in range(s)
-    )
-    wt_primes = _etilde_sections(dec_et2, s, d)
-    equations_et = []
-    for j in range(s):
-        terms = {}
-        for t in range(s):
-            for m in part_points[t]:
-                if (1 if t == j else 0) + dot(m, q[j]) == 1:
-                    v = pair2.slot_point(t, m)
-                    exp = vsub(v, wt_primes[j])[s:]
-                    terms[exp] = coeffs.value(pair2.point_to_root(v))
-        equations_et.append(LaurentPoly.from_dict(d, terms, domain))
-    equations_et = tuple(equations_et)
-
-    return BridgeData(
+    return BridgeSkeleton(
         pair=pair2,
-        dec_e=dec_e2,
         dec_etilde=dec_et2,
         n_prime_basis=n_prime_basis,
         sat_index=sat_index,
         w_vectors=w_vectors,
         u_vectors=u_vectors,
+        entry_shifts=entry_shifts,
         ann_basis=ann_basis,
-        slice_polys=slice_polys,
-        matrices=matrices,
-        determinants=determinants,
-        coeffs=coeffs,
-        equations_e=equations_e,
-        equations_etilde=equations_et,
+        slice_supports=slice_supports,
+        gt_supports=gt_supports,
+        partition_results=partition_results,
+        ann_coords=ann_coords,
+        diag_exps=tuple(diag_exps),
         stack_e_inv=stack_e_inv,
         stack_et_inv=stack_et_inv,
         l_coords=l_coords,
         lt_coords=lt_coords,
-        identity_results=identity_results,
-        warnings=tuple(warnings),
-        diag_witness=tuple(diag_witness),
+        wt_primes=tuple(_etilde_sections(dec_et2, s, d)),
     )
 
 
-def _slice_family(pair2, q, blocks, coeffs, mp):
-    """Slice polynomials g_ij, g_ki, g~_kj and their partition identities.
+def build_bridge(pair, dec_e, dec_etilde, coeffs) -> BridgeData:
+    """Skeleton and instance in one step, for a single coefficient choice."""
+    return bridge_skeleton(pair, dec_e, dec_etilde).instantiate(coeffs)
 
-    All polynomials use Mbar' exponents (via ``mp``); the support partitions
-    ``l(S_ki) = disjoint union of l(S_ki,kj)`` and its column analogue are
-    verified as exact set identities.
+
+def _slice_supports(pair2, q, blocks):
+    """Supports of the slice polynomials g_ij and g~_j, with their partitions.
+
+    The support partitions ``l(S_ki) = disjoint union of l(S_ki,kj)`` and
+    its column analogue are verified as exact set identities.
     """
-    s, d = pair2.s, pair2.d
+    s = pair2.s
     part_points = pair2.part_points()
-    domain = coeffs.domain
-
-    def poly_from_points(points):
-        terms = {}
-        for v in points:
-            terms[mp(v)] = coeffs.value(pair2.point_to_root(v))
-        return LaurentPoly.from_dict(s + d, terms, domain)
-
     slot_points = pair2.slice_points()
-    slice_polys = {}
-    slice_supports = {}
+    supports = {}
     for i in range(s):
         for j in range(s):
-            pts = [
+            supports[(i, j)] = tuple(
                 pair2.slot_point(i, m)
                 for m in part_points[i]
                 if dot(m, q[j]) == 1 - (1 if i == j else 0)
-            ]
-            slice_supports[(i, j)] = set(pts)
-            slice_polys[(i, j)] = poly_from_points(pts)
+            )
+    gt_supports = tuple(
+        tuple(
+            pair2.slot_point(t, m)
+            for t in range(s)
+            for m in part_points[t]
+            if (1 if t == j else 0) + dot(m, q[j]) == 1
+        )
+        for j in range(s)
+    )
 
-    g_slot = [poly_from_points(slot_points[i]) for i in range(s)]
-    gt_polys = []
-    for j in range(s):
-        pts = []
-        for t in range(s):
-            for m in part_points[t]:
-                if (1 if t == j else 0) + dot(m, q[j]) == 1:
-                    pts.append(pair2.slot_point(t, m))
-        gt_polys.append(poly_from_points(pts))
-
-    identity_results = {}
+    results = {}
     for k, block in enumerate(blocks):
         for pos, slot in enumerate(block):
             union = set()
             for slot2 in block:
-                pts = slice_supports[(slot, slot2)]
+                pts = set(supports[(slot, slot2)])
                 if union & pts:
                     raise InternalError("slice supports overlap within a block row")
                 union |= pts
-            identity_results[f"row_partition_{k}_{pos}"] = union == set(slot_points[slot])
+            results[f"row_partition_{k}_{pos}"] = union == set(slot_points[slot])
             col_union = set()
             for slot2 in block:
-                pts = slice_supports[(slot2, slot)]
+                pts = set(supports[(slot2, slot)])
                 if col_union & pts:
                     raise InternalError("slice supports overlap within a block column")
                 col_union |= pts
-            expected = {
-                pair2.slot_point(t, m)
-                for t in range(s)
-                for m in part_points[t]
-                if (1 if t == slot else 0) + dot(m, q[slot]) == 1
-            }
-            identity_results[f"col_partition_{k}_{pos}"] = col_union == expected
-    return slice_polys, slice_supports, g_slot, gt_polys, identity_results
-
-
-def slice_polynomials(pair, dec_e, dec_etilde, coeffs):
-    """The g_ij family of a decomposition pair, with g_ki and g~_kj.
-
-    Returns ``(slice_polys, g_slot, gt_polys, identity_results)`` where the
-    polynomials carry Mbar' exponents over the renormalized frame.
-    """
-    pair2 = _renormalize(pair, dec_e)
-    s, d = pair2.s, pair2.d
-    q = tuple(vsub(b, a) for a, b in zip(dec_e.p, dec_etilde.p))
-    dec_et2 = make_decomposition(q)
-    n_prime_basis, _, _ = build_auxiliary_lattice(dec_et2, d)
-
-    def mp(v):
-        return _mbar_to_mbarprime(v, s, n_prime_basis)
-
-    polys, _, g_slot, gt_polys, identity_results = _slice_family(
-        pair2, q, dec_et2.blocks, coeffs, mp
-    )
-    return polys, tuple(g_slot), tuple(gt_polys), identity_results
+            results[f"col_partition_{k}_{pos}"] = col_union == set(gt_supports[slot])
+    return supports, gt_supports, results
 
 
 def _annihilator_basis(q, d):

@@ -16,8 +16,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .bridge import build_bridge, enumerate_decompositions, random_coefficients, slice_root_keys
-from .cones import build_cone, normalize_cone, verify_reflexive_gorenstein
+from .bridge import bridge_skeleton, enumerate_decompositions, random_coefficients, slice_root_keys
+from .cones import build_cone, normalize_cone
 from .errors import InputError, InternalError
 from .evidence import birationality_evidence
 from .instances import (
@@ -131,9 +131,9 @@ def _bridge_payload(bridge, pair_idx, domain, seed):
         "pair": list(pair_idx),
         "coefficient_field": "rational" if domain == RATIONAL else {"prime": domain},
         "seed": seed,
-        "saturation_index": bridge.sat_index,
+        "saturation_index": bridge.skeleton.sat_index,
         "torus_rank": bridge.torus_rank,
-        "blocks": [[i + 1 for i in b] for b in bridge.blocks],
+        "blocks": [[i + 1 for i in b] for b in bridge.skeleton.blocks],
         "matrix_sizes": [len(m) for m in bridge.matrices],
         "identity_results": {k: bool(v) for k, v in sorted(bridge.identity_results.items())},
         "identities_pass": all(bridge.identity_results.values()),
@@ -206,11 +206,11 @@ def cmd_nefdual(args):
 def cmd_cone(args):
     instance = _load_instance(args.file)
     pair, info = _pair_from_instance(instance)
-    ok, index = verify_reflexive_gorenstein(pair)
+    # build_cone admits only pairs that pass the reflexive Gorenstein check
     result = {
         "normalization": info,
-        "reflexive_gorenstein": ok,
-        "index": index,
+        "reflexive_gorenstein": True,
+        "index": pair.index,
         "s": pair.s,
         "d": pair.d,
         "k_generator_count": len(pair.k_generators),
@@ -241,7 +241,7 @@ def cmd_bridge(args):
     seed = _effective_seed(args, instance)
     domain = RATIONAL
     coeffs = _coefficients(instance, pair, domain, seed)
-    bridge = build_bridge(pair, decs[i - 1], decs[j - 1], coeffs)
+    bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
     result = {"normalization": info}
     result.update(_bridge_payload(bridge, (i, j), domain, seed))
     return result, list(bridge.warnings), instance
@@ -254,7 +254,7 @@ def cmd_verify(args):
     i, j = _select_pair(decs, args.pair)
     seed = _effective_seed(args, instance)
     coeffs = _coefficients(instance, pair, args.prime, seed)
-    bridge = build_bridge(pair, decs[i - 1], decs[j - 1], coeffs)
+    bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
     report = birationality_evidence(bridge, args.samples, args.prime, seed)
     result = {"normalization": info, "pair": [i, j], "evidence": report.payload()}
     return result, list(report.warnings), instance
@@ -263,14 +263,13 @@ def cmd_verify(args):
 def cmd_pipeline(args):
     instance = _load_instance(args.file)
     pair, info = _pair_from_instance(instance)
-    ok, index = verify_reflexive_gorenstein(pair)
     decs = enumerate_decompositions(pair)
     seed = _effective_seed(args, instance)
     result = {
         "normalization": info,
         "cone": {
-            "reflexive_gorenstein": ok,
-            "index": index,
+            "reflexive_gorenstein": True,
+            "index": pair.index,
             "s": pair.s,
             "d": pair.d,
             "k_generator_count": len(pair.k_generators),
@@ -285,11 +284,12 @@ def cmd_pipeline(args):
         return result, warnings, instance
     i, j = _select_pair(decs, args.pair)
     rational_coeffs = _coefficients(instance, pair, RATIONAL, seed)
-    sym_bridge = build_bridge(pair, decs[i - 1], decs[j - 1], rational_coeffs)
+    skeleton = bridge_skeleton(pair, decs[i - 1], decs[j - 1])
+    sym_bridge = skeleton.instantiate(rational_coeffs)
     result["bridge"] = _bridge_payload(sym_bridge, (i, j), RATIONAL, seed)
     warnings.extend(sym_bridge.warnings)
     fp_coeffs = _coefficients(instance, pair, args.prime, seed)
-    fp_bridge = build_bridge(pair, decs[i - 1], decs[j - 1], fp_coeffs)
+    fp_bridge = skeleton.instantiate(fp_coeffs)
     report = birationality_evidence(fp_bridge, args.samples, args.prime, seed)
     result["evidence"] = report.payload()
     warnings.extend(w for w in report.warnings if w not in warnings)

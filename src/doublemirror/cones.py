@@ -31,7 +31,6 @@ from .intmat import (
     kernel_basis,
     solve_linear_integer,
     vadd,
-    vprimitive,
     vsub,
 )
 from .lattices import LatticeEmbedding
@@ -196,12 +195,6 @@ def verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_d
     return True, idx
 
 
-def verify_reflexive_gorenstein(pair: GorensteinConePair):
-    return verify_reflexive_gorenstein_data(
-        pair.k_generators, pair.k_dual_generators, pair.deg, pair.deg_dual
-    )
-
-
 def in_dual_cone(pair: GorensteinConePair, y):
     """Membership of y in K-dual, tested against the primal generators."""
     return all(dot(g, y) >= 0 for g in pair.k_generators)
@@ -272,6 +265,10 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
         raise InputError("supplied deg does not support the dual rays at height one")
     deg = computed_deg
     s = dot(deg, deg_dual)
+    if s == n:
+        raise InputError(
+            f"cone index {s} equals its rank: its nef-partition would live in a rank-zero lattice"
+        )
 
     s_vertices = [tuple(int(x) for x in v) for v in hull_vertices(gens)]
     t_poly = Polytope.from_points(lattice.dual(), rays)
@@ -423,70 +420,3 @@ def _section_search(groups, target):
     if rec(0, (0,) * n):
         return tuple(chosen)
     return None
-
-
-@dataclass(frozen=True)
-class FanCone:
-    """A cone of a fan with Reid-style singularity classification flags."""
-
-    generators: tuple
-    gorenstein: bool
-    canonical: bool | None
-    terminal: bool | None
-    smooth: bool
-    gorenstein_functional: tuple | None
-
-
-def classify_singularity(generators, rank: int) -> FanCone:
-    """Classify the toric singularity of the cone over primitive generators.
-
-    Gorenstein: an integral functional evaluates to one on every generator.
-    Canonical / terminal (only meaningful in the Gorenstein case): no lattice
-    point of the cone strictly below the generator hyperplane besides the
-    origin; terminal additionally forbids non-generator points on it.
-    Smooth: the generators extend to a basis of the lattice.
-    """
-    gens = [tuple(int(x) for x in g) for g in generators]
-    for g in gens:
-        if vprimitive(g) != g or all(x == 0 for x in g):
-            raise InputError("generators must be primitive and nonzero")
-    mat = IntMatrix(tuple(gens))
-    k_sigma = solve_linear_integer(mat, (1,) * len(gens))
-    gorenstein = k_sigma is not None
-    canonical = None
-    terminal = None
-    if gorenstein:
-        hull = Polytope.from_points(
-            LatticeEmbedding.full(rank), [(0,) * rank] + gens
-        )
-        pts = lattice_points(hull)
-        canonical = True
-        terminal = True
-        gen_set = set(gens)
-        for p in pts:
-            level = dot(p, k_sigma)
-            if all(x == 0 for x in p):
-                continue
-            if level < 1:
-                canonical = False
-                terminal = False
-            elif level == 1 and p not in gen_set:
-                terminal = False
-    smooth = False
-    if mat.rank() == len(gens):
-        from .errors import NotSaturatedError, RankDeficiencyError
-        from .intmat import extend_to_basis
-
-        try:
-            extend_to_basis(mat, rank)
-            smooth = True
-        except (NotSaturatedError, RankDeficiencyError):
-            smooth = False
-    return FanCone(
-        generators=tuple(gens),
-        gorenstein=gorenstein,
-        canonical=canonical,
-        terminal=terminal,
-        smooth=smooth,
-        gorenstein_functional=k_sigma,
-    )

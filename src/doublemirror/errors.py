@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-``InputError`` subclasses signal bad user data (CLI exit code 1),
-``HypothesisWarningEscalated`` carries --strict escalation (exit code 2), and
-``InternalError`` marks violated internal invariants (exit code 3).
+``InputError`` subclasses signal bad user data (CLI exit code 1) and
+``InternalError`` marks violated internal invariants (exit code 3); the CLI
+escalates warnings under --strict (exit code 2) without an exception.
 """
 
 
@@ -16,14 +16,6 @@ class InputError(DoubleMirrorError):
 
 class RankDeficiencyError(InputError):
     """Rows expected to be linearly independent are not."""
-
-
-class NotSaturatedError(InputError):
-    """A primitive/saturated basis was required but the input has torsion."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class LowerDimensionalError(InputError):

@@ -59,63 +59,58 @@ class EvidenceReport:
         }
 
 
-def fp_det(rows, p):
-    """Determinant of a square matrix over F_p."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k] % p), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            det = -det % p
-        det = det * m[k][k] % p
-        inv = fp_inv(m[k][k], p)
-        for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[k])]
-    return det % p
+def fp_echelon(rows, p, square=False, reduced=False):
+    """Gaussian elimination over F_p: ``(rank, det, kernel)``.
 
-
-def fp_right_kernel(rows, p):
-    """Basis of the right kernel of a matrix over F_p."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    Forward elimination on a copy of ``rows`` that stops once every row holds
+    a pivot.  For ``square`` input it also stops at the first column without
+    a pivot, with ``det`` 0; otherwise ``det`` is the determinant of a square
+    matrix.  ``reduced`` scales each pivot row to 1 and clears the pivot
+    column above it as well, and ``kernel`` is then a basis of the right
+    kernel read off the reduced rows (``None`` without ``reduced``).
+    """
     m = [[x % p for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
     pivots = []
-    r = 0
+    det = 1
     for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
+            if square:
+                return r, 0, None
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        det = det * m[r][col] % p
         inv = fp_inv(m[r][col], p)
-        m[r] = [x * inv % p for x in m[r]]
-        for i in range(nrows):
+        if reduced:
+            m[r] = [x * inv % p for x in m[r]]
+            inv = 1
+        for i in range(0 if reduced else r + 1, nrows):
             if i != r and m[i][col]:
-                f = m[i][col]
+                f = m[i][col] * inv % p
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
+    if not reduced:
+        return len(pivots), det % p, None
+    kernel = []
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
         for row_idx, pc in enumerate(pivots):
             vec[pc] = (-m[row_idx][fc]) % p
-        basis.append(tuple(vec))
-    return basis
+        kernel.append(tuple(vec))
+    return len(pivots), det % p, kernel
 
 
-def _entry_values(bridge: BridgeData, y, p):
-    """Evaluate every bridge matrix at the torus point y."""
-    return [
-        [[poly.evaluate(y) for poly in row] for row in block] for block in bridge.matrices
-    ]
+def _evaluate(block, y):
+    """A bridge matrix evaluated at the torus point y."""
+    return [[poly.evaluate(y) for poly in row] for row in block]
 
 
 def _lagrange_interpolate(ts, vals, p):
@@ -215,7 +210,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
                             acc = acc * pow(inv_t, -off, p) % p
                         mat_row.append(acc)
                     mat.append(mat_row)
-                det_val = fp_det(mat, p)
+                det_val = fp_echelon(mat, p, square=True)[1]
                 vals.append(det_val * pow(inv_t if lo_total > 0 else t, abs(lo_total), p) % p)
             if all(v == 0 for v in vals) and m >= 1:
                 candidates = [rng.nonzero_mod(p)]
@@ -227,8 +222,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
                 y = tuple(t if i == free else fixed[i] for i in range(dd))
                 ok = True
                 for k in range(1, len(bridge.matrices)):
-                    mat = [[poly.evaluate(y) for poly in row] for row in bridge.matrices[k]]
-                    if fp_det(mat, p) != 0:
+                    if fp_echelon(_evaluate(bridge.matrices[k], y), p, square=True)[1] != 0:
                         ok = False
                         break
                 if ok:
@@ -238,11 +232,10 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
                 break
         if found is None:
             continue
-        dims = []
-        for k, block in enumerate(bridge.matrices):
-            mat = [[poly.evaluate(found) for poly in row] for row in block]
-            dims.append(len(fp_right_kernel(mat, p)))
-        samples.append(SamplePoint(y=found, kernel_dims=tuple(dims)))
+        dims = tuple(
+            len(block) - fp_echelon(_evaluate(block, found), p)[0] for block in bridge.matrices
+        )
+        samples.append(SamplePoint(y=found, kernel_dims=dims))
         stats["found"] += 1
     if count and Fraction(stats["found"], count) < SUCCESS_WARN_RATIO:
         stats["warnings"].append(
@@ -262,13 +255,12 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
         raise InputError("sample point is off the torus")
     if side not in ("e", "etilde"):
         raise InputError("side must be 'e' or 'etilde'")
-    blocks = bridge.blocks
     omega = []
-    for k, block in enumerate(bridge.matrices):
-        mat = [[poly.evaluate(y) for poly in row] for row in block]
+    for block in bridge.matrices:
+        mat = _evaluate(block, y)
         if side == "etilde":
             mat = [list(col) for col in zip(*mat)]
-        kern = fp_right_kernel(mat, p)
+        kern = fp_echelon(mat, p, reduced=True)[2]
         if len(kern) == 0:
             return []
         if len(kern) > 1:
@@ -278,8 +270,9 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
             return []
         inv0 = fp_inv(vec[0], p)
         omega.extend(v * inv0 % p for v in vec[1:])
-    l_coords = bridge.l_coords if side == "e" else bridge.lt_coords
-    stack_inv = bridge.stack_e_inv if side == "e" else bridge.stack_et_inv
+    skeleton = bridge.skeleton
+    l_coords = skeleton.l_coords if side == "e" else skeleton.lt_coords
+    stack_inv = skeleton.stack_e_inv if side == "e" else skeleton.stack_et_inv
     l_values = []
     for c_row in (l_coords.data if l_coords.rows else ()):
         val = 1
@@ -308,7 +301,7 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
     for eq in equations:
         if eq.evaluate(point) != 0:
             raise InternalError("reconstructed fiber point violates a defining equation")
-    for aq_row, y_val in zip(bridge.ann_basis.data, y):
+    for aq_row, y_val in zip(skeleton.ann_basis.data, y):
         val = 1
         for x, e in zip(point, aq_row):
             if e > 0:
@@ -331,30 +324,9 @@ def delta_regularity_probe(bridge: BridgeData, points, prime, side="e"):
         rows = [
             [eq.log_derivative_eval(x, j) % p for j in range(d)] for eq in equations
         ]
-        if _fp_rank(rows, p) == s:
+        if fp_echelon(rows, p)[0] == s:
             passes += 1
     return Fraction(passes, len(points)) if points else None
-
-
-def _fp_rank(rows, p):
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    m = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = fp_inv(m[rank][col], p)
-        for i in range(rank + 1, nrows):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceReport:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotSaturatedError, RankDeficiencyError
+from .errors import RankDeficiencyError
 
 
 @dataclass(frozen=True)
@@ -331,32 +331,6 @@ def saturate(b: IntMatrix):
     sat_rows = vinv.data[:k]
     canon, _ = hnf(IntMatrix(sat_rows), transform=False)
     return canon, index
-
-
-def extend_to_basis(vs: IntMatrix, ambient_rank: int) -> IntMatrix:
-    """Complete primitive, saturated, independent rows to a unimodular matrix.
-
-    The first ``vs.rows`` rows of the result equal ``vs``.
-    """
-    if vs.cols != ambient_rank:
-        raise ValueError("column count must equal the ambient rank")
-    k = vs.rows
-    s, _, _, _, vinv = _snf_ext(vs)
-    divisors = [s.data[i][i] for i in range(min(s.rows, s.cols))]
-    if any(d == 0 for d in divisors[:k]) or len(divisors) < k:
-        raise RankDeficiencyError("rows are linearly dependent over the rationals")
-    index = 1
-    for d in divisors[:k]:
-        index *= d
-    if index != 1:
-        raise NotSaturatedError(
-            f"rows span a non-saturated sublattice (index {index})", index=index
-        )
-    completion = vs.data + vinv.data[k:]
-    result = IntMatrix(completion)
-    if not result.is_unimodular():
-        raise RankDeficiencyError("completion failed to be unimodular")
-    return result
 
 
 def solve_linear_integer(a: IntMatrix, b):

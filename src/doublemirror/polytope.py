@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
 
-from .dd import NotPointedError, extreme_rays
+from .dd import extreme_rays
 from .errors import (
     InputError,
     InternalError,
@@ -386,57 +386,3 @@ def minkowski_sum_all(polys):
     for q in polys[1:]:
         total = minkowski_sum(total, q)
     return total
-
-
-def slice_cone(cone_generators, level_functionals, lattice: LatticeEmbedding) -> Polytope:
-    """The polytope ``{x in cone : <x, f> = t for each (f, t)}``.
-
-    The cone must be full-dimensional; an unbounded slice raises
-    ``UnboundedSliceError``.
-    """
-    gens = [tuple(int(x) for x in g) for g in cone_generators]
-    dim = len(gens[0])
-    try:
-        cone_facets = extreme_rays(gens)
-    except NotPointedError as exc:
-        raise InputError("cone is not full-dimensional") from exc
-    phi_rows = [tuple(int(x) for x in f) for f, _t in level_functionals]
-    targets = [Fraction(t) for _f, t in level_functionals]
-    # a kernel vector (y, c) of [phi | -den * targets] with c != 0 gives the
-    # rational point x0 = y / (c * den) on every level set
-    den = lcm(*(t.denominator for t in targets))
-    lifted = [row + (-int(t * den),) for row, t in zip(phi_rows, targets)]
-    lift = next((r for r in kernel_basis(IntMatrix(tuple(lifted))).data if r[-1]), None)
-    if lift is None:
-        return Polytope(lattice, ())
-    x0 = tuple(_quo(y, lift[-1] * den) for y in lift[:-1])
-    w = kernel_basis(IntMatrix(tuple(phi_rows)))
-    if w.rows == 0:
-        point = tuple(x0)
-        if all(sum(f * x for f, x in zip(facet, point)) >= 0 for facet in cone_facets):
-            return Polytope(lattice, (point,))
-        return Polytope(lattice, ())
-    reduced = []
-    for facet in cone_facets:
-        coeffs = tuple(sum(facet[j] * w.data[i][j] for j in range(dim)) for i in range(w.rows))
-        off = sum(facet[j] * x0[j] for j in range(dim))
-        # <x0 + z.W, facet> >= 0  <=>  <coeffs, z> >= -off
-        if all(c == 0 for c in coeffs):
-            if off < 0:
-                return Polytope(lattice, ())
-            continue
-        row = _scale_to_int(coeffs + (off,))
-        reduced.append((row[:-1], row[-1]))
-    try:
-        z_vertices = _vertices_from_facets(sorted(set(reduced)), w.rows)
-    except UnboundedSliceError:
-        raise UnboundedSliceError("functionals do not cut the cone to a bounded slice")
-    except NotPointedError as exc:
-        raise UnboundedSliceError("functionals do not cut the cone to a bounded slice") from exc
-    verts = [
-        tuple(x0[j] + sum(z[i] * w.data[i][j] for i in range(w.rows)) for j in range(dim))
-        for z in z_vertices
-    ]
-    if not verts:
-        return Polytope(lattice, ())
-    return Polytope(lattice, hull_vertices(verts))

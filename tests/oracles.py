@@ -2,10 +2,18 @@
 
 import itertools
 
+from doublemirror.cones import verify_reflexive_gorenstein_data
 from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError
 from doublemirror.intmat import vadd
 from doublemirror.laurent import LaurentPoly
+
+
+def verify_reflexive_gorenstein(pair):
+    """The reflexive Gorenstein check of ``build_cone``, rerun on a built pair."""
+    return verify_reflexive_gorenstein_data(
+        pair.k_generators, pair.k_dual_generators, pair.deg, pair.deg_dual
+    )
 
 
 def cone_contains(point, generators):

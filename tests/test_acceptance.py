@@ -19,7 +19,7 @@ from doublemirror.bridge import (
 )
 from doublemirror.canned import product_projective_lattice, two_segment_parts
 from doublemirror.cli import main as cli_main
-from doublemirror.cones import build_cone, normalize_cone, verify_reflexive_gorenstein
+from doublemirror.cones import build_cone, normalize_cone
 from doublemirror.evidence import fiber, sample_determinantal_points
 from doublemirror.instances import dumps, example_instance
 from doublemirror.intmat import (
@@ -36,7 +36,7 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, dual_polytope, hull_vertices, is_reflexive
-from oracles import brute_force_block_partition
+from oracles import brute_force_block_partition, verify_reflexive_gorenstein
 from test_bridge import _random_block_tuple
 from test_intmat import is_row_hnf, same_row_span
 
@@ -91,7 +91,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
     assert pair.s == 5 and pair.d == 8
     coeffs = random_coefficients(pair, RATIONAL, seed=0)
     bridge = build_bridge(pair, decs[0], decs[1], coeffs)
-    assert bridge.dec_etilde.r == 1
+    assert bridge.skeleton.dec_etilde.r == 1
     assert [len(m) for m in bridge.matrices] == [5]
 
     # det A_1 is a degree-5 form on the rank-4 torus: at most C(9,4) terms,
@@ -127,7 +127,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
     # fixing the row fixes one ambient index block, the column another, and
     # the five terms run over the third
     part_points = bridge.pair.part_points()
-    q = bridge.dec_etilde.p
+    q = bridge.skeleton.dec_etilde.p
     triples = {}
     for i in range(5):
         for j in range(5):

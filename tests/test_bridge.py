@@ -7,6 +7,7 @@ import pytest
 from doublemirror.bridge import (
     block_partition,
     build_auxiliary_lattice,
+    bridge_skeleton,
     build_bridge,
     enumerate_decompositions,
     make_decomposition,
@@ -199,12 +200,27 @@ class TestBridge:
         for k, mat in enumerate(bridge.matrices):
             assert len(mat[0][0].terms) == 3
 
+    def test_skeleton_serves_both_fields(self, pp33):
+        # --pair 2 3: the reference decomposition is nontrivial, so the
+        # skeleton holds a renormalized pair
+        pair, decs = pp33
+        skeleton = bridge_skeleton(pair, decs[1], decs[2])
+        qq = skeleton.instantiate(random_coefficients(pair, RATIONAL, 4))
+        fp = skeleton.instantiate(random_coefficients(pair, 10007, 4))
+        for name in ("ann_basis", "stack_e_inv", "l_coords"):
+            assert getattr(qq.skeleton, name) is getattr(fp.skeleton, name)
+        assert qq.pair is fp.pair is skeleton.pair
+        # instantiating leaves the skeleton as a fresh build would have it
+        again = build_bridge(pair, decs[1], decs[2], random_coefficients(pair, RATIONAL, 4))
+        assert again.determinants == qq.determinants
+        assert again.equations_etilde == qq.equations_etilde
+
     def test_pp33_identities(self, pp33):
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 11)
         bridge = build_bridge(pair, decs[0], decs[1], coeffs)
         assert all(bridge.identity_results.values())
-        assert bridge.sat_index == 1
+        assert bridge.skeleton.sat_index == 1
         assert bridge.torus_rank == 2
         assert [len(m) for m in bridge.matrices] == [3]
         # every slice has 3 lattice points
@@ -256,21 +272,6 @@ class TestBridge:
 
         with pytest.raises(DecompositionError):
             make_decomposition([(1, 0), (0, 1)])
-
-    def test_slice_polynomials_standalone(self, pp33):
-        from doublemirror.bridge import slice_polynomials
-
-        pair, decs = pp33
-        coeffs = random_coefficients(pair, RATIONAL, 11)
-        polys, g_slot, gt_polys, results = slice_polynomials(pair, decs[0], decs[1], coeffs)
-        assert all(results.values())
-        assert len(g_slot) == len(gt_polys) == pair.s
-        # s = 1 collapse: the single slice polynomial is the full slot family
-        for i in range(pair.s):
-            total = None
-            for j in range(pair.s):
-                total = polys[(i, j)] if total is None else total + polys[(i, j)]
-            assert total.terms == g_slot[i].terms
 
     def test_canonical_linear_equivalence_form(self, pp33):
         # e~_i - e_i = (0 ; p_i): the lattice-level linear-equivalence statement

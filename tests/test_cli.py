@@ -125,6 +125,23 @@ class TestPipeline:
         code, _ = run_cli(["pipeline", two_segment_file, "--pair", "1", "5"], capsys)
         assert code == 1
 
+    def test_one_skeleton_per_run(self, tmp_path, monkeypatch, capsys):
+        import doublemirror.cli as cli
+
+        calls = []
+        real = cli.bridge_skeleton
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli, "bridge_skeleton", counted)
+        inst = write_instance(tmp_path, example_instance("product-projective", 3, 3))
+        code, out = run_cli(["pipeline", inst, "--samples", "5", "--seed", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["bridge"]["identities_pass"] is True
+        assert len(calls) == 1
+
 
 class TestSubcommands:
     def test_nefdual(self, two_segment_file, capsys):
@@ -273,6 +290,15 @@ class TestNoTraceback:
         assert len(err.splitlines()) == 1
         assert err.startswith("internal error: unexpected ZeroDivisionError at test_cli.py:")
         assert err.rstrip().endswith(": first line second line")
+
+    def test_cone_index_equal_to_rank_is_an_input_error(self, tmp_path, capsys):
+        # deg_dual = (1, 0) and deg = (1, 1): index 2 in rank 2 leaves d = 0
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"},
+                "cone": {"generators": [[1, 0], [1, 1]]}}
+        assert main(["cone", write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cone index 2 equals its rank")
 
     def test_unwritable_output_is_an_input_error(self, two_segment_file, tmp_path, capsys):
         assert main(["cone", two_segment_file, "--output", str(tmp_path)]) == 1

@@ -1,15 +1,13 @@
-"""Gorenstein cone pairs, decomposition-to-partition conversion, singularities."""
+"""Gorenstein cone pairs and decomposition-to-partition conversion."""
 
 import pytest
 
 from doublemirror.canned import product_projective_lattice, square_part, two_segment_parts
 from doublemirror.cones import (
     build_cone,
-    classify_singularity,
     cone_to_nef_partition,
     dual_generators,
     normalize_cone,
-    verify_reflexive_gorenstein,
     verify_reflexive_gorenstein_data,
 )
 from doublemirror.dd import extreme_rays
@@ -17,8 +15,8 @@ from doublemirror.errors import DecompositionError
 from doublemirror.intmat import dot
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope, hull_vertices
-from oracles import cone_contains
+from doublemirror.polytope import Polytope
+from oracles import cone_contains, verify_reflexive_gorenstein
 
 Z2 = LatticeEmbedding.full(2)
 
@@ -168,34 +166,3 @@ class TestNormalizeCone:
             assert cone_contains(g, gvecs)
         for g in gvecs:
             assert cone_contains(g, sorted(root_gens))
-
-
-class TestSingularities:
-    def test_smooth_quadrant(self):
-        fc = classify_singularity([(1, 0), (0, 1)], 2)
-        assert fc.smooth and fc.gorenstein and fc.canonical and fc.terminal
-
-    def test_non_terminal_gorenstein(self):
-        fc = classify_singularity([(1, 0), (1, 2)], 2)
-        assert fc.gorenstein
-        assert fc.gorenstein_functional is not None
-        assert all(dot(fc.gorenstein_functional, g) == 1 for g in fc.generators)
-        assert fc.canonical
-        assert not fc.terminal
-        assert not fc.smooth
-
-    def test_reflexive_fan_rays(self, two_segment_pair):
-        # 1-dimensional cones of the face fan of a reflexive polytope are
-        # gorenstein and canonical
-        nabla_vertices = hull_vertices(
-            [v for p in two_segment_pair.dual_parts.parts for v in p.vertices]
-        )
-        for v in nabla_vertices:
-            fc = classify_singularity([tuple(int(x) for x in v)], 2)
-            assert fc.gorenstein and fc.canonical
-
-    def test_non_primitive_rejected(self):
-        from doublemirror.errors import InputError
-
-        with pytest.raises(InputError):
-            classify_singularity([(2, 0)], 2)

@@ -11,8 +11,7 @@ from doublemirror.evidence import (
     birationality_evidence,
     delta_regularity_probe,
     fiber,
-    fp_det,
-    fp_right_kernel,
+    fp_echelon,
     sample_determinantal_points,
 )
 from doublemirror.laurent import LaurentPoly
@@ -34,17 +33,17 @@ def pp33_bridge():
 
 class TestFpLinearAlgebra:
     def test_det(self):
-        assert fp_det([[1, 2], [3, 4]], P) == (4 - 6) % P
-        assert fp_det([[1, 2], [2, 4]], P) == 0
+        assert fp_echelon([[1, 2], [3, 4]], P, square=True)[1] == (4 - 6) % P
+        assert fp_echelon([[1, 2], [2, 4]], P, square=True)[1] == 0
 
     def test_right_kernel(self):
-        basis = fp_right_kernel([[1, 2, 3]], P)
+        basis = fp_echelon([[1, 2, 3]], P, reduced=True)[2]
         assert len(basis) == 2
         for v in basis:
             assert (v[0] + 2 * v[1] + 3 * v[2]) % P == 0
 
     def test_kernel_of_invertible_is_empty(self):
-        assert fp_right_kernel([[1, 0], [1, 1]], P) == []
+        assert fp_echelon([[1, 0], [1, 1]], P, reduced=True)[2] == []
 
 
 class TestSampling:
@@ -55,7 +54,7 @@ class TestSampling:
             assert all(1 <= v <= P - 1 for v in sp.y)
             for block in pp33_bridge.matrices:
                 mat = [[poly.evaluate(sp.y) for poly in row] for row in block]
-                assert fp_det(mat, P) == 0
+                assert fp_echelon(mat, P, square=True)[1] == 0
             assert sp.kernel_dims == (1,)
 
     def test_deterministic(self, pp33_bridge):
@@ -77,7 +76,7 @@ class TestFiber:
         # a random torus point is almost surely off D; find one explicitly
         y = (1, 1)
         mat = [[poly.evaluate(y) for poly in row] for row in pp33_bridge.matrices[0]]
-        if fp_det(mat, P) == 0:
+        if fp_echelon(mat, P, square=True)[1] == 0:
             y = (2, 5)
         assert fiber(pp33_bridge, y, P, side="e") == []
 

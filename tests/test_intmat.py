@@ -5,11 +5,10 @@ import random
 
 import pytest
 
-from doublemirror.errors import NotSaturatedError, RankDeficiencyError
+from doublemirror.errors import RankDeficiencyError
 from doublemirror.intmat import (
     IntMatrix,
     dot,
-    extend_to_basis,
     hnf,
     integral_preimage_lattice,
     kernel_basis,
@@ -202,37 +201,6 @@ class TestSaturate:
     def test_dependent_rows_error(self):
         with pytest.raises(RankDeficiencyError):
             saturate(IntMatrix(((1, 2), (2, 4))))
-
-
-class TestExtendToBasis:
-    def test_unit_vector(self):
-        result = extend_to_basis(IntMatrix(((1, 0),)), 2)
-        assert result.is_unimodular()
-        assert result.data[0] == (1, 0)
-
-    def test_primitive_vector(self):
-        result = extend_to_basis(IntMatrix(((2, 1),)), 2)
-        assert result.is_unimodular()
-        assert result.data[0] == (2, 1)
-
-    def test_non_primitive_error(self):
-        with pytest.raises(NotSaturatedError) as err:
-            extend_to_basis(IntMatrix(((2, 0),)), 2)
-        assert err.value.index == 2
-
-    def test_random(self):
-        rng = random.Random(5)
-        done = 0
-        while done < 60:
-            a = random_matrix(rng, max_dim=4, bound=4)
-            try:
-                sat, _ = saturate(a)
-            except RankDeficiencyError:
-                continue
-            ext = extend_to_basis(sat, sat.cols)
-            assert ext.is_unimodular()
-            assert ext.data[: sat.rows] == sat.data
-            done += 1
 
 
 class TestSolve:

@@ -1,4 +1,4 @@
-"""Polytope machinery: hulls, duality, reflexivity, lattice points, slices."""
+"""Polytope machinery: hulls, duality, reflexivity, lattice points."""
 
 import itertools
 import random
@@ -10,7 +10,6 @@ from doublemirror.errors import (
     LatticeMismatchError,
     LowerDimensionalError,
     OriginNotInteriorError,
-    UnboundedSliceError,
 )
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
@@ -21,7 +20,6 @@ from doublemirror.polytope import (
     is_reflexive,
     lattice_points,
     minkowski_sum,
-    slice_cone,
 )
 
 Z1 = LatticeEmbedding.full(1)
@@ -249,22 +247,3 @@ class TestMinkowski:
         b = poly(Z1, SEGMENT)
         with pytest.raises(LatticeMismatchError):
             minkowski_sum(a, b)
-
-
-class TestSlice:
-    def test_first_quadrant(self):
-        p = slice_cone([(1, 0), (0, 1)], [((1, 1), 1)], Z2)
-        assert p.vertex_set() == {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
-
-    def test_point_slice(self):
-        p = slice_cone([(1, 0), (0, 1)], [((1, 0), 1), ((0, 1), 0)], Z2)
-        assert p.vertex_set() == {(Fraction(1), Fraction(0))}
-
-    def test_unbounded(self):
-        with pytest.raises(UnboundedSliceError):
-            slice_cone([(1, 0), (0, 1)], [((1, 0), 1)], Z2)
-
-    def test_degree_slice_of_simplicial_cone(self):
-        gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        p = slice_cone(gens, [((1, 1, 1), 1)], Z3)
-        assert len(p.vertices) == 3
