@@ -62,14 +62,15 @@ class EvidenceReport:
 def fp_echelon(rows, p, square=False, reduced=False):
     """Gaussian elimination over F_p: ``(rank, det, kernel)``.
 
-    Forward elimination on a copy of ``rows`` that stops once every row holds
-    a pivot.  For ``square`` input it also stops at the first column without
-    a pivot, with ``det`` 0; otherwise ``det`` is the determinant of a square
-    matrix.  ``reduced`` scales each pivot row to 1 and clears the pivot
-    column above it as well, and ``kernel`` is then a basis of the right
-    kernel read off the reduced rows (``None`` without ``reduced``).
+    ``rows`` holds residues in ``[0, p)`` and is left unchanged.  Forward
+    elimination stops once every row holds a pivot; for ``square`` input it
+    also stops at the first column without a pivot, with ``det`` 0.  ``det``
+    is the determinant when the input is square.  ``reduced`` also scales
+    each pivot row to 1 and clears the pivot column above it, and ``kernel``
+    is then a basis of the right kernel read off the reduced rows (``None``
+    without ``reduced``).
     """
-    m = [[x % p for x in r] for r in rows]
+    m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -83,18 +84,20 @@ def fp_echelon(rows, p, square=False, reduced=False):
             if square:
                 return r, 0, None
             continue
+        row = m[pivot]
         if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
+            m[pivot], m[r] = m[r], row
             det = -det
-        det = det * m[r][col] % p
-        inv = fp_inv(m[r][col], p)
+        det = det * row[col] % p
+        inv = fp_inv(row[col], p)
         if reduced:
-            m[r] = [x * inv % p for x in m[r]]
+            row = m[r] = [x * inv % p for x in row]
             inv = 1
         for i in range(0 if reduced else r + 1, nrows):
-            if i != r and m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+            f = m[i][col]
+            if f and i != r:
+                f = f * inv % p
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
         pivots.append(col)
     if not reduced:
         return len(pivots), det % p, None
