@@ -13,6 +13,7 @@ import pytest
 
 from doublemirror.bridge import (
     block_partition,
+    bridge_skeleton,
     build_bridge,
     enumerate_decompositions,
     random_coefficients,
@@ -174,9 +175,9 @@ def test_criterion_2_birationality_evidence(pp53, tmp_path):
     lattice, pair, info, decs = pp53
     from doublemirror.evidence import birationality_evidence
 
+    skeleton = bridge_skeleton(pair, decs[0], decs[1])
     for prime in (10007, 65537):
-        coeffs = random_coefficients(pair, prime, seed=0)
-        bridge = build_bridge(pair, decs[0], decs[1], coeffs)
+        bridge = skeleton.instantiate(random_coefficients(pair, prime, seed=0))
         report = birationality_evidence(bridge, 100, prime, 0)
         assert report.samples_on_d == 100
         assert report.fiber_histogram_e.get("1", 0) >= 95

@@ -273,6 +273,24 @@ class TestBridge:
         with pytest.raises(DecompositionError):
             make_decomposition([(1, 0), (0, 1)])
 
+    def test_slice_polynomials_standalone(self, pp33):
+        # each slot's g_ij add up to its whole slot polynomial; the expected
+        # terms come from the pair, not from the bridge's identity results
+        pair, decs = pp33
+        coeffs = random_coefficients(pair, RATIONAL, 11)
+        bridge = build_bridge(pair, decs[0], decs[1], coeffs)
+        skeleton, s = bridge.skeleton, pair.s
+        for i, slot_points in enumerate(skeleton.pair.slice_points()):
+            total = bridge.slice_polys[(i, 0)]
+            for j in range(1, s):
+                total = total + bridge.slice_polys[(i, j)]
+            expected = {
+                v[:s] + tuple(dot(v[s:], row) for row in skeleton.n_prime_basis.data):
+                    coeffs.value(skeleton.pair.point_to_root(v))
+                for v in slot_points
+            }
+            assert total.as_dict() == expected
+
     def test_canonical_linear_equivalence_form(self, pp33):
         # e~_i - e_i = (0 ; p_i): the lattice-level linear-equivalence statement
         pair, decs = pp33
