@@ -35,6 +35,10 @@ VERIFY_CASES = [
     ("pp33", 65537, 30, 5),
     ("pp33", 1000003, 30, 7),
     ("pp53", 10007, 20, 2),
+    # p = 101 pins the empty-fiber branches: an E fiber and two E~ fibers
+    # come back empty, and the second run's verdict is false
+    ("pp33", 101, 20, 3),
+    ("pp53", 101, 20, 2),
 ]
 
 
