@@ -564,6 +564,11 @@ def bridge_skeleton(
     if det_et not in (1, -1):
         raise InternalError("Ann(e~) does not split as Ann(e,e~) (+) L~")
     stack_et_inv = IntMatrix(tuple(vscale(det_et, row) for row in adj_et.data))
+    # a fiber point is y and the L values pushed through the stack inverse;
+    # it projects back to y because ann_basis . stack_inv = [I | 0]
+    for stack, stack_inv in ((stack_e, stack_e_inv), (stack_et, stack_et_inv)):
+        if stack.mul(stack_inv) != IntMatrix.identity(d):
+            raise InternalError("projection of the fiber point disagrees with the sample")
 
     return BridgeSkeleton(
         pair=pair2,

@@ -1,10 +1,10 @@
 """Finite-field sampling evidence for birationality of toric double mirrors.
 
-Points of the determinantal locus D are sampled by restricting det A_1 to
-random coordinate lines (evaluation-interpolation on the matrix, then exact
-root finding in F_p*), rejection-testing the remaining determinants.  Fibers of
-both complete intersections over a sampled point are reconstructed from the
-one-dimensional kernels of the evaluated bridge matrices, pushed to the
+Points of the determinantal locus D are sampled by restricting the exact F_p
+polynomial det A_1 to random coordinate lines and finding its roots in F_p*
+exactly, rejection-testing the remaining determinants at each root.  Fibers
+of both complete intersections over a sampled point are reconstructed from
+the one-dimensional kernels of the evaluated bridge matrices, pushed to the
 unprimed torus, and verified exactly against all defining equations.
 """
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bridge import BridgeData
 from .errors import InputError, InternalError
-from .laurent import SplitMix64, fp_inv, fp_roots, is_prime
+from .laurent import SplitMix64, fp_inv, fp_inverses, fp_monomial, fp_roots, is_prime
 from .nefpart import is_two_independent
 
 MIN_PRIME = 101
@@ -111,38 +111,10 @@ def fp_echelon(rows, p, square=False, reduced=False):
     return len(pivots), det % p, kernel
 
 
-def _evaluate(block, y):
+def _evaluate(block, y, p):
     """A bridge matrix evaluated at the torus point y."""
-    return [[poly.evaluate(y) for poly in row] for row in block]
-
-
-def _lagrange_interpolate(ts, vals, p):
-    """Coefficients (ascending) of the unique poly of degree < len(ts)."""
-    m = len(ts)
-    full = [1]
-    for t in ts:
-        nxt = [0] * (len(full) + 1)
-        for i, c in enumerate(full):
-            nxt[i] = (nxt[i] - c * t) % p
-            nxt[i + 1] = (nxt[i + 1] + c) % p
-        full = nxt
-    coeffs = [0] * m
-    for t, v in zip(ts, vals):
-        # synthetic division of full by (x - t)
-        quo = [0] * m
-        carry = full[m]
-        for i in range(m - 1, -1, -1):
-            quo[i] = carry
-            carry = (full[i] + carry * t) % p
-        denom = 0
-        power = 1
-        for i in range(m):
-            denom = (denom + quo[i] * power) % p
-            power = power * t % p
-        scale = v * fp_inv(denom, p) % p
-        for i in range(m):
-            coeffs[i] = (coeffs[i] + scale * quo[i]) % p
-    return coeffs
+    invs = fp_inverses(y, p)
+    return [[poly.evaluate(y, invs) for poly in row] for row in block]
 
 
 def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
@@ -165,17 +137,6 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
             return [], stats
         raise InternalError("zero determinant on a rank-zero torus should not build")
 
-    restricted_cache = {}
-
-    def restrictions(fixed, free):
-        entries = []
-        for block in bridge.matrices:
-            rows = []
-            for row in block:
-                rows.append([poly.restrict_to_line(fixed, free) for poly in row])
-            entries.append(rows)
-        return entries
-
     samples = []
     for n in range(count):
         rng = SplitMix64(seed ^ n)
@@ -186,46 +147,19 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
             fixed = tuple(
                 rng.nonzero_mod(p) if i != free else 1 for i in range(dd)
             )
-            entries = restrictions(fixed, free)
-            block0 = entries[0]
-            n0 = len(block0)
-            lo_total = sum(min(e[0] for e in row) for row in block0)
-            hi_total = sum(
-                max(e[0] + max(len(e[1]) - 1, 0) for e in row) for row in block0
-            )
-            m = hi_total - lo_total + 1
-            if m > p - 1:
-                raise InputError("degree bound exceeds the field size; use a larger prime")
-            ts = list(range(1, m + 1))
-            vals = []
-            for t in ts:
-                inv_t = fp_inv(t, p)
-                mat = []
-                for row in block0:
-                    mat_row = []
-                    for off, cs in row:
-                        acc = 0
-                        for c in reversed(cs):
-                            acc = (acc * t + c) % p
-                        if off > 0:
-                            acc = acc * pow(t, off, p) % p
-                        elif off < 0:
-                            acc = acc * pow(inv_t, -off, p) % p
-                        mat_row.append(acc)
-                    mat.append(mat_row)
-                det_val = fp_echelon(mat, p, square=True)[1]
-                vals.append(det_val * pow(inv_t if lo_total > 0 else t, abs(lo_total), p) % p)
-            if all(v == 0 for v in vals) and m >= 1:
+            # det A_1 on the line is t**offset * sum coeffs[k] t**k: the same
+            # roots in F_p* as the polynomial part
+            _offset, coeffs = bridge.determinants[0].restrict_to_line(fixed, free)
+            if not coeffs:
                 candidates = [rng.nonzero_mod(p)]
             else:
-                coeffs = _lagrange_interpolate(ts, vals, p)
                 candidates = fp_roots(coeffs, p)
             accepted = []
             for t in candidates:
                 y = tuple(t if i == free else fixed[i] for i in range(dd))
                 ok = True
                 for k in range(1, len(bridge.matrices)):
-                    if fp_echelon(_evaluate(bridge.matrices[k], y), p, square=True)[1] != 0:
+                    if fp_echelon(_evaluate(bridge.matrices[k], y, p), p, square=True)[1] != 0:
                         ok = False
                         break
                 if ok:
@@ -236,7 +170,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
         if found is None:
             continue
         dims = tuple(
-            len(block) - fp_echelon(_evaluate(block, found), p)[0] for block in bridge.matrices
+            len(block) - fp_echelon(_evaluate(block, found, p), p)[0] for block in bridge.matrices
         )
         samples.append(SamplePoint(y=found, kernel_dims=dims))
         stats["found"] += 1
@@ -260,7 +194,7 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
         raise InputError("side must be 'e' or 'etilde'")
     omega = []
     for block in bridge.matrices:
-        mat = _evaluate(block, y)
+        mat = _evaluate(block, y, p)
         if side == "etilde":
             mat = [list(col) for col in zip(*mat)]
         kern = fp_echelon(mat, p, reduced=True)[2]
@@ -269,50 +203,28 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
         if len(kern) > 1:
             return NON_GENERIC
         vec = kern[0]
-        if vec[0] == 0 or any(v == 0 for v in vec):
+        if 0 in vec:
             return []
         inv0 = fp_inv(vec[0], p)
         omega.extend(v * inv0 % p for v in vec[1:])
     skeleton = bridge.skeleton
     l_coords = skeleton.l_coords if side == "e" else skeleton.lt_coords
     stack_inv = skeleton.stack_e_inv if side == "e" else skeleton.stack_et_inv
-    l_values = []
-    for c_row in (l_coords.data if l_coords.rows else ()):
-        val = 1
-        for c, w in zip(c_row, omega):
-            if c > 0:
-                val = val * pow(w, c, p) % p
-            elif c < 0:
-                val = val * pow(fp_inv(w, p), -c, p) % p
-        l_values.append(val)
-    basis_vals = list(y) + l_values
-    d = len(basis_vals)
-    point = []
-    for j in range(d):
-        val = 1
-        for row_idx in range(d):
-            e = stack_inv.data[j][row_idx]
-            if e > 0:
-                val = val * pow(basis_vals[row_idx], e, p) % p
-            elif e < 0:
-                val = val * pow(fp_inv(basis_vals[row_idx], p), -e, p) % p
-        point.append(val)
-    point = tuple(point)
+    omega_invs = fp_inverses(omega, p)
+    basis_vals = list(y) + [
+        fp_monomial(c_row, omega, omega_invs, p) for c_row in l_coords.data
+    ]
+    basis_invs = fp_inverses(basis_vals, p)
+    # bridge_skeleton checked ann_basis . stack_inv = [I | 0], so the point
+    # projects back to y along Ann(e, e~)
+    point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in stack_inv.data)
     if any(v == 0 for v in point):
         return []
     equations = bridge.equations_e if side == "e" else bridge.equations_etilde
+    point_invs = fp_inverses(point, p)
     for eq in equations:
-        if eq.evaluate(point) != 0:
+        if eq.evaluate(point, point_invs) != 0:
             raise InternalError("reconstructed fiber point violates a defining equation")
-    for aq_row, y_val in zip(skeleton.ann_basis.data, y):
-        val = 1
-        for x, e in zip(point, aq_row):
-            if e > 0:
-                val = val * pow(x, e, p) % p
-            elif e < 0:
-                val = val * pow(fp_inv(x, p), -e, p) % p
-        if val != y_val % p:
-            raise InternalError("projection of the fiber point disagrees with the sample")
     return [point]
 
 
@@ -321,12 +233,10 @@ def delta_regularity_probe(bridge: BridgeData, points, prime, side="e"):
     p = int(prime)
     equations = bridge.equations_e if side == "e" else bridge.equations_etilde
     s = len(equations)
-    d = bridge.pair.d
     passes = 0
     for x in points:
-        rows = [
-            [eq.log_derivative_eval(x, j) % p for j in range(d)] for eq in equations
-        ]
+        invs = fp_inverses(x, p)
+        rows = [eq.log_gradient(x, invs) for eq in equations]
         if fp_echelon(rows, p)[0] == s:
             passes += 1
     return Fraction(passes, len(points)) if points else None

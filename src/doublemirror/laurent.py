@@ -3,7 +3,8 @@
 Exponent vectors are integer tuples in the basis coordinates of whichever
 lattice the polynomial lives on.  Coefficients are exact rationals
 (``domain == "QQ"``) or elements of F_p (``domain == p``); zero coefficients
-are never stored.
+are never stored.  Evaluation is over F_p only, at torus points, and every
+monomial goes through ``fp_monomial``.
 """
 
 from __future__ import annotations
@@ -82,6 +83,22 @@ def fp_inv(x: int, p: int) -> int:
     if x == 0:
         raise ZeroDivisionError("inverse of zero in F_p")
     return pow(x, p - 2, p)
+
+
+def fp_inverses(point, p):
+    """Inverses of the coordinates of a point of the torus (F_p*)^n."""
+    return [fp_inv(x, p) for x in point]
+
+
+def fp_monomial(exp, point, invs, p):
+    """``point**exp`` in F_p, with ``invs`` the inverses of the point's coordinates."""
+    val = 1
+    for x, inv, e in zip(point, invs, exp):
+        if e > 0:
+            val = val * pow(x, e, p) % p
+        elif e < 0:
+            val = val * pow(inv, -e, p) % p
+    return val
 
 
 def fp_roots(coeffs, p):
@@ -211,18 +228,12 @@ class LaurentPoly:
     def is_zero(self):
         return not self.terms
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def __add__(self, other):
         self._check_compatible(other)
         acc = dict(self.terms)
         for exp, c in other.terms:
             acc[exp] = _add(acc.get(exp, 0), c, self.domain)
         return LaurentPoly.from_dict(self.rank, acc, self.domain)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
 
     def __mul__(self, other):
         self._check_compatible(other)
@@ -256,44 +267,29 @@ class LaurentPoly:
         vals = [e[coord] for e, _ in self.terms]
         return (min(vals), max(vals))
 
-    def evaluate(self, point):
-        """Exact evaluation at a point with all coordinates invertible."""
-        if self.domain == RATIONAL:
-            total = Fraction(0)
-            for exp, coeff in self.terms:
-                term = Fraction(coeff)
-                for x, e in zip(point, exp):
-                    term *= Fraction(x) ** e
-                total += term
-            return total
+    def evaluate(self, point, invs=None):
+        """Value over F_p at a torus point; ``invs`` are its coordinate inverses."""
         p = self.domain
-        invs = [fp_inv(x, p) for x in point]
-        total = 0
-        for exp, coeff in self.terms:
-            term = coeff
-            for x, inv, e in zip(point, invs, exp):
-                if e > 0:
-                    term = term * pow(x, e, p) % p
-                elif e < 0:
-                    term = term * pow(inv, -e, p) % p
-            total = (total + term) % p
-        return total
+        if invs is None:
+            invs = fp_inverses(point, p)
+        return sum(c * fp_monomial(e, point, invs, p) for e, c in self.terms) % p
 
-    def log_derivative_eval(self, point, coord):
-        """Value of ``x_coord d/dx_coord`` of the polynomial at the point."""
-        if self.domain == RATIONAL:
-            total = Fraction(0)
-            for exp, coeff in self.terms:
-                if exp[coord] == 0:
-                    continue
-                term = Fraction(coeff) * exp[coord]
-                for x, e in zip(point, exp):
-                    term *= Fraction(x) ** e
-                total += term
-            return total
+    def log_gradient(self, point, invs=None):
+        """Values of ``x_j d/dx_j`` over F_p at a torus point, for every j.
+
+        One row of the logarithmic Jacobian: each term's monomial is evaluated
+        once and contributes ``c * e_j * x**e`` to every coordinate j.
+        """
         p = self.domain
-        weighted = {e: c * (e[coord] % p) % p for e, c in self.terms}
-        return LaurentPoly.from_dict(self.rank, weighted, p).evaluate(point)
+        if invs is None:
+            invs = fp_inverses(point, p)
+        row = [0] * self.rank
+        for exp, coeff in self.terms:
+            term = coeff * fp_monomial(exp, point, invs, p)
+            for j, e in enumerate(exp):
+                if e:
+                    row[j] += e * term
+        return [v % p for v in row]
 
     def restrict_to_line(self, fixed, free_coord):
         """Univariate coefficients along ``x_free = t``, others fixed.
@@ -305,19 +301,13 @@ class LaurentPoly:
         p = self.domain
         if p == RATIONAL:
             raise InputError("line restriction implemented for prime fields only")
+        # x_free = 1 drops the free coordinate from every monomial
+        point = tuple(1 if i == free_coord else x for i, x in enumerate(fixed))
+        invs = fp_inverses(point, p)
         acc = {}
-        invs = [fp_inv(x, p) if i != free_coord else None for i, x in enumerate(fixed)]
         for exp, coeff in self.terms:
-            term = coeff
-            for i, e in enumerate(exp):
-                if i == free_coord or e == 0:
-                    continue
-                if e > 0:
-                    term = term * pow(fixed[i], e, p) % p
-                else:
-                    term = term * pow(invs[i], -e, p) % p
             k = exp[free_coord]
-            acc[k] = (acc.get(k, 0) + term) % p
+            acc[k] = (acc.get(k, 0) + coeff * fp_monomial(exp, point, invs, p)) % p
         acc = {k: v for k, v in acc.items() if v}
         if not acc:
             return 0, []

@@ -74,3 +74,38 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def fp_evaluate(poly, point, p):
+    """A Laurent polynomial over F_p at a torus point, term by term.
+
+    Negative exponents go through Python's modular ``pow``, not through the
+    library's monomial routine.
+    """
+    total = 0
+    for exp, coeff in poly.terms:
+        term = coeff
+        for x, e in zip(point, exp):
+            term = term * pow(x, e, p) % p
+        total += term
+    return total % p
+
+
+def fp_log_gradient(poly, point, p):
+    """``x_j d/dx_j`` of a polynomial over F_p, one coordinate at a time."""
+    return [
+        fp_evaluate(
+            LaurentPoly.from_dict(poly.rank, {e: c * e[j] for e, c in poly.terms}, p),
+            point,
+            p,
+        )
+        for j in range(poly.rank)
+    ]
+
+
+def block_determinant(block, point, p):
+    """det of a bridge matrix at a torus point: evaluate, then eliminate."""
+    from doublemirror.evidence import fp_echelon
+
+    rows = [[fp_evaluate(entry, point, p) for entry in row] for row in block]
+    return fp_echelon(rows, p, square=True)[1]

@@ -267,6 +267,34 @@ class TestBridge:
             total = vadd(total, sh)
         assert new_det.terms == bridge.determinants[0].shift(total).terms
 
+    @pytest.mark.parametrize("side", ["e", "etilde"])
+    def test_corrupted_stack_inverse_rejected(self, pp33, side, monkeypatch):
+        # a stack inverse that passes the unimodularity check but is not the
+        # inverse would push fiber points off their samples
+        import doublemirror.bridge as bridge_mod
+        from doublemirror.errors import InternalError
+
+        pair, decs = pp33
+        ann = bridge_skeleton(pair, decs[0], decs[1]).ann_basis
+        adjugate = bridge_mod.adjugate
+        stacks = []
+
+        def corrupted(a):
+            det, adj = adjugate(a)
+            if a.data[: ann.rows] != ann.data:
+                return det, adj
+            stacks.append(a)
+            if len(stacks) == ("e", "etilde").index(side) + 1:
+                rows = [list(r) for r in adj.data]
+                rows[0][0] += 1
+                adj = IntMatrix(tuple(map(tuple, rows)))
+            return det, adj
+
+        monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
+        with pytest.raises(InternalError, match="projection of the fiber point"):
+            bridge_skeleton(pair, decs[0], decs[1])
+        assert len(stacks) == 2
+
     def test_trivial_tuple_rejected_when_sum_nonzero(self):
         from doublemirror.errors import DecompositionError
 
@@ -289,7 +317,7 @@ class TestBridge:
                     coeffs.value(skeleton.pair.point_to_root(v))
                 for v in slot_points
             }
-            assert total.as_dict() == expected
+            assert dict(total.terms) == expected
 
     def test_canonical_linear_equivalence_form(self, pp33):
         # e~_i - e_i = (0 ; p_i): the lattice-level linear-equivalence statement

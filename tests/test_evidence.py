@@ -1,5 +1,7 @@
 """Sampling harness: D points, fibers, evidence reports, regularity probe."""
 
+import random
+
 import pytest
 
 from doublemirror.bridge import build_bridge, enumerate_decompositions, random_coefficients
@@ -14,10 +16,11 @@ from doublemirror.evidence import (
     fp_echelon,
     sample_determinantal_points,
 )
-from doublemirror.laurent import LaurentPoly
+from doublemirror.laurent import LaurentPoly, fp_roots
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
+from oracles import block_determinant
 
 P = 10007
 
@@ -69,6 +72,36 @@ class TestSampling:
     def test_wrong_domain_rejected(self, pp33_bridge):
         with pytest.raises(InputError):
             sample_determinantal_points(pp33_bridge, 1, 65537, 0)
+
+
+class TestLineRestriction:
+    # the sampler takes det A_1 on a line from the determinant ``instantiate``
+    # built; the oracle evaluates block 0 at the point and eliminates
+    @pytest.mark.parametrize("n,i,j", [(3, 1, 2), (3, 2, 3), (5, 1, 2)])
+    def test_matches_block_determinant(self, n, i, j):
+        lattice, gens, deg, deg_dual = product_projective_lattice(n, 3)
+        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        decs = enumerate_decompositions(pair)
+        bridge = build_bridge(pair, decs[i - 1], decs[j - 1], random_coefficients(pair, P, 0))
+        block0, dd = bridge.matrices[0], bridge.torus_rank
+        rng = random.Random(100 * n + 10 * i + j)
+        roots_seen = 0
+        for _ in range(8):
+            free = rng.randrange(dd)
+            fixed = tuple(rng.randrange(1, P) if k != free else 1 for k in range(dd))
+            offset, coeffs = bridge.determinants[0].restrict_to_line(fixed, free)
+
+            def point(t):
+                return tuple(t if k == free else fixed[k] for k in range(dd))
+
+            for _ in range(3):
+                t = rng.randrange(1, P)
+                value = pow(t, offset, P) * sum(c * pow(t, k, P) for k, c in enumerate(coeffs))
+                assert value % P == block_determinant(block0, point(t), P)
+            for t in fp_roots(coeffs, P) if coeffs else ():
+                assert block_determinant(block0, point(t), P) == 0
+                roots_seen += 1
+        assert roots_seen > 0
 
 
 class TestFiber:

@@ -1,5 +1,6 @@
 """Laurent polynomial arithmetic, RNG determinism, coefficient assignments."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from doublemirror.laurent import (
     fp_inv,
     is_prime,
 )
+from oracles import fp_evaluate, fp_log_gradient
 
 
 class TestSplitMix:
@@ -69,9 +71,9 @@ class TestLaurentPoly:
         f = LaurentPoly.from_dict(2, {(1, 0): 2, (0, -1): 3}, RATIONAL)
         g = LaurentPoly.from_dict(2, {(0, 1): 1}, RATIONAL)
         h = f * g
-        assert h.as_dict() == {(1, 1): Fraction(2), (0, 0): Fraction(3)}
-        assert (f + f).as_dict() == {(1, 0): Fraction(4), (0, -1): Fraction(6)}
-        assert (f - f).is_zero()
+        assert dict(h.terms) == {(1, 1): Fraction(2), (0, 0): Fraction(3)}
+        assert dict((f + f).terms) == {(1, 0): Fraction(4), (0, -1): Fraction(6)}
+        assert (f + f.scale(-1)).is_zero()
 
     def test_zero_pruning(self):
         f = LaurentPoly.from_dict(1, {(0,): 1}, RATIONAL)
@@ -80,7 +82,7 @@ class TestLaurentPoly:
 
     def test_shift(self):
         f = LaurentPoly.from_dict(1, {(2,): 5}, RATIONAL)
-        assert f.shift((-3,)).as_dict() == {(-1,): Fraction(5)}
+        assert dict(f.shift((-3,)).terms) == {(-1,): Fraction(5)}
 
     def test_evaluate_fp(self):
         p = 10007
@@ -90,18 +92,26 @@ class TestLaurentPoly:
         expected = (x + y * fp_inv(x, p)) % p
         assert f.evaluate((x, y)) == expected
 
-    def test_evaluate_rational(self):
-        f = LaurentPoly.from_dict(1, {(-2,): 1}, RATIONAL)
-        assert f.evaluate((Fraction(2),)) == Fraction(1, 4)
-
     def test_log_derivative(self):
         p = 10007
-        # f = x^2 y^-1: x df/dx = 2 x^2 y^-1
+        # f = x^2 y^-1: x df/dx = 2 x^2 y^-1, y df/dy = -x^2 y^-1
         f = LaurentPoly.from_dict(2, {(2, -1): 1}, p)
         x, y = 4, 7
-        val = f.log_derivative_eval((x, y), 0)
         expected = 2 * pow(x, 2, p) * fp_inv(y, p) % p
-        assert val == expected
+        assert f.log_gradient((x, y)) == [expected, -expected * fp_inv(2, p) % p]
+
+    def test_log_gradient_multi_term(self):
+        p = 10007
+        rng = random.Random(4)
+        for _ in range(20):
+            terms = {
+                tuple(rng.randint(-3, 3) for _ in range(3)): rng.randrange(1, p)
+                for _ in range(rng.randint(1, 6))
+            }
+            f = LaurentPoly.from_dict(3, terms, p)
+            x = tuple(rng.randrange(1, p) for _ in range(3))
+            assert f.log_gradient(x) == fp_log_gradient(f, x, p)
+            assert f.evaluate(x) == fp_evaluate(f, x, p)
 
     def test_restrict_to_line(self):
         p = 101
