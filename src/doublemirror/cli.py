@@ -19,7 +19,7 @@ from . import __version__
 from .bridge import bridge_skeleton, enumerate_decompositions, random_coefficients, slice_root_keys
 from .cones import build_cone, normalize_cone
 from .errors import InputError, InternalError
-from .evidence import birationality_evidence
+from .evidence import MIN_PRIME, birationality_evidence
 from .instances import (
     Instance,
     build_partition,
@@ -28,7 +28,7 @@ from .instances import (
     loads,
     parse_instance,
 )
-from .laurent import RATIONAL, CoefficientAssignment
+from .laurent import RATIONAL, CoefficientAssignment, is_prime
 from .nefpart import pairing_minima
 from .polytope import Polytope, facet_enumeration, is_reflexive
 
@@ -72,6 +72,12 @@ def _pair_from_instance(instance: Instance):
         info.update({k: _jsonable(v) for k, v in norm.items()})
         return pair, info
     raise InputError("this command requires a nef_partition or cone instance")
+
+
+def _explicit_field(instance: Instance):
+    """The field of the instance's explicit coefficient values, or None."""
+    spec = instance.coefficients
+    return spec.domain if spec is not None and spec.explicit is not None else None
 
 
 def _coefficients(instance: Instance, pair, domain, seed):
@@ -239,7 +245,7 @@ def cmd_bridge(args):
     decs = enumerate_decompositions(pair)
     i, j = _select_pair(decs, args.pair)
     seed = _effective_seed(args, instance)
-    domain = RATIONAL
+    domain = _explicit_field(instance) or RATIONAL
     coeffs = _coefficients(instance, pair, domain, seed)
     bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
     result = {"normalization": info}
@@ -283,14 +289,22 @@ def cmd_pipeline(args):
         result["notice"] = "pipeline stopped before the bridge stage"
         return result, warnings, instance
     i, j = _select_pair(decs, args.pair)
-    rational_coeffs = _coefficients(instance, pair, RATIONAL, seed)
+    # explicit values fix the field: rational ones get no evidence stage, and
+    # values over F_p serve both stages, at a --prime that must match
+    field = _explicit_field(instance)
+    domain = RATIONAL if field in (None, RATIONAL) else args.prime
+    coeffs = _coefficients(instance, pair, domain, seed)
     skeleton = bridge_skeleton(pair, decs[i - 1], decs[j - 1])
-    sym_bridge = skeleton.instantiate(rational_coeffs)
-    result["bridge"] = _bridge_payload(sym_bridge, (i, j), RATIONAL, seed)
-    warnings.extend(sym_bridge.warnings)
-    fp_coeffs = _coefficients(instance, pair, args.prime, seed)
-    fp_bridge = skeleton.instantiate(fp_coeffs)
-    report = birationality_evidence(fp_bridge, args.samples, args.prime, seed)
+    bridge = skeleton.instantiate(coeffs)
+    result["bridge"] = _bridge_payload(bridge, (i, j), domain, seed)
+    warnings.extend(bridge.warnings)
+    if field == RATIONAL:
+        warnings.append("explicit coefficients are rational: finite-field evidence skipped")
+        result["notice"] = "pipeline stopped before the evidence stage"
+        return result, warnings, instance
+    if domain == RATIONAL:
+        bridge = skeleton.instantiate(_coefficients(instance, pair, args.prime, seed))
+    report = birationality_evidence(bridge, args.samples, args.prime, seed)
     result["evidence"] = report.payload()
     warnings.extend(w for w in report.warnings if w not in warnings)
     return result, warnings, instance
@@ -327,6 +341,21 @@ def sample_count(text):
     return value
 
 
+def pair_index(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"decomposition indices start at 1, got {value}")
+    return value
+
+
+def prime_field(text):
+    """A prime >= MIN_PRIME; ``is_prime`` rejects primes it cannot certify."""
+    value = int(text)
+    if value < MIN_PRIME or not is_prime(value):
+        raise argparse.ArgumentTypeError(f"must be a prime >= {MIN_PRIME}, got {value}")
+    return value
+
+
 def build_parser():
     parser = _Parser(
         prog="doublemirror",
@@ -348,11 +377,11 @@ def build_parser():
     for name in ("bridge", "verify", "pipeline"):
         p = sub.add_parser(name)
         add_common(p)
-        p.add_argument("--pair", nargs=2, type=int, metavar=("I", "J"), default=None)
+        p.add_argument("--pair", nargs=2, type=pair_index, metavar=("I", "J"), default=None)
         p.add_argument("--seed", type=int, default=None)
         if name != "bridge":
             p.add_argument("--samples", type=sample_count, default=100)
-            p.add_argument("--prime", type=int, default=10007)
+            p.add_argument("--prime", type=prime_field, default=10007)
 
     p = sub.add_parser("example")
     p.add_argument("name", help="two-segment | square | product-projective")
@@ -373,9 +402,9 @@ def _args_echo(args):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        # a prime too large to certify raises InputError while parsing
+        return _run(build_parser().parse_args(argv))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

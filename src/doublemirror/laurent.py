@@ -367,6 +367,8 @@ class CoefficientAssignment:
 
     @staticmethod
     def explicit(mapping, domain) -> "CoefficientAssignment":
+        if domain != RATIONAL and not is_prime(domain):
+            raise InputError(f"{domain} is not prime")
         values = {}
         for key, val in mapping.items():
             val = _normalize_coeff(val, domain)

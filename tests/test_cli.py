@@ -1,8 +1,10 @@
 """CLI commands: parsing, reports, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,26 +204,60 @@ class TestDeterminism:
         assert raw.endswith(b"\n")
 
 
+def explicit_two_segment(tmp_path, field):
+    """The two-segment example with one explicit value per slice point."""
+    from doublemirror.bridge import slice_root_keys
+    from doublemirror.cones import build_cone
+    from doublemirror.instances import build_partition
+
+    data = example_instance("two-segment")
+    np_, _ = build_partition(parse_instance(loads(dumps(data))))
+    keys = slice_root_keys(build_cone(np_))
+    data["coefficients"] = {
+        "field": field,
+        "seed": 0,
+        "values": {",".join(str(x) for x in k): 1 + i for i, k in enumerate(keys)},
+    }
+    return write_instance(tmp_path, data)
+
+
 class TestExplicitCoefficients:
     def test_verify_with_explicit_values(self, tmp_path, capsys):
-        from doublemirror.bridge import slice_root_keys
-        from doublemirror.cones import build_cone
-        from doublemirror.instances import build_partition, parse_instance as parse
-
-        data = example_instance("two-segment")
-        inst = parse(loads(dumps(data)))
-        np_, _ = build_partition(inst)
-        pair = build_cone(np_)
-        keys = slice_root_keys(pair)
-        data["coefficients"] = {
-            "field": {"prime": 10007},
-            "seed": 0,
-            "values": {",".join(str(x) for x in k): 1 + i for i, k in enumerate(keys)},
-        }
-        path = write_instance(tmp_path, data)
+        path = explicit_two_segment(tmp_path, {"prime": 10007})
         code, out = run_cli(["verify", path, "--pair", "1", "1", "--samples", "5"], capsys)
         assert code == 0
         assert json.loads(out)["result"]["evidence"]["prime"] == 10007
+
+    def test_bridge_over_the_explicit_prime(self, tmp_path, capsys):
+        path = explicit_two_segment(tmp_path, {"prime": 10007})
+        code, out = run_cli(["bridge", path, "--pair", "1", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["result"]["coefficient_field"] == {"prime": 10007}
+
+    def test_explicit_field_must_be_prime(self, tmp_path, capsys):
+        path = explicit_two_segment(tmp_path, {"prime": 10001})
+        assert main(["bridge", path, "--pair", "1", "1"]) == 1
+        assert capsys.readouterr().err == "error: 10001 is not prime\n"
+
+    def test_pipeline_over_the_explicit_prime(self, tmp_path, capsys):
+        path = explicit_two_segment(tmp_path, {"prime": 10007})
+        code, out = run_cli(["pipeline", path, "--pair", "1", "1", "--samples", "5"], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["bridge"]["coefficient_field"] == {"prime": 10007}
+        assert result["evidence"]["prime"] == 10007
+        # a different --prime is an input error, as in verify
+        argv = ["pipeline", path, "--pair", "1", "1", "--prime", "65537"]
+        assert run_cli(argv, capsys)[0] == 1
+
+    def test_pipeline_with_explicit_rational_values(self, tmp_path, capsys):
+        path = explicit_two_segment(tmp_path, "rational")
+        code, out = run_cli(["pipeline", path, "--pair", "1", "1", "--samples", "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["result"]["bridge"]["coefficient_field"] == "rational"
+        assert "evidence" not in report["result"]
+        assert any("evidence skipped" in w for w in report["warnings"])
 
     def test_field_mismatch_rejected(self, tmp_path, capsys):
         data = example_instance("two-segment")
@@ -268,6 +304,26 @@ class TestFlagValidation:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "--samples" in err
+
+
+    @pytest.mark.parametrize(
+        "flags,name",
+        [(["--prime", "100"], "--prime"), (["--prime", "10001"], "--prime"),
+         (["--pair", "0", "1"], "--pair"), (["--pair", "1", "-2"], "--pair")],
+    )
+    def test_rejected_before_the_instance_is_read(self, flags, name, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        for command in ("verify", "pipeline") if name == "--prime" else ("bridge", "verify"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, missing, *flags])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and name in err
+
+    def test_uncertifiable_prime_rejected_before_the_instance_is_read(self, tmp_path, capsys):
+        assert main(["pipeline", str(tmp_path / "missing.json"), "--prime", str((1 << 89) - 1)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "cannot certify" in err
 
 
 class TestNoTraceback:
@@ -323,21 +379,21 @@ class TestLargePrimes:
         assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def run_python(argv):
+    """A fresh interpreter that imports the package from this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        out = subprocess.run(
-            [sys.executable, "-m", "doublemirror.cli", "example", "two-segment"],
-            capture_output=True,
-            text=True,
-        )
+        out = run_python(["-m", "doublemirror.cli", "example", "two-segment"])
         assert out.returncode == 0
         assert json.loads(out.stdout)["nef_partition"]
 
     def test_import_does_not_load_numpy(self):
-        out = subprocess.run(
-            [sys.executable, "-c", "import sys, doublemirror.cli; print('numpy' in sys.modules)"],
-            capture_output=True,
-            text=True,
-        )
+        out = run_python(["-c", "import sys, doublemirror.cli; print('numpy' in sys.modules)"])
         assert out.returncode == 0
         assert out.stdout.strip() == "False"
