@@ -27,13 +27,14 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
-    _snf_ext,
+    RowSolver,
     adjugate,
     dot,
     integral_preimage_lattice,
     kernel_basis,
     reduce_mod_rows,
-    solve_linear_integer,
+    right_inverse,
+    snf,
     vadd,
     vneg,
     vscale,
@@ -170,11 +171,12 @@ def build_auxiliary_lattice(dec: Decomposition, d: int):
     w_mat = IntMatrix(tuple(rows))
     if w_mat.rank() != len(rows):
         raise InternalError("non-leading block vectors are linearly dependent")
-    s_diag, _, _, _, vinv = _snf_ext(w_mat)
+    s_diag, _, v = snf(w_mat)
     index = 1
     for i in range(len(rows)):
         index *= s_diag.data[i][i]
-    basis = IntMatrix(tuple(rows) + vinv.data[len(rows):])
+    # v is unimodular, so its right inverse is its inverse
+    basis = IntMatrix(tuple(rows) + right_inverse(v).data[len(rows):])
     if abs(basis.det()) != index:
         raise InternalError("auxiliary lattice index mismatch")
     return basis, index, row_of
@@ -412,9 +414,10 @@ def solve_bridge_vectors(dec: Decomposition, n_prime_basis: IntMatrix, row_of, s
         labels.append(("et", i))
     cmat = IntMatrix(tuple(constraint_rows))
     kernel = kernel_basis(cmat)
+    solver = RowSolver(cmat.transpose())
 
     def solve(rhs):
-        x = solve_linear_integer(cmat, rhs)
+        x = solver.solve(rhs)
         if x is None:
             raise InternalError("bridge vector constraints have no integer solution")
         return reduce_mod_rows(x, kernel)
@@ -461,6 +464,9 @@ def bridge_skeleton(
     for i, e in enumerate(dec_et2.e_tilde(s)):
         if not in_dual_cone(pair2, e):
             raise InternalError(f"transported summand {i + 1} left the dual cone")
+    wt_sections = right_inverse(IntMatrix(tuple(dec_et2.e_tilde(s))))
+    if wt_sections is None:
+        raise InternalError("e~ summands are not part of a basis")
 
     blocks = dec_et2.blocks
     r = dec_et2.r
@@ -513,7 +519,7 @@ def bridge_skeleton(
 
     # every exponent a matrix entry can carry, over a basis of Ann(e, e~)
     ann_mp = IntMatrix(tuple(mp((0,) * s + tuple(row))[s:] for row in ann_basis.data))
-    ann_mp_t = ann_mp.transpose()
+    ann_solver = RowSolver(ann_mp)
     ann_coords = {}
 
     def to_ann_coords(exp):
@@ -522,9 +528,7 @@ def bridge_skeleton(
         if any(x != 0 for x in exp[:s]):
             raise InternalError("matrix entry exponent pairs nonzero with an e summand")
         target = exp[s:]
-        sol = solve_linear_integer(ann_mp_t, target) if dd_rank else (
-            () if all(x == 0 for x in target) else None
-        )
+        sol = ann_solver.solve(target)
         if sol is None:
             raise InternalError("matrix entry exponent left Ann(e, e~)")
         ann_coords[exp] = sol
@@ -588,7 +592,7 @@ def bridge_skeleton(
         stack_et_inv=stack_et_inv,
         l_coords=l_coords,
         lt_coords=lt_coords,
-        wt_primes=tuple(_etilde_sections(dec_et2, s, d)),
+        wt_primes=tuple(zip(*wt_sections.data)),
     )
 
 
@@ -673,19 +677,6 @@ def _m_level_complement(w_mprime: IntMatrix, n_prime_basis: IntMatrix, d: int):
             raise InternalError("L combination failed to be integral")
         m_rows.append(tuple(x // abs(det) for x in combo))
     return l_coords, tuple(m_rows)
-
-
-def _etilde_sections(dec: Decomposition, s, d):
-    """Integer vectors w~'_j in Mbar with <w~'_j, e~_i> = delta_ij."""
-    rows = IntMatrix(tuple(dec.e_tilde(s)))
-    sections = []
-    for j in range(s):
-        rhs = tuple(1 if i == j else 0 for i in range(s))
-        sol = solve_linear_integer(rows, rhs)
-        if sol is None:
-            raise InternalError("e~ summands are not part of a basis")
-        sections.append(sol)
-    return sections
 
 
 def det_cofactor(matrix_rows, rank, domain):

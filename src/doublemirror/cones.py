@@ -27,9 +27,9 @@ from .errors import (
 )
 from .intmat import (
     IntMatrix,
+    RowSolver,
     dot,
     kernel_basis,
-    solve_linear_integer,
     vadd,
     vsub,
 )
@@ -311,11 +311,12 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     d = ann_basis.rows
     if d != n - s:
         raise InternalError("annihilator lattice has unexpected rank")
+    ann_solver = RowSolver(ann_basis)
     part_polys = []
     for i, group in enumerate(groups):
         verts = []
         for v in group:
-            z = solve_linear_integer(ann_basis.transpose(), vsub(v, section[i]))
+            z = ann_solver.solve(vsub(v, section[i]))
             if z is None:
                 raise InternalError("slice vertex left the annihilator lattice")
             verts.append(z)

@@ -17,13 +17,21 @@ class NotPointedError(RankDeficiencyError):
 
 
 def _independent_subset(constraints, n):
-    """Indices of ``n`` constraints with full rank, greedily in input order."""
+    """Indices of ``n`` constraints with full rank, greedily in input order.
+
+    A candidate is independent when a nonzero row survives its fraction-free
+    reduction against the kept rows, each zero in the pivots of earlier ones.
+    """
     chosen = []
-    rows = []
+    echelon = []  # (pivot column, reduced row)
     for idx, c in enumerate(constraints):
-        candidate = IntMatrix(tuple(rows + [tuple(c)]))
-        if candidate.rank() == len(rows) + 1:
-            rows.append(tuple(c))
+        for col, row in echelon:
+            if c[col]:
+                a, b = row[col], c[col]
+                c = tuple(a * x - b * y for x, y in zip(c, row))
+        pivot = next((j for j, x in enumerate(c) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, vprimitive(c)))
             chosen.append(idx)
             if len(chosen) == n:
                 return chosen

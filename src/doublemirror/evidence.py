@@ -218,8 +218,6 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
     # bridge_skeleton checked ann_basis . stack_inv = [I | 0], so the point
     # projects back to y along Ann(e, e~)
     point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in stack_inv.data)
-    if any(v == 0 for v in point):
-        return []
     equations = bridge.equations_e if side == "e" else bridge.equations_etilde
     point_invs = fp_inverses(point, p)
     for eq in equations:

@@ -171,24 +171,28 @@ def _parse_lattice(spec) -> LatticeEmbedding:
     rank = _as_int(spec.get("ambient_rank"), "lattice.ambient_rank")
     kind = spec.get("kind", "full")
     if kind == "full":
-        return LatticeEmbedding.full(rank)
-    if kind == "kernel":
+        lattice = LatticeEmbedding.full(rank)
+    elif kind == "kernel":
         rows = spec.get("equations")
         if not rows:
             raise InputError("kernel lattice requires 'equations'")
         eqs = IntMatrix(tuple(_as_vector(r, "lattice equation") for r in rows))
         if eqs.cols != rank:
             raise InputError("equation rows must have length ambient_rank")
-        return LatticeEmbedding.from_kernel(eqs)
-    if kind == "quotient":
+        lattice = LatticeEmbedding.from_kernel(eqs)
+    elif kind == "quotient":
         rows = spec.get("relations")
         if not rows:
             raise InputError("quotient lattice requires 'relations'")
         rels = IntMatrix(tuple(_as_vector(r, "lattice relation") for r in rows))
         if rels.cols != rank:
             raise InputError("relation rows must have length ambient_rank")
-        return LatticeEmbedding.from_quotient(rels)
-    raise InputError(f"unknown lattice kind {kind!r}")
+        lattice = LatticeEmbedding.from_quotient(rels)
+    else:
+        raise InputError(f"unknown lattice kind {kind!r}")
+    if lattice.rank < 1:
+        raise InputError(f"the {kind} lattice has rank {lattice.rank}; a positive rank is required")
+    return lattice
 
 
 def _parse_coefficients(spec) -> CoefficientSpec | None:

@@ -1,7 +1,9 @@
 """Exact integer matrix algebra: HNF, SNF, kernels, saturation, solving.
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
-touches floating point.  Conventions:
+touches floating point.  ``z . a = b`` is solved by forward substitution over
+the row HNF of ``a``, factored once per basis (``RowSolver``); the Smith normal
+form serves only saturation indices and preimage lattices.  Conventions:
 
 * Matrices are row-major and immutable (``IntMatrix``).
 * Row Hermite normal form: pivot entries positive, entries above each pivot
@@ -44,10 +46,6 @@ class IntMatrix:
     @staticmethod
     def identity(n):
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
-    def zero(m, n):
-        return IntMatrix(tuple((0,) * n for _ in range(m)))
 
     def transpose(self):
         return IntMatrix(tuple(zip(*self.data))) if self.data else IntMatrix(())
@@ -194,25 +192,20 @@ def adjugate(a: IntMatrix):
 
 
 def _snf_ext(a: IntMatrix):
-    """Smith normal form with both transforms and their inverses.
+    """Smith normal form with both transforms and the inverse of ``v``.
 
-    Returns ``(s, u, v, uinv, vinv)`` with ``s = u * a * v``.
+    Returns ``(s, u, v, vinv)`` with ``s = u * a * v``.
     """
     m, n = a.rows, a.cols
     s = [list(r) for r in a.data]
     u = [list(r) for r in IntMatrix.identity(m).data]
-    uinv = [list(r) for r in IntMatrix.identity(m).data]
     v = [list(r) for r in IntMatrix.identity(n).data]
     vinv = [list(r) for r in IntMatrix.identity(n).data]
 
     def row_op(i, j, q):
-        # row i -= q * row j  (left multiplication); uinv gets the inverse op
+        # row i -= q * row j  (left multiplication)
         _row_sub(s, i, j, q)
         _row_sub(u, i, j, q)
-        if q:
-            uinv_col = [row[i] for row in uinv]
-            for r_, c_ in zip(uinv, uinv_col):
-                r_[j] += q * c_
 
     def col_op(i, j, q):
         # col i -= q * col j; vinv gets the inverse op (row j += q * row i)
@@ -226,8 +219,6 @@ def _snf_ext(a: IntMatrix):
     def row_swap(i, j):
         s[i], s[j] = s[j], s[i]
         u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         for row in s:
@@ -239,8 +230,6 @@ def _snf_ext(a: IntMatrix):
     def row_negate(i):
         s[i] = [-x for x in s[i]]
         u[i] = [-x for x in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
 
     t = 0
     while t < min(m, n):
@@ -290,12 +279,12 @@ def _snf_ext(a: IntMatrix):
         if s[t][t] < 0:
             row_negate(t)
         t += 1
-    return IntMatrix(s), IntMatrix(u), IntMatrix(v), IntMatrix(uinv), IntMatrix(vinv)
+    return IntMatrix(s), IntMatrix(u), IntMatrix(v), IntMatrix(vinv)
 
 
 def snf(a: IntMatrix):
     """Smith normal form ``(s, u, v)`` with ``s = u * a * v``."""
-    s, u, v, _, _ = _snf_ext(a)
+    s, u, v, _ = _snf_ext(a)
     return s, u, v
 
 
@@ -321,7 +310,7 @@ def saturate(b: IntMatrix):
     Raises ``RankDeficiencyError`` if the rows are dependent.
     """
     k = b.rows
-    s, _, _, _, vinv = _snf_ext(b)
+    s, _, _, vinv = _snf_ext(b)
     divisors = [s.data[i][i] for i in range(min(s.rows, s.cols))]
     if any(d == 0 for d in divisors[:k]) or len(divisors) < k:
         raise RankDeficiencyError("rows are linearly dependent over the rationals")
@@ -333,25 +322,56 @@ def saturate(b: IntMatrix):
     return canon, index
 
 
-def solve_linear_integer(a: IntMatrix, b):
-    """One integer solution of ``a.x = b`` or ``None`` when none exists."""
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length mismatch")
-    s, u, v, _, _ = _snf_ext(a)
-    c = u.mul_vec(tuple(b))
-    y = [0] * a.cols
-    r = min(a.rows, a.cols)
-    for i in range(a.rows):
-        d = s.data[i][i] if i < r else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d != 0:
-                return None
-            y[i] = c[i] // d
-    x = tuple(sum(v.data[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols))
-    return x
+def forward_substitute(rows, pivots, b):
+    """``(y, r)`` with ``b = y . rows + r`` over row-HNF rows with these pivots.
+
+    Each pivot coordinate of ``r`` lies in ``[0, pivot)``.  Rows below have
+    zeros in each pivot column, so a remainder left there survives: ``b`` is
+    an integer combination of the rows exactly when ``r`` is zero.
+    """
+    d = list(b)
+    y = []
+    for row, c in zip(rows, pivots):
+        q = d[c] // row[c]
+        if q:
+            d = [x - q * r for x, r in zip(d, row)]
+        y.append(q)
+    return tuple(y), tuple(d)
+
+
+class RowSolver:
+    """Integer solutions of ``z . a = b`` for one fixed ``a``, factored once.
+
+    ``h = u . a`` is the row HNF of ``a``; a solution ``y`` over the nonzero
+    rows of ``h`` gives ``z = y . u`` over the rows of ``a``.  When the rows of
+    ``a`` are dependent, ``z`` is one solution among many.
+    """
+
+    def __init__(self, a: IntMatrix):
+        h, u = hnf(a)
+        self._rows = tuple(r for r in h.data if any(r))
+        self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self._rows)
+        self._u = u.data[: len(self._rows)]
+        self._m = a.rows
+
+    def solve(self, b):
+        """One integer ``z`` with ``z . a = b``, or None when none exists."""
+        y, r = forward_substitute(self._rows, self._pivots, b)
+        if any(r):
+            return None
+        return tuple(sum(yi * row[j] for yi, row in zip(y, self._u)) for j in range(self._m))
+
+
+def right_inverse(rows: IntMatrix):
+    """Integer ``S`` with ``rows . S = I``, or None when none exists.
+
+    Column ``j`` of ``S`` solves ``S_j . rows^T = e_j``, all over one
+    factorization of ``rows^T``.
+    """
+    solver = RowSolver(rows.transpose())
+    k = rows.rows
+    cols = [solver.solve(tuple(int(i == j) for i in range(k))) for j in range(k)]
+    return None if None in cols else IntMatrix(tuple(zip(*cols)))
 
 
 def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
@@ -365,7 +385,7 @@ def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
     k = num.rows
     if den == 1 or k == 0:
         return IntMatrix.identity(k)
-    s, u, _, _, _ = _snf_ext(num)
+    s, u, _, _ = _snf_ext(num)
     # c * num integral mod den  <=>  (c * uinv-basis) picks up diagonal divisors;
     # writing c = y * u, the condition becomes y_i * d_i = 0 mod den.
     rows = []
@@ -384,15 +404,8 @@ def reduce_mod_rows(x, basis: IntMatrix):
     ``basis`` must be in row HNF; each pivot coordinate of the result lies in
     ``[0, pivot)``.
     """
-    x = list(x)
-    for row in basis.data:
-        pivot_col = next((j for j, val in enumerate(row) if val != 0), None)
-        if pivot_col is None:
-            continue
-        q = x[pivot_col] // row[pivot_col]
-        if q:
-            x = [a - q * b for a, b in zip(x, row)]
-    return tuple(x)
+    rows = [r for r in basis.data if any(r)]
+    return forward_substitute(rows, [next(j for j, v in enumerate(r) if v) for r in rows], x)[1]
 
 
 # -- small vector helpers used throughout the package ------------------------

@@ -16,10 +16,10 @@ basis coordinates is the standard dot product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InputError, InternalError
-from .intmat import IntMatrix, hnf, kernel_basis, saturate, solve_linear_integer
+from .intmat import IntMatrix, RowSolver, hnf, kernel_basis, right_inverse, saturate
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class LatticeEmbedding:
     basis: IntMatrix
     rank: int
     _section: IntMatrix | None = field(default=None, compare=False)
+    _solver: RowSolver | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def full(n: int) -> "LatticeEmbedding":
@@ -41,25 +42,20 @@ class LatticeEmbedding:
     @staticmethod
     def from_kernel(equations: IntMatrix) -> "LatticeEmbedding":
         basis = kernel_basis(equations)
-        n = equations.cols
-        section = _right_inverse(basis)
-        return LatticeEmbedding(n, "kernel", equations, basis, basis.rows, section)
+        section = right_inverse(basis)
+        if section is None:
+            raise InternalError("kernel basis is not saturated")
+        return LatticeEmbedding(equations.cols, "kernel", equations, basis, basis.rows, section)
 
     @staticmethod
     def from_quotient(relations: IntMatrix) -> "LatticeEmbedding":
-        basis = kernel_basis(relations)
-        n = relations.cols
-        section = _right_inverse(basis)
-        return LatticeEmbedding(n, "quotient", relations, basis, basis.rows, section)
+        return LatticeEmbedding.from_kernel(relations).dual()
 
     def dual(self) -> "LatticeEmbedding":
         """The dual lattice, with coordinates dual to this one's."""
         if self.kind == "full":
             return self
-        dual_kind = "quotient" if self.kind == "kernel" else "kernel"
-        return LatticeEmbedding(
-            self.ambient_rank, dual_kind, self.defining, self.basis, self.rank, self._section
-        )
+        return replace(self, kind="quotient" if self.kind == "kernel" else "kernel")
 
     def to_coords(self, ambient):
         """Basis coordinates of an ambient vector (class representative)."""
@@ -70,7 +66,9 @@ class LatticeEmbedding:
         if self.kind == "quotient":
             # [a] -> B . a, which kills exactly the saturated relation span
             return tuple(sum(b * x for b, x in zip(row, ambient)) for row in self.basis.data)
-        coords = solve_linear_integer(self.basis.transpose(), tuple(ambient))
+        if self._solver is None:
+            object.__setattr__(self, "_solver", RowSolver(self.basis))
+        coords = self._solver.solve(ambient)
         if coords is None:
             raise InputError("vector does not lie in the kernel lattice")
         return coords
@@ -92,23 +90,6 @@ class LatticeEmbedding:
             sum(sec.data[j][i] * coords[i] for i in range(self.rank))
             for j in range(self.ambient_rank)
         )
-
-
-def _right_inverse(basis: IntMatrix) -> IntMatrix:
-    """Integer matrix S (ambient x rank) with ``basis . S = identity``.
-
-    Exists because kernel bases are saturated.
-    """
-    cols = []
-    for i in range(basis.rows):
-        e = tuple(1 if j == i else 0 for j in range(basis.rows))
-        col = solve_linear_integer(basis, e)
-        if col is None:
-            raise InternalError("kernel basis is not saturated")
-        cols.append(col)
-    if not cols:
-        return IntMatrix.zero(basis.cols, 0)
-    return IntMatrix(tuple(zip(*cols)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +123,9 @@ def sublattice_dual_pair(basis_rows: IntMatrix, ambient_rank: int) -> DualPairin
     if canon != sat:
         raise InputError("rows do not form a basis of their saturation")
     primal = LatticeEmbedding(ambient_rank, "kernel", None, basis_rows, basis_rows.rows, None)
-    sec = _right_inverse(basis_rows)
+    sec = right_inverse(basis_rows)
+    if sec is None:
+        raise InternalError("sublattice basis has no integral section")
     dual = LatticeEmbedding(ambient_rank, "quotient", None, basis_rows, basis_rows.rows, sec)
     gram = basis_rows.mul(sec)
     return DualPairing(primal, dual, gram)

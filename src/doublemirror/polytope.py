@@ -23,7 +23,9 @@ from .errors import (
     OriginNotInteriorError,
     UnboundedSliceError,
 )
-from .intmat import IntMatrix, hnf, kernel_basis, saturate, solve_linear_integer, vprimitive
+from .intmat import (
+    IntMatrix, RowSolver, forward_substitute, hnf, kernel_basis, saturate, vprimitive
+)
 from .lattices import LatticeEmbedding
 
 
@@ -77,23 +79,16 @@ def _affine_coords(points, x0, w: IntMatrix):
 
     ``W`` is a saturated row HNF (as from ``affine_basis``), so once the
     differences are scaled by the common denominator ``den`` the coordinates
-    are integers, found by forward substitution on the pivot columns.  The
-    residual left after subtracting ``z.W`` must vanish; a point off the
-    affine hull gets None.
+    are integers, found by forward substitution; a point off the affine hull
+    gets None.
     """
     den = lcm(*(x.denominator for p in points for x in p), *(x.denominator for x in x0))
     x0s = [x * den for x in x0]
     pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
     coords = []
     for p in points:
-        d = [int(a * den - b) for a, b in zip(p, x0s)]
-        z = []
-        for row, c in zip(w.data, pivots):
-            # rows below have zeros in column c, so a remainder here survives
-            q = d[c] // row[c]
-            d = [x - q * y for x, y in zip(d, row)]
-            z.append(q)
-        coords.append(None if any(d) else tuple(_quo(q, den) for q in z))
+        z, r = forward_substitute(w.data, pivots, [int(a * den - b) for a, b in zip(p, x0s)])
+        coords.append(None if any(r) else tuple(_quo(q, den) for q in z))
     return coords
 
 
@@ -319,7 +314,7 @@ def _integral_point_in_affine_hull(x0, w: IntMatrix):
         val = sum(c * x for c, x in zip(normal, x0))
         rows.append(tuple(c * val.denominator for c in normal))
         rhs.append(int(val.numerator))
-    return solve_linear_integer(IntMatrix(tuple(rows)), tuple(rhs))
+    return RowSolver(IntMatrix(tuple(rows)).transpose()).solve(rhs)
 
 
 def _enumerate_integer_points(z_vertices, facets):

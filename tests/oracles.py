@@ -5,7 +5,7 @@ import itertools
 from doublemirror.cones import verify_reflexive_gorenstein_data
 from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError
-from doublemirror.intmat import vadd
+from doublemirror.intmat import IntMatrix, vadd
 from doublemirror.laurent import LaurentPoly
 
 
@@ -14,6 +14,20 @@ def verify_reflexive_gorenstein(pair):
     return verify_reflexive_gorenstein_data(
         pair.k_generators, pair.k_dual_generators, pair.deg, pair.deg_dual
     )
+
+
+def greedy_independent_subset(constraints, n):
+    """Indices of ``n`` independent constraints, greedily by full rank recomputation."""
+    chosen = []
+    rows = []
+    for idx, c in enumerate(constraints):
+        candidate = IntMatrix(tuple(rows + [tuple(c)]))
+        if candidate.rank() == len(rows) + 1:
+            rows.append(tuple(c))
+            chosen.append(idx)
+            if len(chosen) == n:
+                return chosen
+    return None
 
 
 def cone_contains(point, generators):

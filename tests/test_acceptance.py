@@ -25,12 +25,12 @@ from doublemirror.evidence import fiber, sample_determinantal_points
 from doublemirror.instances import dumps, example_instance
 from doublemirror.intmat import (
     IntMatrix,
+    RowSolver,
     dot,
     hnf,
     kernel_basis,
     saturate,
     snf,
-    solve_linear_integer,
     vsub,
 )
 from doublemirror.lattices import LatticeEmbedding
@@ -289,8 +289,9 @@ def test_criterion_5_duality_properties(pp53, corpus):
             )
             z_lat = LatticeEmbedding.full(ann.rows)
             z_verts = []
+            ann_solver = RowSolver(ann)
             for v in total_slice.vertices:
-                z = solve_linear_integer(ann.transpose(), tuple(int(x) for x in v))
+                z = ann_solver.solve(tuple(int(x) for x in v))
                 assert z is not None, name
                 z_verts.append(z)
             shifted = Polytope.from_points(z_lat, z_verts)

@@ -356,6 +356,24 @@ class TestNoTraceback:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cone index 2 equals its rank")
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [("cone", {"cone": {"generators": [[1, 0], [1, 1]]}}), ("dualize", {"polytope": [[0, 0]]})],
+    )
+    def test_rank_zero_lattice_is_an_input_error(self, command, payload, tmp_path, capsys):
+        data = {"lattice": {"ambient_rank": 2, "kind": "kernel", "equations": [[1, 0], [0, 1]]}}
+        data.update(payload)
+        assert main([command, write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: the kernel lattice has rank 0; a positive rank is required\n"
+
+    def test_generator_off_the_kernel_lattice(self, tmp_path, capsys):
+        data = {"lattice": {"ambient_rank": 3, "kind": "kernel", "equations": [[1, 1, 1]]},
+                "cone": {"generators": [[1, 0, 0]]}}
+        assert main(["cone", write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: vector does not lie in the kernel lattice\n"
+
     def test_unwritable_output_is_an_input_error(self, two_segment_file, tmp_path, capsys):
         assert main(["cone", two_segment_file, "--output", str(tmp_path)]) == 1
         err = capsys.readouterr().err

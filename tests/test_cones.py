@@ -1,5 +1,7 @@
 """Gorenstein cone pairs and decomposition-to-partition conversion."""
 
+import random
+
 import pytest
 
 from doublemirror.canned import product_projective_lattice, square_part, two_segment_parts
@@ -10,13 +12,13 @@ from doublemirror.cones import (
     normalize_cone,
     verify_reflexive_gorenstein_data,
 )
-from doublemirror.dd import extreme_rays
+from doublemirror.dd import _independent_subset, extreme_rays
 from doublemirror.errors import DecompositionError
 from doublemirror.intmat import dot
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
-from oracles import cone_contains, verify_reflexive_gorenstein
+from oracles import cone_contains, greedy_independent_subset, verify_reflexive_gorenstein
 
 Z2 = LatticeEmbedding.full(2)
 
@@ -166,3 +168,22 @@ class TestNormalizeCone:
             assert cone_contains(g, gvecs)
         for g in gvecs:
             assert cone_contains(g, sorted(root_gens))
+
+
+class TestIndependentSubset:
+    def test_matches_greedy_rank_oracle(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            bound = rng.choice([1, 3, 9])
+            rows = []
+            for _ in range(rng.randint(1, 2 * n + 2)):
+                if rows and rng.random() < 0.4:
+                    # a dependent row: an integer combination of earlier rows
+                    picks = rng.sample(rows, min(len(rows), rng.randint(1, 3)))
+                    coeffs = [rng.randint(-3, 3) for _ in picks]
+                    combo = (sum(c * r[j] for c, r in zip(coeffs, picks)) for j in range(n))
+                    rows.append(tuple(combo))
+                else:
+                    rows.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
+            assert _independent_subset(rows, n) == greedy_independent_subset(rows, n)

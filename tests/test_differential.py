@@ -1,7 +1,8 @@
 """Differential tests against sympy on seeded random inputs.
 
-The integer linear algebra (det, adjugate, HNF, SNF) is compared with
-sympy's implementations; affine coordinates and lattice points of small
+The integer linear algebra (det, adjugate, HNF, SNF, the HNF row solver
+and right inverses) is compared with sympy's implementations; affine
+coordinates and lattice points of small
 rational polytopes are compared with exact sympy solves and a brute-force
 scan of the bounding box.  sympy is only a test dependency: without it the
 whole module is skipped.
@@ -19,7 +20,15 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
 from doublemirror.errors import InternalError  # noqa: E402
-from doublemirror.intmat import IntMatrix, adjugate, hnf, kernel_basis, snf  # noqa: E402
+from doublemirror.intmat import (  # noqa: E402
+    IntMatrix,
+    RowSolver,
+    adjugate,
+    hnf,
+    kernel_basis,
+    right_inverse,
+    snf,
+)
 from doublemirror.lattices import LatticeEmbedding  # noqa: E402
 from doublemirror.polytope import (  # noqa: E402
     Polytope,
@@ -96,6 +105,112 @@ def test_snf(seed):
         expected = [abs(int(x)) for x in invariant_factors(to_sympy(a), domain=sympy.ZZ)]
         expected += [0] * (len(diagonal) - len(expected))
         assert diagonal == expected
+
+
+def rank_of(a: IntMatrix):
+    return to_sympy(a).rank() if a.rows else 0
+
+
+def random_combination(rng, a: IntMatrix):
+    x = tuple(rng.randint(-4, 4) for _ in range(a.rows))
+    return x, tuple(sum(xi * row[j] for xi, row in zip(x, a.data)) for j in range(a.cols))
+
+
+def in_row_lattice(a: IntMatrix, b):
+    """sympy: ``b`` is an integer combination of the rows of ``a``."""
+    if rank_of(a) == 0:
+        return not any(b)
+    with_b = IntMatrix(a.data + (tuple(b),))
+    return hermite_normal_form(to_sympy(with_b).T) == hermite_normal_form(to_sympy(a).T)
+
+
+def check_solution(a: IntMatrix, b, z):
+    assert z is not None and len(z) == a.rows
+    assert all(sum(zi * row[j] for zi, row in zip(z, a.data)) == b[j] for j in range(a.cols))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_solver_full_row_rank(seed):
+    rng = random.Random(3000 + seed)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        a = random_matrix(rng, rng.randint(1, n), n)
+        if rank_of(a) < a.rows:
+            continue
+        solver = RowSolver(a)
+        for _ in range(4):
+            x, b = random_combination(rng, a)
+            # full row rank: the solution is unique
+            assert solver.solve(b) == x
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_solver_dependent_rows(seed):
+    rng = random.Random(3100 + seed)
+    for _ in range(25):
+        base = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
+        extra = tuple(random_combination(rng, base)[1] for _ in range(rng.randint(1, 3)))
+        a = IntMatrix(base.data + extra)
+        assert rank_of(a) < a.rows
+        solver = RowSolver(a)
+        for _ in range(4):
+            _, b = random_combination(rng, a)
+            check_solution(a, b, solver.solve(b))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_solver_rational_but_not_integral(seed):
+    rng = random.Random(3200 + seed)
+    checked = 0
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        r = random_matrix(rng, rng.randint(1, n), n)
+        if rank_of(r) < r.rows:
+            continue
+        # scaling row 0 by m leaves r_0 = (1/m) a_0 in the span over Q only
+        m = rng.randint(2, 5)
+        a = IntMatrix(((tuple(m * x for x in r.data[0]),) + r.data[1:]))
+        _, c = random_combination(rng, a)
+        b = tuple(x + y for x, y in zip(r.data[0], c))
+        assert not in_row_lattice(a, b)
+        assert RowSolver(a).solve(b) is None
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_row_solver_matches_lattice_membership(seed):
+    rng = random.Random(3300 + seed)
+    outside = 0
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        a = random_matrix(rng, rng.randint(1, 5), n, bound=rng.choice([1, 6]))
+        solver = RowSolver(a)
+        for _ in range(4):
+            b = tuple(rng.randint(-6, 6) for _ in range(n))
+            outside += rank_of(IntMatrix(a.data + (b,))) > rank_of(a)
+            z = solver.solve(b)
+            if in_row_lattice(a, b):
+                check_solution(a, b, z)
+            else:
+                assert z is None
+    # b outside the rational span is among the cases
+    assert outside
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_right_inverse(seed):
+    rng = random.Random(3400 + seed)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        rows = random_matrix(rng, rng.randint(1, n), n, bound=rng.choice([2, 6]))
+        factors = invariant_factors(to_sympy(rows), domain=sympy.ZZ)
+        unimodular = rank_of(rows) == rows.rows and all(abs(int(x)) == 1 for x in factors)
+        s = right_inverse(rows)
+        if not unimodular:
+            assert s is None
+            continue
+        assert rows.mul(s) == IntMatrix.identity(rows.rows)
 
 
 def random_rational_polytope(rng):

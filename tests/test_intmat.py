@@ -8,6 +8,7 @@ import pytest
 from doublemirror.errors import RankDeficiencyError
 from doublemirror.intmat import (
     IntMatrix,
+    RowSolver,
     dot,
     hnf,
     integral_preimage_lattice,
@@ -15,7 +16,6 @@ from doublemirror.intmat import (
     reduce_mod_rows,
     saturate,
     snf,
-    solve_linear_integer,
     vprimitive,
 )
 from doublemirror.lattices import DualPairing, LatticeEmbedding, sublattice_dual_pair
@@ -48,10 +48,10 @@ def is_row_hnf(h: IntMatrix) -> bool:
 def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
     """Mutual integer membership of rows, checked by integer solving."""
     for row in a.data:
-        if solve_linear_integer(b.transpose(), row) is None:
+        if RowSolver(b).solve(row) is None:
             return False
     for row in b.data:
-        if solve_linear_integer(a.transpose(), row) is None:
+        if RowSolver(a).solve(row) is None:
             return False
     return True
 
@@ -150,9 +150,10 @@ class TestKernel:
         for row in basis.data:
             assert sum(row) == 0
         # brute force: every small kernel vector is in the integer span
+        solver = RowSolver(basis)
         for x in itertools.product(range(-2, 3), repeat=3):
             if sum(x) == 0:
-                assert solve_linear_integer(basis.transpose(), x) is not None
+                assert solver.solve(x) is not None
 
     def test_kernel_is_saturated(self):
         rng = random.Random(7)
@@ -204,15 +205,17 @@ class TestSaturate:
 
 
 class TestSolve:
+    """``RowSolver(a.transpose())`` solves the column system ``a . x = b``."""
+
     def test_even(self):
-        assert solve_linear_integer(IntMatrix(((2,),)), (4,)) == (2,)
+        assert RowSolver(IntMatrix(((2,),))).solve((4,)) == (2,)
 
     def test_odd_absent(self):
-        assert solve_linear_integer(IntMatrix(((2,),)), (3,)) is None
+        assert RowSolver(IntMatrix(((2,),))).solve((3,)) is None
 
     def test_substitution(self):
         a = IntMatrix(((1, 1), (0, 2)))
-        x = solve_linear_integer(a, (3, 4))
+        x = RowSolver(a.transpose()).solve((3, 4))
         assert x is not None
         assert a.mul_vec(x) == (3, 4)
 
@@ -222,9 +225,14 @@ class TestSolve:
             a = random_matrix(rng, max_dim=5, bound=6)
             x0 = tuple(rng.randint(-5, 5) for _ in range(a.cols))
             b = a.mul_vec(x0)
-            x = solve_linear_integer(a, b)
+            x = RowSolver(a.transpose()).solve(b)
             assert x is not None
             assert a.mul_vec(x) == b
+
+    def test_empty_basis(self):
+        solver = RowSolver(IntMatrix(()))
+        assert solver.solve((0, 0)) == ()
+        assert solver.solve((0, 1)) is None
 
 
 class TestHelpers:
@@ -252,8 +260,9 @@ class TestHelpers:
             for c in itertools.product(range(-6, 7), repeat=2)
             if all((c[0] * num.data[0][j] + c[1] * num.data[1][j]) % den == 0 for j in range(2))
         }
+        solver = RowSolver(lat)
         for c in members:
-            assert solve_linear_integer(lat.transpose(), c) is not None
+            assert solver.solve(c) is not None
         for row in lat.data:
             assert all(dot(row, col) % den == 0 for col in zip(*num.data))
 
