@@ -1,6 +1,7 @@
 """Sampling harness: D points, fibers, evidence reports, regularity probe."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -169,6 +170,41 @@ class TestEvidence:
         assert r_fwd.samples_on_d == r_bwd.samples_on_d
         assert r_fwd.fiber_histogram_e == r_bwd.fiber_histogram_etilde
         assert r_fwd.fiber_histogram_etilde == r_bwd.fiber_histogram_e
+
+    def test_degenerate_equations_lower_pass_rate(self, pp33_bridge):
+        # the crafted system of TestDeltaRegularity.test_duplicated_equation_fails,
+        # run end to end: its fiber points still satisfy every equation, but
+        # the logarithmic Jacobian of the E side never has full rank
+        import dataclasses
+
+        eq1 = pp33_bridge.equations_e[0]
+        shifted = eq1.shift((1, 0, 0, 0))
+        crafted = dataclasses.replace(
+            pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
+        )
+        report = birationality_evidence(crafted, 12, P, 0)
+        assert report.samples_on_d == 12
+        assert report.fiber_histogram_e == {"1": 12}
+        assert report.fiber_histogram_etilde == {"1": 12}
+        assert Fraction(report.delta_regular_pass_rate) < 1
+        assert report.delta_regular_pass_rate == "1/2"
+
+    def test_non_generic_samples_in_report(self, pp33_bridge):
+        # the crafted bridge of TestFiber.test_rank_deficient_marks_non_generic:
+        # every sample has a two-dimensional kernel on both sides
+        import dataclasses
+
+        zero = LaurentPoly.zero(pp33_bridge.torus_rank, P)
+        crafted = dataclasses.replace(
+            pp33_bridge, matrices=(((zero, zero), (zero, zero)),)
+        )
+        report = birationality_evidence(crafted, 6, P, 0)
+        assert report.samples_on_d == 6
+        assert report.fiber_histogram_e == {NON_GENERIC: 6}
+        assert report.fiber_histogram_etilde == {NON_GENERIC: 6}
+        assert report.delta_regular_pass_rate is None
+        assert "non-generic samples excluded from the birationality verdict" in report.warnings
+        assert report.verdict is False
 
     def test_two_segment_warns_not_two_independent(self):
         Z2 = LatticeEmbedding.full(2)
