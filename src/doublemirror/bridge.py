@@ -680,28 +680,33 @@ def _m_level_complement(w_mprime: IntMatrix, n_prime_basis: IntMatrix, d: int):
 
 
 def det_cofactor(matrix_rows, rank, domain):
-    """Determinant by cofactor expansion along the sparsest column."""
+    """Determinant by cofactor expansion along the columns in order.
+
+    The minor on the last k columns depends only on its k rows, so each one
+    is computed once and memoized by its row subset: at most 2**n minors in
+    place of n! expansion paths.
+    """
     n = len(matrix_rows)
     if n == 0:
         return LaurentPoly.monomial(rank, (0,) * rank, 1, domain)
+    minors = {}
 
-    def rec(rows, cols):
-        if len(rows) == 1:
-            return matrix_rows[rows[0]][cols[0]]
-        weights = [sum(len(matrix_rows[i][j].terms) for i in rows) for j in cols]
-        jpos = weights.index(min(weights))
-        j = cols[jpos]
-        rest_cols = cols[:jpos] + cols[jpos + 1:]
+    def minor(rows):
+        j = n - len(rows)
+        if j == n - 1:
+            return matrix_rows[rows[0]][j]
+        if rows in minors:
+            return minors[rows]
         total = LaurentPoly.zero(rank, domain)
         for ipos, i in enumerate(rows):
             entry = matrix_rows[i][j]
             if entry.is_zero():
                 continue
-            minor = rec(rows[:ipos] + rows[ipos + 1:], rest_cols)
-            term = entry * minor
+            term = entry * minor(rows[:ipos] + rows[ipos + 1:])
             if ipos % 2 == 1:
                 term = term.scale(-1)
             total = total + term
+        minors[rows] = total
         return total
 
-    return rec(tuple(range(n)), tuple(range(n)))
+    return minor(tuple(range(n)))

@@ -2,15 +2,18 @@
 
 Points of the determinantal locus D are sampled by restricting the exact F_p
 polynomial det A_1 to random coordinate lines and finding its roots in F_p*
-exactly, rejection-testing the remaining determinants at each root.  Fibers
-of both complete intersections over a sampled point are reconstructed from
-the one-dimensional kernels of the evaluated bridge matrices, pushed to the
-unprimed torus, and verified exactly against all defining equations.
+exactly, rejection-testing the remaining determinants at each root.  Each
+bridge matrix is evaluated once at a sampled point; fibers of both complete
+intersections over it are reconstructed from the one-dimensional kernels of
+those values (of their transposes on the E~ side), pushed to the unprimed
+torus, and verified exactly against all defining equations in the same pass
+that gives the logarithmic Jacobian for the regularity probe.  The report
+keeps counts only, so memory does not grow with the fiber points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .bridge import BridgeData
@@ -28,9 +31,7 @@ NON_GENERIC = "non_generic"
 class SamplePoint:
     y: tuple
     kernel_dims: tuple
-    fibers_e: tuple = ()
-    fibers_etilde: tuple = ()
-    non_generic: bool = False
+    values: tuple  # every bridge matrix evaluated at y, in block order
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,8 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     """Up to ``count`` torus points of D, deterministically from the seed.
 
     Returns ``(samples, stats)``; each sample carries its per-block kernel
-    dimensions.  A low success rate attaches a dimension-excess warning in
-    ``stats``.
+    dimensions and the block values they came from.  A low success rate
+    attaches a dimension-excess warning in ``stats``.
     """
     p = int(prime)
     if p < MIN_PRIME or not is_prime(p):
@@ -157,22 +158,23 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
             accepted = []
             for t in candidates:
                 y = tuple(t if i == free else fixed[i] for i in range(dd))
-                ok = True
-                for k in range(1, len(bridge.matrices)):
-                    if fp_echelon(_evaluate(bridge.matrices[k], y, p), p, square=True)[1] != 0:
-                        ok = False
+                values = []
+                for block in bridge.matrices[1:]:
+                    mat = _evaluate(block, y, p)
+                    if fp_echelon(mat, p, square=True)[1] != 0:
                         break
-                if ok:
-                    accepted.append(y)
+                    values.append(mat)
+                else:
+                    accepted.append((y, values))
             if accepted:
                 found = accepted[rng.below(len(accepted))]
                 break
         if found is None:
             continue
-        dims = tuple(
-            len(block) - fp_echelon(_evaluate(block, found, p), p)[0] for block in bridge.matrices
-        )
-        samples.append(SamplePoint(y=found, kernel_dims=dims))
+        y, values = found
+        values = (_evaluate(bridge.matrices[0], y, p), *values)
+        dims = tuple(len(mat) - fp_echelon(mat, p)[0] for mat in values)
+        samples.append(SamplePoint(y=y, kernel_dims=dims, values=values))
         stats["found"] += 1
     if count and Fraction(stats["found"], count) < SUCCESS_WARN_RATIO:
         stats["warnings"].append(
@@ -181,30 +183,34 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     return samples, stats
 
 
-def fiber(bridge: BridgeData, y, prime, side="e"):
+def fiber(bridge: BridgeData, y, prime, side="e", values=None):
     """Fiber of the chosen complete intersection over a D point.
 
-    Returns a list of torus points in M coordinates, or the string
-    ``"non_generic"`` when some block kernel has dimension >= 2.
+    ``values`` are the bridge matrices evaluated at y (evaluated here when
+    omitted).  Returns ``(points, regular)``: a list of torus points in M
+    coordinates, or the string ``"non_generic"`` when some block kernel has
+    dimension >= 2, and how many of the points have a logarithmic Jacobian
+    of full rank.
     """
     p = int(prime)
     if any(v % p == 0 for v in y):
         raise InputError("sample point is off the torus")
     if side not in ("e", "etilde"):
         raise InputError("side must be 'e' or 'etilde'")
+    if values is None:
+        values = [_evaluate(block, y, p) for block in bridge.matrices]
     omega = []
-    for block in bridge.matrices:
-        mat = _evaluate(block, y, p)
+    for mat in values:
         if side == "etilde":
-            mat = [list(col) for col in zip(*mat)]
+            mat = list(zip(*mat))
         kern = fp_echelon(mat, p, reduced=True)[2]
         if len(kern) == 0:
-            return []
+            return [], 0
         if len(kern) > 1:
-            return NON_GENERIC
+            return NON_GENERIC, 0
         vec = kern[0]
         if 0 in vec:
-            return []
+            return [], 0
         inv0 = fp_inv(vec[0], p)
         omega.extend(v * inv0 % p for v in vec[1:])
     skeleton = bridge.skeleton
@@ -219,24 +225,30 @@ def fiber(bridge: BridgeData, y, prime, side="e"):
     # projects back to y along Ann(e, e~)
     point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in stack_inv.data)
     equations = bridge.equations_e if side == "e" else bridge.equations_etilde
-    point_invs = fp_inverses(point, p)
+    vanishes, full_rank = _log_jacobian(equations, point, p)
+    if not vanishes:
+        raise InternalError("reconstructed fiber point violates a defining equation")
+    return [point], int(full_rank)
+
+
+def _log_jacobian(equations, x, p):
+    """Whether all equations vanish at the torus point x, and whether their
+    logarithmic Jacobian there has full rank; one pass per equation."""
+    invs = fp_inverses(x, p)
+    vanishes = True
+    rows = []
     for eq in equations:
-        if eq.evaluate(point, point_invs) != 0:
-            raise InternalError("reconstructed fiber point violates a defining equation")
-    return [point]
+        value, row = eq.value_and_log_gradient(x, invs)
+        vanishes = vanishes and value == 0
+        rows.append(row)
+    return vanishes, fp_echelon(rows, p)[0] == len(equations)
 
 
 def delta_regularity_probe(bridge: BridgeData, points, prime, side="e"):
     """Fraction of points where the logarithmic Jacobian has full rank s."""
     p = int(prime)
     equations = bridge.equations_e if side == "e" else bridge.equations_etilde
-    s = len(equations)
-    passes = 0
-    for x in points:
-        invs = fp_inverses(x, p)
-        rows = [eq.log_gradient(x, invs) for eq in equations]
-        if fp_echelon(rows, p)[0] == s:
-            passes += 1
+    passes = sum(_log_jacobian(equations, x, p)[1] for x in points)
     return Fraction(passes, len(points)) if points else None
 
 
@@ -246,39 +258,26 @@ def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceRe
     samples, stats = sample_determinantal_points(bridge, count, p, seed)
     hist_e = {}
     hist_et = {}
-    completed = []
     generic = 0
     good = 0
-    fiber_points_e = []
-    fiber_points_et = []
+    fiber_points = 0
+    regular = 0
     for sp in samples:
-        fe = fiber(bridge, sp.y, p, side="e")
-        fet = fiber(bridge, sp.y, p, side="etilde")
-        non_generic = fe == NON_GENERIC or fet == NON_GENERIC
+        fe, regular_e = fiber(bridge, sp.y, p, "e", sp.values)
+        fet, regular_et = fiber(bridge, sp.y, p, "etilde", sp.values)
         key_e = NON_GENERIC if fe == NON_GENERIC else str(len(fe))
         key_et = NON_GENERIC if fet == NON_GENERIC else str(len(fet))
         hist_e[key_e] = hist_e.get(key_e, 0) + 1
         hist_et[key_et] = hist_et.get(key_et, 0) + 1
-        if not non_generic:
-            generic += 1
-            if len(fe) == 1 and len(fet) == 1:
-                good += 1
-            fiber_points_e.extend(fe)
-            fiber_points_et.extend(fet)
-        completed.append(
-            replace(
-                sp,
-                fibers_e=() if fe == NON_GENERIC else tuple(fe),
-                fibers_etilde=() if fet == NON_GENERIC else tuple(fet),
-                non_generic=non_generic,
-            )
-        )
-    rate_e = delta_regularity_probe(bridge, fiber_points_e, p, side="e")
-    rate_et = delta_regularity_probe(bridge, fiber_points_et, p, side="etilde")
-    total_pts = len(fiber_points_e) + len(fiber_points_et)
-    if total_pts:
-        passes = (rate_e or 0) * len(fiber_points_e) + (rate_et or 0) * len(fiber_points_et)
-        rate = Fraction(passes, total_pts)
+        if NON_GENERIC in (key_e, key_et):
+            continue
+        generic += 1
+        if len(fe) == 1 and len(fet) == 1:
+            good += 1
+        fiber_points += len(fe) + len(fet)
+        regular += regular_e + regular_et
+    if fiber_points:
+        rate = Fraction(regular, fiber_points)
         rate_str = f"{rate.numerator}/{rate.denominator}"
     else:
         rate_str = None
@@ -290,7 +289,7 @@ def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceRe
             + ",".join(str(i + 1) for i in witness)
             + "): irreducibility of the intersections is not guaranteed"
         )
-    if any(sp.non_generic for sp in completed):
+    if generic < len(samples):
         warnings.append("non-generic samples excluded from the birationality verdict")
     warnings.append("irreducibility and dimension hypotheses sampled, not proven")
     verdict = generic > 0 and 20 * good >= 19 * generic

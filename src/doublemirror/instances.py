@@ -108,12 +108,23 @@ def parse_instance(data) -> Instance:
     lattice_spec = data.get("lattice")
     if lattice_spec is None:
         raise InputError("missing 'lattice' field")
-    lattice = _parse_lattice(lattice_spec)
+    if not isinstance(lattice_spec, dict):
+        raise InputError("'lattice' must be an object")
+    rank = _as_int(lattice_spec.get("ambient_rank"), "lattice.ambient_rank")
 
     payload_keys = [k for k in ("nef_partition", "cone", "polytope") if k in data]
     if len(payload_keys) != 1:
         raise InputError("exactly one of 'nef_partition', 'cone', 'polytope' is required")
     kind = payload_keys[0]
+
+    # Every payload vector is read and its length checked before the lattice
+    # is built: a full lattice of ambient rank n holds n x n matrices, which
+    # a one-line payload must not make this process allocate.
+    def ambient(value, context):
+        vec = _as_vector(value, context)
+        if len(vec) != rank:
+            raise InputError("ambient vector has wrong length")
+        return vec
 
     parts = None
     generators = None
@@ -129,26 +140,30 @@ def parse_instance(data) -> Instance:
         for idx, vl in enumerate(raw_parts):
             if not isinstance(vl, list) or not vl:
                 raise InputError(f"part {idx + 1} must be a non-empty vertex list")
-            verts = [
-                lattice.to_coords(_as_vector(v, f"part {idx + 1} vertex")) for v in vl
-            ]
-            parts.append(tuple(verts))
-        parts = tuple(parts)
+            parts.append([ambient(v, f"part {idx + 1} vertex") for v in vl])
     elif kind == "cone":
         cone = data["cone"]
         if not isinstance(cone, dict) or "generators" not in cone:
             raise InputError("'cone' must be an object with a 'generators' list")
-        generators = tuple(
-            lattice.to_coords(_as_vector(g, "cone generator")) for g in cone["generators"]
-        )
+        generators = [ambient(g, "cone generator") for g in cone["generators"]]
         if "deg" in cone:
-            deg = lattice.to_coords(_as_vector(cone["deg"], "deg"))
+            deg = ambient(cone["deg"], "deg")
         if "deg_dual" in cone:
-            deg_dual = lattice.dual().to_coords(_as_vector(cone["deg_dual"], "deg_dual"))
+            deg_dual = ambient(cone["deg_dual"], "deg_dual")
     else:
-        poly_vertices = tuple(
-            lattice.to_coords(_as_vector(v, "polytope vertex")) for v in data["polytope"]
-        )
+        poly_vertices = [ambient(v, "polytope vertex") for v in data["polytope"]]
+
+    lattice = _parse_lattice(lattice_spec, rank)
+    if parts is not None:
+        parts = tuple(tuple(lattice.to_coords(v) for v in vl) for vl in parts)
+    if generators is not None:
+        generators = tuple(lattice.to_coords(g) for g in generators)
+    if deg is not None:
+        deg = lattice.to_coords(deg)
+    if deg_dual is not None:
+        deg_dual = lattice.dual().to_coords(deg_dual)
+    if poly_vertices is not None:
+        poly_vertices = tuple(lattice.to_coords(v) for v in poly_vertices)
 
     coefficients = _parse_coefficients(data.get("coefficients"))
     canonical = _canonical_dict(data)
@@ -165,10 +180,7 @@ def parse_instance(data) -> Instance:
     )
 
 
-def _parse_lattice(spec) -> LatticeEmbedding:
-    if not isinstance(spec, dict):
-        raise InputError("'lattice' must be an object")
-    rank = _as_int(spec.get("ambient_rank"), "lattice.ambient_rank")
+def _parse_lattice(spec, rank) -> LatticeEmbedding:
     kind = spec.get("kind", "full")
     if kind == "full":
         lattice = LatticeEmbedding.full(rank)

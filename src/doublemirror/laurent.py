@@ -82,7 +82,7 @@ def fp_inv(x: int, p: int) -> int:
     x %= p
     if x == 0:
         raise ZeroDivisionError("inverse of zero in F_p")
-    return pow(x, p - 2, p)
+    return pow(x, -1, p)
 
 
 def fp_inverses(point, p):
@@ -115,27 +115,110 @@ def fp_roots(coeffs, p):
     if len(f) == 1:
         return []
     f = _poly_monic(f, p)
-    g = _poly_gcd(f, _poly_minus_one(_poly_powmod([0, 1], p - 1, f, p), p), p)
+    ring = PackedResidues(f, p)
+    t = ring.pack(_poly_divmod([0, 1], f, p)[1])
+    # w = t**((p-1)/2) serves twice: t**(p-1) is w**2 (times t when p - 1 is
+    # odd), and w - 1 is the first splitting candidate
+    w = ring.pow(t, (p - 1) // 2)
+    full = ring.mul(w, w)
+    if (p - 1) % 2:
+        full = ring.mul(full, t)
+    g = _poly_gcd(f, _poly_minus_one(ring.unpack(full), p), p)
     roots = []
     if len(g) > 1:
-        _split_linear(g, p, SplitMix64(ROOT_SPLIT_SEED), roots)
+        _split_linear(g, p, SplitMix64(ROOT_SPLIT_SEED), roots, ring.unpack(w))
     return sorted(roots)
 
 
-def _split_linear(g, p, rng, out):
-    """Append the roots of a monic product of distinct linear factors to ``out``."""
+def _split_linear(g, p, rng, out, w=None):
+    """Append the roots of a monic product of distinct linear factors to ``out``.
+
+    ``w``, if given, is congruent to t**((p-1)/2) modulo g and is tried first.
+    """
     if len(g) == 2:
         out.append(-g[0] % p)
         return
     # (t + a)**((p-1)/2) is 1 at about half of the roots of g and -1 or 0 at
     # the others, so its gcd with g is a proper factor for about half of all a
+    ring = None
     while True:
-        w = _poly_powmod([rng.below(p), 1], (p - 1) // 2, g, p)
+        if w is None:
+            ring = ring or PackedResidues(g, p)
+            w = ring.unpack(ring.pow(ring.pack([rng.below(p), 1]), (p - 1) // 2))
         u = _poly_gcd(g, _poly_minus_one(w, p), p)
         if 1 < len(u) < len(g):
             break
+        w = None
     _split_linear(u, p, rng, out)
     _split_linear(_poly_divmod(g, u, p)[0], p, rng, out)
+
+
+class PackedResidues:
+    """F_p[t]/(f) for a monic f of degree n, each residue packed into one integer.
+
+    Kronecker substitution: coefficient k of a residue sits in the slot of
+    ``width`` bits starting at bit k * width.  A product of two residues has
+    coefficients below n * p**2; folding the slots k >= n back with the table
+    of t**k mod f adds less than (n - 1) * p**2 more, so width =
+    bits(2 n p**2) + 1 keeps every slot free of carries.
+    """
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        self.p, self.n = p, n
+        self.width = width = (2 * n * p * p).bit_length() + 1
+        self.mask = (1 << width) - 1
+        self.low = n * width
+        self.low_mask = (1 << self.low) - 1
+        self.shifts = range((n - 1) * width, -1, -width)
+        # t**k mod f for n <= k <= 2n - 2, from t**n = -(f_0 + ... + f_(n-1) t**(n-1))
+        power = [-c % p for c in f[:-1]]
+        table = []
+        for _k in range(n, 2 * n - 1):
+            table.append(self.pack(power))
+            top = power[-1]
+            power = [0] + power[:-1]
+            if top:
+                power = [(a - top * c) % p for a, c in zip(power, f)]
+        self.table = table
+
+    def pack(self, coeffs):
+        """The packed residue of a coefficient list of length at most n, entries in [0, p)."""
+        x = 0
+        for c in reversed(coeffs):
+            x = (x << self.width) | c
+        return x
+
+    def unpack(self, x):
+        """The coefficient list of a packed residue, with no zero leading coefficient."""
+        mask, width = self.mask, self.width
+        return _poly_trim([(x >> (k * width)) & mask for k in range(self.n)])
+
+    def mul(self, a, b):
+        p, mask, width = self.p, self.mask, self.width
+        x = a * b
+        high = x >> self.low
+        x &= self.low_mask
+        for power in self.table:
+            if not high:
+                break
+            c = (high & mask) % p
+            if c:
+                x += c * power
+            high >>= width
+        r = 0
+        for shift in self.shifts:
+            r = (r << width) | ((x >> shift) & mask) % p
+        return r
+
+    def pow(self, base, e):
+        """``base**e`` by left-to-right square-and-multiply."""
+        result = 1
+        for bit in bin(e)[2:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, base)
+        return result
 
 
 # Univariate polynomials over F_p below are ascending coefficient lists with
@@ -171,25 +254,6 @@ def _poly_divmod(a, f, p):
             for j in range(n):
                 a[i - n + j] -= c * f[j]
     return quo, _poly_trim([c % p for c in a[:n]])
-
-
-def _poly_mulmod(a, b, f, p):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _poly_divmod(prod, f, p)[1]
-
-
-def _poly_powmod(base, e, f, p):
-    """``base**e`` modulo the monic ``f`` by left-to-right square-and-multiply."""
-    result = [1]
-    for bit in bin(e)[2:]:
-        result = _poly_mulmod(result, result, f, p)
-        if bit == "1":
-            result = _poly_mulmod(result, base, f, p)
-    return result
 
 
 def _poly_gcd(a, b, p):
@@ -274,22 +338,26 @@ class LaurentPoly:
             invs = fp_inverses(point, p)
         return sum(c * fp_monomial(e, point, invs, p) for e, c in self.terms) % p
 
-    def log_gradient(self, point, invs=None):
-        """Values of ``x_j d/dx_j`` over F_p at a torus point, for every j.
+    def value_and_log_gradient(self, point, invs=None):
+        """The value and the ``x_j d/dx_j`` values over F_p at a torus point.
 
-        One row of the logarithmic Jacobian: each term's monomial is evaluated
-        once and contributes ``c * e_j * x**e`` to every coordinate j.
+        One pass over the terms gives both the value and one row of the
+        logarithmic Jacobian: each term's monomial is evaluated once and
+        contributes ``c * x**e`` to the value and ``c * e_j * x**e`` to every
+        coordinate j.
         """
         p = self.domain
         if invs is None:
             invs = fp_inverses(point, p)
+        value = 0
         row = [0] * self.rank
         for exp, coeff in self.terms:
             term = coeff * fp_monomial(exp, point, invs, p)
+            value += term
             for j, e in enumerate(exp):
                 if e:
                     row[j] += e * term
-        return [v % p for v in row]
+        return value % p, [v % p for v in row]
 
     def restrict_to_line(self, fixed, free_coord):
         """Univariate coefficients along ``x_free = t``, others fixed.

@@ -123,3 +123,35 @@ def block_determinant(block, point, p):
 
     rows = [[fp_evaluate(entry, point, p) for entry in row] for row in block]
     return fp_echelon(rows, p, square=True)[1]
+
+
+def poly_mulmod(a, b, f, p):
+    """``a * b`` modulo the monic ``f`` over F_p, schoolbook product and division.
+
+    Polynomials are ascending coefficient lists with no zero leading
+    coefficient; with ``poly_powmod``, the reference for
+    ``laurent.PackedResidues``.
+    """
+    n = len(f) - 1
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(len(prod) - 1, n - 1, -1):
+        c = prod[i] % p
+        for j in range(n + 1):
+            prod[i - n + j] -= c * f[j]
+    rem = [c % p for c in prod[:n]]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def poly_powmod(base, e, f, p):
+    """``base**e`` modulo the monic ``f`` by left-to-right square-and-multiply."""
+    result = poly_mulmod([1], [1], f, p)
+    for bit in bin(e)[2:]:
+        result = poly_mulmod(result, result, f, p)
+        if bit == "1":
+            result = poly_mulmod(result, base, f, p)
+    return result

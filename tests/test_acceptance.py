@@ -193,7 +193,7 @@ def test_criterion_2_birationality_evidence(pp53, tmp_path):
                 ("e", bridge.equations_e),
                 ("etilde", bridge.equations_etilde),
             ):
-                for pt in fiber(bridge, sp.y, prime, side=side):
+                for pt in fiber(bridge, sp.y, prime, side=side)[0]:
                     assert all(eq.evaluate(pt) == 0 for eq in eqs)
                     assert len(eqs) == 5
     elapsed = time.monotonic() - started
@@ -364,7 +364,7 @@ def test_criterion_7_delta_regularity():
     samples, _ = sample_determinantal_points(bridge, 30, prime, 0)
     points = []
     for sp in samples:
-        points.extend(fiber(bridge, sp.y, prime, side="e"))
+        points.extend(fiber(bridge, sp.y, prime, side="e")[0])
     assert points
     rate = delta_regularity_probe(bridge, points, prime, side="e")
     assert rate == 1

@@ -90,6 +90,23 @@ class TestParsing:
         inst = parse_instance(loads(dumps(data)))
         assert inst.polytope_vertices[0][0] == -9223372036854775809
 
+    def test_payload_checked_before_the_lattice_is_built(self, tmp_path, capsys, monkeypatch):
+        # a full lattice of ambient rank n holds an n x n identity; a payload
+        # of the wrong length must be rejected before any is built
+        from doublemirror.intmat import IntMatrix
+
+        built = []
+
+        def identity(n):
+            built.append(n)
+            raise AssertionError(f"identity({n}) built before the payload was checked")
+
+        monkeypatch.setattr(IntMatrix, "identity", staticmethod(identity))
+        data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "polytope": [[0, 0]]}
+        assert main(["dualize", write_instance(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == "error: ambient vector has wrong length\n"
+        assert built == []
+
     def test_round_trip_canonical(self, two_segment_file):
         text = open(two_segment_file, encoding="utf-8").read()
         inst = parse_instance(loads(text))

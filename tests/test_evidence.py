@@ -112,15 +112,16 @@ class TestFiber:
         mat = [[poly.evaluate(y) for poly in row] for row in pp33_bridge.matrices[0]]
         if fp_echelon(mat, P, square=True)[1] == 0:
             y = (2, 5)
-        assert fiber(pp33_bridge, y, P, side="e") == []
+        assert fiber(pp33_bridge, y, P, side="e") == ([], 0)
 
     def test_fiber_points_satisfy_equations(self, pp33_bridge):
         samples, _ = sample_determinantal_points(pp33_bridge, 10, P, 1)
         for sp in samples:
             for side in ("e", "etilde"):
-                pts = fiber(pp33_bridge, sp.y, P, side=side)
+                pts, regular = fiber(pp33_bridge, sp.y, P, side=side)
                 assert pts != NON_GENERIC
                 assert len(pts) == 1
+                assert regular == 1
                 eqs = (
                     pp33_bridge.equations_e if side == "e" else pp33_bridge.equations_etilde
                 )
@@ -140,7 +141,7 @@ class TestFiber:
         crafted = dataclasses.replace(
             pp33_bridge, matrices=(((zero, zero), (zero, zero)),)
         )
-        assert fiber(crafted, (1, 1), P, side="e") == NON_GENERIC
+        assert fiber(crafted, (1, 1), P, side="e") == (NON_GENERIC, 0)
 
 
 class TestEvidence:
@@ -218,12 +219,48 @@ class TestEvidence:
         assert any("not proven" in w for w in report.warnings)
 
 
+class TestEvaluationCounts:
+    def test_one_evaluation_per_block_and_one_pass_per_fiber_point(self, pp33_bridge, monkeypatch):
+        # each block is evaluated once at a D point, for the kernel dimensions
+        # and both fibers; each equation is evaluated once at a fiber point,
+        # for the exactness check and the log-Jacobian row together
+        entries = {id(poly) for block in pp33_bridge.matrices for row in block for poly in row}
+        equations = {id(eq) for eq in pp33_bridge.equations_e + pp33_bridge.equations_etilde}
+        calls = {"entry": 0, "equation": 0}
+        real_evaluate = LaurentPoly.evaluate
+        real_pass = LaurentPoly.value_and_log_gradient
+
+        def count(poly):
+            if id(poly) in entries:
+                calls["entry"] += 1
+            if id(poly) in equations:
+                calls["equation"] += 1
+
+        def evaluate(self, *args):
+            count(self)
+            return real_evaluate(self, *args)
+
+        def value_and_log_gradient(self, *args):
+            count(self)
+            return real_pass(self, *args)
+
+        monkeypatch.setattr(LaurentPoly, "evaluate", evaluate)
+        monkeypatch.setattr(LaurentPoly, "value_and_log_gradient", value_and_log_gradient)
+        report = birationality_evidence(pp33_bridge, 20, P, 0)
+        assert report.fiber_histogram_e == report.fiber_histogram_etilde == {"1": 20}
+        block_size = sum(len(row) for block in pp33_bridge.matrices for row in block)
+        assert calls["entry"] == 20 * block_size
+        assert calls["equation"] == 20 * (
+            len(pp33_bridge.equations_e) + len(pp33_bridge.equations_etilde)
+        )
+
+
 class TestDeltaRegularity:
     def test_full_rank_on_fibers(self, pp33_bridge):
         samples, _ = sample_determinantal_points(pp33_bridge, 10, P, 2)
         points = []
         for sp in samples:
-            points.extend(fiber(pp33_bridge, sp.y, P, side="e"))
+            points.extend(fiber(pp33_bridge, sp.y, P, side="e")[0])
         rate = delta_regularity_probe(pp33_bridge, points, P, side="e")
         assert rate == 1
 

@@ -98,7 +98,9 @@ class TestLaurentPoly:
         f = LaurentPoly.from_dict(2, {(2, -1): 1}, p)
         x, y = 4, 7
         expected = 2 * pow(x, 2, p) * fp_inv(y, p) % p
-        assert f.log_gradient((x, y)) == [expected, -expected * fp_inv(2, p) % p]
+        value, row = f.value_and_log_gradient((x, y))
+        assert value == f.evaluate((x, y))
+        assert row == [expected, -expected * fp_inv(2, p) % p]
 
     def test_log_gradient_multi_term(self):
         p = 10007
@@ -110,8 +112,9 @@ class TestLaurentPoly:
             }
             f = LaurentPoly.from_dict(3, terms, p)
             x = tuple(rng.randrange(1, p) for _ in range(3))
-            assert f.log_gradient(x) == fp_log_gradient(f, x, p)
-            assert f.evaluate(x) == fp_evaluate(f, x, p)
+            value, row = f.value_and_log_gradient(x)
+            assert row == fp_log_gradient(f, x, p)
+            assert value == f.evaluate(x) == fp_evaluate(f, x, p)
 
     def test_restrict_to_line(self):
         p = 101

@@ -1,12 +1,16 @@
 """Exact root finding in F_p* against a brute-force scan of the field."""
 
+import itertools
 import random
 
 import pytest
 
-from doublemirror.laurent import fp_roots
+from doublemirror.laurent import MR_LIMIT, PackedResidues, fp_roots, is_prime
+from oracles import poly_mulmod, poly_powmod
 
 MERSENNE_61 = (1 << 61) - 1
+# the largest prime below MR_LIMIT: the widest slots PackedResidues can get
+NEAR_MR_LIMIT = 3317044064679887385961813
 
 
 def reference_roots(coeffs, p):
@@ -91,3 +95,43 @@ class TestFpRoots:
             roots = [rng.randrange(1, p) for _ in range(count)]
             coeffs = from_roots(roots + roots[:1] + [0], p, cofactor)
             assert fp_roots(coeffs, p) == sorted(set(roots))
+
+
+def trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+class TestPackedResidues:
+    def test_near_limit_prime(self):
+        assert NEAR_MR_LIMIT < MR_LIMIT and is_prime(NEAR_MR_LIMIT)
+        assert not any(is_prime(q) for q in range(NEAR_MR_LIMIT + 2, MR_LIMIT, 2))
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 10007, 1000003, MERSENNE_61, NEAR_MR_LIMIT])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_list_oracle(self, p, n):
+        rng = random.Random(1000 * n + p % 997)
+        # all coefficients p - 1 gives the largest slot sums the width must hold
+        cases = [([p - 1] * n + [1], [p - 1] * n, [p - 1] * n)]
+        for _ in range(3):
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            cases.append((f, [rng.randrange(p) for _ in range(n)], [rng.randrange(p) for _ in range(n)]))
+        for f, a, b in cases:
+            ring = PackedResidues(f, p)
+            a, b = trimmed(a), trimmed(b)
+            assert ring.unpack(ring.pack(a)) == a
+            assert ring.unpack(ring.mul(ring.pack(a), ring.pack(b))) == poly_mulmod(a, b, f, p)
+            for e in {0, 1, 2, (p - 1) // 2, p - 1, p, rng.randrange(p * p)}:
+                assert ring.unpack(ring.pow(ring.pack(a), e)) == poly_powmod(a, e, f, p)
+
+
+class TestSmallPrimes:
+    # (p - 1)/2 is 0 at p = 2 and 1 at p = 3: t**(p-1) is w**2 * t and w**2
+    @pytest.mark.parametrize("p,max_degree", [(2, 10), (3, 6)])
+    def test_every_polynomial(self, p, max_degree):
+        for degree in range(max_degree + 1):
+            for lower in itertools.product(range(p), repeat=degree):
+                coeffs = list(lower) + [1]
+                assert fp_roots(coeffs, p) == reference_roots(coeffs, p)
