@@ -18,6 +18,7 @@ Everything symbolic here is exact; the sampling harness lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .cones import GorensteinConePair, build_cone, cone_to_nef_partition, in_dual_cone
 from .errors import (
@@ -682,31 +683,27 @@ def _m_level_complement(w_mprime: IntMatrix, n_prime_basis: IntMatrix, d: int):
 def det_cofactor(matrix_rows, rank, domain):
     """Determinant by cofactor expansion along the columns in order.
 
-    The minor on the last k columns depends only on its k rows, so each one
-    is computed once and memoized by its row subset: at most 2**n minors in
-    place of n! expansion paths.
+    The minor on the last k columns depends only on its k rows, so the
+    minors are built once per row subset, one column at a time from the
+    last: C(n, k) minors of size k in place of n! expansion paths, and only
+    two sizes held at once.
     """
     n = len(matrix_rows)
     if n == 0:
         return LaurentPoly.monomial(rank, (0,) * rank, 1, domain)
-    minors = {}
-
-    def minor(rows):
-        j = n - len(rows)
-        if j == n - 1:
-            return matrix_rows[rows[0]][j]
-        if rows in minors:
-            return minors[rows]
-        total = LaurentPoly.zero(rank, domain)
-        for ipos, i in enumerate(rows):
-            entry = matrix_rows[i][j]
-            if entry.is_zero():
-                continue
-            term = entry * minor(rows[:ipos] + rows[ipos + 1:])
-            if ipos % 2 == 1:
-                term = term.scale(-1)
-            total = total + term
-        minors[rows] = total
-        return total
-
-    return minor(tuple(range(n)))
+    minors = {(i,): matrix_rows[i][n - 1] for i in range(n)}
+    for j in range(n - 2, -1, -1):
+        larger = {}
+        for rows in combinations(range(n), n - j):
+            total = LaurentPoly.zero(rank, domain)
+            for ipos, i in enumerate(rows):
+                entry = matrix_rows[i][j]
+                if entry.is_zero():
+                    continue
+                term = entry * minors[rows[:ipos] + rows[ipos + 1:]]
+                if ipos % 2 == 1:
+                    term = term.scale(-1)
+                total = total + term
+            larger[rows] = total
+        minors = larger
+    return minors[tuple(range(n))]
