@@ -77,6 +77,7 @@ def test_command_report_matches_golden(command, name, extra, monkeypatch, capsys
 RUN_30 = ["--samples", "30", "--prime", "10007", "--seed", "3"]
 NAMED_CASES = [
     ("bridge-pp33-pair23", ["bridge", "pp33.json", "--pair", "2", "3"]),
+    ("bridge-pp53-pair23", ["bridge", "pp53.json", "--pair", "2", "3"]),
     ("verify-pp33-pair23-p10007", ["verify", "pp33.json", "--pair", "2", "3", *RUN_30]),
     ("pipeline-pp33-p10007", ["pipeline", "pp33.json", *RUN_30]),
 ]
