@@ -41,7 +41,6 @@ from .intmat import (
     vscale,
     vsub,
 )
-from .lattices import sublattice_dual_pair
 from .laurent import CoefficientAssignment, LaurentPoly
 
 
@@ -377,7 +376,7 @@ def _renormalize(pair: GorensteinConePair, dec_e: Decomposition):
         rows.append(a_part + tuple(1 if k == j else 0 for k in range(d)))
     phi2_inv = IntMatrix(tuple(rows))
     to_root2 = phi2_inv.mul(pair.to_root)
-    return build_cone(np2, to_root=to_root2, root_lattice=pair.root_lattice)
+    return build_cone(np2, to_root=to_root2)
 
 
 def solve_bridge_vectors(dec: Decomposition, n_prime_basis: IntMatrix, row_of, s, d):
@@ -499,11 +498,7 @@ def bridge_skeleton(
     dd_rank = ann_basis.rows
     if dd_rank != d - (s - r):
         raise InternalError("Ann(e, e~) has unexpected rank")
-    if dd_rank:
-        # pairs Ann(e, e~) against its quotient dual; unimodularity of the
-        # Gram matrix is checked inside the constructor
-        ann_mbar = IntMatrix(tuple((0,) * s + tuple(row) for row in ann_basis.data))
-        sublattice_dual_pair(ann_mbar, s + d)
+    # saturation of Ann(e, e~) needs no check: det(stack_e) = +-1 below forces it
 
     def mp(v):
         return _mbar_to_mbarprime(v, s, n_prime_basis)

@@ -8,10 +8,17 @@ A nef-partition of length s in a rank-d lattice M gives a cone pair in
   the unit summands ``(delta_i ; 0)``;
 * ``deg = deg_dual = (1, ..., 1 ; 0)`` and the index is s.
 
+The degree-one slice S of K is the Cayley polytope of the parts: its face
+``{a_i = 1}`` is ``delta_i x P_i``, so the generators of K are exactly the
+vertices of S, known without a hull.  A decomposition ``deg_dual = sum e~_i``
+partitions those vertices among the faces ``S~_i`` where ``<., e~_i> = 1``,
+and every conversion checks that partition exactly.
+
 Cones can also be entered directly as generator lists in any lattice
 presentation; ``normalize_cone`` finds a reference decomposition of the dual
 degree element and rewrites the cone in the split form above, recording the
-change of coordinates back to the input frame.
+change of coordinates back to the input frame.  The input generators are
+the only point set whose hull is taken here.
 """
 
 from __future__ import annotations
@@ -42,8 +49,6 @@ from .polytope import Polytope, dual_polytope, hull_vertices, lattice_points
 class GorensteinConePair:
     """Generators of K and K-dual with degree elements, in split coordinates."""
 
-    lattice_bar_m: LatticeEmbedding
-    lattice_bar_n: LatticeEmbedding
     k_generators: tuple
     k_dual_generators: tuple
     deg: tuple
@@ -52,7 +57,6 @@ class GorensteinConePair:
     parts: NefPartition
     dual_parts: tuple  # DualNefPartition
     to_root: IntMatrix  # rows: images of Mbar basis vectors in root coordinates
-    root_lattice: LatticeEmbedding
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -61,7 +65,7 @@ class GorensteinConePair:
 
     @property
     def d(self):
-        return self.lattice_bar_m.rank - self.index
+        return len(self.deg) - self.index
 
     def point_to_root(self, v):
         return tuple(
@@ -70,14 +74,15 @@ class GorensteinConePair:
         )
 
     def s_vertices(self):
-        """Vertices of the degree-one slice S of K."""
-        if "s_vertices" not in self._cache:
-            pts = [self.slot_point(i, tuple(int(x) for x in v)) for i, part in
-                   enumerate(self.parts.parts) for v in part.vertices]
-            self._cache["s_vertices"] = tuple(
-                tuple(int(x) for x in v) for v in hull_vertices(pts)
-            )
-        return self._cache["s_vertices"]
+        """Vertices of the degree-one slice S of K, sorted.
+
+        S is the Cayley polytope of the parts.  Its face ``{a_i = 1}`` is
+        ``delta_i x P_i``, so each slot point ``(delta_i ; v)`` with v a
+        vertex of P_i is a vertex of S, and S has no others.
+        """
+        return tuple(sorted(
+            self.slot_point(i, v) for i, part in enumerate(self.parts.parts) for v in part.vertices
+        ))
 
     def part_points(self):
         """Lattice points of each part."""
@@ -108,7 +113,6 @@ def build_cone(
     np: NefPartition,
     dual_np=None,
     to_root: IntMatrix | None = None,
-    root_lattice: LatticeEmbedding | None = None,
 ) -> GorensteinConePair:
     """Cone pair of a nef-partition whose sum has the origin interior."""
     s = np.length
@@ -128,11 +132,7 @@ def build_cone(
     k_dual_generators = dual_generators(np, dual_np)
     if to_root is None:
         to_root = IntMatrix.identity(s + d)
-    if root_lattice is None:
-        root_lattice = LatticeEmbedding.full(s + d)
     pair = GorensteinConePair(
-        lattice_bar_m=LatticeEmbedding.full(s + d),
-        lattice_bar_n=LatticeEmbedding.full(s + d),
         k_generators=k_generators,
         k_dual_generators=k_dual_generators,
         deg=deg,
@@ -141,7 +141,6 @@ def build_cone(
         parts=np,
         dual_parts=dual_np,
         to_root=to_root,
-        root_lattice=root_lattice,
     )
     ok, idx = verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_dual)
     if not ok or idx != s:
@@ -203,9 +202,14 @@ def in_dual_cone(pair: GorensteinConePair, y):
 def cone_to_nef_partition(pair: GorensteinConePair, e_tilde) -> NefPartition:
     """Nef-partition of a decomposition ``deg_dual = sum e_tilde_i``.
 
-    Slices ``S~_i`` are faces of the degree-one slice S; the projection that
-    forgets the first s coordinates identifies their span with M and sends
-    ``S~_i`` to the new parts.  The partition invariants are re-verified.
+    Slices ``S~_i``, where ``<., e~_i> = 1``, are faces of the degree-one
+    slice S; the projection that forgets the first s coordinates identifies
+    their span with M and sends ``S~_i`` to the new parts.  At a vertex v of
+    S the pairings ``<v, e~_i>`` are non-negative integers adding up to
+    ``<v, deg_dual> = 1``, so the faces partition the vertices of S.  Each
+    new part is the projection of its share, and the union of the new parts'
+    vertices is that of the old parts', so both have the same convex hull.
+    The partition and the nef-partition invariants are verified.
     """
     s = pair.s
     e_tilde = [tuple(int(x) for x in e) for e in e_tilde]
@@ -221,20 +225,29 @@ def cone_to_nef_partition(pair: GorensteinConePair, e_tilde) -> NefPartition:
     if total != pair.deg_dual:
         raise DecompositionError("summands do not add up to deg_dual")
 
-    s_verts = pair.s_vertices()
-    parts = []
-    for i, e in enumerate(e_tilde):
-        face = [v for v in s_verts if dot(v, e) == 1]
-        if not face:
-            raise InternalError("slice face of a valid decomposition is empty")
-        projected = [v[s:] for v in face]
-        parts.append(Polytope(pair.parts.lattice, tuple(sorted(projected))))
-    np_new = validate_nef_partition(parts)
-    old_hull = set(hull_vertices([v for p in pair.parts.parts for v in p.vertices]))
-    new_hull = set(hull_vertices([v for p in np_new.parts for v in p.vertices]))
-    if old_hull != new_hull:
-        raise InternalError("Conv of the new parts differs from Conv of the old parts")
-    return np_new
+    faces = _split_by_faces(
+        pair.s_vertices(), e_tilde, "Conv of the new parts differs from Conv of the old parts"
+    )
+    if not all(faces):
+        raise InternalError("slice face of a valid decomposition is empty")
+    return validate_nef_partition(
+        [Polytope(pair.parts.lattice, tuple(sorted(v[s:] for v in face))) for face in faces]
+    )
+
+
+def _split_by_faces(vertices, summands, message):
+    """Group the vertices by the one summand pairing to 1 with each.
+
+    ``vertices`` keep their order within a group; a vertex on no face or on
+    several raises ``InternalError(message)``.
+    """
+    groups = [[] for _ in summands]
+    for v in vertices:
+        hits = [i for i, e in enumerate(summands) if dot(v, e) == 1]
+        if len(hits) != 1:
+            raise InternalError(message)
+        groups[hits[0]].append(v)
+    return groups
 
 
 def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=None):
@@ -271,32 +284,24 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
         )
 
     s_vertices = [tuple(int(x) for x in v) for v in hull_vertices(gens)]
-    t_poly = Polytope.from_points(lattice.dual(), rays)
-    t_points = lattice_points(t_poly)
+    # the extreme rays of K-dual all lie at deg-height one: they are the
+    # vertices of its slice T
+    t_points = lattice_points(Polytope(lattice.dual(), tuple(rays)))
     reference = _first_decomposition(t_points, deg_dual, s)
     if reference is None:
         raise NotGorensteinError("deg_dual admits no decomposition into dual slice points")
     if len(set(reference)) != s:
         raise InternalError("decomposition summands are not pairwise distinct")
 
-    groups = []
-    for e in reference:
-        group = [v for v in s_vertices if dot(v, e) == 1]
-        if not group:
-            raise InternalError("reference summand supports no slice vertex")
-        groups.append(sorted(group))
-    assignment = {}
-    for v in s_vertices:
-        hits = [i for i, e in enumerate(reference) if dot(v, e) == 1]
-        if len(hits) != 1:
-            raise InternalError("slice vertex not in exactly one reference slot")
-        assignment[v] = hits[0]
+    groups = _split_by_faces(
+        s_vertices, reference, "slice vertex not in exactly one reference slot"
+    )
+    if not all(groups):
+        raise InternalError("reference summand supports no slice vertex")
 
     section = _section_search(groups, deg)
     if section is None:
-        point_groups = None
-        slice_poly = Polytope.from_points(lattice, s_vertices)
-        s_points = lattice_points(slice_poly)
+        s_points = lattice_points(Polytope(lattice, tuple(s_vertices)))
         point_groups = []
         for e in reference:
             point_groups.append(sorted(v for v in s_points if dot(v, e) == 1))
@@ -320,11 +325,12 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
             if z is None:
                 raise InternalError("slice vertex left the annihilator lattice")
             verts.append(z)
-        part_polys.append(Polytope.from_points(LatticeEmbedding.full(d), verts))
+        # an affine unimodular image of the vertices of the face S_i
+        part_polys.append(Polytope(LatticeEmbedding.full(d), tuple(sorted(verts))))
     np_new = validate_nef_partition(part_polys)
     dual_np = dual_nef_partition(np_new)
     to_root = IntMatrix(tuple(list(section) + list(ann_basis.data)))
-    pair = build_cone(np_new, dual_np, to_root=to_root, root_lattice=lattice)
+    pair = build_cone(np_new, dual_np, to_root=to_root)
     info = {
         "reference_decomposition": tuple(reference),
         "section": tuple(section),

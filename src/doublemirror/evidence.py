@@ -30,7 +30,6 @@ NON_GENERIC = "non_generic"
 @dataclass(frozen=True)
 class SamplePoint:
     y: tuple
-    kernel_dims: tuple
     values: tuple  # every bridge matrix evaluated at y, in block order
 
 
@@ -121,8 +120,8 @@ def _evaluate(block, y, p):
 def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     """Up to ``count`` torus points of D, deterministically from the seed.
 
-    Returns ``(samples, stats)``; each sample carries its per-block kernel
-    dimensions and the block values they came from.  A low success rate
+    Returns ``(samples, stats)``; each sample carries the block values at
+    its point.  A low success rate
     attaches a dimension-excess warning in ``stats``.
     """
     p = int(prime)
@@ -173,8 +172,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
             continue
         y, values = found
         values = (_evaluate(bridge.matrices[0], y, p), *values)
-        dims = tuple(len(mat) - fp_echelon(mat, p)[0] for mat in values)
-        samples.append(SamplePoint(y=y, kernel_dims=dims, values=values))
+        samples.append(SamplePoint(y=y, values=values))
         stats["found"] += 1
     if count and Fraction(stats["found"], count) < SUCCESS_WARN_RATIO:
         stats["warnings"].append(

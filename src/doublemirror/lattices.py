@@ -1,4 +1,4 @@
-"""Lattice presentations and exact dual pairings.
+"""Lattice presentations and their exact dual coordinates.
 
 A ``LatticeEmbedding`` presents a finite-rank lattice inside an ambient Z^n:
 
@@ -6,8 +6,9 @@ A ``LatticeEmbedding`` presents a finite-rank lattice inside an ambient Z^n:
 * ``kernel``    -- the saturated integer kernel of some equations;
 * ``quotient``  -- Z^n modulo the saturation of some relation rows.
 
-Every presentation is normalized on construction to an internal basis, and
-all downstream modules work purely in basis coordinates.  The coordinates of
+A kernel or quotient presentation is normalized on construction to an
+internal basis; a full lattice keeps the ambient coordinates and holds no
+matrix.  All downstream modules work purely in basis coordinates.  The coordinates of
 a kernel lattice and of the quotient by the same rows are arranged to be
 mutually dual with identity Gram matrix: a quotient class ``[a]`` gets the
 coordinates ``B . a`` where ``B`` is the kernel basis, so that the pairing of
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import InputError, InternalError
-from .intmat import IntMatrix, RowSolver, hnf, kernel_basis, right_inverse, saturate
+from .errors import InputError
+from .intmat import IntMatrix, RowSolver, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -29,23 +30,18 @@ class LatticeEmbedding:
     ambient_rank: int
     kind: str  # "full" | "kernel" | "quotient"
     defining: IntMatrix | None
-    basis: IntMatrix
+    basis: IntMatrix | None  # None for "full": its coordinates are the ambient ones
     rank: int
-    _section: IntMatrix | None = field(default=None, compare=False)
     _solver: RowSolver | None = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def full(n: int) -> "LatticeEmbedding":
-        ident = IntMatrix.identity(n)
-        return LatticeEmbedding(n, "full", None, ident, n, ident)
+        return LatticeEmbedding(n, "full", None, None, n)
 
     @staticmethod
     def from_kernel(equations: IntMatrix) -> "LatticeEmbedding":
         basis = kernel_basis(equations)
-        section = right_inverse(basis)
-        if section is None:
-            raise InternalError("kernel basis is not saturated")
-        return LatticeEmbedding(equations.cols, "kernel", equations, basis, basis.rows, section)
+        return LatticeEmbedding(equations.cols, "kernel", equations, basis, basis.rows)
 
     @staticmethod
     def from_quotient(relations: IntMatrix) -> "LatticeEmbedding":
@@ -72,60 +68,3 @@ class LatticeEmbedding:
         if coords is None:
             raise InputError("vector does not lie in the kernel lattice")
         return coords
-
-    def from_coords(self, coords):
-        """An ambient representative with the given basis coordinates."""
-        if len(coords) != self.rank:
-            raise InputError("coordinate vector has wrong length")
-        if self.kind == "full":
-            return tuple(int(x) for x in coords)
-        if self.kind == "kernel":
-            return tuple(
-                sum(c * row[j] for c, row in zip(coords, self.basis.data))
-                for j in range(self.ambient_rank)
-            )
-        # quotient: section satisfies B . section_col(i) = e_i
-        sec = self._section
-        return tuple(
-            sum(sec.data[j][i] * coords[i] for i in range(self.rank))
-            for j in range(self.ambient_rank)
-        )
-
-
-@dataclass(frozen=True)
-class DualPairing:
-    """Two lattice embeddings that are exact duals of each other."""
-
-    primal: LatticeEmbedding
-    dual: LatticeEmbedding
-    gram: IntMatrix
-
-    def __post_init__(self):
-        if not self.gram.is_unimodular():
-            raise InternalError("dual pairing Gram matrix is not unimodular")
-
-    @staticmethod
-    def standard(primal: LatticeEmbedding) -> "DualPairing":
-        return DualPairing(primal, primal.dual(), IntMatrix.identity(primal.rank))
-
-
-def sublattice_dual_pair(basis_rows: IntMatrix, ambient_rank: int) -> DualPairing:
-    """Pairing of a saturated sublattice of Z^n against its quotient dual.
-
-    The sublattice gets ``basis_rows`` as basis; the quotient Z^n/span^perp is
-    coordinatized so that the Gram matrix is the identity.  Raises if the
-    rows are not saturated.
-    """
-    sat, index = saturate(basis_rows)
-    if index != 1:
-        raise InputError(f"sublattice basis is not saturated (index {index})")
-    canon, _ = hnf(basis_rows, transform=False)
-    if canon != sat:
-        raise InputError("rows do not form a basis of their saturation")
-    primal = LatticeEmbedding(ambient_rank, "kernel", None, basis_rows, basis_rows.rows, None)
-    sec = right_inverse(basis_rows)
-    if sec is None:
-        raise InternalError("sublattice basis has no integral section")
-    dual = LatticeEmbedding(ambient_rank, "quotient", None, basis_rows, basis_rows.rows, sec)
-    gram = basis_rows.mul(sec)
-    return DualPairing(primal, dual, gram)

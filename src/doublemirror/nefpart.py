@@ -4,6 +4,12 @@ A nef-partition is a list of lattice polytopes, each containing the origin,
 whose Minkowski sum is reflexive.  The dual partition consists of the
 polytopes ``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``; both
 defining duality relations are verified exactly before a dual is returned.
+
+The relation ``Conv(nabla_1 u ... u nabla_s) = dual(sum)`` is checked
+without a hull: the pairing minima ``>= -delta_ij`` add up over the parts to
+``<x, y> >= -1`` on the sum, so every nabla_j lies in dual(sum), and each
+vertex of dual(sum) being a vertex of some nabla_j gives the reverse
+inclusion.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .polytope import (
     Polytope,
     _vertices_from_facets,
     dual_polytope,
-    hull_vertices,
     is_reflexive,
     minkowski_sum_all,
 )
@@ -101,10 +106,6 @@ def dual_nef_partition(np: NefPartition) -> DualNefPartition:
         if not nabla.is_lattice_polytope():
             raise InternalError(f"dual part {j + 1} has a non-integral vertex")
 
-    union_hull = set(hull_vertices([v for nabla in duals for v in nabla.vertices]))
-    if union_hull != dual_polytope(np.sum).vertex_set():
-        raise InternalError("Conv of dual parts differs from the dual of the sum")
-
     for i, part in enumerate(np.parts):
         for j, nabla in enumerate(duals):
             target = -1 if i == j else 0
@@ -114,6 +115,11 @@ def dual_nef_partition(np: NefPartition) -> DualNefPartition:
                     raise InternalError("pairing minimum fell below -delta_ij")
                 if any(x != 0 for x in w) and m != target:
                     raise InternalError("pairing minimum not attained at a dual vertex")
+
+    # the minima above put every nabla_j inside dual(sum), so this inclusion
+    # makes Conv(union of the nabla_j) = dual(sum)
+    if not dual_polytope(np.sum).vertex_set() <= {w for nabla in duals for w in nabla.vertices}:
+        raise InternalError("Conv of dual parts differs from the dual of the sum")
     return DualNefPartition(tuple(duals))
 
 

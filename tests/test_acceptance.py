@@ -141,7 +141,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
             ambients = []
             for m in pts:
                 root = bridge.pair.point_to_root(bridge.pair.slot_point(i, m))
-                amb = lattice.from_coords(root)
+                amb = IntMatrix((root,)).mul(lattice.basis).data[0]
                 supp = tuple(sorted(k for k, x in enumerate(amb) if x == 1))
                 assert len(supp) == 3 and all(x in (0, 1) for x in amb)
                 ambients.append(tuple(s % 5 for s in supp))

@@ -107,6 +107,24 @@ class TestParsing:
         assert capsys.readouterr().err == "error: ambient vector has wrong length\n"
         assert built == []
 
+    def test_full_lattice_builds_no_matrix(self, tmp_path, capsys, monkeypatch):
+        # a full lattice's coordinates are the ambient ones: a matching
+        # one-point payload in rank 1500 must not cost an n x n matrix
+        from doublemirror.intmat import IntMatrix
+
+        built = []
+        identity = IntMatrix.identity
+
+        def recording_identity(n):
+            built.append(n)
+            return identity(n)
+
+        monkeypatch.setattr(IntMatrix, "identity", staticmethod(recording_identity))
+        data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "polytope": [[0] * 1500]}
+        assert main(["dualize", write_instance(tmp_path, data)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["is_reflexive"] is False
+        assert [n for n in built if n >= 1000] == []
+
     def test_round_trip_canonical(self, two_segment_file):
         text = open(two_segment_file, encoding="utf-8").read()
         inst = parse_instance(loads(text))

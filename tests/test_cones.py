@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+from doublemirror import cones, nefpart
+from doublemirror.bridge import bridge_skeleton, enumerate_decompositions
 from doublemirror.canned import product_projective_lattice, square_part, two_segment_parts
 from doublemirror.cones import (
+    GorensteinConePair,
     build_cone,
     cone_to_nef_partition,
     dual_generators,
@@ -13,11 +16,11 @@ from doublemirror.cones import (
     verify_reflexive_gorenstein_data,
 )
 from doublemirror.dd import _independent_subset, extreme_rays
-from doublemirror.errors import DecompositionError
+from doublemirror.errors import DecompositionError, InternalError
 from doublemirror.intmat import dot
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope
+from doublemirror.polytope import Polytope, hull_vertices
 from oracles import cone_contains, greedy_independent_subset, verify_reflexive_gorenstein
 
 Z2 = LatticeEmbedding.full(2)
@@ -126,6 +129,56 @@ class TestConeToNefPartition:
     def test_outside_cone_rejected(self, two_segment_pair):
         with pytest.raises(DecompositionError):
             cone_to_nef_partition(two_segment_pair, [(2, 0, 3, 0), (-1, 1, -3, 0)])
+
+
+@pytest.fixture(scope="module")
+def projective_pairs():
+    """Normalized (3,3) and (5,3) pairs with their decompositions."""
+    result = {}
+    for n, t in ((3, 3), (5, 3)):
+        lattice, gens, deg, deg_dual = product_projective_lattice(n, t)
+        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        result[(n, t)] = (pair, enumerate_decompositions(pair))
+    return result
+
+
+def slot_point_hull(pair):
+    """Test oracle: the hull of every slot point (delta_i ; v)."""
+    pts = [pair.slot_point(i, v) for i, part in enumerate(pair.parts.parts) for v in part.vertices]
+    return tuple(hull_vertices(pts))
+
+
+class TestSliceVertices:
+    def test_matches_hull_of_slot_points(self, two_segment_pair, projective_pairs):
+        square = build_cone(validate_nef_partition(polys(Z2, square_part())))
+        pairs = [two_segment_pair, square]
+        for pair, decs in projective_pairs.values():
+            pairs.append(pair)
+            # the renormalized pairs of both nontrivial references
+            pairs += [bridge_skeleton(pair, decs[i], decs[j]).pair for i, j in ((1, 2), (2, 0))]
+        for pair in pairs:
+            assert pair.s_vertices() == slot_point_hull(pair)
+
+    def test_renormalization_takes_no_hull(self, projective_pairs, monkeypatch):
+        pair, decs = projective_pairs[(5, 3)]
+
+        def no_hull(points):
+            raise AssertionError("hull_vertices called during renormalization")
+
+        monkeypatch.setattr(cones, "hull_vertices", no_hull)
+        skeleton = bridge_skeleton(pair, decs[1], decs[2])
+        assert skeleton.pair.parts.lattice.rank == pair.d
+        # nefpart keeps no hull of its own to fall back on
+        assert not hasattr(nefpart, "hull_vertices")
+
+    def test_vertex_on_two_faces_rejected(self, two_segment_pair, monkeypatch):
+        vertices = GorensteinConePair.s_vertices
+        # (1, 1 ; 0) pairs to 1 with both summands of the trivial decomposition
+        monkeypatch.setattr(
+            GorensteinConePair, "s_vertices", lambda pair: vertices(pair) + ((1, 1, 0, 0),)
+        )
+        with pytest.raises(InternalError, match="Conv of the new parts differs"):
+            cone_to_nef_partition(two_segment_pair, [(1, 0, 0, 0), (0, 1, 0, 0)])
 
 
 class TestNormalizeCone:

@@ -18,7 +18,7 @@ from doublemirror.intmat import (
     snf,
     vprimitive,
 )
-from doublemirror.lattices import DualPairing, LatticeEmbedding, sublattice_dual_pair
+from doublemirror.lattices import LatticeEmbedding
 
 
 def is_row_hnf(h: IntMatrix) -> bool:
@@ -274,7 +274,7 @@ class TestLattices:
         assert lat.rank == 2
         for row in lat.basis.data:
             assert sum(row) == 0
-        v = lat.from_coords((2, -3))
+        v = IntMatrix(((2, -3),)).mul(lat.basis).data[0]
         assert sum(v) == 0
         assert lat.to_coords(v) == (2, -3)
 
@@ -284,22 +284,16 @@ class TestLattices:
         assert lat.rank == 2
         # relation representatives map to zero
         assert lat.to_coords((1, 1, 1)) == (0, 0)
-        c = lat.to_coords((1, 0, 0))
-        rep = lat.from_coords(c)
-        assert lat.to_coords(rep) == c
+        c1, c2 = lat.to_coords((1, 0, 0)), lat.to_coords((0, 1, 0))
+        assert lat.to_coords((0, -1, -1)) == c1
+        # [e1] and [e2] form a basis of the quotient
+        assert abs(IntMatrix((c1, c2)).det()) == 1
 
     def test_dual_pairing_gram(self):
         eqs = IntMatrix(((1, 1, 1, -1),))
         lat = LatticeEmbedding.from_kernel(eqs)
-        pairing = DualPairing.standard(lat)
-        assert pairing.gram == IntMatrix.identity(lat.rank)
         # pairing in coordinates equals ambient pairing of representatives
-        m = lat.from_coords((1, 2, 0))
+        m = IntMatrix(((1, 2, 0),)).mul(lat.basis).data[0]
         n_amb = (5, -1, 2, 3)
-        n_coords = pairing.dual.to_coords(n_amb)
+        n_coords = lat.dual().to_coords(n_amb)
         assert dot((1, 2, 0), n_coords) == dot(m, n_amb)
-
-    def test_sublattice_dual_pair(self):
-        rows = IntMatrix(((1, 0, 1), (0, 1, -1)))
-        pairing = sublattice_dual_pair(rows, 3)
-        assert pairing.gram.is_unimodular()

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from doublemirror import nefpart
 from doublemirror.errors import (
     DegeneratePartError,
+    InternalError,
     OriginMissingError,
     SumNotFullDimensionalError,
 )
@@ -87,6 +89,15 @@ class TestDualPartition:
         hull1 = set(hull_vertices([v for p in double.parts for v in p.vertices]))
         hull2 = set(hull_vertices([v for p in np_.parts for v in p.vertices]))
         assert hull1 == hull2
+
+    def test_dual_sum_vertex_outside_the_parts_rejected(self, monkeypatch):
+        # dual(sum) of the two segments is the diamond conv{+-e1, +-e2}; a
+        # stand-in with the extra vertex (1, 1) is not Conv of the nablas
+        np_ = two_segment_partition()
+        extra = Polytope(Z2, ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)))
+        monkeypatch.setattr(nefpart, "dual_polytope", lambda p: extra)
+        with pytest.raises(InternalError, match="Conv of dual parts differs"):
+            dual_nef_partition(np_)
 
 
 class TestPairingMinima:
