@@ -121,8 +121,8 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     """Up to ``count`` torus points of D, deterministically from the seed.
 
     Returns ``(samples, stats)``; each sample carries the block values at
-    its point.  A low success rate
-    attaches a dimension-excess warning in ``stats``.
+    its point.  A low success rate attaches a dimension-excess warning in
+    ``stats``.
     """
     p = int(prime)
     if p < MIN_PRIME or not is_prime(p):

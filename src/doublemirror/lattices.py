@@ -8,11 +8,11 @@ A ``LatticeEmbedding`` presents a finite-rank lattice inside an ambient Z^n:
 
 A kernel or quotient presentation is normalized on construction to an
 internal basis; a full lattice keeps the ambient coordinates and holds no
-matrix.  All downstream modules work purely in basis coordinates.  The coordinates of
-a kernel lattice and of the quotient by the same rows are arranged to be
-mutually dual with identity Gram matrix: a quotient class ``[a]`` gets the
-coordinates ``B . a`` where ``B`` is the kernel basis, so that the pairing of
-basis coordinates is the standard dot product.
+matrix.  All downstream modules work purely in basis coordinates.  The
+coordinates of a kernel lattice and of the quotient by the same rows are
+arranged to be mutually dual with identity Gram matrix: a quotient class
+``[a]`` gets the coordinates ``B . a`` where ``B`` is the kernel basis, so
+that the pairing of basis coordinates is the standard dot product.
 """
 
 from __future__ import annotations
