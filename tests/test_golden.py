@@ -13,7 +13,9 @@ purpose, when the report schema changes, from inside ``tests/golden``:
 ``two-segment.json`` and ``square.json`` are the bundled examples as written
 by ``doublemirror example``; ``triangle.json`` is a non-reflexive polytope
 whose reflexivity witness is rational, so its ``dualize`` report pins how
-rational and integral coordinates are printed.
+rational and integral coordinates are printed.  ``shifted-square.json`` is
+the square [0, 2]^2, whose sum becomes reflexive only after the partition is
+translated by -(1, 1), so its ``nefdual`` report pins that search.
 """
 
 import json
@@ -60,6 +62,7 @@ COMMAND_CASES = [
     ("dualize", "square", []),
     *[(cmd, name, []) for cmd in ("nefdual", "cone", "decompose")
       for name in ("two-segment", "square", "pp33")],
+    ("nefdual", "shifted-square", []),
     ("bridge", "pp33", ["--pair", "1", "2"]),
 ]
 
