@@ -223,9 +223,10 @@ class BridgeSkeleton:
         pair, blocks = self.pair, self.blocks
         s, d, rank = pair.s, pair.d, self.torus_rank
         domain = coeffs.domain
+        roots = pair.slice_roots()
 
         def poly(points, exp_of, nvars):
-            terms = {exp_of(v): coeffs.value(pair.point_to_root(v)) for v in points}
+            terms = {exp_of(v): coeffs.value(roots[v]) for v in points}
             return LaurentPoly.from_dict(nvars, terms, domain)
 
         def mp(v):
@@ -347,10 +348,7 @@ class BridgeData:
 
 def slice_root_keys(pair: GorensteinConePair):
     """Root-frame keys of the lattice points of the degree-one slice S."""
-    keys = []
-    for slot_pts in pair.slice_points():
-        for v in slot_pts:
-            keys.append(pair.point_to_root(v))
+    keys = list(pair.slice_roots().values())
     if len(set(keys)) != len(keys):
         raise InternalError("slice points collide in the root frame")
     return sorted(keys)

@@ -28,9 +28,10 @@ from .instances import (
     loads,
     parse_instance,
 )
+from .lattices import LatticeEmbedding
 from .laurent import RATIONAL, CoefficientAssignment, is_prime
 from .nefpart import pairing_minima
-from .polytope import Polytope, facet_enumeration, is_reflexive
+from .polytope import Polytope, is_reflexive
 
 
 def _jsonable(x):
@@ -169,8 +170,6 @@ def cmd_dualize(args):
         vertices = instance.parts[0]
     else:
         raise InputError("dualize requires a 'polytope' instance")
-    from .lattices import LatticeEmbedding
-
     poly = Polytope.from_points(LatticeEmbedding.full(instance.lattice.rank), vertices)
     cert = is_reflexive(poly)
     result = {
@@ -180,7 +179,7 @@ def cmd_dualize(args):
     }
     if cert.interior_witness:
         result["facets"] = [
-            {"normal": list(nrm), "offset": off} for nrm, off in facet_enumeration(poly.vertices)
+            {"normal": list(nrm), "offset": off} for nrm, off in poly.facets()
         ]
     if cert.is_reflexive:
         result["dual_vertices"] = _jsonable(cert.dual_vertices)

@@ -41,7 +41,7 @@ from .intmat import (
     vsub,
 )
 from .lattices import LatticeEmbedding
-from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
+from .nefpart import NefPartition, dual_nef_partition, pairing_minima, validate_nef_partition
 from .polytope import Polytope, dual_polytope, hull_vertices, lattice_points
 
 
@@ -72,6 +72,14 @@ class GorensteinConePair:
             sum(v[i] * self.to_root.data[i][j] for i in range(len(v)))
             for j in range(self.to_root.cols)
         )
+
+    def slice_roots(self):
+        """Root-frame image of each lattice point of S, computed once per pair."""
+        if "slice_roots" not in self._cache:
+            self._cache["slice_roots"] = {
+                v: self.point_to_root(v) for slot in self.slice_points() for v in slot
+            }
+        return self._cache["slice_roots"]
 
     def s_vertices(self):
         """Vertices of the degree-one slice S of K, sorted.
@@ -117,8 +125,7 @@ def build_cone(
     """Cone pair of a nef-partition whose sum has the origin interior."""
     s = np.length
     d = np.lattice.rank
-    origin_cert = np.sum.contains((0,) * d)
-    if not origin_cert:
+    if not np.sum.contains((0,) * d):
         raise InputError("partition sum must contain the origin")
     if dual_np is None:
         dual_np = dual_nef_partition(np)
@@ -129,7 +136,7 @@ def build_cone(
     k_generators = tuple(sorted(gens))
     deg = (1,) * s + (0,) * d
     deg_dual = (1,) * s + (0,) * d
-    k_dual_generators = dual_generators(np, dual_np)
+    k_dual_generators = dual_generators(np)
     if to_root is None:
         to_root = IntMatrix.identity(s + d)
     pair = GorensteinConePair(
@@ -148,16 +155,12 @@ def build_cone(
     return pair
 
 
-def dual_generators(np: NefPartition, dual_np=None):
+def dual_generators(np: NefPartition):
     """Generators of the dual cone: minima rows over Ver(nabla) plus units."""
-    if dual_np is None:
-        dual_np = dual_nef_partition(np)
     s = np.length
     d = np.lattice.rank
     nabla = dual_polytope(np.sum)
     gens = set()
-    from .nefpart import pairing_minima
-
     for w in nabla.vertices:
         w_int = tuple(int(x) for x in w)
         minima = pairing_minima(np, w_int)

@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canned import product_projective, square_part, two_segment_parts
-from .errors import InputError, SumNotReflexiveError
+from .errors import InputError, NefPartitionError, SumNotReflexiveError
 from .intmat import IntMatrix
 from .lattices import LatticeEmbedding
 from .laurent import RATIONAL
 from .nefpart import validate_nef_partition
-from .polytope import Polytope, lattice_points, minkowski_sum_all
+from .polytope import Polytope, lattice_points, minkowski_sum
 
 
 def _reject_float(_value):
@@ -262,12 +262,11 @@ def build_partition(instance: Instance):
     try:
         return validate_nef_partition(polys), None
     except SumNotReflexiveError:
-        total = minkowski_sum_all(polys)
-        for m in lattice_points(total):
+        for m in lattice_points(minkowski_sum(polys)):
             shifted = [polys[0].translate(tuple(-x for x in m))] + polys[1:]
             try:
                 np_ = validate_nef_partition(shifted)
-            except Exception:
+            except NefPartitionError:
                 continue
             note = "partition translated by -(" + ",".join(str(x) for x in m) + ")"
             return np_, note

@@ -1,9 +1,14 @@
 """Nef-partitions, their duals, and the pairing minima they satisfy.
 
 A nef-partition is a list of lattice polytopes, each containing the origin,
-whose Minkowski sum is reflexive.  The dual partition consists of the
-polytopes ``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``; both
-defining duality relations are verified exactly before a dual is returned.
+whose Minkowski sum is reflexive; equivalently, whose Cayley cone
+K = Cone(Cayley(P_1, ..., P_s)) is reflexive Gorenstein (Batyrev-Nill).
+Each extreme ray ``(a ; w)`` of K-dual with w != 0 is a facet
+``<x, w> >= -(a_1 + ... + a_s)`` of the sum, so the sum and its facets come
+from one double description, which the reflexivity test and the dual read.
+The dual partition consists of the polytopes
+``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``; both defining
+duality relations are verified exactly before a dual is returned.
 
 The relation ``Conv(nabla_1 u ... u nabla_s) = dual(sum)`` is checked
 without a hull: the pairing minima ``>= -delta_ij`` add up over the parts to
@@ -14,22 +19,25 @@ inclusion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (
     DegeneratePartError,
     InternalError,
     LatticeMismatchError,
+    LowerDimensionalError,
     OriginMissingError,
     SumNotFullDimensionalError,
     SumNotReflexiveError,
 )
+from .intmat import IntMatrix
 from .polytope import (
     Polytope,
     _vertices_from_facets,
     dual_polytope,
     is_reflexive,
-    minkowski_sum_all,
+    minkowski_sum,
 )
 
 
@@ -74,11 +82,12 @@ def validate_nef_partition(parts) -> NefPartition:
             raise DegeneratePartError(
                 f"part {idx + 1} is the single point 0, giving a zero degree summand"
             )
-    total = minkowski_sum_all(list(parts))
-    if not total.is_full_dimensional():
+    try:
+        total = minkowski_sum(parts)
+    except LowerDimensionalError as exc:
         raise SumNotFullDimensionalError(
-            f"Minkowski sum has dimension {total.affine_dim()} < {lattice.rank}"
-        )
+            f"Minkowski sum has dimension {exc.affine_dim} < {lattice.rank}"
+        ) from exc
     cert = is_reflexive(total)
     if not cert.is_reflexive:
         raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive")
@@ -137,18 +146,11 @@ def is_two_independent(np: NefPartition):
 
     Returns ``(flag, witness_subset_or_None)``.
     """
-    import itertools
-
     s = np.length
     for size in range(1, s + 1):
         for subset in itertools.combinations(range(s), size):
-            rows = []
-            for i in subset:
-                for v in np.parts[i].vertices:
-                    rows.append(tuple(int(x) for x in v))
-            from .intmat import IntMatrix
-
-            dim = IntMatrix(tuple(rows)).rank() if rows else 0
+            rows = tuple(tuple(int(x) for x in v) for i in subset for v in np.parts[i].vertices)
+            dim = IntMatrix(rows).rank() if rows else 0
             if dim <= size:
                 return False, subset
     return True, None

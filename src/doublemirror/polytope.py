@@ -4,12 +4,12 @@ Vertices are tuples in lattice basis coordinates whose entries are ``int``
 where integral and ``Fraction`` only where truly rational.  Facets are
 pairs ``(normal, offset)`` of integers, jointly primitive, meaning the
 halfspace ``<x, normal> >= -offset``.  All vertex and facet lists are sorted
-lexicographically so every derived report is byte-stable.
+lexicographically so every derived report is byte-stable.  A Minkowski sum
+is no hull of vertex sums: its facets are the rays of the dual Cayley cone.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
@@ -109,29 +109,16 @@ def _from_affine_coords(z, x0, w: IntMatrix):
 
 def _facets_fulldim(points):
     """Facets of a full-dimensional point set, via double description."""
-    constraints = [_scale_to_int((1,) + tuple(p)) for p in points]
-    rays = extreme_rays(constraints)
-    facets = []
-    for ray in rays:
-        normal = ray[1:]
-        if all(x == 0 for x in normal):
-            continue
-        facets.append((normal, ray[0]))
-    return sorted(facets)
+    rays = extreme_rays([_scale_to_int((1,) + tuple(p)) for p in points])
+    return sorted((ray[1:], ray[0]) for ray in rays if any(ray[1:]))
 
 
 def _vertices_from_facets(facets, dim):
     """Vertex enumeration of a bounded H-polytope; raises when unbounded."""
-    constraints = [(off,) + tuple(normal) for normal, off in facets]
-    constraints.append((1,) + (0,) * dim)
-    rays = extreme_rays(constraints)
-    vertices = []
-    for ray in rays:
-        t = ray[0]
-        if t == 0:
-            raise UnboundedSliceError("polyhedron has a nonzero recession ray")
-        vertices.append(tuple(_quo(x, t) for x in ray[1:]))
-    return sorted(set(vertices))
+    rays = extreme_rays([(off,) + tuple(normal) for normal, off in facets] + [(1,) + (0,) * dim])
+    if any(ray[0] == 0 for ray in rays):
+        raise UnboundedSliceError("polyhedron has a nonzero recession ray")
+    return sorted({tuple(_quo(x, ray[0]) for x in ray[1:]) for ray in rays})
 
 
 def hull_vertices(points):
@@ -144,8 +131,7 @@ def hull_vertices(points):
     x0, w = affine_basis(pts)
     if w.rows == 0:
         return (pts[0],)
-    zs = _to_affine_coords(pts, x0, w)
-    facets = _facets_fulldim(zs)
+    facets = _facets_fulldim(_to_affine_coords(pts, x0, w))
     z_vertices = _vertices_from_facets(facets, w.rows)
     return tuple(sorted(_from_affine_coords(z, x0, w) for z in z_vertices))
 
@@ -368,16 +354,29 @@ def _enumerate_integer_points(z_vertices, facets):
     ]
 
 
-def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
-    """Minkowski sum, as the hull of pairwise vertex sums."""
-    if p.lattice != q.lattice:
+def minkowski_sum(polys) -> Polytope:
+    """Minkowski sum of polytopes in one lattice, from their Cayley cone.
+
+    K, the cone over the slot points ``(delta_i ; v)`` with v a vertex of
+    P_i, has dimension s + dim(P_1 + ... + P_s).  An extreme ray ``(a ; w)``
+    of K-dual with w != 0 has ``a_i = -min_{P_i} <., w>`` for every i (a
+    larger a_i splits off the ray ``(delta_i ; 0)``), and its face of K is
+    the cone over Cayley(F_1, ..., F_s), F_i the face of P_i where w is
+    least, of dimension s + dim(F_1 + ... + F_s).  So these rays are the
+    facets ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, one each.
+    """
+    lattice, s, d = polys[0].lattice, len(polys), polys[0].lattice.rank
+    if any(p.lattice != lattice for p in polys):
         raise LatticeMismatchError("operands live in different lattices")
-    candidates = [tuple(a + b for a, b in zip(u, v)) for u, v in itertools.product(p.vertices, q.vertices)]
-    return Polytope(p.lattice, hull_vertices(candidates))
-
-
-def minkowski_sum_all(polys):
-    total = polys[0]
-    for q in polys[1:]:
-        total = minkowski_sum(total, q)
+    gens = [_scale_to_int(tuple(int(k == i) for k in range(s)) + tuple(v))
+            for i, p in enumerate(polys) for v in p.vertices]
+    rank = IntMatrix(tuple(gens)).rank()
+    if rank < s + d:
+        raise LowerDimensionalError(
+            f"Minkowski sum has affine dimension {rank - s} < {d}", affine_dim=rank - s
+        )
+    facets = sorted(_split_offset(vprimitive(ray[s:] + (sum(ray[:s]),)))
+                    for ray in extreme_rays(gens) if any(ray[s:]))
+    total = Polytope(lattice, tuple(_vertices_from_facets(facets, d)))
+    object.__setattr__(total, "_facets", facets)
     return total

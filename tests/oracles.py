@@ -7,6 +7,7 @@ from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError
 from doublemirror.intmat import IntMatrix, vadd
 from doublemirror.laurent import LaurentPoly
+from doublemirror.polytope import Polytope, hull_vertices
 
 
 def verify_reflexive_gorenstein(pair):
@@ -28,6 +29,21 @@ def greedy_independent_subset(constraints, n):
             if len(chosen) == n:
                 return chosen
     return None
+
+
+def pairwise_minkowski_sum(polys):
+    """Minkowski sum as the hull of all pairwise vertex sums, one part at a time.
+
+    Works in any dimension, including sums that are not full-dimensional.
+    """
+    total = polys[0]
+    for q in polys[1:]:
+        candidates = [
+            tuple(a + b for a, b in zip(u, v))
+            for u, v in itertools.product(total.vertices, q.vertices)
+        ]
+        total = Polytope(total.lattice, hull_vertices(candidates))
+    return total
 
 
 def cone_contains(point, generators):

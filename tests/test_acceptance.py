@@ -37,7 +37,7 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, dual_polytope, hull_vertices, is_reflexive
-from oracles import brute_force_block_partition, verify_reflexive_gorenstein
+from oracles import brute_force_block_partition, pairwise_minkowski_sum, verify_reflexive_gorenstein
 from test_bridge import _random_block_tuple
 from test_intmat import is_row_hnf, same_row_span
 
@@ -282,9 +282,9 @@ def test_criterion_5_duality_properties(pp53, corpus):
                 verts = [v for v in s_verts if dot(v, e) == 1]
                 assert verts, name
                 slice_polys.append(Polytope.from_points(lat, verts))
-            from doublemirror.polytope import minkowski_sum_all
-
-            total_slice = minkowski_sum_all(slice_polys).translate(
+            # the slices live in the degree hyperplanes, so their sum is
+            # lower-dimensional and only the hull oracle forms it
+            total_slice = pairwise_minkowski_sum(slice_polys).translate(
                 tuple(-x for x in pair.deg)
             )
             z_lat = LatticeEmbedding.full(ann.rows)

@@ -382,6 +382,26 @@ class TestNoTraceback:
         assert err.startswith("internal error: unexpected ZeroDivisionError at test_cli.py:")
         assert err.rstrip().endswith(": first line second line")
 
+    def test_internal_error_in_a_translated_candidate_exits_3(self, tmp_path, monkeypatch, capsys):
+        import doublemirror.instances as instances
+        from doublemirror.errors import InternalError
+
+        real = instances.validate_nef_partition
+        calls = []
+
+        def broken_after_the_first(parts):
+            calls.append(parts)
+            if len(calls) == 1:
+                return real(parts)  # not reflexive: the translation search starts
+            raise InternalError("candidate check broke")
+
+        monkeypatch.setattr(instances, "validate_nef_partition", broken_after_the_first)
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"},
+                "nef_partition": [[[0, 0], [2, 0], [0, 2], [2, 2]]]}
+        assert main(["nefdual", write_instance(tmp_path, data)]) == 3
+        assert capsys.readouterr().err == "internal error: candidate check broke\n"
+        assert len(calls) == 2
+
     def test_cone_index_equal_to_rank_is_an_input_error(self, tmp_path, capsys):
         # deg_dual = (1, 0) and deg = (1, 1): index 2 in rank 2 leaves d = 0
         data = {"lattice": {"ambient_rank": 2, "kind": "full"},

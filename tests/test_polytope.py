@@ -11,6 +11,8 @@ from doublemirror.errors import (
     LowerDimensionalError,
     OriginNotInteriorError,
 )
+from doublemirror.canned import product_projective_lattice
+from doublemirror.cones import normalize_cone
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
     Polytope,
@@ -21,6 +23,7 @@ from doublemirror.polytope import (
     lattice_points,
     minkowski_sum,
 )
+from oracles import pairwise_minkowski_sum
 
 Z1 = LatticeEmbedding.full(1)
 Z2 = LatticeEmbedding.full(2)
@@ -212,18 +215,18 @@ class TestMinkowski:
     def test_cross_from_segments(self):
         a = poly(Z2, [(-1, 0), (1, 0)])
         b = poly(Z2, [(0, -1), (0, 1)])
-        s = minkowski_sum(a, b)
+        s = minkowski_sum([a, b])
         assert s.vertex_set() == poly(Z2, SQUARE).vertex_set()
 
     def test_identity(self):
         p = poly(Z2, SIMPLEX)
         zero = poly(Z2, [(0, 0)])
-        assert minkowski_sum(p, zero).vertex_set() == p.vertex_set()
+        assert minkowski_sum([p, zero]).vertex_set() == p.vertex_set()
 
     def test_grid_membership_oracle(self):
         p = poly(Z2, [(0, 0), (1, 0), (0, 1)])
         q = poly(Z2, [(0, 0), (1, 0)])
-        s = minkowski_sum(p, q)
+        s = minkowski_sum([p, q])
         for x in itertools.product(range(-1, 4), repeat=2):
             in_sum = any(
                 p.contains((Fraction(x[0]) - b[0], Fraction(x[1]) - b[1]))
@@ -246,4 +249,65 @@ class TestMinkowski:
         a = poly(Z2, SQUARE)
         b = poly(Z1, SEGMENT)
         with pytest.raises(LatticeMismatchError):
-            minkowski_sum(a, b)
+            minkowski_sum([a, b])
+
+
+def _random_parts(rng, dim, count, den=1):
+    parts = []
+    for _ in range(count):
+        pts = [
+            tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(dim))
+            for _ in range(rng.randint(1, 5))
+        ]
+        parts.append(poly(LatticeEmbedding.full(dim), pts))
+    return parts
+
+
+def _assert_matches_oracle(parts):
+    total = minkowski_sum(parts)
+    expected = pairwise_minkowski_sum(parts)
+    assert total.vertices == expected.vertices
+    # the facets come preset from the Cayley cone; compare them with a fresh
+    # enumeration of the oracle's vertices
+    assert total.facets() == facet_enumeration(expected.vertices)
+
+
+class TestMinkowskiCayley:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_full_dimensional_sums(self, seed):
+        rng = random.Random(seed)
+        dim, count = rng.randint(2, 4), rng.randint(2, 4)
+        # every fourth case has half-integral vertices
+        den = 2 if seed % 4 == 3 else 1
+        parts = _random_parts(rng, dim, count, den)
+        while pairwise_minkowski_sum(parts).affine_dim() < dim:
+            parts = _random_parts(rng, dim, count, den)
+        _assert_matches_oracle(parts)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_product_projective_parts(self, n):
+        pair, _ = normalize_cone(*product_projective_lattice(n, 3))
+        _assert_matches_oracle(list(pair.parts.parts))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_lower_dimensional_sum_raises(self, seed):
+        rng = random.Random(1000 + seed)
+        dim, count = rng.randint(2, 4), rng.randint(2, 4)
+        # points in the first k coordinates, moved by a unimodular map so the
+        # sum's span is no coordinate subspace
+        k = rng.randint(0, dim - 1)
+        shear = [[int(i == j) + (rng.randint(-1, 1) if i < j else 0) for j in range(dim)]
+                 for i in range(dim)]
+        lattice = LatticeEmbedding.full(dim)
+        parts = []
+        for _ in range(count):
+            pts = []
+            for _ in range(rng.randint(1, 4)):
+                z = [rng.randint(-2, 2) if i < k else 0 for i in range(dim)]
+                pts.append(tuple(sum(z[i] * shear[i][j] for i in range(dim)) for j in range(dim)))
+            parts.append(poly(lattice, pts))
+        expected = pairwise_minkowski_sum(parts).affine_dim()
+        assert expected <= k < dim
+        with pytest.raises(LowerDimensionalError) as exc:
+            minkowski_sum(parts)
+        assert exc.value.affine_dim == expected
