@@ -67,6 +67,8 @@ def _collapse(parts, rng):
     parts[i] = [[0] * len(parts[i][0])]
 
 
+# nudging is listed twice: it is the mildest change and the likeliest to
+# leave a partition that is still valid or only just invalid
 MUTATIONS = (_nudge, _nudge, _scale, _drop, _shift, _flatten, _collapse)
 
 

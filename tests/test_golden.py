@@ -62,8 +62,8 @@ COMMAND_CASES = [
     ("dualize", "square", []),
     *[(cmd, name, []) for cmd in ("nefdual", "cone", "decompose")
       for name in ("two-segment", "square", "pp33")],
-    ("nefdual", "shifted-square", []),
     ("bridge", "pp33", ["--pair", "1", "2"]),
+    ("nefdual", "shifted-square", []),
 ]
 
 
