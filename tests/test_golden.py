@@ -16,6 +16,9 @@ whose reflexivity witness is rational, so its ``dualize`` report pins how
 rational and integral coordinates are printed.  ``shifted-square.json`` is
 the square [0, 2]^2, whose sum becomes reflexive only after the partition is
 translated by -(1, 1), so its ``nefdual`` report pins that search.
+``shifted-two-segment.json`` is the two-segment partition with its first
+part moved by (1, 0), so its report pins the note of a partition with more
+than one part that is translated by moving its first part.
 """
 
 import json
@@ -64,6 +67,7 @@ COMMAND_CASES = [
       for name in ("two-segment", "square", "pp33")],
     ("bridge", "pp33", ["--pair", "1", "2"]),
     ("nefdual", "shifted-square", []),
+    ("nefdual", "shifted-two-segment", []),
 ]
 
 
@@ -92,6 +96,18 @@ def test_named_report_matches_golden(golden, argv, monkeypatch, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
+
+
+def test_every_golden_file_is_checked():
+    # each file is an instance some case reads or a report some case compares
+    instances = {f"{name}.json" for name, *_ in VERIFY_CASES}
+    instances |= {f"{name}.json" for _, name, _ in COMMAND_CASES}
+    instances |= {argv[1] for _, argv in NAMED_CASES}
+    reports = {f"verify-{name}-p{prime}.json" for name, prime, *_ in VERIFY_CASES}
+    reports |= {f"{command}-{name}.json" for command, name, _ in COMMAND_CASES}
+    reports |= {f"{golden}.json" for golden, _ in NAMED_CASES}
+    reports.add("samples-pp33.json")
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(instances | reports)
 
 
 def test_sampled_points_match_golden():
