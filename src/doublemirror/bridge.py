@@ -42,6 +42,7 @@ from .intmat import (
     vsub,
 )
 from .laurent import CoefficientAssignment, LaurentPoly
+from .polytope import point_tuples
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,9 @@ class Decomposition:
     def is_trivial(self):
         return all(all(x == 0 for x in pi) for pi in self.p)
 
-    def e_tilde(self, s=None):
-        s = s or self.s
+    def e_tilde(self):
         return tuple(
-            tuple(1 if k == i else 0 for k in range(s)) + tuple(pi)
+            tuple(1 if k == i else 0 for k in range(self.s)) + tuple(pi)
             for i, pi in enumerate(self.p)
         )
 
@@ -114,43 +114,12 @@ def make_decomposition(p_vectors) -> Decomposition:
 
 def enumerate_decompositions(pair: GorensteinConePair):
     """All decompositions of deg_dual, trivial first, then lexicographic."""
-    s = pair.s
     d = pair.d
-    point_lists = [sorted(pts) for pts in pair.dual_part_points()]
+    point_lists = pair.dual_part_points()
     for i, pts in enumerate(point_lists):
         if (0,) * d not in pts:
             raise InternalError(f"dual part {i + 1} misses the origin")
-    suffix_min = [(0,) * d] * (s + 1)
-    suffix_max = [(0,) * d] * (s + 1)
-    for k in range(s - 1, -1, -1):
-        gmin = tuple(min(p[j] for p in point_lists[k]) for j in range(d))
-        gmax = tuple(max(p[j] for p in point_lists[k]) for j in range(d))
-        suffix_min[k] = vadd(gmin, suffix_min[k + 1])
-        suffix_max[k] = vadd(gmax, suffix_max[k + 1])
-
-    found = []
-    chosen = []
-
-    def rec(k, partial):
-        if k == s:
-            if all(x == 0 for x in partial):
-                found.append(tuple(chosen))
-            return
-        for p in point_lists[k]:
-            new_partial = vadd(partial, p)
-            ok = True
-            for j in range(d):
-                rest = -new_partial[j]
-                if rest < suffix_min[k + 1][j] or rest > suffix_max[k + 1][j]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(p)
-                rec(k + 1, new_partial)
-                chosen.pop()
-
-    rec(0, (0,) * d)
-    decs = [make_decomposition(p) for p in found]
+    decs = [make_decomposition(p) for p in point_tuples(point_lists, (0,) * d)]
     decs.sort(key=lambda dec: (not dec.is_trivial(), dec.sort_key()))
     if not decs or not decs[0].is_trivial():
         raise InternalError("trivial decomposition missing from enumeration")
@@ -363,7 +332,7 @@ def _renormalize(pair: GorensteinConePair, dec_e: Decomposition):
     if dec_e.is_trivial():
         return pair
     s, d = pair.s, pair.d
-    np2 = cone_to_nef_partition(pair, dec_e.e_tilde(s))
+    np2 = cone_to_nef_partition(pair, dec_e.e_tilde())
     # Phi2^{-1} : new split coords -> old split coords,
     # (a ; m) |-> (a_i - <m, p_i> ; m)
     rows = []
@@ -459,10 +428,10 @@ def bridge_skeleton(
     s, d = pair2.s, pair2.d
     q = tuple(vsub(b, a) for a, b in zip(dec_e.p, dec_etilde.p))
     dec_et2 = make_decomposition(q)
-    for i, e in enumerate(dec_et2.e_tilde(s)):
+    for i, e in enumerate(dec_et2.e_tilde()):
         if not in_dual_cone(pair2, e):
             raise InternalError(f"transported summand {i + 1} left the dual cone")
-    wt_sections = right_inverse(IntMatrix(tuple(dec_et2.e_tilde(s))))
+    wt_sections = right_inverse(IntMatrix(tuple(dec_et2.e_tilde())))
     if wt_sections is None:
         raise InternalError("e~ summands are not part of a basis")
 
@@ -588,11 +557,6 @@ def bridge_skeleton(
         lt_coords=lt_coords,
         wt_primes=tuple(zip(*wt_sections.data)),
     )
-
-
-def build_bridge(pair, dec_e, dec_etilde, coeffs) -> BridgeData:
-    """Skeleton and instance in one step, for a single coefficient choice."""
-    return bridge_skeleton(pair, dec_e, dec_etilde).instantiate(coeffs)
 
 
 def _slice_supports(pair2, q, blocks):

@@ -11,8 +11,6 @@ from __future__ import annotations
 import itertools
 
 from .errors import InputError
-from .intmat import IntMatrix
-from .lattices import LatticeEmbedding
 
 
 def product_projective(n: int, t: int):
@@ -46,17 +44,6 @@ def product_projective(n: int, t: int):
         "deg": deg,
         "deg_dual": deg_dual,
     }
-
-
-def product_projective_lattice(n: int, t: int):
-    """The lattice embedding together with cone data in basis coordinates."""
-    data = product_projective(n, t)
-    lattice = LatticeEmbedding.from_kernel(IntMatrix(tuple(data["equations"])))
-    gens = [lattice.to_coords(g) for g in data["generators"]]
-    deg = lattice.to_coords(data["deg"])
-    dual = lattice.dual()
-    deg_dual = dual.to_coords(data["deg_dual"])
-    return lattice, sorted(gens), deg, deg_dual
 
 
 def two_segment_parts():

@@ -42,7 +42,7 @@ from .intmat import (
 )
 from .lattices import LatticeEmbedding
 from .nefpart import NefPartition, dual_nef_partition, pairing_minima, validate_nef_partition
-from .polytope import Polytope, dual_polytope, hull_vertices, lattice_points
+from .polytope import Polytope, dual_polytope, hull_vertices, lattice_points, point_tuples
 
 
 @dataclass(frozen=True)
@@ -302,13 +302,11 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     if not all(groups):
         raise InternalError("reference summand supports no slice vertex")
 
-    section = _section_search(groups, deg)
+    section = next(point_tuples(groups, deg), None)
     if section is None:
         s_points = lattice_points(Polytope(lattice, tuple(s_vertices)))
-        point_groups = []
-        for e in reference:
-            point_groups.append(sorted(v for v in s_points if dot(v, e) == 1))
-        section = _section_search(point_groups, deg)
+        point_groups = [[v for v in s_points if dot(v, e) == 1] for e in reference]
+        section = next(point_tuples(point_groups, deg), None)
     if section is None:
         raise NotGorensteinError(
             "no lattice section of deg: the cone is not of nef-partition type "
@@ -392,41 +390,3 @@ def _first_decomposition(points, target, s):
 
     rec(0, [], (0,) * n)
     return result
-
-
-def _section_search(groups, target):
-    """One point per group summing to target, lexicographically first."""
-    n = len(target)
-    suffix_min = [None] * (len(groups) + 1)
-    suffix_max = [None] * (len(groups) + 1)
-    suffix_min[len(groups)] = (0,) * n
-    suffix_max[len(groups)] = (0,) * n
-    for k in range(len(groups) - 1, -1, -1):
-        gmin = tuple(min(p[j] for p in groups[k]) for j in range(n))
-        gmax = tuple(max(p[j] for p in groups[k]) for j in range(n))
-        suffix_min[k] = vadd(gmin, suffix_min[k + 1])
-        suffix_max[k] = vadd(gmax, suffix_max[k + 1])
-
-    chosen = []
-
-    def rec(k, partial):
-        if k == len(groups):
-            return partial == tuple(target)
-        for p in sorted(groups[k]):
-            new_partial = vadd(partial, p)
-            ok = True
-            for j in range(n):
-                rest = target[j] - new_partial[j]
-                if rest < suffix_min[k + 1][j] or rest > suffix_max[k + 1][j]:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(p)
-                if rec(k + 1, new_partial):
-                    return True
-                chosen.pop()
-        return False
-
-    if rec(0, (0,) * n):
-        return tuple(chosen)
-    return None

@@ -242,14 +242,6 @@ def _log_jacobian(equations, x, p):
     return vanishes, fp_echelon(rows, p)[0] == len(equations)
 
 
-def delta_regularity_probe(bridge: BridgeData, points, prime, side="e"):
-    """Fraction of points where the logarithmic Jacobian has full rank s."""
-    p = int(prime)
-    equations = bridge.equations_e if side == "e" else bridge.equations_etilde
-    passes = sum(_log_jacobian(equations, x, p)[1] for x in points)
-    return Fraction(passes, len(points)) if points else None
-
-
 def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceReport:
     """Sampling report: fiber histograms, regularity rate, verdict, caveats."""
     p = int(prime)

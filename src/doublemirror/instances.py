@@ -21,12 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .canned import product_projective, square_part, two_segment_parts
-from .errors import InputError, NefPartitionError, SumNotReflexiveError
-from .intmat import IntMatrix
+from .errors import InputError, SumNotReflexiveError
+from .intmat import IntMatrix, RowSolver
 from .lattices import LatticeEmbedding
 from .laurent import RATIONAL
 from .nefpart import validate_nef_partition
-from .polytope import Polytope, lattice_points, minkowski_sum
+from .polytope import Polytope, lattice_points, minkowski_sum, point_tuples
 
 
 def _reject_float(_value):
@@ -65,6 +65,12 @@ def _as_vector(value, context):
     if not isinstance(value, list):
         raise InputError(f"{context}: expected a list of integers")
     return tuple(_as_int(x, context) for x in value)
+
+
+def _as_list(value, context):
+    if not isinstance(value, list):
+        raise InputError(f"{context} must be a list")
+    return value
 
 
 def _as_fraction(value, context):
@@ -145,13 +151,15 @@ def parse_instance(data) -> Instance:
         cone = data["cone"]
         if not isinstance(cone, dict) or "generators" not in cone:
             raise InputError("'cone' must be an object with a 'generators' list")
-        generators = [ambient(g, "cone generator") for g in cone["generators"]]
+        raw_generators = _as_list(cone["generators"], "'cone' generators")
+        generators = [ambient(g, "cone generator") for g in raw_generators]
         if "deg" in cone:
             deg = ambient(cone["deg"], "deg")
         if "deg_dual" in cone:
             deg_dual = ambient(cone["deg_dual"], "deg_dual")
     else:
-        poly_vertices = [ambient(v, "polytope vertex") for v in data["polytope"]]
+        raw_vertices = _as_list(data["polytope"], "'polytope'")
+        poly_vertices = [ambient(v, "polytope vertex") for v in raw_vertices]
 
     lattice = _parse_lattice(lattice_spec, rank)
     if parts is not None:
@@ -188,6 +196,7 @@ def _parse_lattice(spec, rank) -> LatticeEmbedding:
         rows = spec.get("equations")
         if not rows:
             raise InputError("kernel lattice requires 'equations'")
+        rows = _as_list(rows, "lattice equations")
         eqs = IntMatrix(tuple(_as_vector(r, "lattice equation") for r in rows))
         if eqs.cols != rank:
             raise InputError("equation rows must have length ambient_rank")
@@ -196,6 +205,7 @@ def _parse_lattice(spec, rank) -> LatticeEmbedding:
         rows = spec.get("relations")
         if not rows:
             raise InputError("quotient lattice requires 'relations'")
+        rows = _as_list(rows, "lattice relations")
         rels = IntMatrix(tuple(_as_vector(r, "lattice relation") for r in rows))
         if rels.cols != rank:
             raise InputError("relation rows must have length ambient_rank")
@@ -217,13 +227,18 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
         domain = RATIONAL
     elif isinstance(field, dict) and "prime" in field:
         domain = _as_int(field["prime"], "coefficients.field.prime")
+        if domain < 1:
+            raise InputError(f"coefficients.field.prime must be positive, got {domain}")
     else:
         raise InputError("coefficients.field must be 'rational' or {'prime': p}")
     seed = _as_int(spec.get("seed", 0), "coefficients.seed")
     explicit = None
     if "values" in spec:
+        values = spec["values"]
+        if not isinstance(values, dict):
+            raise InputError("coefficients.values must be an object")
         explicit = {}
-        for key, val in spec["values"].items():
+        for key, val in values.items():
             try:
                 coords = tuple(int(x) for x in key.split(","))
             except ValueError:
@@ -253,6 +268,12 @@ def _canonical_dict(data):
 def build_partition(instance: Instance):
     """Validate the instance's nef-partition, translating a shifted sum.
 
+    The sum moved by -u is reflexive exactly when ``<u, w> = 1 - b`` on
+    every facet ``<x, w> >= -b`` of the sum, which fixes u.  Part i then
+    moves by -q_i, where ``u = q_1 + ... + q_s`` with q_i a lattice point
+    of part i: ``(u, 0, ..., 0)`` when part 1 holds u, else the first such
+    split in lexicographic order.
+
     Returns ``(nef_partition, shift_note)``.
     """
     if instance.kind != "nef_partition":
@@ -262,15 +283,25 @@ def build_partition(instance: Instance):
     try:
         return validate_nef_partition(polys), None
     except SumNotReflexiveError:
-        for m in lattice_points(minkowski_sum(polys)):
-            shifted = [polys[0].translate(tuple(-x for x in m))] + polys[1:]
-            try:
-                np_ = validate_nef_partition(shifted)
-            except NefPartitionError:
-                continue
-            note = "partition translated by -(" + ",".join(str(x) for x in m) + ")"
-            return np_, note
-        raise
+        facets = minkowski_sum(polys).facets()
+        normals = IntMatrix(tuple(w for w, _ in facets))
+        u = RowSolver(normals.transpose()).solve([1 - b for _, b in facets])
+        if u is None:
+            raise
+        if polys[0].contains(u):
+            split = (u,) + ((0,) * len(u),) * (len(polys) - 1)
+            note = "partition translated by " + _negated(u)
+        else:
+            split = next(point_tuples([lattice_points(p) for p in polys], u), None)
+            if split is None:
+                raise
+            note = "parts translated by " + ", ".join(_negated(q) for q in split)
+    shifted = [p.translate(tuple(-x for x in q)) for p, q in zip(polys, split)]
+    return validate_nef_partition(shifted), note
+
+
+def _negated(vector):
+    return "-(" + ",".join(str(x) for x in vector) + ")"
 
 
 def example_instance(name: str, n=None, t=None) -> dict:

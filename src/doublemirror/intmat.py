@@ -58,11 +58,6 @@ class IntMatrix:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data)
         )
 
-    def mul_vec(self, v):
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.data)
-
     def row(self, i):
         return self.data[i]
 
@@ -111,9 +106,6 @@ class IntMatrix:
             if r == nrows:
                 break
         return r
-
-    def is_unimodular(self):
-        return self.rows == self.cols and self.det() in (1, -1)
 
 
 def _row_sub(m, i, j, q):

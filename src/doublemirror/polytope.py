@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import sub
 
 from .dd import extreme_rays
 from .errors import (
@@ -284,6 +285,44 @@ def lattice_points(p: Polytope):
         for z in z_points
     ]
     return sorted(result)
+
+
+def point_tuples(groups, target):
+    """Every tuple of one point per group adding up to ``target``, in lex order.
+
+    Depth-first over the groups, each sorted once.  A partial choice is
+    kept only while the rest of the target lies in the box between the
+    coordinate-wise least and greatest sums of the groups still to choose.
+    """
+    groups = [sorted(g) for g in groups]
+    if not all(groups):
+        return
+    zero = (0,) * len(target)
+    lo, hi = [zero], [zero]
+    for g in reversed(groups):
+        lo.append(tuple(a + min(x) for a, x in zip(lo[-1], zip(*g))))
+        hi.append(tuple(a + max(x) for a, x in zip(hi[-1], zip(*g))))
+    lo.reverse()
+    hi.reverse()
+    chosen = []
+
+    def rec(k, rest):
+        if k == len(groups):
+            if rest == zero:
+                yield tuple(chosen)
+            return
+        box = tuple(zip(lo[k + 1], hi[k + 1]))
+        for p in groups[k]:
+            left = tuple(map(sub, rest, p))
+            for (a, b), x in zip(box, left):
+                if x < a or x > b:
+                    break
+            else:
+                chosen.append(p)
+                yield from rec(k + 1, left)
+                chosen.pop()
+
+    yield from rec(0, tuple(target))
 
 
 def _integral_point_in_affine_hull(x0, w: IntMatrix):

@@ -1,13 +1,47 @@
-"""Slow independent oracles that the tests compare the library against."""
+"""Slow independent oracles that the tests compare the library against,
+and helpers that only the tests use."""
 
 import itertools
+from fractions import Fraction
 
+from doublemirror.canned import product_projective
 from doublemirror.cones import verify_reflexive_gorenstein_data
 from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError
+from doublemirror.evidence import _log_jacobian
 from doublemirror.intmat import IntMatrix, vadd
+from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly
 from doublemirror.polytope import Polytope, hull_vertices
+
+
+def product_projective_lattice(n: int, t: int):
+    """The (n, t) example's lattice embedding and cone data in basis coordinates."""
+    data = product_projective(n, t)
+    lattice = LatticeEmbedding.from_kernel(IntMatrix(tuple(data["equations"])))
+    gens = [lattice.to_coords(g) for g in data["generators"]]
+    deg = lattice.to_coords(data["deg"])
+    deg_dual = lattice.dual().to_coords(data["deg_dual"])
+    return lattice, sorted(gens), deg, deg_dual
+
+
+def mul_vec(a: IntMatrix, v):
+    """The matrix-vector product ``a . v``."""
+    if a.cols != len(v):
+        raise ValueError("dimension mismatch")
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a.data)
+
+
+def is_unimodular(a: IntMatrix):
+    return a.rows == a.cols and a.det() in (1, -1)
+
+
+def delta_regularity_probe(bridge, points, prime, side="e"):
+    """Fraction of points where the logarithmic Jacobian has full rank s."""
+    p = int(prime)
+    equations = bridge.equations_e if side == "e" else bridge.equations_etilde
+    passes = sum(_log_jacobian(equations, x, p)[1] for x in points)
+    return Fraction(passes, len(points)) if points else None
 
 
 def verify_reflexive_gorenstein(pair):
@@ -44,6 +78,15 @@ def pairwise_minkowski_sum(polys):
         ]
         total = Polytope(total.lattice, hull_vertices(candidates))
     return total
+
+
+def brute_force_point_tuples(groups, target):
+    """Every tuple of one point per group adding up to ``target``, sorted."""
+    target = tuple(target)
+    return sorted(
+        combo for combo in itertools.product(*groups)
+        if tuple(sum(xs) for xs in zip(*combo)) == target
+    )
 
 
 def cone_contains(point, generators):

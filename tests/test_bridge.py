@@ -8,20 +8,19 @@ from doublemirror.bridge import (
     block_partition,
     build_auxiliary_lattice,
     bridge_skeleton,
-    build_bridge,
     enumerate_decompositions,
     make_decomposition,
     random_coefficients,
     solve_bridge_vectors,
 )
-from doublemirror.canned import product_projective_lattice, two_segment_parts
+from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone, normalize_cone
 from doublemirror.intmat import IntMatrix, dot, vadd, vsub
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
-from oracles import brute_force_block_partition, det_permutation
+from oracles import brute_force_block_partition, det_permutation, product_projective_lattice
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +192,7 @@ class TestBridge:
     def test_self_pair(self, two_segment_pair):
         decs = enumerate_decompositions(two_segment_pair)
         coeffs = random_coefficients(two_segment_pair, RATIONAL, 3)
-        bridge = build_bridge(two_segment_pair, decs[0], decs[0], coeffs)
+        bridge = bridge_skeleton(two_segment_pair, decs[0], decs[0]).instantiate(coeffs)
         assert [len(m) for m in bridge.matrices] == [1, 1]
         assert all(bridge.identity_results.values())
         # s = 1 blocks: single entries equal the slice polynomial up to a monomial
@@ -211,14 +210,16 @@ class TestBridge:
             assert getattr(qq.skeleton, name) is getattr(fp.skeleton, name)
         assert qq.pair is fp.pair is skeleton.pair
         # instantiating leaves the skeleton as a fresh build would have it
-        again = build_bridge(pair, decs[1], decs[2], random_coefficients(pair, RATIONAL, 4))
+        again = bridge_skeleton(pair, decs[1], decs[2]).instantiate(
+            random_coefficients(pair, RATIONAL, 4)
+        )
         assert again.determinants == qq.determinants
         assert again.equations_etilde == qq.equations_etilde
 
     def test_pp33_identities(self, pp33):
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 11)
-        bridge = build_bridge(pair, decs[0], decs[1], coeffs)
+        bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         assert all(bridge.identity_results.values())
         assert bridge.skeleton.sat_index == 1
         assert bridge.torus_rank == 2
@@ -230,13 +231,13 @@ class TestBridge:
     def test_pp33_nontrivial_pair(self, pp33):
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 11)
-        bridge = build_bridge(pair, decs[1], decs[2], coeffs)
+        bridge = bridge_skeleton(pair, decs[1], decs[2]).instantiate(coeffs)
         assert all(bridge.identity_results.values())
 
     def test_determinant_cross_check(self, pp33):
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 4)
-        bridge = build_bridge(pair, decs[0], decs[1], coeffs)
+        bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         for k, mat in enumerate(bridge.matrices):
             alt = det_permutation(mat, bridge.torus_rank, RATIONAL)
             assert alt.terms == bridge.determinants[k].terms
@@ -246,7 +247,7 @@ class TestBridge:
         # freedom) changes the determinant by a single monomial factor
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 4)
-        bridge = build_bridge(pair, decs[0], decs[1], coeffs)
+        bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         mat = bridge.matrices[0]
         rank = bridge.torus_rank
         rng = random.Random(0)
@@ -306,7 +307,7 @@ class TestBridge:
         # terms come from the pair, not from the bridge's identity results
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 11)
-        bridge = build_bridge(pair, decs[0], decs[1], coeffs)
+        bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         skeleton, s = bridge.skeleton, pair.s
         for i, slot_points in enumerate(skeleton.pair.slice_points()):
             total = bridge.slice_polys[(i, 0)]

@@ -1,5 +1,6 @@
 """CLI commands: parsing, reports, determinism, exit codes."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from doublemirror.cli import main
-from doublemirror.instances import dumps, example_instance, loads, parse_instance
+from doublemirror.cones import normalize_cone
+from doublemirror.instances import build_partition, dumps, example_instance, loads, parse_instance
+from oracles import product_projective_lattice
 
 
 def run_cli(args, capsys):
@@ -402,6 +405,25 @@ class TestNoTraceback:
         assert capsys.readouterr().err == "internal error: candidate check broke\n"
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"cone": {"generators": 5}},
+            {"polytope": 5},
+            {"polytope": [[0, 0]],
+             "lattice": {"ambient_rank": 2, "kind": "kernel", "equations": 5}},
+            {"polytope": [[0, 0]],
+             "lattice": {"ambient_rank": 2, "kind": "quotient", "relations": 5}},
+            {"polytope": [[0, 0]], "coefficients": {"values": [1, 2]}},
+            {"polytope": [[0, 0]], "coefficients": {"field": {"prime": 0}, "values": {"0,0": 1}}},
+        ],
+    )
+    def test_hostile_json_is_an_input_error(self, payload, tmp_path, capsys):
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"}, **payload}
+        assert main(["dualize", write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_cone_index_equal_to_rank_is_an_input_error(self, tmp_path, capsys):
         # deg_dual = (1, 0) and deg = (1, 1): index 2 in rank 2 leaves d = 0
         data = {"lattice": {"ambient_rank": 2, "kind": "full"},
@@ -433,6 +455,79 @@ class TestNoTraceback:
         assert main(["cone", two_segment_file, "--output", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: cannot write")
+
+
+class TestShiftedPartitions:
+    TWO_SEGMENT = [[[-1, 0], [1, 0]], [[0, -1], [0, 1]]]
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [[[0, 0], [2, 0]], [[0, -1], [0, 1]]],
+            [[[0, -1], [0, 1]], [[0, 0], [2, 0]]],
+            [[[-1, 0], [1, 0]], [[0, 0], [0, 2]]],
+            [[[0, 0], [0, 2]], [[-1, 0], [1, 0]]],
+        ],
+    )
+    def test_accepted_in_any_part_order(self, parts, tmp_path, capsys):
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"}, "nef_partition": parts}
+        code, out = run_cli(["nefdual", write_instance(tmp_path, data)], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert sorted(result["parts"]) == self.TWO_SEGMENT
+
+    def test_shift_split_over_the_parts(self, tmp_path, capsys):
+        # u = (1, 1) lies in neither part, so each part moves
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"},
+                "nef_partition": [[[0, 0], [2, 0]], [[0, 0], [0, 2]]]}
+        code, out = run_cli(["nefdual", write_instance(tmp_path, data)], capsys)
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["parts"] == self.TWO_SEGMENT
+        assert result["normalization"]["shift"] == "parts translated by -(1,0), -(0,1)"
+
+    def test_every_order_of_shifted_pp33_parts(self):
+        pair, _ = normalize_cone(*product_projective_lattice(3, 3))
+        parts = [[list(v) for v in part.vertices] for part in pair.parts.parts]
+        lattice = {"ambient_rank": pair.d, "kind": "full"}
+        base, _ = build_partition(parse_instance({"lattice": lattice, "nef_partition": parts}))
+        runs = 0
+        for i, part in enumerate(parts):
+            for v in part:
+                if not any(v):
+                    continue
+                shifted = [p if k != i else [[a - b for a, b in zip(w, v)] for w in p]
+                           for k, p in enumerate(parts)]
+                for order in itertools.permutations(range(len(parts))):
+                    data = {"lattice": lattice, "nef_partition": [shifted[k] for k in order]}
+                    np_, note = build_partition(parse_instance(data))
+                    assert np_.sum.vertices == base.sum.vertices
+                    if order[0] == i:
+                        moved = ",".join(str(-x) for x in v)
+                        assert note == f"partition translated by -({moved})"
+                    runs += 1
+        assert runs == 144
+
+    def test_scaled_projective_sum_exits_without_a_search(self, tmp_path, monkeypatch, capsys):
+        # 3 conv(0, E_i) for P^7 (4,4), E_1 and E_2 splitting the fan vertices
+        # e_1, ..., e_7, -(e_1 + ... + e_7): no translate of the sum is reflexive
+        import doublemirror.instances as instances
+
+        real = instances.validate_nef_partition
+        calls = []
+
+        def counted(parts):
+            calls.append(parts)
+            return real(parts)
+
+        monkeypatch.setattr(instances, "validate_nef_partition", counted)
+        rays = [[int(i == j) for j in range(7)] for i in range(7)] + [[-1] * 7]
+        parts = [[[0] * 7] + [[3 * x for x in r] for r in block] for block in (rays[:4], rays[4:])]
+        data = {"lattice": {"ambient_rank": 7, "kind": "full"}, "nef_partition": parts}
+        assert main(["nefdual", write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "not reflexive" in err
+        assert len(calls) <= 2
 
 
 class TestLargePrimes:

@@ -6,7 +6,7 @@ import pytest
 
 from doublemirror import cones, nefpart
 from doublemirror.bridge import bridge_skeleton, enumerate_decompositions
-from doublemirror.canned import product_projective_lattice, square_part, two_segment_parts
+from doublemirror.canned import square_part, two_segment_parts
 from doublemirror.cones import (
     GorensteinConePair,
     build_cone,
@@ -21,7 +21,12 @@ from doublemirror.intmat import dot
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, hull_vertices
-from oracles import cone_contains, greedy_independent_subset, verify_reflexive_gorenstein
+from oracles import (
+    cone_contains,
+    greedy_independent_subset,
+    product_projective_lattice,
+    verify_reflexive_gorenstein,
+)
 
 Z2 = LatticeEmbedding.full(2)
 

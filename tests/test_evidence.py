@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from doublemirror.bridge import build_bridge, enumerate_decompositions, random_coefficients
-from doublemirror.canned import product_projective_lattice, two_segment_parts
+from doublemirror.bridge import bridge_skeleton, enumerate_decompositions, random_coefficients
+from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone, normalize_cone
 from doublemirror.errors import InputError
 from doublemirror.evidence import (
     NON_GENERIC,
     birationality_evidence,
-    delta_regularity_probe,
     fiber,
     fp_echelon,
     sample_determinantal_points,
@@ -21,7 +20,7 @@ from doublemirror.laurent import LaurentPoly, fp_roots
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
-from oracles import block_determinant
+from oracles import block_determinant, delta_regularity_probe, product_projective_lattice
 
 P = 10007
 
@@ -32,7 +31,7 @@ def pp33_bridge():
     pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
     decs = enumerate_decompositions(pair)
     coeffs = random_coefficients(pair, P, 0)
-    return build_bridge(pair, decs[0], decs[1], coeffs)
+    return bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
 
 
 class TestFpLinearAlgebra:
@@ -83,7 +82,8 @@ class TestLineRestriction:
         lattice, gens, deg, deg_dual = product_projective_lattice(n, 3)
         pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
         decs = enumerate_decompositions(pair)
-        bridge = build_bridge(pair, decs[i - 1], decs[j - 1], random_coefficients(pair, P, 0))
+        coeffs = random_coefficients(pair, P, 0)
+        bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
         block0, dd = bridge.matrices[0], bridge.torus_rank
         rng = random.Random(100 * n + 10 * i + j)
         roots_seen = 0
@@ -164,8 +164,8 @@ class TestEvidence:
         pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
         decs = enumerate_decompositions(pair)
         coeffs = random_coefficients(pair, P, 0)
-        fwd = build_bridge(pair, decs[1], decs[2], coeffs)
-        bwd = build_bridge(pair, decs[2], decs[1], coeffs)
+        fwd = bridge_skeleton(pair, decs[1], decs[2]).instantiate(coeffs)
+        bwd = bridge_skeleton(pair, decs[2], decs[1]).instantiate(coeffs)
         r_fwd = birationality_evidence(fwd, 20, P, 5)
         r_bwd = birationality_evidence(bwd, 20, P, 5)
         assert r_fwd.samples_on_d == r_bwd.samples_on_d
@@ -213,7 +213,7 @@ class TestEvidence:
         pair = build_cone(validate_nef_partition(parts))
         decs = enumerate_decompositions(pair)
         coeffs = random_coefficients(pair, P, 0)
-        bridge = build_bridge(pair, decs[0], decs[0], coeffs)
+        bridge = bridge_skeleton(pair, decs[0], decs[0]).instantiate(coeffs)
         report = birationality_evidence(bridge, 10, P, 0)
         assert any("2-independent" in w for w in report.warnings)
         assert any("not proven" in w for w in report.warnings)

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from doublemirror.canned import product_projective_lattice
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import dumps
+from oracles import product_projective_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
 

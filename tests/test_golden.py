@@ -26,11 +26,11 @@ from pathlib import Path
 
 import pytest
 
-from doublemirror.bridge import build_bridge, enumerate_decompositions, random_coefficients
-from doublemirror.canned import product_projective_lattice
+from doublemirror.bridge import bridge_skeleton, enumerate_decompositions, random_coefficients
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.evidence import sample_determinantal_points
+from oracles import product_projective_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -118,7 +118,8 @@ def test_sampled_points_match_golden():
     decs = enumerate_decompositions(pair)
     for prime, expected in golden.items():
         p = int(prime)
-        bridge = build_bridge(pair, decs[0], decs[1], random_coefficients(pair, p, 0))
+        coeffs = random_coefficients(pair, p, 0)
+        bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         samples, stats = sample_determinantal_points(bridge, 30, p, 11)
         assert stats["line_tries"] == expected["line_tries"]
         assert [list(s.y) for s in samples] == expected["points"]

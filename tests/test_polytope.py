@@ -11,7 +11,6 @@ from doublemirror.errors import (
     LowerDimensionalError,
     OriginNotInteriorError,
 )
-from doublemirror.canned import product_projective_lattice
 from doublemirror.cones import normalize_cone
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
@@ -22,8 +21,9 @@ from doublemirror.polytope import (
     is_reflexive,
     lattice_points,
     minkowski_sum,
+    point_tuples,
 )
-from oracles import pairwise_minkowski_sum
+from oracles import brute_force_point_tuples, pairwise_minkowski_sum, product_projective_lattice
 
 Z1 = LatticeEmbedding.full(1)
 Z2 = LatticeEmbedding.full(2)
@@ -209,6 +209,41 @@ class TestLatticePoints:
     def test_no_lattice_points(self):
         p = poly(Z2, [(Fraction(1, 3), 0), (Fraction(2, 3), 0)])
         assert lattice_points(p) == []
+
+
+class TestPointTuples:
+    def test_against_brute_force(self):
+        rng = random.Random(2718)
+        unsolvable = outside = 0
+        for _ in range(300):
+            dim = rng.randint(1, 3)
+            # each group a point set, in random order
+            groups = [
+                list(dict.fromkeys(
+                    tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 5))
+                ))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.5:
+                target = tuple(sum(xs) for xs in zip(*(rng.choice(g) for g in groups)))
+            else:
+                target = tuple(rng.randint(-9, 9) for _ in range(dim))
+            expected = brute_force_point_tuples(groups, target)
+            assert list(point_tuples(groups, target)) == expected
+            unsolvable += not expected
+            outside += any(
+                x < sum(min(p[j] for p in g) for g in groups)
+                or x > sum(max(p[j] for p in g) for g in groups)
+                for j, x in enumerate(target)
+            )
+        assert unsolvable > 50 and outside > 20
+
+    def test_lexicographic_order(self):
+        groups = [[(1,), (0,), (2,)], [(0,), (-1,), (1,)]]
+        assert list(point_tuples(groups, (1,))) == [((0,), (1,)), ((1,), (0,)), ((2,), (-1,))]
+
+    def test_empty_group_gives_nothing(self):
+        assert list(point_tuples([[(0, 0)], []], (0, 0))) == []
 
 
 class TestMinkowski:
