@@ -19,6 +19,9 @@ translated by -(1, 1), so its ``nefdual`` report pins that search.
 ``shifted-two-segment.json`` is the two-segment partition with its first
 part moved by (1, 0), so its report pins the note of a partition with more
 than one part that is translated by moving its first part.
+``pp33-rational.json`` is pp33 with explicit rational coefficients, most of
+them not integers, so its ``bridge`` report pins the determinant over QQ
+with fractional entries.
 """
 
 import json
@@ -85,6 +88,7 @@ RUN_30 = ["--samples", "30", "--prime", "10007", "--seed", "3"]
 NAMED_CASES = [
     ("bridge-pp33-pair23", ["bridge", "pp33.json", "--pair", "2", "3"]),
     ("bridge-pp53-pair23", ["bridge", "pp53.json", "--pair", "2", "3"]),
+    ("bridge-pp33-rational", ["bridge", "pp33-rational.json", "--pair", "1", "2"]),
     ("verify-pp33-pair23-p10007", ["verify", "pp33.json", "--pair", "2", "3", *RUN_30]),
     ("pipeline-pp33-p10007", ["pipeline", "pp33.json", *RUN_30]),
 ]
