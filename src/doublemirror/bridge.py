@@ -18,7 +18,6 @@ Everything symbolic here is exact; the sampling harness lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .cones import GorensteinConePair, build_cone, cone_to_nef_partition, in_dual_cone
 from .errors import (
@@ -41,7 +40,7 @@ from .intmat import (
     vscale,
     vsub,
 )
-from .laurent import CoefficientAssignment, LaurentPoly
+from .laurent import CoefficientAssignment, LaurentPoly, det_cofactor
 from .polytope import point_tuples
 
 
@@ -636,31 +635,3 @@ def _m_level_complement(w_mprime: IntMatrix, n_prime_basis: IntMatrix, d: int):
         m_rows.append(tuple(x // abs(det) for x in combo))
     return l_coords, tuple(m_rows)
 
-
-def det_cofactor(matrix_rows, rank, domain):
-    """Determinant by cofactor expansion along the columns in order.
-
-    The minor on the last k columns depends only on its k rows, so the
-    minors are built once per row subset, one column at a time from the
-    last: C(n, k) minors of size k in place of n! expansion paths, and only
-    two sizes held at once.
-    """
-    n = len(matrix_rows)
-    if n == 0:
-        return LaurentPoly.monomial(rank, (0,) * rank, 1, domain)
-    minors = {(i,): matrix_rows[i][n - 1] for i in range(n)}
-    for j in range(n - 2, -1, -1):
-        larger = {}
-        for rows in combinations(range(n), n - j):
-            total = LaurentPoly.zero(rank, domain)
-            for ipos, i in enumerate(rows):
-                entry = matrix_rows[i][j]
-                if entry.is_zero():
-                    continue
-                term = entry * minors[rows[:ipos] + rows[ipos + 1:]]
-                if ipos % 2 == 1:
-                    term = term.scale(-1)
-                total = total + term
-            larger[rows] = total
-        minors = larger
-    return minors[tuple(range(n))]

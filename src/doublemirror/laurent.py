@@ -3,14 +3,19 @@
 Exponent vectors are integer tuples in the basis coordinates of whichever
 lattice the polynomial lives on.  Coefficients are exact rationals
 (``domain == "QQ"``) or elements of F_p (``domain == p``); zero coefficients
-are never stored.  Evaluation is over F_p only, at torus points, and every
-monomial goes through ``fp_monomial``.
+are never stored.  Evaluation is over F_p only, at torus points: each
+polynomial compiles its terms once into a table (``_TermTable``), and a
+point is read through one vector of the powers that occur.  Determinants of
+polynomial matrices (``det_cofactor``) work on exponent vectors packed into
+one integer each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 
 from .errors import InputError
 
@@ -271,6 +276,7 @@ class LaurentPoly:
     rank: int
     terms: tuple  # sorted tuple of (exponent tuple, coefficient)
     domain: object  # RATIONAL or a prime int
+    _table: object = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_dict(rank, mapping, domain):
@@ -299,20 +305,6 @@ class LaurentPoly:
             acc[exp] = _add(acc.get(exp, 0), c, self.domain)
         return LaurentPoly.from_dict(self.rank, acc, self.domain)
 
-    def __mul__(self, other):
-        self._check_compatible(other)
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc[exp] = _add(acc.get(exp, 0), _mul(c1, c2, self.domain), self.domain)
-        return LaurentPoly.from_dict(self.rank, acc, self.domain)
-
-    def scale(self, k):
-        return LaurentPoly.from_dict(
-            self.rank, {e: _mul(c, _normalize_coeff(k, self.domain), self.domain) for e, c in self.terms}, self.domain
-        )
-
     def shift(self, exp):
         """Multiply by the monomial X^exp."""
         exp = tuple(int(e) for e in exp)
@@ -333,49 +325,36 @@ class LaurentPoly:
 
     def evaluate(self, point, invs=None):
         """Value over F_p at a torus point; ``invs`` are its coordinate inverses."""
-        p = self.domain
-        if invs is None:
-            invs = fp_inverses(point, p)
-        return sum(c * fp_monomial(e, point, invs, p) for e, c in self.terms) % p
+        table = self._compiled()
+        return sum(table.term_values(point, invs)) % self.domain
 
     def value_and_log_gradient(self, point, invs=None):
         """The value and the ``x_j d/dx_j`` values over F_p at a torus point.
 
         One pass over the terms gives both the value and one row of the
-        logarithmic Jacobian: each term's monomial is evaluated once and
-        contributes ``c * x**e`` to the value and ``c * e_j * x**e`` to every
+        logarithmic Jacobian: each term ``c * x**e`` is evaluated once and
+        contributes itself to the value and ``e_j`` times itself to every
         coordinate j.
         """
         p = self.domain
-        if invs is None:
-            invs = fp_inverses(point, p)
-        value = 0
-        row = [0] * self.rank
-        for exp, coeff in self.terms:
-            term = coeff * fp_monomial(exp, point, invs, p)
-            value += term
-            for j, e in enumerate(exp):
-                if e:
-                    row[j] += e * term
-        return value % p, [v % p for v in row]
+        table = self._compiled()
+        values = table.term_values(point, invs)
+        return sum(values) % p, [sum(map(mul, col, values)) % p for col in table.columns]
 
     def restrict_to_line(self, fixed, free_coord):
         """Univariate coefficients along ``x_free = t``, others fixed.
 
         Returns ``(offset, coeffs)`` so the restriction is
         ``t**offset * sum coeffs[k] t**k`` with all other coordinates
-        substituted; requires an F_p domain.
+        substituted.
         """
         p = self.domain
-        if p == RATIONAL:
-            raise InputError("line restriction implemented for prime fields only")
+        table = self._compiled()
         # x_free = 1 drops the free coordinate from every monomial
         point = tuple(1 if i == free_coord else x for i, x in enumerate(fixed))
-        invs = fp_inverses(point, p)
         acc = {}
-        for exp, coeff in self.terms:
-            k = exp[free_coord]
-            acc[k] = (acc.get(k, 0) + coeff * fp_monomial(exp, point, invs, p)) % p
+        for k, v in zip(table.columns[free_coord], table.term_values(point)):
+            acc[k] = (acc.get(k, 0) + v) % p
         acc = {k: v for k, v in acc.items() if v}
         if not acc:
             return 0, []
@@ -383,9 +362,56 @@ class LaurentPoly:
         hi = max(acc)
         return lo, [acc.get(k, 0) for k in range(lo, hi + 1)]
 
+    def _compiled(self):
+        """The F_p term table, built at most once."""
+        if self._table is None:
+            object.__setattr__(self, "_table", _TermTable(self))
+        return self._table
+
     def _check_compatible(self, other):
         if self.rank != other.rank or self.domain != other.domain:
             raise InputError("polynomials live in different rings")
+
+
+class _TermTable:
+    """The terms of an F_p polynomial, laid out for evaluation at many points.
+
+    ``powers`` lists each nonzero (coordinate, exponent) pair that occurs
+    once; a term is its coefficient times the powers at its ``indices``.
+    ``columns[j]`` holds the exponent of coordinate j in every term.  The
+    table holds nothing that depends on a point.
+    """
+
+    __slots__ = ("p", "coeffs", "powers", "indices", "columns")
+
+    def __init__(self, poly):
+        p = poly.domain
+        if p == RATIONAL:
+            raise InputError("evaluation implemented for prime fields only")
+        slot = {}
+        indices = []
+        for exp, _ in poly.terms:
+            indices.append(tuple(
+                slot.setdefault((j, e), len(slot)) for j, e in enumerate(exp) if e
+            ))
+        self.p = p
+        self.coeffs = tuple(c for _, c in poly.terms)
+        self.powers = tuple(slot)
+        self.indices = tuple(indices)
+        self.columns = tuple(zip(*(exp for exp, _ in poly.terms))) or ((),) * poly.rank
+
+    def term_values(self, point, invs=None):
+        """``c * x**e`` over F_p for every term, in term order."""
+        p = self.p
+        if invs is None:
+            invs = fp_inverses(point, p)
+        pw = [pow(point[j], e, p) if e > 0 else pow(invs[j], -e, p) for j, e in self.powers]
+        values = []
+        for c, idx in zip(self.coeffs, self.indices):
+            for i in idx:
+                c = c * pw[i] % p
+            values.append(c)
+        return values
 
 
 def _normalize_coeff(c, domain):
@@ -400,10 +426,73 @@ def _add(a, b, domain):
     return (a + b) % domain
 
 
-def _mul(a, b, domain):
-    if domain == RATIONAL:
-        return a * b
-    return (a * b) % domain
+def det_cofactor(matrix_rows, rank, domain):
+    """Determinant of a square matrix of Laurent polynomials.
+
+    Cofactor expansion along the columns in order.  The minor on the last k
+    columns depends only on its k rows, so the minors are built once per
+    row subset, one column at a time from the last: C(n, k) minors of size k
+    in place of n! expansion paths, and only two sizes held at once.
+
+    A minor is a dict from packed exponent vectors to coefficients, with
+    integral rationals held as ``int`` and F_p coefficients reduced once per
+    minor; one ``LaurentPoly`` is built at the end.  Packing: with every
+    entry exponent at most E in absolute value, a minor of size k has
+    exponents at most B = n E, so coordinate j is stored as ``e_j + B`` in
+    the slot of ``width`` bits starting at bit j * width, width the bit
+    length of 2B.  Every slot of every minor then lies in [0, 2**width),
+    and the key of a product is the sum of the keys less the packed bias.
+    """
+    n = len(matrix_rows)
+    if n == 0:
+        return LaurentPoly.monomial(rank, (0,) * rank, 1, domain)
+    bound = n * max(
+        (abs(e) for row in matrix_rows for entry in row for exp, _ in entry.terms for e in exp),
+        default=0,
+    )
+    width = (2 * bound).bit_length()
+    bias = sum(bound << (j * width) for j in range(rank))
+
+    def pack(entry):
+        items = []
+        for exp, c in entry.terms:
+            key = bias
+            for j, e in enumerate(exp):
+                key += e << (j * width)
+            if domain == RATIONAL and c.denominator == 1:
+                c = c.numerator
+            items.append((key, c))
+        return items
+
+    packed = [[pack(entry) for entry in row] for row in matrix_rows]
+    minors = {(i,): dict(packed[i][n - 1]) for i in range(n)}
+    for j in range(n - 2, -1, -1):
+        larger = {}
+        for rows in combinations(range(n), n - j):
+            total = {}
+            get = total.get
+            for ipos, i in enumerate(rows):
+                minor = minors[rows[:ipos] + rows[ipos + 1:]]
+                for ke, ce in packed[i][j]:
+                    if ipos % 2 == 1:
+                        ce = -ce
+                    shift = ke - bias
+                    for km, cm in minor.items():
+                        key = km + shift
+                        total[key] = get(key, 0) + ce * cm
+            if domain != RATIONAL:
+                total = {k: c % domain for k, c in total.items()}
+            larger[rows] = {k: c for k, c in total.items() if c}
+        minors = larger
+    mask = (1 << width) - 1
+    return LaurentPoly.from_dict(
+        rank,
+        {
+            tuple(((key >> (j * width)) & mask) - bound for j in range(rank)): c
+            for key, c in minors[tuple(range(n))].items()
+        },
+        domain,
+    )
 
 
 @dataclass(frozen=True)

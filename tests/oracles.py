@@ -119,6 +119,23 @@ def brute_force_block_partition(p_vectors):
     return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
+def laurent_mul(f, g):
+    """The product of two Laurent polynomials over one ring, term by term."""
+    if f.rank != g.rank or f.domain != g.domain:
+        raise InputError("polynomials live in different rings")
+    acc = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            exp = tuple(a + b for a, b in zip(e1, e2))
+            acc[exp] = acc.get(exp, 0) + c1 * c2
+    return LaurentPoly.from_dict(f.rank, acc, f.domain)
+
+
+def laurent_scale(f, k):
+    """``k * f`` for a scalar k of the polynomial's ring."""
+    return LaurentPoly.from_dict(f.rank, {e: k * c for e, c in f.terms}, f.domain)
+
+
 def det_permutation(matrix_rows, rank, domain):
     """Determinant by the permutation-sum definition."""
     n = len(matrix_rows)
@@ -127,7 +144,7 @@ def det_permutation(matrix_rows, rank, domain):
         sign = _perm_sign(perm)
         term = LaurentPoly.monomial(rank, (0,) * rank, sign, domain)
         for i in range(n):
-            term = term * matrix_rows[i][perm[i]]
+            term = laurent_mul(term, matrix_rows[i][perm[i]])
         total = total + term
     return total
 

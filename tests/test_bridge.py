@@ -17,7 +17,7 @@ from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone, normalize_cone
 from doublemirror.intmat import IntMatrix, dot, vadd, vsub
 from doublemirror.lattices import LatticeEmbedding
-from doublemirror.laurent import RATIONAL
+from doublemirror.laurent import RATIONAL, det_cofactor
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
 from oracles import brute_force_block_partition, det_permutation, product_projective_lattice
@@ -260,8 +260,6 @@ class TestBridge:
             )
             for i, row in enumerate(mat)
         ]
-        from doublemirror.bridge import det_cofactor
-
         new_det = det_cofactor(shifted, rank, RATIONAL)
         total = (0,) * rank
         for sh in row_shifts + col_shifts:
