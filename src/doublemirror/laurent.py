@@ -438,10 +438,11 @@ def det_cofactor(matrix_rows, rank, domain):
     integral rationals held as ``int`` and F_p coefficients reduced once per
     minor; one ``LaurentPoly`` is built at the end.  Packing: with every
     entry exponent at most E in absolute value, a minor of size k has
-    exponents at most B = n E, so coordinate j is stored as ``e_j + B`` in
-    the slot of ``width`` bits starting at bit j * width, width the bit
-    length of 2B.  Every slot of every minor then lies in [0, 2**width),
-    and the key of a product is the sum of the keys less the packed bias.
+    exponents at most k E <= B = n E in absolute value, so coordinate j is
+    stored as ``e_j + B`` in the slot of ``width`` bits starting at bit
+    j * width, width the bit length of 2B.  Every slot of every minor then
+    lies in [0, 2**width), and the key of a product is the sum of the keys
+    less the packed bias.
     """
     n = len(matrix_rows)
     if n == 0:
@@ -456,9 +457,7 @@ def det_cofactor(matrix_rows, rank, domain):
     def pack(entry):
         items = []
         for exp, c in entry.terms:
-            key = bias
-            for j, e in enumerate(exp):
-                key += e << (j * width)
+            key = bias + sum(e << (j * width) for j, e in enumerate(exp))
             if domain == RATIONAL and c.denominator == 1:
                 c = c.numerator
             items.append((key, c))
