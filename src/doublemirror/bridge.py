@@ -30,11 +30,13 @@ from .intmat import (
     RowSolver,
     adjugate,
     dot,
+    hnf,
+    independent_rows,
     integral_preimage_lattice,
     kernel_basis,
     reduce_mod_rows,
     right_inverse,
-    snf,
+    saturation,
     vadd,
     vneg,
     vscale,
@@ -100,8 +102,7 @@ def make_decomposition(p_vectors) -> Decomposition:
             raise DecompositionError("p vectors do not sum to zero")
     blocks = block_partition(p_vectors)
     for block in blocks:
-        rows = IntMatrix(tuple(p_vectors[i] for i in block))
-        if rows.rank() != len(block) - 1:
+        if len(independent_rows([p_vectors[i] for i in block], len(block))) != len(block) - 1:
             raise InternalError("block span does not have rank n_k - 1")
     return Decomposition(
         p=p_vectors,
@@ -129,23 +130,41 @@ def build_auxiliary_lattice(dec: Decomposition, d: int):
     """Basis of N' with the non-leading block vectors as leading rows.
 
     Returns ``(basis, sat_index, row_of)`` where ``row_of`` maps each
-    non-leading slot index to its basis row.
+    non-leading slot index to its basis row.  The k rows W are completed by
+    rows k... of ``u^-T``, ``u`` the HNF transform of ``sat^T`` for the
+    saturation ``sat`` of W: ``u . sat^T = [I ; 0]``, so ``sat`` and those
+    rows form a basis of Z^d.  ``sat_index``, the index of W in ``sat``, is
+    read off W's coordinates over ``sat`` and checked against the basis.
+
+    Any complement gives the same reports.  ``solve_bridge_vectors`` reduces
+    u and w modulo the kernel of its constraint matrix, which the complement
+    coordinates span, so u and w have complement coordinates 0.  Another
+    complement therefore moves each u_i and w_j by an element of Ann(e, e~)
+    linear in its W coordinates: 0 for the leading u, -e_slot for the other
+    u and +e_slot for w, adding up to 0 over a block.  Row i of A_k is
+    scaled by one monomial and column j by another; as the shifts cancel,
+    every term of det A_k, so the reported exponent ranges, and the diagonal
+    witness keep their Ann coordinates.  The same roots are drawn and accepted, so the
+    sampled points are the same; block values change only by nonzero row
+    and column scalings, which keep kernel dimensions and zero patterns.
+    Each fiber point is one torus point, checked exactly against the
+    equations.
     """
     w_slots = [i for block in dec.blocks for i in block[1:]]
-    rows = [dec.p[i] for i in w_slots]
+    rows = tuple(dec.p[i] for i in w_slots)
     row_of = {slot: idx for idx, slot in enumerate(w_slots)}
     if not rows:
         return IntMatrix.identity(d), 1, row_of
-    w_mat = IntMatrix(tuple(rows))
-    if w_mat.rank() != len(rows):
+    k = len(rows)
+    sat = saturation(IntMatrix(rows))
+    if sat.rows != k:
         raise InternalError("non-leading block vectors are linearly dependent")
-    s_diag, _, v = snf(w_mat)
-    index = 1
-    for i in range(len(rows)):
-        index *= s_diag.data[i][i]
-    # v is unimodular, so its right inverse is its inverse
-    basis = IntMatrix(tuple(rows) + right_inverse(v).data[len(rows):])
-    if abs(basis.det()) != index:
+    solver = RowSolver(sat)
+    index = abs(adjugate(IntMatrix(tuple(solver.solve(r) for r in rows)))[0])
+    _, u = hnf(sat.transpose())
+    det_u, adj_u = adjugate(u)  # u^-1 = det_u . adj_u, as det_u = +-1
+    basis = IntMatrix(rows + tuple(vscale(det_u, col) for col in zip(*adj_u.data))[k:])
+    if abs(adjugate(basis)[0]) != index:
         raise InternalError("auxiliary lattice index mismatch")
     return basis, index, row_of
 
@@ -511,7 +530,7 @@ def bridge_skeleton(
     w_order = [(k, pos) for k, block in enumerate(blocks) for pos in range(1, len(block))]
     w_mprime = IntMatrix(tuple(w_vectors[key][s:] for key in w_order))
     stacked = IntMatrix(tuple(ann_mp.data) + tuple(w_mprime.data))
-    if stacked.rows != d or abs(stacked.det()) != 1:
+    if stacked.rows != d or abs(adjugate(stacked)[0]) != 1:
         raise InternalError("Ann(e)' does not split as Ann(e,e~) (+) span(w)")
 
     l_coords, l_m_rows = _m_level_complement(w_mprime, n_prime_basis, d)

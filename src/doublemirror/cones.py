@@ -36,6 +36,7 @@ from .intmat import (
     IntMatrix,
     RowSolver,
     dot,
+    independent_rows,
     kernel_basis,
     vadd,
     vsub,
@@ -190,9 +191,9 @@ def verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_d
         for w in k_dual_generators:
             if dot(g, w) < 0:
                 return False, idx
-    if IntMatrix(tuple(k_generators)).rank() != n:
+    if len(independent_rows(k_generators, n)) != n:
         return False, idx
-    if IntMatrix(tuple(k_dual_generators)).rank() != n:
+    if len(independent_rows(k_dual_generators, n)) != n:
         return False, idx
     return True, idx
 
@@ -263,7 +264,7 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     n = lattice.rank
-    if IntMatrix(tuple(gens)).rank() != n:
+    if len(independent_rows(gens, n)) != n:
         raise NotGorensteinError("cone is not full-dimensional")
 
     computed_deg_dual = _height_one_functional(gens)

@@ -9,33 +9,11 @@ test runs on active-constraint bitsets.
 from __future__ import annotations
 
 from .errors import InternalError, RankDeficiencyError
-from .intmat import IntMatrix, adjugate, vprimitive
+from .intmat import IntMatrix, adjugate, independent_rows, vprimitive
 
 
 class NotPointedError(RankDeficiencyError):
     """The constraint rows do not have full column rank."""
-
-
-def _independent_subset(constraints, n):
-    """Indices of ``n`` constraints with full rank, greedily in input order.
-
-    A candidate is independent when a nonzero row survives its fraction-free
-    reduction against the kept rows, each zero in the pivots of earlier ones.
-    """
-    chosen = []
-    echelon = []  # (pivot column, reduced row)
-    for idx, c in enumerate(constraints):
-        for col, row in echelon:
-            if c[col]:
-                a, b = row[col], c[col]
-                c = tuple(a * x - b * y for x, y in zip(c, row))
-        pivot = next((j for j, x in enumerate(c) if x), None)
-        if pivot is not None:
-            echelon.append((pivot, vprimitive(c)))
-            chosen.append(idx)
-            if len(chosen) == n:
-                return chosen
-    return None
 
 
 def extreme_rays(constraints):
@@ -48,8 +26,8 @@ def extreme_rays(constraints):
     if not constraints:
         raise NotPointedError("no constraints")
     n = len(constraints[0])
-    chosen = _independent_subset(constraints, n)
-    if chosen is None:
+    chosen = independent_rows(constraints, n)
+    if len(chosen) < n:
         raise NotPointedError("constraint matrix is rank deficient; cone contains a line")
     order = chosen + [i for i in range(len(constraints)) if i not in set(chosen)]
     ordered = [constraints[i] for i in order]

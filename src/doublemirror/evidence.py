@@ -59,13 +59,11 @@ class EvidenceReport:
         }
 
 
-def fp_echelon(rows, p, square=False, reduced=False):
-    """Gaussian elimination over F_p: ``(rank, det, kernel)``.
+def fp_echelon(rows, p, reduced=False):
+    """Gaussian elimination over F_p: ``(rank, kernel)``.
 
     ``rows`` holds residues in ``[0, p)`` and is left unchanged.  Forward
-    elimination stops once every row holds a pivot; for ``square`` input it
-    also stops at the first column without a pivot, with ``det`` 0.  ``det``
-    is the determinant when the input is square.  ``reduced`` also scales
+    elimination stops once every row holds a pivot.  ``reduced`` also scales
     each pivot row to 1 and clears the pivot column above it, and ``kernel``
     is then a basis of the right kernel read off the reduced rows (``None``
     without ``reduced``).
@@ -74,21 +72,16 @@ def fp_echelon(rows, p, square=False, reduced=False):
     nrows = len(m)
     ncols = len(m[0]) if m else 0
     pivots = []
-    det = 1
     for col in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
         pivot = next((i for i in range(r, nrows) if m[i][col]), None)
         if pivot is None:
-            if square:
-                return r, 0, None
             continue
         row = m[pivot]
         if pivot != r:
             m[pivot], m[r] = m[r], row
-            det = -det
-        det = det * row[col] % p
         inv = fp_inv(row[col], p)
         if reduced:
             row = m[r] = [x * inv % p for x in row]
@@ -100,7 +93,7 @@ def fp_echelon(rows, p, square=False, reduced=False):
                 m[i] = [(a - f * b) % p for a, b in zip(m[i], row)]
         pivots.append(col)
     if not reduced:
-        return len(pivots), det % p, None
+        return len(pivots), None
     kernel = []
     for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
@@ -108,7 +101,7 @@ def fp_echelon(rows, p, square=False, reduced=False):
         for row_idx, pc in enumerate(pivots):
             vec[pc] = (-m[row_idx][fc]) % p
         kernel.append(tuple(vec))
-    return len(pivots), det % p, kernel
+    return len(pivots), kernel
 
 
 def _evaluate(block, y, p):
@@ -160,7 +153,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
                 values = []
                 for block in bridge.matrices[1:]:
                     mat = _evaluate(block, y, p)
-                    if fp_echelon(mat, p, square=True)[1] != 0:
+                    if fp_echelon(mat, p)[0] == len(mat):
                         break
                     values.append(mat)
                 else:
@@ -201,7 +194,7 @@ def fiber(bridge: BridgeData, y, prime, side="e", values=None):
     for mat in values:
         if side == "etilde":
             mat = list(zip(*mat))
-        kern = fp_echelon(mat, p, reduced=True)[2]
+        kern = fp_echelon(mat, p, reduced=True)[1]
         if len(kern) == 0:
             return [], 0
         if len(kern) > 1:

@@ -1,24 +1,22 @@
-"""Exact integer matrix algebra: HNF, SNF, kernels, saturation, solving.
+"""Exact integer matrix algebra: HNF, adjugates, kernels, saturation, solving.
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
-touches floating point.  ``z . a = b`` is solved by forward substitution over
-the row HNF of ``a``, factored once per basis (``RowSolver``); the Smith normal
-form serves only saturation indices and preimage lattices.  Conventions:
+touches floating point.  Three eliminations, one job each: the row HNF gives
+everything lattice-valued (kernels, saturations, preimage lattices, and
+``z . a = b`` by forward substitution, factored once per basis in
+``RowSolver``); ``adjugate`` gives every determinant and inverse; and
+``independent_rows`` gives every rank.  Conventions:
 
 * Matrices are row-major and immutable (``IntMatrix``).
 * Row Hermite normal form: pivot entries positive, entries above each pivot
   reduced into ``[0, pivot)``, pivot columns strictly increasing, zero rows
   at the bottom.
-* Smith normal form: ``u * a * v`` diagonal with ``d1 | d2 | ...`` and
-  ``di >= 0``; ``u`` and ``v`` unimodular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-
-from .errors import RankDeficiencyError
 
 
 @dataclass(frozen=True)
@@ -58,54 +56,8 @@ class IntMatrix:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data)
         )
 
-    def row(self, i):
-        return self.data[i]
-
     def __iter__(self):
         return iter(self.data)
-
-    def det(self):
-        """Exact determinant via fraction-free (Bareiss) elimination."""
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        if n == 0:
-            return 1
-        m = [list(r) for r in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def rank(self):
-        """Rank over the rationals, fraction-free."""
-        m = [list(r) for r in self.data]
-        nrows, ncols = self.rows, self.cols
-        r = 0
-        for col in range(ncols):
-            pivot = next((i for i in range(r, nrows) if m[i][col] != 0), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            for i in range(r + 1, nrows):
-                if m[i][col] != 0:
-                    a, b = m[r][col], m[i][col]
-                    m[i] = [a * y - b * x for x, y in zip(m[r], m[i])]
-            r += 1
-            if r == nrows:
-                break
-        return r
 
 
 def _row_sub(m, i, j, q):
@@ -183,101 +135,27 @@ def adjugate(a: IntMatrix):
     return sign * prev, IntMatrix(tuple(tuple(sign * x for x in r[n:]) for r in m))
 
 
-def _snf_ext(a: IntMatrix):
-    """Smith normal form with both transforms and the inverse of ``v``.
+def independent_rows(rows, limit):
+    """Indices of up to ``limit`` rows independent over Q, greedily in order.
 
-    Returns ``(s, u, v, vinv)`` with ``s = u * a * v``.
+    A row is kept when a nonzero vector survives its fraction-free reduction
+    against the kept rows, each zero in the pivots of earlier ones; with
+    ``limit`` at least the width, the count is the rank.
     """
-    m, n = a.rows, a.cols
-    s = [list(r) for r in a.data]
-    u = [list(r) for r in IntMatrix.identity(m).data]
-    v = [list(r) for r in IntMatrix.identity(n).data]
-    vinv = [list(r) for r in IntMatrix.identity(n).data]
-
-    def row_op(i, j, q):
-        # row i -= q * row j  (left multiplication)
-        _row_sub(s, i, j, q)
-        _row_sub(u, i, j, q)
-
-    def col_op(i, j, q):
-        # col i -= q * col j; vinv gets the inverse op (row j += q * row i)
-        if q:
-            for row in s:
-                row[i] -= q * row[j]
-            for row in v:
-                row[i] -= q * row[j]
-            vinv[j] = [a_ + q * b_ for a_, b_ in zip(vinv[j], vinv[i])]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def row_negate(i):
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        while True:
-            cleared = True
-            for i in range(t + 1, m):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t] != 0:
-                        row_swap(t, i)
-                        cleared = False
-            if not cleared:
-                continue
-            for j in range(t + 1, n):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j] != 0:
-                        col_swap(t, j)
-                        cleared = False
-            if cleared and all(s[i][t] == 0 for i in range(t + 1, m)):
+    chosen = []
+    echelon = []  # (pivot column, reduced row)
+    for idx, c in enumerate(rows):
+        for col, row in echelon:
+            if c[col]:
+                a, b = row[col], c[col]
+                c = tuple(a * x - b * y for x, y in zip(c, row))
+        pivot = next((j for j, x in enumerate(c) if x), None)
+        if pivot is not None:
+            echelon.append((pivot, vprimitive(c)))
+            chosen.append(idx)
+            if len(chosen) == limit:
                 break
-        # enforce that the pivot divides the rest of the submatrix
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)
-            continue
-        if s[t][t] < 0:
-            row_negate(t)
-        t += 1
-    return IntMatrix(s), IntMatrix(u), IntMatrix(v), IntMatrix(vinv)
-
-
-def snf(a: IntMatrix):
-    """Smith normal form ``(s, u, v)`` with ``s = u * a * v``."""
-    s, u, v, _ = _snf_ext(a)
-    return s, u, v
+    return chosen
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
@@ -294,24 +172,14 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
     return canon
 
 
-def saturate(b: IntMatrix):
-    """Saturation of the row span of ``b`` inside the ambient lattice.
+def saturation(b: IntMatrix) -> IntMatrix:
+    """HNF-canonical basis of the saturation of the row span of ``b``.
 
-    Returns ``(sat, index)`` where ``index`` is the group order of the
-    torsion quotient, i.e. the product of the nontrivial elementary divisors.
-    Raises ``RankDeficiencyError`` if the rows are dependent.
+    The saturation is the kernel of the kernel; dependent rows give a basis
+    of the span's rank.
     """
-    k = b.rows
-    s, _, _, vinv = _snf_ext(b)
-    divisors = [s.data[i][i] for i in range(min(s.rows, s.cols))]
-    if any(d == 0 for d in divisors[:k]) or len(divisors) < k:
-        raise RankDeficiencyError("rows are linearly dependent over the rationals")
-    index = 1
-    for d in divisors[:k]:
-        index *= d
-    sat_rows = vinv.data[:k]
-    canon, _ = hnf(IntMatrix(sat_rows), transform=False)
-    return canon, index
+    kernel = kernel_basis(b)
+    return kernel_basis(kernel) if kernel.rows else IntMatrix.identity(b.cols)
 
 
 def forward_substitute(rows, pivots, b):
@@ -377,16 +245,12 @@ def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
     k = num.rows
     if den == 1 or k == 0:
         return IntMatrix.identity(k)
-    s, u, _, _ = _snf_ext(num)
-    # c * num integral mod den  <=>  (c * uinv-basis) picks up diagonal divisors;
-    # writing c = y * u, the condition becomes y_i * d_i = 0 mod den.
-    rows = []
-    for i in range(k):
-        d = s.data[i][i] if i < min(s.rows, s.cols) else 0
-        g = gcd(d, den)
-        scale = den // g
-        rows.append(tuple(scale * x for x in u.data[i]))
-    canon, _ = hnf(IntMatrix(tuple(rows)), transform=False)
+    # c * num = den * y for an integer y  <=>  (c, -y) . [num ; den I] = 0,
+    # and c = 0 forces y = 0: c runs over the kernel's first k coordinates
+    n = num.cols
+    stacked = IntMatrix(num.data + tuple(tuple(den * (i == j) for j in range(n)) for i in range(n)))
+    rows = tuple(row[:k] for row in kernel_basis(stacked.transpose()).data)
+    canon, _ = hnf(IntMatrix(rows), transform=False)
     return canon
 
 

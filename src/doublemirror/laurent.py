@@ -291,10 +291,6 @@ class LaurentPoly:
     def zero(rank, domain):
         return LaurentPoly(rank, (), domain)
 
-    @staticmethod
-    def monomial(rank, exp, coeff, domain):
-        return LaurentPoly.from_dict(rank, {tuple(exp): coeff}, domain)
-
     def is_zero(self):
         return not self.terms
 
@@ -313,9 +309,6 @@ class LaurentPoly:
             tuple(sorted((tuple(a + b for a, b in zip(e, exp)), c) for e, c in self.terms)),
             self.domain,
         )
-
-    def support(self):
-        return tuple(e for e, _ in self.terms)
 
     def exponent_range(self, coord):
         if not self.terms:
@@ -446,7 +439,7 @@ def det_cofactor(matrix_rows, rank, domain):
     """
     n = len(matrix_rows)
     if n == 0:
-        return LaurentPoly.monomial(rank, (0,) * rank, 1, domain)
+        return LaurentPoly.from_dict(rank, {(0,) * rank: 1}, domain)
     bound = n * max(
         (abs(e) for row in matrix_rows for entry in row for exp, _ in entry.terms for e in exp),
         default=0,

@@ -31,7 +31,7 @@ from .errors import (
     SumNotFullDimensionalError,
     SumNotReflexiveError,
 )
-from .intmat import IntMatrix
+from .intmat import independent_rows
 from .polytope import (
     Polytope,
     _vertices_from_facets,
@@ -150,7 +150,7 @@ def is_two_independent(np: NefPartition):
     for size in range(1, s + 1):
         for subset in itertools.combinations(range(s), size):
             rows = tuple(tuple(int(x) for x in v) for i in subset for v in np.parts[i].vertices)
-            dim = IntMatrix(rows).rank() if rows else 0
+            dim = len(independent_rows(rows, len(rows[0]))) if rows else 0
             if dim <= size:
                 return False, subset
     return True, None

@@ -25,7 +25,7 @@ from .errors import (
     UnboundedSliceError,
 )
 from .intmat import (
-    IntMatrix, RowSolver, forward_substitute, hnf, kernel_basis, saturate, vprimitive
+    IntMatrix, RowSolver, forward_substitute, independent_rows, kernel_basis, saturation, vprimitive
 )
 from .lattices import LatticeEmbedding
 
@@ -57,8 +57,8 @@ def affine_basis(points):
     """Base point plus an integer basis of the saturated direction lattice.
 
     Returns ``(x0, W)`` where ``W`` is an ``IntMatrix`` whose rows span the
-    direction space; ``W`` has zero rows removed and is saturated, so integer
-    points of the affine hull have integer coordinates over it.
+    direction space; ``W`` is a saturated row HNF, so integer points of the
+    affine hull have integer coordinates over it.
     """
     pts = [_exact_tuple(p) for p in points]
     x0 = pts[0]
@@ -69,10 +69,7 @@ def affine_basis(points):
             dir_rows.append(_scale_to_int(d))
     if not dir_rows:
         return x0, IntMatrix(())
-    h, _ = hnf(IntMatrix(tuple(dir_rows)), transform=False)
-    rows = tuple(r for r in h.data if any(x != 0 for x in r))
-    sat, _ = saturate(IntMatrix(rows))
-    return x0, sat
+    return x0, saturation(IntMatrix(tuple(dir_rows)))
 
 
 def _affine_coords(points, x0, w: IntMatrix):
@@ -409,7 +406,7 @@ def minkowski_sum(polys) -> Polytope:
         raise LatticeMismatchError("operands live in different lattices")
     gens = [_scale_to_int(tuple(int(k == i) for k in range(s)) + tuple(v))
             for i, p in enumerate(polys) for v in p.vertices]
-    rank = IntMatrix(tuple(gens)).rank()
+    rank = len(independent_rows(gens, s + d))
     if rank < s + d:
         raise LowerDimensionalError(
             f"Minkowski sum has affine dimension {rank - s} < {d}", affine_dim=rank - s

@@ -3,7 +3,9 @@ and helpers that only the tests use."""
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
+from doublemirror.bridge import make_decomposition
 from doublemirror.canned import product_projective
 from doublemirror.cones import verify_reflexive_gorenstein_data
 from doublemirror.dd import extreme_rays
@@ -32,8 +34,51 @@ def mul_vec(a: IntMatrix, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a.data)
 
 
+def leibniz_det(rows):
+    """Determinant of a square matrix by the permutation-sum definition."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = _perm_sign(perm)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
 def is_unimodular(a: IntMatrix):
-    return a.rows == a.cols and a.det() in (1, -1)
+    return a.rows == a.cols and leibniz_det(a.data) in (1, -1)
+
+
+def rational_rank(rows):
+    """Rank over Q by Gauss-Jordan elimination on ``Fraction`` entries."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    r = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                f = m[i][col] / m[r][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def max_minor_gcd(rows):
+    """gcd of the k x k minors of k rows: the index of their span in its saturation."""
+    k = len(rows)
+    g = 0
+    for cols in itertools.combinations(range(len(rows[0])), k):
+        g = gcd(g, leibniz_det([[row[j] for j in cols] for row in rows]))
+    return g
+
+
+def one_block_decomposition(w):
+    """The decomposition ``(-sum W, W_1, ..., W_k)``: for independent rows W,
+    one block whose non-leading vectors are W, in order."""
+    return make_decomposition((tuple(-sum(col) for col in zip(*w)),) + tuple(w))
 
 
 def delta_regularity_probe(bridge, points, prime, side="e"):
@@ -52,17 +97,16 @@ def verify_reflexive_gorenstein(pair):
 
 
 def greedy_independent_subset(constraints, n):
-    """Indices of ``n`` independent constraints, greedily by full rank recomputation."""
+    """Indices of up to ``n`` independent constraints, greedily by full rank recomputation."""
     chosen = []
     rows = []
     for idx, c in enumerate(constraints):
-        candidate = IntMatrix(tuple(rows + [tuple(c)]))
-        if candidate.rank() == len(rows) + 1:
+        if rational_rank(rows + [tuple(c)]) == len(rows) + 1:
             rows.append(tuple(c))
             chosen.append(idx)
             if len(chosen) == n:
-                return chosen
-    return None
+                break
+    return chosen
 
 
 def pairwise_minkowski_sum(polys):
@@ -142,7 +186,7 @@ def det_permutation(matrix_rows, rank, domain):
     total = LaurentPoly.zero(rank, domain)
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
-        term = LaurentPoly.monomial(rank, (0,) * rank, sign, domain)
+        term = LaurentPoly.from_dict(rank, {(0,) * rank: sign}, domain)
         for i in range(n):
             term = laurent_mul(term, matrix_rows[i][perm[i]])
         total = total + term
@@ -194,11 +238,8 @@ def fp_log_gradient(poly, point, p):
 
 
 def block_determinant(block, point, p):
-    """det of a bridge matrix at a torus point: evaluate, then eliminate."""
-    from doublemirror.evidence import fp_echelon
-
-    rows = [[fp_evaluate(entry, point, p) for entry in row] for row in block]
-    return fp_echelon(rows, p, square=True)[1]
+    """det of a bridge matrix at a torus point: evaluate, then sum permutations."""
+    return leibniz_det([[fp_evaluate(entry, point, p) for entry in row] for row in block]) % p
 
 
 def poly_mulmod(a, b, f, p):

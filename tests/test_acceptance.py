@@ -28,8 +28,6 @@ from doublemirror.intmat import (
     dot,
     hnf,
     kernel_basis,
-    saturate,
-    snf,
     vsub,
 )
 from doublemirror.lattices import LatticeEmbedding
@@ -39,6 +37,8 @@ from doublemirror.polytope import Polytope, dual_polytope, hull_vertices, is_ref
 from oracles import (
     brute_force_block_partition,
     delta_regularity_probe,
+    is_unimodular,
+    max_minor_gcd,
     mul_vec,
     pairwise_minkowski_sum,
     product_projective_lattice,
@@ -119,7 +119,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
     diff_sets = set()
     for i in range(5):
         for j in range(5):
-            support = sorted(mat[i][j].support())
+            support = sorted(e for e, _ in mat[i][j].terms)
             assert len(support) == 5
             rep = support[0]
             base[(i, j)] = rep
@@ -327,31 +327,20 @@ def test_criterion_6_lattice_algebra_oracles():
             tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
         )
         h, u = hnf(a)
-        assert u.det() in (1, -1)
+        assert is_unimodular(u)
         assert u.mul(a) == h
         assert is_row_hnf(h)
         assert same_row_span(a, h)
-
-        s, us, vs = snf(a)
-        assert us.det() in (1, -1)
-        assert vs.det() in (1, -1)
-        assert us.mul(a).mul(vs) == s
-        diag = [s.data[i][i] for i in range(min(m, n))]
-        assert all(d >= 0 for d in diag)
-        for d1, d2 in zip(diag, diag[1:]):
-            if d2 != 0:
-                assert d1 != 0 and d2 % d1 == 0
 
         kern = kernel_basis(a)
         for row in kern.data:
             assert all(x == 0 for x in mul_vec(a, row))
         if kern.rows:
-            sat, index = saturate(kern)
-            assert index == 1
+            assert max_minor_gcd(kern.data) == 1
     elapsed = time.monotonic() - started
     assert elapsed < 60
     _report(
-        "criterion 6: HNF/SNF/kernel/saturation oracles on 1000 random matrices",
+        "criterion 6: HNF/kernel/saturation oracles on 1000 random matrices",
         True,
         f"{elapsed:.1f}s",
     )

@@ -1,6 +1,7 @@
 """Decompositions, block partitions, auxiliary lattices, bridge matrices."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,25 @@ from doublemirror.bridge import (
     solve_bridge_vectors,
 )
 from doublemirror.canned import two_segment_parts
+from doublemirror.cli import main
 from doublemirror.cones import build_cone, normalize_cone
-from doublemirror.intmat import IntMatrix, dot, vadd, vsub
+from doublemirror.intmat import IntMatrix, dot, saturation, vadd, vsub
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, det_cofactor
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
-from oracles import brute_force_block_partition, det_permutation, product_projective_lattice
+from oracles import (
+    brute_force_block_partition,
+    det_permutation,
+    is_unimodular,
+    leibniz_det,
+    max_minor_gcd,
+    one_block_decomposition,
+    product_projective_lattice,
+    rational_rank,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -101,8 +114,7 @@ def _random_block_tuple(rng, max_s=7, dim_max=4, bound=3):
             placed.append(tuple(sorted(idxs)))
             pos += len(block_vecs)
         expected = tuple(sorted(placed, key=lambda b: b[0]))
-        rank = IntMatrix(tuple(flat)).rank()
-        if rank == s - len(sizes):
+        if rational_rank(flat) == s - len(sizes):
             return tuple(flat), expected
 
 
@@ -142,20 +154,38 @@ class TestAuxiliaryLattice:
         dec = make_decomposition([(2, 0), (-2, 0)])
         basis, index, _ = build_auxiliary_lattice(dec, 2)
         assert index == 2
-        assert abs(basis.det()) == 2
+        assert abs(leibniz_det(basis.data)) == 2
 
     def test_index_equals_divisor_product(self, pp33):
+        # the product of the elementary divisors of W is the gcd of its k x k minors
         pair, decs = pp33
-        from doublemirror.intmat import snf
-
         dec = make_decomposition(tuple(vsub(b, a) for a, b in zip(decs[0].p, decs[1].p)))
         basis, index, row_of = build_auxiliary_lattice(dec, pair.d)
         rows = [dec.p[i] for i in sorted(row_of, key=row_of.get)]
-        s_diag, _, _ = snf(IntMatrix(tuple(rows)))
-        product = 1
-        for i in range(len(rows)):
-            product *= s_diag.data[i][i]
-        assert index == product
+        assert index == max_minor_gcd(rows)
+
+    @staticmethod
+    def check_complement(w):
+        # [saturation(W) ; complement] is a basis of Z^d, and the index of W
+        # in its saturation is the gcd of its k x k minors
+        k, d = len(w), len(w[0])
+        basis, index, row_of = build_auxiliary_lattice(one_block_decomposition(w), d)
+        assert basis.data[:k] == w and row_of == {i + 1: i for i in range(k)}
+        assert is_unimodular(IntMatrix(saturation(IntMatrix(w)).data + basis.data[k:]))
+        assert index == max_minor_gcd(w) == abs(leibniz_det(basis.data))
+
+    @pytest.mark.parametrize("w", [((2, 0),), ((2, 2, 0), (0, 2, 4))])
+    def test_complement_of_non_saturated_rows(self, w):
+        self.check_complement(w)
+
+    def test_complement_of_random_rows(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            d = rng.randint(1, 4)
+            k = rng.randint(1, d)
+            w = tuple(tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(k))
+            if rational_rank(w) == len(w):
+                self.check_complement(w)
 
 
 class TestBridgeVectors:
@@ -274,16 +304,22 @@ class TestBridge:
         from doublemirror.errors import InternalError
 
         pair, decs = pp33
-        ann = bridge_skeleton(pair, decs[0], decs[1]).ann_basis
+        clean = bridge_skeleton(pair, decs[0], decs[1])
+        inverses = (clean.stack_e_inv, clean.stack_et_inv)
+        ident = IntMatrix.identity(pair.d)
         adjugate = bridge_mod.adjugate
         stacks = []
 
         def corrupted(a):
             det, adj = adjugate(a)
-            if a.data[: ann.rows] != ann.data:
+            # the stacks are exactly the matrices the clean build inverted
+            hits = [
+                i for i, inv in enumerate(inverses) if a.cols == inv.rows and a.mul(inv) == ident
+            ]
+            if not hits:
                 return det, adj
-            stacks.append(a)
-            if len(stacks) == ("e", "etilde").index(side) + 1:
+            stacks.extend(hits)
+            if hits == [("e", "etilde").index(side)]:
                 rows = [list(r) for r in adj.data]
                 rows[0][0] += 1
                 adj = IntMatrix(tuple(map(tuple, rows)))
@@ -292,7 +328,7 @@ class TestBridge:
         monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
         with pytest.raises(InternalError, match="projection of the fiber point"):
             bridge_skeleton(pair, decs[0], decs[1])
-        assert len(stacks) == 2
+        assert stacks == [0, 1]
 
     def test_trivial_tuple_rejected_when_sum_nonzero(self):
         from doublemirror.errors import DecompositionError
@@ -327,3 +363,42 @@ class TestBridge:
                 diff = vsub(e, e_i)
                 assert diff[: pair.s] == (0,) * pair.s
                 assert diff[pair.s :] == dec.p[i]
+
+
+class TestComplementInvariance:
+    """The reports do not depend on the complement ``build_auxiliary_lattice``
+    picks for the W rows (the argument is in its docstring)."""
+
+    @staticmethod
+    def perturbed(build, seed):
+        # adds seeded multiples of the W rows and of earlier complement rows
+        # to each complement row: another complement of the same lattice
+        rng = random.Random(seed)
+
+        def build_perturbed(dec, d):
+            basis, index, row_of = build(dec, d)
+            rows = [list(r) for r in basis.data]
+            for i in range(len(row_of), d):
+                for j in range(i):
+                    c = rng.randint(-3, 3)
+                    rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+            changed = IntMatrix(tuple(map(tuple, rows)))
+            assert len(row_of) == d or changed != basis
+            return changed, index, row_of
+
+        return build_perturbed
+
+    @pytest.mark.parametrize("name,pair", [("pp33", "1 2"), ("pp33", "2 3"), ("pp53", "1 2")])
+    @pytest.mark.parametrize("command", [["bridge"], ["verify", "--samples", "6"]])
+    def test_reports_unchanged(self, name, pair, command, monkeypatch, capsys):
+        import doublemirror.bridge as bridge_mod
+
+        monkeypatch.chdir(GOLDEN)
+        argv = [command[0], f"{name}.json", "--pair", *pair.split(), *command[1:]]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        build = bridge_mod.build_auxiliary_lattice
+        for seed in range(3):
+            monkeypatch.setattr(bridge_mod, "build_auxiliary_lattice", self.perturbed(build, seed))
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected

@@ -15,9 +15,9 @@ from doublemirror.cones import (
     normalize_cone,
     verify_reflexive_gorenstein_data,
 )
-from doublemirror.dd import _independent_subset, extreme_rays
+from doublemirror.dd import extreme_rays
 from doublemirror.errors import DecompositionError, InternalError
-from doublemirror.intmat import dot
+from doublemirror.intmat import dot, independent_rows
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, hull_vertices
@@ -244,4 +244,4 @@ class TestIndependentSubset:
                     rows.append(tuple(combo))
                 else:
                     rows.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
-            assert _independent_subset(rows, n) == greedy_independent_subset(rows, n)
+            assert independent_rows(rows, n) == greedy_independent_subset(rows, n)

@@ -1,7 +1,8 @@
 """Differential tests against sympy on seeded random inputs.
 
-The integer linear algebra (det, adjugate, HNF, SNF, the HNF row solver
-and right inverses) is compared with sympy's implementations; affine
+The integer linear algebra (adjugate, HNF, the HNF row solver and right
+inverses) is compared with sympy's implementations, and the saturation
+and preimage-lattice indices with sympy's Smith normal form; affine
 coordinates and lattice points of small
 rational polytopes are compared with exact sympy solves and a brute-force
 scan of the bounding box.  sympy is only a test dependency: without it the
@@ -11,7 +12,7 @@ whole module is skipped.
 import itertools
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd, prod
 
 import pytest
 
@@ -19,15 +20,17 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
+from doublemirror.bridge import build_auxiliary_lattice  # noqa: E402
 from doublemirror.errors import InternalError  # noqa: E402
 from doublemirror.intmat import (  # noqa: E402
     IntMatrix,
     RowSolver,
     adjugate,
     hnf,
+    integral_preimage_lattice,
     kernel_basis,
     right_inverse,
-    snf,
+    saturation,
 )
 from doublemirror.lattices import LatticeEmbedding  # noqa: E402
 from doublemirror.polytope import (  # noqa: E402
@@ -36,6 +39,7 @@ from doublemirror.polytope import (  # noqa: E402
     affine_basis,
     lattice_points,
 )
+from oracles import one_block_decomposition  # noqa: E402
 from test_intmat import is_row_hnf  # noqa: E402
 
 SEEDS = range(8)
@@ -63,7 +67,6 @@ def test_det_and_adjugate(seed):
         # a low bound makes singular matrices common enough to be covered
         a = random_matrix(rng, n, n, bound=rng.choice([1, 6]))
         expected_det = to_sympy(a).det()
-        assert a.det() == expected_det
         det, adj = adjugate(a)
         assert det == expected_det
         if det == 0:
@@ -94,17 +97,27 @@ def test_hnf_with_and_without_transform(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_snf(seed):
+    # the lattice indices the library reads off HNFs and adjugates, against
+    # sympy's Smith normal form: W of rank k has index d_1 ... d_k in its
+    # saturation, and {c : c . W = 0 mod den} index prod den / gcd(d_i, den)
     rng = random.Random(seed)
     for _ in range(25):
-        a = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        s, u, v = snf(a)
-        assert u.mul(a).mul(v) == s
-        assert to_sympy(u).det() in (1, -1) and to_sympy(v).det() in (1, -1)
-        diagonal = [s.data[i][i] for i in range(min(a.rows, a.cols))]
-        assert all(s.data[i][j] == 0 for i in range(s.rows) for j in range(s.cols) if i != j)
-        expected = [abs(int(x)) for x in invariant_factors(to_sympy(a), domain=sympy.ZZ)]
-        expected += [0] * (len(diagonal) - len(expected))
-        assert diagonal == expected
+        n = rng.randint(1, 5)
+        w = random_matrix(rng, rng.randint(1, n), n)
+        factors = [abs(int(x)) for x in invariant_factors(to_sympy(w), domain=sympy.ZZ)]
+        factors += [0] * (w.rows - len(factors))
+        den = rng.randint(1, 12)
+        expected = 1
+        for f in factors:
+            expected *= den // gcd(f, den)
+        assert abs(to_sympy(integral_preimage_lattice(w, den)).det()) == expected
+        if rank_of(w) < w.rows:
+            continue
+        basis, index, _ = build_auxiliary_lattice(one_block_decomposition(w.data), n)
+        assert index == prod(factors) == abs(to_sympy(basis).det())
+        sat = saturation(w)
+        assert sat.rows == w.rows
+        assert to_sympy(IntMatrix(sat.data + basis.data[w.rows:])).det() in (1, -1)
 
 
 def rank_of(a: IntMatrix):

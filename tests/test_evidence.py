@@ -20,7 +20,12 @@ from doublemirror.laurent import LaurentPoly, fp_roots
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
-from oracles import block_determinant, delta_regularity_probe, product_projective_lattice
+from oracles import (
+    block_determinant,
+    delta_regularity_probe,
+    leibniz_det,
+    product_projective_lattice,
+)
 
 P = 10007
 
@@ -36,17 +41,23 @@ def pp33_bridge():
 
 class TestFpLinearAlgebra:
     def test_det(self):
-        assert fp_echelon([[1, 2], [3, 4]], P, square=True)[1] == (4 - 6) % P
-        assert fp_echelon([[1, 2], [2, 4]], P, square=True)[1] == 0
+        # the sampler's test for det != 0 is full rank
+        assert fp_echelon([[1, 2], [3, 4]], P)[0] == 2
+        assert fp_echelon([[1, 2], [2, 4]], P)[0] == 1
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            mat = [[rng.choice([0, 1, P - 1]) for _ in range(n)] for _ in range(n)]
+            assert (fp_echelon(mat, P)[0] == n) == (leibniz_det(mat) % P != 0)
 
     def test_right_kernel(self):
-        basis = fp_echelon([[1, 2, 3]], P, reduced=True)[2]
+        basis = fp_echelon([[1, 2, 3]], P, reduced=True)[1]
         assert len(basis) == 2
         for v in basis:
             assert (v[0] + 2 * v[1] + 3 * v[2]) % P == 0
 
     def test_kernel_of_invertible_is_empty(self):
-        assert fp_echelon([[1, 0], [1, 1]], P, reduced=True)[2] == []
+        assert fp_echelon([[1, 0], [1, 1]], P, reduced=True)[1] == []
 
 
 class TestSampling:
@@ -57,7 +68,7 @@ class TestSampling:
             assert all(1 <= v <= P - 1 for v in sp.y)
             for block in pp33_bridge.matrices:
                 mat = [[poly.evaluate(sp.y) for poly in row] for row in block]
-                assert fp_echelon(mat, P, square=True)[1] == 0
+                assert leibniz_det(mat) % P == 0
             assert [len(mat) - fp_echelon(mat, P)[0] for mat in sp.values] == [1]
 
     def test_deterministic(self, pp33_bridge):
@@ -110,7 +121,7 @@ class TestFiber:
         # a random torus point is almost surely off D; find one explicitly
         y = (1, 1)
         mat = [[poly.evaluate(y) for poly in row] for row in pp33_bridge.matrices[0]]
-        if fp_echelon(mat, P, square=True)[1] == 0:
+        if leibniz_det(mat) % P == 0:
             y = (2, 5)
         assert fiber(pp33_bridge, y, P, side="e") == ([], 0)
 

@@ -1,25 +1,22 @@
-"""Exact linear algebra: normal forms, kernels, saturation, solving."""
+"""Exact linear algebra: HNF, ranks, kernels, saturation, solving."""
 
 import itertools
 import random
 
-import pytest
-
-from doublemirror.errors import RankDeficiencyError
 from doublemirror.intmat import (
     IntMatrix,
     RowSolver,
     dot,
     hnf,
+    independent_rows,
     integral_preimage_lattice,
     kernel_basis,
     reduce_mod_rows,
-    saturate,
-    snf,
+    saturation,
     vprimitive,
 )
 from doublemirror.lattices import LatticeEmbedding
-from oracles import is_unimodular, mul_vec
+from oracles import is_unimodular, leibniz_det, max_minor_gcd, mul_vec, rational_rank
 
 
 def is_row_hnf(h: IntMatrix) -> bool:
@@ -91,48 +88,10 @@ class TestHNF:
         for _ in range(200):
             a = random_matrix(rng)
             h, u = hnf(a)
-            assert u.det() in (1, -1)
+            assert is_unimodular(u)
             assert u.mul(a) == h
             assert is_row_hnf(h)
             assert same_row_span(a, h)
-
-
-class TestSNF:
-    def test_identity(self):
-        ident = IntMatrix.identity(3)
-        s, u, v = snf(ident)
-        assert s == ident and u == ident and v == ident
-
-    def test_diag_2_3(self):
-        a = IntMatrix(((2, 0), (0, 3)))
-        s, u, v = snf(a)
-        assert is_unimodular(u) and is_unimodular(v)
-        assert u.mul(a).mul(v) == s
-        assert s == IntMatrix(((1, 0), (0, 6)))
-
-    def test_zero(self):
-        a = IntMatrix(((0,),))
-        s, u, v = snf(a)
-        assert s == a
-        assert u == IntMatrix(((1,),)) and v == IntMatrix(((1,),))
-
-    def test_random_properties(self):
-        rng = random.Random(99)
-        for _ in range(200):
-            a = random_matrix(rng)
-            s, u, v = snf(a)
-            assert u.det() in (1, -1)
-            assert v.det() in (1, -1)
-            assert u.mul(a).mul(v) == s
-            diag = [s.data[i][i] for i in range(min(s.rows, s.cols))]
-            for i in range(min(s.rows, s.cols)):
-                for j in range(s.cols):
-                    if i != j:
-                        assert s.data[i][j] == 0
-            assert all(d >= 0 for d in diag)
-            for d1, d2 in zip(diag, diag[1:]):
-                if d2 != 0:
-                    assert d1 != 0 and d2 % d1 == 0
 
 
 class TestKernel:
@@ -164,45 +123,58 @@ class TestKernel:
             for row in basis.data:
                 assert all(x == 0 for x in mul_vec(a, row))
             if basis.rows:
-                _, index = saturate(basis)
-                assert index == 1
+                assert max_minor_gcd(basis.data) == 1
 
 
 class TestSaturate:
     def test_gcd_forced(self):
-        sat, index = saturate(IntMatrix(((2, 0),)))
-        assert sat == IntMatrix(((1, 0),))
-        assert index == 2
+        assert saturation(IntMatrix(((2, 0),))) == IntMatrix(((1, 0),))
 
     def test_already_saturated(self):
-        sat, index = saturate(IntMatrix.identity(2))
-        assert sat == IntMatrix.identity(2)
-        assert index == 1
+        assert saturation(IntMatrix.identity(2)) == IntMatrix.identity(2)
 
     def test_index_is_divisor_product(self):
+        # b has elementary divisors 1 and 6: its coordinates over the
+        # saturation have determinant 6, the gcd of its 2 x 2 minors
         b = IntMatrix(((2, 2), (0, 3)))
-        s, _, _ = snf(b)
-        expected = 1
-        for i in range(2):
-            expected *= s.data[i][i]
-        _, index = saturate(b)
-        assert index == expected == 6
+        sat = saturation(b)
+        coords = [RowSolver(sat).solve(row) for row in b.data]
+        assert abs(leibniz_det(coords)) == max_minor_gcd(b.data) == 6
 
     def test_idempotent(self):
         rng = random.Random(11)
         for _ in range(100):
-            a = random_matrix(rng, max_dim=4, bound=5)
-            try:
-                sat, _ = saturate(a)
-            except RankDeficiencyError:
-                continue
-            sat2, index2 = saturate(sat)
-            assert sat2 == sat
-            assert index2 == 1
+            sat = saturation(random_matrix(rng, max_dim=4, bound=5))
+            assert saturation(sat) == sat
 
-    def test_dependent_rows_error(self):
-        with pytest.raises(RankDeficiencyError):
-            saturate(IntMatrix(((1, 2), (2, 4))))
+    def test_dependent_rows(self):
+        assert saturation(IntMatrix(((1, 2), (2, 4)))) == IntMatrix(((1, 2),))
+
+    def test_random_properties(self):
+        # spans the input over Q, contains it, and is saturated
+        rng = random.Random(17)
+        for _ in range(200):
+            a = random_matrix(rng, max_dim=4, bound=6)
+            sat = saturation(a)
+            assert is_row_hnf(sat)
+            assert sat.rows == rational_rank(a.data) == rational_rank(sat.data + a.data)
+            solver = RowSolver(sat)
+            assert all(solver.solve(row) is not None for row in a.data)
+            if sat.rows:
+                assert max_minor_gcd(sat.data) == 1
+
+
+class TestIndependentRows:
+    def test_count_is_rational_rank(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            a = random_matrix(rng, bound=rng.choice([1, 9]))
+            assert len(independent_rows(a.data, a.cols)) == rational_rank(a.data)
+
+    def test_limit_stops_early(self):
+        rows = [(1, 0, 0), (0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert independent_rows(rows, 3) == [0, 3, 4]
+        assert independent_rows(rows, 2) == [0, 3]
 
 
 class TestSolve:
@@ -267,6 +239,20 @@ class TestHelpers:
         for row in lat.data:
             assert all(dot(row, col) % den == 0 for col in zip(*num.data))
 
+    def test_integral_preimage_random(self):
+        # against a scan of the box [-den, den]^k, which holds a basis
+        rng = random.Random(23)
+        for _ in range(60):
+            k, n = rng.randint(1, 2), rng.randint(1, 3)
+            num = IntMatrix(tuple(tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(k)))
+            den = rng.randint(1, 6)
+            lat = integral_preimage_lattice(num, den)
+            assert is_row_hnf(lat) and lat.rows == k
+            solver = RowSolver(lat)
+            for c in itertools.product(range(-den, den + 1), repeat=k):
+                member = all(dot(c, col) % den == 0 for col in zip(*num.data))
+                assert (solver.solve(c) is not None) == member
+
 
 class TestLattices:
     def test_kernel_presentation(self):
@@ -288,7 +274,7 @@ class TestLattices:
         c1, c2 = lat.to_coords((1, 0, 0)), lat.to_coords((0, 1, 0))
         assert lat.to_coords((0, -1, -1)) == c1
         # [e1] and [e2] form a basis of the quotient
-        assert abs(IntMatrix((c1, c2)).det()) == 1
+        assert abs(leibniz_det((c1, c2))) == 1
 
     def test_dual_pairing_gram(self):
         eqs = IntMatrix(((1, 1, 1, -1),))
