@@ -71,6 +71,7 @@ COMMAND_CASES = [
     ("bridge", "pp33", ["--pair", "1", "2"]),
     ("nefdual", "shifted-square", []),
     ("nefdual", "shifted-two-segment", []),
+    *[(cmd, "pp53", []) for cmd in ("cone", "decompose", "nefdual")],
 ]
 
 
@@ -91,6 +92,7 @@ NAMED_CASES = [
     ("bridge-pp33-rational", ["bridge", "pp33-rational.json", "--pair", "1", "2"]),
     ("verify-pp33-pair23-p10007", ["verify", "pp33.json", "--pair", "2", "3", *RUN_30]),
     ("pipeline-pp33-p10007", ["pipeline", "pp33.json", *RUN_30]),
+    ("pipeline-pp53-p10007", ["pipeline", "pp53.json", *RUN_30]),
 ]
 
 
