@@ -17,7 +17,7 @@ Everything symbolic here is exact; the sampling harness lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .cones import GorensteinConePair, build_cone, cone_to_nef_partition, in_dual_cone
 from .errors import (
@@ -42,7 +42,7 @@ from .intmat import (
     vscale,
     vsub,
 )
-from .laurent import CoefficientAssignment, LaurentPoly, det_cofactor
+from .laurent import CoefficientAssignment, LaurentPoly, TermTable, det_cofactor
 from .polytope import point_tuples
 
 
@@ -323,10 +323,21 @@ class BridgeData:
     identity_results: dict
     warnings: tuple
     diag_witness: tuple  # per block: diagonal monomial coefficient nonzero?
+    # not an init field, so a bridge made by ``dataclasses.replace`` compiles its own
+    _tables: tuple = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def pair(self):
         return self.skeleton.pair
+
+    def term_tables(self):
+        """F_p term tables, compiled at most once: one per block over its
+        entries row by row, and one per equation system, ``{"e", "etilde"}``."""
+        if self._tables is None:
+            blocks = tuple(TermTable([f for row in block for f in row]) for block in self.matrices)
+            systems = {"e": TermTable(self.equations_e), "etilde": TermTable(self.equations_etilde)}
+            object.__setattr__(self, "_tables", (blocks, systems))
+        return self._tables
 
     @property
     def torus_rank(self):

@@ -17,8 +17,8 @@ and every conversion checks that partition exactly.
 Cones can also be entered directly as generator lists in any lattice
 presentation; ``normalize_cone`` finds a reference decomposition of the dual
 degree element and rewrites the cone in the split form above, recording the
-change of coordinates back to the input frame.  The input generators are
-the only point set whose hull is taken here.
+change of coordinates back to the input frame.  No hull is taken: the
+vertices of S are the rays of K, read off the rays of K-dual.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .intmat import (
 )
 from .lattices import LatticeEmbedding
 from .nefpart import NefPartition, dual_nef_partition, pairing_minima, validate_nef_partition
-from .polytope import Polytope, dual_polytope, hull_vertices, lattice_points, point_tuples
+from .polytope import Polytope, dual_polytope, lattice_points, point_tuples
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
             f"cone index {s} equals its rank: its nef-partition would live in a rank-zero lattice"
         )
 
-    s_vertices = [tuple(int(x) for x in v) for v in hull_vertices(gens)]
+    s_vertices = extreme_rays(rays)
     # the extreme rays of K-dual all lie at deg-height one: they are the
     # vertices of its slice T
     t_points = lattice_points(Polytope(lattice.dual(), tuple(rays)))

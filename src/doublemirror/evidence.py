@@ -3,12 +3,13 @@
 Points of the determinantal locus D are sampled by restricting the exact F_p
 polynomial det A_1 to random coordinate lines and finding its roots in F_p*
 exactly, rejection-testing the remaining determinants at each root.  Each
-bridge matrix is evaluated once at a sampled point; fibers of both complete
-intersections over it are reconstructed from the one-dimensional kernels of
-those values (of their transposes on the E~ side), pushed to the unprimed
-torus, and verified exactly against all defining equations in the same pass
-that gives the logarithmic Jacobian for the regularity probe.  The report
-keeps counts only, so memory does not grow with the fiber points.
+bridge matrix is evaluated once at a sampled point, by one term table;
+fibers of both complete intersections over it are reconstructed from the
+one-dimensional kernels of those values (of their transposes on the E~
+side), pushed to the unprimed torus, and verified exactly against all
+defining equations, one table per system, in the same pass that gives the
+logarithmic Jacobian for the regularity probe.  The report keeps counts
+only, so memory does not grow with the fiber points.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ def fp_echelon(rows, p, reduced=False):
     return len(pivots), kernel
 
 
-def _evaluate(block, y, p):
-    """A bridge matrix evaluated at the torus point y."""
-    invs = fp_inverses(y, p)
-    return [[poly.evaluate(y, invs) for poly in row] for row in block]
+def _evaluate(bridge: BridgeData, k, y, p):
+    """Bridge matrix k evaluated at the torus point y."""
+    values = bridge.term_tables()[0][k].values(y, fp_inverses(y, p))
+    width = len(bridge.matrices[k][0])
+    return [values[i:i + width] for i in range(0, len(values), width)]
 
 
 def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
@@ -115,7 +117,8 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
 
     Returns ``(samples, stats)``; each sample carries the block values at
     its point.  A low success rate attaches a dimension-excess warning in
-    ``stats``.
+    ``stats``.  On a rank-one torus every line is the whole torus, so D is
+    the finite root set of det A_1 and no sample means no F_p*-point.
     """
     p = int(prime)
     if p < MIN_PRIME or not is_prime(p):
@@ -151,8 +154,8 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
             for t in candidates:
                 y = tuple(t if i == free else fixed[i] for i in range(dd))
                 values = []
-                for block in bridge.matrices[1:]:
-                    mat = _evaluate(block, y, p)
+                for k in range(1, len(bridge.matrices)):
+                    mat = _evaluate(bridge, k, y, p)
                     if fp_echelon(mat, p)[0] == len(mat):
                         break
                     values.append(mat)
@@ -164,10 +167,12 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
         if found is None:
             continue
         y, values = found
-        values = (_evaluate(bridge.matrices[0], y, p), *values)
+        values = (_evaluate(bridge, 0, y, p), *values)
         samples.append(SamplePoint(y=y, values=values))
         stats["found"] += 1
-    if count and Fraction(stats["found"], count) < SUCCESS_WARN_RATIO:
+    if dd == 1 and count and not stats["found"]:
+        stats["warnings"].append("D is finite (rank-one torus) and has no F_p*-point")
+    elif count and Fraction(stats["found"], count) < SUCCESS_WARN_RATIO:
         stats["warnings"].append(
             "sampling success rate below threshold: possible dimension excess of D"
         )
@@ -189,7 +194,7 @@ def fiber(bridge: BridgeData, y, prime, side="e", values=None):
     if side not in ("e", "etilde"):
         raise InputError("side must be 'e' or 'etilde'")
     if values is None:
-        values = [_evaluate(block, y, p) for block in bridge.matrices]
+        values = [_evaluate(bridge, k, y, p) for k in range(len(bridge.matrices))]
     omega = []
     for mat in values:
         if side == "etilde":
@@ -215,24 +220,18 @@ def fiber(bridge: BridgeData, y, prime, side="e", values=None):
     # bridge_skeleton checked ann_basis . stack_inv = [I | 0], so the point
     # projects back to y along Ann(e, e~)
     point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in stack_inv.data)
-    equations = bridge.equations_e if side == "e" else bridge.equations_etilde
-    vanishes, full_rank = _log_jacobian(equations, point, p)
+    vanishes, full_rank = _log_jacobian(bridge.term_tables()[1][side], point, p)
     if not vanishes:
         raise InternalError("reconstructed fiber point violates a defining equation")
     return [point], int(full_rank)
 
 
-def _log_jacobian(equations, x, p):
-    """Whether all equations vanish at the torus point x, and whether their
-    logarithmic Jacobian there has full rank; one pass per equation."""
-    invs = fp_inverses(x, p)
-    vanishes = True
-    rows = []
-    for eq in equations:
-        value, row = eq.value_and_log_gradient(x, invs)
-        vanishes = vanishes and value == 0
-        rows.append(row)
-    return vanishes, fp_echelon(rows, p)[0] == len(equations)
+def _log_jacobian(table, x, p):
+    """Whether all equations of a term table vanish at the torus point x, and
+    whether their logarithmic Jacobian there has full rank; one pass."""
+    pairs = table.values_and_log_gradients(x)
+    rows = [row for _, row in pairs]
+    return all(v == 0 for v, _ in pairs), fp_echelon(rows, p)[0] == len(rows)
 
 
 def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceReport:

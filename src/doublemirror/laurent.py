@@ -3,9 +3,10 @@
 Exponent vectors are integer tuples in the basis coordinates of whichever
 lattice the polynomial lives on.  Coefficients are exact rationals
 (``domain == "QQ"``) or elements of F_p (``domain == p``); zero coefficients
-are never stored.  Evaluation is over F_p only, at torus points: each
-polynomial compiles its terms once into a table (``_TermTable``), and a
-point is read through one vector of the powers that occur.  Determinants of
+are never stored.  Evaluation is over F_p only, at torus points: a table of
+the terms of several polynomials (``TermTable``, one element for a lone
+polynomial) reads a point through one vector of the powers that occur.
+Determinants of
 polynomial matrices (``det_cofactor``) work on exponent vectors packed into
 one integer each.
 """
@@ -318,21 +319,11 @@ class LaurentPoly:
 
     def evaluate(self, point, invs=None):
         """Value over F_p at a torus point; ``invs`` are its coordinate inverses."""
-        table = self._compiled()
-        return sum(table.term_values(point, invs)) % self.domain
+        return self._compiled().values(point, invs)[0]
 
     def value_and_log_gradient(self, point, invs=None):
-        """The value and the ``x_j d/dx_j`` values over F_p at a torus point.
-
-        One pass over the terms gives both the value and one row of the
-        logarithmic Jacobian: each term ``c * x**e`` is evaluated once and
-        contributes itself to the value and ``e_j`` times itself to every
-        coordinate j.
-        """
-        p = self.domain
-        table = self._compiled()
-        values = table.term_values(point, invs)
-        return sum(values) % p, [sum(map(mul, col, values)) % p for col in table.columns]
+        """The value and the ``x_j d/dx_j`` values over F_p at a torus point."""
+        return self._compiled().values_and_log_gradients(point, invs)[0]
 
     def restrict_to_line(self, fixed, free_coord):
         """Univariate coefficients along ``x_free = t``, others fixed.
@@ -346,7 +337,7 @@ class LaurentPoly:
         # x_free = 1 drops the free coordinate from every monomial
         point = tuple(1 if i == free_coord else x for i, x in enumerate(fixed))
         acc = {}
-        for k, v in zip(table.columns[free_coord], table.term_values(point)):
+        for k, v in zip(table.columns[0][free_coord], table.term_values(point)[0]):
             acc[k] = (acc.get(k, 0) + v) % p
         acc = {k: v for k, v in acc.items() if v}
         if not acc:
@@ -358,7 +349,7 @@ class LaurentPoly:
     def _compiled(self):
         """The F_p term table, built at most once."""
         if self._table is None:
-            object.__setattr__(self, "_table", _TermTable(self))
+            object.__setattr__(self, "_table", TermTable((self,)))
         return self._table
 
     def _check_compatible(self, other):
@@ -366,45 +357,65 @@ class LaurentPoly:
             raise InputError("polynomials live in different rings")
 
 
-class _TermTable:
-    """The terms of an F_p polynomial, laid out for evaluation at many points.
+class TermTable:
+    """The terms of F_p polynomials on one torus, laid out for evaluation.
 
-    ``powers`` lists each nonzero (coordinate, exponent) pair that occurs
-    once; a term is its coefficient times the powers at its ``indices``.
-    ``columns[j]`` holds the exponent of coordinate j in every term.  The
-    table holds nothing that depends on a point.
+    ``powers`` lists each nonzero (coordinate, exponent) pair that occurs in
+    any of the polynomials once, so a point is raised to each power once for
+    all of them; a term is its coefficient times the powers at its
+    ``indices``.  ``columns[k][j]`` holds the exponent of coordinate j in
+    every term of polynomial k.  The table holds nothing that depends on a
+    point.
     """
 
     __slots__ = ("p", "coeffs", "powers", "indices", "columns")
 
-    def __init__(self, poly):
-        p = poly.domain
+    def __init__(self, polys):
+        p = polys[0].domain
         if p == RATIONAL:
             raise InputError("evaluation implemented for prime fields only")
         slot = {}
-        indices = []
-        for exp, _ in poly.terms:
-            indices.append(tuple(
-                slot.setdefault((j, e), len(slot)) for j, e in enumerate(exp) if e
-            ))
         self.p = p
-        self.coeffs = tuple(c for _, c in poly.terms)
+        self.coeffs = tuple(tuple(c for _, c in f.terms) for f in polys)
+        self.indices = tuple(
+            tuple(tuple(slot.setdefault((j, e), len(slot)) for j, e in enumerate(exp) if e)
+                  for exp, _ in f.terms)
+            for f in polys
+        )
         self.powers = tuple(slot)
-        self.indices = tuple(indices)
-        self.columns = tuple(zip(*(exp for exp, _ in poly.terms))) or ((),) * poly.rank
+        self.columns = tuple(
+            tuple(zip(*(exp for exp, _ in f.terms))) or ((),) * f.rank for f in polys
+        )
 
     def term_values(self, point, invs=None):
-        """``c * x**e`` over F_p for every term, in term order."""
+        """``c * x**e`` over F_p for every term, one list per polynomial."""
         p = self.p
         if invs is None:
             invs = fp_inverses(point, p)
         pw = [pow(point[j], e, p) if e > 0 else pow(invs[j], -e, p) for j, e in self.powers]
-        values = []
-        for c, idx in zip(self.coeffs, self.indices):
-            for i in idx:
-                c = c * pw[i] % p
-            values.append(c)
-        return values
+        out = []
+        for coeffs, indices in zip(self.coeffs, self.indices):
+            values = []
+            for c, idx in zip(coeffs, indices):
+                for i in idx:
+                    c = c * pw[i] % p
+                values.append(c)
+            out.append(values)
+        return out
+
+    def values(self, point, invs=None):
+        """The value of each polynomial at a torus point."""
+        return [sum(v) % self.p for v in self.term_values(point, invs)]
+
+    def values_and_log_gradients(self, point, invs=None):
+        """The value and the ``x_j d/dx_j`` values of each polynomial, in one
+        pass: a term ``c * x**e`` adds itself to the value and ``e_j`` times
+        itself to coordinate j of the logarithmic Jacobian row."""
+        p = self.p
+        return [
+            (sum(v) % p, [sum(map(mul, col, v)) % p for col in cols])
+            for v, cols in zip(self.term_values(point, invs), self.columns)
+        ]
 
 
 def _normalize_coeff(c, domain):

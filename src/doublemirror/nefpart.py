@@ -7,8 +7,10 @@ Each extreme ray ``(a ; w)`` of K-dual with w != 0 is a facet
 ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, so the sum and its facets come
 from one double description, which the reflexivity test and the dual read.
 The dual partition consists of the polytopes
-``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``; both defining
-duality relations are verified exactly before a dual is returned.
+``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``, whose Cayley
+cone is K-dual (Batyrev-Nill), so the same rays give them, grouped by slot.
+Both defining duality relations are verified exactly before a dual is
+returned.
 
 The relation ``Conv(nabla_1 u ... u nabla_s) = dual(sum)`` is checked
 without a hull: the pairing minima ``>= -delta_ij`` add up over the parts to
@@ -20,7 +22,7 @@ inclusion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegeneratePartError,
@@ -34,10 +36,10 @@ from .errors import (
 from .intmat import independent_rows
 from .polytope import (
     Polytope,
-    _vertices_from_facets,
+    cayley_dual_rays,
     dual_polytope,
     is_reflexive,
-    minkowski_sum,
+    sum_from_cayley_rays,
 )
 
 
@@ -45,6 +47,7 @@ from .polytope import (
 class NefPartition:
     parts: tuple
     sum: Polytope
+    cayley_rays: tuple = field(compare=False, repr=False)  # ``cayley_dual_rays(parts)``
 
     @property
     def length(self):
@@ -83,33 +86,33 @@ def validate_nef_partition(parts) -> NefPartition:
                 f"part {idx + 1} is the single point 0, giving a zero degree summand"
             )
     try:
-        total = minkowski_sum(parts)
+        rays = cayley_dual_rays(parts)
     except LowerDimensionalError as exc:
         raise SumNotFullDimensionalError(
             f"Minkowski sum has dimension {exc.affine_dim} < {lattice.rank}"
         ) from exc
+    total = sum_from_cayley_rays(parts, rays)
     cert = is_reflexive(total)
     if not cert.is_reflexive:
         raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive")
-    return NefPartition(tuple(parts), total)
+    return NefPartition(tuple(parts), total, tuple(rays))
 
 
 def dual_nef_partition(np: NefPartition) -> DualNefPartition:
-    """The dual nef-partition, verified against both duality relations."""
-    lattice = np.lattice
-    dual_lattice = lattice.dual()
+    """The dual nef-partition, verified against both duality relations.
+
+    Part j holds the w of the rays ``(delta_j ; w)``: the sum being
+    reflexive, a ray has ``a >= 0`` integral with ``a_1 + ... + a_s = 1``.
+    """
     s = np.length
-    duals = []
-    for j in range(s):
-        halfspaces = []
-        for i, part in enumerate(np.parts):
-            offset = 1 if i == j else 0
-            for v in part.vertices:
-                normal = tuple(int(x) for x in v)
-                if any(x != 0 for x in normal):
-                    halfspaces.append((normal, offset))
-        verts = _vertices_from_facets(sorted(set(halfspaces)), lattice.rank)
-        duals.append(Polytope(dual_lattice, tuple(sorted(verts))))
+    groups = [[] for _ in range(s)]
+    for ray in np.cayley_rays:
+        if sorted(ray[:s]) != [0] * (s - 1) + [1]:
+            raise InternalError("dual Cayley ray off the unit slots")
+        groups[ray.index(1)].append(ray[s:])
+    if not all(groups):
+        raise InternalError("dual part without a vertex")
+    duals = [Polytope(np.lattice.dual(), tuple(group)) for group in groups]
 
     for j, nabla in enumerate(duals):
         if not nabla.is_lattice_polytope():

@@ -58,7 +58,8 @@ def affine_basis(points):
 
     Returns ``(x0, W)`` where ``W`` is an ``IntMatrix`` whose rows span the
     direction space; ``W`` is a saturated row HNF, so integer points of the
-    affine hull have integer coordinates over it.
+    affine hull have integer coordinates over it.  When the points span the
+    space W is the identity and x0 the origin: coordinates are ambient.
     """
     pts = [_exact_tuple(p) for p in points]
     x0 = pts[0]
@@ -69,7 +70,8 @@ def affine_basis(points):
             dir_rows.append(_scale_to_int(d))
     if not dir_rows:
         return x0, IntMatrix(())
-    return x0, saturation(IntMatrix(tuple(dir_rows)))
+    w = saturation(IntMatrix(tuple(dir_rows)))
+    return ((0,) * len(x0) if w.rows == len(x0) else x0), w
 
 
 def _affine_coords(points, x0, w: IntMatrix):
@@ -134,31 +136,14 @@ def hull_vertices(points):
     return tuple(sorted(_from_affine_coords(z, x0, w) for z in z_vertices))
 
 
-def facet_enumeration(vertices):
-    """Irredundant facets of a full-dimensional vertex set.
-
-    Raises ``LowerDimensionalError`` (carrying the affine hull dimension)
-    when the points do not span the ambient space.
-    """
-    pts = [_exact_tuple(p) for p in vertices]
-    if not pts:
-        raise InputError("empty vertex set")
-    dim = len(pts[0])
-    _, w = affine_basis(pts)
-    if w.rows < dim:
-        raise LowerDimensionalError(
-            f"polytope has affine dimension {w.rows} < {dim}", affine_dim=w.rows
-        )
-    return _facets_fulldim(pts)
-
-
 @dataclass(frozen=True)
 class Polytope:
-    """Rational polytope with exact vertex (and cached facet) data."""
+    """Rational polytope: exact vertices; affine hull and facets computed once."""
 
     lattice: LatticeEmbedding
     vertices: tuple
     _facets: list = field(default=None, compare=False, repr=False)
+    _hull: tuple = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_points(lattice: LatticeEmbedding, points) -> "Polytope":
@@ -171,35 +156,34 @@ class Polytope:
     def ambient_dim(self):
         return self.lattice.rank
 
+    def affine_hull(self):
+        """``(x0, W)`` of ``affine_basis`` on the vertices."""
+        if self._hull is None:
+            object.__setattr__(self, "_hull", affine_basis(self.vertices))
+        return self._hull
+
     def affine_dim(self):
-        _, w = affine_basis(self.vertices)
-        return w.rows
+        return self.affine_hull()[1].rows
 
     def is_full_dimensional(self):
         return self.affine_dim() == self.ambient_dim
 
     def facets(self):
-        """Facet list, computed at most once."""
+        """Facets over the coordinates z of the affine hull, ``p = x0 + z.W``
+        (the ambient ones when the polytope is full-dimensional)."""
         if self._facets is None:
-            object.__setattr__(self, "_facets", facet_enumeration(self.vertices))
+            x0, w = self.affine_hull()
+            object.__setattr__(
+                self, "_facets", _facets_fulldim(_to_affine_coords(self.vertices, x0, w))
+            )
         return self._facets
 
     def contains(self, point):
         """Exact membership test, valid in any dimension."""
-        p = _exact_tuple(point)
-        if self.is_full_dimensional():
-            return all(
-                sum(c * x for c, x in zip(normal, p)) >= -off for normal, off in self.facets()
-            )
-        x0, w = affine_basis(self.vertices)
-        z = _affine_coords([p], x0, w)[0]
-        if z is None:
-            return False
-        if w.rows == 0:
-            return True
-        zs = _to_affine_coords(self.vertices, x0, w)
-        facets = _facets_fulldim(zs)
-        return all(sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in facets)
+        z = _affine_coords([_exact_tuple(point)], *self.affine_hull())[0]
+        return z is not None and all(
+            sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in self.facets()
+        )
 
     def is_lattice_polytope(self):
         return all(all(x.denominator == 1 for x in v) for v in self.vertices)
@@ -264,18 +248,21 @@ def is_reflexive(p: Polytope) -> ReflexivityCertificate:
 def lattice_points(p: Polytope):
     """All lattice points of ``p``, sorted lexicographically.
 
-    Works for lower-dimensional polytopes by enumerating inside the affine
-    lattice of the hull.
+    Enumerates the integral z' = z - shift of the affine hull, shift the
+    coordinates of a lattice point on it, where a cached facet
+    ``<n, z> >= -off`` reads ``<n, z'> >= -floor(off + <n, shift>)``.
     """
     if len(p.vertices) == 1:
         v = p.vertices[0]
         return [tuple(int(x) for x in v)] if all(x.denominator == 1 for x in v) else []
-    x0, w = affine_basis(p.vertices)
+    x0, w = p.affine_hull()
     base = _integral_point_in_affine_hull(x0, w)
     if base is None:
         return []
-    zs = _to_affine_coords(list(p.vertices), base, w)
-    facets = _facets_fulldim(zs)
+    shift = _to_affine_coords([base], x0, w)[0]
+    zs = [tuple(map(sub, z, shift)) for z in _to_affine_coords(p.vertices, x0, w)]
+    facets = [(normal, floor(off + sum(c * x for c, x in zip(normal, shift))))
+              for normal, off in p.facets()]
     z_points = _enumerate_integer_points(zs, facets)
     result = [
         tuple(base[j] + sum(z[i] * w.data[i][j] for i in range(w.rows)) for j in range(len(base)))
@@ -340,28 +327,31 @@ def _integral_point_in_affine_hull(x0, w: IntMatrix):
 
 
 def _enumerate_integer_points(z_vertices, facets):
-    """Integer points of a full-dimensional polytope given vertices + facets.
+    """Integer points of a full-dimensional polytope given vertices + facets
+    with integral offsets.
 
     Depth-first over coordinates with per-facet suffix bounds derived from the
-    vertices; candidates are confirmed against the exact H-representation.
-    A partial sum ``pd`` over the first k + 1 coordinates can still be
+    vertices.  A partial sum ``pd`` over the first k + 1 coordinates can still be
     completed for a facet only while ``pd + max_v <normal, v>_{>k} >= -off``;
     with the vertices scaled by their common denominator ``den`` that reads
     ``pd >= bound[k]`` for the integer ``bound[k] = ceil(-off - max_v(...))``.
+    Depth k tests only the facets whose normal has a nonzero k-th entry: for
+    the others both the partial sum and the bound are those of depth k - 1.
+    The last depth that tests a facet has an empty suffix, so it tests the
+    facet exactly.
     """
     dim = len(z_vertices[0])
     lo = [ceil(min(v[j] for v in z_vertices)) for j in range(dim)]
     hi = [floor(max(v[j] for v in z_vertices)) for j in range(dim)]
     den = lcm(*(x.denominator for v in z_vertices for x in v))
     scaled = [[x.numerator * (den // x.denominator) for x in v] for v in z_vertices]
-    bounds = []
-    for normal, off in facets:
+    active = [[] for _ in range(dim)]  # per depth: (facet, entry, bound)
+    for f_idx, (normal, off) in enumerate(facets):
         suffix = [0] * len(scaled)
-        bound = [0] * dim
         for k in range(dim - 1, -1, -1):
-            bound[k] = -((den * off + max(suffix)) // den)
-            suffix = [t + normal[k] * v[k] for t, v in zip(suffix, scaled)]
-        bounds.append(bound)
+            if normal[k]:
+                active[k].append((f_idx, normal[k], -((den * off + max(suffix)) // den)))
+                suffix = [t + normal[k] * v[k] for t, v in zip(suffix, scaled)]
     out = []
     point = [0] * dim
 
@@ -370,36 +360,25 @@ def _enumerate_integer_points(z_vertices, facets):
             out.append(tuple(point))
             return
         for val in range(lo[k], hi[k] + 1):
-            point[k] = val
-            ok = True
-            new_partials = []
-            for f_idx, (normal, _off) in enumerate(facets):
-                pd = partials[f_idx] + normal[k] * val
-                if pd < bounds[f_idx][k]:
-                    ok = False
+            new_partials = partials[:]
+            for f_idx, c, bound in active[k]:
+                pd = partials[f_idx] + c * val
+                if pd < bound:
                     break
-                new_partials.append(pd)
-            if ok:
+                new_partials[f_idx] = pd
+            else:
+                point[k] = val
                 rec(k + 1, new_partials)
 
     rec(0, [0] * len(facets))
-    return [
-        z
-        for z in out
-        if all(sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in facets)
-    ]
+    return out
 
 
-def minkowski_sum(polys) -> Polytope:
-    """Minkowski sum of polytopes in one lattice, from their Cayley cone.
-
-    K, the cone over the slot points ``(delta_i ; v)`` with v a vertex of
-    P_i, has dimension s + dim(P_1 + ... + P_s).  An extreme ray ``(a ; w)``
-    of K-dual with w != 0 has ``a_i = -min_{P_i} <., w>`` for every i (a
-    larger a_i splits off the ray ``(delta_i ; 0)``), and its face of K is
-    the cone over Cayley(F_1, ..., F_s), F_i the face of P_i where w is
-    least, of dimension s + dim(F_1 + ... + F_s).  So these rays are the
-    facets ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, one each.
+def cayley_dual_rays(polys):
+    """The rays ``(a ; w)`` of K-dual, K the cone over the slot points
+    ``(delta_i ; v)``, v a vertex of P_i, of dimension s + dim(P_1 + ... +
+    P_s): one double description, which gives the sum and a nef-partition's
+    dual parts.  Raises ``LowerDimensionalError`` for a lower-dimensional sum.
     """
     lattice, s, d = polys[0].lattice, len(polys), polys[0].lattice.rank
     if any(p.lattice != lattice for p in polys):
@@ -411,8 +390,28 @@ def minkowski_sum(polys) -> Polytope:
         raise LowerDimensionalError(
             f"Minkowski sum has affine dimension {rank - s} < {d}", affine_dim=rank - s
         )
+    return extreme_rays(gens)
+
+
+def minkowski_sum(polys) -> Polytope:
+    """Minkowski sum of polytopes in one lattice, from ``cayley_dual_rays``,
+    the rays that also give ``nefpart.dual_nef_partition`` its parts."""
+    return sum_from_cayley_rays(polys, cayley_dual_rays(polys))
+
+
+def sum_from_cayley_rays(polys, rays) -> Polytope:
+    """The sum of the polytopes, from the rays of ``cayley_dual_rays(polys)``.
+
+    An extreme ray ``(a ; w)`` of K-dual with w != 0 has
+    ``a_i = -min_{P_i} <., w>`` for every i (a larger a_i splits off the ray
+    ``(delta_i ; 0)``), and its face of K is the cone over
+    Cayley(F_1, ..., F_s), F_i the face of P_i where w is least, of
+    dimension s + dim(F_1 + ... + F_s).  So these rays are the facets
+    ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, one each, kept on it.
+    """
+    s, d = len(polys), polys[0].lattice.rank
     facets = sorted(_split_offset(vprimitive(ray[s:] + (sum(ray[:s]),)))
-                    for ray in extreme_rays(gens) if any(ray[s:]))
-    total = Polytope(lattice, tuple(_vertices_from_facets(facets, d)))
+                    for ray in rays if any(ray[s:]))
+    total = Polytope(polys[0].lattice, tuple(_vertices_from_facets(facets, d)))
     object.__setattr__(total, "_facets", facets)
     return total

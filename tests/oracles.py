@@ -3,18 +3,22 @@ and helpers that only the tests use."""
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
+from pathlib import Path
 
 from doublemirror.bridge import make_decomposition
 from doublemirror.canned import product_projective
 from doublemirror.cones import verify_reflexive_gorenstein_data
 from doublemirror.dd import extreme_rays
-from doublemirror.errors import InputError
+from doublemirror.errors import InputError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
+from doublemirror.instances import loads, parse_instance
 from doublemirror.intmat import IntMatrix, vadd
 from doublemirror.lattices import LatticeEmbedding
-from doublemirror.laurent import LaurentPoly
-from doublemirror.polytope import Polytope, hull_vertices
+from doublemirror.laurent import LaurentPoly, TermTable
+from doublemirror.polytope import (
+    Polytope, _facets_fulldim, _vertices_from_facets, affine_basis, hull_vertices
+)
 
 
 def product_projective_lattice(n: int, t: int):
@@ -25,6 +29,83 @@ def product_projective_lattice(n: int, t: int):
     deg = lattice.to_coords(data["deg"])
     deg_dual = lattice.dual().to_coords(data["deg_dual"])
     return lattice, sorted(gens), deg, deg_dual
+
+
+def cone_inputs():
+    """``(label, lattice, generators, deg, deg_dual)`` of the cone inputs the
+    differential tests walk: the pp33 and pp53 goldens, then product-projective
+    (n, t) for 2 <= n <= 5 and 2 <= t <= 3."""
+    inputs = []
+    for name in ("pp33", "pp53"):
+        path = Path(__file__).parent / "golden" / f"{name}.json"
+        inst = parse_instance(loads(path.read_text(encoding="utf-8")))
+        inputs.append((f"golden-{name}", inst.lattice, inst.cone_generators,
+                       inst.cone_deg, inst.cone_deg_dual))
+    for n in range(2, 6):
+        for t in (2, 3):
+            inputs.append((f"pp{n}{t}", *product_projective_lattice(n, t)))
+    return inputs
+
+
+def projective_space_parts(sizes):
+    """The nef-partition conv(0, E_i) of P^n, n = sum(sizes) - 1, where
+    E_1, ..., E_s split the fan vertices e_1, ..., e_n, -(e_1 + ... + e_n)
+    into consecutive blocks of the given sizes."""
+    n = sum(sizes) - 1
+    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
+    lattice = LatticeEmbedding.full(n)
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(Polytope.from_points(lattice, [(0,) * n] + rays[start:start + size]))
+        start += size
+    return parts
+
+
+def box_scan_lattice_points(vertices):
+    """Lattice points of the hull of rational vertices, by scanning their
+    bounding box: a point is kept when it is an affine combination of the
+    vertices with weights >= 0 on some affinely independent subset
+    (Caratheodory), solved in ``Fraction`` arithmetic."""
+    verts = [tuple(Fraction(x) for x in v) for v in vertices]
+    k = rational_rank([tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]])
+    solvers = [_row_reducer([tuple(v[r] for v in simplex) for r in range(len(verts[0]))]
+                            + [(1,) * (k + 1)])
+               for simplex in itertools.combinations(verts, k + 1)]
+    solvers = [(t, rank) for t, rank in solvers if rank == k + 1]
+
+    def inside(x):
+        rhs = tuple(x) + (1,)
+        for t, rank in solvers:
+            b = [sum(a * c for a, c in zip(row, rhs)) for row in t]
+            if not any(b[rank:]) and min(b[:rank]) >= 0:
+                return True
+        return False
+
+    box = [range(ceil(min(v[j] for v in verts)), floor(max(v[j] for v in verts)) + 1)
+           for j in range(len(verts[0]))]
+    return [x for x in itertools.product(*box) if inside(x)]
+
+
+def _row_reducer(rows):
+    """``(T, rank)`` with ``T . A`` the reduced row echelon form of A, whose
+    pivots are the first ``rank`` columns when A has independent columns: then
+    ``A lam = b`` is solvable iff ``(T b)[rank:]`` is zero, and
+    ``lam = (T b)[:rank]``."""
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(len(rows))]
+         for i, row in enumerate(rows)]
+    cols = len(rows[0])
+    r = 0
+    for col in range(cols):
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [a / m[r][col] for a in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return [row[cols:] for row in m], r
 
 
 def mul_vec(a: IntMatrix, v):
@@ -85,7 +166,7 @@ def delta_regularity_probe(bridge, points, prime, side="e"):
     """Fraction of points where the logarithmic Jacobian has full rank s."""
     p = int(prime)
     equations = bridge.equations_e if side == "e" else bridge.equations_etilde
-    passes = sum(_log_jacobian(equations, x, p)[1] for x in points)
+    passes = sum(_log_jacobian(TermTable(equations), x, p)[1] for x in points)
     return Fraction(passes, len(points)) if points else None
 
 
@@ -122,6 +203,41 @@ def pairwise_minkowski_sum(polys):
         ]
         total = Polytope(total.lattice, hull_vertices(candidates))
     return total
+
+
+def facet_enumeration(vertices):
+    """Irredundant facets of a full-dimensional vertex set.
+
+    Raises ``LowerDimensionalError`` (carrying the affine hull dimension)
+    when the points do not span the ambient space.
+    """
+    pts = [tuple(Fraction(x) for x in p) for p in vertices]
+    if not pts:
+        raise InputError("empty vertex set")
+    _, w = affine_basis(pts)
+    if w.rows < len(pts[0]):
+        raise LowerDimensionalError(
+            f"polytope has affine dimension {w.rows} < {len(pts[0])}", affine_dim=w.rows
+        )
+    return _facets_fulldim(pts)
+
+
+def generator_hull(generators):
+    """The vertices of the slice S of a cone: the hull of its generators."""
+    return tuple(tuple(int(x) for x in v) for v in hull_vertices(generators))
+
+
+def halfspace_dual_parts(np_):
+    """Vertices of each dual part ``nabla_j = {y : <x, y> >= -delta_ij on part i}``,
+    one halfspace vertex enumeration per part."""
+    duals = []
+    for j in range(np_.length):
+        halfspaces = {
+            (tuple(int(x) for x in v), int(i == j))
+            for i, part in enumerate(np_.parts) for v in part.vertices if any(v)
+        }
+        duals.append(tuple(_vertices_from_facets(sorted(halfspaces), np_.lattice.rank)))
+    return duals
 
 
 def brute_force_point_tuples(groups, target):

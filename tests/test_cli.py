@@ -225,6 +225,22 @@ class TestSubcommands:
         assert result["evidence"]["samples_on_d"] == 5
 
 
+    def test_rank_one_torus_without_samples_warns_finite_d(self, tmp_path, capsys):
+        # (2,3) has torus rank 1: the one line is the whole torus, and its
+        # det A_1 has no root in F_p* at this seed
+        inst = write_instance(tmp_path, example_instance("product-projective", 2, 3))
+        code, out = run_cli(
+            ["pipeline", inst, "--samples", "20", "--prime", "10007", "--seed", "0"], capsys
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["bridge"]["torus_rank"] == 1
+        evidence = result["evidence"]
+        assert evidence["samples_on_d"] == 0
+        assert evidence["warnings"][0] == "D is finite (rank-one torus) and has no F_p*-point"
+        assert not any("dimension excess" in w for w in evidence["warnings"])
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, tmp_path, capsys):
         inst = write_instance(tmp_path, example_instance("product-projective", 3, 3))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from doublemirror import cones, nefpart
+from doublemirror import cones, nefpart, polytope
 from doublemirror.bridge import bridge_skeleton, enumerate_decompositions
 from doublemirror.canned import square_part, two_segment_parts
 from doublemirror.cones import (
@@ -23,12 +23,15 @@ from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, hull_vertices
 from oracles import (
     cone_contains,
+    cone_inputs,
+    generator_hull,
     greedy_independent_subset,
     product_projective_lattice,
     verify_reflexive_gorenstein,
 )
 
 Z2 = LatticeEmbedding.full(2)
+CONE_INPUTS = cone_inputs()
 
 
 def polys(lattice, vertex_lists):
@@ -164,16 +167,26 @@ class TestSliceVertices:
         for pair in pairs:
             assert pair.s_vertices() == slot_point_hull(pair)
 
+    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+                             ids=[c[0] for c in CONE_INPUTS])
+    def test_normalized_s_vertices_match_generator_hull(self, label, lattice, gens, deg, deg_dual):
+        # normalize_cone reads S off the rays of K-dual; the oracle hulls the generators
+        pair, info = normalize_cone(lattice, gens, deg, deg_dual)
+        expected = generator_hull(gens)
+        assert tuple(sorted(pair.point_to_root(v) for v in pair.s_vertices())) == expected
+        assert info["s_vertex_count"] == len(expected)
+
     def test_renormalization_takes_no_hull(self, projective_pairs, monkeypatch):
         pair, decs = projective_pairs[(5, 3)]
 
         def no_hull(points):
             raise AssertionError("hull_vertices called during renormalization")
 
-        monkeypatch.setattr(cones, "hull_vertices", no_hull)
+        monkeypatch.setattr(polytope, "hull_vertices", no_hull)
         skeleton = bridge_skeleton(pair, decs[1], decs[2])
         assert skeleton.pair.parts.lattice.rank == pair.d
-        # nefpart keeps no hull of its own to fall back on
+        # neither cones nor nefpart keeps a hull of its own to fall back on
+        assert not hasattr(cones, "hull_vertices")
         assert not hasattr(nefpart, "hull_vertices")
 
     def test_vertex_on_two_faces_rejected(self, two_segment_pair, monkeypatch):

@@ -16,7 +16,7 @@ from doublemirror.evidence import (
     fp_echelon,
     sample_determinantal_points,
 )
-from doublemirror.laurent import LaurentPoly, fp_roots
+from doublemirror.laurent import LaurentPoly, TermTable, fp_roots
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
@@ -232,38 +232,53 @@ class TestEvidence:
 
 class TestEvaluationCounts:
     def test_one_evaluation_per_block_and_one_pass_per_fiber_point(self, pp33_bridge, monkeypatch):
-        # each block is evaluated once at a D point, for the kernel dimensions
-        # and both fibers; each equation is evaluated once at a fiber point,
-        # for the exactness check and the log-Jacobian row together
-        entries = {id(poly) for block in pp33_bridge.matrices for row in block for poly in row}
-        equations = {id(eq) for eq in pp33_bridge.equations_e + pp33_bridge.equations_etilde}
-        calls = {"entry": 0, "equation": 0}
-        real_evaluate = LaurentPoly.evaluate
-        real_pass = LaurentPoly.value_and_log_gradient
+        # each block is evaluated by one table call at a D point, for the
+        # kernel dimensions and both fibers; each equation system by one table
+        # call at a fiber point, for the exactness check and the log-Jacobian
+        # rows together; no polynomial of either is evaluated on its own
+        blocks, systems = pp33_bridge.term_tables()
+        polys = {id(f) for block in pp33_bridge.matrices for row in block for f in row}
+        polys |= {id(eq) for eq in pp33_bridge.equations_e + pp33_bridge.equations_etilde}
+        calls = {"block": 0, "system": 0, "alone": 0}
+        real_values = TermTable.values
+        real_pass = TermTable.values_and_log_gradients
+        real_compiled = LaurentPoly._compiled
 
-        def count(poly):
-            if id(poly) in entries:
-                calls["entry"] += 1
-            if id(poly) in equations:
-                calls["equation"] += 1
+        def values(self, *args):
+            calls["block"] += any(self is t for t in blocks)
+            return real_values(self, *args)
 
-        def evaluate(self, *args):
-            count(self)
-            return real_evaluate(self, *args)
-
-        def value_and_log_gradient(self, *args):
-            count(self)
+        def values_and_log_gradients(self, *args):
+            calls["system"] += any(self is t for t in systems.values())
             return real_pass(self, *args)
 
-        monkeypatch.setattr(LaurentPoly, "evaluate", evaluate)
-        monkeypatch.setattr(LaurentPoly, "value_and_log_gradient", value_and_log_gradient)
+        def compiled(self):
+            calls["alone"] += id(self) in polys
+            return real_compiled(self)
+
+        monkeypatch.setattr(TermTable, "values", values)
+        monkeypatch.setattr(TermTable, "values_and_log_gradients", values_and_log_gradients)
+        monkeypatch.setattr(LaurentPoly, "_compiled", compiled)
         report = birationality_evidence(pp33_bridge, 20, P, 0)
         assert report.fiber_histogram_e == report.fiber_histogram_etilde == {"1": 20}
-        block_size = sum(len(row) for block in pp33_bridge.matrices for row in block)
-        assert calls["entry"] == 20 * block_size
-        assert calls["equation"] == 20 * (
-            len(pp33_bridge.equations_e) + len(pp33_bridge.equations_etilde)
+        assert calls == {"block": 20 * len(pp33_bridge.matrices), "system": 20 * 2, "alone": 0}
+
+    def test_replaced_equations_are_compiled_again(self, pp33_bridge):
+        # the crafted system of TestDeltaRegularity.test_duplicated_equation_fails,
+        # built after the original bridge compiled its tables: the fiber must
+        # be checked against the new equations, whose Jacobian is degenerate
+        import dataclasses
+
+        (sp,), _ = sample_determinantal_points(pp33_bridge, 1, P, 2)
+        assert fiber(pp33_bridge, sp.y, P, "e", sp.values)[1] == 1
+        eq1 = pp33_bridge.equations_e[0]
+        shifted = eq1.shift((1, 0, 0, 0))
+        crafted = dataclasses.replace(
+            pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
         )
+        assert crafted.term_tables() is not pp33_bridge.term_tables()
+        points, regular = fiber(crafted, sp.y, P, "e", sp.values)
+        assert len(points) == 1 and regular == 0
 
 
 class TestDeltaRegularity:

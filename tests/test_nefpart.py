@@ -18,9 +18,12 @@ from doublemirror.nefpart import (
     pairing_minima,
     validate_nef_partition,
 )
+from doublemirror.cones import normalize_cone
 from doublemirror.polytope import Polytope, dual_polytope, hull_vertices
+from oracles import cone_inputs, halfspace_dual_parts, projective_space_parts
 
 Z2 = LatticeEmbedding.full(2)
+CONE_INPUTS = cone_inputs()
 
 
 def two_segment_partition():
@@ -89,6 +92,21 @@ class TestDualPartition:
         hull1 = set(hull_vertices([v for p in double.parts for v in p.vertices]))
         hull2 = set(hull_vertices([v for p in np_.parts for v in p.vertices]))
         assert hull1 == hull2
+
+    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+                             ids=[c[0] for c in CONE_INPUTS])
+    def test_cone_inputs_match_halfspace_duals(self, label, lattice, gens, deg, deg_dual):
+        # the library groups the dual Cayley rays by slot; the oracle runs one
+        # halfspace vertex enumeration per part
+        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        dual = dual_nef_partition(pair.parts)
+        assert [p.vertices for p in dual.parts] == halfspace_dual_parts(pair.parts)
+
+    @pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
+    def test_projective_space_family_matches_halfspace_duals(self, sizes):
+        np_ = validate_nef_partition(projective_space_parts(sizes))
+        dual = dual_nef_partition(np_)
+        assert [p.vertices for p in dual.parts] == halfspace_dual_parts(np_)
 
     def test_dual_sum_vertex_outside_the_parts_rejected(self, monkeypatch):
         # dual(sum) of the two segments is the diamond conv{+-e1, +-e2}; a

@@ -11,19 +11,21 @@ from doublemirror.errors import (
     LowerDimensionalError,
     OriginNotInteriorError,
 )
+from doublemirror import polytope
 from doublemirror.cones import normalize_cone
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
     Polytope,
     dual_polytope,
-    facet_enumeration,
     hull_vertices,
     is_reflexive,
     lattice_points,
     minkowski_sum,
     point_tuples,
 )
-from oracles import brute_force_point_tuples, pairwise_minkowski_sum, product_projective_lattice
+from oracles import (
+    box_scan_lattice_points, brute_force_point_tuples, facet_enumeration, pairwise_minkowski_sum, product_projective_lattice
+)
 
 Z1 = LatticeEmbedding.full(1)
 Z2 = LatticeEmbedding.full(2)
@@ -209,6 +211,52 @@ class TestLatticePoints:
     def test_no_lattice_points(self):
         p = poly(Z2, [(Fraction(1, 3), 0), (Fraction(2, 3), 0)])
         assert lattice_points(p) == []
+
+
+def seeded_polytope_points(rng, kind):
+    """Points of a random polytope of the given kind: "full"-dimensional in
+    Z^2 or Z^3, "lower"-dimensional through a lattice point, or with
+    "rational" vertices on a lower-dimensional hull that holds lattice points
+    away from its first vertex."""
+    n = rng.randint(2, 3)
+    if kind == "full":
+        return [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n + 1 + rng.randint(0, 3))]
+    base = tuple(rng.randint(-2, 2) for _ in range(n))
+    dirs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+    if kind == "lower":
+        weights = [[rng.randint(-2, 2) for _ in dirs] for _ in range(rng.randint(2, 5))]
+    else:
+        weights = [[Fraction(rng.randint(-7, 7), rng.choice((2, 3))) for _ in dirs]
+                   for _ in range(rng.randint(2, 5))]
+    return [tuple(b + sum(c * d[j] for c, d in zip(w, dirs)) for j, b in enumerate(base))
+            for w in weights]
+
+
+class TestLatticePointsAgainstBoxScan:
+    @pytest.mark.parametrize("kind", ["full", "lower", "rational"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_polytopes(self, kind, seed):
+        rng = random.Random(f"{kind}-{seed}")
+        for _ in range(5):
+            pts = seeded_polytope_points(rng, kind)
+            p = Polytope.from_points(LatticeEmbedding.full(len(pts[0])), pts)
+            if kind == "full" and not p.is_full_dimensional():
+                continue
+            assert lattice_points(p) == box_scan_lattice_points(p.vertices)
+
+    def test_affine_basis_computed_once(self, monkeypatch):
+        calls = []
+        real = polytope.affine_basis
+        monkeypatch.setattr(polytope, "affine_basis", lambda pts: calls.append(pts) or real(pts))
+        for pts in (SQUARE, [(0, 0), (2, 2)], [(Fraction(1, 2), 0), (Fraction(5, 2), 2)]):
+            p = Polytope.from_points(Z2, pts)
+            calls.clear()
+            assert p.contains(p.vertices[0])
+            p.contains((1, 1))
+            p.is_full_dimensional()
+            p.facets()
+            lattice_points(p)
+            assert len(calls) == 1
 
 
 class TestPointTuples:
