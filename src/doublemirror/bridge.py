@@ -17,8 +17,6 @@ Everything symbolic here is exact; the sampling harness lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .cones import GorensteinConePair, build_cone, cone_to_nef_partition, in_dual_cone
 from .errors import (
     DecompositionError,
@@ -44,9 +42,10 @@ from .intmat import (
 )
 from .laurent import CoefficientAssignment, LaurentPoly, TermTable, det_cofactor
 from .polytope import point_tuples
+from .records import field, record
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Canonical form of ``deg_dual = sum (delta_i ; p_i)``."""
 
@@ -169,7 +168,7 @@ def build_auxiliary_lattice(dec: Decomposition, d: int):
     return basis, index, row_of
 
 
-@dataclass(frozen=True)
+@record
 class BridgeSkeleton:
     """The coefficient-free lattice data of one decomposition pair.
 
@@ -187,6 +186,7 @@ class BridgeSkeleton:
     entry_shifts: dict  # (block, row, column) -> Mbar' shift from g_ij to the entry
     ann_basis: IntMatrix  # rows: basis of {m : <m, q_i> = 0}, in M coords
     slice_supports: dict  # (i, j) -> slice points of g_ij
+    mbar_prime: dict  # slice point (a ; m) -> its Mbar' exponent (a ; m . B^T)
     gt_supports: tuple  # per slot j: slice points of g~_j
     partition_results: dict  # support partition identities, by report key
     ann_coords: dict  # Mbar' exponent of a matrix entry term -> Ann(e, e~) coords
@@ -216,9 +216,7 @@ class BridgeSkeleton:
             terms = {exp_of(v): coeffs.value(roots[v]) for v in points}
             return LaurentPoly.from_dict(nvars, terms, domain)
 
-        def mp(v):
-            return _mbar_to_mbarprime(v, s, self.n_prime_basis)
-
+        mp = self.mbar_prime.__getitem__
         slice_polys = {ij: poly(pts, mp, s + d) for ij, pts in self.slice_supports.items()}
         g_slot = [poly(pts, mp, s + d) for pts in pair.slice_points()]
         gt_polys = [poly(pts, mp, s + d) for pts in self.gt_supports]
@@ -309,7 +307,7 @@ class BridgeSkeleton:
         )
 
 
-@dataclass(frozen=True)
+@record
 class BridgeData:
     """One coefficient choice on a skeleton: what the sampling harness needs."""
 
@@ -323,8 +321,8 @@ class BridgeData:
     identity_results: dict
     warnings: tuple
     diag_witness: tuple  # per block: diagonal monomial coefficient nonzero?
-    # not an init field, so a bridge made by ``dataclasses.replace`` compiles its own
-    _tables: tuple = field(default=None, init=False, compare=False, repr=False)
+    # not an init field, so a bridge made by ``records.replace`` compiles its own
+    _tables: tuple = field(default=None, init=False, compare=False)
 
     @property
     def pair(self):
@@ -496,9 +494,10 @@ def bridge_skeleton(
         raise InternalError("Ann(e, e~) has unexpected rank")
     # saturation of Ann(e, e~) needs no check: det(stack_e) = +-1 below forces it
 
-    def mp(v):
-        return _mbar_to_mbarprime(v, s, n_prime_basis)
-
+    # each point of S is mapped to Mbar' once per pair, not once per coefficient choice
+    mbar_prime = {
+        v: _mbar_to_mbarprime(v, s, n_prime_basis) for slot in pair2.slice_points() for v in slot
+    }
     slice_supports, gt_supports, partition_results = _slice_supports(pair2, q, blocks)
     entry_shifts = {}
     for k, block in enumerate(blocks):
@@ -510,7 +509,7 @@ def bridge_skeleton(
                 entry_shifts[(k, pos_i, pos_j)] = shift
 
     # every exponent a matrix entry can carry, over a basis of Ann(e, e~)
-    ann_mp = IntMatrix(tuple(mp((0,) * s + tuple(row))[s:] for row in ann_basis.data))
+    ann_mp = IntMatrix(tuple(tuple(dot(m, b) for b in n_prime_basis.data) for m in ann_basis.data))
     ann_solver = RowSolver(ann_mp)
     ann_coords = {}
 
@@ -528,13 +527,13 @@ def bridge_skeleton(
 
     for (k, pos_i, pos_j), shift in entry_shifts.items():
         for v in slice_supports[(blocks[k][pos_i], blocks[k][pos_j])]:
-            to_ann_coords(vadd(mp(v), shift))
+            to_ann_coords(vadd(mbar_prime[v], shift))
     diag_exps = []
     for k, block in enumerate(blocks):
         exp = (0,) * dd_rank
         for pos, slot in enumerate(block):
             ident_pt = pair2.slot_point(slot, (0,) * d)
-            exp = vadd(exp, to_ann_coords(vadd(mp(ident_pt), entry_shifts[(k, pos, pos)])))
+            exp = vadd(exp, to_ann_coords(vadd(mbar_prime[ident_pt], entry_shifts[(k, pos, pos)])))
         diag_exps.append(exp)
 
     # lattice split checks: Ann(e)' = Ann(e,e~) (+) span(w) and its M-level L
@@ -576,6 +575,7 @@ def bridge_skeleton(
         entry_shifts=entry_shifts,
         ann_basis=ann_basis,
         slice_supports=slice_supports,
+        mbar_prime=mbar_prime,
         gt_supports=gt_supports,
         partition_results=partition_results,
         ann_coords=ann_coords,

@@ -23,8 +23,6 @@ vertices of S are the rays of K, read off the rays of K-dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .dd import extreme_rays
 from .errors import (
     DecompositionError,
@@ -44,9 +42,10 @@ from .intmat import (
 from .lattices import LatticeEmbedding
 from .nefpart import NefPartition, dual_nef_partition, pairing_minima, validate_nef_partition
 from .polytope import Polytope, dual_polytope, lattice_points, point_tuples
+from .records import field, record
 
 
-@dataclass(frozen=True)
+@record
 class GorensteinConePair:
     """Generators of K and K-dual with degree elements, in split coordinates."""
 
@@ -58,7 +57,7 @@ class GorensteinConePair:
     parts: NefPartition
     dual_parts: tuple  # DualNefPartition
     to_root: IntMatrix  # rows: images of Mbar basis vectors in root coordinates
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False)
 
     @property
     def s(self):

@@ -14,13 +14,13 @@ only, so memory does not grow with the fiber points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bridge import BridgeData
 from .errors import InputError, InternalError
 from .laurent import SplitMix64, fp_inv, fp_inverses, fp_monomial, fp_roots, is_prime
 from .nefpart import is_two_independent
+from .records import record
 
 MIN_PRIME = 101
 LINE_TRIES = 12
@@ -28,13 +28,13 @@ SUCCESS_WARN_RATIO = Fraction(1, 2)
 NON_GENERIC = "non_generic"
 
 
-@dataclass(frozen=True)
+@record
 class SamplePoint:
     y: tuple
     values: tuple  # every bridge matrix evaluated at y, in block order
 
 
-@dataclass(frozen=True)
+@record
 class EvidenceReport:
     prime: int
     seed: int

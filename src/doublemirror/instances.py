@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .canned import product_projective, square_part, two_segment_parts
@@ -27,6 +26,7 @@ from .lattices import LatticeEmbedding
 from .laurent import RATIONAL
 from .nefpart import validate_nef_partition
 from .polytope import Polytope, lattice_points, minkowski_sum, point_tuples
+from .records import record
 
 
 def _reject_float(_value):
@@ -84,14 +84,14 @@ def _as_fraction(value, context):
     raise InputError(f"{context}: expected an integer or 'num/den' string")
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientSpec:
     domain: object  # RATIONAL or prime int
     seed: int
     explicit: dict | None  # key tuple -> value
 
 
-@dataclass(frozen=True)
+@record
 class Instance:
     lattice: LatticeEmbedding
     kind: str  # "nef_partition" | "cone" | "polytope"

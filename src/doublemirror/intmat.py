@@ -15,11 +15,12 @@ everything lattice-valued (kernels, saturations, preimage lattices, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
+from .records import record
 
-@dataclass(frozen=True)
+
+@record
 class IntMatrix:
     """Immutable integer matrix stored as a tuple of row tuples."""
 

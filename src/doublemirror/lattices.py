@@ -17,13 +17,12 @@ that the pairing of basis coordinates is the standard dot product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .errors import InputError
 from .intmat import IntMatrix, RowSolver, kernel_basis
+from .records import field, record, replace
 
 
-@dataclass(frozen=True)
+@record
 class LatticeEmbedding:
     """A lattice presented inside an ambient Z^n, normalized to a basis."""
 
@@ -32,7 +31,7 @@ class LatticeEmbedding:
     defining: IntMatrix | None
     basis: IntMatrix | None  # None for "full": its coordinates are the ambient ones
     rank: int
-    _solver: RowSolver | None = field(default=None, compare=False, repr=False)
+    _solver: RowSolver | None = field(default=None, compare=False)
 
     @staticmethod
     def full(n: int) -> "LatticeEmbedding":

@@ -13,12 +13,12 @@ one integer each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
 
 from .errors import InputError
+from .records import field, record
 
 MASK64 = (1 << 64) - 1
 RATIONAL = "QQ"
@@ -218,9 +218,11 @@ class PackedResidues:
         return r
 
     def pow(self, base, e):
-        """``base**e`` by left-to-right square-and-multiply."""
-        result = 1
-        for bit in bin(e)[2:]:
+        """``base**e`` by left-to-right square-and-multiply from the leading bit."""
+        if e == 0:
+            return 1
+        result = base
+        for bit in bin(e)[3:]:
             result = self.mul(result, result)
             if bit == "1":
                 result = self.mul(result, base)
@@ -270,14 +272,14 @@ def _poly_gcd(a, b, p):
     return a
 
 
-@dataclass(frozen=True)
+@record
 class LaurentPoly:
     """Sparse Laurent polynomial over Q or F_p."""
 
     rank: int
     terms: tuple  # sorted tuple of (exponent tuple, coefficient)
     domain: object  # RATIONAL or a prime int
-    _table: object = field(default=None, compare=False, repr=False)
+    _table: object = field(default=None, compare=False)
 
     @staticmethod
     def from_dict(rank, mapping, domain):
@@ -498,7 +500,7 @@ def det_cofactor(matrix_rows, rank, domain):
     )
 
 
-@dataclass(frozen=True)
+@record
 class CoefficientAssignment:
     """One nonzero coefficient per lattice point of the degree-one slice S.
 

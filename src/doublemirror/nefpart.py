@@ -22,7 +22,6 @@ inclusion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .errors import (
     DegeneratePartError,
@@ -41,13 +40,14 @@ from .polytope import (
     is_reflexive,
     sum_from_cayley_rays,
 )
+from .records import field, record
 
 
-@dataclass(frozen=True)
+@record
 class NefPartition:
     parts: tuple
     sum: Polytope
-    cayley_rays: tuple = field(compare=False, repr=False)  # ``cayley_dual_rays(parts)``
+    cayley_rays: tuple = field(compare=False)  # ``cayley_dual_rays(parts)``
 
     @property
     def length(self):
@@ -58,7 +58,7 @@ class NefPartition:
         return self.parts[0].lattice
 
 
-@dataclass(frozen=True)
+@record
 class DualNefPartition:
     parts: tuple
 

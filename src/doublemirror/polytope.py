@@ -10,7 +10,6 @@ is no hull of vertex sums: its facets are the rays of the dual Cayley cone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import sub
@@ -28,6 +27,7 @@ from .intmat import (
     IntMatrix, RowSolver, forward_substitute, independent_rows, kernel_basis, saturation, vprimitive
 )
 from .lattices import LatticeEmbedding
+from .records import field, record
 
 
 def _exact(x):
@@ -136,14 +136,14 @@ def hull_vertices(points):
     return tuple(sorted(_from_affine_coords(z, x0, w) for z in z_vertices))
 
 
-@dataclass(frozen=True)
+@record
 class Polytope:
     """Rational polytope: exact vertices; affine hull and facets computed once."""
 
     lattice: LatticeEmbedding
     vertices: tuple
-    _facets: list = field(default=None, compare=False, repr=False)
-    _hull: tuple = field(default=None, compare=False, repr=False)
+    _facets: list = field(default=None, compare=False)
+    _hull: tuple = field(default=None, compare=False)
 
     @staticmethod
     def from_points(lattice: LatticeEmbedding, points) -> "Polytope":
@@ -199,7 +199,7 @@ class Polytope:
         )
 
 
-@dataclass(frozen=True)
+@record
 class ReflexivityCertificate:
     is_reflexive: bool
     dual_vertices: tuple | None

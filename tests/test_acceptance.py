@@ -347,7 +347,7 @@ def test_criterion_6_lattice_algebra_oracles():
 
 
 def test_criterion_7_delta_regularity():
-    import dataclasses
+    from doublemirror.records import replace
 
     prime = 10007
     lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
@@ -365,7 +365,7 @@ def test_criterion_7_delta_regularity():
 
     # crafted degenerate instance: equations proportional up to monomials
     eq1 = bridge.equations_e[0]
-    crafted = dataclasses.replace(
+    crafted = replace(
         bridge,
         equations_e=(eq1, eq1.shift((1, 0, 0, 0)), eq1.shift((0, 1, 0, 0))),
     )

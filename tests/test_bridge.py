@@ -246,6 +246,22 @@ class TestBridge:
         assert again.determinants == qq.determinants
         assert again.equations_etilde == qq.equations_etilde
 
+    def test_slice_points_mapped_once_per_pair(self, pp33, monkeypatch):
+        # a slice point's Mbar' exponent carries no coefficients: the skeleton
+        # converts each point once and neither field converts any again
+        import doublemirror.bridge as bridge_module
+
+        pair, decs = pp33
+        convert, calls = bridge_module._mbar_to_mbarprime, []
+        monkeypatch.setattr(
+            bridge_module, "_mbar_to_mbarprime", lambda v, *rest: calls.append(v) or convert(v, *rest)
+        )
+        skeleton = bridge_skeleton(pair, decs[1], decs[2])
+        assert len(calls) == len(set(calls)) == sum(len(slot) for slot in pair.slice_points())
+        for domain in (RATIONAL, 10007):
+            skeleton.instantiate(random_coefficients(pair, domain, 4))
+        assert len(calls) == len(set(calls))
+
     def test_pp33_identities(self, pp33):
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 11)

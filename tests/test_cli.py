@@ -579,8 +579,9 @@ class TestEntryPoint:
 
     def test_import_does_not_load_numpy(self):
         # start-up pays only for what a run needs: no test-only dependency,
-        # and no `traceback` (main names the failing line without it)
-        heavy = ("numpy", "sympy", "hypothesis", "traceback")
+        # no `traceback` (main names the failing line without it), and no
+        # `dataclasses` or the `inspect` it imports (records are declared without it)
+        heavy = ("numpy", "sympy", "hypothesis", "traceback", "dataclasses", "inspect")
         code = f"import sys, doublemirror.cli; print([m for m in {heavy!r} if m in sys.modules])"
         out = run_python(["-c", code])
         assert out.returncode == 0

@@ -146,10 +146,10 @@ class TestFiber:
     def test_rank_deficient_marks_non_generic(self, pp33_bridge):
         # kernel-dimension >= 2 must surface as the non-generic marker:
         # craft a bridge whose matrix vanishes identically at every point
-        import dataclasses
+        from doublemirror.records import replace
 
         zero = LaurentPoly.zero(pp33_bridge.torus_rank, P)
-        crafted = dataclasses.replace(
+        crafted = replace(
             pp33_bridge, matrices=(((zero, zero), (zero, zero)),)
         )
         assert fiber(crafted, (1, 1), P, side="e") == (NON_GENERIC, 0)
@@ -187,11 +187,11 @@ class TestEvidence:
         # the crafted system of TestDeltaRegularity.test_duplicated_equation_fails,
         # run end to end: its fiber points still satisfy every equation, but
         # the logarithmic Jacobian of the E side never has full rank
-        import dataclasses
+        from doublemirror.records import replace
 
         eq1 = pp33_bridge.equations_e[0]
         shifted = eq1.shift((1, 0, 0, 0))
-        crafted = dataclasses.replace(
+        crafted = replace(
             pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
         )
         report = birationality_evidence(crafted, 12, P, 0)
@@ -204,10 +204,10 @@ class TestEvidence:
     def test_non_generic_samples_in_report(self, pp33_bridge):
         # the crafted bridge of TestFiber.test_rank_deficient_marks_non_generic:
         # every sample has a two-dimensional kernel on both sides
-        import dataclasses
+        from doublemirror.records import replace
 
         zero = LaurentPoly.zero(pp33_bridge.torus_rank, P)
-        crafted = dataclasses.replace(
+        crafted = replace(
             pp33_bridge, matrices=(((zero, zero), (zero, zero)),)
         )
         report = birationality_evidence(crafted, 6, P, 0)
@@ -267,13 +267,13 @@ class TestEvaluationCounts:
         # the crafted system of TestDeltaRegularity.test_duplicated_equation_fails,
         # built after the original bridge compiled its tables: the fiber must
         # be checked against the new equations, whose Jacobian is degenerate
-        import dataclasses
+        from doublemirror.records import replace
 
         (sp,), _ = sample_determinantal_points(pp33_bridge, 1, P, 2)
         assert fiber(pp33_bridge, sp.y, P, "e", sp.values)[1] == 1
         eq1 = pp33_bridge.equations_e[0]
         shifted = eq1.shift((1, 0, 0, 0))
-        crafted = dataclasses.replace(
+        crafted = replace(
             pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
         )
         assert crafted.term_tables() is not pp33_bridge.term_tables()
@@ -293,12 +293,12 @@ class TestDeltaRegularity:
     def test_duplicated_equation_fails(self, pp33_bridge):
         # craft a system with f2 = X^delta f1: the logarithmic Jacobian rows
         # become proportional at common zeros, so the probe must report 0
-        import dataclasses
+        from doublemirror.records import replace
 
         d = pp33_bridge.pair.d
         eq1 = pp33_bridge.equations_e[0]
         shifted = eq1.shift((1, 0, 0, 0))
-        crafted = dataclasses.replace(
+        crafted = replace(
             pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
         )
         # common zeros of all three equations = zeros of eq1

@@ -126,6 +126,17 @@ class TestPackedResidues:
             for e in {0, 1, 2, (p - 1) // 2, p - 1, p, rng.randrange(p * p)}:
                 assert ring.unpack(ring.pow(ring.pack(a), e)) == poly_powmod(a, e, f, p)
 
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, 6, 5003, 65536, 1000002])
+    def test_pow_multiplications(self, e):
+        # the ladder starts at the base: a squaring per bit below the leading
+        # one and a product per set bit below it, and none at all for e = 0
+        ring = PackedResidues([3, 0, 2, 1], 10007)
+        mul, calls = ring.mul, []
+        ring.mul = lambda a, b: calls.append(1) or mul(a, b)
+        a = [5, 1, 7]
+        assert ring.unpack(ring.pow(ring.pack(a), e)) == poly_powmod(a, e, [3, 0, 2, 1], 10007)
+        assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+
 
 class TestSmallPrimes:
     # (p - 1)/2 is 0 at p = 2 and 1 at p = 3: t**(p-1) is w**2 * t and w**2
