@@ -18,7 +18,8 @@ Cones can also be entered directly as generator lists in any lattice
 presentation; ``normalize_cone`` finds a reference decomposition of the dual
 degree element and rewrites the cone in the split form above, recording the
 change of coordinates back to the input frame.  No hull is taken: the
-vertices of S are the rays of K, read off the rays of K-dual.
+vertices of S are the rays of K, read off the rays of K-dual, and those
+rays, mapped to the split frame, are the dual Cayley rays of the new parts.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     RowSolver,
+    adjugate,
     dot,
     independent_rows,
     kernel_basis,
@@ -290,7 +292,7 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     # the extreme rays of K-dual all lie at deg-height one: they are the
     # vertices of its slice T
     t_points = lattice_points(Polytope(lattice.dual(), tuple(rays)))
-    reference = _first_decomposition(t_points, deg_dual, s)
+    reference = next(point_tuples([t_points] * s, deg_dual), None)
     if reference is None:
         raise NotGorensteinError("deg_dual admits no decomposition into dual slice points")
     if len(set(reference)) != s:
@@ -328,9 +330,14 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
             verts.append(z)
         # an affine unimodular image of the vertices of the face S_i
         part_polys.append(Polytope(LatticeEmbedding.full(d), tuple(sorted(verts))))
-    np_new = validate_nef_partition(part_polys)
-    dual_np = dual_nef_partition(np_new)
     to_root = IntMatrix(tuple(list(section) + list(ann_basis.data)))
+    if adjugate(to_root)[0] not in (1, -1):
+        raise InternalError("section and annihilator basis do not form a lattice basis")
+    # K-dual in split coordinates: w_split = to_root . w_root, a unimodular
+    # map, so the rays stay primitive
+    split_rays = sorted(tuple(dot(row, w) for row in to_root.data) for w in rays)
+    np_new = validate_nef_partition(part_polys, split_rays)
+    dual_np = dual_nef_partition(np_new)
     pair = build_cone(np_new, dual_np, to_root=to_root)
     info = {
         "reference_decomposition": tuple(reference),
@@ -355,38 +362,3 @@ def _height_one_functional(vectors):
         return None
     return tuple(ker.data[0][-1] * x for x in ker.data[0][:-1])
 
-
-def _first_decomposition(points, target, s):
-    """Lexicographically first non-decreasing s-tuple of points summing to target."""
-    pts = sorted(set(points))
-    if not pts:
-        return None
-    n = len(target)
-    mins = [min(p[j] for p in pts) for j in range(n)]
-    maxs = [max(p[j] for p in pts) for j in range(n)]
-
-    result = None
-
-    def rec(start, chosen, partial):
-        nonlocal result
-        if result is not None:
-            return
-        k = len(chosen)
-        if k == s:
-            if partial == tuple(target):
-                result = tuple(chosen)
-            return
-        rest = s - k
-        for j in range(n):
-            need = target[j] - partial[j]
-            if need < rest * mins[j] or need > rest * maxs[j]:
-                return
-        for idx in range(start, len(pts)):
-            chosen.append(pts[idx])
-            rec(idx, chosen, vadd(partial, pts[idx]))
-            chosen.pop()
-            if result is not None:
-                return
-
-    rec(0, [], (0,) * n)
-    return result

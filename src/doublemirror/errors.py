@@ -51,7 +51,13 @@ class SumNotFullDimensionalError(NefPartitionError):
 
 
 class SumNotReflexiveError(NefPartitionError):
-    """The Minkowski sum of the parts is not a reflexive polytope."""
+    """The Minkowski sum of the parts is not a reflexive polytope; carries the
+    sum and the rays of the dual Cayley cone it was read from."""
+
+    def __init__(self, message, total, rays):
+        super().__init__(message)
+        self.total = total
+        self.rays = rays
 
 
 class DegeneratePartError(NefPartitionError):

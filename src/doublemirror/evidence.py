@@ -115,10 +115,13 @@ def _evaluate(bridge: BridgeData, k, y, p):
 def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     """Up to ``count`` torus points of D, deterministically from the seed.
 
-    Returns ``(samples, stats)``; each sample carries the block values at
-    its point.  A low success rate attaches a dimension-excess warning in
-    ``stats``.  On a rank-one torus every line is the whole torus, so D is
-    the finite root set of det A_1 and no sample means no F_p*-point.
+    Sample n draws lines from its own stream, seeded by ``seed ^ n``, until
+    one meets D; the run stops once it has drawn ``LINE_TRIES * count``
+    lines in all.  Returns ``(samples, stats)``; each sample carries the
+    block values at its point.  A low success rate attaches a
+    dimension-excess warning in ``stats``.  On a rank-one torus every line
+    is the whole torus, so D is the finite root set of det A_1 and no sample
+    means no F_p*-point.
     """
     p = int(prime)
     if p < MIN_PRIME or not is_prime(p):
@@ -137,7 +140,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     for n in range(count):
         rng = SplitMix64(seed ^ n)
         found = None
-        for _attempt in range(LINE_TRIES):
+        while found is None and stats["line_tries"] < LINE_TRIES * count:
             stats["line_tries"] += 1
             free = rng.below(dd)
             fixed = tuple(
@@ -163,9 +166,8 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
                     accepted.append((y, values))
             if accepted:
                 found = accepted[rng.below(len(accepted))]
-                break
         if found is None:
-            continue
+            break
         y, values = found
         values = (_evaluate(bridge, 0, y, p), *values)
         samples.append(SamplePoint(y=y, values=values))

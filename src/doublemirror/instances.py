@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from .canned import product_projective, square_part, two_segment_parts
 from .errors import InputError, SumNotReflexiveError
-from .intmat import IntMatrix, RowSolver
+from .intmat import IntMatrix, RowSolver, dot
 from .lattices import LatticeEmbedding
 from .laurent import RATIONAL
 from .nefpart import validate_nef_partition
-from .polytope import Polytope, lattice_points, minkowski_sum, point_tuples
+from .polytope import Polytope, lattice_points, point_tuples
 from .records import record
 
 
@@ -272,7 +272,10 @@ def build_partition(instance: Instance):
     every facet ``<x, w> >= -b`` of the sum, which fixes u.  Part i then
     moves by -q_i, where ``u = q_1 + ... + q_s`` with q_i a lattice point
     of part i: ``(u, 0, ..., 0)`` when part 1 holds u, else the first such
-    split in lexicographic order.
+    split in lexicographic order.  The translation is unimodular on the
+    Cayley cone: it sends each ray ``(a ; w)`` of the dual cone to
+    ``(a' ; w)`` with ``a'_i = a_i + <q_i, w>``, so the translated parts
+    reuse the double description of the sum.
 
     Returns ``(nef_partition, shift_note)``.
     """
@@ -282,8 +285,8 @@ def build_partition(instance: Instance):
     polys = [Polytope.from_points(lattice, pts) for pts in instance.parts]
     try:
         return validate_nef_partition(polys), None
-    except SumNotReflexiveError:
-        facets = minkowski_sum(polys).facets()
+    except SumNotReflexiveError as exc:
+        facets, rays = exc.total.facets(), exc.rays
         normals = IntMatrix(tuple(w for w, _ in facets))
         u = RowSolver(normals.transpose()).solve([1 - b for _, b in facets])
         if u is None:
@@ -297,7 +300,9 @@ def build_partition(instance: Instance):
                 raise
             note = "parts translated by " + ", ".join(_negated(q) for q in split)
     shifted = [p.translate(tuple(-x for x in q)) for p, q in zip(polys, split)]
-    return validate_nef_partition(shifted), note
+    s = len(split)
+    rays = sorted(tuple(a + dot(q, r[s:]) for a, q in zip(r, split)) + r[s:] for r in rays)
+    return validate_nef_partition(shifted, rays), note
 
 
 def _negated(vector):

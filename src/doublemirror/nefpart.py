@@ -67,8 +67,13 @@ class DualNefPartition:
         return self.parts[0].lattice
 
 
-def validate_nef_partition(parts) -> NefPartition:
-    """Check the nef-partition invariants, raising a distinct error per kind."""
+def validate_nef_partition(parts, rays=None) -> NefPartition:
+    """Check the nef-partition invariants, raising a distinct error per kind.
+
+    ``rays``, when given, are ``cayley_dual_rays(parts)`` from a caller that
+    has them already, e.g. mapped from another frame of the same cone;
+    otherwise one double description computes them here.
+    """
     if not parts:
         raise OriginMissingError("empty partition")
     lattice = parts[0].lattice
@@ -85,16 +90,17 @@ def validate_nef_partition(parts) -> NefPartition:
             raise DegeneratePartError(
                 f"part {idx + 1} is the single point 0, giving a zero degree summand"
             )
-    try:
-        rays = cayley_dual_rays(parts)
-    except LowerDimensionalError as exc:
-        raise SumNotFullDimensionalError(
-            f"Minkowski sum has dimension {exc.affine_dim} < {lattice.rank}"
-        ) from exc
+    if rays is None:
+        try:
+            rays = cayley_dual_rays(parts)
+        except LowerDimensionalError as exc:
+            raise SumNotFullDimensionalError(
+                f"Minkowski sum has dimension {exc.affine_dim} < {lattice.rank}"
+            ) from exc
     total = sum_from_cayley_rays(parts, rays)
     cert = is_reflexive(total)
     if not cert.is_reflexive:
-        raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive")
+        raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive", total, rays)
     return NefPartition(tuple(parts), total, tuple(rays))
 
 

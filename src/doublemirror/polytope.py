@@ -277,7 +277,12 @@ def point_tuples(groups, target):
     Depth-first over the groups, each sorted once.  A partial choice is
     kept only while the rest of the target lies in the box between the
     coordinate-wise least and greatest sums of the groups still to choose.
+    A group that is the same object as the group before it resumes from the
+    previous choice, so a run of one repeated group yields each multiset
+    once, as its non-decreasing tuple.
     """
+    groups = list(groups)
+    resume = [k > 0 and g is groups[k - 1] for k, g in enumerate(groups)]
     groups = [sorted(g) for g in groups]
     if not all(groups):
         return
@@ -290,23 +295,24 @@ def point_tuples(groups, target):
     hi.reverse()
     chosen = []
 
-    def rec(k, rest):
+    def rec(k, rest, start):
         if k == len(groups):
             if rest == zero:
                 yield tuple(chosen)
             return
         box = tuple(zip(lo[k + 1], hi[k + 1]))
-        for p in groups[k]:
-            left = tuple(map(sub, rest, p))
+        group = groups[k]
+        for idx in range(start if resume[k] else 0, len(group)):
+            left = tuple(map(sub, rest, group[idx]))
             for (a, b), x in zip(box, left):
                 if x < a or x > b:
                     break
             else:
-                chosen.append(p)
-                yield from rec(k + 1, left)
+                chosen.append(group[idx])
+                yield from rec(k + 1, left, idx)
                 chosen.pop()
 
-    yield from rec(0, tuple(target))
+    yield from rec(0, tuple(target), 0)
 
 
 def _integral_point_in_affine_hull(x0, w: IntMatrix):
@@ -391,12 +397,6 @@ def cayley_dual_rays(polys):
             f"Minkowski sum has affine dimension {rank - s} < {d}", affine_dim=rank - s
         )
     return extreme_rays(gens)
-
-
-def minkowski_sum(polys) -> Polytope:
-    """Minkowski sum of polytopes in one lattice, from ``cayley_dual_rays``,
-    the rays that also give ``nefpart.dual_nef_partition`` its parts."""
-    return sum_from_cayley_rays(polys, cayley_dual_rays(polys))
 
 
 def sum_from_cayley_rays(polys, rays) -> Polytope:

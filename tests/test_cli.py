@@ -12,6 +12,7 @@ import pytest
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, dumps, example_instance, loads, parse_instance
+from doublemirror.polytope import cayley_dual_rays
 from oracles import product_projective_lattice
 
 
@@ -408,10 +409,10 @@ class TestNoTraceback:
         real = instances.validate_nef_partition
         calls = []
 
-        def broken_after_the_first(parts):
+        def broken_after_the_first(parts, rays=None):
             calls.append(parts)
             if len(calls) == 1:
-                return real(parts)  # not reflexive: the translation search starts
+                return real(parts, rays)  # not reflexive: the translation search starts
             raise InternalError("candidate check broke")
 
         monkeypatch.setattr(instances, "validate_nef_partition", broken_after_the_first)
@@ -518,6 +519,7 @@ class TestShiftedPartitions:
                     data = {"lattice": lattice, "nef_partition": [shifted[k] for k in order]}
                     np_, note = build_partition(parse_instance(data))
                     assert np_.sum.vertices == base.sum.vertices
+                    assert list(np_.cayley_rays) == cayley_dual_rays(np_.parts)
                     if order[0] == i:
                         moved = ",".join(str(-x) for x in v)
                         assert note == f"partition translated by -({moved})"
@@ -532,9 +534,9 @@ class TestShiftedPartitions:
         real = instances.validate_nef_partition
         calls = []
 
-        def counted(parts):
+        def counted(parts, rays=None):
             calls.append(parts)
-            return real(parts)
+            return real(parts, rays)
 
         monkeypatch.setattr(instances, "validate_nef_partition", counted)
         rays = [[int(i == j) for j in range(7)] for i in range(7)] + [[-1] * 7]

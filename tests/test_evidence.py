@@ -10,6 +10,7 @@ from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone, normalize_cone
 from doublemirror.errors import InputError
 from doublemirror.evidence import (
+    LINE_TRIES,
     NON_GENERIC,
     birationality_evidence,
     fiber,
@@ -30,13 +31,17 @@ from oracles import (
 P = 10007
 
 
+def pipeline_bridge(n, t, prime, seed):
+    """The F_p bridge that ``pipeline`` builds for the pair (1, 2) of pp(n, t)."""
+    pair, _ = normalize_cone(*product_projective_lattice(n, t))
+    decs = enumerate_decompositions(pair)
+    coeffs = random_coefficients(pair, prime, seed)
+    return bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
+
+
 @pytest.fixture(scope="module")
 def pp33_bridge():
-    lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
-    pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
-    decs = enumerate_decompositions(pair)
-    coeffs = random_coefficients(pair, P, 0)
-    return bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
+    return pipeline_bridge(3, 3, P, 0)
 
 
 class TestFpLinearAlgebra:
@@ -75,6 +80,30 @@ class TestSampling:
         s1, _ = sample_determinantal_points(pp33_bridge, 10, P, 7)
         s2, _ = sample_determinantal_points(pp33_bridge, 10, P, 7)
         assert [sp.y for sp in s1] == [sp.y for sp in s2]
+
+    def test_a_sample_may_draw_more_than_line_tries_lines(self):
+        # at this prime and seed sample 30 meets D only on its 13th line;
+        # the run-wide budget of LINE_TRIES lines per sample still finds it
+        p, seed = 1000003, 210103
+        samples, stats = sample_determinantal_points(pipeline_bridge(3, 3, p, seed), 60, p, seed)
+        assert len(samples) == stats["found"] == 60
+        assert stats["line_tries"] <= LINE_TRIES * 60
+
+    def test_fewer_samples_are_a_prefix(self, pp33_bridge):
+        # each sample draws from its own stream, so asking for more samples
+        # leaves the first ones unchanged
+        many, _ = sample_determinantal_points(pp33_bridge, 60, P, 210103)
+        few, _ = sample_determinantal_points(pp33_bridge, 30, P, 210103)
+        assert many[:30] == few
+
+    def test_empty_d_spends_the_whole_budget(self):
+        # pp(2, 3) has torus rank 1 and, at this seed, det A_1 has no root in
+        # F_p*: every sample fails, and the run draws exactly the budget
+        bridge = pipeline_bridge(2, 3, P, 0)
+        assert bridge.torus_rank == 1
+        samples, stats = sample_determinantal_points(bridge, 20, P, 0)
+        assert samples == [] and stats["line_tries"] == LINE_TRIES * 20
+        assert stats["warnings"] == ["D is finite (rank-one torus) and has no F_p*-point"]
 
     def test_small_prime_rejected(self, pp33_bridge):
         with pytest.raises(InputError):

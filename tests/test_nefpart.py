@@ -1,6 +1,7 @@
 """Nef-partition validation, dual partitions, pairing minima."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +19,15 @@ from doublemirror.nefpart import (
     pairing_minima,
     validate_nef_partition,
 )
+from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
-from doublemirror.polytope import Polytope, dual_polytope, hull_vertices
+from doublemirror.instances import build_partition, loads, parse_instance
+from doublemirror.polytope import Polytope, cayley_dual_rays, dual_polytope, hull_vertices
 from oracles import cone_inputs, halfspace_dual_parts, projective_space_parts
 
 Z2 = LatticeEmbedding.full(2)
 CONE_INPUTS = cone_inputs()
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def two_segment_partition():
@@ -116,6 +120,46 @@ class TestDualPartition:
         monkeypatch.setattr(nefpart, "dual_polytope", lambda p: extra)
         with pytest.raises(InternalError, match="Conv of dual parts differs"):
             dual_nef_partition(np_)
+
+
+class TestOneDoubleDescriptionPerCone:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["cone", "pp53.json"], 0),
+            (["nefdual", "shifted-square.json"], 1),
+            (["nefdual", "shifted-two-segment.json"], 1),
+            (["nefdual", "square.json"], 1),
+        ],
+    )
+    def test_cayley_dual_rays_calls(self, argv, expected, monkeypatch, capsys):
+        # a cone instance maps the rays of its normalization; a shifted
+        # partition maps the rays of its first sum across the translation
+        real = nefpart.cayley_dual_rays
+        calls = []
+
+        def counted(parts):
+            calls.append(parts)
+            return real(parts)
+
+        monkeypatch.setattr(nefpart, "cayley_dual_rays", counted)
+        monkeypatch.chdir(GOLDEN)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+                             ids=[c[0] for c in CONE_INPUTS])
+    def test_cone_rays_mapped_to_the_split_frame(self, label, lattice, gens, deg, deg_dual):
+        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        assert list(pair.parts.cayley_rays) == cayley_dual_rays(pair.parts.parts)
+
+    @pytest.mark.parametrize("name", ["shifted-square", "shifted-two-segment"])
+    def test_rays_mapped_across_the_translation(self, name):
+        inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+        np_, note = build_partition(inst)
+        assert "translated" in note
+        assert list(np_.cayley_rays) == cayley_dual_rays(np_.parts)
 
 
 class TestPairingMinima:

@@ -16,12 +16,13 @@ from doublemirror.cones import normalize_cone
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
     Polytope,
+    cayley_dual_rays,
     dual_polytope,
     hull_vertices,
     is_reflexive,
     lattice_points,
-    minkowski_sum,
     point_tuples,
+    sum_from_cayley_rays,
 )
 from oracles import (
     box_scan_lattice_points, brute_force_point_tuples, facet_enumeration, pairwise_minkowski_sum, product_projective_lattice
@@ -286,6 +287,32 @@ class TestPointTuples:
             )
         assert unsolvable > 50 and outside > 20
 
+    def test_repeated_group_yields_non_decreasing_tuples(self):
+        # a group that is the same object as the one before it resumes from
+        # the previous choice, so a run of it gives each multiset once, sorted
+        rng = random.Random(1618)
+        unsolvable = 0
+        for _ in range(200):
+            dim, s = rng.randint(1, 3), rng.randint(2, 6)
+            pts = list(dict.fromkeys(
+                tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 6 - s // 2))
+            ))
+            head = [[tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 3))]]
+            head = head if rng.random() < 0.5 else []
+            groups = head + [pts] * s
+            if rng.random() < 0.5:
+                target = tuple(sum(xs) for xs in zip(*(rng.choice(g) for g in groups)))
+            else:
+                target = tuple(rng.randint(-2 * s, 2 * s) for _ in range(dim))
+            k = len(head)
+            expected = [
+                t for t in brute_force_point_tuples(groups, target)
+                if all(a <= b for a, b in zip(t[k:], t[k + 1:]))
+            ]
+            assert list(point_tuples(groups, target)) == expected
+            unsolvable += not expected
+        assert unsolvable >= 50
+
     def test_lexicographic_order(self):
         groups = [[(1,), (0,), (2,)], [(0,), (-1,), (1,)]]
         assert list(point_tuples(groups, (1,))) == [((0,), (1,)), ((1,), (0,)), ((2,), (-1,))]
@@ -298,18 +325,19 @@ class TestMinkowski:
     def test_cross_from_segments(self):
         a = poly(Z2, [(-1, 0), (1, 0)])
         b = poly(Z2, [(0, -1), (0, 1)])
-        s = minkowski_sum([a, b])
+        s = sum_from_cayley_rays([a, b], cayley_dual_rays([a, b]))
         assert s.vertex_set() == poly(Z2, SQUARE).vertex_set()
 
     def test_identity(self):
         p = poly(Z2, SIMPLEX)
         zero = poly(Z2, [(0, 0)])
-        assert minkowski_sum([p, zero]).vertex_set() == p.vertex_set()
+        total = sum_from_cayley_rays([p, zero], cayley_dual_rays([p, zero]))
+        assert total.vertex_set() == p.vertex_set()
 
     def test_grid_membership_oracle(self):
         p = poly(Z2, [(0, 0), (1, 0), (0, 1)])
         q = poly(Z2, [(0, 0), (1, 0)])
-        s = minkowski_sum([p, q])
+        s = sum_from_cayley_rays([p, q], cayley_dual_rays([p, q]))
         for x in itertools.product(range(-1, 4), repeat=2):
             in_sum = any(
                 p.contains((Fraction(x[0]) - b[0], Fraction(x[1]) - b[1]))
@@ -332,7 +360,7 @@ class TestMinkowski:
         a = poly(Z2, SQUARE)
         b = poly(Z1, SEGMENT)
         with pytest.raises(LatticeMismatchError):
-            minkowski_sum([a, b])
+            cayley_dual_rays([a, b])
 
 
 def _random_parts(rng, dim, count, den=1):
@@ -347,7 +375,7 @@ def _random_parts(rng, dim, count, den=1):
 
 
 def _assert_matches_oracle(parts):
-    total = minkowski_sum(parts)
+    total = sum_from_cayley_rays(parts, cayley_dual_rays(parts))
     expected = pairwise_minkowski_sum(parts)
     assert total.vertices == expected.vertices
     # the facets come preset from the Cayley cone; compare them with a fresh
@@ -392,5 +420,5 @@ class TestMinkowskiCayley:
         expected = pairwise_minkowski_sum(parts).affine_dim()
         assert expected <= k < dim
         with pytest.raises(LowerDimensionalError) as exc:
-            minkowski_sum(parts)
+            cayley_dual_rays(parts)
         assert exc.value.affine_dim == expected
