@@ -17,7 +17,7 @@ Everything symbolic here is exact; the sampling harness lives in
 
 from __future__ import annotations
 
-from .cones import GorensteinConePair, build_cone, cone_to_nef_partition, in_dual_cone
+from .cones import GorensteinConePair, in_dual_cone, renormalize
 from .errors import (
     DecompositionError,
     DegenerateCoefficientsError,
@@ -354,25 +354,6 @@ def random_coefficients(pair: GorensteinConePair, domain, seed) -> CoefficientAs
     return CoefficientAssignment.random(slice_root_keys(pair), domain, seed)
 
 
-def _renormalize(pair: GorensteinConePair, dec_e: Decomposition):
-    """Make dec_e the reference decomposition; returns the new pair."""
-    if dec_e.is_trivial():
-        return pair
-    s, d = pair.s, pair.d
-    np2 = cone_to_nef_partition(pair, dec_e.e_tilde())
-    # Phi2^{-1} : new split coords -> old split coords,
-    # (a ; m) |-> (a_i - <m, p_i> ; m)
-    rows = []
-    for i in range(s):
-        rows.append(tuple(1 if k == i else 0 for k in range(s)) + (0,) * d)
-    for j in range(d):
-        a_part = tuple(-dec_e.p[i][j] for i in range(s))
-        rows.append(a_part + tuple(1 if k == j else 0 for k in range(d)))
-    phi2_inv = IntMatrix(tuple(rows))
-    to_root2 = phi2_inv.mul(pair.to_root)
-    return build_cone(np2, to_root=to_root2)
-
-
 def solve_bridge_vectors(dec: Decomposition, n_prime_basis: IntMatrix, row_of, s, d):
     """The w and u vectors of the bridge, solved against the pairing tables.
 
@@ -451,7 +432,7 @@ def bridge_skeleton(
     pair: GorensteinConePair, dec_e: Decomposition, dec_etilde: Decomposition
 ) -> BridgeSkeleton:
     """The lattice data comparing two decompositions of deg_dual, all checked."""
-    pair2 = _renormalize(pair, dec_e)
+    pair2 = pair if dec_e.is_trivial() else renormalize(pair, dec_e.e_tilde())
     s, d = pair2.s, pair2.d
     q = tuple(vsub(b, a) for a, b in zip(dec_e.p, dec_etilde.p))
     dec_et2 = make_decomposition(q)

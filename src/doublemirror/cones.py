@@ -4,15 +4,20 @@ A nef-partition of length s in a rank-d lattice M gives a cone pair in
 ``Mbar = Z^s (+) M`` and its dual ``Nbar``:
 
 * ``K`` is generated by ``(delta_i ; v)`` over the vertices of the parts;
-* ``K-dual`` by ``(m_1j, ..., m_sj ; w_j)`` over the dual-sum vertices plus
-  the unit summands ``(delta_i ; 0)``;
+* ``K-dual`` by ``(m_1j, ..., m_sj ; w_j)`` over the dual-sum vertices,
+  which are the partition's Cayley rays with ``w != 0``, plus the unit
+  summands ``(delta_i ; 0)``;
 * ``deg = deg_dual = (1, ..., 1 ; 0)`` and the index is s.
+
+A pair therefore stores only the partition, its dual and a frame to the
+input coordinates; everything else is read off the partition.
 
 The degree-one slice S of K is the Cayley polytope of the parts: its face
 ``{a_i = 1}`` is ``delta_i x P_i``, so the generators of K are exactly the
 vertices of S, known without a hull.  A decomposition ``deg_dual = sum e~_i``
 partitions those vertices among the faces ``S~_i`` where ``<., e~_i> = 1``,
-and every conversion checks that partition exactly.
+and every conversion checks that partition exactly.  ``renormalize`` makes
+such a decomposition the reference by a unimodular change of frame.
 
 Cones can also be entered directly as generator lists in any lattice
 presentation; ``normalize_cone`` finds a reference decomposition of the dual
@@ -42,24 +47,27 @@ from .intmat import (
     vsub,
 )
 from .lattices import LatticeEmbedding
-from .nefpart import NefPartition, dual_nef_partition, pairing_minima, validate_nef_partition
-from .polytope import Polytope, dual_polytope, lattice_points, point_tuples
+from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
+from .polytope import Polytope, lattice_points, point_tuples
 from .records import field, record
 
 
 @record
 class GorensteinConePair:
-    """Generators of K and K-dual with degree elements, in split coordinates."""
+    """A nef-partition, its dual, and the frame from split to root coordinates.
 
-    k_generators: tuple
-    k_dual_generators: tuple
-    deg: tuple
-    deg_dual: tuple
-    index: int
+    K, K-dual and both degree elements are read off the partition: see the
+    module docstring.
+    """
+
     parts: NefPartition
     dual_parts: tuple  # DualNefPartition
     to_root: IntMatrix  # rows: images of Mbar basis vectors in root coordinates
     _cache: dict = field(default_factory=dict, compare=False)
+
+    @property
+    def index(self):
+        return self.parts.length
 
     @property
     def s(self):
@@ -67,7 +75,24 @@ class GorensteinConePair:
 
     @property
     def d(self):
-        return len(self.deg) - self.index
+        return self.parts.lattice.rank
+
+    @property
+    def deg(self):
+        return (1,) * self.s + (0,) * self.d
+
+    deg_dual = deg
+
+    @property
+    def k_generators(self):
+        """Generators of K, sorted: the vertices of S."""
+        return self.s_vertices()
+
+    @property
+    def k_dual_generators(self):
+        """Generators of K-dual, sorted: the Cayley rays plus the unit summands."""
+        units = (self.slot_point(i, (0,) * self.d) for i in range(self.s))
+        return tuple(sorted(set(self.parts.cayley_rays).union(units)))
 
     def point_to_root(self, v):
         return tuple(
@@ -119,62 +144,19 @@ class GorensteinConePair:
         return tuple(1 if k == i else 0 for k in range(self.s)) + tuple(m)
 
 
-def build_cone(
-    np: NefPartition,
-    dual_np=None,
-    to_root: IntMatrix | None = None,
-) -> GorensteinConePair:
+def build_cone(np: NefPartition, to_root: IntMatrix | None = None) -> GorensteinConePair:
     """Cone pair of a nef-partition whose sum has the origin interior."""
-    s = np.length
-    d = np.lattice.rank
-    if not np.sum.contains((0,) * d):
+    if not np.sum.contains((0,) * np.lattice.rank):
         raise InputError("partition sum must contain the origin")
-    if dual_np is None:
-        dual_np = dual_nef_partition(np)
-    gens = set()
-    for i, part in enumerate(np.parts):
-        for v in part.vertices:
-            gens.add(tuple(1 if k == i else 0 for k in range(s)) + tuple(int(x) for x in v))
-    k_generators = tuple(sorted(gens))
-    deg = (1,) * s + (0,) * d
-    deg_dual = (1,) * s + (0,) * d
-    k_dual_generators = dual_generators(np)
     if to_root is None:
-        to_root = IntMatrix.identity(s + d)
-    pair = GorensteinConePair(
-        k_generators=k_generators,
-        k_dual_generators=k_dual_generators,
-        deg=deg,
-        deg_dual=deg_dual,
-        index=s,
-        parts=np,
-        dual_parts=dual_np,
-        to_root=to_root,
+        to_root = IntMatrix.identity(np.length + np.lattice.rank)
+    pair = GorensteinConePair(np, dual_nef_partition(np), to_root)
+    ok, idx = verify_reflexive_gorenstein_data(
+        pair.k_generators, pair.k_dual_generators, pair.deg, pair.deg_dual
     )
-    ok, idx = verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_dual)
-    if not ok or idx != s:
+    if not ok or idx != pair.s:
         raise InternalError("constructed cone failed the reflexive Gorenstein check")
     return pair
-
-
-def dual_generators(np: NefPartition):
-    """Generators of the dual cone: minima rows over Ver(nabla) plus units."""
-    s = np.length
-    d = np.lattice.rank
-    nabla = dual_polytope(np.sum)
-    gens = set()
-    for w in nabla.vertices:
-        w_int = tuple(int(x) for x in w)
-        minima = pairing_minima(np, w_int)
-        gens.add(tuple(minima) + w_int)
-    for i in range(s):
-        gens.add(tuple(1 if k == i else 0 for k in range(s)) + (0,) * d)
-    result = tuple(sorted(gens))
-    deg = (1,) * s + (0,) * d
-    for g in result:
-        if dot(deg, g) != 1:
-            raise InternalError("dual generator off the degree-one hyperplane")
-    return result
 
 
 def verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_dual):
@@ -204,8 +186,8 @@ def in_dual_cone(pair: GorensteinConePair, y):
     return all(dot(g, y) >= 0 for g in pair.k_generators)
 
 
-def cone_to_nef_partition(pair: GorensteinConePair, e_tilde) -> NefPartition:
-    """Nef-partition of a decomposition ``deg_dual = sum e_tilde_i``.
+def renormalize(pair: GorensteinConePair, e_tilde) -> GorensteinConePair:
+    """The same cone pair with ``deg_dual = sum e_tilde_i`` as its reference.
 
     Slices ``S~_i``, where ``<., e~_i> = 1``, are faces of the degree-one
     slice S; the projection that forgets the first s coordinates identifies
@@ -214,9 +196,15 @@ def cone_to_nef_partition(pair: GorensteinConePair, e_tilde) -> NefPartition:
     ``<v, deg_dual> = 1``, so the faces partition the vertices of S.  Each
     new part is the projection of its share, and the union of the new parts'
     vertices is that of the old parts', so both have the same convex hull.
-    The partition and the nef-partition invariants are verified.
+
+    The rows of ``frame`` are the new basis vectors in the old split
+    coordinates: ``(e~_i[:s] ; 0)``, then ``(-sum_i p_ij e~_i[:s] ; unit_j)``
+    with ``p_i = e~_i[s:]``.  It is unimodular, so the rays of K-dual, mapped
+    through it, are the Cayley rays of the new parts, and no double
+    description is run.  The partition and the nef-partition invariants are
+    verified.
     """
-    s = pair.s
+    s, d = pair.s, pair.d
     e_tilde = [tuple(int(x) for x in e) for e in e_tilde]
     if len(e_tilde) != s:
         raise DecompositionError(f"expected {s} summands, got {len(e_tilde)}")
@@ -235,9 +223,19 @@ def cone_to_nef_partition(pair: GorensteinConePair, e_tilde) -> NefPartition:
     )
     if not all(faces):
         raise InternalError("slice face of a valid decomposition is empty")
-    return validate_nef_partition(
-        [Polytope(pair.parts.lattice, tuple(sorted(v[s:] for v in face))) for face in faces]
+    frame = IntMatrix(tuple(
+        [e[:s] + (0,) * d for e in e_tilde]
+        + [tuple(-sum(e[s + j] * e[k] for e in e_tilde) for k in range(s))
+           + tuple(int(k == j) for k in range(d)) for j in range(d)]
+    ))
+    if adjugate(frame)[0] not in (1, -1):
+        raise InternalError("decomposition summands do not give a lattice basis")
+    rays = sorted(tuple(dot(row, y) for row in frame.data) for y in pair.parts.cayley_rays)
+    np = validate_nef_partition(
+        [Polytope(pair.parts.lattice, tuple(sorted(v[s:] for v in face))) for face in faces],
+        rays,
     )
+    return build_cone(np, frame.mul(pair.to_root))
 
 
 def _split_by_faces(vertices, summands, message):
@@ -336,9 +334,7 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     # K-dual in split coordinates: w_split = to_root . w_root, a unimodular
     # map, so the rays stay primitive
     split_rays = sorted(tuple(dot(row, w) for row in to_root.data) for w in rays)
-    np_new = validate_nef_partition(part_polys, split_rays)
-    dual_np = dual_nef_partition(np_new)
-    pair = build_cone(np_new, dual_np, to_root=to_root)
+    pair = build_cone(validate_nef_partition(part_polys, split_rays), to_root)
     info = {
         "reference_decomposition": tuple(reference),
         "section": tuple(section),

@@ -192,24 +192,17 @@ def _parse_lattice(spec, rank) -> LatticeEmbedding:
     kind = spec.get("kind", "full")
     if kind == "full":
         lattice = LatticeEmbedding.full(rank)
-    elif kind == "kernel":
-        rows = spec.get("equations")
+    elif kind in ("kernel", "quotient"):
+        key, noun = ("equations", "equation") if kind == "kernel" else ("relations", "relation")
+        rows = spec.get(key)
         if not rows:
-            raise InputError("kernel lattice requires 'equations'")
-        rows = _as_list(rows, "lattice equations")
-        eqs = IntMatrix(tuple(_as_vector(r, "lattice equation") for r in rows))
-        if eqs.cols != rank:
-            raise InputError("equation rows must have length ambient_rank")
-        lattice = LatticeEmbedding.from_kernel(eqs)
-    elif kind == "quotient":
-        rows = spec.get("relations")
-        if not rows:
-            raise InputError("quotient lattice requires 'relations'")
-        rows = _as_list(rows, "lattice relations")
-        rels = IntMatrix(tuple(_as_vector(r, "lattice relation") for r in rows))
-        if rels.cols != rank:
-            raise InputError("relation rows must have length ambient_rank")
-        lattice = LatticeEmbedding.from_quotient(rels)
+            raise InputError(f"{kind} lattice requires {key!r}")
+        rows = tuple(_as_vector(r, f"lattice {noun}") for r in _as_list(rows, f"lattice {key}"))
+        # every row, not only the first: IntMatrix refuses ragged rows
+        if any(len(r) != rank for r in rows):
+            raise InputError(f"{noun} rows must have length ambient_rank")
+        build = LatticeEmbedding.from_kernel if kind == "kernel" else LatticeEmbedding.from_quotient
+        lattice = build(IntMatrix(rows))
     else:
         raise InputError(f"unknown lattice kind {kind!r}")
     if lattice.rank < 1:

@@ -16,8 +16,9 @@ from doublemirror.instances import loads, parse_instance
 from doublemirror.intmat import IntMatrix, vadd
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
+from doublemirror.nefpart import pairing_minima
 from doublemirror.polytope import (
-    Polytope, _facets_fulldim, _vertices_from_facets, affine_basis, hull_vertices
+    Polytope, _facets_fulldim, _vertices_from_facets, affine_basis, dual_polytope, hull_vertices
 )
 
 
@@ -238,6 +239,15 @@ def halfspace_dual_parts(np_):
         }
         duals.append(tuple(_vertices_from_facets(sorted(halfspaces), np_.lattice.rank)))
     return duals
+
+
+def minima_dual_generators(np_):
+    """Generators of K-dual from the dual of the sum: ``(m ; w)`` with m the
+    pairing minima at each vertex w of dual(sum), plus the unit summands."""
+    s, d = np_.length, np_.lattice.rank
+    gens = {tuple(pairing_minima(np_, w)) + tuple(w) for w in dual_polytope(np_.sum).vertices}
+    gens.update(tuple(int(k == i) for k in range(s)) + (0,) * d for i in range(s))
+    return tuple(sorted(gens))
 
 
 def brute_force_point_tuples(groups, target):

@@ -461,6 +461,16 @@ class TestNoTraceback:
         err = capsys.readouterr().err
         assert err == "error: the kernel lattice has rank 0; a positive rank is required\n"
 
+    @pytest.mark.parametrize("kind,key,noun", [("kernel", "equations", "equation"),
+                                                ("quotient", "relations", "relation")])
+    def test_ragged_lattice_rows_are_an_input_error(self, kind, key, noun, tmp_path, capsys):
+        # a full first row and an empty second one: every row is checked
+        data = {"lattice": {"ambient_rank": 3, "kind": kind, key: [[1, -1, 0], []]},
+                "polytope": [[0, 0, 0]]}
+        assert main(["dualize", write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {noun} rows must have length ambient_rank\n"
+
     def test_generator_off_the_kernel_lattice(self, tmp_path, capsys):
         data = {"lattice": {"ambient_rank": 3, "kind": "kernel", "equations": [[1, 1, 1]]},
                 "cone": {"generators": [[1, 0, 0]]}}

@@ -1,6 +1,8 @@
-"""Gorenstein cone pairs and decomposition-to-partition conversion."""
+"""Gorenstein cone pairs, their normalization and renormalization."""
 
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,28 +12,31 @@ from doublemirror.canned import square_part, two_segment_parts
 from doublemirror.cones import (
     GorensteinConePair,
     build_cone,
-    cone_to_nef_partition,
-    dual_generators,
     normalize_cone,
+    renormalize,
     verify_reflexive_gorenstein_data,
 )
 from doublemirror.dd import extreme_rays
 from doublemirror.errors import DecompositionError, InternalError
-from doublemirror.intmat import dot, independent_rows
+from doublemirror.instances import build_partition, loads, parse_instance
+from doublemirror.intmat import IntMatrix, dot, independent_rows
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope, hull_vertices
+from doublemirror.polytope import Polytope, cayley_dual_rays, hull_vertices
 from oracles import (
     cone_contains,
     cone_inputs,
     generator_hull,
     greedy_independent_subset,
+    minima_dual_generators,
     product_projective_lattice,
     verify_reflexive_gorenstein,
 )
 
 Z2 = LatticeEmbedding.full(2)
 CONE_INPUTS = cone_inputs()
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_PARTITIONS = ("square", "two-segment", "shifted-square", "shifted-two-segment")
 
 
 def polys(lattice, vertex_lists):
@@ -82,10 +87,22 @@ class TestBuildCone:
 
     def test_dual_generators_square(self):
         np_ = validate_nef_partition(polys(Z2, square_part()))
-        gens = dual_generators(np_)
+        gens = build_cone(np_).k_dual_generators
         assert (1, 0, 0) in gens
         # cross-polytope vertices at first coordinate one
         assert set(gens) == {(1, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)}
+
+    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+                             ids=[c[0] for c in CONE_INPUTS])
+    def test_k_dual_generators_of_normalized_cones(self, label, lattice, gens, deg, deg_dual):
+        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        assert pair.k_dual_generators == minima_dual_generators(pair.parts)
+
+    @pytest.mark.parametrize("name", GOLDEN_PARTITIONS)
+    def test_k_dual_generators_of_golden_partitions(self, name):
+        inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+        np_, _ = build_partition(inst)
+        assert build_cone(np_).k_dual_generators == minima_dual_generators(np_)
 
     def test_cross_generation(self, two_segment_pair):
         # the symmetric description (b ; sum b_i nabla_i) generates the same dual cone
@@ -122,21 +139,63 @@ class TestConeToNefPartition:
     def test_trivial_decomposition_identity(self, two_segment_pair):
         pair = two_segment_pair
         e = [(1, 0, 0, 0), (0, 1, 0, 0)]
-        np_new = cone_to_nef_partition(pair, e)
+        np_new = renormalize(pair, e).parts
         for old, new in zip(pair.parts.parts, np_new.parts):
             assert old.vertex_set() == new.vertex_set()
 
     def test_bad_sum_rejected(self, two_segment_pair):
         with pytest.raises(DecompositionError):
-            cone_to_nef_partition(two_segment_pair, [(1, 0, 0, 0), (1, 0, 0, 0)])
+            renormalize(two_segment_pair, [(1, 0, 0, 0), (1, 0, 0, 0)])
 
     def test_zero_summand_rejected(self, two_segment_pair):
         with pytest.raises(DecompositionError):
-            cone_to_nef_partition(two_segment_pair, [(1, 1, 0, 0), (0, 0, 0, 0)])
+            renormalize(two_segment_pair, [(1, 1, 0, 0), (0, 0, 0, 0)])
 
     def test_outside_cone_rejected(self, two_segment_pair):
         with pytest.raises(DecompositionError):
-            cone_to_nef_partition(two_segment_pair, [(2, 0, 3, 0), (-1, 1, -3, 0)])
+            renormalize(two_segment_pair, [(2, 0, 3, 0), (-1, 1, -3, 0)])
+
+
+def frame_rows(e_tilde, s, d):
+    """Test oracle: the new basis vectors of ``renormalize`` in the old split
+    coordinates, written out from the summands."""
+    rows = [tuple(e[:s]) + (0,) * d for e in e_tilde]
+    for j in range(d):
+        a = tuple(-sum(e[s + j] * e[k] for e in e_tilde) for k in range(s))
+        rows.append(a + tuple(int(k == j) for k in range(d)))
+    return rows
+
+
+RENORMALIZED = [(2, 2), (3, 3), (2, 3), (3, 2), (5, 3), "two-segment"]
+
+
+class TestRenormalize:
+    @pytest.mark.parametrize("case", RENORMALIZED, ids=str)
+    def test_mapped_rays_match_a_fresh_double_description(self, case):
+        # every decomposition in up to six summand orders, then a second
+        # renormalization from each result by every decomposition, mapped into
+        # the new frame: 220 renormalizations over the six cones
+        if case == "two-segment":
+            pair = build_cone(validate_nef_partition(polys(Z2, two_segment_parts())))
+        else:
+            pair, _ = normalize_cone(*product_projective_lattice(*case))
+        s, d = pair.s, pair.d
+        decs = [dec.e_tilde() for dec in enumerate_decompositions(pair)]
+        direct = [renormalize(pair, e).parts.parts for e in decs]
+        for e in decs:
+            for order in itertools.islice(itertools.permutations(range(s)), 6):
+                e_tilde = [e[i] for i in order]
+                new = renormalize(pair, e_tilde)
+                assert list(new.parts.cayley_rays) == cayley_dual_rays(new.parts.parts)
+                frame = frame_rows(e_tilde, s, d)
+                assert new.to_root == IntMatrix(tuple(frame)).mul(pair.to_root)
+                for other, parts in zip(decs, direct):
+                    mapped = [tuple(dot(r, y) for r in frame) for y in other]
+                    again = renormalize(new, mapped)
+                    assert list(again.parts.cayley_rays) == cayley_dual_rays(again.parts.parts)
+                    assert [p.vertex_set() for p in again.parts.parts] == [
+                        p.vertex_set() for p in parts
+                    ]
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +255,7 @@ class TestSliceVertices:
             GorensteinConePair, "s_vertices", lambda pair: vertices(pair) + ((1, 1, 0, 0),)
         )
         with pytest.raises(InternalError, match="Conv of the new parts differs"):
-            cone_to_nef_partition(two_segment_pair, [(1, 0, 0, 0), (0, 1, 0, 0)])
+            renormalize(two_segment_pair, [(1, 0, 0, 0), (0, 1, 0, 0)])
 
 
 class TestNormalizeCone:

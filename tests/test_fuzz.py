@@ -1,11 +1,15 @@
-"""Seeded mutation fuzzing of nef-partition instances through ``nefdual``.
+"""Mutation fuzzing of instance files.
 
-Each mutation perturbs the part vertices of a valid nef-partition, so that
-the sum stops being reflexive or full-dimensional or a part loses the
-origin.  Whatever comes out, the run must end with exit code 0 or 1 and one
-line: the report on success, the message otherwise.
+The seeded tests perturb the part vertices of a valid nef-partition, so
+that the sum stops being reflexive or full-dimensional or a part loses the
+origin, and run ``nefdual``.  The property test, which needs hypothesis,
+mutates the small golden instances at any JSON path and runs every command
+that reads an instance.  Whatever comes out, the run must end with exit code
+0 or 1 and one line: the report on success, the message otherwise.
 """
 
+import contextlib
+import io
 import json
 import random
 from pathlib import Path
@@ -101,3 +105,162 @@ def test_mutated_partitions_end_in_one_line(name, runs, tmp_path, capsys):
     assert any("not reflexive" in m for m in messages), messages
     assert any("does not contain the origin" in m for m in messages), messages
     assert any("Minkowski sum has dimension" in m for m in messages), messages
+
+
+# the small golden instances: cones over a kernel lattice, one with explicit
+# rational coefficients, partitions with and without a translation, and a
+# polytope
+FUZZED_INSTANCES = ("pp33", "pp33-rational", "square", "two-segment", "shifted-square", "triangle")
+FUZZED_COMMANDS = (["dualize"], ["nefdual"], ["cone"], ["decompose"], ["bridge"],
+                   ["verify", "--samples", "2"])
+# keys of the instance schema, so that an added key is often a meaningful one
+SCHEMA_KEYS = ("lattice", "ambient_rank", "kind", "equations", "relations", "nef_partition",
+               "polytope", "cone", "generators", "deg", "deg_dual", "coefficients", "field",
+               "prime", "seed", "values", "rational", "full", "kernel", "quotient")
+
+
+def _json_paths(node, path=()):
+    """Every path in a JSON document below the root, leaves before their parents."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+        yield path + (key,)
+
+
+def _json_values(st):
+    """Any JSON value: small and big integers, other types, vectors and nesting."""
+    small = st.integers(-3, 3)
+    big = st.sampled_from([2**31, -(2**63), 10**30, -(10**40) - 1])
+    vector = st.lists(st.one_of(small, big), max_size=5)
+    leaf = st.one_of(small, big, st.booleans(), st.none(), st.floats(), st.text(max_size=4),
+                     st.sampled_from(SCHEMA_KEYS + ("1/2", "0/0", "-7/3")))
+    return st.one_of(
+        leaf,
+        vector,
+        st.lists(vector, max_size=4),
+        st.lists(st.lists(vector, max_size=3), max_size=3),
+        st.dictionaries(st.sampled_from(SCHEMA_KEYS), st.one_of(leaf, vector), max_size=2),
+        st.recursive(leaf, lambda inner: st.lists(inner, max_size=2), max_leaves=6),
+    )
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _json_nudge(doc, data, st):
+    """Move one integer by a little, or scale it by a big factor."""
+    paths = [p for p in _json_paths(doc) if type(_node(doc, p)) is int]
+    if paths:
+        path = data.draw(st.sampled_from(paths))
+        step = data.draw(st.sampled_from([1, -1, 2, -2, 10**20]))
+        x = _node(doc, path)
+        _node(doc, path[:-1])[path[-1]] = x * step if step > 2 else x + step
+
+
+def _json_replace(doc, data, st):
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    _node(doc, path[:-1])[path[-1]] = data.draw(_json_values(st))
+
+
+def _json_copy(doc, data, st):
+    """Put a copy of one node in the place of another: same shapes, wrong places."""
+    paths = list(_json_paths(doc))
+    source, target = data.draw(st.sampled_from(paths)), data.draw(st.sampled_from(paths))
+    _node(doc, target[:-1])[target[-1]] = json.loads(json.dumps(_node(doc, source)))
+
+
+def _json_delete(doc, data, st):
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    del _node(doc, path[:-1])[path[-1]]
+
+
+def _json_insert(doc, data, st):
+    """Add a schema key to an object, or an element to a list."""
+    paths = [p for p in [()] + list(_json_paths(doc)) if isinstance(_node(doc, p), (dict, list))]
+    target = _node(doc, data.draw(st.sampled_from(paths)))
+    value = data.draw(_json_values(st))
+    if isinstance(target, dict):
+        target[data.draw(st.sampled_from(SCHEMA_KEYS))] = value
+    else:
+        target.insert(data.draw(st.integers(0, len(target))), value)
+
+
+def _json_relattice(doc, data, st):
+    """Make the lattice a kernel or a quotient, with equations or relations
+    whose rows have mostly the right length, sometimes ragged."""
+    lattice = doc.get("lattice")
+    rank = lattice.get("ambient_rank") if isinstance(lattice, dict) else None
+    if type(rank) is not int or not 0 <= rank <= 16:
+        return
+    length = st.sampled_from([rank, rank, rank, rank - 1, rank + 1, 0])
+    row = length.flatmap(lambda n: st.lists(st.integers(-2, 2), min_size=max(n, 0),
+                                            max_size=max(n, 0)))
+    # other kinds come from the mutations that replace a value
+    kind = lattice["kind"] = data.draw(st.sampled_from(["kernel", "quotient"]))
+    # mostly the key the kind reads
+    keys = ["equations", "relations"] if kind == "kernel" else ["relations", "equations"]
+    lattice[data.draw(st.sampled_from(keys))] = data.draw(st.lists(row, max_size=3))
+
+
+def _json_recoefficient(doc, data, st):
+    """Give the instance a coefficient spec: field, seed and values."""
+    spec = doc.setdefault("coefficients", {})
+    if not isinstance(spec, dict):
+        return
+    spec["field"] = data.draw(st.one_of(
+        st.just("rational"),
+        st.fixed_dictionaries({"prime": st.sampled_from([2, 3, 4, 101, 10007, 0, -5, 2**61 - 1])}),
+        _json_values(st),
+    ))
+    spec["seed"] = data.draw(st.one_of(st.integers(-(2**70), 2**70), _json_values(st)))
+    values = spec.get("values")
+    if isinstance(values, dict) and values:
+        key = data.draw(st.sampled_from(sorted(values)))
+        values[key] = data.draw(st.one_of(st.sampled_from(["0", "1/0", "x", "3/7"]),
+                                          _json_values(st)))
+    elif data.draw(st.booleans()):
+        spec["values"] = data.draw(st.dictionaries(
+            st.sampled_from(["0,0", "1,0", "0,0,1,0,0,0,0", "a"]), _json_values(st), max_size=2))
+
+
+# the mildest mutations first: hypothesis draws them most often and shrinks to them
+JSON_MUTATIONS = (_json_nudge, _json_relattice, _json_recoefficient, _json_replace, _json_copy,
+                  _json_delete, _json_insert)
+
+
+def test_mutated_golden_instances_end_in_one_line(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    originals = {name: (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+                 for name in FUZZED_INSTANCES}
+    path = tmp_path / "mutated.json"
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.data())
+    def check(data):
+        doc = json.loads(originals[data.draw(st.sampled_from(FUZZED_INSTANCES))])
+        for _ in range(data.draw(st.integers(1, 3))):
+            # all but an insertion need a path below the root
+            mutations = JSON_MUTATIONS if doc else (_json_insert,)
+            data.draw(st.sampled_from(mutations))(doc, data, st)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in FUZZED_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command[0], str(path)] + command[1:])
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1), (command, doc, err)
+            assert "internal error" not in err, (command, doc, err)
+            if code == 0:
+                assert len(out.splitlines()) == 1, (command, doc)
+            else:
+                assert out == "" and len(err.splitlines()) == 1, (command, doc, err)
+
+    check()

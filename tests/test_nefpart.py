@@ -130,11 +130,14 @@ class TestOneDoubleDescriptionPerCone:
             (["nefdual", "shifted-square.json"], 1),
             (["nefdual", "shifted-two-segment.json"], 1),
             (["nefdual", "square.json"], 1),
+            (["bridge", "pp33.json", "--pair", "2", "3"], 0),
+            (["bridge", "pp53.json", "--pair", "2", "3"], 0),
         ],
     )
     def test_cayley_dual_rays_calls(self, argv, expected, monkeypatch, capsys):
-        # a cone instance maps the rays of its normalization; a shifted
-        # partition maps the rays of its first sum across the translation
+        # a cone instance maps the rays of its normalization, and a
+        # renormalization maps them again; a shifted partition maps the rays
+        # of its first sum across the translation
         real = nefpart.cayley_dual_rays
         calls = []
 
