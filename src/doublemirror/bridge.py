@@ -32,8 +32,6 @@ from .intmat import (
     independent_rows,
     integral_preimage_lattice,
     kernel_basis,
-    reduce_mod_rows,
-    right_inverse,
     saturation,
     vadd,
     vneg,
@@ -135,9 +133,8 @@ def build_auxiliary_lattice(dec: Decomposition, d: int):
     rows form a basis of Z^d.  ``sat_index``, the index of W in ``sat``, is
     read off W's coordinates over ``sat`` and checked against the basis.
 
-    Any complement gives the same reports.  ``solve_bridge_vectors`` reduces
-    u and w modulo the kernel of its constraint matrix, which the complement
-    coordinates span, so u and w have complement coordinates 0.  Another
+    Any complement gives the same reports.  ``bridge_vectors`` reads u and w
+    off the W rows, so they have complement coordinates 0.  Another
     complement therefore moves each u_i and w_j by an element of Ann(e, e~)
     linear in its W coordinates: 0 for the leading u, -e_slot for the other
     u and +e_slot for w, adding up to 0 over a block.  Row i of A_k is
@@ -195,7 +192,6 @@ class BridgeSkeleton:
     stack_et_inv: IntMatrix
     l_coords: IntMatrix  # basis of L in w-combination coordinates
     lt_coords: IntMatrix
-    wt_primes: tuple  # w~'_j in Mbar with <w~'_j, e~_i> = delta_ij
 
     @property
     def torus_rank(self):
@@ -289,10 +285,8 @@ class BridgeSkeleton:
                 )
 
         equations_e = tuple(poly(pts, lambda v: v[s:], d) for pts in pair.slice_points())
-        equations_et = tuple(
-            poly(pts, lambda v, wt=wt: vsub(v, wt)[s:], d)
-            for pts, wt in zip(self.gt_supports, self.wt_primes)
-        )
+        # <v - (delta_j ; 0), e~_i> = 0 on the support of g~_j, so M exponents suffice
+        equations_et = tuple(poly(pts, lambda v: v[s:], d) for pts in self.gt_supports)
         return BridgeData(
             skeleton=self,
             coeffs=coeffs,
@@ -354,70 +348,35 @@ def random_coefficients(pair: GorensteinConePair, domain, seed) -> CoefficientAs
     return CoefficientAssignment.random(slice_root_keys(pair), domain, seed)
 
 
-def solve_bridge_vectors(dec: Decomposition, n_prime_basis: IntMatrix, row_of, s, d):
-    """The w and u vectors of the bridge, solved against the pairing tables.
+def bridge_vectors(dec: Decomposition, row_of, s, d):
+    """The w and u vectors of the bridge, read off the blocks.
 
-    Vectors are returned in Mbar' coordinates: ``(a ; m')`` where ``m'`` is
-    written over the dual basis of the N' rows, so pairing with
-    ``e = (delta ; 0)`` reads off ``a`` and pairing with
-    ``e~ = (delta ; p)`` adds ``<m', p-in-N'-coords>``.
+    Vectors are in Mbar' coordinates: ``(a ; m')`` with ``m'`` over the dual
+    basis of the N' rows, so pairing with ``e = (delta ; 0)`` reads off ``a``
+    and pairing with ``e~ = (delta ; p')`` adds ``<m', p'>``.  Over N' a
+    non-leading summand ``p'`` is the unit vector of its row and a leader's is
+    minus the sum of its block's others, so one unit vector meets each
+    pairing table; the complement coordinates are 0.
     """
-    blocks = dec.blocks
-    p_nprime = {}
-    for k, block in enumerate(blocks):
-        for pos, slot in enumerate(block):
-            if pos == 0:
-                coords = [0] * d
-                for other in block[1:]:
-                    coords[row_of[other]] -= 1
-                p_nprime[slot] = tuple(coords)
-            else:
-                p_nprime[slot] = tuple(
-                    1 if j == row_of[slot] else 0 for j in range(d)
-                )
-    constraint_rows = []
-    labels = []
-    for i in range(s):
-        constraint_rows.append(
-            tuple(1 if k == i else 0 for k in range(s)) + (0,) * d
-        )
-        labels.append(("e", i))
-    for i in range(s):
-        constraint_rows.append(
-            tuple(1 if k == i else 0 for k in range(s)) + p_nprime[i]
-        )
-        labels.append(("et", i))
-    cmat = IntMatrix(tuple(constraint_rows))
-    kernel = kernel_basis(cmat)
-    solver = RowSolver(cmat.transpose())
 
-    def solve(rhs):
-        x = solver.solve(rhs)
-        if x is None:
-            raise InternalError("bridge vector constraints have no integer solution")
-        return reduce_mod_rows(x, kernel)
+    def unit(r):
+        return tuple(1 if j == r else 0 for j in range(d))
 
-    w_vectors = {}
-    u_vectors = {}
-    for k, block in enumerate(blocks):
+    def delta(i):
+        return tuple(1 if k == i else 0 for k in range(s))
+
+    p_nprime, w_vectors, u_vectors = {}, {}, {}
+    for k, block in enumerate(dec.blocks):
         lead = block[0]
-        for pos, slot in enumerate(block):
-            if pos >= 1:
-                rhs = []
-                for kind, i in labels:
-                    if kind == "e":
-                        rhs.append(0)
-                    else:
-                        rhs.append(1 if i == slot else (-1 if i == lead else 0))
-                w_vectors[(k, pos)] = solve(tuple(rhs))
-            rhs = []
-            for kind, i in labels:
-                if kind == "e":
-                    rhs.append(1 if i == slot else 0)
-                else:
-                    rhs.append(1 if i == lead else 0)
-            u_vectors[(k, pos)] = solve(tuple(rhs))
-    return w_vectors, u_vectors, p_nprime, cmat
+        p_nprime[lead] = (0,) * d
+        u_vectors[(k, 0)] = delta(lead) + (0,) * d
+        for pos, slot in enumerate(block[1:], 1):
+            r = row_of[slot]
+            p_nprime[slot] = unit(r)
+            p_nprime[lead] = vsub(p_nprime[lead], unit(r))
+            w_vectors[(k, pos)] = (0,) * s + unit(r)
+            u_vectors[(k, pos)] = delta(slot) + vneg(unit(r))
+    return w_vectors, u_vectors, p_nprime
 
 
 def _mbar_to_mbarprime(v, s, n_prime_basis: IntMatrix):
@@ -439,16 +398,13 @@ def bridge_skeleton(
     for i, e in enumerate(dec_et2.e_tilde()):
         if not in_dual_cone(pair2, e):
             raise InternalError(f"transported summand {i + 1} left the dual cone")
-    wt_sections = right_inverse(IntMatrix(tuple(dec_et2.e_tilde())))
-    if wt_sections is None:
-        raise InternalError("e~ summands are not part of a basis")
 
     blocks = dec_et2.blocks
     r = dec_et2.r
     n_prime_basis, sat_index, row_of = build_auxiliary_lattice(dec_et2, d)
-    w_vectors, u_vectors, p_nprime, cmat = solve_bridge_vectors(
-        dec_et2, n_prime_basis, row_of, s, d
-    )
+    w_vectors, u_vectors, p_nprime = bridge_vectors(dec_et2, row_of, s, d)
+    if IntMatrix(tuple(p_nprime[i] for i in range(s))).mul(n_prime_basis).data != q:
+        raise InternalError("e~ summands misread over N'")
 
     # pairing tables, verified exactly
     e_rows = [tuple(1 if k == i else 0 for k in range(s)) + (0,) * d for i in range(s)]
@@ -565,7 +521,6 @@ def bridge_skeleton(
         stack_et_inv=stack_et_inv,
         l_coords=l_coords,
         lt_coords=lt_coords,
-        wt_primes=tuple(zip(*wt_sections.data)),
     )
 
 

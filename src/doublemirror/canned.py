@@ -12,6 +12,9 @@ import itertools
 
 from .errors import InputError
 
+# the family has n**t generators, all held in memory at once
+MAX_GENERATORS = 100_000
+
 
 def product_projective(n: int, t: int):
     """Kernel-presented lattice plus cone data for the (n, t) family.
@@ -21,6 +24,9 @@ def product_projective(n: int, t: int):
     """
     if n < 2 or t < 2:
         raise InputError("product-projective requires n >= 2 and t >= 2")
+    # n >= 2 gives n**t >= 2**t, so a long t is rejected before any power
+    if t >= MAX_GENERATORS.bit_length() or n**t > MAX_GENERATORS:
+        raise InputError(f"product-projective has n**t generators, at most {MAX_GENERATORS}")
     ambient = n * t
     equations = []
     for j in range(1, t):

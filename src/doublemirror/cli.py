@@ -30,7 +30,6 @@ from .instances import (
 )
 from .lattices import LatticeEmbedding
 from .laurent import RATIONAL, CoefficientAssignment, is_prime
-from .nefpart import pairing_minima
 from .polytope import Polytope, is_reflexive
 
 
@@ -193,11 +192,13 @@ def cmd_nefdual(args):
     pair, info = _pair_from_instance(instance)
     np_ = pair.parts
     dual = pair.dual_parts
+    # dual_nef_partition checked that the minima at a vertex w != 0 of
+    # nabla_j are delta_ij, and all minima at w = 0 are 0
     minima = {}
     for j, nabla in enumerate(dual.parts):
         for w in nabla.vertices:
             key = ",".join(str(int(x)) for x in w)
-            minima[key] = list(pairing_minima(np_, tuple(int(x) for x in w)))
+            minima[key] = [int(i == j and any(w)) for i in range(np_.length)]
     result = {
         "normalization": info,
         "parts": [_jsonable(p.vertices) for p in np_.parts],

@@ -223,18 +223,6 @@ class RowSolver:
         return tuple(sum(yi * row[j] for yi, row in zip(y, self._u)) for j in range(self._m))
 
 
-def right_inverse(rows: IntMatrix):
-    """Integer ``S`` with ``rows . S = I``, or None when none exists.
-
-    Column ``j`` of ``S`` solves ``S_j . rows^T = e_j``, all over one
-    factorization of ``rows^T``.
-    """
-    solver = RowSolver(rows.transpose())
-    k = rows.rows
-    cols = [solver.solve(tuple(int(i == j) for i in range(k))) for j in range(k)]
-    return None if None in cols else IntMatrix(tuple(zip(*cols)))
-
-
 def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
     """Basis of ``{c : c * num / den  is an integer vector}``.
 
@@ -253,16 +241,6 @@ def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
     rows = tuple(row[:k] for row in kernel_basis(stacked.transpose()).data)
     canon, _ = hnf(IntMatrix(rows), transform=False)
     return canon
-
-
-def reduce_mod_rows(x, basis: IntMatrix):
-    """Canonical representative of ``x`` modulo the row lattice of ``basis``.
-
-    ``basis`` must be in row HNF; each pivot coordinate of the result lies in
-    ``[0, pivot)``.
-    """
-    rows = [r for r in basis.data if any(r)]
-    return forward_substitute(rows, [next(j for j, v in enumerate(r) if v) for r in rows], x)[1]
 
 
 # -- small vector helpers used throughout the package ------------------------

@@ -323,10 +323,6 @@ class LaurentPoly:
         """Value over F_p at a torus point; ``invs`` are its coordinate inverses."""
         return self._compiled().values(point, invs)[0]
 
-    def value_and_log_gradient(self, point, invs=None):
-        """The value and the ``x_j d/dx_j`` values over F_p at a torus point."""
-        return self._compiled().values_and_log_gradients(point, invs)[0]
-
     def restrict_to_line(self, fixed, free_coord):
         """Univariate coefficients along ``x_free = t``, others fixed.
 

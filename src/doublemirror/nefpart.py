@@ -141,15 +141,6 @@ def dual_nef_partition(np: NefPartition) -> DualNefPartition:
     return DualNefPartition(tuple(duals))
 
 
-def pairing_minima(np: NefPartition, w):
-    """``m_i = -min over the vertices of part i of <x, w>``."""
-    w = tuple(w)
-    return tuple(
-        -min(sum(int(x) * y for x, y in zip(v, w)) for v in part.vertices)
-        for part in np.parts
-    )
-
-
 def is_two_independent(np: NefPartition):
     """Check 2-independence: no subset of n parts spanning dimension <= n.
 

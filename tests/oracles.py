@@ -16,7 +16,6 @@ from doublemirror.instances import loads, parse_instance
 from doublemirror.intmat import IntMatrix, vadd
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
-from doublemirror.nefpart import pairing_minima
 from doublemirror.polytope import (
     Polytope, _facets_fulldim, _vertices_from_facets, affine_basis, dual_polytope, hull_vertices
 )
@@ -239,6 +238,15 @@ def halfspace_dual_parts(np_):
         }
         duals.append(tuple(_vertices_from_facets(sorted(halfspaces), np_.lattice.rank)))
     return duals
+
+
+def pairing_minima(np_, w):
+    """``m_i = -min over the vertices of part i of <x, w>``."""
+    w = tuple(w)
+    return tuple(
+        -min(sum(int(x) * y for x, y in zip(v, w)) for v in part.vertices)
+        for part in np_.parts
+    )
 
 
 def minima_dual_generators(np_):

@@ -7,12 +7,12 @@ import pytest
 
 from doublemirror.bridge import (
     block_partition,
+    bridge_vectors,
     build_auxiliary_lattice,
     bridge_skeleton,
     enumerate_decompositions,
     make_decomposition,
     random_coefficients,
-    solve_bridge_vectors,
 )
 from doublemirror.canned import two_segment_parts
 from doublemirror.cli import main
@@ -30,6 +30,7 @@ from oracles import (
     max_minor_gcd,
     one_block_decomposition,
     product_projective_lattice,
+    projective_space_parts,
     rational_rank,
 )
 
@@ -188,34 +189,84 @@ class TestAuxiliaryLattice:
                 self.check_complement(w)
 
 
+@pytest.fixture(scope="module")
+def corpus():
+    """Pairs and decompositions of pp33, pp53 and P^5 (2,2,2)."""
+    pairs = [normalize_cone(*product_projective_lattice(n, 3))[0] for n in (3, 5)]
+    pairs.append(build_cone(validate_nef_partition(projective_space_parts((2, 2, 2)))))
+    return [(pair, enumerate_decompositions(pair)) for pair in pairs]
+
+
 class TestBridgeVectors:
-    def test_pairing_tables(self, pp33):
-        pair, decs = pp33
-        dec = make_decomposition(decs[1].p)
-        basis, _, row_of = build_auxiliary_lattice(dec, pair.d)
-        w, u, p_nprime, _ = solve_bridge_vectors(dec, basis, row_of, pair.s, pair.d)
-        s = pair.s
-        e_rows = [tuple(1 if k == i else 0 for k in range(s)) + (0,) * pair.d for i in range(s)]
+    @staticmethod
+    def check_pairing_tables(dec, s, d):
+        basis, _, row_of = build_auxiliary_lattice(dec, d)
+        w, u, p_nprime = bridge_vectors(dec, row_of, s, d)
+        k = len(row_of)
+        e_rows = [tuple(1 if j == i else 0 for j in range(s)) + (0,) * d for i in range(s)]
         et_rows = [e_rows[i][:s] + p_nprime[i] for i in range(s)]
-        for (k, pos), vec in w.items():
-            block = dec.blocks[k]
+        for i in range(s):
+            assert IntMatrix((p_nprime[i],)).mul(basis).data[0] == dec.p[i]
+        for vec in (*w.values(), *u.values()):
+            assert vec[s + k :] == (0,) * (d - k)
+        for (kk, pos), vec in w.items():
+            block = dec.blocks[kk]
             for i in range(s):
                 assert dot(vec, e_rows[i]) == 0
                 expected = 1 if i == block[pos] else (-1 if i == block[0] else 0)
                 assert dot(vec, et_rows[i]) == expected
-        for (k, pos), vec in u.items():
-            block = dec.blocks[k]
+        for (kk, pos), vec in u.items():
+            block = dec.blocks[kk]
             for i in range(s):
                 assert dot(vec, e_rows[i]) == (1 if i == block[pos] else 0)
                 assert dot(vec, et_rows[i]) == (1 if i == block[0] else 0)
+        assert set(u) == {(kk, pos) for kk, b in enumerate(dec.blocks) for pos in range(len(b))}
+        assert set(w) == {key for key in u if key[1] >= 1}
+
+    def test_pairing_tables(self, corpus):
+        # every (1, j) pair: the reference is trivial, so q is decomposition j
+        for pair, decs in corpus:
+            for dec in decs:
+                self.check_pairing_tables(dec, pair.s, pair.d)
+        # W of index 2 in its saturation
+        dec = make_decomposition([(2, 0), (-2, 0)])
+        assert build_auxiliary_lattice(dec, 2)[1] == 2
+        self.check_pairing_tables(dec, 2, 2)
 
     def test_trivial_decomposition_w_empty(self, two_segment_pair):
         decs = enumerate_decompositions(two_segment_pair)
         dec = decs[0]
-        basis, _, row_of = build_auxiliary_lattice(dec, two_segment_pair.d)
-        w, u, _, _ = solve_bridge_vectors(dec, basis, row_of, two_segment_pair.s, two_segment_pair.d)
+        _, _, row_of = build_auxiliary_lattice(dec, two_segment_pair.d)
+        w, u, _ = bridge_vectors(dec, row_of, two_segment_pair.s, two_segment_pair.d)
         assert w == {}
         assert set(u) == {(0, 0), (1, 0)}
+
+    def test_misread_summand_rejected(self, pp33, monkeypatch):
+        import doublemirror.bridge as bridge_mod
+        from doublemirror.errors import InternalError
+
+        real = bridge_mod.bridge_vectors
+
+        def wrong(dec, row_of, s, d):
+            w, u, p_nprime = real(dec, row_of, s, d)
+            slot = dec.blocks[0][0]
+            p_nprime[slot] = vadd(p_nprime[slot], (1,) + (0,) * (d - 1))
+            return w, u, p_nprime
+
+        pair, decs = pp33
+        monkeypatch.setattr(bridge_mod, "bridge_vectors", wrong)
+        with pytest.raises(InternalError, match="e~ summands misread"):
+            bridge_skeleton(pair, decs[0], decs[1])
+
+    def test_gt_supports_pair_to_delta(self, corpus):
+        # so the e~ equations need no shift: (delta_j ; 0) is a section of e~
+        for pair, decs in corpus:
+            for dec in decs:
+                skeleton = bridge_skeleton(pair, decs[0], dec)
+                e_tilde = skeleton.dec_etilde.e_tilde()
+                for j, support in enumerate(skeleton.gt_supports):
+                    for v in support:
+                        assert [dot(v, e) for e in e_tilde] == [int(i == j) for i in range(pair.s)]
 
 
 class TestBridge:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,25 @@ class TestExample:
     def test_bad_parameters(self, capsys):
         code, _ = run_cli(["example", "product-projective", "--n", "1", "--t", "3"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("n,t", [(2, 40), (10**9, 2), (2, 10**9)])
+    def test_too_many_generators_rejected(self, n, t, capsys):
+        # rejected before any generator list or large power is built
+        tracemalloc.start()
+        try:
+            code = main(["example", "product-projective", "--n", str(n), "--t", str(t)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "at most 100000" in captured.err
+        assert peak < 1 << 20
+
+    def test_family_under_the_bound_accepted(self, capsys):
+        code, out = run_cli(["example", "product-projective", "--n", "3", "--t", "10"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["cone"]["generators"]) == 3**10
 
 
 class TestFlagValidation:

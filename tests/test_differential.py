@@ -1,12 +1,11 @@
 """Differential tests against sympy on seeded random inputs.
 
-The integer linear algebra (adjugate, HNF, the HNF row solver and right
-inverses) is compared with sympy's implementations, and the saturation
-and preimage-lattice indices with sympy's Smith normal form; affine
-coordinates and lattice points of small
-rational polytopes are compared with exact sympy solves and a brute-force
-scan of the bounding box.  sympy is only a test dependency: without it the
-whole module is skipped.
+The integer linear algebra (adjugate, HNF and the HNF row solver) is
+compared with sympy's implementations, and the saturation and
+preimage-lattice indices with sympy's Smith normal form; affine
+coordinates and lattice points of small rational polytopes are compared
+with exact sympy solves and a brute-force scan of the bounding box.  sympy
+is only a test dependency: without it the whole module is skipped.
 """
 
 import itertools
@@ -29,7 +28,6 @@ from doublemirror.intmat import (  # noqa: E402
     hnf,
     integral_preimage_lattice,
     kernel_basis,
-    right_inverse,
 )
 from doublemirror.lattices import LatticeEmbedding  # noqa: E402
 from doublemirror.polytope import (  # noqa: E402
@@ -205,21 +203,6 @@ def test_row_solver_matches_lattice_membership(seed):
                 assert z is None
     # b outside the rational span is among the cases
     assert outside
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_right_inverse(seed):
-    rng = random.Random(3400 + seed)
-    for _ in range(25):
-        n = rng.randint(1, 6)
-        rows = random_matrix(rng, rng.randint(1, n), n, bound=rng.choice([2, 6]))
-        factors = invariant_factors(to_sympy(rows), domain=sympy.ZZ)
-        unimodular = rank_of(rows) == rows.rows and all(abs(int(x)) == 1 for x in factors)
-        s = right_inverse(rows)
-        if not unimodular:
-            assert s is None
-            continue
-        assert rows.mul(s) == IntMatrix.identity(rows.rows)
 
 
 def random_rational_polytope(rng):

@@ -11,7 +11,6 @@ from doublemirror.intmat import (
     independent_rows,
     integral_preimage_lattice,
     kernel_basis,
-    reduce_mod_rows,
     saturation,
     vprimitive,
 )
@@ -212,13 +211,6 @@ class TestHelpers:
     def test_primitive(self):
         assert vprimitive((4, -6, 2)) == (2, -3, 1)
         assert vprimitive((0, 0)) == (0, 0)
-
-    def test_reduce_mod_rows(self):
-        basis = IntMatrix(((1, 1), (0, 2)))
-        reduced = reduce_mod_rows((5, 7), basis)
-        assert reduced == (0, 0)
-        reduced = reduce_mod_rows((5, 8), basis)
-        assert reduced == (0, 1)
 
     def test_integral_preimage(self):
         # {c : c * [[1,0],[0,1]] / 2 integral} = 2 Z^2

@@ -12,6 +12,7 @@ from doublemirror.laurent import (
     CoefficientAssignment,
     LaurentPoly,
     SplitMix64,
+    TermTable,
     det_cofactor,
     fp_inv,
     is_prime,
@@ -111,7 +112,7 @@ class TestLaurentPoly:
         f = LaurentPoly.from_dict(2, {(2, -1): 1}, p)
         x, y = 4, 7
         expected = 2 * pow(x, 2, p) * fp_inv(y, p) % p
-        value, row = f.value_and_log_gradient((x, y))
+        value, row = TermTable((f,)).values_and_log_gradients((x, y))[0]
         assert value == f.evaluate((x, y))
         assert row == [expected, -expected * fp_inv(2, p) % p]
 
@@ -125,7 +126,7 @@ class TestLaurentPoly:
             }
             f = LaurentPoly.from_dict(3, terms, p)
             x = tuple(rng.randrange(1, p) for _ in range(3))
-            value, row = f.value_and_log_gradient(x)
+            value, row = TermTable((f,)).values_and_log_gradients(x)[0]
             assert row == fp_log_gradient(f, x, p)
             assert value == f.evaluate(x) == fp_evaluate(f, x, p)
 
@@ -158,14 +159,14 @@ class TestLaurentPoly:
         p = 10007
         f = LaurentPoly.from_dict(0, {(): 5}, p)
         assert f.evaluate(()) == 5
-        assert f.value_and_log_gradient(()) == (5, [])
+        assert TermTable((f,)).values_and_log_gradients(())[0] == (5, [])
         assert LaurentPoly.zero(0, p).evaluate(()) == 0
 
     def test_zero_polynomial(self):
         p = 101
         f = LaurentPoly.zero(3, p)
         assert f.evaluate((2, 3, 4)) == 0
-        assert f.value_and_log_gradient((2, 3, 4)) == (0, [0, 0, 0])
+        assert TermTable((f,)).values_and_log_gradients((2, 3, 4))[0] == (0, [0, 0, 0])
         assert f.restrict_to_line((2, None, 4), 1) == (0, [])
 
     def test_unused_free_coordinate(self):
@@ -173,7 +174,7 @@ class TestLaurentPoly:
         # x_1 occurs in no term: the line restriction is a constant
         f = LaurentPoly.from_dict(3, {(1, 0, -2): 3, (-1, 0, 1): 7}, p)
         x = (5, 9, 11)
-        value, row = f.value_and_log_gradient(x)
+        value, row = TermTable((f,)).values_and_log_gradients(x)[0]
         assert row[1] == 0
         assert f.restrict_to_line(x, 1) == (0, [value])
 
@@ -182,10 +183,12 @@ class TestLaurentPoly:
         rng = random.Random(5)
         f = random_poly(rng, 3, p, max_terms=8)
         points = [tuple(rng.randrange(1, p) for _ in range(3)) for _ in range(4)]
+        table = TermTable((f,))
         for _ in range(2):
             for x in points:
                 assert f.evaluate(x) == fp_evaluate(f, x, p)
-                assert f.value_and_log_gradient(x) == (fp_evaluate(f, x, p), fp_log_gradient(f, x, p))
+                expected = (fp_evaluate(f, x, p), fp_log_gradient(f, x, p))
+                assert table.values_and_log_gradients(x)[0] == expected
 
     def test_compiled_table_keeps_equality_and_hash(self):
         p = 101

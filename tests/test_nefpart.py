@@ -1,5 +1,6 @@
 """Nef-partition validation, dual partitions, pairing minima."""
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,14 +17,13 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import (
     dual_nef_partition,
     is_two_independent,
-    pairing_minima,
     validate_nef_partition,
 )
-from doublemirror.cli import main
+from doublemirror.cli import _pair_from_instance, main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, loads, parse_instance
 from doublemirror.polytope import Polytope, cayley_dual_rays, dual_polytope, hull_vertices
-from oracles import cone_inputs, halfspace_dual_parts, projective_space_parts
+from oracles import cone_inputs, halfspace_dual_parts, pairing_minima, projective_space_parts
 
 Z2 = LatticeEmbedding.full(2)
 CONE_INPUTS = cone_inputs()
@@ -183,6 +183,34 @@ class TestPairingMinima:
                     continue
                 minima = pairing_minima(np_, tuple(int(x) for x in w))
                 assert minima == tuple(1 if i == j else 0 for i in range(np_.length))
+
+
+    @pytest.mark.parametrize(
+        "name",
+        ["pp33", "pp53", "square", "two-segment", "shifted-square", "shifted-two-segment", "P5"],
+    )
+    def test_nefdual_report_matches_oracle(self, name, tmp_path, capsys):
+        # nefdual reads the minima off the slot of each dual vertex; the
+        # oracle minimizes over the vertices of the parts
+        if name == "P5":
+            parts = projective_space_parts((2, 2, 2))
+            data = {
+                "lattice": {"ambient_rank": 5, "kind": "full"},
+                "nef_partition": [[[int(x) for x in v] for v in p.vertices] for p in parts],
+            }
+            path = tmp_path / "p5.json"
+            path.write_text(json.dumps(data), encoding="utf-8")
+        else:
+            path = GOLDEN / f"{name}.json"
+        assert main(["nefdual", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        inst = parse_instance(loads(path.read_text(encoding="utf-8")))
+        np_ = _pair_from_instance(inst)[0].parts
+        minima = result["pairing_minima_at_dual_vertices"]
+        vertices = {tuple(w) for part in result["dual_parts"] for w in part}
+        assert {tuple(int(x) for x in key.split(",")) for key in minima} == vertices
+        for w in vertices:
+            assert minima[",".join(map(str, w))] == list(pairing_minima(np_, w))
 
 
 class TestTwoIndependence:
