@@ -30,7 +30,6 @@ from .intmat import (
     dot,
     hnf,
     independent_rows,
-    integral_preimage_lattice,
     kernel_basis,
     saturation,
     vadd,
@@ -49,12 +48,18 @@ class Decomposition:
 
     p: tuple
     blocks: tuple
-    r: int
-    block_sizes: tuple
 
     @property
     def s(self):
         return len(self.p)
+
+    @property
+    def r(self):
+        return len(self.blocks)
+
+    @property
+    def block_sizes(self):
+        return tuple(len(b) for b in self.blocks)
 
     def is_trivial(self):
         return all(all(x == 0 for x in pi) for pi in self.p)
@@ -101,12 +106,7 @@ def make_decomposition(p_vectors) -> Decomposition:
     for block in blocks:
         if len(independent_rows([p_vectors[i] for i in block], len(block))) != len(block) - 1:
             raise InternalError("block span does not have rank n_k - 1")
-    return Decomposition(
-        p=p_vectors,
-        blocks=blocks,
-        r=len(blocks),
-        block_sizes=tuple(len(b) for b in blocks),
-    )
+    return Decomposition(p=p_vectors, blocks=blocks)
 
 
 def enumerate_decompositions(pair: GorensteinConePair):
@@ -189,9 +189,7 @@ class BridgeSkeleton:
     ann_coords: dict  # Mbar' exponent of a matrix entry term -> Ann(e, e~) coords
     diag_exps: tuple  # per block: Ann exponent of the diagonal witness monomial
     stack_e_inv: IntMatrix  # inverse of [ann_basis ; L rows] over M
-    stack_et_inv: IntMatrix
-    l_coords: IntMatrix  # basis of L in w-combination coordinates
-    lt_coords: IntMatrix
+    l_coords: IntMatrix  # basis of L in w-combination coordinates; L~ = -L
 
     @property
     def torus_rank(self):
@@ -379,6 +377,18 @@ def bridge_vectors(dec: Decomposition, row_of, s, d):
     return w_vectors, u_vectors, p_nprime
 
 
+def kernel_complement(n_prime_basis: IntMatrix, k):
+    """``(rows, coords)``: a basis of L = span(w) meet M over M and over the w.
+
+    The first k rows of the N' basis are W.  m lies in span(w) exactly when it
+    pairs to 0 with every later row; w' is the unit vector of its W row, so
+    the pairings with the W rows are the coordinates over the w.
+    """
+    w_rows, complement = n_prime_basis.data[:k], n_prime_basis.data[k:]
+    rows = (kernel_basis(IntMatrix(complement)) if complement else IntMatrix.identity(k)).data
+    return rows, IntMatrix(tuple(tuple(dot(m, b) for b in w_rows) for m in rows))
+
+
 def _mbar_to_mbarprime(v, s, n_prime_basis: IntMatrix):
     """Convert (a ; m) in split coordinates to (a ; m . B^T)."""
     a = tuple(v[:s])
@@ -480,27 +490,17 @@ def bridge_skeleton(
     if stacked.rows != d or abs(adjugate(stacked)[0]) != 1:
         raise InternalError("Ann(e)' does not split as Ann(e,e~) (+) span(w)")
 
-    l_coords, l_m_rows = _m_level_complement(w_mprime, n_prime_basis, d)
-    stack_e = IntMatrix(tuple(ann_basis.data) + tuple(l_m_rows))
+    l_rows, l_coords = kernel_complement(n_prime_basis, w_mprime.rows)
+    stack_e = IntMatrix(tuple(ann_basis.data) + l_rows)
     det_e, adj_e = adjugate(stack_e) if stack_e.rows == d else (0, None)
     if det_e not in (1, -1):
         raise InternalError("Ann(e) does not split as Ann(e,e~) (+) L")
     stack_e_inv = IntMatrix(tuple(vscale(det_e, row) for row in adj_e.data))
-
-    ut_mprime = IntMatrix(
-        tuple(vsub(u_vectors[(k, pos)], u_vectors[(k, 0)])[s:] for (k, pos) in w_order)
-    )
-    lt_coords, lt_m_rows = _m_level_complement(ut_mprime, n_prime_basis, d)
-    stack_et = IntMatrix(tuple(ann_basis.data) + tuple(lt_m_rows))
-    det_et, adj_et = adjugate(stack_et) if stack_et.rows == d else (0, None)
-    if det_et not in (1, -1):
-        raise InternalError("Ann(e~) does not split as Ann(e,e~) (+) L~")
-    stack_et_inv = IntMatrix(tuple(vscale(det_et, row) for row in adj_et.data))
     # a fiber point is y and the L values pushed through the stack inverse;
-    # it projects back to y because ann_basis . stack_inv = [I | 0]
-    for stack, stack_inv in ((stack_e, stack_e_inv), (stack_et, stack_et_inv)):
-        if stack.mul(stack_inv) != IntMatrix.identity(d):
-            raise InternalError("projection of the fiber point disagrees with the sample")
+    # it projects back to y because ann_basis . stack_inv = [I | 0].  u~' = -w',
+    # so L~ = -L and the E~ side pushes inverse L values through the same inverse
+    if stack_e.mul(stack_e_inv) != IntMatrix.identity(d):
+        raise InternalError("projection of the fiber point disagrees with the sample")
 
     return BridgeSkeleton(
         pair=pair2,
@@ -518,9 +518,7 @@ def bridge_skeleton(
         ann_coords=ann_coords,
         diag_exps=tuple(diag_exps),
         stack_e_inv=stack_e_inv,
-        stack_et_inv=stack_et_inv,
         l_coords=l_coords,
-        lt_coords=lt_coords,
     )
 
 
@@ -577,27 +575,3 @@ def _annihilator_basis(q, d):
     if not rows:
         return IntMatrix.identity(d)
     return kernel_basis(IntMatrix(tuple(rows)))
-
-
-def _m_level_complement(w_mprime: IntMatrix, n_prime_basis: IntMatrix, d: int):
-    """Basis of L = span(w) intersect Mbar, with its M-coordinate rows.
-
-    ``w_mprime`` holds the M'-parts of the spanning vectors; a combination
-    lands in M exactly when its M'-coordinates, read back through the N'
-    basis, are integral.
-    """
-    if w_mprime.rows == 0:
-        return IntMatrix(()), ()
-    det, adj = adjugate(n_prime_basis.transpose())  # B^T . adj = det . I
-    num = w_mprime.mul(adj)
-    if det < 0:
-        num = IntMatrix(tuple(tuple(-x for x in row) for row in num.data))
-    l_coords = integral_preimage_lattice(num, abs(det))
-    m_rows = []
-    for c in l_coords.data:
-        combo = [sum(c[i] * num.data[i][j] for i in range(num.rows)) for j in range(d)]
-        if any(x % abs(det) for x in combo):
-            raise InternalError("L combination failed to be integral")
-        m_rows.append(tuple(x // abs(det) for x in combo))
-    return l_coords, tuple(m_rows)
-

@@ -6,7 +6,8 @@ exactly, rejection-testing the remaining determinants at each root.  Each
 bridge matrix is evaluated once at a sampled point, by one term table;
 fibers of both complete intersections over it are reconstructed from the
 one-dimensional kernels of those values (of their transposes on the E~
-side), pushed to the unprimed torus, and verified exactly against all
+side), pushed to the unprimed torus through one complement L (the E~ side
+reads L at inverse values, as L~ = -L), and verified exactly against all
 defining equations, one table per system, in the same pass that gives the
 logarithmic Jacobian for the regularity probe.  The report keeps counts
 only, so memory does not grow with the fiber points.
@@ -212,16 +213,17 @@ def fiber(bridge: BridgeData, y, prime, side="e", values=None):
         inv0 = fp_inv(vec[0], p)
         omega.extend(v * inv0 % p for v in vec[1:])
     skeleton = bridge.skeleton
-    l_coords = skeleton.l_coords if side == "e" else skeleton.lt_coords
-    stack_inv = skeleton.stack_e_inv if side == "e" else skeleton.stack_et_inv
     omega_invs = fp_inverses(omega, p)
+    if side == "etilde":
+        # L~ = -L, so the E~ side reads L at the inverse values
+        omega, omega_invs = omega_invs, omega
     basis_vals = list(y) + [
-        fp_monomial(c_row, omega, omega_invs, p) for c_row in l_coords.data
+        fp_monomial(c_row, omega, omega_invs, p) for c_row in skeleton.l_coords.data
     ]
     basis_invs = fp_inverses(basis_vals, p)
-    # bridge_skeleton checked ann_basis . stack_inv = [I | 0], so the point
+    # bridge_skeleton checked ann_basis . stack_e_inv = [I | 0], so the point
     # projects back to y along Ann(e, e~)
-    point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in stack_inv.data)
+    point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in skeleton.stack_e_inv.data)
     vanishes, full_rank = _log_jacobian(bridge.term_tables()[1][side], point, p)
     if not vanishes:
         raise InternalError("reconstructed fiber point violates a defining equation")

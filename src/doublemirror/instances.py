@@ -320,14 +320,12 @@ def example_instance(name: str, n=None, t=None) -> dict:
                 "deg_dual": list(data["deg_dual"]),
             },
         }
-    if name == "two-segment":
-        return {
-            "lattice": {"ambient_rank": 2, "kind": "full"},
-            "nef_partition": [[list(v) for v in part] for part in two_segment_parts()],
-        }
-    if name == "square":
-        return {
-            "lattice": {"ambient_rank": 2, "kind": "full"},
-            "nef_partition": [[list(v) for v in part] for part in square_part()],
-        }
-    raise InputError(f"unknown example {name!r}")
+    parts = {"two-segment": two_segment_parts, "square": square_part}.get(name)
+    if parts is None:
+        raise InputError(f"unknown example {name!r}")
+    if n is not None or t is not None:
+        raise InputError(f"{name} takes no --n or --t")
+    return {
+        "lattice": {"ambient_rank": 2, "kind": "full"},
+        "nef_partition": [[list(v) for v in part] for part in parts()],
+    }

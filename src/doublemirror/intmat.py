@@ -2,10 +2,10 @@
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 touches floating point.  Three eliminations, one job each: the row HNF gives
-everything lattice-valued (kernels, saturations, preimage lattices, and
-``z . a = b`` by forward substitution, factored once per basis in
-``RowSolver``); ``adjugate`` gives every determinant and inverse; and
-``independent_rows`` gives every rank.  Conventions:
+everything lattice-valued (kernels, saturations, and ``z . a = b`` by
+forward substitution, factored once per basis in ``RowSolver``);
+``adjugate`` gives every determinant and inverse; and ``independent_rows``
+gives every rank.  Conventions:
 
 * Matrices are row-major and immutable (``IntMatrix``).
 * Row Hermite normal form: pivot entries positive, entries above each pivot
@@ -221,26 +221,6 @@ class RowSolver:
         if any(r):
             return None
         return tuple(sum(yi * row[j] for yi, row in zip(y, self._u)) for j in range(self._m))
-
-
-def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
-    """Basis of ``{c : c * num / den  is an integer vector}``.
-
-    ``num`` is ``k x n`` integral and ``den`` a positive integer; the result
-    rows form an HNF-canonical basis of the finite-index sublattice of Z^k.
-    """
-    if den <= 0:
-        raise ValueError("denominator must be positive")
-    k = num.rows
-    if den == 1 or k == 0:
-        return IntMatrix.identity(k)
-    # c * num = den * y for an integer y  <=>  (c, -y) . [num ; den I] = 0,
-    # and c = 0 forces y = 0: c runs over the kernel's first k coordinates
-    n = num.cols
-    stacked = IntMatrix(num.data + tuple(tuple(den * (i == j) for j in range(n)) for i in range(n)))
-    rows = tuple(row[:k] for row in kernel_basis(stacked.transpose()).data)
-    canon, _ = hnf(IntMatrix(rows), transform=False)
-    return canon
 
 
 # -- small vector helpers used throughout the package ------------------------

@@ -13,7 +13,7 @@ from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
 from doublemirror.instances import loads, parse_instance
-from doublemirror.intmat import IntMatrix, vadd
+from doublemirror.intmat import IntMatrix, adjugate, hnf, kernel_basis, vadd
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.polytope import (
@@ -106,6 +106,48 @@ def _row_reducer(rows):
                 m[i] = [a - m[i][col] * b for a, b in zip(m[i], m[r])]
         r += 1
     return [row[cols:] for row in m], r
+
+
+def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
+    """Basis of ``{c : c * num / den  is an integer vector}``.
+
+    ``num`` is ``k x n`` integral and ``den`` a positive integer; the result
+    rows form an HNF-canonical basis of the finite-index sublattice of Z^k.
+    """
+    if den <= 0:
+        raise ValueError("denominator must be positive")
+    k = num.rows
+    if den == 1 or k == 0:
+        return IntMatrix.identity(k)
+    # c * num = den * y for an integer y  <=>  (c, -y) . [num ; den I] = 0,
+    # and c = 0 forces y = 0: c runs over the kernel's first k coordinates
+    n = num.cols
+    stacked = IntMatrix(num.data + tuple(tuple(den * (i == j) for j in range(n)) for i in range(n)))
+    rows = tuple(row[:k] for row in kernel_basis(stacked.transpose()).data)
+    canon, _ = hnf(IntMatrix(rows), transform=False)
+    return canon
+
+
+def m_level_complement(v_mprime: IntMatrix, n_prime_basis: IntMatrix):
+    """``(coords, rows)``: L = span(v) meet M through a rational preimage lattice.
+
+    ``v_mprime`` holds the M' parts of the spanning vectors.  A combination c
+    lands in M exactly when c . v_mprime . B^-T is integral, B the N' basis:
+    c runs over the preimage lattice of ``num / det`` with ``num`` the product
+    with the adjugate of B^T, and its M rows are ``c . num / det``.
+    """
+    if v_mprime.rows == 0:
+        return IntMatrix(()), ()
+    det, adj = adjugate(n_prime_basis.transpose())
+    num = v_mprime.mul(adj)
+    if det < 0:
+        det, num = -det, IntMatrix(tuple(tuple(-x for x in row) for row in num.data))
+    coords = integral_preimage_lattice(num, det)
+    rows = []
+    for combo in coords.mul(num).data:
+        assert all(x % det == 0 for x in combo), "L combination failed to be integral"
+        rows.append(tuple(x // det for x in combo))
+    return coords, tuple(rows)
 
 
 def mul_vec(a: IntMatrix, v):

@@ -11,13 +11,25 @@ from doublemirror.bridge import (
     build_auxiliary_lattice,
     bridge_skeleton,
     enumerate_decompositions,
+    kernel_complement,
     make_decomposition,
     random_coefficients,
 )
 from doublemirror.canned import two_segment_parts
 from doublemirror.cli import main
 from doublemirror.cones import build_cone, normalize_cone
-from doublemirror.intmat import IntMatrix, dot, saturation, vadd, vsub
+from doublemirror.evidence import fiber, fp_echelon, sample_determinantal_points
+from doublemirror.intmat import (
+    IntMatrix,
+    adjugate,
+    dot,
+    hnf,
+    saturation,
+    vadd,
+    vneg,
+    vscale,
+    vsub,
+)
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, det_cofactor
 from doublemirror.nefpart import validate_nef_partition
@@ -27,6 +39,7 @@ from oracles import (
     det_permutation,
     is_unimodular,
     leibniz_det,
+    m_level_complement,
     max_minor_gcd,
     one_block_decomposition,
     product_projective_lattice,
@@ -269,6 +282,87 @@ class TestBridgeVectors:
                         assert [dot(v, e) for e in e_tilde] == [int(i == j) for i in range(pair.s)]
 
 
+class TestMLevelComplement:
+    """L read off the N' basis, against its construction as a preimage lattice."""
+
+    @staticmethod
+    def spanning_rows(w_vectors, u_vectors, s):
+        """The M' parts of the w, and of the u~ = u - u_lead that span L~."""
+        order = sorted(w_vectors)
+        w_mprime = IntMatrix(tuple(w_vectors[key][s:] for key in order))
+        ut_mprime = IntMatrix(
+            tuple(vsub(u_vectors[key], u_vectors[(key[0], 0)])[s:] for key in order)
+        )
+        return w_mprime, ut_mprime
+
+    def check(self, dec, s, d):
+        basis, _, row_of = build_auxiliary_lattice(dec, d)
+        w_vectors, u_vectors, _ = bridge_vectors(dec, row_of, s, d)
+        w_mprime, ut_mprime = self.spanning_rows(w_vectors, u_vectors, s)
+        k = w_mprime.rows
+        rows, coords = kernel_complement(basis, k)
+        o_coords, o_rows = m_level_complement(w_mprime, basis)
+        # the same lattice, and each row's M' image is its combination of the w'
+        canon = [hnf(IntMatrix(r), transform=False)[0] for r in (rows, o_rows)]
+        assert canon[0] == canon[1]
+        assert coords.data == tuple(tuple(dot(m, b) for b in basis.data[:k]) for m in rows)
+        assert IntMatrix(rows).mul(basis.transpose()) == coords.mul(w_mprime)
+        # u~' = -w': L~ is -L with the same coordinates
+        ot_coords, ot_rows = m_level_complement(ut_mprime, basis)
+        assert ot_rows == tuple(vneg(m) for m in o_rows) and ot_coords == o_coords
+        return rows, coords
+
+    def test_against_preimage_lattice(self, corpus):
+        for pair, decs in corpus:
+            for dec in decs[1:]:
+                skeleton = bridge_skeleton(pair, decs[0], dec)
+                rows, coords = self.check(skeleton.dec_etilde, pair.s, pair.d)
+                stack = IntMatrix(skeleton.ann_basis.data + rows)
+                assert skeleton.l_coords == coords
+                assert stack.mul(skeleton.stack_e_inv) == IntMatrix.identity(pair.d)
+        # W of index 2 in its saturation, and W spanning all of M (k = d)
+        dec = make_decomposition([(2, 0), (-2, 0)])
+        assert build_auxiliary_lattice(dec, 2)[1] == 2
+        assert self.check(dec, 2, 2)[0] == ((1, 0),)
+        assert self.check(make_decomposition([(1,), (-1,)]), 2, 1) == (((1,),), IntMatrix(((-1,),)))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_etilde_fiber_through_negated_stack(self, n):
+        # the E~ point is y and omega at L~ pushed through the inverse of
+        # [Ann ; L~ rows]: the oracle's stack inverse with its L columns negated
+        p = 10007
+
+        def monomial(point, exp):
+            val = 1
+            for x, e in zip(point, exp):
+                val = val * pow(x, e, p) % p
+            return val
+
+        pair, _ = normalize_cone(*product_projective_lattice(n, 3))
+        decs = enumerate_decompositions(pair)
+        for dec in decs[1:]:
+            skeleton = bridge_skeleton(pair, decs[0], dec)
+            basis, ann = skeleton.n_prime_basis, skeleton.ann_basis.data
+            w_mprime, ut_mprime = self.spanning_rows(skeleton.w_vectors, skeleton.u_vectors, pair.s)
+            det, adj = adjugate(IntMatrix(ann + m_level_complement(w_mprime, basis)[1]))
+            negated = IntMatrix(
+                tuple(vscale(det, row[: len(ann)] + vneg(row[len(ann) :])) for row in adj.data)
+            )
+            lt_coords, lt_rows = m_level_complement(ut_mprime, basis)
+            assert IntMatrix(ann + lt_rows).mul(negated) == IntMatrix.identity(pair.d)
+            bridge = skeleton.instantiate(random_coefficients(pair, p, 5))
+            samples, _ = sample_determinantal_points(bridge, 5, p, 7)
+            assert len(samples) == 5
+            for sp in samples:
+                omega = []
+                for mat in sp.values:
+                    (vec,) = fp_echelon(list(zip(*mat)), p, reduced=True)[1]
+                    omega.extend(v * pow(vec[0], -1, p) % p for v in vec[1:])
+                values = list(sp.y) + [monomial(omega, c) for c in lt_coords.data]
+                expected = tuple(monomial(values, row) for row in negated.data)
+                assert fiber(bridge, sp.y, p, "etilde", sp.values)[0] == [expected]
+
+
 class TestBridge:
     def test_self_pair(self, two_segment_pair):
         decs = enumerate_decompositions(two_segment_pair)
@@ -363,30 +457,23 @@ class TestBridge:
             total = vadd(total, sh)
         assert new_det.terms == bridge.determinants[0].shift(total).terms
 
-    @pytest.mark.parametrize("side", ["e", "etilde"])
-    def test_corrupted_stack_inverse_rejected(self, pp33, side, monkeypatch):
+    def test_corrupted_stack_inverse_rejected(self, pp33, monkeypatch):
         # a stack inverse that passes the unimodularity check but is not the
         # inverse would push fiber points off their samples
         import doublemirror.bridge as bridge_mod
         from doublemirror.errors import InternalError
 
         pair, decs = pp33
-        clean = bridge_skeleton(pair, decs[0], decs[1])
-        inverses = (clean.stack_e_inv, clean.stack_et_inv)
+        inverse = bridge_skeleton(pair, decs[0], decs[1]).stack_e_inv
         ident = IntMatrix.identity(pair.d)
         adjugate = bridge_mod.adjugate
         stacks = []
 
         def corrupted(a):
             det, adj = adjugate(a)
-            # the stacks are exactly the matrices the clean build inverted
-            hits = [
-                i for i, inv in enumerate(inverses) if a.cols == inv.rows and a.mul(inv) == ident
-            ]
-            if not hits:
-                return det, adj
-            stacks.extend(hits)
-            if hits == [("e", "etilde").index(side)]:
+            # the stack is exactly the matrix the clean build inverted
+            if a.cols == inverse.rows and a.mul(inverse) == ident:
+                stacks.append(a)
                 rows = [list(r) for r in adj.data]
                 rows[0][0] += 1
                 adj = IntMatrix(tuple(map(tuple, rows)))
@@ -395,7 +482,8 @@ class TestBridge:
         monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
         with pytest.raises(InternalError, match="projection of the fiber point"):
             bridge_skeleton(pair, decs[0], decs[1])
-        assert stacks == [0, 1]
+        # the Ann(e)' check may invert the same matrix; it reads only the determinant
+        assert len(set(stacks)) == 1
 
     def test_trivial_tuple_rejected_when_sum_nonzero(self):
         from doublemirror.errors import DecompositionError

@@ -131,7 +131,8 @@ class TestParsing:
         assert [n for n in built if n >= 1000] == []
 
     def test_round_trip_canonical(self, two_segment_file):
-        text = open(two_segment_file, encoding="utf-8").read()
+        with open(two_segment_file, encoding="utf-8") as fh:
+            text = fh.read()
         inst = parse_instance(loads(text))
         again = dumps(inst.canonical)
         assert parse_instance(loads(again)).digest() == inst.digest()
@@ -365,6 +366,16 @@ class TestExample:
         assert code == 1 and captured.out == ""
         assert captured.err.count("\n") == 1 and "at most 100000" in captured.err
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("name", ["two-segment", "square"])
+    @pytest.mark.parametrize("flag", ["--n", "--t"])
+    def test_fixed_example_refuses_family_flags(self, name, flag, capsys):
+        assert main(["example", name]) == 0
+        capsys.readouterr()
+        assert main(["example", name, flag, "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and f"{name} takes no --n or --t" in captured.err
 
     def test_family_under_the_bound_accepted(self, capsys):
         code, out = run_cli(["example", "product-projective", "--n", "3", "--t", "10"], capsys)

@@ -26,7 +26,6 @@ from doublemirror.intmat import (  # noqa: E402
     RowSolver,
     adjugate,
     hnf,
-    integral_preimage_lattice,
     kernel_basis,
 )
 from doublemirror.lattices import LatticeEmbedding  # noqa: E402
@@ -36,7 +35,7 @@ from doublemirror.polytope import (  # noqa: E402
     affine_basis,
     lattice_points,
 )
-from oracles import one_block_decomposition  # noqa: E402
+from oracles import integral_preimage_lattice, one_block_decomposition  # noqa: E402
 from test_intmat import is_row_hnf  # noqa: E402
 
 SEEDS = range(8)

@@ -9,13 +9,19 @@ from doublemirror.intmat import (
     dot,
     hnf,
     independent_rows,
-    integral_preimage_lattice,
     kernel_basis,
     saturation,
     vprimitive,
 )
 from doublemirror.lattices import LatticeEmbedding
-from oracles import is_unimodular, leibniz_det, max_minor_gcd, mul_vec, rational_rank
+from oracles import (
+    integral_preimage_lattice,
+    is_unimodular,
+    leibniz_det,
+    max_minor_gcd,
+    mul_vec,
+    rational_rank,
+)
 
 
 def is_row_hnf(h: IntMatrix) -> bool:
