@@ -457,14 +457,21 @@ class TestBridge:
             total = vadd(total, sh)
         assert new_det.terms == bridge.determinants[0].shift(total).terms
 
-    def test_corrupted_stack_inverse_rejected(self, pp33, monkeypatch):
+    @pytest.mark.parametrize("side", ["e", "etilde"])
+    def test_corrupted_stack_inverse_rejected(self, pp33, side, monkeypatch):
         # a stack inverse that passes the unimodularity check but is not the
-        # inverse would push fiber points off their samples
+        # inverse would push fiber points off their samples.  Both sides read
+        # the one inverse: the E side corrupts a y column, the E~ side one of
+        # the L columns it negates
         import doublemirror.bridge as bridge_mod
         from doublemirror.errors import InternalError
 
         pair, decs = pp33
-        inverse = bridge_skeleton(pair, decs[0], decs[1]).stack_e_inv
+        clean = bridge_skeleton(pair, decs[0], decs[1])
+        inverse = clean.stack_e_inv
+        n_ann = clean.ann_basis.rows
+        assert 0 < n_ann < pair.d
+        col = 0 if side == "e" else pair.d - 1
         ident = IntMatrix.identity(pair.d)
         adjugate = bridge_mod.adjugate
         stacks = []
@@ -475,7 +482,7 @@ class TestBridge:
             if a.cols == inverse.rows and a.mul(inverse) == ident:
                 stacks.append(a)
                 rows = [list(r) for r in adj.data]
-                rows[0][0] += 1
+                rows[0][col] += 1
                 adj = IntMatrix(tuple(map(tuple, rows)))
             return det, adj
 
