@@ -29,7 +29,7 @@ from .instances import (
     parse_instance,
 )
 from .lattices import LatticeEmbedding
-from .laurent import RATIONAL, CoefficientAssignment, is_prime
+from .laurent import MASK64, RATIONAL, CoefficientAssignment, is_prime
 from .polytope import Polytope, is_reflexive
 
 
@@ -341,6 +341,14 @@ def sample_count(text):
     return value
 
 
+def seed_value(text):
+    """A seed in [0, 2**64): SplitMix64 keeps 64 bits, so a seed outside would alias another."""
+    value = int(text)
+    if not 0 <= value <= MASK64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**64), got {value}")
+    return value
+
+
 def pair_index(text):
     value = int(text)
     if value < 1:
@@ -378,7 +386,7 @@ def build_parser():
         p = sub.add_parser(name)
         add_common(p)
         p.add_argument("--pair", nargs=2, type=pair_index, metavar=("I", "J"), default=None)
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=seed_value, default=None)
         if name != "bridge":
             p.add_argument("--samples", type=sample_count, default=100)
             p.add_argument("--prime", type=prime_field, default=10007)

@@ -9,8 +9,10 @@ one-dimensional kernels of those values (of their transposes on the E~
 side), pushed to the unprimed torus through one complement L (the E~ side
 reads L at inverse values, as L~ = -L), and verified exactly against all
 defining equations, one table per system, in the same pass that gives the
-logarithmic Jacobian for the regularity probe.  The report keeps counts
-only, so memory does not grow with the fiber points.
+logarithmic Jacobian for the regularity probe.  Samples are drawn one at
+a time, and each one's fibers are counted and dropped before the next line
+is drawn; the report keeps counts only, so memory depends neither on the
+sample count nor on the fiber points.
 """
 
 from __future__ import annotations
@@ -113,16 +115,18 @@ def _evaluate(bridge: BridgeData, k, y, p):
     return [values[i:i + width] for i in range(0, len(values), width)]
 
 
-def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
-    """Up to ``count`` torus points of D, deterministically from the seed.
+def sample_determinantal_points(bridge: BridgeData, count, prime, seed, stats):
+    """Yield up to ``count`` torus points of D, deterministically from the seed.
 
     Sample n draws lines from its own stream, seeded by ``seed ^ n``, until
     one meets D; the run stops once it has drawn ``LINE_TRIES * count``
-    lines in all.  Returns ``(samples, stats)``; each sample carries the
-    block values at its point.  A low success rate attaches a
-    dimension-excess warning in ``stats``.  On a rank-one torus every line
-    is the whole torus, so D is the finite root set of det A_1 and no sample
-    means no F_p*-point.
+    lines in all.  Each sample carries the block values at its point, and
+    the next line is drawn only when the caller asks for the next sample.
+    The dict ``stats`` counts ``found`` samples and ``line_tries`` as the
+    stream advances; its ``warnings`` are complete once the stream is used
+    up, and a low success rate adds a dimension-excess warning there.
+    On a rank-one torus every line is the whole torus, so D is the finite
+    root set of det A_1 and no sample means no F_p*-point.
     """
     p = int(prime)
     if p < MIN_PRIME or not is_prime(p):
@@ -130,14 +134,13 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
     if bridge.coeffs.domain != p:
         raise InputError("bridge coefficients are not over the sampling prime")
     dd = bridge.torus_rank
-    stats = {"requested": count, "found": 0, "line_tries": 0, "warnings": []}
+    stats.update(requested=count, found=0, line_tries=0, warnings=[])
     if dd == 0:
         if all(det.evaluate(()) != 0 for det in bridge.determinants):
             stats["warnings"].append("determinantal locus is empty (rank-zero torus)")
-            return [], stats
+            return
         raise InternalError("zero determinant on a rank-zero torus should not build")
 
-    samples = []
     for n in range(count):
         rng = SplitMix64(seed ^ n)
         found = None
@@ -170,16 +173,14 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed):
         if found is None:
             break
         y, values = found
-        values = (_evaluate(bridge, 0, y, p), *values)
-        samples.append(SamplePoint(y=y, values=values))
         stats["found"] += 1
+        yield SamplePoint(y=y, values=(_evaluate(bridge, 0, y, p), *values))
     if dd == 1 and count and not stats["found"]:
         stats["warnings"].append("D is finite (rank-one torus) and has no F_p*-point")
     elif count and Fraction(stats["found"], count) < SUCCESS_WARN_RATIO:
         stats["warnings"].append(
             "sampling success rate below threshold: possible dimension excess of D"
         )
-    return samples, stats
 
 
 def fiber(bridge: BridgeData, y, prime, side="e", values=None):
@@ -241,14 +242,16 @@ def _log_jacobian(table, x, p):
 def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceReport:
     """Sampling report: fiber histograms, regularity rate, verdict, caveats."""
     p = int(prime)
-    samples, stats = sample_determinantal_points(bridge, count, p, seed)
+    stats = {}
     hist_e = {}
     hist_et = {}
     generic = 0
     good = 0
     fiber_points = 0
     regular = 0
-    for sp in samples:
+    # one sample at a time: its fibers are counted and dropped before the
+    # next line is drawn
+    for sp in sample_determinantal_points(bridge, count, p, seed, stats):
         fe, regular_e = fiber(bridge, sp.y, p, "e", sp.values)
         fet, regular_et = fiber(bridge, sp.y, p, "etilde", sp.values)
         key_e = NON_GENERIC if fe == NON_GENERIC else str(len(fe))
@@ -275,7 +278,7 @@ def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceRe
             + ",".join(str(i + 1) for i in witness)
             + "): irreducibility of the intersections is not guaranteed"
         )
-    if generic < len(samples):
+    if generic < stats["found"]:
         warnings.append("non-generic samples excluded from the birationality verdict")
     warnings.append("irreducibility and dimension hypotheses sampled, not proven")
     verdict = generic > 0 and 20 * good >= 19 * generic
@@ -283,7 +286,7 @@ def birationality_evidence(bridge: BridgeData, count, prime, seed) -> EvidenceRe
         prime=p,
         seed=seed,
         samples_requested=count,
-        samples_on_d=len(samples),
+        samples_on_d=stats["found"],
         fiber_histogram_e=hist_e,
         fiber_histogram_etilde=hist_et,
         delta_regular_pass_rate=rate_str,

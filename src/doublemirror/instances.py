@@ -15,15 +15,24 @@ instance lattice's basis (comma-separated integers).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
+
+# hashlib loads OpenSSL, megabytes of RSS and milliseconds of start-up for one
+# digest; the interpreter's built-in SHA-256 gives the same bytes
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython before 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .canned import product_projective, square_part, two_segment_parts
 from .errors import InputError, SumNotReflexiveError
 from .intmat import IntMatrix, RowSolver, dot
 from .lattices import LatticeEmbedding
-from .laurent import RATIONAL
+from .laurent import MASK64, RATIONAL
 from .nefpart import validate_nef_partition
 from .polytope import Polytope, lattice_points, point_tuples
 from .records import record
@@ -105,7 +114,7 @@ class Instance:
     shift_note: str | None = None
 
     def digest(self) -> str:
-        return hashlib.sha256(dumps(self.canonical).encode("utf-8")).hexdigest()
+        return sha256(dumps(self.canonical).encode("utf-8")).hexdigest()
 
 
 def parse_instance(data) -> Instance:
@@ -225,6 +234,9 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
     else:
         raise InputError("coefficients.field must be 'rational' or {'prime': p}")
     seed = _as_int(spec.get("seed", 0), "coefficients.seed")
+    # SplitMix64 keeps 64 bits of its seed: a seed outside would alias another
+    if not 0 <= seed <= MASK64:
+        raise InputError("coefficients.seed must lie in [0, 2**64)")
     explicit = None
     if "values" in spec:
         values = spec["values"]

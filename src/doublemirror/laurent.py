@@ -121,8 +121,11 @@ def fp_roots(coeffs, p):
     if len(f) == 1:
         return []
     f = _poly_monic(f, p)
+    if len(f) == 2:
+        return [-f[0] % p] if f[0] else []
+    # deg f >= 2, so t is its own residue
     ring = PackedResidues(f, p)
-    t = ring.pack(_poly_divmod([0, 1], f, p)[1])
+    t = ring.pack([0, 1])
     # w = t**((p-1)/2) serves twice: t**(p-1) is w**2 (times t when p - 1 is
     # odd), and w - 1 is the first splitting candidate
     w = ring.pow(t, (p - 1) // 2)

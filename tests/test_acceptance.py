@@ -193,7 +193,7 @@ def test_criterion_2_birationality_evidence(pp53, tmp_path):
         # every reconstructed fiber point satisfies all five defining
         # equations exactly over F_p (re-checked here independently of the
         # internal assertion)
-        samples, _ = sample_determinantal_points(bridge, 10, prime, 0)
+        samples = list(sample_determinantal_points(bridge, 10, prime, 0, {}))
         for sp in samples:
             for side, eqs in (
                 ("e", bridge.equations_e),
@@ -355,7 +355,7 @@ def test_criterion_7_delta_regularity():
     decs = enumerate_decompositions(pair)
     coeffs = random_coefficients(pair, prime, seed=42)
     bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
-    samples, _ = sample_determinantal_points(bridge, 30, prime, 0)
+    samples = list(sample_determinantal_points(bridge, 30, prime, 0, {}))
     points = []
     for sp in samples:
         points.extend(fiber(bridge, sp.y, prime, side="e")[0])

@@ -351,7 +351,7 @@ class TestMLevelComplement:
             lt_coords, lt_rows = m_level_complement(ut_mprime, basis)
             assert IntMatrix(ann + lt_rows).mul(negated) == IntMatrix.identity(pair.d)
             bridge = skeleton.instantiate(random_coefficients(pair, p, 5))
-            samples, _ = sample_determinantal_points(bridge, 5, p, 7)
+            samples = list(sample_determinantal_points(bridge, 5, p, 7, {}))
             assert len(samples) == 5
             for sp in samples:
                 omega = []

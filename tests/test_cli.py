@@ -406,6 +406,34 @@ class TestFlagValidation:
             err = capsys.readouterr().err
             assert len(err.splitlines()) == 1 and name in err
 
+    @pytest.mark.parametrize("seed", [str(1 << 64), "-1"])
+    def test_seed_outside_64_bits_rejected(self, seed, two_segment_file, capsys):
+        # SplitMix64 keeps 64 bits of its seed: 2**64 would run as seed 0 and
+        # -1 as 2**64 - 1, under a report that names the seed given
+        for command in ("bridge", "verify", "pipeline"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, two_segment_file, "--seed", seed])
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "--seed" in err and "2**64" in err
+
+    @pytest.mark.parametrize("seed", [1 << 64, -1, str(1 << 64)])
+    def test_instance_seed_outside_64_bits_rejected(self, seed, tmp_path, capsys):
+        data = dict(example_instance("two-segment"), coefficients={"seed": seed})
+        path = write_instance(tmp_path, data)
+        for command in ("bridge", "verify", "pipeline"):
+            assert main([command, path]) == 1
+            assert capsys.readouterr().err == "error: coefficients.seed must lie in [0, 2**64)\n"
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        top = (1 << 64) - 1
+        data = example_instance("product-projective", 3, 3)
+        code, out = run_cli(["bridge", write_instance(tmp_path, data), "--seed", str(top)], capsys)
+        assert code == 0 and json.loads(out)["result"]["seed"] == top
+        data["coefficients"] = {"seed": str(top)}
+        code, out = run_cli(["bridge", write_instance(tmp_path, data)], capsys)
+        assert code == 0 and json.loads(out)["result"]["seed"] == top
+
     def test_uncertifiable_prime_rejected_before_the_instance_is_read(self, tmp_path, capsys):
         assert main(["pipeline", str(tmp_path / "missing.json"), "--prime", str((1 << 89) - 1)]) == 1
         err = capsys.readouterr().err
@@ -623,9 +651,27 @@ class TestEntryPoint:
     def test_import_does_not_load_numpy(self):
         # start-up pays only for what a run needs: no test-only dependency,
         # no `traceback` (main names the failing line without it), and no
-        # `dataclasses` or the `inspect` it imports (records are declared without it)
-        heavy = ("numpy", "sympy", "hypothesis", "traceback", "dataclasses", "inspect")
+        # `dataclasses` or the `inspect` it imports (records are declared without it),
+        # and no `hashlib`, whose `_hashlib` loads OpenSSL for the one input digest
+        heavy = (
+            "numpy", "sympy", "hypothesis", "traceback", "dataclasses", "inspect",
+            "hashlib", "_hashlib",
+        )
         code = f"import sys, doublemirror.cli; print([m for m in {heavy!r} if m in sys.modules])"
         out = run_python(["-c", code])
         assert out.returncode == 0
         assert out.stdout.strip() == "[]"
+
+    def test_digest_falls_back_to_hashlib(self):
+        # an interpreter without the built-in SHA-256 modules still digests,
+        # through hashlib, to the same bytes
+        code = (
+            "import sys; sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from doublemirror.instances import example_instance, parse_instance\n"
+            "digest = parse_instance(example_instance('square')).digest()\n"
+            "print('hashlib' in sys.modules, digest)"
+        )
+        out = run_python(["-c", code])
+        assert out.returncode == 0
+        expected = parse_instance(example_instance("square")).digest()
+        assert out.stdout.split() == ["True", expected]

@@ -1,10 +1,12 @@
 """Sampling harness: D points, fibers, evidence reports, regularity probe."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from doublemirror import evidence
 from doublemirror.bridge import bridge_skeleton, enumerate_decompositions, random_coefficients
 from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone, normalize_cone
@@ -12,6 +14,7 @@ from doublemirror.errors import InputError
 from doublemirror.evidence import (
     LINE_TRIES,
     NON_GENERIC,
+    SamplePoint,
     birationality_evidence,
     fiber,
     fp_echelon,
@@ -67,7 +70,8 @@ class TestFpLinearAlgebra:
 
 class TestSampling:
     def test_pp33_samples_on_locus(self, pp33_bridge):
-        samples, stats = sample_determinantal_points(pp33_bridge, 25, P, 0)
+        stats = {}
+        samples = list(sample_determinantal_points(pp33_bridge, 25, P, 0, stats))
         assert stats["found"] == len(samples) > 0
         for sp in samples:
             assert all(1 <= v <= P - 1 for v in sp.y)
@@ -77,23 +81,24 @@ class TestSampling:
             assert [len(mat) - fp_echelon(mat, P)[0] for mat in sp.values] == [1]
 
     def test_deterministic(self, pp33_bridge):
-        s1, _ = sample_determinantal_points(pp33_bridge, 10, P, 7)
-        s2, _ = sample_determinantal_points(pp33_bridge, 10, P, 7)
+        s1 = list(sample_determinantal_points(pp33_bridge, 10, P, 7, {}))
+        s2 = list(sample_determinantal_points(pp33_bridge, 10, P, 7, {}))
         assert [sp.y for sp in s1] == [sp.y for sp in s2]
 
     def test_a_sample_may_draw_more_than_line_tries_lines(self):
         # at this prime and seed sample 30 meets D only on its 13th line;
         # the run-wide budget of LINE_TRIES lines per sample still finds it
         p, seed = 1000003, 210103
-        samples, stats = sample_determinantal_points(pipeline_bridge(3, 3, p, seed), 60, p, seed)
+        bridge, stats = pipeline_bridge(3, 3, p, seed), {}
+        samples = list(sample_determinantal_points(bridge, 60, p, seed, stats))
         assert len(samples) == stats["found"] == 60
         assert stats["line_tries"] <= LINE_TRIES * 60
 
     def test_fewer_samples_are_a_prefix(self, pp33_bridge):
         # each sample draws from its own stream, so asking for more samples
         # leaves the first ones unchanged
-        many, _ = sample_determinantal_points(pp33_bridge, 60, P, 210103)
-        few, _ = sample_determinantal_points(pp33_bridge, 30, P, 210103)
+        many = list(sample_determinantal_points(pp33_bridge, 60, P, 210103, {}))
+        few = list(sample_determinantal_points(pp33_bridge, 30, P, 210103, {}))
         assert many[:30] == few
 
     def test_empty_d_spends_the_whole_budget(self):
@@ -101,17 +106,38 @@ class TestSampling:
         # F_p*: every sample fails, and the run draws exactly the budget
         bridge = pipeline_bridge(2, 3, P, 0)
         assert bridge.torus_rank == 1
-        samples, stats = sample_determinantal_points(bridge, 20, P, 0)
+        stats = {}
+        samples = list(sample_determinantal_points(bridge, 20, P, 0, stats))
         assert samples == [] and stats["line_tries"] == LINE_TRIES * 20
         assert stats["warnings"] == ["D is finite (rank-one torus) and has no F_p*-point"]
 
+    def test_evidence_holds_at_most_two_samples(self, pp33_bridge, monkeypatch):
+        # each sample's fibers are counted and dropped before the next line
+        # is drawn: the loop's last sample and the one being built
+        live = {"now": 0, "peak": 0}
+
+        def dropped():
+            live["now"] -= 1
+
+        def counted(**fields):
+            sp = SamplePoint(**fields)
+            weakref.finalize(sp, dropped)
+            live["now"] += 1
+            live["peak"] = max(live["peak"], live["now"])
+            return sp
+
+        monkeypatch.setattr(evidence, "SamplePoint", counted)
+        report = birationality_evidence(pp33_bridge, 200, P, 0)
+        assert report.samples_on_d == 200
+        assert 1 <= live["peak"] <= 2
+
     def test_small_prime_rejected(self, pp33_bridge):
         with pytest.raises(InputError):
-            sample_determinantal_points(pp33_bridge, 1, 97, 0)
+            next(sample_determinantal_points(pp33_bridge, 1, 97, 0, {}))
 
     def test_wrong_domain_rejected(self, pp33_bridge):
         with pytest.raises(InputError):
-            sample_determinantal_points(pp33_bridge, 1, 65537, 0)
+            next(sample_determinantal_points(pp33_bridge, 1, 65537, 0, {}))
 
 
 class TestLineRestriction:
@@ -155,7 +181,7 @@ class TestFiber:
         assert fiber(pp33_bridge, y, P, side="e") == ([], 0)
 
     def test_fiber_points_satisfy_equations(self, pp33_bridge):
-        samples, _ = sample_determinantal_points(pp33_bridge, 10, P, 1)
+        samples = list(sample_determinantal_points(pp33_bridge, 10, P, 1, {}))
         for sp in samples:
             for side in ("e", "etilde"):
                 pts, regular = fiber(pp33_bridge, sp.y, P, side=side)
@@ -298,7 +324,7 @@ class TestEvaluationCounts:
         # be checked against the new equations, whose Jacobian is degenerate
         from doublemirror.records import replace
 
-        (sp,), _ = sample_determinantal_points(pp33_bridge, 1, P, 2)
+        (sp,) = list(sample_determinantal_points(pp33_bridge, 1, P, 2, {}))
         assert fiber(pp33_bridge, sp.y, P, "e", sp.values)[1] == 1
         eq1 = pp33_bridge.equations_e[0]
         shifted = eq1.shift((1, 0, 0, 0))
@@ -312,7 +338,7 @@ class TestEvaluationCounts:
 
 class TestDeltaRegularity:
     def test_full_rank_on_fibers(self, pp33_bridge):
-        samples, _ = sample_determinantal_points(pp33_bridge, 10, P, 2)
+        samples = list(sample_determinantal_points(pp33_bridge, 10, P, 2, {}))
         points = []
         for sp in samples:
             points.extend(fiber(pp33_bridge, sp.y, P, side="e")[0])

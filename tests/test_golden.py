@@ -24,6 +24,7 @@ them not integers, so its ``bridge`` report pins the determinant over QQ
 with fractional entries.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from doublemirror.bridge import bridge_skeleton, enumerate_decompositions, rando
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.evidence import sample_determinantal_points
+from doublemirror.instances import dumps, loads, parse_instance
 from oracles import product_projective_lattice
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -104,16 +106,29 @@ def test_named_report_matches_golden(golden, argv, monkeypatch, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
 
 
+# every instance file some case reads
+INSTANCES = sorted(
+    {f"{name}.json" for name, *_ in VERIFY_CASES}
+    | {f"{name}.json" for _, name, _ in COMMAND_CASES}
+    | {argv[1] for _, argv in NAMED_CASES}
+)
+
+
 def test_every_golden_file_is_checked():
     # each file is an instance some case reads or a report some case compares
-    instances = {f"{name}.json" for name, *_ in VERIFY_CASES}
-    instances |= {f"{name}.json" for _, name, _ in COMMAND_CASES}
-    instances |= {argv[1] for _, argv in NAMED_CASES}
     reports = {f"verify-{name}-p{prime}.json" for name, prime, *_ in VERIFY_CASES}
     reports |= {f"{command}-{name}.json" for command, name, _ in COMMAND_CASES}
     reports |= {f"{golden}.json" for golden, _ in NAMED_CASES}
     reports.add("samples-pp33.json")
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(instances | reports)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(set(INSTANCES) | reports)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_digest_is_sha256_of_the_canonical_input(name):
+    # digest() hashes with the interpreter's built-in SHA-256, not hashlib's
+    instance = parse_instance(loads((GOLDEN / name).read_text(encoding="utf-8")))
+    expected = hashlib.sha256(dumps(instance.canonical).encode("utf-8")).hexdigest()
+    assert instance.digest() == expected
 
 
 def test_sampled_points_match_golden():
@@ -126,6 +141,7 @@ def test_sampled_points_match_golden():
         p = int(prime)
         coeffs = random_coefficients(pair, p, 0)
         bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
-        samples, stats = sample_determinantal_points(bridge, 30, p, 11)
+        stats = {}
+        samples = list(sample_determinantal_points(bridge, 30, p, 11, stats))
         assert stats["line_tries"] == expected["line_tries"]
         assert [list(s.y) for s in samples] == expected["points"]

@@ -46,6 +46,10 @@ class TestFpRoots:
         p = 101
         # (t - 3)(t - 7) = t^2 - 10t + 21
         assert fp_roots([21, -10 % p, 1], p) == [3, 7]
+        # a linear f is solved directly: 2t + 3 = 0 at t = 49, and t = 0 is no root
+        assert fp_roots([3, 2], p) == [49]
+        assert fp_roots([0, 7], p) == []
+        assert fp_roots([5, 1], MERSENNE_61) == [MERSENNE_61 - 5]
 
     @pytest.mark.parametrize("p", [2, 3, 101, 211])
     def test_matches_reference(self, p):
