@@ -8,8 +8,11 @@ and the second turns into difference vectors ``q_i``; the finest zero-sum
 block partition of the ``q_i`` fixes the sizes of the bridge matrices
 ``A_k(y)`` whose simultaneous determinant locus ``D`` both complete
 intersections project to.  That lattice data is built and checked once per
-pair (``bridge_skeleton``); ``BridgeSkeleton.instantiate`` adds the
-polynomials of one coefficient choice.
+pair (``bridge_skeleton``), the matrix identities included: they are checked
+on exponents, which proves them for every coefficient choice.
+``BridgeSkeleton.instantiate`` builds the polynomials of one coefficient
+choice straight in Ann(e, e~) coordinates and checks only what depends on
+the coefficients.
 
 Everything symbolic here is exact; the sampling harness lives in
 ``evidence``.
@@ -170,8 +173,9 @@ class BridgeSkeleton:
     """The coefficient-free lattice data of one decomposition pair.
 
     ``bridge_skeleton`` builds it once per pair and runs every check that
-    involves no coefficients; ``instantiate`` adds the polynomials of one
-    coefficient choice, so one skeleton serves every field.
+    involves no coefficients, the matrix identities among them (on
+    exponents, see ``_check_bridge_identities``); ``instantiate`` adds the
+    polynomials of one coefficient choice, so one skeleton serves every field.
     """
 
     pair: GorensteinConePair  # renormalized so dec_e is the reference
@@ -180,13 +184,11 @@ class BridgeSkeleton:
     sat_index: int
     w_vectors: dict  # (block, position >= 1) -> Mbar' vector
     u_vectors: dict  # (block, position >= 0) -> Mbar' vector
-    entry_shifts: dict  # (block, row, column) -> Mbar' shift from g_ij to the entry
     ann_basis: IntMatrix  # rows: basis of {m : <m, q_i> = 0}, in M coords
     slice_supports: dict  # (i, j) -> slice points of g_ij
-    mbar_prime: dict  # slice point (a ; m) -> its Mbar' exponent (a ; m . B^T)
     gt_supports: tuple  # per slot j: slice points of g~_j
-    partition_results: dict  # support partition identities, by report key
-    ann_coords: dict  # Mbar' exponent of a matrix entry term -> Ann(e, e~) coords
+    entries: dict  # (block, row, column) -> {slice point: Ann(e, e~) exponent} of the entry
+    identity_results: dict  # support partitions and matrix identities, by report key
     diag_exps: tuple  # per block: Ann exponent of the diagonal witness monomial
     stack_e_inv: IntMatrix  # inverse of [ann_basis ; L rows] over M
     l_coords: IntMatrix  # basis of L in w-combination coordinates; L~ = -L
@@ -200,75 +202,30 @@ class BridgeSkeleton:
         return self.dec_etilde.blocks
 
     def instantiate(self, coeffs: CoefficientAssignment) -> BridgeData:
-        """Matrices, determinants and equations for one coefficient choice."""
-        pair, blocks = self.pair, self.blocks
+        """Matrices, determinants and equations for one coefficient choice.
+
+        Each entry is one polynomial over its slice points' Ann(e, e~)
+        exponents.  The identities hold for every coefficient choice once
+        the skeleton passed, so only what depends on the coefficients is
+        checked here: a vanishing determinant, and the diagonal witness.
+        """
+        pair = self.pair
         s, d, rank = pair.s, pair.d, self.torus_rank
-        domain = coeffs.domain
         roots = pair.slice_roots()
 
-        def poly(points, exp_of, nvars):
-            terms = {exp_of(v): coeffs.value(roots[v]) for v in points}
-            return LaurentPoly.from_dict(nvars, terms, domain)
+        def poly(terms, nvars):
+            # terms: (slice point, exponent) pairs
+            values = {exp: coeffs.value(roots[v]) for v, exp in terms}
+            return LaurentPoly.from_dict(nvars, values, coeffs.domain)
 
-        mp = self.mbar_prime.__getitem__
-        slice_polys = {ij: poly(pts, mp, s + d) for ij, pts in self.slice_supports.items()}
-        g_slot = [poly(pts, mp, s + d) for pts in pair.slice_points()]
-        gt_polys = [poly(pts, mp, s + d) for pts in self.gt_supports]
-
-        # bridge matrices in Mbar' exponents
-        matrices_mp = tuple(
-            tuple(
-                tuple(
-                    slice_polys[(slot_i, slot_j)].shift(self.entry_shifts[(k, pos_i, pos_j)])
-                    for pos_j, slot_j in enumerate(block)
-                )
-                for pos_i, slot_i in enumerate(block)
-            )
-            for k, block in enumerate(blocks)
-        )
-
-        # symbolic identities: A_k . w_k = (X^{-u_ki} g_ki)^t and u_k . A_k = (X^{-w_kj} g~_kj)
-        identity_results = dict(self.partition_results)
-        for k, block in enumerate(blocks):
-            for pos_i, slot_i in enumerate(block):
-                acc = LaurentPoly.zero(s + d, domain)
-                for pos_j in range(len(block)):
-                    entry = matrices_mp[k][pos_i][pos_j]
-                    if pos_j >= 1:
-                        entry = entry.shift(self.w_vectors[(k, pos_j)])
-                    acc = acc + entry
-                target = g_slot[slot_i].shift(vneg(self.u_vectors[(k, pos_i)]))
-                key = f"matrix_row_identity_{k}_{pos_i}"
-                identity_results[key] = acc.terms == target.terms
-                if not identity_results[key]:
-                    raise InternalError("A_k . w_k identity failed")
-            for pos_j, slot_j in enumerate(block):
-                acc = LaurentPoly.zero(s + d, domain)
-                for pos_i in range(len(block)):
-                    acc = acc + matrices_mp[k][pos_i][pos_j].shift(self.u_vectors[(k, pos_i)])
-                shift = (0,) * (s + d)
-                if pos_j >= 1:
-                    shift = vneg(self.w_vectors[(k, pos_j)])
-                target = gt_polys[slot_j].shift(shift)
-                key = f"matrix_col_identity_{k}_{pos_j}"
-                identity_results[key] = acc.terms == target.terms
-                if not identity_results[key]:
-                    raise InternalError("u_k . A_k identity failed")
-
-        # entries over the basis of Ann(e, e~)
         matrices = tuple(
             tuple(
-                tuple(
-                    LaurentPoly.from_dict(
-                        rank, {self.ann_coords[e]: c for e, c in entry.terms}, domain
-                    )
-                    for entry in row
-                )
-                for row in mat
+                tuple(poly(self.entries[(k, i, j)].items(), rank) for j in range(len(block)))
+                for i in range(len(block))
             )
-            for mat in matrices_mp
+            for k, block in enumerate(self.blocks)
         )
-        determinants = tuple(det_cofactor(m, rank, domain) for m in matrices)
+        determinants = tuple(det_cofactor(m, rank, coeffs.domain) for m in matrices)
         warnings = []
         diag_witness = []
         for k, det in enumerate(determinants):
@@ -282,18 +239,19 @@ class BridgeSkeleton:
                     f"diagonal witness monomial of det A_{k + 1} cancelled for these coefficients"
                 )
 
-        equations_e = tuple(poly(pts, lambda v: v[s:], d) for pts in pair.slice_points())
+        def m_terms(points):
+            return ((v, v[s:]) for v in points)
+
+        equations_e = tuple(poly(m_terms(pts), d) for pts in pair.slice_points())
         # <v - (delta_j ; 0), e~_i> = 0 on the support of g~_j, so M exponents suffice
-        equations_et = tuple(poly(pts, lambda v: v[s:], d) for pts in self.gt_supports)
+        equations_et = tuple(poly(m_terms(pts), d) for pts in self.gt_supports)
         return BridgeData(
             skeleton=self,
             coeffs=coeffs,
-            slice_polys=slice_polys,
             matrices=matrices,
             determinants=determinants,
             equations_e=equations_e,
             equations_etilde=equations_et,
-            identity_results=identity_results,
             warnings=tuple(warnings),
             diag_witness=tuple(diag_witness),
         )
@@ -305,12 +263,10 @@ class BridgeData:
 
     skeleton: BridgeSkeleton
     coeffs: CoefficientAssignment
-    slice_polys: dict  # (i, j) -> LaurentPoly in Mbar' exponents
     matrices: tuple  # per block: tuple of rows of LaurentPoly, Ann coords
     determinants: tuple
     equations_e: tuple  # s Laurent polynomials in M coordinates
     equations_etilde: tuple
-    identity_results: dict
     warnings: tuple
     diag_witness: tuple  # per block: diagonal monomial coefficient nonzero?
     # not an init field, so a bridge made by ``records.replace`` compiles its own
@@ -445,52 +401,46 @@ def bridge_skeleton(
     mbar_prime = {
         v: _mbar_to_mbarprime(v, s, n_prime_basis) for slot in pair2.slice_points() for v in slot
     }
-    slice_supports, gt_supports, partition_results = _slice_supports(pair2, q, blocks)
-    entry_shifts = {}
-    for k, block in enumerate(blocks):
-        for pos_i in range(len(block)):
-            for pos_j in range(len(block)):
-                shift = vneg(u_vectors[(k, pos_i)])
-                if pos_j >= 1:
-                    shift = vsub(shift, w_vectors[(k, pos_j)])
-                entry_shifts[(k, pos_i, pos_j)] = shift
+    slice_supports, gt_supports = _slice_supports(pair2, q)
+    entries = {
+        (k, i, j): {
+            v: vadd(mbar_prime[v], shift)
+            for v in slice_supports[(blocks[k][i], blocks[k][j])]
+        }
+        for (k, i, j), shift in entry_shifts(blocks, u_vectors, w_vectors).items()
+    }
+    identity_results = _check_bridge_identities(
+        blocks, entries, mbar_prime, pair2.slice_points(), gt_supports, u_vectors, w_vectors
+    )
 
-    # every exponent a matrix entry can carry, over a basis of Ann(e, e~)
+    # every entry exponent over a basis of Ann(e, e~).  Its e part is 0 with no
+    # check: the row identity makes it mbar'(v) - u_i - w_j, and the pairing
+    # tables give u_i and the slot point v the same e part and w_j none
     ann_mp = IntMatrix(tuple(tuple(dot(m, b) for b in n_prime_basis.data) for m in ann_basis.data))
     ann_solver = RowSolver(ann_mp)
     ann_coords = {}
-
-    def to_ann_coords(exp):
-        if exp in ann_coords:
-            return ann_coords[exp]
-        if any(x != 0 for x in exp[:s]):
-            raise InternalError("matrix entry exponent pairs nonzero with an e summand")
-        target = exp[s:]
-        sol = ann_solver.solve(target)
-        if sol is None:
-            raise InternalError("matrix entry exponent left Ann(e, e~)")
-        ann_coords[exp] = sol
-        return sol
-
-    for (k, pos_i, pos_j), shift in entry_shifts.items():
-        for v in slice_supports[(blocks[k][pos_i], blocks[k][pos_j])]:
-            to_ann_coords(vadd(mbar_prime[v], shift))
+    for terms in entries.values():
+        for exp in terms.values():
+            if exp not in ann_coords:
+                ann_coords[exp] = ann_solver.solve(exp[s:])
+    if None in ann_coords.values():
+        raise InternalError("matrix entry exponent left Ann(e, e~)")
+    entries = {
+        key: {v: ann_coords[exp] for v, exp in terms.items()} for key, terms in entries.items()
+    }
     diag_exps = []
     for k, block in enumerate(blocks):
         exp = (0,) * dd_rank
         for pos, slot in enumerate(block):
-            ident_pt = pair2.slot_point(slot, (0,) * d)
-            exp = vadd(exp, to_ann_coords(vadd(mbar_prime[ident_pt], entry_shifts[(k, pos, pos)])))
+            exp = vadd(exp, entries[(k, pos, pos)][pair2.slot_point(slot, (0,) * d)])
         diag_exps.append(exp)
 
-    # lattice split checks: Ann(e)' = Ann(e,e~) (+) span(w) and its M-level L
-    w_order = [(k, pos) for k, block in enumerate(blocks) for pos in range(1, len(block))]
-    w_mprime = IntMatrix(tuple(w_vectors[key][s:] for key in w_order))
-    stacked = IntMatrix(tuple(ann_mp.data) + tuple(w_mprime.data))
-    if stacked.rows != d or abs(adjugate(stacked)[0]) != 1:
-        raise InternalError("Ann(e)' does not split as Ann(e,e~) (+) span(w)")
-
-    l_rows, l_coords = kernel_complement(n_prime_basis, w_mprime.rows)
+    # the M-level split Ann(e) = Ann(e,e~) (+) L.  It implies the split
+    # Ann(e)' = Ann(e,e~) (+) span(w) over M', so that needs no check of its
+    # own: with B the N' basis, [Ann ; L] . B^T = diag(I, l_coords) . [Ann' ; w'],
+    # and |det B| = sat_index = |det l_coords|, so the two stacks have the
+    # same |det|
+    l_rows, l_coords = kernel_complement(n_prime_basis, len(w_vectors))
     stack_e = IntMatrix(tuple(ann_basis.data) + l_rows)
     det_e, adj_e = adjugate(stack_e) if stack_e.rows == d else (0, None)
     if det_e not in (1, -1):
@@ -509,28 +459,83 @@ def bridge_skeleton(
         sat_index=sat_index,
         w_vectors=w_vectors,
         u_vectors=u_vectors,
-        entry_shifts=entry_shifts,
         ann_basis=ann_basis,
         slice_supports=slice_supports,
-        mbar_prime=mbar_prime,
         gt_supports=gt_supports,
-        partition_results=partition_results,
-        ann_coords=ann_coords,
+        entries=entries,
+        identity_results=identity_results,
         diag_exps=tuple(diag_exps),
         stack_e_inv=stack_e_inv,
         l_coords=l_coords,
     )
 
 
-def _slice_supports(pair2, q, blocks):
-    """Supports of the slice polynomials g_ij and g~_j, with their partitions.
+def entry_shifts(blocks, u_vectors, w_vectors):
+    """(block, row, column) -> the Mbar' shift -u_i - w_j from g_ij to the
+    entry of A_k, with w_0 = 0."""
+    shifts = {}
+    for k, block in enumerate(blocks):
+        for pos_i in range(len(block)):
+            for pos_j in range(len(block)):
+                shift = vneg(u_vectors[(k, pos_i)])
+                if pos_j >= 1:
+                    shift = vsub(shift, w_vectors[(k, pos_j)])
+                shifts[(k, pos_i, pos_j)] = shift
+    return shifts
 
-    The support partitions ``l(S_ki) = disjoint union of l(S_ki,kj)`` and
-    its column analogue are verified as exact set identities.
+
+def _check_bridge_identities(
+    blocks, entries, mbar_prime, slot_points, gt_supports, u_vectors, w_vectors
+):
+    """Check the support partitions and the identities
+    ``A_k . w_k = (X^{-u_ki} g_ki)^t`` and ``u_k . A_k = (X^{-w_kj} g~_kj)``
+    on exponents, once per skeleton for every coefficient choice.
+
+    ``entries`` maps (k, i, j) to the Mbar' exponent of each slice point of
+    the entry of A_k.  Every term of either side of an identity is c(v) X^e
+    for one slice point v, c(v) its coefficient, so each side is fixed by
+    its map from exponent to slice point.  If neither side has a collision
+    (two points at one exponent) and the two maps are equal, the two sides
+    have the same terms whatever the coefficients are.  The converse holds
+    too, as the supports partition the points: each c(v) sits in exactly one
+    term on each side, and for generic coefficients it must sit at the same
+    exponent.  So this one check replaces summing the polynomials for each
+    coefficient choice.  A block row (column) whose supports do not add up
+    to the points of g_ki (g~_kj), each once, fails as a partition first.
+
+    Returns the results by report key; every failure raises.
     """
+    results = {}
+
+    def check(terms, target, name, identity, key):
+        # terms, target: (exponent, slice point) pairs of the two sides
+        if sorted(v for _, v in terms) != sorted(v for _, v in target):
+            raise InternalError(f"slice supports do not partition the points of a block {name}")
+        lhs, rhs = dict(terms), dict(target)
+        if len(lhs) != len(terms) or len(rhs) != len(target) or lhs != rhs:
+            raise InternalError(f"{identity} identity failed")
+        # the report keys shorten "column" to "col"
+        results[f"{name[:3]}_partition_{key}"] = results[f"matrix_{name[:3]}_identity_{key}"] = True
+
+    for k, block in enumerate(blocks):
+        u = [u_vectors[(k, pos)] for pos in range(len(block))]
+        w = [(0,) * len(u[0])] + [w_vectors[(k, pos)] for pos in range(1, len(block))]
+        for pos, slot in enumerate(block):
+            row = [(vadd(exp, w[j]), v) for j in range(len(block))
+                   for v, exp in entries[(k, pos, j)].items()]
+            target = [(vsub(mbar_prime[v], u[pos]), v) for v in slot_points[slot]]
+            check(row, target, "row", "A_k . w_k", f"{k}_{pos}")
+            col = [(vadd(exp, u[i]), v) for i in range(len(block))
+                   for v, exp in entries[(k, i, pos)].items()]
+            target = [(vsub(mbar_prime[v], w[pos]), v) for v in gt_supports[slot]]
+            check(col, target, "column", "u_k . A_k", f"{k}_{pos}")
+    return results
+
+
+def _slice_supports(pair2, q):
+    """Supports of the slice polynomials g_ij and g~_j."""
     s = pair2.s
     part_points = pair2.part_points()
-    slot_points = pair2.slice_points()
     supports = {}
     for i in range(s):
         for j in range(s):
@@ -548,25 +553,7 @@ def _slice_supports(pair2, q, blocks):
         )
         for j in range(s)
     )
-
-    results = {}
-    for k, block in enumerate(blocks):
-        for pos, slot in enumerate(block):
-            union = set()
-            for slot2 in block:
-                pts = set(supports[(slot, slot2)])
-                if union & pts:
-                    raise InternalError("slice supports overlap within a block row")
-                union |= pts
-            results[f"row_partition_{k}_{pos}"] = union == set(slot_points[slot])
-            col_union = set()
-            for slot2 in block:
-                pts = set(supports[(slot2, slot)])
-                if col_union & pts:
-                    raise InternalError("slice supports overlap within a block column")
-                col_union |= pts
-            results[f"col_partition_{k}_{pos}"] = col_union == set(gt_supports[slot])
-    return supports, gt_supports, results
+    return supports, gt_supports
 
 
 def _annihilator_basis(q, d):

@@ -124,6 +124,7 @@ def _decomposition_payload(pair, decs):
 
 
 def _bridge_payload(bridge, pair_idx, domain, seed):
+    skeleton = bridge.skeleton
     dets = []
     for det in bridge.determinants:
         ranges = [det.exponent_range(c) for c in range(bridge.torus_rank)]
@@ -137,12 +138,12 @@ def _bridge_payload(bridge, pair_idx, domain, seed):
         "pair": list(pair_idx),
         "coefficient_field": "rational" if domain == RATIONAL else {"prime": domain},
         "seed": seed,
-        "saturation_index": bridge.skeleton.sat_index,
+        "saturation_index": skeleton.sat_index,
         "torus_rank": bridge.torus_rank,
-        "blocks": [[i + 1 for i in b] for b in bridge.skeleton.blocks],
+        "blocks": [[i + 1 for i in b] for b in skeleton.blocks],
         "matrix_sizes": [len(m) for m in bridge.matrices],
-        "identity_results": {k: bool(v) for k, v in sorted(bridge.identity_results.items())},
-        "identities_pass": all(bridge.identity_results.values()),
+        "identity_results": {k: bool(v) for k, v in sorted(skeleton.identity_results.items())},
+        "identities_pass": all(skeleton.identity_results.values()),
         "determinants": dets,
         "diagonal_witness": list(bridge.diag_witness),
         "warnings": list(bridge.warnings),

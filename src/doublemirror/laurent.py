@@ -293,28 +293,8 @@ class LaurentPoly:
                 items.append((tuple(int(e) for e in exp), coeff))
         return LaurentPoly(rank, tuple(sorted(items)), domain)
 
-    @staticmethod
-    def zero(rank, domain):
-        return LaurentPoly(rank, (), domain)
-
     def is_zero(self):
         return not self.terms
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for exp, c in other.terms:
-            acc[exp] = _add(acc.get(exp, 0), c, self.domain)
-        return LaurentPoly.from_dict(self.rank, acc, self.domain)
-
-    def shift(self, exp):
-        """Multiply by the monomial X^exp."""
-        exp = tuple(int(e) for e in exp)
-        return LaurentPoly(
-            self.rank,
-            tuple(sorted((tuple(a + b for a, b in zip(e, exp)), c) for e, c in self.terms)),
-            self.domain,
-        )
 
     def exponent_range(self, coord):
         if not self.terms:
@@ -352,10 +332,6 @@ class LaurentPoly:
         if self._table is None:
             object.__setattr__(self, "_table", TermTable((self,)))
         return self._table
-
-    def _check_compatible(self, other):
-        if self.rank != other.rank or self.domain != other.domain:
-            raise InputError("polynomials live in different rings")
 
 
 class TermTable:
@@ -423,12 +399,6 @@ def _normalize_coeff(c, domain):
     if domain == RATIONAL:
         return Fraction(c)
     return int(c) % domain
-
-
-def _add(a, b, domain):
-    if domain == RATIONAL:
-        return a + b
-    return (a + b) % domain
 
 
 def det_cofactor(matrix_rows, rank, domain):

@@ -13,7 +13,7 @@ from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
 from doublemirror.instances import loads, parse_instance
-from doublemirror.intmat import IntMatrix, adjugate, hnf, kernel_basis, vadd
+from doublemirror.intmat import IntMatrix, adjugate, dot, hnf, kernel_basis, vadd, vneg
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.polytope import (
@@ -339,6 +339,75 @@ def brute_force_block_partition(p_vectors):
     return tuple(sorted(blocks, key=lambda b: b[0]))
 
 
+def laurent_add(f, g):
+    """The sum of two Laurent polynomials over one ring, term by term."""
+    if f.rank != g.rank or f.domain != g.domain:
+        raise InputError("polynomials live in different rings")
+    acc = dict(f.terms)
+    for exp, c in g.terms:
+        acc[exp] = acc.get(exp, 0) + c
+    return LaurentPoly.from_dict(f.rank, acc, f.domain)
+
+
+def laurent_shift(f, exp):
+    """``X**exp * f``."""
+    return LaurentPoly.from_dict(
+        f.rank, {tuple(a + b for a, b in zip(e, exp)): c for e, c in f.terms}, f.domain
+    )
+
+
+def to_mbar_prime(skeleton, f):
+    """A polynomial in Ann(e, e~) exponents, read over the skeleton's Mbar'
+    coordinates (a ; m . B^T): an exponent a is the point (0 ; a . Ann)."""
+    s, ann, basis = skeleton.pair.s, skeleton.ann_basis.data, skeleton.n_prime_basis.data
+    terms = {}
+    for exp, c in f.terms:
+        m = [sum(a * row[col] for a, row in zip(exp, ann)) for col in range(skeleton.pair.d)]
+        terms[(0,) * s + tuple(dot(m, b) for b in basis)] = c
+    return LaurentPoly.from_dict(s + skeleton.pair.d, terms, f.domain)
+
+
+def slice_polynomial(bridge, points):
+    """The bridge's coefficients on slice points, in Mbar' exponents."""
+    skeleton, pair = bridge.skeleton, bridge.pair
+    basis = skeleton.n_prime_basis.data
+    terms = {
+        tuple(v[: pair.s]) + tuple(dot(v[pair.s :], b) for b in basis):
+            bridge.coeffs.value(pair.point_to_root(v))
+        for v in points
+    }
+    return LaurentPoly.from_dict(pair.s + pair.d, terms, bridge.coeffs.domain)
+
+
+def bridge_identity_results(bridge):
+    """``A_k . w_k = (X^{-u_ki} g_ki)^t`` and ``u_k . A_k = X^{-w_kj} g~_kj``
+    on the built matrices, by the report's keys, summed as Laurent
+    polynomials over Mbar'.  g_i is slot i's polynomial and g~_j that of the
+    slice points pairing to 1 with e~_j."""
+    skeleton, pair = bridge.skeleton, bridge.pair
+    points = [v for slot in pair.slice_points() for v in slot]
+    g = [slice_polynomial(bridge, slot) for slot in pair.slice_points()]
+    gt = [
+        slice_polynomial(bridge, [v for v in points if dot(v, e) == 1])
+        for e in skeleton.dec_etilde.e_tilde()
+    ]
+    zero = LaurentPoly.from_dict(pair.s + pair.d, {}, bridge.coeffs.domain)
+    results = {}
+    for k, block in enumerate(skeleton.blocks):
+        mat = [[to_mbar_prime(skeleton, f) for f in row] for row in bridge.matrices[k]]
+        u = [skeleton.u_vectors[(k, pos)] for pos in range(len(block))]
+        w = [(0,) * (pair.s + pair.d)]
+        w += [skeleton.w_vectors[(k, pos)] for pos in range(1, len(block))]
+        for pos, slot in enumerate(block):
+            row = col = zero
+            for other in range(len(block)):
+                row = laurent_add(row, laurent_shift(mat[pos][other], w[other]))
+                col = laurent_add(col, laurent_shift(mat[other][pos], u[other]))
+            results[f"matrix_row_identity_{k}_{pos}"] = row == laurent_shift(g[slot], vneg(u[pos]))
+            results[f"matrix_col_identity_{k}_{pos}"] = col == laurent_shift(gt[slot], vneg(w[pos]))
+    return results
+
+
 def laurent_mul(f, g):
     """The product of two Laurent polynomials over one ring, term by term."""
     if f.rank != g.rank or f.domain != g.domain:
@@ -359,13 +428,13 @@ def laurent_scale(f, k):
 def det_permutation(matrix_rows, rank, domain):
     """Determinant by the permutation-sum definition."""
     n = len(matrix_rows)
-    total = LaurentPoly.zero(rank, domain)
+    total = LaurentPoly.from_dict(rank, {}, domain)
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
         term = LaurentPoly.from_dict(rank, {(0,) * rank: sign}, domain)
         for i in range(n):
             term = laurent_mul(term, matrix_rows[i][perm[i]])
-        total = total + term
+        total = laurent_add(total, term)
     return total
 
 

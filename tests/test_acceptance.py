@@ -35,9 +35,11 @@ from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope, dual_polytope, hull_vertices, is_reflexive
 from oracles import (
+    bridge_identity_results,
     brute_force_block_partition,
     delta_regularity_probe,
     is_unimodular,
+    laurent_shift,
     max_minor_gcd,
     mul_vec,
     pairwise_minkowski_sum,
@@ -225,15 +227,20 @@ def test_criterion_3_symbolic_identities(pp53, corpus):
     cases.append(("product-projective(5,3)", pair53, decs53[0], decs53[1]))
     cases.append(("product-projective(5,3)", pair53, decs53[1], decs53[2]))
     for name, pair, dec_a, dec_b in cases:
-        coeffs = random_coefficients(pair, RATIONAL, seed=20260810)
-        bridge = bridge_skeleton(pair, dec_a, dec_b).instantiate(coeffs)
-        assert all(bridge.identity_results.values()), name
-        checked += len(bridge.identity_results)
+        skeleton = bridge_skeleton(pair, dec_a, dec_b)
+        assert all(skeleton.identity_results.values()), name
+        # the skeleton checked them on exponents; sum the built polynomials
+        for domain in (RATIONAL, 10007):
+            bridge = skeleton.instantiate(random_coefficients(pair, domain, seed=20260810))
+            results = bridge_identity_results(bridge)
+            assert all(results.values()), (name, domain)
+            assert results.keys() <= skeleton.identity_results.keys()
+            checked += len(results)
     elapsed = time.monotonic() - started
     _report(
         "criterion 3: symbolic matrix and coefficient-partition identities exact",
         True,
-        f"{checked} identities over {len(cases)} pairs, {elapsed:.1f}s",
+        f"{checked} polynomial identities over {len(cases)} pairs and two fields, {elapsed:.1f}s",
     )
 
 
@@ -367,7 +374,9 @@ def test_criterion_7_delta_regularity():
     eq1 = bridge.equations_e[0]
     crafted = replace(
         bridge,
-        equations_e=(eq1, eq1.shift((1, 0, 0, 0)), eq1.shift((0, 1, 0, 0))),
+        equations_e=(
+            eq1, laurent_shift(eq1, (1, 0, 0, 0)), laurent_shift(eq1, (0, 1, 0, 0))
+        ),
     )
     from doublemirror.laurent import SplitMix64, fp_roots
 

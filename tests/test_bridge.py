@@ -35,9 +35,12 @@ from doublemirror.laurent import RATIONAL, det_cofactor
 from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
 from oracles import (
+    bridge_identity_results,
     brute_force_block_partition,
     det_permutation,
     is_unimodular,
+    laurent_add,
+    laurent_shift,
     leibniz_det,
     m_level_complement,
     max_minor_gcd,
@@ -45,6 +48,8 @@ from oracles import (
     product_projective_lattice,
     projective_space_parts,
     rational_rank,
+    slice_polynomial,
+    to_mbar_prime,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -363,16 +368,29 @@ class TestMLevelComplement:
                 assert fiber(bridge, sp.y, p, "etilde", sp.values)[0] == [expected]
 
 
+def check_identities(skeleton, pair, seed):
+    """The skeleton's identity results, and the identities summed as
+    polynomials on the matrices it builds over QQ and over F_p."""
+    assert all(skeleton.identity_results.values())
+    bridges = []
+    for domain in (RATIONAL, 10007):
+        bridge = skeleton.instantiate(random_coefficients(pair, domain, seed))
+        results = bridge_identity_results(bridge)
+        assert results and all(results.values())
+        assert results.keys() <= skeleton.identity_results.keys()
+        bridges.append(bridge)
+    return bridges
+
+
 class TestBridge:
     def test_self_pair(self, two_segment_pair):
         decs = enumerate_decompositions(two_segment_pair)
-        coeffs = random_coefficients(two_segment_pair, RATIONAL, 3)
-        bridge = bridge_skeleton(two_segment_pair, decs[0], decs[0]).instantiate(coeffs)
-        assert [len(m) for m in bridge.matrices] == [1, 1]
-        assert all(bridge.identity_results.values())
-        # s = 1 blocks: single entries equal the slice polynomial up to a monomial
-        for k, mat in enumerate(bridge.matrices):
-            assert len(mat[0][0].terms) == 3
+        skeleton = bridge_skeleton(two_segment_pair, decs[0], decs[0])
+        for bridge in check_identities(skeleton, two_segment_pair, 3):
+            assert [len(m) for m in bridge.matrices] == [1, 1]
+            # s = 1 blocks: single entries equal the slice polynomial up to a monomial
+            for k, mat in enumerate(bridge.matrices):
+                assert len(mat[0][0].terms) == 3
 
     def test_skeleton_serves_both_fields(self, pp33):
         # --pair 2 3: the reference decomposition is nontrivial, so the
@@ -409,21 +427,18 @@ class TestBridge:
 
     def test_pp33_identities(self, pp33):
         pair, decs = pp33
-        coeffs = random_coefficients(pair, RATIONAL, 11)
-        bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
-        assert all(bridge.identity_results.values())
-        assert bridge.skeleton.sat_index == 1
-        assert bridge.torus_rank == 2
-        assert [len(m) for m in bridge.matrices] == [3]
+        skeleton = bridge_skeleton(pair, decs[0], decs[1])
+        for bridge in check_identities(skeleton, pair, 11):
+            assert bridge.skeleton.sat_index == 1
+            assert bridge.torus_rank == 2
+            assert [len(m) for m in bridge.matrices] == [3]
         # every slice has 3 lattice points
-        for (i, j), poly in bridge.slice_polys.items():
-            assert len(poly.terms) == 3
+        for (i, j), support in skeleton.slice_supports.items():
+            assert len(support) == 3
 
     def test_pp33_nontrivial_pair(self, pp33):
         pair, decs = pp33
-        coeffs = random_coefficients(pair, RATIONAL, 11)
-        bridge = bridge_skeleton(pair, decs[1], decs[2]).instantiate(coeffs)
-        assert all(bridge.identity_results.values())
+        check_identities(bridge_skeleton(pair, decs[1], decs[2]), pair, 11)
 
     def test_determinant_cross_check(self, pp33):
         pair, decs = pp33
@@ -446,7 +461,7 @@ class TestBridge:
         col_shifts = [tuple(rng.randint(-1, 1) for _ in range(rank)) for _ in mat]
         shifted = [
             tuple(
-                entry.shift(vadd(row_shifts[i], col_shifts[j]))
+                laurent_shift(entry, vadd(row_shifts[i], col_shifts[j]))
                 for j, entry in enumerate(row)
             )
             for i, row in enumerate(mat)
@@ -455,7 +470,7 @@ class TestBridge:
         total = (0,) * rank
         for sh in row_shifts + col_shifts:
             total = vadd(total, sh)
-        assert new_det.terms == bridge.determinants[0].shift(total).terms
+        assert new_det.terms == laurent_shift(bridge.determinants[0], total).terms
 
     @pytest.mark.parametrize("side", ["e", "etilde"])
     def test_corrupted_stack_inverse_rejected(self, pp33, side, monkeypatch):
@@ -489,8 +504,68 @@ class TestBridge:
         monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
         with pytest.raises(InternalError, match="projection of the fiber point"):
             bridge_skeleton(pair, decs[0], decs[1])
-        # the Ann(e)' check may invert the same matrix; it reads only the determinant
-        assert len(set(stacks)) == 1
+        assert len(stacks) == 1
+
+    @pytest.mark.parametrize("side", ["row", "column"])
+    def test_dropped_support_point_rejected(self, pp33, side, monkeypatch):
+        # a support of g_ij that misses a point leaves block row i short of
+        # the points of g_i (row 0 is checked first); one of g~_j leaves
+        # block column j with a point too many
+        import doublemirror.bridge as bridge_mod
+        from doublemirror.errors import InternalError
+
+        pair, decs = pp33
+        real = bridge_mod._slice_supports
+
+        def dropped(pair2, q):
+            supports, gt_supports = real(pair2, q)
+            if side == "row":
+                supports[(0, 1)] = supports[(0, 1)][1:]
+            else:
+                gt_supports = (gt_supports[0][1:],) + gt_supports[1:]
+            return supports, gt_supports
+
+        monkeypatch.setattr(bridge_mod, "_slice_supports", dropped)
+        with pytest.raises(InternalError, match=f"do not partition the points of a block {side}"):
+            bridge_skeleton(pair, decs[0], decs[1])
+
+    @pytest.mark.parametrize("coord", ["e", "mprime"])
+    def test_corrupted_entry_shift_rejected(self, pp33, coord, monkeypatch):
+        # one entry moved by a monomial breaks its row identity.  A shift in
+        # the e part is what the Ann(e, e~) conversion no longer checks
+        import doublemirror.bridge as bridge_mod
+        from doublemirror.errors import InternalError
+
+        pair, decs = pp33
+        real = bridge_mod.entry_shifts
+
+        def corrupted(blocks, u_vectors, w_vectors):
+            shifts = real(blocks, u_vectors, w_vectors)
+            c = 0 if coord == "e" else pair.s
+            shifts[(0, 1, 2)] = tuple(x + (i == c) for i, x in enumerate(shifts[(0, 1, 2)]))
+            return shifts
+
+        monkeypatch.setattr(bridge_mod, "entry_shifts", corrupted)
+        with pytest.raises(InternalError, match=r"A_k \. w_k identity failed"):
+            bridge_skeleton(pair, decs[0], decs[1])
+
+    def test_sublattice_annihilator_rejected(self, pp33, monkeypatch):
+        # a basis of an index-2 sublattice of Ann(e, e~) fails the Ann(e)'
+        # split, which is not checked on its own.  Here some entry exponents
+        # lie outside the sublattice, so reading them over its basis rejects it
+        import doublemirror.bridge as bridge_mod
+        from doublemirror.errors import InternalError
+
+        pair, decs = pp33
+        real = bridge_mod._annihilator_basis
+
+        def doubled(q, d):
+            basis = real(q, d)
+            return IntMatrix((vscale(2, basis.data[0]),) + basis.data[1:])
+
+        monkeypatch.setattr(bridge_mod, "_annihilator_basis", doubled)
+        with pytest.raises(InternalError, match=r"entry exponent left Ann\(e, e~\)"):
+            bridge_skeleton(pair, decs[0], decs[1])
 
     def test_trivial_tuple_rejected_when_sum_nonzero(self):
         from doublemirror.errors import DecompositionError
@@ -499,22 +574,31 @@ class TestBridge:
             make_decomposition([(1, 0), (0, 1)])
 
     def test_slice_polynomials_standalone(self, pp33):
-        # each slot's g_ij add up to its whole slot polynomial; the expected
-        # terms come from the pair, not from the bridge's identity results
+        # each slot's g_ij, read off the built entries, have the supports the
+        # skeleton keeps and add up to its whole slot polynomial; the expected
+        # terms come from the pair's points and the coefficients
         pair, decs = pp33
         coeffs = random_coefficients(pair, RATIONAL, 11)
         bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         skeleton, s = bridge.skeleton, pair.s
+        (block,) = skeleton.blocks
+        assert sorted(block) == list(range(s))
+
+        def g(i, j):
+            # entry (i, j) of A_1 is X^{-u_i - w_j} g_ij, w_0 = 0
+            pos_i, pos_j = block.index(i), block.index(j)
+            shift = skeleton.u_vectors[(0, pos_i)]
+            if pos_j >= 1:
+                shift = vadd(shift, skeleton.w_vectors[(0, pos_j)])
+            return laurent_shift(to_mbar_prime(skeleton, bridge.matrices[0][pos_i][pos_j]), shift)
+
         for i, slot_points in enumerate(skeleton.pair.slice_points()):
-            total = bridge.slice_polys[(i, 0)]
+            total = g(i, 0)
+            assert total == slice_polynomial(bridge, skeleton.slice_supports[(i, 0)])
             for j in range(1, s):
-                total = total + bridge.slice_polys[(i, j)]
-            expected = {
-                v[:s] + tuple(dot(v[s:], row) for row in skeleton.n_prime_basis.data):
-                    coeffs.value(skeleton.pair.point_to_root(v))
-                for v in slot_points
-            }
-            assert dict(total.terms) == expected
+                assert g(i, j) == slice_polynomial(bridge, skeleton.slice_supports[(i, j)])
+                total = laurent_add(total, g(i, j))
+            assert total == slice_polynomial(bridge, slot_points)
 
     def test_canonical_linear_equivalence_form(self, pp33):
         # e~_i - e_i = (0 ; p_i): the lattice-level linear-equivalence statement

@@ -27,6 +27,7 @@ from doublemirror.polytope import Polytope
 from oracles import (
     block_determinant,
     delta_regularity_probe,
+    laurent_shift,
     leibniz_det,
     product_projective_lattice,
 )
@@ -203,7 +204,7 @@ class TestFiber:
         # craft a bridge whose matrix vanishes identically at every point
         from doublemirror.records import replace
 
-        zero = LaurentPoly.zero(pp33_bridge.torus_rank, P)
+        zero = LaurentPoly.from_dict(pp33_bridge.torus_rank, {}, P)
         crafted = replace(
             pp33_bridge, matrices=(((zero, zero), (zero, zero)),)
         )
@@ -245,9 +246,9 @@ class TestEvidence:
         from doublemirror.records import replace
 
         eq1 = pp33_bridge.equations_e[0]
-        shifted = eq1.shift((1, 0, 0, 0))
+        shifted = laurent_shift(eq1, (1, 0, 0, 0))
         crafted = replace(
-            pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
+            pp33_bridge, equations_e=(eq1, shifted, laurent_shift(shifted, (0, 1, 0, 0)))
         )
         report = birationality_evidence(crafted, 12, P, 0)
         assert report.samples_on_d == 12
@@ -261,7 +262,7 @@ class TestEvidence:
         # every sample has a two-dimensional kernel on both sides
         from doublemirror.records import replace
 
-        zero = LaurentPoly.zero(pp33_bridge.torus_rank, P)
+        zero = LaurentPoly.from_dict(pp33_bridge.torus_rank, {}, P)
         crafted = replace(
             pp33_bridge, matrices=(((zero, zero), (zero, zero)),)
         )
@@ -327,9 +328,9 @@ class TestEvaluationCounts:
         (sp,) = list(sample_determinantal_points(pp33_bridge, 1, P, 2, {}))
         assert fiber(pp33_bridge, sp.y, P, "e", sp.values)[1] == 1
         eq1 = pp33_bridge.equations_e[0]
-        shifted = eq1.shift((1, 0, 0, 0))
+        shifted = laurent_shift(eq1, (1, 0, 0, 0))
         crafted = replace(
-            pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
+            pp33_bridge, equations_e=(eq1, shifted, laurent_shift(shifted, (0, 1, 0, 0)))
         )
         assert crafted.term_tables() is not pp33_bridge.term_tables()
         points, regular = fiber(crafted, sp.y, P, "e", sp.values)
@@ -352,9 +353,9 @@ class TestDeltaRegularity:
 
         d = pp33_bridge.pair.d
         eq1 = pp33_bridge.equations_e[0]
-        shifted = eq1.shift((1, 0, 0, 0))
+        shifted = laurent_shift(eq1, (1, 0, 0, 0))
         crafted = replace(
-            pp33_bridge, equations_e=(eq1, shifted, shifted.shift((0, 1, 0, 0)))
+            pp33_bridge, equations_e=(eq1, shifted, laurent_shift(shifted, (0, 1, 0, 0)))
         )
         # common zeros of all three equations = zeros of eq1
         pts = []

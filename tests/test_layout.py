@@ -2,8 +2,9 @@
 
 Every function and class defined under ``src/doublemirror`` must be referenced
 by name somewhere under ``src/``: a routine whose only callers are tests
-belongs in ``tests/oracles.py``.  Dunders and hooks that a base class calls
-by name are exempt.
+belongs in ``tests/oracles.py``.  A method counts as referenced only through
+attribute access (``x.name``), so a local variable of the same name does not
+hide it.  Dunders and hooks that a base class calls by name are exempt.
 """
 
 import ast
@@ -21,41 +22,45 @@ def parse(path):
 
 
 def definitions(tree):
-    """``(qualified name, name)`` of every function and class, nested ones too."""
+    """``(qualified name, name, is a method)`` of every function and class,
+    nested ones too."""
     found = []
 
-    def walk(node, prefix):
+    def walk(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 qualname = prefix + child.name
-                found.append((qualname, child.name))
-                walk(child, qualname + ".")
+                found.append((qualname, child.name, in_class))
+                walk(child, qualname + ".", isinstance(child, ast.ClassDef))
             else:
-                walk(child, prefix)
+                walk(child, prefix, in_class)
 
-    walk(tree, "")
+    walk(tree, "", False)
     return found
 
 
 def referenced_names(tree):
-    names = set()
+    """``(names, attributes)``: the bare names and the attribute names read."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return names
+            attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_library_definition_is_used_in_the_library():
     trees = {path: parse(path) for path in sorted(SRC.rglob("*.py"))}
-    used = set().union(*(referenced_names(tree) for tree in trees.values()))
+    refs = [referenced_names(tree) for tree in trees.values()]
+    attributes = set().union(*(a for _, a in refs))
+    used = attributes.union(*(n for n, _ in refs))
     unused = [
         f"{path.relative_to(SRC)}:{qualname}"
         for path, tree in trees.items()
         if PACKAGE in path.parents
-        for qualname, name in definitions(tree)
-        if name not in used
+        for qualname, name, is_method in definitions(tree)
+        if name not in (attributes if is_method else used)
         and not (name.startswith("__") and name.endswith("__"))
         and qualname not in HOOKS
     ]

@@ -31,7 +31,7 @@ class TestImmutability:
             (IntMatrix(((1, 2),)), "data"),
             (Polytope(Z2, SQUARE), "vertices"),
             (Polytope(Z2, SQUARE), "_facets"),
-            (LaurentPoly.zero(2, RATIONAL), "terms"),
+            (LaurentPoly.from_dict(2, {}, RATIONAL), "terms"),
             (Z2, "rank"),
         ],
     )
