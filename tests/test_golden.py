@@ -22,6 +22,9 @@ than one part that is translated by moving its first part.
 ``pp33-rational.json`` is pp33 with explicit rational coefficients, most of
 them not integers, so its ``bridge`` report pins the determinant over QQ
 with fractional entries.
+``p5-222.json`` is the nef-partition (2, 2, 2) of P^5, ``conv(0, E_i)`` over
+consecutive pairs of the fan vertices, as built by
+``oracles.projective_space_parts((2, 2, 2))``.
 """
 
 import hashlib
@@ -74,6 +77,7 @@ COMMAND_CASES = [
     ("nefdual", "shifted-square", []),
     ("nefdual", "shifted-two-segment", []),
     *[(cmd, "pp53", []) for cmd in ("cone", "decompose", "nefdual")],
+    *[(cmd, "p5-222", []) for cmd in ("decompose", "nefdual")],
 ]
 
 
@@ -95,6 +99,11 @@ NAMED_CASES = [
     ("verify-pp33-pair23-p10007", ["verify", "pp33.json", "--pair", "2", "3", *RUN_30]),
     ("pipeline-pp33-p10007", ["pipeline", "pp33.json", *RUN_30]),
     ("pipeline-pp53-p10007", ["pipeline", "pp53.json", *RUN_30]),
+    # three parts: --pair 2 3 renormalizes a three-part partition, and the
+    # (1, 2) bridge has two blocks, so sampling finds no point of D
+    ("bridge-p5-222-pair23", ["bridge", "p5-222.json", "--pair", "2", "3"]),
+    ("verify-p5-222-p10007",
+     ["verify", "p5-222.json", "--pair", "1", "2", "--samples", "20", "--prime", "10007"]),
 ]
 
 
