@@ -357,10 +357,14 @@ def bridge_skeleton(
     pair: GorensteinConePair, dec_e: Decomposition, dec_etilde: Decomposition
 ) -> BridgeSkeleton:
     """The lattice data comparing two decompositions of deg_dual, all checked."""
-    pair2 = pair if dec_e.is_trivial() else renormalize(pair, dec_e.e_tilde())
+    if dec_e.is_trivial():
+        # q is dec_etilde.p, whose blocks are already known
+        pair2, dec_et2 = pair, dec_etilde
+    else:
+        pair2 = renormalize(pair, dec_e.e_tilde())
+        dec_et2 = make_decomposition(tuple(vsub(b, a) for a, b in zip(dec_e.p, dec_etilde.p)))
     s, d = pair2.s, pair2.d
-    q = tuple(vsub(b, a) for a, b in zip(dec_e.p, dec_etilde.p))
-    dec_et2 = make_decomposition(q)
+    q = dec_et2.p
     for i, e in enumerate(dec_et2.e_tilde()):
         if not in_dual_cone(pair2, e):
             raise InternalError(f"transported summand {i + 1} left the dual cone")

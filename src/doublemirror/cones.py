@@ -39,7 +39,6 @@ from .errors import (
 from .intmat import (
     IntMatrix,
     RowSolver,
-    adjugate,
     dot,
     independent_rows,
     kernel_basis,
@@ -145,40 +144,20 @@ class GorensteinConePair:
 
 
 def build_cone(np: NefPartition, to_root: IntMatrix | None = None) -> GorensteinConePair:
-    """Cone pair of a nef-partition whose sum has the origin interior."""
-    if not np.sum.contains((0,) * np.lattice.rank):
-        raise InputError("partition sum must contain the origin")
+    """Cone pair of a nef-partition, its dual checked by ``dual_nef_partition``.
+
+    The pair is reflexive Gorenstein of index s with no further check:
+    Batyrev-Nill makes K of a nef-partition reflexive Gorenstein with K-dual
+    the Cayley cone of the dual parts, and ``dual_nef_partition`` checks the
+    relations that this pair's K-dual is built from.  Each generator
+    ``(delta_i ; v)`` of K and each Cayley ray pairs to 1 with deg_dual and
+    deg (the unit slots), the pairing minima make every ``<g, w> >= 0``, and
+    both generator sets span, being the rays of full-dimensional cones.  The
+    sum holds the origin, every part having it.
+    """
     if to_root is None:
         to_root = IntMatrix.identity(np.length + np.lattice.rank)
-    pair = GorensteinConePair(np, dual_nef_partition(np), to_root)
-    ok, idx = verify_reflexive_gorenstein_data(
-        pair.k_generators, pair.k_dual_generators, pair.deg, pair.deg_dual
-    )
-    if not ok or idx != pair.s:
-        raise InternalError("constructed cone failed the reflexive Gorenstein check")
-    return pair
-
-
-def verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_dual):
-    """Both Gorenstein conditions plus interiority of the degree elements.
-
-    Returns ``(flag, index)`` where ``index = <deg, deg_dual>``.
-    """
-    idx = dot(deg, deg_dual)
-    n = len(deg)
-    if any(dot(g, deg_dual) != 1 for g in k_generators):
-        return False, idx
-    if any(dot(deg, w) != 1 for w in k_dual_generators):
-        return False, idx
-    for g in k_generators:
-        for w in k_dual_generators:
-            if dot(g, w) < 0:
-                return False, idx
-    if len(independent_rows(k_generators, n)) != n:
-        return False, idx
-    if len(independent_rows(k_dual_generators, n)) != n:
-        return False, idx
-    return True, idx
+    return GorensteinConePair(np, dual_nef_partition(np), to_root)
 
 
 def in_dual_cone(pair: GorensteinConePair, y):
@@ -218,18 +197,23 @@ def renormalize(pair: GorensteinConePair, e_tilde) -> GorensteinConePair:
     if total != pair.deg_dual:
         raise DecompositionError("summands do not add up to deg_dual")
 
+    # no face is empty: a summand is >= 0 on the vertices of S, which span K,
+    # and the summands add up to 1 there, so a summand that is 1 on none of
+    # them is 0, which is rejected above
     faces = _split_by_faces(
         pair.s_vertices(), e_tilde, "Conv of the new parts differs from Conv of the old parts"
     )
-    if not all(faces):
-        raise InternalError("slice face of a valid decomposition is empty")
+    # unimodular with no check: the frame is block triangular with the unit
+    # M block, and its slot block is a permutation matrix.  deg pairs to 1
+    # with every Cayley ray (the unit slots), so to >= 1 with each nonzero
+    # summand, and the summands add up to s there: each is 1.  Its slot
+    # entries are its pairings with the (delta_k ; 0) in K, so >= 0, and one
+    # of them is 1; the slot entries add up to those of deg_dual, all 1
     frame = IntMatrix(tuple(
         [e[:s] + (0,) * d for e in e_tilde]
         + [tuple(-sum(e[s + j] * e[k] for e in e_tilde) for k in range(s))
            + tuple(int(k == j) for k in range(d)) for j in range(d)]
     ))
-    if adjugate(frame)[0] not in (1, -1):
-        raise InternalError("decomposition summands do not give a lattice basis")
     rays = sorted(tuple(dot(row, y) for row in frame.data) for y in pair.parts.cayley_rays)
     np = validate_nef_partition(
         [Polytope(pair.parts.lattice, tuple(sorted(v[s:] for v in face))) for face in faces],
@@ -293,14 +277,14 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     reference = next(point_tuples([t_points] * s, deg_dual), None)
     if reference is None:
         raise NotGorensteinError("deg_dual admits no decomposition into dual slice points")
-    if len(set(reference)) != s:
-        raise InternalError("decomposition summands are not pairwise distinct")
 
+    # At a vertex v of S the pairings <v, e_i> are integers >= 0 (e_i lies
+    # in T, in K-dual) adding up to <v, deg_dual> = 1.  A summand 1 at no vertex would be 0 on all of them,
+    # which span, yet <deg, e_i> = 1; so each group below has a vertex v_i with
+    # <v_i, e_j> = delta_ij, and the summands are distinct and independent
     groups = _split_by_faces(
         s_vertices, reference, "slice vertex not in exactly one reference slot"
     )
-    if not all(groups):
-        raise InternalError("reference summand supports no slice vertex")
 
     section = next(point_tuples(groups, deg), None)
     if section is None:
@@ -313,24 +297,20 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
             "for the reference decomposition"
         )
 
+    # The section has <section_i, e_j> = delta_ij like the v_i, and the rows
+    # of ann_basis span the saturated lattice {x : <x, e_i> = 0 for all i},
+    # of rank d = n - s.  So x - sum_i <x, e_i> section_i lies in it for
+    # every integral x: [section ; ann_basis] is a lattice basis, and v minus
+    # section_i, for v in group i, has integral coordinates over ann_basis
     ann_basis = kernel_basis(IntMatrix(tuple(reference)))
     d = ann_basis.rows
-    if d != n - s:
-        raise InternalError("annihilator lattice has unexpected rank")
     ann_solver = RowSolver(ann_basis)
     part_polys = []
     for i, group in enumerate(groups):
-        verts = []
-        for v in group:
-            z = ann_solver.solve(vsub(v, section[i]))
-            if z is None:
-                raise InternalError("slice vertex left the annihilator lattice")
-            verts.append(z)
+        verts = [ann_solver.solve(vsub(v, section[i])) for v in group]
         # an affine unimodular image of the vertices of the face S_i
         part_polys.append(Polytope(LatticeEmbedding.full(d), tuple(sorted(verts))))
     to_root = IntMatrix(tuple(list(section) + list(ann_basis.data)))
-    if adjugate(to_root)[0] not in (1, -1):
-        raise InternalError("section and annihilator basis do not form a lattice basis")
     # K-dual in split coordinates: w_split = to_root . w_root, a unimodular
     # map, so the rays stay primitive
     split_rays = sorted(tuple(dot(row, w) for row in to_root.data) for w in rays)

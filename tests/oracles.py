@@ -8,12 +8,13 @@ from pathlib import Path
 
 from doublemirror.bridge import make_decomposition
 from doublemirror.canned import product_projective
-from doublemirror.cones import verify_reflexive_gorenstein_data
 from doublemirror.dd import extreme_rays
 from doublemirror.errors import InputError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
 from doublemirror.instances import loads, parse_instance
-from doublemirror.intmat import IntMatrix, adjugate, dot, hnf, kernel_basis, vadd, vneg
+from doublemirror.intmat import (
+    IntMatrix, adjugate, dot, hnf, independent_rows, kernel_basis, vadd, vneg
+)
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.polytope import (
@@ -212,8 +213,31 @@ def delta_regularity_probe(bridge, points, prime, side="e"):
     return Fraction(passes, len(points)) if points else None
 
 
+def verify_reflexive_gorenstein_data(k_generators, k_dual_generators, deg, deg_dual):
+    """Both Gorenstein conditions plus interiority of the degree elements,
+    by pairing every generator of K with every generator of K-dual.
+
+    Returns ``(flag, index)`` where ``index = <deg, deg_dual>``.
+    """
+    idx = dot(deg, deg_dual)
+    n = len(deg)
+    if any(dot(g, deg_dual) != 1 for g in k_generators):
+        return False, idx
+    if any(dot(deg, w) != 1 for w in k_dual_generators):
+        return False, idx
+    for g in k_generators:
+        for w in k_dual_generators:
+            if dot(g, w) < 0:
+                return False, idx
+    if len(independent_rows(k_generators, n)) != n:
+        return False, idx
+    if len(independent_rows(k_dual_generators, n)) != n:
+        return False, idx
+    return True, idx
+
+
 def verify_reflexive_gorenstein(pair):
-    """The reflexive Gorenstein check of ``build_cone``, rerun on a built pair."""
+    """The reflexive Gorenstein conditions, checked on a built pair."""
     return verify_reflexive_gorenstein_data(
         pair.k_generators, pair.k_dual_generators, pair.deg, pair.deg_dual
     )

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from doublemirror import bridge
 from doublemirror.bridge import (
     block_partition,
     bridge_vectors,
@@ -159,6 +160,28 @@ class TestEnumerate:
         pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
         decs = enumerate_decompositions(pair)
         assert len(decs) == 2
+
+
+class TestSkeletonDecomposition:
+    def test_trivial_reference_reuses_the_enumerated_blocks(self, monkeypatch):
+        # with the trivial reference, q is decomposition j's own p, whose
+        # blocks enumerate_decompositions has computed already
+        pair = build_cone(validate_nef_partition(projective_space_parts((2, 2, 2))))
+        decs = enumerate_decompositions(pair)
+        real = bridge.block_partition
+        calls = []
+
+        def counted(p_vectors):
+            calls.append(p_vectors)
+            return real(p_vectors)
+
+        monkeypatch.setattr(bridge, "block_partition", counted)
+        for dec in decs[1:]:
+            assert bridge_skeleton(pair, decs[0], dec).dec_etilde is dec
+        assert len(decs) == 90 and calls == []
+        # a nontrivial reference transports decomposition j, a new one
+        bridge_skeleton(pair, decs[1], decs[2])
+        assert len(calls) == 1
 
 
 class TestAuxiliaryLattice:

@@ -14,14 +14,14 @@ from doublemirror.cones import (
     build_cone,
     normalize_cone,
     renormalize,
-    verify_reflexive_gorenstein_data,
 )
 from doublemirror.dd import extreme_rays
-from doublemirror.errors import DecompositionError, InternalError
+from doublemirror.cli import main
+from doublemirror.errors import DecompositionError, InternalError, NotGorensteinError
 from doublemirror.instances import build_partition, loads, parse_instance
-from doublemirror.intmat import IntMatrix, dot, independent_rows
+from doublemirror.intmat import IntMatrix, dot, independent_rows, vadd
 from doublemirror.lattices import LatticeEmbedding
-from doublemirror.nefpart import validate_nef_partition
+from doublemirror.nefpart import NefPartition, validate_nef_partition
 from doublemirror.polytope import Polytope, cayley_dual_rays, hull_vertices
 from oracles import (
     cone_contains,
@@ -31,6 +31,7 @@ from oracles import (
     minima_dual_generators,
     product_projective_lattice,
     verify_reflexive_gorenstein,
+    verify_reflexive_gorenstein_data,
 )
 
 Z2 = LatticeEmbedding.full(2)
@@ -256,6 +257,94 @@ class TestSliceVertices:
         )
         with pytest.raises(InternalError, match="Conv of the new parts differs"):
             renormalize(two_segment_pair, [(1, 0, 0, 0), (0, 1, 0, 0)])
+
+
+class TestImpliedChecks:
+    """Corruptions that checks deleted as implied used to catch, each still
+    rejected by a check that remains."""
+
+    @pytest.mark.parametrize("ray", [(1, 1, 1, 0), (1, 0, 2, 0), (1, 0, 0, 1)])
+    def test_build_cone_rejects_what_the_gorenstein_check_did(self, two_segment_pair, ray):
+        # a Cayley ray of deg-height 2, one negative on the generator
+        # (1, 0 ; -1, 0), and one whose minimum over part 1 is not -1
+        np_ = two_segment_pair.parts
+        rays = tuple(sorted(ray if r == (1, 0, 1, 0) else r for r in np_.cayley_rays))
+        corrupted = NefPartition(np_.parts, np_.sum, rays)
+        units = [(1, 0, 0, 0), (0, 1, 0, 0)]
+        ok, _ = verify_reflexive_gorenstein_data(
+            two_segment_pair.k_generators, sorted(set(rays).union(units)),
+            two_segment_pair.deg, two_segment_pair.deg_dual,
+        )
+        assert not ok
+        with pytest.raises(InternalError, match="dual Cayley ray|pairing minimum"):
+            build_cone(corrupted)
+
+    @pytest.mark.parametrize("e_tilde", [
+        # the frame has slot block [[2, 0], [-1, 1]], of determinant 2
+        [(2, 0, 0, 0), (-1, 1, 0, 0)],
+        # deg-heights 0 and 2
+        [(0, 0, 1, 0), (1, 1, -1, 0)],
+    ])
+    def test_renormalize_outside_the_dual_cone_still_rejected(
+        self, two_segment_pair, e_tilde, monkeypatch
+    ):
+        # the dual cone check keeps the frame unimodular and every face
+        # nonempty; without it the face split rejects these summands
+        with pytest.raises(DecompositionError, match="not in the dual cone"):
+            renormalize(two_segment_pair, e_tilde)
+        monkeypatch.setattr(cones, "in_dual_cone", lambda pair, y: True)
+        with pytest.raises(InternalError, match="Conv of the new parts differs"):
+            renormalize(two_segment_pair, e_tilde)
+
+    @staticmethod
+    def _corrupt_reference(monkeypatch, corrupt):
+        """Replace the first tuple ``normalize_cone`` gets from ``point_tuples``."""
+        real = cones.point_tuples
+        calls = []
+
+        def patched(groups, target):
+            calls.append(target)
+            found = real(groups, target)
+            if len(calls) == 1:
+                yield corrupt(next(found))
+            yield from found
+
+        monkeypatch.setattr(cones, "point_tuples", patched)
+
+    def test_repeated_reference_summand_rejected(self, monkeypatch):
+        self._corrupt_reference(monkeypatch, lambda ref: (ref[0],) + ref[:-1])
+        with pytest.raises(InternalError, match="slice vertex not in exactly one reference slot"):
+            normalize_cone(*product_projective_lattice(3, 3))
+
+    def test_reference_summand_on_no_vertex_rejected(self, monkeypatch):
+        # 0 and e_1 + e_2 in place of e_1 and e_2: every vertex still pairs to
+        # 1 with one summand, and no section exists
+        self._corrupt_reference(monkeypatch, lambda ref: ((0,) * len(ref[0]), vadd(ref[0], ref[1]))
+                                + ref[2:])
+        with pytest.raises(NotGorensteinError, match="no lattice section"):
+            normalize_cone(*product_projective_lattice(3, 3))
+
+    @pytest.mark.parametrize("corrupt", ["doubled", "dropped"])
+    def test_broken_annihilator_basis_gives_no_report(self, corrupt, monkeypatch, capsys):
+        # the rank, lattice and basis checks of [section ; Ann] are implied by
+        # kernel_basis spanning the saturated kernel; a kernel_basis that does
+        # not leaves a slice vertex off the lattice, and the run exits 3
+        real = cones.kernel_basis
+
+        def broken(a):
+            basis = real(a)
+            if a.rows != 3:  # _height_one_functional, not the annihilator
+                return basis
+            rows = basis.data
+            if corrupt == "doubled":
+                return IntMatrix((tuple(2 * x for x in rows[0]),) + rows[1:])
+            return IntMatrix(rows[1:])
+
+        monkeypatch.setattr(cones, "kernel_basis", broken)
+        monkeypatch.chdir(GOLDEN)
+        assert main(["cone", "pp33.json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error")
 
 
 class TestNormalizeCone:

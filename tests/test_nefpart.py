@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from doublemirror import nefpart
+from doublemirror import dd, nefpart, polytope
 from doublemirror.errors import (
     DegeneratePartError,
     InternalError,
@@ -15,6 +15,7 @@ from doublemirror.errors import (
 )
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import (
+    NefPartition,
     dual_nef_partition,
     is_two_independent,
     validate_nef_partition,
@@ -22,7 +23,9 @@ from doublemirror.nefpart import (
 from doublemirror.cli import _pair_from_instance, main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, loads, parse_instance
-from doublemirror.polytope import Polytope, cayley_dual_rays, dual_polytope, hull_vertices
+from doublemirror.polytope import (
+    Polytope, cayley_dual_rays, dual_polytope, hull_vertices, sum_from_cayley_rays
+)
 from oracles import cone_inputs, halfspace_dual_parts, pairing_minima, projective_space_parts
 
 Z2 = LatticeEmbedding.full(2)
@@ -58,6 +61,57 @@ class TestValidation:
         off = Polytope.from_points(Z2, [(1, 0), (2, 0), (1, 1)])
         with pytest.raises(OriginMissingError):
             validate_nef_partition([off])
+
+    @pytest.mark.parametrize("given_rays", [False, True])
+    def test_origin_missing_read_off_the_rays(self, given_rays):
+        # the origin test reads a_i >= 0 off the Cayley rays, computed here or
+        # supplied by the caller; part 2 misses the origin, the sum does not
+        square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        off = Polytope.from_points(Z2, [(1, 0), (1, 1)])
+        parts = [square, off]
+        rays = cayley_dual_rays(parts) if given_rays else None
+        with pytest.raises(OriginMissingError, match=r"^part 2 does not contain the origin$"):
+            validate_nef_partition(parts, rays)
+
+    def test_origin_test_runs_no_double_description_per_part(self, monkeypatch):
+        # one for the Cayley cone, unless the caller has its rays, and one for
+        # the vertices of the sum, for any number of parts
+        real = dd.extreme_rays
+        calls = []
+
+        def counted(constraints):
+            calls.append(constraints)
+            return real(constraints)
+
+        monkeypatch.setattr(polytope, "extreme_rays", counted)
+        for sizes in [(2, 2), (2, 2, 2), (2, 2, 2, 2)]:
+            parts = projective_space_parts(sizes)
+            calls.clear()
+            validate_nef_partition(parts)
+            assert len(calls) == 2
+            rays = cayley_dual_rays(parts)
+            calls.clear()
+            validate_nef_partition(parts, rays)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("parts,message", [
+        ([[[1, 0], [2, 0], [1, 1]]], "part 1 does not contain the origin"),
+        # both faults: the origin test reads the rays of a full-dimensional
+        # cone, so the dimension is found first
+        ([[[1, 0], [2, 0]]], "Minkowski sum has dimension 1 < 2"),
+        # both faults: the single point 0 is found before the double description
+        ([[[1, 0], [2, 0], [1, 1]], [[0, 0]]], "part 2 is the single point 0"),
+        # the two-segment partition with part 1 moved off the origin: the sum
+        # [1, 3] x [-1, 1] misses it too, and no translation is tried
+        ([[[1, 0], [3, 0]], [[0, -1], [0, 1]]], "part 1 does not contain the origin"),
+    ])
+    def test_rejected_inputs_exit_1(self, parts, message, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"}, "nef_partition": parts}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["nefdual", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and message in err and len(err.splitlines()) == 1
 
     def test_degenerate_part(self):
         zero = Polytope.from_points(Z2, [(0, 0)])
@@ -112,14 +166,28 @@ class TestDualPartition:
         dual = dual_nef_partition(np_)
         assert [p.vertices for p in dual.parts] == halfspace_dual_parts(np_)
 
-    def test_dual_sum_vertex_outside_the_parts_rejected(self, monkeypatch):
-        # dual(sum) of the two segments is the diamond conv{+-e1, +-e2}; a
-        # stand-in with the extra vertex (1, 1) is not Conv of the nablas
+    @pytest.mark.parametrize("name", ["square", "two-segment", "pp33", "pp53", "p5-222"])
+    def test_dual_sum_vertices_are_the_dual_part_vertices(self, name):
+        # Conv(nabla_1 u ... u nabla_s) = dual(sum), which dual_nef_partition
+        # does not check: the vertices of dual(sum) are the nonzero vertices
+        # of the nablas
+        inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+        np_ = _pair_from_instance(inst)[0].parts
+        nonzero = {w for p in dual_nef_partition(np_).parts for w in p.vertices if any(w)}
+        assert dual_polytope(np_.sum).vertex_set() == nonzero
+
+    def test_dual_sum_vertex_outside_the_parts_rejected(self):
+        # a ray (a ; w) with a_1 + a_2 = 2 puts the vertex w / 2 into
+        # dual(sum), outside Conv of the nablas; the unit-slot check rejects it
         np_ = two_segment_partition()
-        extra = Polytope(Z2, ((-1, 0), (0, -1), (0, 1), (1, 0), (1, 1)))
-        monkeypatch.setattr(nefpart, "dual_polytope", lambda p: extra)
-        with pytest.raises(InternalError, match="Conv of dual parts differs"):
-            dual_nef_partition(np_)
+        for ray in [(1, 1, 1, 0), (2, 0, 1, 0)]:
+            rays = tuple(sorted(ray if r == (1, 0, 1, 0) else r for r in np_.cayley_rays))
+            corrupted = NefPartition(np_.parts, sum_from_cayley_rays(np_.parts, rays), rays)
+            assert dual_polytope(corrupted.sum).vertex_set() == {
+                (-1, 0), (0, -1), (0, 1), (Fraction(1, 2), 0)
+            }
+            with pytest.raises(InternalError, match="dual Cayley ray off the unit slots"):
+                dual_nef_partition(corrupted)
 
 
 class TestOneDoubleDescriptionPerCone:
@@ -146,6 +214,32 @@ class TestOneDoubleDescriptionPerCone:
             return real(parts)
 
         monkeypatch.setattr(nefpart, "cayley_dual_rays", counted)
+        monkeypatch.chdir(GOLDEN)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # the input cone, its dual, T and the sum; no part needs facets
+            (["cone", "pp53.json"], 4),
+            # one fewer per part than when each part took its own origin test
+            (["nefdual", "square.json"], 4),
+            (["nefdual", "two-segment.json"], 6),
+            (["nefdual", "pp33.json"], 4),
+        ],
+    )
+    def test_extreme_rays_calls(self, argv, expected, monkeypatch, capsys):
+        real = dd.extreme_rays
+        calls = []
+
+        def counted(constraints):
+            calls.append(constraints)
+            return real(constraints)
+
+        for module in ("cones", "polytope"):
+            monkeypatch.setattr(f"doublemirror.{module}.extreme_rays", counted)
         monkeypatch.chdir(GOLDEN)
         assert main(argv) == 0
         capsys.readouterr()
