@@ -30,7 +30,7 @@ from .instances import (
 )
 from .lattices import LatticeEmbedding
 from .laurent import MASK64, RATIONAL, CoefficientAssignment, is_prime
-from .polytope import Polytope, is_reflexive
+from .polytope import Polytope, is_reflexive, sum_from_cayley_rays
 
 
 def _jsonable(x):
@@ -203,7 +203,7 @@ def cmd_nefdual(args):
     result = {
         "normalization": info,
         "parts": [_jsonable(p.vertices) for p in np_.parts],
-        "sum_vertices": _jsonable(np_.sum.vertices),
+        "sum_vertices": _jsonable(sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertices),
         "dual_parts": [_jsonable(p.vertices) for p in dual.parts],
         "pairing_minima_at_dual_vertices": minima,
     }

@@ -47,7 +47,7 @@ from .intmat import (
 )
 from .lattices import LatticeEmbedding
 from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
-from .polytope import Polytope, lattice_points, point_tuples
+from .polytope import Polytope, lattice_points, part_lattice_points, point_tuples
 from .records import field, record
 
 
@@ -119,17 +119,23 @@ class GorensteinConePair:
         ))
 
     def part_points(self):
-        """Lattice points of each part."""
+        """Lattice points of each part, cut out by the Cayley rays."""
         if "part_points" not in self._cache:
-            self._cache["part_points"] = tuple(
-                tuple(lattice_points(p)) for p in self.parts.parts
+            self._cache["part_points"] = part_lattice_points(
+                self.parts.parts, self.parts.cayley_rays
             )
         return self._cache["part_points"]
 
     def dual_part_points(self):
+        """Lattice points of each dual part ``nabla_j``, cut out by
+        ``<v, y> >= -delta_ij`` over the vertices v of every part P_i."""
         if "dual_part_points" not in self._cache:
+            parts = self.parts.parts
             self._cache["dual_part_points"] = tuple(
-                tuple(lattice_points(p)) for p in self.dual_parts.parts
+                tuple(lattice_points(nabla.vertices, [
+                    (v, int(i == j)) for i, part in enumerate(parts) for v in part.vertices
+                ]))
+                for j, nabla in enumerate(self.dual_parts.parts)
             )
         return self._cache["dual_part_points"]
 
@@ -272,8 +278,8 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
 
     s_vertices = extreme_rays(rays)
     # the extreme rays of K-dual all lie at deg-height one: they are the
-    # vertices of its slice T
-    t_points = lattice_points(Polytope(lattice.dual(), tuple(rays)))
+    # vertices of its slice T, which <g, y> >= 0 and <deg, y> = 1 cut out
+    t_points = lattice_points(rays, _slice_inequalities(gens, deg))
     reference = next(point_tuples([t_points] * s, deg_dual), None)
     if reference is None:
         raise NotGorensteinError("deg_dual admits no decomposition into dual slice points")
@@ -288,7 +294,7 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
 
     section = next(point_tuples(groups, deg), None)
     if section is None:
-        s_points = lattice_points(Polytope(lattice, tuple(s_vertices)))
+        s_points = lattice_points(s_vertices, _slice_inequalities(rays, deg_dual))
         point_groups = [[v for v in s_points if dot(v, e) == 1] for e in reference]
         section = next(point_tuples(point_groups, deg), None)
     if section is None:
@@ -324,6 +330,12 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
         "s_vertex_count": len(s_vertices),
     }
     return pair, info
+
+
+def _slice_inequalities(generators, height):
+    """``<g, x> >= 0`` over the generators g of a cone and ``<height, x> = 1``,
+    the equality as a pair of inequalities: its slice at height one."""
+    return [(g, 0) for g in generators] + [(height, -1), (tuple(-x for x in height), 1)]
 
 
 def _height_one_functional(vectors):

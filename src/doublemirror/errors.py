@@ -52,11 +52,11 @@ class SumNotFullDimensionalError(NefPartitionError):
 
 class SumNotReflexiveError(NefPartitionError):
     """The Minkowski sum of the parts is not a reflexive polytope; carries the
-    sum and the rays of the dual Cayley cone it was read from."""
+    sum's facets and the rays of the dual Cayley cone they were read from."""
 
-    def __init__(self, message, total, rays):
+    def __init__(self, message, facets, rays):
         super().__init__(message)
-        self.total = total
+        self.facets = facets
         self.rays = rays
 
 

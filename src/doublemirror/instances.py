@@ -34,7 +34,7 @@ from .intmat import IntMatrix, RowSolver, dot
 from .lattices import LatticeEmbedding
 from .laurent import MASK64, RATIONAL
 from .nefpart import validate_nef_partition
-from .polytope import Polytope, lattice_points, point_tuples
+from .polytope import Polytope, part_lattice_points, point_tuples
 from .records import record
 
 
@@ -276,11 +276,12 @@ def build_partition(instance: Instance):
     The sum moved by -u is reflexive exactly when ``<u, w> = 1 - b`` on
     every facet ``<x, w> >= -b`` of the sum, which fixes u.  Part i then
     moves by -q_i, where ``u = q_1 + ... + q_s`` with q_i a lattice point
-    of part i: ``(u, 0, ..., 0)`` when part 1 holds u, else the first such
-    split in lexicographic order.  The translation is unimodular on the
-    Cayley cone: it sends each ray ``(a ; w)`` of the dual cone to
-    ``(a' ; w)`` with ``a'_i = a_i + <q_i, w>``, so the translated parts
-    reuse the double description of the sum.
+    of part i, cut out by the carried rays: ``(u, 0, ..., 0)`` when part 1
+    holds u, else the first such split in lexicographic order.  The
+    translation is unimodular on the Cayley cone: it sends each ray
+    ``(a ; w)`` of the dual cone to ``(a' ; w)`` with
+    ``a'_i = a_i + <q_i, w>``, so the translated parts reuse the double
+    description of the sum.
 
     Returns ``(nef_partition, shift_note)``.
     """
@@ -291,16 +292,17 @@ def build_partition(instance: Instance):
     try:
         return validate_nef_partition(polys), None
     except SumNotReflexiveError as exc:
-        facets, rays = exc.total.facets(), exc.rays
+        facets, rays = exc.facets, exc.rays
         normals = IntMatrix(tuple(w for w, _ in facets))
         u = RowSolver(normals.transpose()).solve([1 - b for _, b in facets])
         if u is None:
             raise
-        if polys[0].contains(u):
+        points = part_lattice_points(polys, rays)
+        if u in points[0]:
             split = (u,) + ((0,) * len(u),) * (len(polys) - 1)
             note = "partition translated by " + _negated(u)
         else:
-            split = next(point_tuples([lattice_points(p) for p in polys], u), None)
+            split = next(point_tuples(points, u), None)
             if split is None:
                 raise
             note = "parts translated by " + ", ".join(_negated(q) for q in split)

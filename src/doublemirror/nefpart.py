@@ -4,9 +4,9 @@ A nef-partition is a list of lattice polytopes, each containing the origin,
 whose Minkowski sum is reflexive; equivalently, whose Cayley cone
 K = Cone(Cayley(P_1, ..., P_s)) is reflexive Gorenstein (Batyrev-Nill).
 Each extreme ray ``(a ; w)`` of K-dual with w != 0 is a facet
-``<x, w> >= -(a_1 + ... + a_s)`` of the sum, so the sum and its facets come
-from one double description, which the origin test, the reflexivity test
-and the dual read.
+``<x, w> >= -(a_1 + ... + a_s)`` of the sum, so the sum's facets come from
+one double description, which the origin test, the reflexivity test and the
+dual read; no vertex of the sum is computed.
 The dual partition consists of the polytopes
 ``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``, whose Cayley
 cone is K-dual (Batyrev-Nill), so the same rays give them, grouped by slot.
@@ -36,19 +36,13 @@ from .errors import (
     SumNotReflexiveError,
 )
 from .intmat import independent_rows
-from .polytope import (
-    Polytope,
-    cayley_dual_rays,
-    is_reflexive,
-    sum_from_cayley_rays,
-)
+from .polytope import Polytope, cayley_dual_rays, sum_facets
 from .records import field, record
 
 
 @record
 class NefPartition:
     parts: tuple
-    sum: Polytope
     cayley_rays: tuple = field(compare=False)  # ``cayley_dual_rays(parts)``
 
     @property
@@ -75,6 +69,14 @@ def validate_nef_partition(parts, rays=None) -> NefPartition:
     ``rays``, when given, are ``cayley_dual_rays(parts)`` from a caller that
     has them already, e.g. mapped from another frame of the same cone;
     otherwise one double description computes them here.
+
+    The sum is reflexive exactly when every facet ``(w, b)`` of
+    ``sum_facets``, w and b jointly primitive, has b = 1.  The sum is
+    full-dimensional (by the rank check of ``cayley_dual_rays``, or by the
+    caller's full cone), it is a lattice polytope, being a sum of lattice
+    polytopes, and these are all its facets.  Such a polytope is reflexive
+    when the origin is interior, that is every b > 0, and every vertex w / b
+    of its dual is integral; as gcd(w, b) = 1, b divides w only when b = 1.
     """
     if not parts:
         raise OriginMissingError("empty partition")
@@ -104,11 +106,10 @@ def validate_nef_partition(parts, rays=None) -> NefPartition:
     for idx in range(len(parts)):
         if any(ray[idx] < 0 for ray in rays):
             raise OriginMissingError(f"part {idx + 1} does not contain the origin")
-    total = sum_from_cayley_rays(parts, rays)
-    cert = is_reflexive(total)
-    if not cert.is_reflexive:
-        raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive", total, rays)
-    return NefPartition(tuple(parts), total, tuple(rays))
+    facets = sum_facets(len(parts), rays)
+    if any(b != 1 for _, b in facets):
+        raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive", facets, rays)
+    return NefPartition(tuple(parts), tuple(rays))
 
 
 def dual_nef_partition(np: NefPartition) -> DualNefPartition:

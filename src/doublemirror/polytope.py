@@ -6,6 +6,8 @@ pairs ``(normal, offset)`` of integers, jointly primitive, meaning the
 halfspace ``<x, normal> >= -offset``.  All vertex and facet lists are sorted
 lexicographically so every derived report is byte-stable.  A Minkowski sum
 is no hull of vertex sums: its facets are the rays of the dual Cayley cone.
+Lattice points are read off inequalities that the caller already holds,
+such as those rays, with no facet enumeration of their own.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from .errors import (
     OriginNotInteriorError,
     UnboundedSliceError,
 )
-from .intmat import (
-    IntMatrix, RowSolver, forward_substitute, independent_rows, kernel_basis, saturation, vprimitive
-)
+from .intmat import IntMatrix, forward_substitute, independent_rows, saturation, vprimitive
 from .lattices import LatticeEmbedding
 from .records import field, record
 
@@ -74,13 +74,13 @@ def affine_basis(points):
     return ((0,) * len(x0) if w.rows == len(x0) else x0), w
 
 
-def _affine_coords(points, x0, w: IntMatrix):
+def _to_affine_coords(points, x0, w: IntMatrix):
     """Coordinates ``z`` with ``p = x0 + z.W`` for each point, exact.
 
     ``W`` is a saturated row HNF (as from ``affine_basis``), so once the
     differences are scaled by the common denominator ``den`` the coordinates
     are integers, found by forward substitution; a point off the affine hull
-    gets None.
+    raises ``InternalError``.
     """
     den = lcm(*(x.denominator for p in points for x in p), *(x.denominator for x in x0))
     x0s = [x * den for x in x0]
@@ -88,15 +88,9 @@ def _affine_coords(points, x0, w: IntMatrix):
     coords = []
     for p in points:
         z, r = forward_substitute(w.data, pivots, [int(a * den - b) for a, b in zip(p, x0s)])
-        coords.append(None if any(r) else tuple(_quo(q, den) for q in z))
-    return coords
-
-
-def _to_affine_coords(points, x0, w: IntMatrix):
-    """Coordinates of each point over the affine basis, exact."""
-    coords = _affine_coords(points, x0, w)
-    if None in coords:
-        raise InternalError("point left its own affine hull")
+        if any(r):
+            raise InternalError("point left its own affine hull")
+        coords.append(tuple(_quo(q, den) for q in z))
     return coords
 
 
@@ -178,13 +172,6 @@ class Polytope:
             )
         return self._facets
 
-    def contains(self, point):
-        """Exact membership test, valid in any dimension."""
-        z = _affine_coords([_exact_tuple(point)], *self.affine_hull())[0]
-        return z is not None and all(
-            sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in self.facets()
-        )
-
     def is_lattice_polytope(self):
         return all(all(x.denominator == 1 for x in v) for v in self.vertices)
 
@@ -245,32 +232,6 @@ def is_reflexive(p: Polytope) -> ReflexivityCertificate:
     return ReflexivityCertificate(True, dual.vertices, None, interior_witness=True)
 
 
-def lattice_points(p: Polytope):
-    """All lattice points of ``p``, sorted lexicographically.
-
-    Enumerates the integral z' = z - shift of the affine hull, shift the
-    coordinates of a lattice point on it, where a cached facet
-    ``<n, z> >= -off`` reads ``<n, z'> >= -floor(off + <n, shift>)``.
-    """
-    if len(p.vertices) == 1:
-        v = p.vertices[0]
-        return [tuple(int(x) for x in v)] if all(x.denominator == 1 for x in v) else []
-    x0, w = p.affine_hull()
-    base = _integral_point_in_affine_hull(x0, w)
-    if base is None:
-        return []
-    shift = _to_affine_coords([base], x0, w)[0]
-    zs = [tuple(map(sub, z, shift)) for z in _to_affine_coords(p.vertices, x0, w)]
-    facets = [(normal, floor(off + sum(c * x for c, x in zip(normal, shift))))
-              for normal, off in p.facets()]
-    z_points = _enumerate_integer_points(zs, facets)
-    result = [
-        tuple(base[j] + sum(z[i] * w.data[i][j] for i in range(w.rows)) for j in range(len(base)))
-        for z in z_points
-    ]
-    return sorted(result)
-
-
 def point_tuples(groups, target):
     """Every tuple of one point per group adding up to ``target``, in lex order.
 
@@ -315,44 +276,33 @@ def point_tuples(groups, target):
     yield from rec(0, tuple(target), 0)
 
 
-def _integral_point_in_affine_hull(x0, w: IntMatrix):
-    """A lattice point on ``x0 + span(w)``, or None."""
-    if all(x.denominator == 1 for x in x0):
-        return tuple(int(x) for x in x0)
-    n = len(x0)
-    normals = kernel_basis(w) if w.rows else IntMatrix.identity(n)
-    if normals.rows == 0:
-        return tuple(floor(x) for x in x0)
-    rows = []
-    rhs = []
-    for normal in normals.data:
-        val = sum(c * x for c, x in zip(normal, x0))
-        rows.append(tuple(c * val.denominator for c in normal))
-        rhs.append(int(val.numerator))
-    return RowSolver(IntMatrix(tuple(rows)).transpose()).solve(rhs)
+def lattice_points(vertices, inequalities):
+    """The lattice points of a polytope, in lexicographic order.
 
+    ``vertices`` are the polytope's vertices and ``inequalities`` pairs
+    ``(normal, offset)`` of integers, meaning ``<x, normal> >= -offset``,
+    that cut it out exactly; an equality enters as a pair of opposite
+    inequalities, so the polytope may have any dimension.
 
-def _enumerate_integer_points(z_vertices, facets):
-    """Integer points of a full-dimensional polytope given vertices + facets
-    with integral offsets.
-
-    Depth-first over coordinates with per-facet suffix bounds derived from the
-    vertices.  A partial sum ``pd`` over the first k + 1 coordinates can still be
-    completed for a facet only while ``pd + max_v <normal, v>_{>k} >= -off``;
-    with the vertices scaled by their common denominator ``den`` that reads
-    ``pd >= bound[k]`` for the integer ``bound[k] = ceil(-off - max_v(...))``.
-    Depth k tests only the facets whose normal has a nonzero k-th entry: for
-    the others both the partial sum and the bound are those of depth k - 1.
-    The last depth that tests a facet has an empty suffix, so it tests the
-    facet exactly.
+    Depth-first over the ambient coordinates, each within the vertices'
+    bounding box, with per-inequality suffix bounds derived from the
+    vertices.  A partial sum ``pd`` over the first k + 1 coordinates can
+    still be completed for an inequality only while
+    ``pd + max_v <normal, v>_{>k} >= -off``; with the vertices scaled by
+    their common denominator ``den`` that reads ``pd >= bound[k]`` for the
+    integer ``bound[k] = ceil(-off - max_v(...))``.  Depth k tests only the
+    inequalities whose normal has a nonzero k-th entry: for the others both
+    the partial sum and the bound are those of depth k - 1.  The last depth
+    that tests an inequality has an empty suffix, so it tests the inequality
+    exactly.
     """
-    dim = len(z_vertices[0])
-    lo = [ceil(min(v[j] for v in z_vertices)) for j in range(dim)]
-    hi = [floor(max(v[j] for v in z_vertices)) for j in range(dim)]
-    den = lcm(*(x.denominator for v in z_vertices for x in v))
-    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in z_vertices]
-    active = [[] for _ in range(dim)]  # per depth: (facet, entry, bound)
-    for f_idx, (normal, off) in enumerate(facets):
+    dim = len(vertices[0])
+    lo = [ceil(min(v[j] for v in vertices)) for j in range(dim)]
+    hi = [floor(max(v[j] for v in vertices)) for j in range(dim)]
+    den = lcm(*(x.denominator for v in vertices for x in v))
+    scaled = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    active = [[] for _ in range(dim)]  # per depth: (inequality, entry, bound)
+    for f_idx, (normal, off) in enumerate(inequalities):
         suffix = [0] * len(scaled)
         for k in range(dim - 1, -1, -1):
             if normal[k]:
@@ -376,7 +326,7 @@ def _enumerate_integer_points(z_vertices, facets):
                 point[k] = val
                 rec(k + 1, new_partials)
 
-    rec(0, [0] * len(facets))
+    rec(0, [0] * len(inequalities))
     return out
 
 
@@ -399,19 +349,40 @@ def cayley_dual_rays(polys):
     return extreme_rays(gens)
 
 
-def sum_from_cayley_rays(polys, rays) -> Polytope:
-    """The sum of the polytopes, from the rays of ``cayley_dual_rays(polys)``.
+def part_lattice_points(polys, rays):
+    """The lattice points of each polytope P_i, from the rays ``(a ; w)`` of
+    ``cayley_dual_rays(polys)``: P_i is cut out by ``<x, w> >= -a_i``.
+
+    ``(delta_i ; x)`` lies in the Cayley cone K exactly when x lies in P_i:
+    a non-negative combination of slot points with slot part delta_i weighs
+    only slot i, with weights adding up to 1.  K-dual is the cone over the
+    rays, so K is cut out by the pairings with them.
+    """
+    s = len(polys)
+    return tuple(
+        tuple(lattice_points(p.vertices, [(ray[s:], ray[i]) for ray in rays]))
+        for i, p in enumerate(polys)
+    )
+
+
+def sum_facets(s, rays):
+    """The facets of P_1 + ... + P_s, from the rays of ``cayley_dual_rays``.
 
     An extreme ray ``(a ; w)`` of K-dual with w != 0 has
     ``a_i = -min_{P_i} <., w>`` for every i (a larger a_i splits off the ray
     ``(delta_i ; 0)``), and its face of K is the cone over
     Cayley(F_1, ..., F_s), F_i the face of P_i where w is least, of
     dimension s + dim(F_1 + ... + F_s).  So these rays are the facets
-    ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, one each, kept on it.
+    ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, one each.
     """
-    s, d = len(polys), polys[0].lattice.rank
-    facets = sorted(_split_offset(vprimitive(ray[s:] + (sum(ray[:s]),)))
-                    for ray in rays if any(ray[s:]))
-    total = Polytope(polys[0].lattice, tuple(_vertices_from_facets(facets, d)))
+    return sorted(_split_offset(vprimitive(ray[s:] + (sum(ray[:s]),)))
+                  for ray in rays if any(ray[s:]))
+
+
+def sum_from_cayley_rays(polys, rays) -> Polytope:
+    """The sum of the polytopes, its vertices enumerated from ``sum_facets``,
+    which it keeps."""
+    facets = sum_facets(len(polys), rays)
+    total = Polytope(polys[0].lattice, tuple(_vertices_from_facets(facets, polys[0].lattice.rank)))
     object.__setattr__(total, "_facets", facets)
     return total

@@ -3,13 +3,13 @@ and helpers that only the tests use."""
 
 import itertools
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 from pathlib import Path
 
 from doublemirror.bridge import make_decomposition
 from doublemirror.canned import product_projective
 from doublemirror.dd import extreme_rays
-from doublemirror.errors import InputError, LowerDimensionalError
+from doublemirror.errors import InputError, InternalError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
 from doublemirror.instances import loads, parse_instance
 from doublemirror.intmat import (
@@ -18,7 +18,14 @@ from doublemirror.intmat import (
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.polytope import (
-    Polytope, _facets_fulldim, _vertices_from_facets, affine_basis, dual_polytope, hull_vertices
+    Polytope,
+    _facets_fulldim,
+    _to_affine_coords,
+    _vertices_from_facets,
+    affine_basis,
+    dual_polytope,
+    hull_vertices,
+    sum_from_cayley_rays,
 )
 
 
@@ -85,6 +92,47 @@ def box_scan_lattice_points(vertices):
     box = [range(ceil(min(v[j] for v in verts)), floor(max(v[j] for v in verts)) + 1)
            for j in range(len(verts[0]))]
     return [x for x in itertools.product(*box) if inside(x)]
+
+
+def polytope_contains(p, point):
+    """Exact membership in a polytope of any dimension: the point lies on
+    the affine hull, and its coordinates there meet every facet."""
+    try:
+        z = _to_affine_coords([tuple(point)], *p.affine_hull())[0]
+    except InternalError:
+        return False
+    return all(sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in p.facets())
+
+
+def ambient_inequalities(p):
+    """An H-description of a polytope in ambient coordinates, as
+    ``lattice_points`` takes it.
+
+    The facets over the affine hull ``x = x0 + z.W`` are pulled back through
+    ``z = (x - x0)[pivots] . W[:, pivots]^-1``, W being a row HNF, and each
+    equation ``<c, x> = <c, x0>`` of the hull, c in the kernel of W, enters
+    as a pair of opposite inequalities.  Each row ``(normal ; offset)`` is
+    scaled to integers.
+    """
+    x0, w = p.affine_hull()
+    rows = []
+    if w.rows:
+        pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
+        det, adj = adjugate(IntMatrix(tuple(tuple(row[j] for j in pivots) for row in w.data)))
+        for normal, off in p.facets():
+            ambient = [0] * len(x0)
+            for j, row in zip(pivots, adj.data):
+                ambient[j] = Fraction(dot(row, normal), det)
+            rows.append(ambient + [off - dot(ambient, x0)])
+    for c in (kernel_basis(w) if w.rows else IntMatrix.identity(len(x0))).data:
+        rows.append(list(c) + [-dot(c, x0)])
+        rows.append([-x for x in c] + [dot(c, x0)])
+    scaled = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        ints = [int(x * den) for x in row]
+        scaled.append((tuple(ints[:-1]), ints[-1]))
+    return scaled
 
 
 def _row_reducer(rows):
@@ -319,7 +367,8 @@ def minima_dual_generators(np_):
     """Generators of K-dual from the dual of the sum: ``(m ; w)`` with m the
     pairing minima at each vertex w of dual(sum), plus the unit summands."""
     s, d = np_.length, np_.lattice.rank
-    gens = {tuple(pairing_minima(np_, w)) + tuple(w) for w in dual_polytope(np_.sum).vertices}
+    total = sum_from_cayley_rays(np_.parts, np_.cayley_rays)
+    gens = {tuple(pairing_minima(np_, w)) + tuple(w) for w in dual_polytope(total).vertices}
     gens.update(tuple(int(k == i) for k in range(s)) + (0,) * d for i in range(s))
     return tuple(sorted(gens))
 

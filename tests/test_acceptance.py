@@ -33,7 +33,9 @@ from doublemirror.intmat import (
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope, dual_polytope, hull_vertices, is_reflexive
+from doublemirror.polytope import (
+    Polytope, dual_polytope, hull_vertices, is_reflexive, sum_from_cayley_rays
+)
 from oracles import (
     bridge_identity_results,
     brute_force_block_partition,
@@ -274,7 +276,7 @@ def test_criterion_5_duality_properties(pp53, corpus):
         assert verify_reflexive_gorenstein(pair) == (True, pair.s), name
 
         # double-dual identity on the reflexive sum and its dual
-        total = pair.parts.sum
+        total = sum_from_cayley_rays(pair.parts.parts, pair.parts.cayley_rays)
         for poly in (total, dual_polytope(total)):
             cert = is_reflexive(poly)
             assert cert.is_reflexive, name

@@ -16,7 +16,7 @@ from doublemirror.cones import (
     renormalize,
 )
 from doublemirror.dd import extreme_rays
-from doublemirror.cli import main
+from doublemirror.cli import _pair_from_instance, main
 from doublemirror.errors import DecompositionError, InternalError, NotGorensteinError
 from doublemirror.instances import build_partition, loads, parse_instance
 from doublemirror.intmat import IntMatrix, dot, independent_rows, vadd
@@ -24,6 +24,7 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import NefPartition, validate_nef_partition
 from doublemirror.polytope import Polytope, cayley_dual_rays, hull_vertices
 from oracles import (
+    box_scan_lattice_points,
     cone_contains,
     cone_inputs,
     generator_hull,
@@ -269,7 +270,7 @@ class TestImpliedChecks:
         # (1, 0 ; -1, 0), and one whose minimum over part 1 is not -1
         np_ = two_segment_pair.parts
         rays = tuple(sorted(ray if r == (1, 0, 1, 0) else r for r in np_.cayley_rays))
-        corrupted = NefPartition(np_.parts, np_.sum, rays)
+        corrupted = NefPartition(np_.parts, rays)
         units = [(1, 0, 0, 0), (0, 1, 0, 0)]
         ok, _ = verify_reflexive_gorenstein_data(
             two_segment_pair.k_generators, sorted(set(rays).union(units)),
@@ -406,3 +407,34 @@ class TestIndependentSubset:
                 else:
                     rows.append(tuple(rng.randint(-bound, bound) for _ in range(n)))
             assert independent_rows(rows, n) == greedy_independent_subset(rows, n)
+
+
+def golden_pair(name):
+    inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
+    return _pair_from_instance(inst)[0]
+
+
+class TestLatticePointInequalities:
+    """The inequalities that ``part_points`` and ``dual_part_points`` hand to
+    the search cut out exactly the parts and dual parts: the points agree
+    with a scan of each polytope's bounding box."""
+
+    @staticmethod
+    def assert_points_match_box_scan(pair):
+        assert pair.part_points() == tuple(
+            tuple(box_scan_lattice_points(p.vertices)) for p in pair.parts.parts
+        )
+        assert pair.dual_part_points() == tuple(
+            tuple(box_scan_lattice_points(p.vertices)) for p in pair.dual_parts.parts
+        )
+
+    @pytest.mark.parametrize("name", GOLDEN_PARTITIONS + ("pp33", "p5-222"))
+    def test_golden_pairs(self, name):
+        self.assert_points_match_box_scan(golden_pair(name))
+
+    # one decomposition of each block shape: blocks of sizes (2, 1), (3,), (1, 2)
+    @pytest.mark.parametrize("index", [1, 2, 89])
+    def test_renormalized_p5_222_pairs(self, index):
+        pair = golden_pair("p5-222")
+        dec = enumerate_decompositions(pair)[index]
+        self.assert_points_match_box_scan(renormalize(pair, dec.e_tilde()))

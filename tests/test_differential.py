@@ -35,7 +35,9 @@ from doublemirror.polytope import (  # noqa: E402
     affine_basis,
     lattice_points,
 )
-from oracles import integral_preimage_lattice, one_block_decomposition  # noqa: E402
+from oracles import (  # noqa: E402
+    ambient_inequalities, integral_preimage_lattice, one_block_decomposition
+)
 from test_intmat import is_row_hnf  # noqa: E402
 
 SEEDS = range(8)
@@ -256,7 +258,7 @@ def test_lattice_points_against_box_scan(seed):
         box = [range(ceil(min(v[j] for v in points)), floor(max(v[j] for v in points)) + 1)
                for j in range(n)]
         expected = [x for x in itertools.product(*box) if _inside(x, maps)]
-        assert lattice_points(p) == expected
+        assert lattice_points(p.vertices, ambient_inequalities(p)) == expected
         assert all(type(x) is int for v in p.vertices for x in v if x.denominator == 1)
 
 

@@ -5,6 +5,7 @@ by name somewhere under ``src/``: a routine whose only callers are tests
 belongs in ``tests/oracles.py``.  A method counts as referenced only through
 attribute access (``x.name``), so a local variable of the same name does not
 hide it.  Dunders and hooks that a base class calls by name are exempt.
+Every name a module under ``src/`` imports must also be read in that module.
 """
 
 import ast
@@ -65,3 +66,23 @@ def test_every_library_definition_is_used_in_the_library():
         and qualname not in HOOKS
     ]
     assert not unused, "defined under src/ but referenced only outside it: " + ", ".join(unused)
+
+
+def test_every_import_under_src_is_read():
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = parse(path)
+        loaded = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [
+                    f"{path.relative_to(SRC)}:{name}"
+                    for name in (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                    if name not in loaded
+                ]
+    assert not unread, "imported under src/ but never read: " + ", ".join(unread)

@@ -26,7 +26,9 @@ from doublemirror.instances import build_partition, loads, parse_instance
 from doublemirror.polytope import (
     Polytope, cayley_dual_rays, dual_polytope, hull_vertices, sum_from_cayley_rays
 )
-from oracles import cone_inputs, halfspace_dual_parts, pairing_minima, projective_space_parts
+from oracles import (
+    cone_inputs, halfspace_dual_parts, pairing_minima, polytope_contains, projective_space_parts
+)
 
 Z2 = LatticeEmbedding.full(2)
 CONE_INPUTS = cone_inputs()
@@ -43,7 +45,7 @@ class TestValidation:
     def test_two_segments(self):
         np_ = two_segment_partition()
         assert np_.length == 2
-        assert np_.sum.vertex_set() == {
+        assert sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertex_set() == {
             tuple(map(Fraction, v)) for v in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         }
 
@@ -74,8 +76,9 @@ class TestValidation:
             validate_nef_partition(parts, rays)
 
     def test_origin_test_runs_no_double_description_per_part(self, monkeypatch):
-        # one for the Cayley cone, unless the caller has its rays, and one for
-        # the vertices of the sum, for any number of parts
+        # one for the Cayley cone, unless the caller has its rays, for any
+        # number of parts: the reflexivity test reads the sum's facets off
+        # the rays, and no vertex of the sum is computed
         real = dd.extreme_rays
         calls = []
 
@@ -88,11 +91,11 @@ class TestValidation:
             parts = projective_space_parts(sizes)
             calls.clear()
             validate_nef_partition(parts)
-            assert len(calls) == 2
+            assert len(calls) == 1
             rays = cayley_dual_rays(parts)
             calls.clear()
             validate_nef_partition(parts, rays)
-            assert len(calls) == 1
+            assert len(calls) == 0
 
     @pytest.mark.parametrize("parts,message", [
         ([[[1, 0], [2, 0], [1, 1]]], "part 1 does not contain the origin"),
@@ -129,12 +132,12 @@ class TestDualPartition:
             (Fraction(1), Fraction(0)),
             (Fraction(-1), Fraction(0)),
         }
-        assert dual.parts[0].contains((0, 0))
+        assert polytope_contains(dual.parts[0], (0, 0))
         assert dual.parts[1].vertex_set() == {
             (Fraction(0), Fraction(1)),
             (Fraction(0), Fraction(-1)),
         }
-        assert dual.parts[1].contains((0, 0))
+        assert polytope_contains(dual.parts[1], (0, 0))
 
     def test_length_one_collapses_to_dual(self):
         square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
@@ -174,7 +177,8 @@ class TestDualPartition:
         inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
         np_ = _pair_from_instance(inst)[0].parts
         nonzero = {w for p in dual_nef_partition(np_).parts for w in p.vertices if any(w)}
-        assert dual_polytope(np_.sum).vertex_set() == nonzero
+        total = sum_from_cayley_rays(np_.parts, np_.cayley_rays)
+        assert dual_polytope(total).vertex_set() == nonzero
 
     def test_dual_sum_vertex_outside_the_parts_rejected(self):
         # a ray (a ; w) with a_1 + a_2 = 2 puts the vertex w / 2 into
@@ -182,8 +186,8 @@ class TestDualPartition:
         np_ = two_segment_partition()
         for ray in [(1, 1, 1, 0), (2, 0, 1, 0)]:
             rays = tuple(sorted(ray if r == (1, 0, 1, 0) else r for r in np_.cayley_rays))
-            corrupted = NefPartition(np_.parts, sum_from_cayley_rays(np_.parts, rays), rays)
-            assert dual_polytope(corrupted.sum).vertex_set() == {
+            corrupted = NefPartition(np_.parts, rays)
+            assert dual_polytope(sum_from_cayley_rays(np_.parts, rays)).vertex_set() == {
                 (-1, 0), (0, -1), (0, 1), (Fraction(1, 2), 0)
             }
             with pytest.raises(InternalError, match="dual Cayley ray off the unit slots"):
@@ -222,12 +226,18 @@ class TestOneDoubleDescriptionPerCone:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            # the input cone, its dual, T and the sum; no part needs facets
-            (["cone", "pp53.json"], 4),
-            # one fewer per part than when each part took its own origin test
+            # the input cone and its dual: T and the sum need no facets
+            (["cone", "pp53.json"], 2),
+            # the hull of each input part, the Cayley cone and the sum's
+            # vertices, which only the report prints
             (["nefdual", "square.json"], 4),
             (["nefdual", "two-segment.json"], 6),
-            (["nefdual", "pp33.json"], 4),
+            (["nefdual", "pp33.json"], 3),
+            # no part, dual part or renormalized pair enumerates facets for
+            # its lattice points
+            (["pipeline", "pp53.json", "--samples", "20"], 2),
+            (["bridge", "pp53.json", "--pair", "2", "3"], 2),
+            (["bridge", "p5-222.json", "--pair", "2", "3"], 7),
         ],
     )
     def test_extreme_rays_calls(self, argv, expected, monkeypatch, capsys):
