@@ -22,6 +22,10 @@ than one part that is translated by moving its first part.
 ``pp33-rational.json`` is pp33 with explicit rational coefficients, most of
 them not integers, so its ``bridge`` report pins the determinant over QQ
 with fractional entries.
+``pp33-p10007-values.json`` is pp33 with the values
+``random_coefficients(pair, 10007, 5)`` draws written out over F_10007 and
+seed 5, so its reports pin a bridge over the explicit prime, evidence at a
+``--prime`` that matches it, and the seed read from the file.
 ``p5-222.json`` is the nef-partition (2, 2, 2) of P^5, ``conv(0, E_i)`` over
 consecutive pairs of the fan vertices, as built by
 ``oracles.projective_space_parts((2, 2, 2))``.
@@ -104,6 +108,14 @@ NAMED_CASES = [
     ("bridge-p5-222-pair23", ["bridge", "p5-222.json", "--pair", "2", "3"]),
     ("verify-p5-222-p10007",
      ["verify", "p5-222.json", "--pair", "1", "2", "--samples", "20", "--prime", "10007"]),
+    # explicit rational values: the bridge, then no finite-field evidence
+    ("pipeline-pp33-rational", ["pipeline", "pp33-rational.json"]),
+    # explicit values over F_10007 serve the bridge and the evidence alike
+    ("bridge-pp33-p10007-values", ["bridge", "pp33-p10007-values.json"]),
+    ("verify-pp33-p10007-values", ["verify", "pp33-p10007-values.json", "--samples", "20"]),
+    ("pipeline-pp33-p10007-values", ["pipeline", "pp33-p10007-values.json", "--samples", "20"]),
+    # one decomposition: the pipeline stops before the bridge stage
+    ("pipeline-square", ["pipeline", "square.json"]),
 ]
 
 
