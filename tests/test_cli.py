@@ -331,6 +331,111 @@ class TestExplicitCoefficients:
         assert code == 1
 
 
+GOLDEN = Path(__file__).parent / "golden"
+MISMATCH = "error: explicit coefficients are over a different field than requested\n"
+
+
+def golden_values(tmp_path, change):
+    """``pp33-p10007-values.json`` with its coefficients edited by ``change``."""
+    data = loads((GOLDEN / "pp33-p10007-values.json").read_text(encoding="utf-8"))
+    change(data["coefficients"])
+    return write_instance(tmp_path, data)
+
+
+def drop_one_value(spec):
+    del spec["values"][min(spec["values"])]
+
+
+def one_zero_value(spec):
+    spec["values"][min(spec["values"])] = 0
+
+
+def field_10001(spec):
+    spec["field"] = {"prime": 10001}
+
+
+def all_values_one(spec):
+    # det A_1 of the (1, 2) bridge vanishes when every coefficient is 1
+    spec["values"] = dict.fromkeys(spec["values"], 1)
+
+
+# (argv run in tests/golden, bridge_skeleton calls, fields instantiated over)
+WORK = [
+    (["bridge", "pp33.json"], 1, ["QQ"]),
+    (["verify", "pp33.json", "--samples", "5"], 1, [10007]),
+    (["pipeline", "pp33.json", "--samples", "5"], 1, ["QQ", 10007]),
+    (["pipeline", "pp33-rational.json"], 1, ["QQ"]),
+    (["bridge", "pp33-p10007-values.json"], 1, [10007]),
+    (["verify", "pp33-p10007-values.json", "--samples", "5"], 1, [10007]),
+    (["pipeline", "pp33-p10007-values.json", "--samples", "5"], 1, [10007]),
+    (["pipeline", "square.json"], 0, []),
+]
+
+
+class TestWorkPerCommand:
+    """Skeletons built and the fields each is instantiated over, per command.
+
+    Every coefficient check runs before ``bridge_skeleton``, so an input
+    error in the coefficients builds no skeleton at all.
+    """
+
+    @pytest.mark.parametrize("argv,skeletons,fields", WORK, ids=[" ".join(c[0][:2]) for c in WORK])
+    def test_golden_inputs(self, argv, skeletons, fields, monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN)
+        assert self.work(argv, monkeypatch) == (0, skeletons, fields)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "pp33-rational.json", "--samples", "5"],
+        ["pipeline", "pp33-p10007-values.json", "--samples", "5", "--prime", "65537"],
+    ])
+    def test_field_mismatch(self, argv, monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN)
+        assert self.work(argv, monkeypatch) == (1, 0, [])
+        assert capsys.readouterr().err == MISMATCH
+
+    @pytest.mark.parametrize("change,command,flags,error", [
+        (drop_one_value, "bridge", [], "error: coefficient map must cover exactly the slice points"),
+        (one_zero_value, "verify", ["--samples", "5"], "error: coefficient at (0, 0, 1, 0, 0, 0, 0) is zero"),
+        # the bridge is built over the explicit field, so it must be prime
+        (field_10001, "bridge", [], "error: 10001 is not prime"),
+        # the field check comes first: these values would make det A_1 vanish
+        (all_values_one, "pipeline", ["--prime", "65537"], MISMATCH),
+    ], ids=["missing value", "zero value", "non-prime field", "degenerate values"])
+    def test_explicit_values_checked_first(self, change, command, flags, error, tmp_path,
+                                           monkeypatch, capsys):
+        path = golden_values(tmp_path, change)
+        assert self.work([command, path, *flags], monkeypatch) == (1, 0, [])
+        assert capsys.readouterr().err.startswith(error)
+
+    def test_degenerate_values_reach_the_skeleton(self, tmp_path, monkeypatch, capsys):
+        path = golden_values(tmp_path, all_values_one)
+        assert self.work(["bridge", path], monkeypatch) == (1, 1, [10007])
+        err = capsys.readouterr().err
+        assert err == "error: det A_1 vanished for these coefficients; resample advised\n"
+
+    @staticmethod
+    def work(argv, monkeypatch):
+        """Exit code, ``bridge_skeleton`` calls and the fields instantiated over."""
+        import doublemirror.cli as cli
+        from doublemirror.bridge import BridgeSkeleton
+
+        skeletons, fields = [], []
+        build, instantiate = cli.bridge_skeleton, BridgeSkeleton.instantiate
+
+        def counted_build(*args):
+            skeletons.append(args)
+            return build(*args)
+
+        def counted_instantiate(self, coeffs):
+            fields.append(coeffs.domain)
+            return instantiate(self, coeffs)
+
+        monkeypatch.setattr(cli, "bridge_skeleton", counted_build)
+        monkeypatch.setattr(BridgeSkeleton, "instantiate", counted_instantiate)
+        code = main(argv)
+        return code, len(skeletons), fields
+
+
 class TestExample:
     def test_product_projective_53(self, capsys):
         code, out = run_cli(["example", "product-projective", "--n", "5", "--t", "3"], capsys)
