@@ -74,19 +74,32 @@ def _pair_from_instance(instance: Instance):
     raise InputError("this command requires a nef_partition or cone instance")
 
 
-def _explicit_field(instance: Instance):
-    """The field of the instance's explicit coefficient values, or None."""
-    spec = instance.coefficients
-    return spec.domain if spec is not None and spec.explicit is not None else None
+def _front(args):
+    """The instance, its cone pair, normalization info and decompositions."""
+    instance = _load_instance(args.file)
+    pair, info = _pair_from_instance(instance)
+    return instance, pair, info, enumerate_decompositions(pair)
 
 
-def _coefficients(instance: Instance, pair, domain, seed):
+def _pair_bridges(args, instance, pair, decs, *fields):
+    """The selected pair (i, j), the seed and its bridges, one per field.
+
+    A field of None is the explicit values' field, else QQ.  Explicit values
+    make one bridge that serves every field, so any other field is an input
+    error.  The seed is --seed, else the file's, else 0.  Every coefficient
+    check runs before the one skeleton is built, so bad values never reach
+    the bridge.
+    """
+    i, j = args.pair or (1, 2)
+    if not (1 <= i <= len(decs) and 1 <= j <= len(decs)):
+        raise InputError(f"pair index out of range: {len(decs)} decompositions available")
     spec = instance.coefficients
+    seed = args.seed
+    if seed is None:
+        seed = spec.seed if spec is not None else 0
     if spec is not None and spec.explicit is not None:
-        if spec.domain != domain:
-            raise InputError(
-                "explicit coefficients are over a different field than requested"
-            )
+        if any(field not in (None, spec.domain) for field in fields):
+            raise InputError("explicit coefficients are over a different field than requested")
         keys = set(slice_root_keys(pair))
         given = set(spec.explicit)
         if given != keys:
@@ -95,16 +108,12 @@ def _coefficients(instance: Instance, pair, domain, seed):
             raise InputError(
                 f"coefficient map must cover exactly the slice points; missing {missing}, extra {extra}"
             )
-        return CoefficientAssignment.explicit(spec.explicit, domain)
-    return random_coefficients(pair, domain, seed)
-
-
-def _effective_seed(args, instance: Instance):
-    if args.seed is not None:
-        return args.seed
-    if instance.coefficients is not None:
-        return instance.coefficients.seed
-    return 0
+        coeffs = [CoefficientAssignment.explicit(spec.explicit, spec.domain)]
+    else:
+        domains = (RATIONAL if field is None else field for field in fields)
+        coeffs = [random_coefficients(pair, domain, seed) for domain in domains]
+    skeleton = bridge_skeleton(pair, decs[i - 1], decs[j - 1])
+    return (i, j), seed, [skeleton.instantiate(c) for c in coeffs]
 
 
 def _decomposition_payload(pair, decs):
@@ -123,8 +132,9 @@ def _decomposition_payload(pair, decs):
     return {"count": len(decs), "decompositions": items}
 
 
-def _bridge_payload(bridge, pair_idx, domain, seed):
+def _bridge_payload(bridge, pair_idx, seed):
     skeleton = bridge.skeleton
+    domain = bridge.coeffs.domain
     dets = []
     for det in bridge.determinants:
         ranges = [det.exponent_range(c) for c in range(bridge.torus_rank)]
@@ -148,18 +158,6 @@ def _bridge_payload(bridge, pair_idx, domain, seed):
         "diagonal_witness": list(bridge.diag_witness),
         "warnings": list(bridge.warnings),
     }
-
-
-def _select_pair(decs, pair_flag):
-    if pair_flag is None:
-        i, j = 1, 2
-    else:
-        i, j = pair_flag
-    if not (1 <= i <= len(decs) and 1 <= j <= len(decs)):
-        raise InputError(
-            f"pair index out of range: {len(decs)} decompositions available"
-        )
-    return i, j
 
 
 def cmd_dualize(args):
@@ -229,9 +227,7 @@ def cmd_cone(args):
 
 
 def cmd_decompose(args):
-    instance = _load_instance(args.file)
-    pair, info = _pair_from_instance(instance)
-    decs = enumerate_decompositions(pair)
+    instance, pair, info, decs = _front(args)
     result = {"normalization": info}
     result.update(_decomposition_payload(pair, decs))
     warnings = []
@@ -241,37 +237,23 @@ def cmd_decompose(args):
 
 
 def cmd_bridge(args):
-    instance = _load_instance(args.file)
-    pair, info = _pair_from_instance(instance)
-    decs = enumerate_decompositions(pair)
-    i, j = _select_pair(decs, args.pair)
-    seed = _effective_seed(args, instance)
-    domain = _explicit_field(instance) or RATIONAL
-    coeffs = _coefficients(instance, pair, domain, seed)
-    bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
+    instance, pair, info, decs = _front(args)
+    pair_idx, seed, (bridge,) = _pair_bridges(args, instance, pair, decs, None)
     result = {"normalization": info}
-    result.update(_bridge_payload(bridge, (i, j), domain, seed))
+    result.update(_bridge_payload(bridge, pair_idx, seed))
     return result, list(bridge.warnings), instance
 
 
 def cmd_verify(args):
-    instance = _load_instance(args.file)
-    pair, info = _pair_from_instance(instance)
-    decs = enumerate_decompositions(pair)
-    i, j = _select_pair(decs, args.pair)
-    seed = _effective_seed(args, instance)
-    coeffs = _coefficients(instance, pair, args.prime, seed)
-    bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
+    instance, pair, info, decs = _front(args)
+    pair_idx, seed, (bridge,) = _pair_bridges(args, instance, pair, decs, args.prime)
     report = birationality_evidence(bridge, args.samples, args.prime, seed)
-    result = {"normalization": info, "pair": [i, j], "evidence": report.payload()}
+    result = {"normalization": info, "pair": list(pair_idx), "evidence": report.payload()}
     return result, list(report.warnings), instance
 
 
 def cmd_pipeline(args):
-    instance = _load_instance(args.file)
-    pair, info = _pair_from_instance(instance)
-    decs = enumerate_decompositions(pair)
-    seed = _effective_seed(args, instance)
+    instance, pair, info, decs = _front(args)
     result = {
         "normalization": info,
         "cone": {
@@ -289,23 +271,18 @@ def cmd_pipeline(args):
         warnings.append("no nontrivial double mirror: only the trivial decomposition exists")
         result["notice"] = "pipeline stopped before the bridge stage"
         return result, warnings, instance
-    i, j = _select_pair(decs, args.pair)
-    # explicit values fix the field: rational ones get no evidence stage, and
-    # values over F_p serve both stages, at a --prime that must match
-    field = _explicit_field(instance)
-    domain = RATIONAL if field in (None, RATIONAL) else args.prime
-    coeffs = _coefficients(instance, pair, domain, seed)
-    skeleton = bridge_skeleton(pair, decs[i - 1], decs[j - 1])
-    bridge = skeleton.instantiate(coeffs)
-    result["bridge"] = _bridge_payload(bridge, (i, j), domain, seed)
-    warnings.extend(bridge.warnings)
-    if field == RATIONAL:
+    # explicit rational values leave no field for the evidence stage
+    spec = instance.coefficients
+    rational = spec is not None and spec.explicit is not None and spec.domain == RATIONAL
+    fields = (None,) if rational else (None, args.prime)
+    pair_idx, seed, bridges = _pair_bridges(args, instance, pair, decs, *fields)
+    result["bridge"] = _bridge_payload(bridges[0], pair_idx, seed)
+    warnings.extend(bridges[0].warnings)
+    if rational:
         warnings.append("explicit coefficients are rational: finite-field evidence skipped")
         result["notice"] = "pipeline stopped before the evidence stage"
         return result, warnings, instance
-    if domain == RATIONAL:
-        bridge = skeleton.instantiate(_coefficients(instance, pair, args.prime, seed))
-    report = birationality_evidence(bridge, args.samples, args.prime, seed)
+    report = birationality_evidence(bridges[-1], args.samples, args.prime, seed)
     result["evidence"] = report.payload()
     warnings.extend(w for w in report.warnings if w not in warnings)
     return result, warnings, instance
@@ -401,7 +378,7 @@ def build_parser():
 
 
 def _args_echo(args):
-    skip = {"command", "pretty", "output", "func"}
+    skip = {"command", "pretty", "output"}
     echo = {}
     for key, value in sorted(vars(args).items()):
         if key in skip or value is None:

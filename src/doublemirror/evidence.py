@@ -134,7 +134,7 @@ def sample_determinantal_points(bridge: BridgeData, count, prime, seed, stats):
     if bridge.coeffs.domain != p:
         raise InputError("bridge coefficients are not over the sampling prime")
     dd = bridge.torus_rank
-    stats.update(requested=count, found=0, line_tries=0, warnings=[])
+    stats.update(found=0, line_tries=0, warnings=[])
     if dd == 0:
         if all(det.evaluate(()) != 0 for det in bridge.determinants):
             stats["warnings"].append("determinantal locus is empty (rank-zero torus)")

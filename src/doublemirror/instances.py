@@ -110,7 +110,7 @@ class Instance:
     cone_deg_dual: tuple | None
     polytope_vertices: tuple | None
     coefficients: CoefficientSpec | None
-    canonical: dict
+    canonical: dict  # the loaded JSON; ``dumps`` sorts its keys
     shift_note: str | None = None
 
     def digest(self) -> str:
@@ -183,7 +183,6 @@ def parse_instance(data) -> Instance:
         poly_vertices = tuple(lattice.to_coords(v) for v in poly_vertices)
 
     coefficients = _parse_coefficients(data.get("coefficients"))
-    canonical = _canonical_dict(data)
     return Instance(
         lattice=lattice,
         kind=kind,
@@ -193,7 +192,7 @@ def parse_instance(data) -> Instance:
         cone_deg_dual=deg_dual,
         polytope_vertices=poly_vertices,
         coefficients=coefficients,
-        canonical=canonical,
+        canonical=data,
     )
 
 
@@ -253,21 +252,6 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
             else:
                 explicit[coords] = _as_int(val, f"coefficient {key}") % domain
     return CoefficientSpec(domain=domain, seed=seed, explicit=explicit)
-
-
-def _canonical_dict(data):
-    """Round-trip the raw JSON into a canonical nested structure."""
-    if isinstance(data, dict):
-        return {str(k): _canonical_dict(v) for k, v in sorted(data.items())}
-    if isinstance(data, list):
-        return [_canonical_dict(v) for v in data]
-    if isinstance(data, bool) or data is None:
-        return data
-    if isinstance(data, int):
-        return data
-    if isinstance(data, str):
-        return data
-    raise InputError(f"unsupported JSON value {data!r}")
 
 
 def build_partition(instance: Instance):
