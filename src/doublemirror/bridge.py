@@ -190,8 +190,7 @@ class BridgeSkeleton:
     entries: dict  # (block, row, column) -> {slice point: Ann(e, e~) exponent} of the entry
     identity_results: dict  # support partitions and matrix identities, by report key
     diag_exps: tuple  # per block: Ann exponent of the diagonal witness monomial
-    stack_e_inv: IntMatrix  # inverse of [ann_basis ; L rows] over M
-    l_coords: IntMatrix  # basis of L in w-combination coordinates; L~ = -L
+    fiber_map: IntMatrix  # rows: exponents over y ++ omega of the fiber point's coordinates
 
     @property
     def torus_rank(self):
@@ -450,11 +449,16 @@ def bridge_skeleton(
     if det_e not in (1, -1):
         raise InternalError("Ann(e) does not split as Ann(e,e~) (+) L")
     stack_e_inv = IntMatrix(tuple(vscale(det_e, row) for row in adj_e.data))
-    # a fiber point is y and the L values pushed through the stack inverse;
-    # it projects back to y because ann_basis . stack_inv = [I | 0].  u~' = -w',
-    # so L~ = -L and the E~ side pushes inverse L values through the same inverse
     if stack_e.mul(stack_e_inv) != IntMatrix.identity(d):
         raise InternalError("projection of the fiber point disagrees with the sample")
+    # a fiber point is y and the L values, the monomials l_coords of the kernel
+    # ratios omega, pushed through the stack inverse: one monomial map of
+    # z = y ++ omega.  It projects back to y, as ann_basis . fiber_map = [I | 0].
+    # u~' = -w', so L~ = -L and the E~ side reads the map at y ++ omega^-1
+    fiber_map = stack_e_inv.mul(IntMatrix(
+        tuple(tuple(int(i == j) for j in range(d)) for i in range(dd_rank))
+        + tuple((0,) * dd_rank + row for row in l_coords.data)
+    ))
 
     return BridgeSkeleton(
         pair=pair2,
@@ -469,8 +473,7 @@ def bridge_skeleton(
         entries=entries,
         identity_results=identity_results,
         diag_exps=tuple(diag_exps),
-        stack_e_inv=stack_e_inv,
-        l_coords=l_coords,
+        fiber_map=fiber_map,
     )
 
 

@@ -1,7 +1,8 @@
 """Command-line interface: exact pipeline from instance files to reports.
 
-Subcommands: dualize, nefdual, cone, decompose, bridge, verify, pipeline,
-example.  Reports are UTF-8 JSON with sorted keys and LF endings; identical
+Subcommands: nefdual, cone, decompose, bridge, verify, pipeline, example.
+A reflexive polytope is a one-part nef-partition, so ``nefdual`` prints its
+polar dual.  Reports are UTF-8 JSON with sorted keys and LF endings; identical
 inputs and flags produce byte-identical output (timing goes to stderr only).
 Exit codes: 0 success, 1 input error, 2 warnings escalated under --strict,
 3 internal invariant failure.
@@ -28,9 +29,8 @@ from .instances import (
     loads,
     parse_instance,
 )
-from .lattices import LatticeEmbedding
 from .laurent import MASK64, RATIONAL, CoefficientAssignment, is_prime
-from .polytope import Polytope, is_reflexive, sum_from_cayley_rays
+from .polytope import sum_from_cayley_rays
 
 
 def _jsonable(x):
@@ -61,17 +61,15 @@ def _pair_from_instance(instance: Instance):
         if note:
             info["shift"] = note
         return pair, info
-    if instance.kind == "cone":
-        pair, norm = normalize_cone(
-            instance.lattice,
-            instance.cone_generators,
-            instance.cone_deg,
-            instance.cone_deg_dual,
-        )
-        info = {"input_mode": "cone"}
-        info.update({k: _jsonable(v) for k, v in norm.items()})
-        return pair, info
-    raise InputError("this command requires a nef_partition or cone instance")
+    pair, norm = normalize_cone(
+        instance.lattice,
+        instance.cone_generators,
+        instance.cone_deg,
+        instance.cone_deg_dual,
+    )
+    info = {"input_mode": "cone"}
+    info.update({k: _jsonable(v) for k, v in norm.items()})
+    return pair, info
 
 
 def _front(args):
@@ -158,32 +156,6 @@ def _bridge_payload(bridge, pair_idx, seed):
         "diagonal_witness": list(bridge.diag_witness),
         "warnings": list(bridge.warnings),
     }
-
-
-def cmd_dualize(args):
-    instance = _load_instance(args.file)
-    if instance.kind == "polytope":
-        vertices = instance.polytope_vertices
-    elif instance.kind == "nef_partition" and len(instance.parts) == 1:
-        vertices = instance.parts[0]
-    else:
-        raise InputError("dualize requires a 'polytope' instance")
-    poly = Polytope.from_points(LatticeEmbedding.full(instance.lattice.rank), vertices)
-    cert = is_reflexive(poly)
-    result = {
-        "vertices": _jsonable(poly.vertices),
-        "is_reflexive": cert.is_reflexive,
-        "interior_witness": cert.interior_witness,
-    }
-    if cert.interior_witness:
-        result["facets"] = [
-            {"normal": list(nrm), "offset": off} for nrm, off in poly.facets()
-        ]
-    if cert.is_reflexive:
-        result["dual_vertices"] = _jsonable(cert.dual_vertices)
-    elif cert.witness is not None:
-        result["witness"] = _jsonable(cert.witness)
-    return result, [], instance
 
 
 def cmd_nefdual(args):
@@ -294,7 +266,6 @@ def cmd_example(args):
 
 
 COMMANDS = {
-    "dualize": cmd_dualize,
     "nefdual": cmd_nefdual,
     "cone": cmd_cone,
     "decompose": cmd_decompose,
@@ -357,7 +328,7 @@ def build_parser():
         p.add_argument("--strict", action="store_true", help="escalate warnings to exit code 2")
         p.add_argument("--output", help="write the report to this path")
 
-    for name in ("dualize", "nefdual", "cone", "decompose"):
+    for name in ("nefdual", "cone", "decompose"):
         add_common(sub.add_parser(name))
 
     for name in ("bridge", "verify", "pipeline"):

@@ -26,10 +26,6 @@ class LowerDimensionalError(InputError):
         self.affine_dim = affine_dim
 
 
-class OriginNotInteriorError(InputError):
-    """The origin is not strictly interior to the polytope."""
-
-
 class LatticeMismatchError(InputError):
     """Operands live in different lattices."""
 

@@ -213,18 +213,14 @@ def fiber(bridge: BridgeData, y, prime, side="e", values=None):
             return [], 0
         inv0 = fp_inv(vec[0], p)
         omega.extend(v * inv0 % p for v in vec[1:])
-    skeleton = bridge.skeleton
-    omega_invs = fp_inverses(omega, p)
     if side == "etilde":
         # L~ = -L, so the E~ side reads L at the inverse values
-        omega, omega_invs = omega_invs, omega
-    basis_vals = list(y) + [
-        fp_monomial(c_row, omega, omega_invs, p) for c_row in skeleton.l_coords.data
-    ]
-    basis_invs = fp_inverses(basis_vals, p)
-    # bridge_skeleton checked ann_basis . stack_e_inv = [I | 0], so the point
-    # projects back to y along Ann(e, e~)
-    point = tuple(fp_monomial(row, basis_vals, basis_invs, p) for row in skeleton.stack_e_inv.data)
+        omega = fp_inverses(omega, p)
+    z = list(y) + omega
+    z_invs = fp_inverses(z, p)
+    # ann_basis . fiber_map = [I | 0], so the point projects back to y along
+    # Ann(e, e~)
+    point = tuple(fp_monomial(row, z, z_invs, p) for row in bridge.skeleton.fiber_map.data)
     vanishes, full_rank = _log_jacobian(bridge.term_tables()[1][side], point, p)
     if not vanishes:
         raise InternalError("reconstructed fiber point violates a defining equation")

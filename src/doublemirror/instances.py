@@ -4,13 +4,15 @@ An instance file is UTF-8 JSON with exact integers only (big integers may be
 quoted as strings; floating point is rejected outright).  It declares a
 lattice presentation plus exactly one payload:
 
-* ``nef_partition`` -- list of parts, each a list of ambient vertex vectors;
-* ``cone``          -- generator list with optional ``deg``/``deg_dual``;
-* ``polytope``      -- a bare vertex list (accepted by ``dualize`` only).
+* ``nef_partition`` -- list of parts, each a list of ambient vertex vectors
+  (a reflexive polytope is a partition of one part);
+* ``cone``          -- generator list with optional ``deg``/``deg_dual``.
 
-Optional ``coefficients`` fix the field (``"rational"`` or ``{"prime": p}``),
-a seed, and an explicit value map keyed by slice-point coordinates in the
-instance lattice's basis (comma-separated integers).
+Optional ``coefficients`` give a seed, and an explicit value map keyed by
+slice-point coordinates in the instance lattice's basis (comma-separated
+integers) over a field (``"rational"``, the default, or ``{"prime": p}``).
+A field names the values' field only, so a field without values is an
+input error: the bridge is built over QQ and evidence runs at ``--prime``.
 """
 
 from __future__ import annotations
@@ -103,12 +105,11 @@ class CoefficientSpec:
 @record
 class Instance:
     lattice: LatticeEmbedding
-    kind: str  # "nef_partition" | "cone" | "polytope"
+    kind: str  # "nef_partition" | "cone"
     parts: tuple | None  # vertex lists in lattice coordinates
     cone_generators: tuple | None
     cone_deg: tuple | None
     cone_deg_dual: tuple | None
-    polytope_vertices: tuple | None
     coefficients: CoefficientSpec | None
     canonical: dict  # the loaded JSON; ``dumps`` sorts its keys
     shift_note: str | None = None
@@ -127,9 +128,12 @@ def parse_instance(data) -> Instance:
         raise InputError("'lattice' must be an object")
     rank = _as_int(lattice_spec.get("ambient_rank"), "lattice.ambient_rank")
 
-    payload_keys = [k for k in ("nef_partition", "cone", "polytope") if k in data]
+    payload_keys = [k for k in ("nef_partition", "cone") if k in data]
     if len(payload_keys) != 1:
-        raise InputError("exactly one of 'nef_partition', 'cone', 'polytope' is required")
+        raise InputError(
+            "exactly one of 'nef_partition', 'cone' is required"
+            " (a polytope is a one-part 'nef_partition')"
+        )
     kind = payload_keys[0]
 
     # Every payload vector is read and its length checked before the lattice
@@ -145,7 +149,6 @@ def parse_instance(data) -> Instance:
     generators = None
     deg = None
     deg_dual = None
-    poly_vertices = None
 
     if kind == "nef_partition":
         raw_parts = data["nef_partition"]
@@ -156,7 +159,7 @@ def parse_instance(data) -> Instance:
             if not isinstance(vl, list) or not vl:
                 raise InputError(f"part {idx + 1} must be a non-empty vertex list")
             parts.append([ambient(v, f"part {idx + 1} vertex") for v in vl])
-    elif kind == "cone":
+    else:
         cone = data["cone"]
         if not isinstance(cone, dict) or "generators" not in cone:
             raise InputError("'cone' must be an object with a 'generators' list")
@@ -166,9 +169,6 @@ def parse_instance(data) -> Instance:
             deg = ambient(cone["deg"], "deg")
         if "deg_dual" in cone:
             deg_dual = ambient(cone["deg_dual"], "deg_dual")
-    else:
-        raw_vertices = _as_list(data["polytope"], "'polytope'")
-        poly_vertices = [ambient(v, "polytope vertex") for v in raw_vertices]
 
     lattice = _parse_lattice(lattice_spec, rank)
     if parts is not None:
@@ -179,8 +179,6 @@ def parse_instance(data) -> Instance:
         deg = lattice.to_coords(deg)
     if deg_dual is not None:
         deg_dual = lattice.dual().to_coords(deg_dual)
-    if poly_vertices is not None:
-        poly_vertices = tuple(lattice.to_coords(v) for v in poly_vertices)
 
     coefficients = _parse_coefficients(data.get("coefficients"))
     return Instance(
@@ -190,7 +188,6 @@ def parse_instance(data) -> Instance:
         cone_generators=generators,
         cone_deg=deg,
         cone_deg_dual=deg_dual,
-        polytope_vertices=poly_vertices,
         coefficients=coefficients,
         canonical=data,
     )
@@ -223,6 +220,11 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
         return None
     if not isinstance(spec, dict):
         raise InputError("'coefficients' must be an object")
+    if "field" in spec and "values" not in spec:
+        raise InputError(
+            "coefficients.field names the field of coefficients.values, which are missing;"
+            " without values the bridge is built over QQ and evidence runs at --prime"
+        )
     field = spec.get("field", "rational")
     if field == "rational":
         domain = RATIONAL

@@ -107,8 +107,14 @@ def validate_nef_partition(parts, rays=None) -> NefPartition:
         if any(ray[idx] < 0 for ray in rays):
             raise OriginMissingError(f"part {idx + 1} does not contain the origin")
     facets = sum_facets(len(parts), rays)
-    if any(b != 1 for _, b in facets):
-        raise SumNotReflexiveError("Minkowski sum of the parts is not reflexive", facets, rays)
+    for w, b in facets:
+        if b != 1:
+            raise SumNotReflexiveError(
+                "Minkowski sum of the parts is not reflexive: its facet "
+                f"<x, ({','.join(map(str, w))})> >= {-b} has offset {b}, not 1",
+                facets,
+                rays,
+            )
     return NefPartition(tuple(parts), tuple(rays))
 
 

@@ -1,4 +1,4 @@
-"""Exact rational polytopes: hulls, duality, reflexivity, lattice points.
+"""Exact rational polytopes: hulls, Minkowski sums, lattice points.
 
 Vertices are tuples in lattice basis coordinates whose entries are ``int``
 where integral and ``Fraction`` only where truly rational.  Facets are
@@ -22,12 +22,11 @@ from .errors import (
     InternalError,
     LatticeMismatchError,
     LowerDimensionalError,
-    OriginNotInteriorError,
     UnboundedSliceError,
 )
 from .intmat import IntMatrix, forward_substitute, independent_rows, saturation, vprimitive
 from .lattices import LatticeEmbedding
-from .records import field, record
+from .records import record
 
 
 def _exact(x):
@@ -132,12 +131,10 @@ def hull_vertices(points):
 
 @record
 class Polytope:
-    """Rational polytope: exact vertices; affine hull and facets computed once."""
+    """Rational polytope, given by its exact vertices."""
 
     lattice: LatticeEmbedding
     vertices: tuple
-    _facets: list = field(default=None, compare=False)
-    _hull: tuple = field(default=None, compare=False)
 
     @staticmethod
     def from_points(lattice: LatticeEmbedding, points) -> "Polytope":
@@ -145,32 +142,6 @@ class Polytope:
         if len(verts[0]) != lattice.rank:
             raise InputError("point dimension does not match lattice rank")
         return Polytope(lattice, verts)
-
-    @property
-    def ambient_dim(self):
-        return self.lattice.rank
-
-    def affine_hull(self):
-        """``(x0, W)`` of ``affine_basis`` on the vertices."""
-        if self._hull is None:
-            object.__setattr__(self, "_hull", affine_basis(self.vertices))
-        return self._hull
-
-    def affine_dim(self):
-        return self.affine_hull()[1].rows
-
-    def is_full_dimensional(self):
-        return self.affine_dim() == self.ambient_dim
-
-    def facets(self):
-        """Facets over the coordinates z of the affine hull, ``p = x0 + z.W``
-        (the ambient ones when the polytope is full-dimensional)."""
-        if self._facets is None:
-            x0, w = self.affine_hull()
-            object.__setattr__(
-                self, "_facets", _facets_fulldim(_to_affine_coords(self.vertices, x0, w))
-            )
-        return self._facets
 
     def is_lattice_polytope(self):
         return all(all(x.denominator == 1 for x in v) for v in self.vertices)
@@ -184,52 +155,6 @@ class Polytope:
             self.lattice,
             tuple(sorted(_exact_tuple(a + b for a, b in zip(v, shift)) for v in self.vertices)),
         )
-
-
-@record
-class ReflexivityCertificate:
-    is_reflexive: bool
-    dual_vertices: tuple | None
-    witness: tuple | None
-    interior_witness: bool
-
-
-def dual_polytope(p: Polytope) -> Polytope:
-    """Polar dual ``{y : <x, y> >= -1 for all x in p}``.
-
-    Requires the origin strictly interior (hence ``p`` full-dimensional).
-    """
-    if not p.is_full_dimensional():
-        raise OriginNotInteriorError("polytope is not full-dimensional")
-    facets = p.facets()
-    if any(off <= 0 for _, off in facets):
-        raise OriginNotInteriorError("origin is not strictly interior")
-    dual_vertices = tuple(
-        sorted(tuple(_quo(c, off) for c in normal) for normal, off in facets)
-    )
-    dual = Polytope(p.lattice.dual(), dual_vertices)
-    # facets of the dual are the vertices of p, supporting at -1
-    dual_facets = sorted(_split_offset(_scale_to_int(tuple(v) + (1,))) for v in p.vertices)
-    object.__setattr__(dual, "_facets", dual_facets)
-    return dual
-
-
-def _split_offset(row):
-    return (row[:-1], row[-1])
-
-
-def is_reflexive(p: Polytope) -> ReflexivityCertificate:
-    """Reflexivity certificate: origin interior and all dual vertices integral."""
-    try:
-        dual = dual_polytope(p)
-    except OriginNotInteriorError:
-        return ReflexivityCertificate(False, None, None, interior_witness=False)
-    if not p.is_lattice_polytope():
-        return ReflexivityCertificate(False, None, None, interior_witness=True)
-    for v in dual.vertices:
-        if any(x.denominator != 1 for x in v):
-            return ReflexivityCertificate(False, None, witness=v, interior_witness=True)
-    return ReflexivityCertificate(True, dual.vertices, None, interior_witness=True)
 
 
 def point_tuples(groups, target):
@@ -375,14 +300,11 @@ def sum_facets(s, rays):
     dimension s + dim(F_1 + ... + F_s).  So these rays are the facets
     ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, one each.
     """
-    return sorted(_split_offset(vprimitive(ray[s:] + (sum(ray[:s]),)))
-                  for ray in rays if any(ray[s:]))
+    rows = (vprimitive(ray[s:] + (sum(ray[:s]),)) for ray in rays if any(ray[s:]))
+    return sorted((row[:-1], row[-1]) for row in rows)
 
 
 def sum_from_cayley_rays(polys, rays) -> Polytope:
-    """The sum of the polytopes, its vertices enumerated from ``sum_facets``,
-    which it keeps."""
+    """The sum of the polytopes, its vertices enumerated from ``sum_facets``."""
     facets = sum_facets(len(polys), rays)
-    total = Polytope(polys[0].lattice, tuple(_vertices_from_facets(facets, polys[0].lattice.rank)))
-    object.__setattr__(total, "_facets", facets)
-    return total
+    return Polytope(polys[0].lattice, tuple(_vertices_from_facets(facets, polys[0].lattice.rank)))

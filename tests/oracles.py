@@ -2,6 +2,7 @@
 and helpers that only the tests use."""
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from pathlib import Path
@@ -20,10 +21,10 @@ from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.polytope import (
     Polytope,
     _facets_fulldim,
+    _quo,
     _to_affine_coords,
     _vertices_from_facets,
     affine_basis,
-    dual_polytope,
     hull_vertices,
     sum_from_cayley_rays,
 )
@@ -94,14 +95,63 @@ def box_scan_lattice_points(vertices):
     return [x for x in itertools.product(*box) if inside(x)]
 
 
+def affine_dim(p):
+    """The dimension of a polytope's affine hull."""
+    return affine_basis(p.vertices)[1].rows
+
+
+def facets(p):
+    """The facets of a polytope over the coordinates z of its affine hull,
+    ``x = x0 + z.W`` (the ambient ones when it is full-dimensional)."""
+    return _facets_fulldim(_to_affine_coords(p.vertices, *affine_basis(p.vertices)))
+
+
 def polytope_contains(p, point):
     """Exact membership in a polytope of any dimension: the point lies on
     the affine hull, and its coordinates there meet every facet."""
     try:
-        z = _to_affine_coords([tuple(point)], *p.affine_hull())[0]
+        z = _to_affine_coords([tuple(point)], *affine_basis(p.vertices))[0]
     except InternalError:
         return False
-    return all(sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in p.facets())
+    return all(sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in facets(p))
+
+
+class OriginNotInteriorError(InputError):
+    """The origin is not strictly interior to the polytope."""
+
+
+def dual_polytope(p):
+    """Polar dual ``{y : <x, y> >= -1 for all x in p}``.
+
+    Requires the origin strictly interior (hence ``p`` full-dimensional).
+    """
+    if affine_dim(p) != p.lattice.rank:
+        raise OriginNotInteriorError("polytope is not full-dimensional")
+    halfspaces = facets(p)
+    if any(off <= 0 for _, off in halfspaces):
+        raise OriginNotInteriorError("origin is not strictly interior")
+    vertices = sorted(tuple(_quo(c, off) for c in normal) for normal, off in halfspaces)
+    return Polytope(p.lattice.dual(), tuple(vertices))
+
+
+ReflexivityCertificate = namedtuple(
+    "ReflexivityCertificate", "is_reflexive dual_vertices witness interior_witness"
+)
+
+
+def is_reflexive(p):
+    """Reflexivity certificate: origin interior and all dual vertices integral,
+    else the first rational dual vertex as the witness."""
+    try:
+        dual = dual_polytope(p)
+    except OriginNotInteriorError:
+        return ReflexivityCertificate(False, None, None, interior_witness=False)
+    if not p.is_lattice_polytope():
+        return ReflexivityCertificate(False, None, None, interior_witness=True)
+    for v in dual.vertices:
+        if any(x.denominator != 1 for x in v):
+            return ReflexivityCertificate(False, None, witness=v, interior_witness=True)
+    return ReflexivityCertificate(True, dual.vertices, None, interior_witness=True)
 
 
 def ambient_inequalities(p):
@@ -114,12 +164,12 @@ def ambient_inequalities(p):
     as a pair of opposite inequalities.  Each row ``(normal ; offset)`` is
     scaled to integers.
     """
-    x0, w = p.affine_hull()
+    x0, w = affine_basis(p.vertices)
     rows = []
     if w.rows:
         pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
         det, adj = adjugate(IntMatrix(tuple(tuple(row[j] for j in pivots) for row in w.data)))
-        for normal, off in p.facets():
+        for normal, off in facets(p):
             ambient = [0] * len(x0)
             for j, row in zip(pivots, adj.data):
                 ambient[j] = Fraction(dot(row, normal), det)

@@ -33,13 +33,13 @@ from doublemirror.intmat import (
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import (
-    Polytope, dual_polytope, hull_vertices, is_reflexive, sum_from_cayley_rays
-)
+from doublemirror.polytope import Polytope, hull_vertices, sum_from_cayley_rays
 from oracles import (
     bridge_identity_results,
     brute_force_block_partition,
     delta_regularity_probe,
+    dual_polytope,
+    is_reflexive,
     is_unimodular,
     laurent_shift,
     max_minor_gcd,

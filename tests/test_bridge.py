@@ -346,8 +346,13 @@ class TestMLevelComplement:
                 skeleton = bridge_skeleton(pair, decs[0], dec)
                 rows, coords = self.check(skeleton.dec_etilde, pair.s, pair.d)
                 stack = IntMatrix(skeleton.ann_basis.data + rows)
-                assert skeleton.l_coords == coords
-                assert stack.mul(skeleton.stack_e_inv) == IntMatrix.identity(pair.d)
+                # the fiber map is the stack inverse times diag(I, coords)
+                n_ann = skeleton.ann_basis.rows
+                diag = IntMatrix(
+                    tuple(tuple(int(i == j) for j in range(pair.d)) for i in range(n_ann))
+                    + tuple((0,) * n_ann + row for row in coords.data)
+                )
+                assert stack.mul(skeleton.fiber_map) == diag
         # W of index 2 in its saturation, and W spanning all of M (k = d)
         dec = make_decomposition([(2, 0), (-2, 0)])
         assert build_auxiliary_lattice(dec, 2)[1] == 2
@@ -422,7 +427,7 @@ class TestBridge:
         skeleton = bridge_skeleton(pair, decs[1], decs[2])
         qq = skeleton.instantiate(random_coefficients(pair, RATIONAL, 4))
         fp = skeleton.instantiate(random_coefficients(pair, 10007, 4))
-        for name in ("ann_basis", "stack_e_inv", "l_coords"):
+        for name in ("ann_basis", "fiber_map"):
             assert getattr(qq.skeleton, name) is getattr(fp.skeleton, name)
         assert qq.pair is fp.pair is skeleton.pair
         # instantiating leaves the skeleton as a fresh build would have it
@@ -498,26 +503,24 @@ class TestBridge:
     @pytest.mark.parametrize("side", ["e", "etilde"])
     def test_corrupted_stack_inverse_rejected(self, pp33, side, monkeypatch):
         # a stack inverse that passes the unimodularity check but is not the
-        # inverse would push fiber points off their samples.  Both sides read
-        # the one inverse: the E side corrupts a y column, the E~ side one of
-        # the L columns it negates
+        # inverse would push fiber points off their samples.  The E side
+        # corrupts a y column, the E~ side one of the L columns it negates
         import doublemirror.bridge as bridge_mod
         from doublemirror.errors import InternalError
 
         pair, decs = pp33
         clean = bridge_skeleton(pair, decs[0], decs[1])
-        inverse = clean.stack_e_inv
         n_ann = clean.ann_basis.rows
         assert 0 < n_ann < pair.d
         col = 0 if side == "e" else pair.d - 1
-        ident = IntMatrix.identity(pair.d)
+        l_rows = kernel_complement(clean.n_prime_basis, len(clean.w_vectors))[0]
+        stack = IntMatrix(clean.ann_basis.data + l_rows)
         adjugate = bridge_mod.adjugate
         stacks = []
 
         def corrupted(a):
             det, adj = adjugate(a)
-            # the stack is exactly the matrix the clean build inverted
-            if a.cols == inverse.rows and a.mul(inverse) == ident:
+            if a == stack:
                 stacks.append(a)
                 rows = [list(r) for r in adj.data]
                 rows[0][col] += 1
@@ -528,6 +531,30 @@ class TestBridge:
         with pytest.raises(InternalError, match="projection of the fiber point"):
             bridge_skeleton(pair, decs[0], decs[1])
         assert len(stacks) == 1
+
+    @pytest.mark.parametrize("side", ["e", "etilde"])
+    def test_corrupted_fiber_map_rejected(self, pp33, side):
+        # both sides read the one fiber map, at y ++ omega and y ++ omega^-1.
+        # One wrong exponent moves the fiber point off the complete
+        # intersection, which the exact check of its equations rejects: the
+        # E side corrupts a y column, the E~ side an omega column
+        from doublemirror.errors import InternalError
+        from doublemirror.records import replace
+
+        pair, decs = pp33
+        clean = bridge_skeleton(pair, decs[0], decs[1])
+        col = 0 if side == "e" else pair.d - 1
+        assert col < clean.ann_basis.rows if side == "e" else col >= clean.ann_basis.rows
+        rows = [list(r) for r in clean.fiber_map.data]
+        rows[0][col] += 1
+        corrupted = replace(clean, fiber_map=IntMatrix(tuple(map(tuple, rows))))
+        p = 10007
+        coeffs = random_coefficients(pair, p, 0)
+        bridge = clean.instantiate(coeffs)
+        for sp in sample_determinantal_points(bridge, 3, p, 0, {}):
+            assert len(fiber(bridge, sp.y, p, side, sp.values)[0]) == 1
+            with pytest.raises(InternalError, match="violates a defining equation"):
+                fiber(corrupted.instantiate(coeffs), sp.y, p, side, sp.values)
 
     @pytest.mark.parametrize("side", ["row", "column"])
     def test_dropped_support_point_rejected(self, pp33, side, monkeypatch):

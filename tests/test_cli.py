@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +14,9 @@ import pytest
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, dumps, example_instance, loads, parse_instance
-from doublemirror.polytope import cayley_dual_rays, sum_facets
-from oracles import product_projective_lattice
+from doublemirror.lattices import LatticeEmbedding
+from doublemirror.polytope import Polytope, cayley_dual_rays, sum_facets
+from oracles import facets, product_projective_lattice
 
 
 def run_cli(args, capsys):
@@ -34,46 +36,47 @@ def two_segment_file(tmp_path):
     return write_instance(tmp_path, example_instance("two-segment"))
 
 
+SQUARE = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+
+
+def one_part(vertices):
+    """A polytope as an instance: the nef-partition of one part."""
+    return {"lattice": {"ambient_rank": len(vertices[0]), "kind": "full"},
+            "nef_partition": [vertices]}
+
+
 @pytest.fixture()
 def square_file(tmp_path):
-    data = {
-        "lattice": {"ambient_rank": 2, "kind": "full"},
-        "polytope": [[1, 1], [1, -1], [-1, 1], [-1, -1]],
-    }
-    return write_instance(tmp_path, data)
+    return write_instance(tmp_path, one_part(SQUARE))
 
 
 class TestDualize:
+    """The polar dual of a polytope is ``nefdual`` of its one-part partition."""
+
     def test_square(self, square_file, capsys):
-        code, out = run_cli(["dualize", square_file], capsys)
+        code, out = run_cli(["nefdual", square_file], capsys)
         assert code == 0
-        report = json.loads(out)
-        result = report["result"]
-        assert result["is_reflexive"] is True
-        assert len(result["dual_vertices"]) == 4
+        result = json.loads(out)["result"]
+        assert sorted(map(tuple, result["dual_parts"][0])) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
 
     def test_not_reflexive_with_witness(self, tmp_path, capsys):
-        data = {
-            "lattice": {"ambient_rank": 2, "kind": "full"},
-            "polytope": [[2, 0], [-2, 0], [0, 1], [0, -1]],
-        }
-        path = write_instance(tmp_path, data)
-        code, out = run_cli(["dualize", path], capsys)
-        assert code == 0
-        result = json.loads(out)["result"]
-        assert result["is_reflexive"] is False
-        assert "witness" in result
+        # the triangle of tests/golden/triangle.json: no translate of it is
+        # reflexive, and the one error line names a facet (w, b) with b != 1
+        triangle = [[2, 0], [0, 1], [-1, -1]]
+        assert main(["nefdual", write_instance(tmp_path, one_part(triangle))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        match = re.search(r"its facet <x, \(([-\d,]+)\)> >= (-?\d+) has offset", captured.err)
+        w, b = tuple(int(x) for x in match.group(1).split(",")), -int(match.group(2))
+        assert b != 1
+        assert (w, b) in facets(Polytope.from_points(LatticeEmbedding.full(2), triangle))
 
     def test_simplex(self, tmp_path, capsys):
-        data = {
-            "lattice": {"ambient_rank": 2, "kind": "full"},
-            "polytope": [[-1, -1], [1, 0], [0, 1]],
-        }
-        path = write_instance(tmp_path, data)
-        code, out = run_cli(["dualize", path], capsys)
+        path = write_instance(tmp_path, one_part([[-1, -1], [1, 0], [0, 1]]))
+        code, out = run_cli(["nefdual", path], capsys)
+        assert code == 0
         result = json.loads(out)["result"]
-        assert result["is_reflexive"] is True
-        assert sorted(map(tuple, result["dual_vertices"])) == [
+        assert sorted(map(tuple, result["dual_parts"][0])) == [
             (-1, -1),
             (-1, 2),
             (2, -1),
@@ -83,17 +86,17 @@ class TestDualize:
 class TestParsing:
     def test_floats_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"lattice": {"ambient_rank": 2}, "polytope": [[1.5, 0]]}')
-        code, _ = run_cli(["dualize", str(path)], capsys)
-        assert code == 1
+        path.write_text('{"lattice": {"ambient_rank": 2}, "nef_partition": [[[1.5, 0]]]}')
+        assert main(["nefdual", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: floating point numbers are not accepted")
 
     def test_big_integers_as_strings(self):
         data = {
             "lattice": {"ambient_rank": 1, "kind": "full"},
-            "polytope": [["-9223372036854775809"], ["9223372036854775809"]],
+            "nef_partition": [[["-9223372036854775809"], ["9223372036854775809"]]],
         }
         inst = parse_instance(loads(dumps(data)))
-        assert inst.polytope_vertices[0][0] == -9223372036854775809
+        assert inst.parts[0] == ((-9223372036854775809,), (9223372036854775809,))
 
     def test_payload_checked_before_the_lattice_is_built(self, tmp_path, capsys, monkeypatch):
         # a full lattice of ambient rank n holds an n x n identity; a payload
@@ -107,8 +110,8 @@ class TestParsing:
             raise AssertionError(f"identity({n}) built before the payload was checked")
 
         monkeypatch.setattr(IntMatrix, "identity", staticmethod(identity))
-        data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "polytope": [[0, 0]]}
-        assert main(["dualize", write_instance(tmp_path, data)]) == 1
+        data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "cone": {"generators": [[0, 0]]}}
+        assert main(["cone", write_instance(tmp_path, data)]) == 1
         assert capsys.readouterr().err == "error: ambient vector has wrong length\n"
         assert built == []
 
@@ -125,9 +128,10 @@ class TestParsing:
             return identity(n)
 
         monkeypatch.setattr(IntMatrix, "identity", staticmethod(recording_identity))
-        data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "polytope": [[0] * 1500]}
-        assert main(["dualize", write_instance(tmp_path, data)]) == 0
-        assert json.loads(capsys.readouterr().out)["result"]["is_reflexive"] is False
+        data = one_part([[0] * 1500])
+        assert main(["nefdual", write_instance(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: part 1 is the single point 0, giving a zero degree summand\n"
         assert [n for n in built if n >= 1000] == []
 
     def test_round_trip_canonical(self, two_segment_file):
@@ -407,6 +411,18 @@ class TestWorkPerCommand:
         assert self.work([command, path, *flags], monkeypatch) == (1, 0, [])
         assert capsys.readouterr().err.startswith(error)
 
+    @pytest.mark.parametrize("field", [{"prime": 10007}, "rational"])
+    @pytest.mark.parametrize("command", ["bridge", "verify", "pipeline"])
+    def test_field_without_values_rejected(self, command, field, tmp_path, monkeypatch, capsys):
+        # the field names the values' field: without values no command reads it
+        data = loads((GOLDEN / "pp33.json").read_text(encoding="utf-8"))
+        data["coefficients"] = {"field": field, "seed": 0}
+        path = write_instance(tmp_path, data)
+        assert self.work([command, path], monkeypatch) == (1, 0, [])
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: coefficients.field names the field of")
+
     def test_degenerate_values_reach_the_skeleton(self, tmp_path, monkeypatch, capsys):
         path = golden_values(tmp_path, all_values_one)
         assert self.work(["bridge", path], monkeypatch) == (1, 1, [10007])
@@ -590,18 +606,19 @@ class TestNoTraceback:
         "payload",
         [
             {"cone": {"generators": 5}},
-            {"polytope": 5},
-            {"polytope": [[0, 0]],
+            {"nef_partition": 5},
+            {"nef_partition": [[[0, 0]]],
              "lattice": {"ambient_rank": 2, "kind": "kernel", "equations": 5}},
-            {"polytope": [[0, 0]],
+            {"nef_partition": [[[0, 0]]],
              "lattice": {"ambient_rank": 2, "kind": "quotient", "relations": 5}},
-            {"polytope": [[0, 0]], "coefficients": {"values": [1, 2]}},
-            {"polytope": [[0, 0]], "coefficients": {"field": {"prime": 0}, "values": {"0,0": 1}}},
+            {"nef_partition": [[[0, 0]]], "coefficients": {"values": [1, 2]}},
+            {"nef_partition": [[[0, 0]]],
+             "coefficients": {"field": {"prime": 0}, "values": {"0,0": 1}}},
         ],
     )
     def test_hostile_json_is_an_input_error(self, payload, tmp_path, capsys):
         data = {"lattice": {"ambient_rank": 2, "kind": "full"}, **payload}
-        assert main(["dualize", write_instance(tmp_path, data)]) == 1
+        assert main(["nefdual", write_instance(tmp_path, data)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
@@ -616,7 +633,8 @@ class TestNoTraceback:
 
     @pytest.mark.parametrize(
         "command, payload",
-        [("cone", {"cone": {"generators": [[1, 0], [1, 1]]}}), ("dualize", {"polytope": [[0, 0]]})],
+        [("cone", {"cone": {"generators": [[1, 0], [1, 1]]}}),
+         ("nefdual", {"nef_partition": [[[0, 0]]]})],
     )
     def test_rank_zero_lattice_is_an_input_error(self, command, payload, tmp_path, capsys):
         data = {"lattice": {"ambient_rank": 2, "kind": "kernel", "equations": [[1, 0], [0, 1]]}}
@@ -630,10 +648,23 @@ class TestNoTraceback:
     def test_ragged_lattice_rows_are_an_input_error(self, kind, key, noun, tmp_path, capsys):
         # a full first row and an empty second one: every row is checked
         data = {"lattice": {"ambient_rank": 3, "kind": kind, key: [[1, -1, 0], []]},
-                "polytope": [[0, 0, 0]]}
-        assert main(["dualize", write_instance(tmp_path, data)]) == 1
+                "nef_partition": [[[0, 0, 0]]]}
+        assert main(["nefdual", write_instance(tmp_path, data)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {noun} rows must have length ambient_rank\n"
+
+    @pytest.mark.parametrize("command", ["nefdual", "cone", "decompose", "bridge", "verify",
+                                         "pipeline"])
+    def test_polytope_payload_is_an_input_error(self, command, tmp_path, capsys):
+        # a polytope is written as a one-part nef_partition; the bare vertex
+        # list is no payload of any command
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"}, "polytope": SQUARE}
+        assert main([command, write_instance(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: exactly one of 'nef_partition', 'cone' is required"
+            " (a polytope is a one-part 'nef_partition')\n"
+        )
 
     def test_generator_off_the_kernel_lattice(self, tmp_path, capsys):
         data = {"lattice": {"ambient_rank": 3, "kind": "kernel", "equations": [[1, 1, 1]]},
@@ -753,6 +784,12 @@ class TestEntryPoint:
         out = run_python(["-m", "doublemirror.cli", "example", "two-segment"])
         assert out.returncode == 0
         assert json.loads(out.stdout)["nef_partition"]
+
+    def test_dualize_is_no_subcommand(self, square_file):
+        # nefdual is the one polar-dual path
+        out = run_python(["-m", "doublemirror.cli", "dualize", square_file])
+        assert out.returncode == 1 and out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and "invalid choice: 'dualize'" in out.stderr
 
     def test_import_does_not_load_numpy(self):
         # start-up pays only for what a run needs: no test-only dependency,

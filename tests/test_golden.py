@@ -11,9 +11,9 @@ purpose, when the report schema changes, from inside ``tests/golden``:
         --output bridge-pp33-pair23.json
 
 ``two-segment.json`` and ``square.json`` are the bundled examples as written
-by ``doublemirror example``; ``triangle.json`` is a non-reflexive polytope
-whose reflexivity witness is rational, so its ``dualize`` report pins how
-rational and integral coordinates are printed.  ``shifted-square.json`` is
+by ``doublemirror example``; ``triangle.json`` is a one-part partition
+whose sum is not reflexive and no translate of it is, so ``nefdual`` exits 1
+and its error line pins the facet it names.  ``shifted-square.json`` is
 the square [0, 2]^2, whose sum becomes reflexive only after the partition is
 translated by -(1, 1), so its ``nefdual`` report pins that search.
 ``shifted-two-segment.json`` is the two-segment partition with its first
@@ -73,8 +73,10 @@ def test_verify_report_matches_golden(name, prime, samples, seed, monkeypatch, c
 
 # (command, instance, extra flags); golden file is f"{command}-{instance}.json"
 COMMAND_CASES = [
-    ("dualize", "triangle", []),
-    ("dualize", "square", []),
+    # one decomposition: the pipeline stops before the bridge stage
+    ("pipeline", "square", []),
+    # explicit rational values, most of them not integers
+    ("bridge", "pp33-rational", ["--pair", "1", "2"]),
     *[(cmd, name, []) for cmd in ("nefdual", "cone", "decompose")
       for name in ("two-segment", "square", "pp33")],
     ("bridge", "pp33", ["--pair", "1", "2"]),
@@ -99,7 +101,6 @@ RUN_30 = ["--samples", "30", "--prime", "10007", "--seed", "3"]
 NAMED_CASES = [
     ("bridge-pp33-pair23", ["bridge", "pp33.json", "--pair", "2", "3"]),
     ("bridge-pp53-pair23", ["bridge", "pp53.json", "--pair", "2", "3"]),
-    ("bridge-pp33-rational", ["bridge", "pp33-rational.json", "--pair", "1", "2"]),
     ("verify-pp33-pair23-p10007", ["verify", "pp33.json", "--pair", "2", "3", *RUN_30]),
     ("pipeline-pp33-p10007", ["pipeline", "pp33.json", *RUN_30]),
     ("pipeline-pp53-p10007", ["pipeline", "pp53.json", *RUN_30]),
@@ -114,8 +115,6 @@ NAMED_CASES = [
     ("bridge-pp33-p10007-values", ["bridge", "pp33-p10007-values.json"]),
     ("verify-pp33-p10007-values", ["verify", "pp33-p10007-values.json", "--samples", "20"]),
     ("pipeline-pp33-p10007-values", ["pipeline", "pp33-p10007-values.json", "--samples", "20"]),
-    # one decomposition: the pipeline stops before the bridge stage
-    ("pipeline-square", ["pipeline", "square.json"]),
 ]
 
 
@@ -127,11 +126,28 @@ def test_named_report_matches_golden(golden, argv, monkeypatch, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{golden}.json").read_bytes()
 
 
+# (argv, the one stderr line); the exit code is 1 and stdout stays empty
+ERROR_CASES = [
+    (["nefdual", "triangle.json"],
+     "error: Minkowski sum of the parts is not reflexive: its facet <x, (-1,-2)> >= -2"
+     " has offset 2, not 1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,err", ERROR_CASES, ids=[" ".join(c[0]) for c in ERROR_CASES])
+def test_error_line_matches_golden(argv, err, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == err
+
+
 # every instance file some case reads
 INSTANCES = sorted(
     {f"{name}.json" for name, *_ in VERIFY_CASES}
     | {f"{name}.json" for _, name, _ in COMMAND_CASES}
     | {argv[1] for _, argv in NAMED_CASES}
+    | {argv[1] for argv, _ in ERROR_CASES}
 )
 
 

@@ -23,11 +23,14 @@ from doublemirror.nefpart import (
 from doublemirror.cli import _pair_from_instance, main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, loads, parse_instance
-from doublemirror.polytope import (
-    Polytope, cayley_dual_rays, dual_polytope, hull_vertices, sum_from_cayley_rays
-)
+from doublemirror.polytope import Polytope, cayley_dual_rays, hull_vertices, sum_from_cayley_rays
 from oracles import (
-    cone_inputs, halfspace_dual_parts, pairing_minima, polytope_contains, projective_space_parts
+    cone_inputs,
+    dual_polytope,
+    halfspace_dual_parts,
+    pairing_minima,
+    polytope_contains,
+    projective_space_parts,
 )
 
 Z2 = LatticeEmbedding.full(2)

@@ -30,7 +30,7 @@ class TestImmutability:
         [
             (IntMatrix(((1, 2),)), "data"),
             (Polytope(Z2, SQUARE), "vertices"),
-            (Polytope(Z2, SQUARE), "_facets"),
+            (LaurentPoly.from_dict(2, {}, RATIONAL), "_table"),
             (LaurentPoly.from_dict(2, {}, RATIONAL), "terms"),
             (Z2, "rank"),
         ],
@@ -88,13 +88,13 @@ class TestConstruction:
 
 class TestEqualityAndHash:
     def test_compiled_table_keeps_equality_and_hash(self):
-        # the caches _facets and _hull stay out of equality and hash
-        p, q = Polytope(Z2, SQUARE), Polytope(Z2, SQUARE)
+        # the cache _table stays out of equality and hash
+        p, q = (LaurentPoly.from_dict(2, {(1, 0): 3, (0, -1): 2}, 7) for _ in range(2))
         before = hash(p)
-        assert len(p.facets()) == 4 and p.affine_dim() == 2
-        assert p._facets is not None and p._hull is not None and q._facets is None
+        assert p.evaluate((2, 3)) == (3 * 2 + 2 * 5) % 7  # 5 = 1/3 mod 7
+        assert p._table is not None and q._table is None
         assert p == q and hash(p) == before == hash(q) and len({p, q}) == 1
-        assert p != Polytope(Z2, SQUARE[:3]) and p != SQUARE
+        assert p != LaurentPoly.from_dict(2, {(1, 0): 3}, 7) and p != p.terms
 
     def test_bridge_tables_stay_out_of_equality(self):
         # BridgeData holds dicts, so like any record with a dict field it has no hash
@@ -109,7 +109,10 @@ class TestEqualityAndHash:
     def test_repr_leaves_out_cache_fields(self):
         text = repr(Polytope(Z2, ((0, 0),)))
         assert text.startswith("Polytope(lattice=LatticeEmbedding(ambient_rank=2")
-        assert "vertices=((0, 0),)" in text and "_facets" not in text and "_solver" not in text
+        assert "vertices=((0, 0),)" in text and "_solver" not in text
+        poly = LaurentPoly.from_dict(1, {(1,): 1}, 7)
+        poly.evaluate((2,))
+        assert poly._table is not None and "_table" not in repr(poly)
 
 
 class TestReplace:
