@@ -128,10 +128,9 @@ class TestParsing:
             return identity(n)
 
         monkeypatch.setattr(IntMatrix, "identity", staticmethod(recording_identity))
-        data = one_part([[0] * 1500])
+        data = one_part([[1] + [0] * 1499])
         assert main(["nefdual", write_instance(tmp_path, data)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: part 1 is the single point 0, giving a zero degree summand\n"
+        assert capsys.readouterr().err == "error: Minkowski sum has dimension 0 < 1500\n"
         assert [n for n in built if n >= 1000] == []
 
     def test_round_trip_canonical(self, two_segment_file):
