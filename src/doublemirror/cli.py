@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .bridge import bridge_skeleton, enumerate_decompositions, random_coefficients, slice_root_keys
@@ -34,8 +33,6 @@ from .polytope import sum_from_cayley_rays
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -168,7 +165,7 @@ def cmd_nefdual(args):
     minima = {}
     for j, nabla in enumerate(dual.parts):
         for w in nabla.vertices:
-            key = ",".join(str(int(x)) for x in w)
+            key = ",".join(map(str, w))
             minima[key] = [int(i == j and any(w)) for i in range(np_.length)]
     result = {
         "normalization": info,

@@ -30,10 +30,6 @@ class LatticeMismatchError(InputError):
     """Operands live in different lattices."""
 
 
-class UnboundedSliceError(InputError):
-    """A cone slice that should be a polytope is unbounded."""
-
-
 class NefPartitionError(InputError):
     """Base class for nef-partition validation failures."""
 
@@ -42,7 +38,7 @@ class OriginMissingError(NefPartitionError):
     """Some part does not contain the origin."""
 
 
-class SumNotFullDimensionalError(NefPartitionError):
+class SumNotFullDimensionalError(NefPartitionError, LowerDimensionalError):
     """The Minkowski sum of the parts is not full-dimensional."""
 
 

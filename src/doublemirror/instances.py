@@ -13,6 +13,12 @@ slice-point coordinates in the instance lattice's basis (comma-separated
 integers) over a field (``"rational"``, the default, or ``{"prime": p}``).
 A field names the values' field only, so a field without values is an
 input error: the bridge is built over QQ and evidence runs at ``--prime``.
+
+Keys are strict, so nothing in a file is dropped or overwritten unread: an
+unknown key, a lattice key that the lattice's kind does not read, a key
+repeated within one JSON object and two spellings of one coefficient key
+are input errors.  A part may list points that are no vertices; its
+vertices are read off the Cayley rays of all its points.
 """
 
 from __future__ import annotations
@@ -35,8 +41,14 @@ from .errors import InputError, SumNotReflexiveError
 from .intmat import IntMatrix, RowSolver, dot
 from .lattices import LatticeEmbedding
 from .laurent import MASK64, RATIONAL
-from .nefpart import validate_nef_partition
-from .polytope import Polytope, part_lattice_points, point_tuples
+from .nefpart import reject_zero_parts, validate_nef_partition
+from .polytope import (
+    Polytope,
+    cayley_dual_rays,
+    part_lattice_points,
+    part_vertices,
+    point_tuples,
+)
 from .records import record
 
 
@@ -44,9 +56,27 @@ def _reject_float(_value):
     raise InputError("floating point numbers are not accepted; use exact integers")
 
 
+def _unique_keys(pairs):
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"key {key!r} appears twice in one JSON object")
+        obj[key] = value
+    return obj
+
+
+def _check_keys(obj, known, where):
+    for key in obj:
+        if key not in known:
+            raise InputError(
+                f"unknown key {key!r} in {where}; expected one of {', '.join(sorted(known))}"
+            )
+
+
 def loads(text: str):
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float,
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     except RecursionError:
@@ -135,6 +165,7 @@ def parse_instance(data) -> Instance:
             " (a polytope is a one-part 'nef_partition')"
         )
     kind = payload_keys[0]
+    _check_keys(data, ("lattice", kind, "coefficients"), "the instance")
 
     # Every payload vector is read and its length checked before the lattice
     # is built: a full lattice of ambient rank n holds n x n matrices, which
@@ -163,6 +194,7 @@ def parse_instance(data) -> Instance:
         cone = data["cone"]
         if not isinstance(cone, dict) or "generators" not in cone:
             raise InputError("'cone' must be an object with a 'generators' list")
+        _check_keys(cone, ("generators", "deg", "deg_dual"), "'cone'")
         raw_generators = _as_list(cone["generators"], "'cone' generators")
         generators = [ambient(g, "cone generator") for g in raw_generators]
         if "deg" in cone:
@@ -196,9 +228,11 @@ def parse_instance(data) -> Instance:
 def _parse_lattice(spec, rank) -> LatticeEmbedding:
     kind = spec.get("kind", "full")
     if kind == "full":
+        _check_keys(spec, ("ambient_rank", "kind"), "a 'full' lattice")
         lattice = LatticeEmbedding.full(rank)
     elif kind in ("kernel", "quotient"):
         key, noun = ("equations", "equation") if kind == "kernel" else ("relations", "relation")
+        _check_keys(spec, ("ambient_rank", "kind", key), f"a {kind!r} lattice")
         rows = spec.get(key)
         if not rows:
             raise InputError(f"{kind} lattice requires {key!r}")
@@ -220,12 +254,15 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
         return None
     if not isinstance(spec, dict):
         raise InputError("'coefficients' must be an object")
+    _check_keys(spec, ("field", "seed", "values"), "'coefficients'")
     if "field" in spec and "values" not in spec:
         raise InputError(
             "coefficients.field names the field of coefficients.values, which are missing;"
             " without values the bridge is built over QQ and evidence runs at --prime"
         )
     field = spec.get("field", "rational")
+    if isinstance(field, dict):
+        _check_keys(field, ("prime",), "coefficients.field")
     if field == "rational":
         domain = RATIONAL
     elif isinstance(field, dict) and "prime" in field:
@@ -244,11 +281,17 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
         if not isinstance(values, dict):
             raise InputError("coefficients.values must be an object")
         explicit = {}
+        spelling = {}
         for key, val in values.items():
             try:
                 coords = tuple(int(x) for x in key.split(","))
             except ValueError:
                 raise InputError(f"coefficient key {key!r} is not comma-separated integers")
+            if coords in spelling:
+                raise InputError(
+                    f"coefficient keys {spelling[coords]!r} and {key!r} name one point"
+                )
+            spelling[coords] = key
             if domain == RATIONAL:
                 explicit[coords] = _as_fraction(val, f"coefficient {key}")
             else:
@@ -259,13 +302,15 @@ def _parse_coefficients(spec) -> CoefficientSpec | None:
 def build_partition(instance: Instance):
     """Validate the instance's nef-partition, translating a shifted sum.
 
-    The sum moved by -u is reflexive exactly when ``<u, w> = 1 - b`` on
-    every facet ``<x, w> >= -b`` of the sum, which fixes u.  Part i then
-    moves by -q_i, where ``u = q_1 + ... + q_s`` with q_i a lattice point
-    of part i, cut out by the carried rays: ``(u, 0, ..., 0)`` when part 1
-    holds u, else the first such split in lexicographic order.  The
-    translation is unimodular on the Cayley cone: it sends each ray
-    ``(a ; w)`` of the dual cone to ``(a' ; w)`` with
+    One double description of the Cayley cone over the input points gives
+    its dual rays, and the parts' vertices are read off them
+    (``part_vertices``).  The sum moved by -u is reflexive exactly when
+    ``<u, w> = 1 - b`` on every facet ``<x, w> >= -b`` of the sum, which
+    fixes u.  Part i then moves by -q_i, where ``u = q_1 + ... + q_s`` with
+    q_i a lattice point of part i, cut out by the carried rays:
+    ``(u, 0, ..., 0)`` when part 1 holds u, else the first such split in
+    lexicographic order.  The translation is unimodular on the Cayley cone:
+    it sends each ray ``(a ; w)`` of the dual cone to ``(a' ; w)`` with
     ``a'_i = a_i + <q_i, w>``, so the translated parts reuse the double
     description of the sum.
 
@@ -274,13 +319,16 @@ def build_partition(instance: Instance):
     if instance.kind != "nef_partition":
         raise InputError("instance does not declare a nef-partition")
     lattice = LatticeEmbedding.full(instance.lattice.rank)
-    polys = [Polytope.from_points(lattice, pts) for pts in instance.parts]
+    point_sets = [sorted(set(points)) for points in instance.parts]
+    # before the double description, as a part {0} can make the sum flat
+    reject_zero_parts(point_sets)
+    rays = cayley_dual_rays(point_sets)
+    polys = [Polytope(lattice, part_vertices(pts, rays, i)) for i, pts in enumerate(point_sets)]
     try:
-        return validate_nef_partition(polys), None
+        return validate_nef_partition(polys, rays), None
     except SumNotReflexiveError as exc:
-        facets, rays = exc.facets, exc.rays
-        normals = IntMatrix(tuple(w for w, _ in facets))
-        u = RowSolver(normals.transpose()).solve([1 - b for _, b in facets])
+        normals = IntMatrix(tuple(w for w, _ in exc.facets))
+        u = RowSolver(normals.transpose()).solve([1 - b for _, b in exc.facets])
         if u is None:
             raise
         points = part_lattice_points(polys, rays)

@@ -6,7 +6,10 @@ K = Cone(Cayley(P_1, ..., P_s)) is reflexive Gorenstein (Batyrev-Nill).
 Each extreme ray ``(a ; w)`` of K-dual with w != 0 is a facet
 ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, so the sum's facets come from
 one double description, which the origin test, the reflexivity test and the
-dual read; no vertex of the sum is computed.
+dual read; no vertex of the sum is computed.  The caller brings the rays:
+``instances`` computes them once from the input points, which also gives
+the parts' vertices (``polytope.part_vertices``), and ``cones`` maps them
+from another frame of the same cone.
 The dual partition consists of the polytopes
 ``nabla_j = {y : <x, y> >= -delta_ij for all x in part_i}``, whose Cayley
 cone is K-dual (Batyrev-Nill), so the same rays give them, grouped by slot.
@@ -30,13 +33,11 @@ from .errors import (
     DegeneratePartError,
     InternalError,
     LatticeMismatchError,
-    LowerDimensionalError,
     OriginMissingError,
-    SumNotFullDimensionalError,
     SumNotReflexiveError,
 )
 from .intmat import independent_rows
-from .polytope import Polytope, cayley_dual_rays, sum_facets
+from .polytope import Polytope, sum_facets
 from .records import field, record
 
 
@@ -63,12 +64,20 @@ class DualNefPartition:
         return self.parts[0].lattice
 
 
-def validate_nef_partition(parts, rays=None) -> NefPartition:
+def reject_zero_parts(point_sets):
+    """Raise ``DegeneratePartError`` at the first part whose points are all 0."""
+    for idx, points in enumerate(point_sets):
+        if not any(map(any, points)):
+            raise DegeneratePartError(
+                f"part {idx + 1} is the single point 0, giving a zero degree summand"
+            )
+
+
+def validate_nef_partition(parts, rays) -> NefPartition:
     """Check the nef-partition invariants, raising a distinct error per kind.
 
-    ``rays``, when given, are ``cayley_dual_rays(parts)`` from a caller that
-    has them already, e.g. mapped from another frame of the same cone;
-    otherwise one double description computes them here.
+    ``rays`` are the rays of the dual Cayley cone of the parts: the caller's
+    ``cayley_dual_rays``, or those of another frame of the same cone, mapped.
 
     The sum is reflexive exactly when every facet ``(w, b)`` of
     ``sum_facets``, w and b jointly primitive, has b = 1.  The sum is
@@ -84,21 +93,7 @@ def validate_nef_partition(parts, rays=None) -> NefPartition:
     for p in parts:
         if p.lattice != lattice:
             raise LatticeMismatchError("parts live in different lattices")
-    origin = (0,) * lattice.rank
-    for idx, p in enumerate(parts):
-        if not p.is_lattice_polytope():
-            raise OriginMissingError(f"part {idx + 1} is not a lattice polytope")
-        if p.vertex_set() == {origin}:
-            raise DegeneratePartError(
-                f"part {idx + 1} is the single point 0, giving a zero degree summand"
-            )
-    if rays is None:
-        try:
-            rays = cayley_dual_rays(parts)
-        except LowerDimensionalError as exc:
-            raise SumNotFullDimensionalError(
-                f"Minkowski sum has dimension {exc.affine_dim} < {lattice.rank}"
-            ) from exc
+    reject_zero_parts([p.vertices for p in parts])
     # (delta_i ; 0) lies in K exactly when 0 lies in P_i: a non-negative
     # combination of slot points with slot part delta_i takes weights only on
     # slot i, adding up to 1.  K-dual being the cone over the rays, part i
@@ -159,7 +154,7 @@ def is_two_independent(np: NefPartition):
     s = np.length
     for size in range(1, s + 1):
         for subset in itertools.combinations(range(s), size):
-            rows = tuple(tuple(int(x) for x in v) for i in subset for v in np.parts[i].vertices)
+            rows = tuple(v for i in subset for v in np.parts[i].vertices)
             dim = len(independent_rows(rows, len(rows[0]))) if rows else 0
             if dim <= size:
                 return False, subset

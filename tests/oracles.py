@@ -14,20 +14,154 @@ from doublemirror.errors import InputError, InternalError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
 from doublemirror.instances import loads, parse_instance
 from doublemirror.intmat import (
-    IntMatrix, adjugate, dot, hnf, independent_rows, kernel_basis, vadd, vneg
+    IntMatrix,
+    adjugate,
+    dot,
+    forward_substitute,
+    hnf,
+    independent_rows,
+    kernel_basis,
+    saturation,
+    vadd,
+    vneg,
+    vprimitive,
 )
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
-from doublemirror.polytope import (
-    Polytope,
-    _facets_fulldim,
-    _quo,
-    _to_affine_coords,
-    _vertices_from_facets,
-    affine_basis,
-    hull_vertices,
-    sum_from_cayley_rays,
-)
+from doublemirror.nefpart import validate_nef_partition as _validate_with_rays
+from doublemirror.polytope import Polytope, cayley_dual_rays, sum_from_cayley_rays
+
+
+def _exact(x):
+    """``x`` as an int when integral, else as a Fraction."""
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quo(a, b):
+    """``a / b`` for integers, as an int when exact, else as a Fraction."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
+def _exact_tuple(point):
+    return tuple(_exact(x) for x in point)
+
+
+def _scale_to_int(row):
+    """Clear denominators and divide by the content; keeps the ray direction."""
+    denom = lcm(*(x.denominator for x in row))
+    return vprimitive(tuple(x.numerator * (denom // x.denominator) for x in row))
+
+
+def affine_basis(points):
+    """Base point plus an integer basis of the saturated direction lattice.
+
+    Returns ``(x0, W)`` where ``W`` is an ``IntMatrix`` whose rows span the
+    direction space; ``W`` is a saturated row HNF, so integer points of the
+    affine hull have integer coordinates over it.  When the points span the
+    space W is the identity and x0 the origin: coordinates are ambient.
+    """
+    pts = [_exact_tuple(p) for p in points]
+    x0 = pts[0]
+    dir_rows = []
+    for p in pts[1:]:
+        d = tuple(a - b for a, b in zip(p, x0))
+        if any(x != 0 for x in d):
+            dir_rows.append(_scale_to_int(d))
+    if not dir_rows:
+        return x0, IntMatrix(())
+    w = saturation(IntMatrix(tuple(dir_rows)))
+    return ((0,) * len(x0) if w.rows == len(x0) else x0), w
+
+
+def _to_affine_coords(points, x0, w: IntMatrix):
+    """Coordinates ``z`` with ``p = x0 + z.W`` for each point, exact.
+
+    ``W`` is a saturated row HNF (as from ``affine_basis``), so once the
+    differences are scaled by the common denominator ``den`` the coordinates
+    are integers, found by forward substitution; a point off the affine hull
+    raises ``InternalError``.
+    """
+    den = lcm(*(x.denominator for p in points for x in p), *(x.denominator for x in x0))
+    x0s = [x * den for x in x0]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
+    coords = []
+    for p in points:
+        z, r = forward_substitute(w.data, pivots, [int(a * den - b) for a, b in zip(p, x0s)])
+        if any(r):
+            raise InternalError("point left its own affine hull")
+        coords.append(tuple(_quo(q, den) for q in z))
+    return coords
+
+
+def _from_affine_coords(z, x0, w: IntMatrix):
+    return tuple(
+        _exact(x0[j] + sum(zi * w.data[i][j] for i, zi in enumerate(z)))
+        for j in range(len(x0))
+    )
+
+
+def _facets_fulldim(points):
+    """Facets of a full-dimensional point set, via double description."""
+    rays = extreme_rays([_scale_to_int((1,) + tuple(p)) for p in points])
+    return sorted((ray[1:], ray[0]) for ray in rays if any(ray[1:]))
+
+
+def _vertices_from_facets(facets, dim):
+    """Vertex enumeration of a bounded H-polytope, rational vertices included."""
+    rays = extreme_rays([(off,) + tuple(normal) for normal, off in facets] + [(1,) + (0,) * dim])
+    if any(ray[0] == 0 for ray in rays):
+        raise ValueError("polyhedron has a nonzero recession ray")
+    return sorted({tuple(_quo(x, ray[0]) for x in ray[1:]) for ray in rays})
+
+
+def hull_vertices(points):
+    """Extreme points of a finite rational point set, any dimension: two
+    double descriptions over the coordinates of its affine hull."""
+    pts = sorted(set(_exact_tuple(p) for p in points))
+    if not pts:
+        raise InputError("empty point set")
+    if len(pts) == 1:
+        return tuple(pts)
+    x0, w = affine_basis(pts)
+    if w.rows == 0:
+        return (pts[0],)
+    facets = _facets_fulldim(_to_affine_coords(pts, x0, w))
+    z_vertices = _vertices_from_facets(facets, w.rows)
+    return tuple(sorted(_from_affine_coords(z, x0, w) for z in z_vertices))
+
+
+def polytope_from_points(lattice, points):
+    """The polytope of the hull of rational points, its vertices by ``hull_vertices``."""
+    verts = hull_vertices(points)
+    if len(verts[0]) != lattice.rank:
+        raise InputError("point dimension does not match lattice rank")
+    return Polytope(lattice, verts)
+
+
+def validate_nef_partition(parts):
+    """The library's validation, with the Cayley rays computed from the
+    parts' vertices."""
+    return _validate_with_rays(parts, cayley_dual_rays([p.vertices for p in parts]))
+
+
+def dual_instance(report):
+    """``nefdual``'s dual parts as a ``nef_partition`` instance over the full
+    lattice of their rank."""
+    parts = report["result"]["dual_parts"]
+    return {"lattice": {"ambient_rank": len(parts[0][0]), "kind": "full"}, "nef_partition": parts}
+
+
+def lattice_enclosure(vertices):
+    """Integral points whose hull holds the hull of the vertices, as
+    ``lattice_points`` takes them: the vertices when they are integral,
+    else the corners of their bounding box, rounded outward."""
+    if all(x.denominator == 1 for v in vertices for x in v):
+        return vertices
+    box = [(floor(min(c)), ceil(max(c))) for c in zip(*vertices)]
+    return list(itertools.product(*box))
 
 
 def product_projective_lattice(n: int, t: int):
@@ -65,7 +199,7 @@ def projective_space_parts(sizes):
     lattice = LatticeEmbedding.full(n)
     parts, start = [], 0
     for size in sizes:
-        parts.append(Polytope.from_points(lattice, [(0,) * n] + rays[start:start + size]))
+        parts.append(polytope_from_points(lattice, [(0,) * n] + rays[start:start + size]))
         start += size
     return parts
 
@@ -146,7 +280,7 @@ def is_reflexive(p):
         dual = dual_polytope(p)
     except OriginNotInteriorError:
         return ReflexivityCertificate(False, None, None, interior_witness=False)
-    if not p.is_lattice_polytope():
+    if any(x.denominator != 1 for v in p.vertices for x in v):
         return ReflexivityCertificate(False, None, None, interior_witness=True)
     for v in dual.vertices:
         if any(x.denominator != 1 for x in v):

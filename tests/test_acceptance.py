@@ -32,20 +32,22 @@ from doublemirror.intmat import (
 )
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
-from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope, hull_vertices, sum_from_cayley_rays
+from doublemirror.polytope import sum_from_cayley_rays
 from oracles import (
     bridge_identity_results,
     brute_force_block_partition,
     delta_regularity_probe,
     dual_polytope,
+    hull_vertices,
     is_reflexive,
     is_unimodular,
     laurent_shift,
     max_minor_gcd,
     mul_vec,
     pairwise_minkowski_sum,
+    polytope_from_points,
     product_projective_lattice,
+    validate_nef_partition,
     verify_reflexive_gorenstein,
 )
 from test_bridge import _random_block_tuple
@@ -70,7 +72,7 @@ def pp53():
 def corpus():
     """(name, pair, decompositions) for the full test corpus."""
     Z2 = LatticeEmbedding.full(2)
-    parts = [Polytope.from_points(Z2, pts) for pts in two_segment_parts()]
+    parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
     two_seg = build_cone(validate_nef_partition(parts))
     items = [("two-segment", two_seg, enumerate_decompositions(two_seg))]
     for n, t in ((2, 2), (3, 3)):
@@ -281,7 +283,7 @@ def test_criterion_5_duality_properties(pp53, corpus):
             cert = is_reflexive(poly)
             assert cert.is_reflexive, name
             dd = dual_polytope(dual_polytope(poly))
-            assert dd.vertex_set() == poly.vertex_set(), name
+            assert set(dd.vertices) == set(poly.vertices), name
             reflexive_count += 1
 
         # Prop 2.5 on every enumerated decomposition: sum of slices minus deg
@@ -296,7 +298,7 @@ def test_criterion_5_duality_properties(pp53, corpus):
             for e in e_tilde:
                 verts = [v for v in s_verts if dot(v, e) == 1]
                 assert verts, name
-                slice_polys.append(Polytope.from_points(lat, verts))
+                slice_polys.append(polytope_from_points(lat, verts))
             # the slices live in the degree hyperplanes, so their sum is
             # lower-dimensional and only the hull oracle forms it
             total_slice = pairwise_minkowski_sum(slice_polys).translate(
@@ -309,14 +311,14 @@ def test_criterion_5_duality_properties(pp53, corpus):
                 z = ann_solver.solve(tuple(int(x) for x in v))
                 assert z is not None, name
                 z_verts.append(z)
-            shifted = Polytope.from_points(z_lat, z_verts)
+            shifted = polytope_from_points(z_lat, z_verts)
             cert = is_reflexive(shifted)
             assert cert.is_reflexive, name
             reflexive_count += 1
 
             projected_t = [tuple(dot(row, w) for row in ann.data) for w in t_verts]
             t_bar = set(hull_vertices(projected_t)) if ann.rows else set()
-            dual_verts = dual_polytope(shifted).vertex_set() if ann.rows else set()
+            dual_verts = set(dual_polytope(shifted).vertices) if ann.rows else set()
             assert dual_verts == t_bar, name
     elapsed = time.monotonic() - started
     _report(

@@ -33,8 +33,6 @@ from doublemirror.intmat import (
 )
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, det_cofactor
-from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope
 from oracles import (
     bridge_identity_results,
     brute_force_block_partition,
@@ -46,11 +44,13 @@ from oracles import (
     m_level_complement,
     max_minor_gcd,
     one_block_decomposition,
+    polytope_from_points,
     product_projective_lattice,
     projective_space_parts,
     rational_rank,
     slice_polynomial,
     to_mbar_prime,
+    validate_nef_partition,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -59,7 +59,7 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.fixture(scope="module")
 def two_segment_pair():
     Z2 = LatticeEmbedding.full(2)
-    parts = [Polytope.from_points(Z2, pts) for pts in two_segment_parts()]
+    parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
     return build_cone(validate_nef_partition(parts))
 
 

@@ -15,8 +15,8 @@ from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, dumps, example_instance, loads, parse_instance
 from doublemirror.lattices import LatticeEmbedding
-from doublemirror.polytope import Polytope, cayley_dual_rays, sum_facets
-from oracles import facets, product_projective_lattice
+from doublemirror.polytope import cayley_dual_rays, sum_facets
+from oracles import facets, polytope_from_points, product_projective_lattice
 
 
 def run_cli(args, capsys):
@@ -69,7 +69,7 @@ class TestDualize:
         match = re.search(r"its facet <x, \(([-\d,]+)\)> >= (-?\d+) has offset", captured.err)
         w, b = tuple(int(x) for x in match.group(1).split(",")), -int(match.group(2))
         assert b != 1
-        assert (w, b) in facets(Polytope.from_points(LatticeEmbedding.full(2), triangle))
+        assert (w, b) in facets(polytope_from_points(LatticeEmbedding.full(2), triangle))
 
     def test_simplex(self, tmp_path, capsys):
         path = write_instance(tmp_path, one_part([[-1, -1], [1, 0], [0, 1]]))
@@ -139,6 +139,57 @@ class TestParsing:
         inst = parse_instance(loads(text))
         again = dumps(inst.canonical)
         assert parse_instance(loads(again)).digest() == inst.digest()
+
+
+VALUES_HEAD = '"values":{"0,0,1,0,0,0,0":1741,'
+
+
+class TestStrictKeys:
+    """The parser reads every key of an instance or rejects the file: a key
+    it would drop or overwrite without a word exits 1 on every command."""
+
+    @pytest.mark.parametrize("command", ["nefdual", "cone", "decompose", "bridge", "verify",
+                                         "pipeline"])
+    @pytest.mark.parametrize("name,old,new,message", [
+        ("square", '{"lattice":', '{"coeficients":{"seed":3},"lattice":',
+         "unknown key 'coeficients' in the instance;"
+         " expected one of coefficients, lattice, nef_partition"),
+        ("square", '"kind":"full"}', '"kind":"full","equatons":[[1,0]]}',
+         "unknown key 'equatons' in a 'full' lattice; expected one of ambient_rank, kind"),
+        ("pp33", '"kind":"kernel"', '"kind":"kernel","relations":[]',
+         "unknown key 'relations' in a 'kernel' lattice;"
+         " expected one of ambient_rank, equations, kind"),
+        ("pp33", '"cone":{', '"cone":{"degdual":[],',
+         "unknown key 'degdual' in 'cone'; expected one of deg, deg_dual, generators"),
+        ("pp33-rational", '"seed":0', '"sed":0',
+         "unknown key 'sed' in 'coefficients'; expected one of field, seed, values"),
+        ("pp33-p10007-values", '{"prime":10007}', '{"prime":10007,"p":5}',
+         "unknown key 'p' in coefficients.field; expected one of prime"),
+        ("square", "]]]}", ']]],"lattice":{"ambient_rank":2}}',
+         "key 'lattice' appears twice in one JSON object"),
+        ("pp33-p10007-values", VALUES_HEAD, VALUES_HEAD + '"0,0,1,0,0,0,0":1742,',
+         "key '0,0,1,0,0,0,0' appears twice in one JSON object"),
+        ("pp33-p10007-values", VALUES_HEAD, VALUES_HEAD + '"00,0,1,0,0,0,0":1742,',
+         "coefficient keys '0,0,1,0,0,0,0' and '00,0,1,0,0,0,0' name one point"),
+    ], ids=["top-level", "lattice", "kind", "cone", "coefficients", "field", "repeated",
+            "repeated-value", "two-spellings"])
+    def test_unread_key_is_an_input_error(self, command, name, old, new, message, tmp_path,
+                                          capsys):
+        text = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path = tmp_path / "instance.json"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_every_golden_instance_and_example_parses(self):
+        for path in sorted(GOLDEN.glob("*.json")):
+            data = loads(path.read_text(encoding="utf-8"))
+            if "lattice" in data:
+                parse_instance(data)
+        for args in [("square",), ("two-segment",), ("product-projective", 3, 3)]:
+            parse_instance(loads(dumps(example_instance(*args))))
 
 
 class TestPipeline:
@@ -588,7 +639,7 @@ class TestNoTraceback:
         real = instances.validate_nef_partition
         calls = []
 
-        def broken_after_the_first(parts, rays=None):
+        def broken_after_the_first(parts, rays):
             calls.append(parts)
             if len(calls) == 1:
                 return real(parts, rays)  # not reflexive: the translation search starts
@@ -724,7 +775,7 @@ class TestShiftedPartitions:
                     np_, note = build_partition(parse_instance(data))
                     s = len(parts)
                     assert sum_facets(s, np_.cayley_rays) == sum_facets(s, base.cayley_rays)
-                    assert list(np_.cayley_rays) == cayley_dual_rays(np_.parts)
+                    assert list(np_.cayley_rays) == cayley_dual_rays([p.vertices for p in np_.parts])
                     if order[0] == i:
                         moved = ",".join(str(-x) for x in v)
                         assert note == f"partition translated by -({moved})"
@@ -739,7 +790,7 @@ class TestShiftedPartitions:
         real = instances.validate_nef_partition
         calls = []
 
-        def counted(parts, rays=None):
+        def counted(parts, rays):
             calls.append(parts)
             return real(parts, rays)
 

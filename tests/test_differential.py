@@ -29,14 +29,15 @@ from doublemirror.intmat import (  # noqa: E402
     kernel_basis,
 )
 from doublemirror.lattices import LatticeEmbedding  # noqa: E402
-from doublemirror.polytope import (  # noqa: E402
-    Polytope,
+from doublemirror.polytope import lattice_points  # noqa: E402
+from oracles import (  # noqa: E402
     _to_affine_coords,
     affine_basis,
-    lattice_points,
-)
-from oracles import (  # noqa: E402
-    ambient_inequalities, integral_preimage_lattice, one_block_decomposition
+    ambient_inequalities,
+    integral_preimage_lattice,
+    lattice_enclosure,
+    one_block_decomposition,
+    polytope_from_points,
 )
 from test_intmat import is_row_hnf  # noqa: E402
 
@@ -253,12 +254,14 @@ def test_lattice_points_against_box_scan(seed):
     rng = random.Random(1000 + seed)
     for _ in range(6):
         n, k, points = random_rational_polytope(rng)
-        p = Polytope.from_points(LatticeEmbedding.full(n), points)
+        p = polytope_from_points(LatticeEmbedding.full(n), points)
         maps = _simplex_maps(p.vertices, k)
         box = [range(ceil(min(v[j] for v in points)), floor(max(v[j] for v in points)) + 1)
                for j in range(n)]
         expected = [x for x in itertools.product(*box) if _inside(x, maps)]
-        assert lattice_points(p.vertices, ambient_inequalities(p)) == expected
+        # the library's polytopes are integral: a rational one enters
+        # through an integral box around it and its exact inequalities
+        assert lattice_points(lattice_enclosure(p.vertices), ambient_inequalities(p)) == expected
         assert all(type(x) is int for v in p.vertices for x in v if x.denominator == 1)
 
 

@@ -22,14 +22,14 @@ from doublemirror.evidence import (
 )
 from doublemirror.laurent import LaurentPoly, TermTable, fp_roots
 from doublemirror.lattices import LatticeEmbedding
-from doublemirror.nefpart import validate_nef_partition
-from doublemirror.polytope import Polytope
 from oracles import (
     block_determinant,
     delta_regularity_probe,
     laurent_shift,
     leibniz_det,
+    polytope_from_points,
     product_projective_lattice,
+    validate_nef_partition,
 )
 
 P = 10007
@@ -276,7 +276,7 @@ class TestEvidence:
 
     def test_two_segment_warns_not_two_independent(self):
         Z2 = LatticeEmbedding.full(2)
-        parts = [Polytope.from_points(Z2, pts) for pts in two_segment_parts()]
+        parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
         pair = build_cone(validate_nef_partition(parts))
         decs = enumerate_decompositions(pair)
         coeffs = random_coefficients(pair, P, 0)

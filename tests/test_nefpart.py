@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from doublemirror import dd, nefpart, polytope
+from doublemirror import dd, instances, nefpart, polytope
 from doublemirror.errors import (
     DegeneratePartError,
     InternalError,
@@ -18,19 +18,22 @@ from doublemirror.nefpart import (
     NefPartition,
     dual_nef_partition,
     is_two_independent,
-    validate_nef_partition,
 )
 from doublemirror.cli import _pair_from_instance, main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, loads, parse_instance
-from doublemirror.polytope import Polytope, cayley_dual_rays, hull_vertices, sum_from_cayley_rays
+from doublemirror.polytope import cayley_dual_rays, sum_from_cayley_rays
 from oracles import (
     cone_inputs,
+    dual_instance,
     dual_polytope,
     halfspace_dual_parts,
+    hull_vertices,
     pairing_minima,
     polytope_contains,
+    polytope_from_points,
     projective_space_parts,
+    validate_nef_partition,
 )
 
 Z2 = LatticeEmbedding.full(2)
@@ -39,8 +42,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def two_segment_partition():
-    d1 = Polytope.from_points(Z2, [(-1, 0), (0, 0), (1, 0)])
-    d2 = Polytope.from_points(Z2, [(0, -1), (0, 0), (0, 1)])
+    d1 = polytope_from_points(Z2, [(-1, 0), (0, 0), (1, 0)])
+    d2 = polytope_from_points(Z2, [(0, -1), (0, 0), (0, 1)])
     return validate_nef_partition([d1, d2])
 
 
@@ -48,35 +51,39 @@ class TestValidation:
     def test_two_segments(self):
         np_ = two_segment_partition()
         assert np_.length == 2
-        assert sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertex_set() == {
+        assert set(sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertices) == {
             tuple(map(Fraction, v)) for v in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         }
 
     def test_single_part(self):
-        square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
         np_ = validate_nef_partition([square])
         assert np_.length == 1
 
     def test_not_full_dimensional(self):
-        seg = Polytope.from_points(Z2, [(0, 0), (1, 0)])
+        seg = polytope_from_points(Z2, [(0, 0), (1, 0)])
         with pytest.raises(SumNotFullDimensionalError):
             validate_nef_partition([seg, seg])
 
     def test_origin_missing(self):
-        off = Polytope.from_points(Z2, [(1, 0), (2, 0), (1, 1)])
+        off = polytope_from_points(Z2, [(1, 0), (2, 0), (1, 1)])
         with pytest.raises(OriginMissingError):
             validate_nef_partition([off])
 
     @pytest.mark.parametrize("given_rays", [False, True])
     def test_origin_missing_read_off_the_rays(self, given_rays):
-        # the origin test reads a_i >= 0 off the Cayley rays, computed here or
-        # supplied by the caller; part 2 misses the origin, the sum does not
-        square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-        off = Polytope.from_points(Z2, [(1, 0), (1, 1)])
+        # the origin test reads a_i >= 0 off the Cayley rays, of the parts'
+        # vertices or of input points with a non-vertex among them; part 2
+        # misses the origin, the sum does not
+        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        off = polytope_from_points(Z2, [(1, 0), (1, 1)])
         parts = [square, off]
-        rays = cayley_dual_rays(parts) if given_rays else None
         with pytest.raises(OriginMissingError, match=r"^part 2 does not contain the origin$"):
-            validate_nef_partition(parts, rays)
+            if given_rays:
+                points = [square.vertices + ((0, 0),), off.vertices]
+                nefpart.validate_nef_partition(parts, cayley_dual_rays(points))
+            else:
+                validate_nef_partition(parts)
 
     def test_origin_test_runs_no_double_description_per_part(self, monkeypatch):
         # one for the Cayley cone, unless the caller has its rays, for any
@@ -95,9 +102,9 @@ class TestValidation:
             calls.clear()
             validate_nef_partition(parts)
             assert len(calls) == 1
-            rays = cayley_dual_rays(parts)
+            rays = cayley_dual_rays([p.vertices for p in parts])
             calls.clear()
-            validate_nef_partition(parts, rays)
+            nefpart.validate_nef_partition(parts, rays)
             assert len(calls) == 0
 
     @pytest.mark.parametrize("parts,message", [
@@ -120,8 +127,8 @@ class TestValidation:
         assert out == "" and message in err and len(err.splitlines()) == 1
 
     def test_degenerate_part(self):
-        zero = Polytope.from_points(Z2, [(0, 0)])
-        square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        zero = polytope_from_points(Z2, [(0, 0)])
+        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
         with pytest.raises(DegeneratePartError):
             validate_nef_partition([square, zero])
 
@@ -131,22 +138,22 @@ class TestDualPartition:
         # nabla_1 = conv{0, +-e1}: the origin is relative-interior, not a vertex
         np_ = two_segment_partition()
         dual = dual_nef_partition(np_)
-        assert dual.parts[0].vertex_set() == {
+        assert set(dual.parts[0].vertices) == {
             (Fraction(1), Fraction(0)),
             (Fraction(-1), Fraction(0)),
         }
         assert polytope_contains(dual.parts[0], (0, 0))
-        assert dual.parts[1].vertex_set() == {
+        assert set(dual.parts[1].vertices) == {
             (Fraction(0), Fraction(1)),
             (Fraction(0), Fraction(-1)),
         }
         assert polytope_contains(dual.parts[1], (0, 0))
 
     def test_length_one_collapses_to_dual(self):
-        square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
         np_ = validate_nef_partition([square])
         dual = dual_nef_partition(np_)
-        assert dual.parts[0].vertex_set() == dual_polytope(square).vertex_set()
+        assert set(dual.parts[0].vertices) == set(dual_polytope(square).vertices)
 
     def test_round_trip_hull(self):
         np_ = two_segment_partition()
@@ -181,7 +188,7 @@ class TestDualPartition:
         np_ = _pair_from_instance(inst)[0].parts
         nonzero = {w for p in dual_nef_partition(np_).parts for w in p.vertices if any(w)}
         total = sum_from_cayley_rays(np_.parts, np_.cayley_rays)
-        assert dual_polytope(total).vertex_set() == nonzero
+        assert set(dual_polytope(total).vertices) == nonzero
 
     def test_dual_sum_vertex_outside_the_parts_rejected(self):
         # a ray (a ; w) with a_1 + a_2 = 2 puts the vertex w / 2 into
@@ -190,11 +197,27 @@ class TestDualPartition:
         for ray in [(1, 1, 1, 0), (2, 0, 1, 0)]:
             rays = tuple(sorted(ray if r == (1, 0, 1, 0) else r for r in np_.cayley_rays))
             corrupted = NefPartition(np_.parts, rays)
-            assert dual_polytope(sum_from_cayley_rays(np_.parts, rays)).vertex_set() == {
+            assert set(dual_polytope(sum_from_cayley_rays(np_.parts, rays)).vertices) == {
                 (-1, 0), (0, -1), (0, 1), (Fraction(1, 2), 0)
             }
             with pytest.raises(InternalError, match="dual Cayley ray off the unit slots"):
                 dual_nef_partition(corrupted)
+
+
+class TestMirrorSide:
+    @pytest.mark.parametrize("name", ["square", "two-segment", "shifted-square",
+                                      "shifted-two-segment", "p5-222", "pp33", "pp53"])
+    def test_dual_of_the_dual_gives_back_the_parts(self, name, tmp_path, capsys):
+        # the dual parts as an instance of their own: every input point is a
+        # vertex, and nefdual of it reports the original parts as its dual
+        assert main(["nefdual", str(GOLDEN / f"{name}.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(dual_instance(report)), encoding="utf-8")
+        assert main(["nefdual", str(path)]) == 0
+        again = json.loads(capsys.readouterr().out)["result"]
+        assert again["parts"] == report["result"]["dual_parts"]
+        assert sorted(again["dual_parts"]) == sorted(report["result"]["parts"])
 
 
 class TestOneDoubleDescriptionPerCone:
@@ -210,17 +233,17 @@ class TestOneDoubleDescriptionPerCone:
         ],
     )
     def test_cayley_dual_rays_calls(self, argv, expected, monkeypatch, capsys):
-        # a cone instance maps the rays of its normalization, and a
-        # renormalization maps them again; a shifted partition maps the rays
-        # of its first sum across the translation
-        real = nefpart.cayley_dual_rays
+        # a partition's input points give the rays once, and a shifted
+        # partition maps them across the translation; a cone instance maps
+        # the rays of its normalization, and a renormalization maps them again
+        real = instances.cayley_dual_rays
         calls = []
 
-        def counted(parts):
-            calls.append(parts)
-            return real(parts)
+        def counted(point_sets):
+            calls.append(point_sets)
+            return real(point_sets)
 
-        monkeypatch.setattr(nefpart, "cayley_dual_rays", counted)
+        monkeypatch.setattr(instances, "cayley_dual_rays", counted)
         monkeypatch.chdir(GOLDEN)
         assert main(argv) == 0
         capsys.readouterr()
@@ -231,16 +254,21 @@ class TestOneDoubleDescriptionPerCone:
         [
             # the input cone and its dual: T and the sum need no facets
             (["cone", "pp53.json"], 2),
-            # the hull of each input part, the Cayley cone and the sum's
-            # vertices, which only the report prints
-            (["nefdual", "square.json"], 4),
-            (["nefdual", "two-segment.json"], 6),
+            # the Cayley cone over the input points, which gives the parts'
+            # vertices, and the sum's vertices, which only the report prints
+            (["nefdual", "square.json"], 2),
+            (["nefdual", "two-segment.json"], 2),
             (["nefdual", "pp33.json"], 3),
             # no part, dual part or renormalized pair enumerates facets for
             # its lattice points
             (["pipeline", "pp53.json", "--samples", "20"], 2),
             (["bridge", "pp53.json", "--pair", "2", "3"], 2),
-            (["bridge", "p5-222.json", "--pair", "2", "3"], 7),
+            (["bridge", "p5-222.json", "--pair", "2", "3"], 1),
+            (["nefdual", "p5-222.json"], 2),
+            # the translated parts reuse the rays of the first sum
+            (["decompose", "shifted-square.json"], 1),
+            (["verify", "p5-222.json", "--samples", "3", "--pair", "2", "3"], 1),
+            (["pipeline", "square.json", "--samples", "5"], 1),
         ],
     )
     def test_extreme_rays_calls(self, argv, expected, monkeypatch, capsys):
@@ -262,14 +290,15 @@ class TestOneDoubleDescriptionPerCone:
                              ids=[c[0] for c in CONE_INPUTS])
     def test_cone_rays_mapped_to_the_split_frame(self, label, lattice, gens, deg, deg_dual):
         pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
-        assert list(pair.parts.cayley_rays) == cayley_dual_rays(pair.parts.parts)
+        points = [p.vertices for p in pair.parts.parts]
+        assert list(pair.parts.cayley_rays) == cayley_dual_rays(points)
 
     @pytest.mark.parametrize("name", ["shifted-square", "shifted-two-segment"])
     def test_rays_mapped_across_the_translation(self, name):
         inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
         np_, note = build_partition(inst)
         assert "translated" in note
-        assert list(np_.cayley_rays) == cayley_dual_rays(np_.parts)
+        assert list(np_.cayley_rays) == cayley_dual_rays([p.vertices for p in np_.parts])
 
 
 class TestPairingMinima:
@@ -328,7 +357,7 @@ class TestTwoIndependence:
         assert witness is not None
 
     def test_square_passes(self):
-        square = Polytope.from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
         np_ = validate_nef_partition([square])
         flag, _ = is_two_independent(np_)
         assert flag

@@ -1,5 +1,5 @@
-"""Polytope machinery: hulls, Minkowski sums, lattice points, and the
-polar-duality oracles."""
+"""Polytope machinery: part vertices, Minkowski sums, lattice points, and
+the hull and polar-duality oracles."""
 
 import itertools
 import random
@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
+from doublemirror import nefpart
 from doublemirror.errors import LatticeMismatchError, LowerDimensionalError
 from doublemirror.cones import normalize_cone
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
     Polytope,
     cayley_dual_rays,
-    hull_vertices,
     lattice_points,
+    part_vertices,
     point_tuples,
     sum_facets,
     sum_from_cayley_rays,
@@ -27,9 +28,12 @@ from oracles import (
     brute_force_point_tuples,
     dual_polytope,
     facet_enumeration,
+    hull_vertices,
     is_reflexive,
+    lattice_enclosure,
     pairwise_minkowski_sum,
     polytope_contains,
+    polytope_from_points,
     product_projective_lattice,
 )
 
@@ -39,12 +43,13 @@ Z3 = LatticeEmbedding.full(3)
 
 
 def poly(lattice, pts):
-    return Polytope.from_points(lattice, pts)
+    return polytope_from_points(lattice, pts)
 
 
 def points_of(p):
-    """``lattice_points`` of a polytope, on its ambient H-description."""
-    return lattice_points(p.vertices, ambient_inequalities(p))
+    """``lattice_points`` of a polytope, on its ambient H-description; a
+    rational polytope enters through an integral box around it."""
+    return lattice_points(lattice_enclosure(p.vertices), ambient_inequalities(p))
 
 
 SEGMENT = [(-1,), (1,)]
@@ -115,7 +120,7 @@ class TestHull:
         for pts in (SEGMENT, SQUARE, SIMPLEX):
             p = poly(LatticeEmbedding.full(len(pts[0])), pts)
             again = hull_vertices(p.vertices)
-            assert set(again) == p.vertex_set()
+            assert set(again) == set(p.vertices)
 
     def test_lower_dim_hull(self):
         verts = hull_vertices([(0, 0), (1, 1), (2, 2)])
@@ -126,12 +131,12 @@ class TestDual:
     def test_segment_self_dual(self):
         p = poly(Z1, SEGMENT)
         d = dual_polytope(p)
-        assert d.vertex_set() == p.vertex_set()
+        assert set(d.vertices) == set(p.vertices)
 
     def test_square_cross(self):
         p = poly(Z2, SQUARE)
         d = dual_polytope(p)
-        assert d.vertex_set() == {
+        assert set(d.vertices) == {
             (Fraction(1), Fraction(0)),
             (Fraction(-1), Fraction(0)),
             (Fraction(0), Fraction(1)),
@@ -141,7 +146,7 @@ class TestDual:
     def test_simplex(self):
         p = poly(Z2, SIMPLEX)
         d = dual_polytope(p)
-        assert d.vertex_set() == {
+        assert set(d.vertices) == {
             (Fraction(-1), Fraction(-1)),
             (Fraction(-1), Fraction(2)),
             (Fraction(2), Fraction(-1)),
@@ -151,7 +156,7 @@ class TestDual:
         for pts in (SEGMENT, SQUARE, SIMPLEX):
             p = poly(LatticeEmbedding.full(len(pts[0])), pts)
             dd = dual_polytope(dual_polytope(p))
-            assert dd.vertex_set() == p.vertex_set()
+            assert set(dd.vertices) == set(p.vertices)
 
     def test_origin_not_interior(self):
         with pytest.raises(OriginNotInteriorError):
@@ -250,7 +255,7 @@ class TestLatticePointsAgainstBoxScan:
         rng = random.Random(f"{kind}-{seed}")
         for _ in range(5):
             pts = seeded_polytope_points(rng, kind)
-            p = Polytope.from_points(LatticeEmbedding.full(len(pts[0])), pts)
+            p = polytope_from_points(LatticeEmbedding.full(len(pts[0])), pts)
             if kind == "full" and affine_dim(p) < len(pts[0]):
                 continue
             assert points_of(p) == box_scan_lattice_points(p.vertices)
@@ -317,23 +322,70 @@ class TestPointTuples:
         assert list(point_tuples([[(0, 0)], []], (0, 0))) == []
 
 
+def _part_points(data, st, dim):
+    """A random integral point set: the doubled points of a lattice polytope
+    of dimension k <= dim, the midpoints of some pairs of them, which are
+    no vertices unless the pair is one point twice, and some repeats."""
+    coord = st.integers(-2, 2)
+    k = data.draw(st.integers(0, dim))
+    base = data.draw(st.tuples(*[coord] * dim))
+    dirs = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=k, max_size=k))
+    weights = data.draw(st.lists(st.lists(coord, min_size=k, max_size=k), min_size=1, max_size=5))
+    points = [tuple(2 * (b + sum(w * d[j] for w, d in zip(ws, dirs))) for j, b in enumerate(base))
+              for ws in weights]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                               max_size=3))
+    points += [tuple((a + b) // 2 for a, b in zip(p, q)) for p, q in pairs]
+    points += data.draw(st.lists(st.sampled_from(points), max_size=2))
+    return data.draw(st.permutations(points))
+
+
+def test_part_vertices_match_the_oracle_hull():
+    # the vertex rule against two double descriptions per part; keeping a
+    # point whose tight normals have rank d - 1 keeps the midpoints of edges
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    checked = []
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.data())
+    def check(data):
+        dim = data.draw(st.integers(1, 4))
+        point_sets = [_part_points(data, st, dim) for _ in range(data.draw(st.integers(1, 3)))]
+        try:
+            rays = cayley_dual_rays(point_sets)
+        except LowerDimensionalError:
+            hypothesis.assume(False)
+        for i, points in enumerate(point_sets):
+            assert part_vertices(points, rays, i) == hull_vertices(points), (point_sets, i)
+        checked.append((dim, len(point_sets), any(len(set(p)) < len(p) for p in point_sets)))
+
+    check()
+    # every dimension and part count occurs, and repeated points
+    assert {dim for dim, _, _ in checked} == {1, 2, 3, 4}
+    assert {s for _, s, _ in checked} == {1, 2, 3}
+    assert any(repeats for _, _, repeats in checked)
+    assert len(checked) >= 100
+
+
 class TestMinkowski:
     def test_cross_from_segments(self):
         a = poly(Z2, [(-1, 0), (1, 0)])
         b = poly(Z2, [(0, -1), (0, 1)])
-        s = sum_from_cayley_rays([a, b], cayley_dual_rays([a, b]))
-        assert s.vertex_set() == poly(Z2, SQUARE).vertex_set()
+        s = sum_from_cayley_rays([a, b], cayley_dual_rays([a.vertices, b.vertices]))
+        assert set(s.vertices) == set(poly(Z2, SQUARE).vertices)
 
     def test_identity(self):
         p = poly(Z2, SIMPLEX)
         zero = poly(Z2, [(0, 0)])
-        total = sum_from_cayley_rays([p, zero], cayley_dual_rays([p, zero]))
-        assert total.vertex_set() == p.vertex_set()
+        total = sum_from_cayley_rays([p, zero], cayley_dual_rays([p.vertices, zero.vertices]))
+        assert set(total.vertices) == set(p.vertices)
 
     def test_grid_membership_oracle(self):
         p = poly(Z2, [(0, 0), (1, 0), (0, 1)])
         q = poly(Z2, [(0, 0), (1, 0)])
-        s = sum_from_cayley_rays([p, q], cayley_dual_rays([p, q]))
+        s = sum_from_cayley_rays([p, q], cayley_dual_rays([p.vertices, q.vertices]))
         for x in itertools.product(range(-1, 4), repeat=2):
             in_sum = any(
                 polytope_contains(p, (Fraction(x[0]) - b[0], Fraction(x[1]) - b[1]))
@@ -353,25 +405,32 @@ class TestMinkowski:
                 assert polytope_contains(s, (u[0] + v[0], u[1] + v[1]))
 
     def test_lattice_mismatch(self):
+        # point sets carry no lattice; the parts of a partition do
         a = poly(Z2, SQUARE)
         b = poly(Z1, SEGMENT)
         with pytest.raises(LatticeMismatchError):
-            cayley_dual_rays([a, b])
+            nefpart.validate_nef_partition([a, b], cayley_dual_rays([a.vertices]))
 
 
-def _random_parts(rng, dim, count, den=1):
-    parts = []
-    for _ in range(count):
-        pts = [
-            tuple(Fraction(rng.randint(-2 * den, 2 * den), den) for _ in range(dim))
-            for _ in range(rng.randint(1, 5))
-        ]
-        parts.append(poly(LatticeEmbedding.full(dim), pts))
-    return parts
+def _random_parts(rng, dim, count, width=2):
+    """Random point sets, repeated and interior points included."""
+    return [
+        [tuple(rng.randint(-width, width) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+        for _ in range(count)
+    ]
 
 
-def _assert_matches_oracle(parts):
-    rays = cayley_dual_rays(parts)
+def _hulls(point_sets):
+    return [polytope_from_points(LatticeEmbedding.full(len(pts[0])), pts) for pts in point_sets]
+
+
+def _assert_matches_oracle(point_sets):
+    rays = cayley_dual_rays(point_sets)
+    parts = _hulls(point_sets)
+    # each part's vertices, read off the rays, against the oracle hull
+    assert [part_vertices(pts, rays, i) for i, pts in enumerate(point_sets)] == [
+        p.vertices for p in parts
+    ]
     total = sum_from_cayley_rays(parts, rays)
     expected = pairwise_minkowski_sum(parts)
     assert total.vertices == expected.vertices
@@ -385,17 +444,17 @@ class TestMinkowskiCayley:
     def test_random_full_dimensional_sums(self, seed):
         rng = random.Random(seed)
         dim, count = rng.randint(2, 4), rng.randint(2, 4)
-        # every fourth case has half-integral vertices
-        den = 2 if seed % 4 == 3 else 1
-        parts = _random_parts(rng, dim, count, den)
-        while affine_dim(pairwise_minkowski_sum(parts)) < dim:
-            parts = _random_parts(rng, dim, count, den)
-        _assert_matches_oracle(parts)
+        # every fourth case draws from a box twice as wide
+        width = 4 if seed % 4 == 3 else 2
+        point_sets = _random_parts(rng, dim, count, width)
+        while affine_dim(pairwise_minkowski_sum(_hulls(point_sets))) < dim:
+            point_sets = _random_parts(rng, dim, count, width)
+        _assert_matches_oracle(point_sets)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_product_projective_parts(self, n):
         pair, _ = normalize_cone(*product_projective_lattice(n, 3))
-        _assert_matches_oracle(list(pair.parts.parts))
+        _assert_matches_oracle([p.vertices for p in pair.parts.parts])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_lower_dimensional_sum_raises(self, seed):
@@ -406,16 +465,15 @@ class TestMinkowskiCayley:
         k = rng.randint(0, dim - 1)
         shear = [[int(i == j) + (rng.randint(-1, 1) if i < j else 0) for j in range(dim)]
                  for i in range(dim)]
-        lattice = LatticeEmbedding.full(dim)
-        parts = []
+        point_sets = []
         for _ in range(count):
             pts = []
             for _ in range(rng.randint(1, 4)):
                 z = [rng.randint(-2, 2) if i < k else 0 for i in range(dim)]
                 pts.append(tuple(sum(z[i] * shear[i][j] for i in range(dim)) for j in range(dim)))
-            parts.append(poly(lattice, pts))
-        expected = affine_dim(pairwise_minkowski_sum(parts))
+            point_sets.append(pts)
+        expected = affine_dim(pairwise_minkowski_sum(_hulls(point_sets)))
         assert expected <= k < dim
         with pytest.raises(LowerDimensionalError) as exc:
-            cayley_dual_rays(parts)
+            cayley_dual_rays(point_sets)
         assert exc.value.affine_dim == expected

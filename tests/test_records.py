@@ -9,16 +9,16 @@ from doublemirror.instances import CoefficientSpec
 from doublemirror.intmat import IntMatrix
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, LaurentPoly
-from doublemirror.nefpart import validate_nef_partition
 from doublemirror.polytope import Polytope
 from doublemirror.records import replace
+from oracles import polytope_from_points, validate_nef_partition
 
 Z2 = LatticeEmbedding.full(2)
 SQUARE = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def two_segment_bridge(domain):
-    parts = [Polytope.from_points(Z2, pts) for pts in two_segment_parts()]
+    parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
     pair = build_cone(validate_nef_partition(parts))
     decs = enumerate_decompositions(pair)
     return bridge_skeleton(pair, decs[0], decs[0]).instantiate(random_coefficients(pair, domain, 3))
@@ -56,7 +56,7 @@ class TestConstruction:
         assert poly._table is None and poly == LaurentPoly(1, (), 7)
 
     def test_default_factory_gives_each_record_its_own_value(self):
-        parts = [Polytope.from_points(Z2, pts) for pts in two_segment_parts()]
+        parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
         a = build_cone(validate_nef_partition(parts))
         b = replace(a)
         assert a == b and a._cache is b._cache  # replace copies init fields
