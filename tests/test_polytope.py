@@ -12,7 +12,6 @@ from doublemirror.errors import LatticeMismatchError, LowerDimensionalError
 from doublemirror.cones import normalize_cone
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
-    Polytope,
     cayley_dual_rays,
     lattice_points,
     part_vertices,
