@@ -20,6 +20,8 @@ Everything symbolic here is exact; the sampling harness lives in
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .cones import GorensteinConePair, in_dual_cone, renormalize
 from .errors import (
     DecompositionError,
@@ -78,37 +80,43 @@ class Decomposition:
 
 
 def block_partition(p_vectors):
-    """Finest zero-sum block partition via kernel-column equivalence.
+    """Zero-sum blocks: strip the smallest zero-sum subset, repeatedly.
 
-    Indices share a block exactly when their columns agree across a basis of
-    ``{a : sum a_i p_i = 0}``; the block indicator vectors form a
-    disjoint-support basis of that kernel for decomposition inputs.
+    Each block is the smallest subset of the indices left that holds the
+    first of them and sums to zero, by size, then in ``combinations`` order;
+    there is none exactly when the total is not zero.  At most 2^(s-1)
+    subset sums for s vectors; ``make_decomposition`` proves them finest.
     """
-    p_vectors = [tuple(int(x) for x in p) for p in p_vectors]
-    s = len(p_vectors)
-    mat = IntMatrix(tuple(p_vectors)).transpose()
-    basis = kernel_basis(mat)
-    columns = [tuple(row[i] for row in basis.data) for i in range(s)]
-    groups = {}
-    for i, col in enumerate(columns):
-        groups.setdefault(col, []).append(i)
-    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
+    remaining, blocks = list(range(len(p_vectors))), []
+    while remaining:
+        i, rest = remaining[0], remaining[1:]
+        for others in (c for n in range(len(rest) + 1) for c in combinations(rest, n)):
+            if not any(map(sum, zip(p_vectors[i], *(p_vectors[j] for j in others)))):
+                break
+        else:
+            raise DecompositionError("p vectors do not sum to zero")
+        blocks.append((i,) + others)
+        remaining = [j for j in rest if j not in others]
     return tuple(blocks)
 
 
 def make_decomposition(p_vectors) -> Decomposition:
-    """Validate a zero-sum tuple and compute its block data."""
+    """Validate a zero-sum tuple and compute its block data.
+
+    One check, rank(p) = s - r, proves the blocks the finest zero-sum
+    partition.  K = {a : sum a_i p_i = 0} has dimension s - rank(p), and the r
+    block indicators are independent in K, having disjoint supports: the check
+    makes them a basis of K, so every zero-sum subset, a 0/1 combination of
+    them, is a union of blocks.  Over this basis index i's kernel column is its
+    block's unit vector, so the tests' kernel-column oracle agrees.  A block's
+    kernel vectors are the multiples of its indicator, so it has rank n_k - 1;
+    the check also makes the blocks' spans independent.
+    """
     p_vectors = tuple(tuple(int(x) for x in p) for p in p_vectors)
-    if p_vectors:
-        total = p_vectors[0]
-        for p in p_vectors[1:]:
-            total = vadd(total, p)
-        if any(x != 0 for x in total):
-            raise DecompositionError("p vectors do not sum to zero")
     blocks = block_partition(p_vectors)
-    for block in blocks:
-        if len(independent_rows([p_vectors[i] for i in block], len(block))) != len(block) - 1:
-            raise InternalError("block span does not have rank n_k - 1")
+    s, rank = len(p_vectors), len(independent_rows(p_vectors, len(p_vectors)))
+    if rank != s - len(blocks):
+        raise InternalError(f"p vectors have rank {rank}, not s - r = {s - len(blocks)}")
     return Decomposition(p=p_vectors, blocks=blocks)
 
 

@@ -32,14 +32,6 @@ from .laurent import MASK64, RATIONAL, CoefficientAssignment, is_prime
 from .polytope import sum_from_cayley_rays
 
 
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    return x
-
-
 def _load_instance(path) -> Instance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -65,7 +57,7 @@ def _pair_from_instance(instance: Instance):
         instance.cone_deg_dual,
     )
     info = {"input_mode": "cone"}
-    info.update({k: _jsonable(v) for k, v in norm.items()})
+    info.update(norm)
     return pair, info
 
 
@@ -116,8 +108,8 @@ def _decomposition_payload(pair, decs):
     for dec in decs:
         items.append(
             {
-                "p": _jsonable(dec.p),
-                "e_tilde": _jsonable(dec.e_tilde()),
+                "p": dec.p,
+                "e_tilde": dec.e_tilde(),
                 "blocks": [[i + 1 for i in block] for block in dec.blocks],
                 "r": dec.r,
                 "block_sizes": list(dec.block_sizes),
@@ -169,9 +161,9 @@ def cmd_nefdual(args):
             minima[key] = [int(i == j and any(w)) for i in range(np_.length)]
     result = {
         "normalization": info,
-        "parts": [_jsonable(p.vertices) for p in np_.parts],
-        "sum_vertices": _jsonable(sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertices),
-        "dual_parts": [_jsonable(p.vertices) for p in dual.parts],
+        "parts": [p.vertices for p in np_.parts],
+        "sum_vertices": sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertices,
+        "dual_parts": [p.vertices for p in dual.parts],
         "pairing_minima_at_dual_vertices": minima,
     }
     return result, [], instance
@@ -232,7 +224,7 @@ def cmd_pipeline(args):
             "d": pair.d,
             "k_generator_count": len(pair.k_generators),
         },
-        "dual_parts": [_jsonable(p.vertices) for p in pair.dual_parts.parts],
+        "dual_parts": [p.vertices for p in pair.dual_parts.parts],
     }
     result.update(_decomposition_payload(pair, decs))
     warnings = []

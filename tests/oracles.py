@@ -22,7 +22,6 @@ from doublemirror.intmat import (
     independent_rows,
     kernel_basis,
     saturation,
-    vadd,
     vneg,
     vprimitive,
 )
@@ -572,28 +571,23 @@ def cone_contains(point, generators):
     return all(sum(f * p for f, p in zip(facet, point)) >= 0 for facet in facets)
 
 
-def brute_force_block_partition(p_vectors):
-    """Exponential oracle: repeatedly strip the smallest zero-sum subset."""
+def kernel_column_block_partition(p_vectors):
+    """Finest zero-sum block partition via kernel-column equivalence.
+
+    Indices share a block exactly when their columns agree across a basis of
+    ``{a : sum a_i p_i = 0}``; the block indicator vectors form a
+    disjoint-support basis of that kernel for decomposition inputs.
+    """
     p_vectors = [tuple(int(x) for x in p) for p in p_vectors]
-    remaining = sorted(range(len(p_vectors)))
-    blocks = []
-    while remaining:
-        found = None
-        for size in range(1, len(remaining) + 1):
-            for subset in itertools.combinations(remaining, size):
-                total = p_vectors[subset[0]]
-                for i in subset[1:]:
-                    total = vadd(total, p_vectors[i])
-                if all(x == 0 for x in total):
-                    found = subset
-                    break
-            if found:
-                break
-        if found is None:
-            raise InputError("indices do not sum to zero")
-        blocks.append(tuple(found))
-        remaining = [i for i in remaining if i not in set(found)]
-    return tuple(sorted(blocks, key=lambda b: b[0]))
+    s = len(p_vectors)
+    mat = IntMatrix(tuple(p_vectors)).transpose()
+    basis = kernel_basis(mat)
+    columns = [tuple(row[i] for row in basis.data) for i in range(s)]
+    groups = {}
+    for i, col in enumerate(columns):
+        groups.setdefault(col, []).append(i)
+    blocks = sorted((tuple(sorted(g)) for g in groups.values()), key=lambda b: b[0])
+    return tuple(blocks)
 
 
 def laurent_add(f, g):

@@ -1,11 +1,12 @@
 """Decompositions, block partitions, auxiliary lattices, bridge matrices."""
 
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from doublemirror import bridge
+from doublemirror import bridge, cones, dd, intmat, lattices, nefpart, polytope
 from doublemirror.bridge import (
     block_partition,
     bridge_vectors,
@@ -19,7 +20,9 @@ from doublemirror.bridge import (
 from doublemirror.canned import two_segment_parts
 from doublemirror.cli import main
 from doublemirror.cones import build_cone, normalize_cone
+from doublemirror.errors import InternalError
 from doublemirror.evidence import fiber, fp_echelon, sample_determinantal_points
+from doublemirror.instances import build_partition, parse_instance
 from doublemirror.intmat import (
     IntMatrix,
     adjugate,
@@ -35,9 +38,10 @@ from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, det_cofactor
 from oracles import (
     bridge_identity_results,
-    brute_force_block_partition,
     det_permutation,
+    dual_instance,
     is_unimodular,
+    kernel_column_block_partition,
     laurent_add,
     laurent_shift,
     leibniz_det,
@@ -79,7 +83,7 @@ class TestBlockPartition:
     def test_two_pairs(self):
         p = [(1, 0), (-1, 0), (0, 1), (0, -1)]
         assert block_partition(p) == ((0, 1), (2, 3))
-        assert brute_force_block_partition(p) == ((0, 1), (2, 3))
+        assert kernel_column_block_partition(p) == ((0, 1), (2, 3))
 
     def test_single_block(self):
         p = [(1, 0), (0, 1), (-1, -1)]
@@ -92,7 +96,55 @@ class TestBlockPartition:
         for _ in range(100):
             tup, expected = _random_block_tuple(rng)
             assert block_partition(tup) == expected
-            assert brute_force_block_partition(tup) == expected
+            assert kernel_column_block_partition(tup) == expected
+
+    @pytest.mark.parametrize("p", [[(1, 0), (1, 0), (-2, 0)], [(1,), (1,), (-1,), (-1,)]])
+    def test_rank_check_rejects(self, p):
+        # the first sums to zero only as a whole, so the subset rule alone
+        # takes it as one block (0, 1, 2) and only the rank check rejects it;
+        # the second has no unique finest partition
+        with pytest.raises(InternalError, match="rank 1, not s - r = 2"):
+            make_decomposition(p)
+
+    @pytest.mark.parametrize(
+        "sizes, count",
+        [((2, 2, 2), 90), ((2, 2, 3), 210), (None, 36), ((1,) * 7, 5040)],
+        ids=["p5-222", "p6-223", "pp33-dual", "p6-1111111"],
+    )
+    def test_enumerated_blocks_match_the_oracle(self, sizes, count, capsys):
+        if sizes is None:
+            assert main(["nefdual", str(GOLDEN / "pp33.json")]) == 0
+            instance = dual_instance(json.loads(capsys.readouterr().out))
+            pair = build_cone(build_partition(parse_instance(instance))[0])
+        else:
+            pair = build_cone(validate_nef_partition(projective_space_parts(sizes)))
+        decs = enumerate_decompositions(pair)
+        assert len(decs) == count
+        for dec in decs:
+            assert dec.blocks == kernel_column_block_partition(dec.p)
+
+    def test_enumeration_takes_one_rank_check_per_decomposition(self, monkeypatch):
+        # subset sums give the blocks: no IntMatrix, kernel basis or HNF, and
+        # one rank count per decomposition
+        pair = build_cone(validate_nef_partition(projective_space_parts((2, 2, 2))))
+        pair.dual_part_points()  # the points are cached before the path
+        calls = dict.fromkeys(["IntMatrix", "kernel_basis", "hnf", "independent_rows"], 0)
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting("IntMatrix", IntMatrix.__init__))
+        for name in ("kernel_basis", "hnf", "independent_rows"):
+            counted = counting(name, getattr(intmat, name))
+            for module in (bridge, cones, dd, intmat, lattices, nefpart, polytope):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        decs = enumerate_decompositions(pair)
+        assert len(decs) == 90
+        assert calls == {"IntMatrix": 0, "kernel_basis": 0, "hnf": 0, "independent_rows": 90}
 
 
 def _random_block_tuple(rng, max_s=7, dim_max=4, bound=3):

@@ -2,10 +2,12 @@
 
 The seeded tests perturb the part vertices of a valid nef-partition, so
 that the sum stops being reflexive or full-dimensional or a part loses the
-origin, and run ``nefdual``.  The property test, which needs hypothesis,
-mutates the small golden instances at any JSON path and runs every command
-that reads an instance.  Whatever comes out, the run must end with exit code
-0 or 1 and one line: the report on success, the message otherwise.
+origin, and run ``nefdual``.  The property tests, which need hypothesis,
+mutate the small golden instances and run every command that reads an
+instance: one at any JSON path, the other only in the part vertices and cone
+generators, so that its documents get past the parser into the geometry.
+Whatever comes out, the run must end with exit code 0 or 1 and one line: the
+report on success, the message otherwise.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from doublemirror import cli
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import dumps
@@ -233,6 +236,21 @@ JSON_MUTATIONS = (_json_nudge, _json_relattice, _json_recoefficient, _json_repla
                   _json_delete, _json_insert)
 
 
+def _run_commands(path, doc):
+    """Every command on the file at ``path``, with the one-line contract."""
+    for command in FUZZED_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], str(path)] + command[1:])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1), (command, doc, err)
+        assert "internal error" not in err, (command, doc, err)
+        if code == 0:
+            assert len(out.splitlines()) == 1, (command, doc)
+        else:
+            assert out == "" and len(err.splitlines()) == 1, (command, doc, err)
+
+
 def test_mutated_golden_instances_end_in_one_line(tmp_path):
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -250,16 +268,79 @@ def test_mutated_golden_instances_end_in_one_line(tmp_path):
             mutations = JSON_MUTATIONS if doc else (_json_insert,)
             data.draw(st.sampled_from(mutations))(doc, data, st)
         path.write_text(json.dumps(doc), encoding="utf-8")
-        for command in FUZZED_COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command[0], str(path)] + command[1:])
-            out, err = out.getvalue(), err.getvalue()
-            assert code in (0, 1), (command, doc, err)
-            assert "internal error" not in err, (command, doc, err)
-            if code == 0:
-                assert len(out.splitlines()) == 1, (command, doc)
-            else:
-                assert out == "" and len(err.splitlines()) == 1, (command, doc, err)
+        _run_commands(path, doc)
 
     check()
+
+
+def _geometry_nudge(doc, data, st):
+    """Move one integer of a part vertex by a little, or a cone generator by
+    the difference of two generators, which keeps it in the lattice and at
+    height one."""
+    if "nef_partition" in doc:
+        paths = [p for p in _json_paths(doc["nef_partition"]) if len(p) == 3]
+        i, j, k = data.draw(st.sampled_from(paths))
+        doc["nef_partition"][i][j][k] += data.draw(st.sampled_from([1, -1, 2, -2]))
+    else:
+        gens = doc["cone"]["generators"]
+        a, b, c = (data.draw(st.integers(0, len(gens) - 1)) for _ in range(3))
+        sign = data.draw(st.sampled_from([1, -1]))
+        gens[a] = [x + sign * (y - z) for x, y, z in zip(gens[a], gens[b], gens[c])]
+
+
+def _part_translate(doc, data, st):
+    """Translate one whole part by a small vector."""
+    if "nef_partition" not in doc:
+        return _geometry_nudge(doc, data, st)
+    part = data.draw(st.sampled_from(doc["nef_partition"]))
+    step = data.draw(st.lists(st.integers(-2, 2), min_size=len(part[0]), max_size=len(part[0])))
+    for vertex in part:
+        vertex[:] = [x + t for x, t in zip(vertex, step)]
+
+
+# partitions of one, two and three parts, translated or not, and a cone over
+# a kernel lattice
+GEOMETRY_INSTANCES = ("pp33", "square", "two-segment", "shifted-square", "shifted-two-segment",
+                      "triangle", "p5-222")
+
+
+def test_nudged_geometry_ends_in_one_line(tmp_path, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    originals = {name: (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+                 for name in GEOMETRY_INSTANCES}
+    path = tmp_path / "nudged.json"
+    # the stages each document reached, over any of the commands
+    reached, counts = set(), {"parsed": 0, "decomposed": 0}
+
+    real_parse, real_enumerate = cli.parse_instance, cli.enumerate_decompositions
+
+    def parse(doc):
+        instance = real_parse(doc)
+        reached.add("parsed")
+        return instance
+
+    def enumerate_decompositions(pair):
+        reached.add("decomposed")  # entered, whether or not it returns
+        return real_enumerate(pair)
+
+    monkeypatch.setattr(cli, "parse_instance", parse)
+    monkeypatch.setattr(cli, "enumerate_decompositions", enumerate_decompositions)
+
+    @hypothesis.settings(max_examples=120, deadline=None, derandomize=True, database=None,
+                         suppress_health_check=list(hypothesis.HealthCheck))
+    @hypothesis.given(st.data())
+    def check(data):
+        doc = json.loads(originals[data.draw(st.sampled_from(GEOMETRY_INSTANCES))])
+        for _ in range(data.draw(st.integers(1, 2))):
+            data.draw(st.sampled_from((_geometry_nudge, _part_translate)))(doc, data, st)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        reached.clear()
+        _run_commands(path, doc)
+        for name in reached:
+            counts[name] += 1
+
+    check()
+    # every document gets past the parser (120 of 120 with hypothesis 6.155.2)
+    # and some reach the decompositions (28)
+    assert counts["parsed"] >= 100 and counts["decomposed"] >= 20, counts
