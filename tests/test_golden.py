@@ -29,10 +29,19 @@ seed 5, so its reports pin a bridge over the explicit prime, evidence at a
 ``p5-222.json`` is the nef-partition (2, 2, 2) of P^5, ``conv(0, E_i)`` over
 consecutive pairs of the fan vertices, as built by
 ``oracles.projective_space_parts((2, 2, 2))``.
+``pp33-dual.json`` is the mirror side of pp33, ``oracles.dual_instance`` of
+its ``nefdual`` report.  Its (1, 2) pair has two blocks, [1] and [2, 3], and
+finds no point of D, so ``verify-pp33-dual-p10007.json`` pins that defect;
+a fix of the two-block bridge regenerates that one report on purpose.
+``bridge-digests.json`` holds the SHA-256 of the ``bridge`` report of every
+(1, j) pair of p5-222 and pp33-dual and of (2, j) for j = 3...12, the
+renormalizing path.  Regenerate it with ``bridge_digests`` below.
 """
 
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -84,6 +93,7 @@ COMMAND_CASES = [
     ("nefdual", "shifted-two-segment", []),
     *[(cmd, "pp53", []) for cmd in ("cone", "decompose", "nefdual")],
     *[(cmd, "p5-222", []) for cmd in ("decompose", "nefdual")],
+    ("decompose", "pp33-dual", []),
 ]
 
 
@@ -109,6 +119,9 @@ NAMED_CASES = [
     ("bridge-p5-222-pair23", ["bridge", "p5-222.json", "--pair", "2", "3"]),
     ("verify-p5-222-p10007",
      ["verify", "p5-222.json", "--pair", "1", "2", "--samples", "20", "--prime", "10007"]),
+    # the mirror side of pp33: two blocks, and no point of D is found
+    ("verify-pp33-dual-p10007",
+     ["verify", "pp33-dual.json", "--pair", "1", "2", "--samples", "20", "--prime", "10007"]),
     # explicit rational values: the bridge, then no finite-field evidence
     ("pipeline-pp33-rational", ["pipeline", "pp33-rational.json"]),
     # explicit values over F_10007 serve the bridge and the evidence alike
@@ -142,12 +155,37 @@ def test_error_line_matches_golden(argv, err, monkeypatch, capsys):
     assert captured.out == "" and captured.err == err
 
 
+# instance -> its decomposition count; bridge-digests.json pins these pairs
+DIGEST_CASES = {"p5-222.json": 90, "pp33-dual.json": 36}
+
+
+def bridge_digests(name, count):
+    """``"i j"`` -> SHA-256 of the ``bridge`` report, for every (1, j) and
+    for (2, j) with j = 3...12, run from the golden directory."""
+    pairs = [(1, j) for j in range(2, count + 1)] + [(2, j) for j in range(3, 13)]
+    digests = {}
+    for i, j in pairs:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            assert main(["bridge", name, "--pair", str(i), str(j)]) == 0
+        digests[f"{i} {j}"] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CASES))
+def test_bridge_reports_match_golden_digests(name, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    golden = json.loads((GOLDEN / "bridge-digests.json").read_text(encoding="utf-8"))
+    assert bridge_digests(name, DIGEST_CASES[name]) == golden[name]
+
+
 # every instance file some case reads
 INSTANCES = sorted(
     {f"{name}.json" for name, *_ in VERIFY_CASES}
     | {f"{name}.json" for _, name, _ in COMMAND_CASES}
     | {argv[1] for _, argv in NAMED_CASES}
     | {argv[1] for argv, _ in ERROR_CASES}
+    | set(DIGEST_CASES)
 )
 
 
@@ -156,7 +194,7 @@ def test_every_golden_file_is_checked():
     reports = {f"verify-{name}-p{prime}.json" for name, prime, *_ in VERIFY_CASES}
     reports |= {f"{command}-{name}.json" for command, name, _ in COMMAND_CASES}
     reports |= {f"{golden}.json" for golden, _ in NAMED_CASES}
-    reports.add("samples-pp33.json")
+    reports |= {"samples-pp33.json", "bridge-digests.json"}
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(set(INSTANCES) | reports)
 
 
