@@ -21,6 +21,7 @@ Everything symbolic here is exact; the sampling harness lives in
 from __future__ import annotations
 
 from itertools import combinations
+from math import prod
 
 from .cones import GorensteinConePair, in_dual_cone, renormalize
 from .errors import (
@@ -35,8 +36,6 @@ from .intmat import (
     dot,
     hnf,
     independent_rows,
-    kernel_basis,
-    saturation,
     vadd,
     vneg,
     vscale,
@@ -134,15 +133,23 @@ def enumerate_decompositions(pair: GorensteinConePair):
     return decs
 
 
-def build_auxiliary_lattice(dec: Decomposition, d: int):
-    """Basis of N' with the non-leading block vectors as leading rows.
+def skeleton_lattices(dec: Decomposition, d: int):
+    """The skeleton's lattice data, read off one row HNF of W^T.
 
-    Returns ``(basis, sat_index, row_of)`` where ``row_of`` maps each
-    non-leading slot index to its basis row.  The k rows W are completed by
-    rows k... of ``u^-T``, ``u`` the HNF transform of ``sat^T`` for the
-    saturation ``sat`` of W: ``u . sat^T = [I ; 0]``, so ``sat`` and those
-    rows form a basis of Z^d.  ``sat_index``, the index of W in ``sat``, is
-    read off W's coordinates over ``sat`` and checked against the basis.
+    W holds the k non-leading block vectors as rows, and ``row_of`` maps each
+    non-leading slot to its row.  ``make_decomposition`` gives W rank k, so
+    ``u . W^T = [T ; 0]`` with u unimodular and T upper triangular with a
+    positive diagonal.  Then:
+
+    * the index of W in its saturation is prod T_ii: the first k rows of
+      u^-T span the saturation, and W = T^T times them;
+    * the N' basis is W followed by the complement C, rows k... of u^-T;
+    * Ann(e, e~) = Ann(W), as each leader's q is minus the sum of its
+      block's others, and rows k... of u span it; it is returned in HNF;
+    * L = {m : m . C^T = 0} is spanned by rows 0...k-1 of u, as
+      u . u^-1 = I, and L . W^T = T gives its coordinates over the w.
+
+    Returns ``(basis, sat_index, row_of, ann_basis, l_rows, l_coords)``.
 
     Any complement gives the same reports.  ``bridge_vectors`` reads u and w
     off the W rows, so they have complement coordinates 0.  Another
@@ -159,21 +166,20 @@ def build_auxiliary_lattice(dec: Decomposition, d: int):
     """
     w_slots = [i for block in dec.blocks for i in block[1:]]
     rows = tuple(dec.p[i] for i in w_slots)
-    row_of = {slot: idx for idx, slot in enumerate(w_slots)}
-    if not rows:
-        return IntMatrix.identity(d), 1, row_of
     k = len(rows)
-    sat = saturation(IntMatrix(rows))
-    if sat.rows != k:
+    h, u = hnf(IntMatrix(tuple(tuple(row[c] for row in rows) for c in range(d))))
+    t = IntMatrix(h.data[:k])
+    # a nonzero T_ii makes column i a pivot, so the rows below T are zero
+    if k > d or not all(t.data[i][i] for i in range(k)):
         raise InternalError("non-leading block vectors are linearly dependent")
-    solver = RowSolver(sat)
-    index = abs(adjugate(IntMatrix(tuple(solver.solve(r) for r in rows)))[0])
-    _, u = hnf(sat.transpose())
+    index = prod(t.data[i][i] for i in range(k))
     det_u, adj_u = adjugate(u)  # u^-1 = det_u . adj_u, as det_u = +-1
     basis = IntMatrix(rows + tuple(vscale(det_u, col) for col in zip(*adj_u.data))[k:])
     if abs(adjugate(basis)[0]) != index:
         raise InternalError("auxiliary lattice index mismatch")
-    return basis, index, row_of
+    ann_basis, _ = hnf(IntMatrix(u.data[k:]), transform=False)
+    row_of = {slot: idx for idx, slot in enumerate(w_slots)}
+    return basis, index, row_of, ann_basis, u.data[:k], t
 
 
 @record
@@ -340,18 +346,6 @@ def bridge_vectors(dec: Decomposition, row_of, s, d):
     return w_vectors, u_vectors, p_nprime
 
 
-def kernel_complement(n_prime_basis: IntMatrix, k):
-    """``(rows, coords)``: a basis of L = span(w) meet M over M and over the w.
-
-    The first k rows of the N' basis are W.  m lies in span(w) exactly when it
-    pairs to 0 with every later row; w' is the unit vector of its W row, so
-    the pairings with the W rows are the coordinates over the w.
-    """
-    w_rows, complement = n_prime_basis.data[:k], n_prime_basis.data[k:]
-    rows = (kernel_basis(IntMatrix(complement)) if complement else IntMatrix.identity(k)).data
-    return rows, IntMatrix(tuple(tuple(dot(m, b) for b in w_rows) for m in rows))
-
-
 def _mbar_to_mbarprime(v, s, n_prime_basis: IntMatrix):
     """Convert (a ; m) in split coordinates to (a ; m . B^T)."""
     a = tuple(v[:s])
@@ -378,7 +372,7 @@ def bridge_skeleton(
 
     blocks = dec_et2.blocks
     r = dec_et2.r
-    n_prime_basis, sat_index, row_of = build_auxiliary_lattice(dec_et2, d)
+    n_prime_basis, sat_index, row_of, ann_basis, l_rows, l_coords = skeleton_lattices(dec_et2, d)
     w_vectors, u_vectors, p_nprime = bridge_vectors(dec_et2, row_of, s, d)
     if IntMatrix(tuple(p_nprime[i] for i in range(s))).mul(n_prime_basis).data != q:
         raise InternalError("e~ summands misread over N'")
@@ -402,7 +396,6 @@ def bridge_skeleton(
             if dot(u, et_rows[i]) != (1 if i == block[0] else 0):
                 raise InternalError("u vector violates its e~ pairing table")
 
-    ann_basis = _annihilator_basis(q, d)
     dd_rank = ann_basis.rows
     if dd_rank != d - (s - r):
         raise InternalError("Ann(e, e~) has unexpected rank")
@@ -451,7 +444,6 @@ def bridge_skeleton(
     # own: with B the N' basis, [Ann ; L] . B^T = diag(I, l_coords) . [Ann' ; w'],
     # and |det B| = sat_index = |det l_coords|, so the two stacks have the
     # same |det|
-    l_rows, l_coords = kernel_complement(n_prime_basis, len(w_vectors))
     stack_e = IntMatrix(tuple(ann_basis.data) + l_rows)
     det_e, adj_e = adjugate(stack_e) if stack_e.rows == d else (0, None)
     if det_e not in (1, -1):
@@ -569,11 +561,3 @@ def _slice_supports(pair2, q):
         for j in range(s)
     )
     return supports, gt_supports
-
-
-def _annihilator_basis(q, d):
-    """HNF basis of {m in Z^d : <m, q_i> = 0 for all i}."""
-    rows = [tuple(qq) for qq in q if any(x != 0 for x in qq)]
-    if not rows:
-        return IntMatrix.identity(d)
-    return kernel_basis(IntMatrix(tuple(rows)))

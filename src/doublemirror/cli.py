@@ -103,7 +103,7 @@ def _pair_bridges(args, instance, pair, decs, *fields):
     return (i, j), seed, [skeleton.instantiate(c) for c in coeffs]
 
 
-def _decomposition_payload(pair, decs):
+def _decomposition_payload(decs):
     items = []
     for dec in decs:
         items.append(
@@ -190,7 +190,7 @@ def cmd_cone(args):
 def cmd_decompose(args):
     instance, pair, info, decs = _front(args)
     result = {"normalization": info}
-    result.update(_decomposition_payload(pair, decs))
+    result.update(_decomposition_payload(decs))
     warnings = []
     if len(decs) == 1:
         warnings.append("no nontrivial double mirror: only the trivial decomposition exists")
@@ -226,7 +226,7 @@ def cmd_pipeline(args):
         },
         "dual_parts": [p.vertices for p in pair.dual_parts.parts],
     }
-    result.update(_decomposition_payload(pair, decs))
+    result.update(_decomposition_payload(decs))
     warnings = []
     if len(decs) == 1 and args.pair is None:
         warnings.append("no nontrivial double mirror: only the trivial decomposition exists")

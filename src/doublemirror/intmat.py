@@ -1,11 +1,13 @@
-"""Exact integer matrix algebra: HNF, adjugates, kernels, saturation, solving.
+"""Exact integer matrix algebra: HNF, adjugates, kernels, solving.
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 touches floating point.  Three eliminations, one job each: the row HNF gives
-everything lattice-valued (kernels, saturations, and ``z . a = b`` by
-forward substitution, factored once per basis in ``RowSolver``);
+everything lattice-valued (kernels, and ``z . a = b`` by forward
+substitution, factored once per basis in ``RowSolver``);
 ``adjugate`` gives every determinant and inverse; and ``independent_rows``
-gives every rank.  Conventions:
+gives every rank.  Saturations are no library job: the one the bridge needs
+is read off an HNF transform (``bridge.skeleton_lattices``), and the
+kernel of the kernel is a test oracle.  Conventions:
 
 * Matrices are row-major and immutable (``IntMatrix``).
 * Row Hermite normal form: pivot entries positive, entries above each pivot
@@ -171,16 +173,6 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
         return IntMatrix(())
     canon, _ = hnf(IntMatrix(tuple(rows)), transform=False)
     return canon
-
-
-def saturation(b: IntMatrix) -> IntMatrix:
-    """HNF-canonical basis of the saturation of the row span of ``b``.
-
-    The saturation is the kernel of the kernel; dependent rows give a basis
-    of the span's rank.
-    """
-    kernel = kernel_basis(b)
-    return kernel_basis(kernel) if kernel.rows else IntMatrix.identity(b.cols)
 
 
 def forward_substitute(rows, pivots, b):

@@ -28,19 +28,18 @@ class LatticeEmbedding:
 
     ambient_rank: int
     kind: str  # "full" | "kernel" | "quotient"
-    defining: IntMatrix | None
     basis: IntMatrix | None  # None for "full": its coordinates are the ambient ones
     rank: int
     _solver: RowSolver | None = field(default=None, compare=False)
 
     @staticmethod
     def full(n: int) -> "LatticeEmbedding":
-        return LatticeEmbedding(n, "full", None, None, n)
+        return LatticeEmbedding(n, "full", None, n)
 
     @staticmethod
     def from_kernel(equations: IntMatrix) -> "LatticeEmbedding":
         basis = kernel_basis(equations)
-        return LatticeEmbedding(equations.cols, "kernel", equations, basis, basis.rows)
+        return LatticeEmbedding(equations.cols, "kernel", basis, basis.rows)
 
     @staticmethod
     def from_quotient(relations: IntMatrix) -> "LatticeEmbedding":

@@ -21,7 +21,6 @@ from doublemirror.intmat import (
     hnf,
     independent_rows,
     kernel_basis,
-    saturation,
     vneg,
     vprimitive,
 )
@@ -52,6 +51,16 @@ def _scale_to_int(row):
     """Clear denominators and divide by the content; keeps the ray direction."""
     denom = lcm(*(x.denominator for x in row))
     return vprimitive(tuple(x.numerator * (denom // x.denominator) for x in row))
+
+
+def saturation(b: IntMatrix) -> IntMatrix:
+    """HNF-canonical basis of the saturation of the row span of ``b``.
+
+    The saturation is the kernel of the kernel; dependent rows give a basis
+    of the span's rank.
+    """
+    kernel = kernel_basis(b)
+    return kernel_basis(kernel) if kernel.rows else IntMatrix.identity(b.cols)
 
 
 def affine_basis(points):

@@ -8,14 +8,14 @@ import pytest
 
 from doublemirror import bridge, cones, dd, intmat, lattices, nefpart, polytope
 from doublemirror.bridge import (
+    Decomposition,
     block_partition,
-    bridge_vectors,
-    build_auxiliary_lattice,
     bridge_skeleton,
+    bridge_vectors,
     enumerate_decompositions,
-    kernel_complement,
     make_decomposition,
     random_coefficients,
+    skeleton_lattices,
 )
 from doublemirror.canned import two_segment_parts
 from doublemirror.cli import main
@@ -28,7 +28,7 @@ from doublemirror.intmat import (
     adjugate,
     dot,
     hnf,
-    saturation,
+    kernel_basis,
     vadd,
     vneg,
     vscale,
@@ -52,6 +52,7 @@ from oracles import (
     product_projective_lattice,
     projective_space_parts,
     rational_rank,
+    saturation,
     slice_polynomial,
     to_mbar_prime,
     validate_nef_partition,
@@ -236,17 +237,43 @@ class TestSkeletonDecomposition:
         assert len(calls) == 1
 
 
+class TestOneTransformPerSkeleton:
+    def test_hnf_and_adjugate_calls(self, corpus, pp33, monkeypatch):
+        # one HNF of W^T with its transform, one of Ann's rows and one inside
+        # the Ann row solver; adjugates of the transform, of the N' basis and
+        # of the stack [Ann ; L]
+        calls = dict.fromkeys(["hnf", "adjugate"], 0)
+
+        def counting(name, real):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            wrapped = counting(name, getattr(intmat, name))
+            monkeypatch.setattr(intmat, name, wrapped)
+            monkeypatch.setattr(bridge, name, wrapped)
+        pair, decs = corpus[2]  # P^5 (2,2,2)
+        runs = [(pair, decs[0], dec) for dec in decs[1:]] + [(pp33[0], *pp33[1][1:3])]
+        for run in runs:
+            calls.update(hnf=0, adjugate=0)
+            bridge_skeleton(*run)
+            assert calls["hnf"] <= 3 and calls["adjugate"] <= 3
+
+
 class TestAuxiliaryLattice:
     def test_trivial(self):
         dec = make_decomposition([(0, 0), (0, 0)])
-        basis, index, row_of = build_auxiliary_lattice(dec, 2)
+        basis, index, row_of, ann, l_rows, l_coords = skeleton_lattices(dec, 2)
         assert index == 1
-        assert basis == IntMatrix.identity(2)
-        assert row_of == {}
+        assert basis == ann == IntMatrix.identity(2)
+        assert row_of == {} and l_rows == () and l_coords == IntMatrix(())
 
     def test_contrived_index_two(self):
         dec = make_decomposition([(2, 0), (-2, 0)])
-        basis, index, _ = build_auxiliary_lattice(dec, 2)
+        basis, index, *_ = skeleton_lattices(dec, 2)
         assert index == 2
         assert abs(leibniz_det(basis.data)) == 2
 
@@ -254,19 +281,28 @@ class TestAuxiliaryLattice:
         # the product of the elementary divisors of W is the gcd of its k x k minors
         pair, decs = pp33
         dec = make_decomposition(tuple(vsub(b, a) for a, b in zip(decs[0].p, decs[1].p)))
-        basis, index, row_of = build_auxiliary_lattice(dec, pair.d)
+        basis, index, row_of, *_ = skeleton_lattices(dec, pair.d)
         rows = [dec.p[i] for i in sorted(row_of, key=row_of.get)]
         assert index == max_minor_gcd(rows)
 
     @staticmethod
     def check_complement(w):
         # [saturation(W) ; complement] is a basis of Z^d, and the index of W
-        # in its saturation is the gcd of its k x k minors
+        # in its saturation is the gcd of its k x k minors.  Ann(W) is the
+        # kernel of W, and L the kernel of the complement, with L . W^T as
+        # its coordinates over the w
         k, d = len(w), len(w[0])
-        basis, index, row_of = build_auxiliary_lattice(one_block_decomposition(w), d)
+        basis, index, row_of, ann, l_rows, l_coords = skeleton_lattices(
+            one_block_decomposition(w), d
+        )
         assert basis.data[:k] == w and row_of == {i + 1: i for i in range(k)}
         assert is_unimodular(IntMatrix(saturation(IntMatrix(w)).data + basis.data[k:]))
         assert index == max_minor_gcd(w) == abs(leibniz_det(basis.data))
+        assert ann == (kernel_basis(IntMatrix(w)) if k < d else IntMatrix(()))
+        complement = IntMatrix(basis.data[k:])
+        expected = kernel_basis(complement).data if k < d else IntMatrix.identity(d).data
+        assert hnf(IntMatrix(l_rows), transform=False)[0].data == expected
+        assert l_coords == IntMatrix(l_rows).mul(IntMatrix(w).transpose())
 
     @pytest.mark.parametrize("w", [((2, 0),), ((2, 2, 0), (0, 2, 4))])
     def test_complement_of_non_saturated_rows(self, w):
@@ -293,7 +329,7 @@ def corpus():
 class TestBridgeVectors:
     @staticmethod
     def check_pairing_tables(dec, s, d):
-        basis, _, row_of = build_auxiliary_lattice(dec, d)
+        basis, _, row_of, *_ = skeleton_lattices(dec, d)
         w, u, p_nprime = bridge_vectors(dec, row_of, s, d)
         k = len(row_of)
         e_rows = [tuple(1 if j == i else 0 for j in range(s)) + (0,) * d for i in range(s)]
@@ -323,13 +359,13 @@ class TestBridgeVectors:
                 self.check_pairing_tables(dec, pair.s, pair.d)
         # W of index 2 in its saturation
         dec = make_decomposition([(2, 0), (-2, 0)])
-        assert build_auxiliary_lattice(dec, 2)[1] == 2
+        assert skeleton_lattices(dec, 2)[1] == 2
         self.check_pairing_tables(dec, 2, 2)
 
     def test_trivial_decomposition_w_empty(self, two_segment_pair):
         decs = enumerate_decompositions(two_segment_pair)
         dec = decs[0]
-        _, _, row_of = build_auxiliary_lattice(dec, two_segment_pair.d)
+        row_of = skeleton_lattices(dec, two_segment_pair.d)[2]
         w, u, _ = bridge_vectors(dec, row_of, two_segment_pair.s, two_segment_pair.d)
         assert w == {}
         assert set(u) == {(0, 0), (1, 0)}
@@ -363,7 +399,7 @@ class TestBridgeVectors:
 
 
 class TestMLevelComplement:
-    """L read off the N' basis, against its construction as a preimage lattice."""
+    """L read off the HNF transform, against its construction as a preimage lattice."""
 
     @staticmethod
     def spanning_rows(w_vectors, u_vectors, s):
@@ -376,11 +412,10 @@ class TestMLevelComplement:
         return w_mprime, ut_mprime
 
     def check(self, dec, s, d):
-        basis, _, row_of = build_auxiliary_lattice(dec, d)
+        basis, _, row_of, _, rows, coords = skeleton_lattices(dec, d)
         w_vectors, u_vectors, _ = bridge_vectors(dec, row_of, s, d)
         w_mprime, ut_mprime = self.spanning_rows(w_vectors, u_vectors, s)
         k = w_mprime.rows
-        rows, coords = kernel_complement(basis, k)
         o_coords, o_rows = m_level_complement(w_mprime, basis)
         # the same lattice, and each row's M' image is its combination of the w'
         canon = [hnf(IntMatrix(r), transform=False)[0] for r in (rows, o_rows)]
@@ -407,9 +442,9 @@ class TestMLevelComplement:
                 assert stack.mul(skeleton.fiber_map) == diag
         # W of index 2 in its saturation, and W spanning all of M (k = d)
         dec = make_decomposition([(2, 0), (-2, 0)])
-        assert build_auxiliary_lattice(dec, 2)[1] == 2
-        assert self.check(dec, 2, 2)[0] == ((1, 0),)
-        assert self.check(make_decomposition([(1,), (-1,)]), 2, 1) == (((1,),), IntMatrix(((-1,),)))
+        assert skeleton_lattices(dec, 2)[1] == 2
+        assert self.check(dec, 2, 2)[0] == ((-1, 0),)
+        assert self.check(make_decomposition([(1,), (-1,)]), 2, 1) == (((-1,),), IntMatrix(((1,),)))
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_etilde_fiber_through_negated_stack(self, n):
@@ -565,7 +600,7 @@ class TestBridge:
         n_ann = clean.ann_basis.rows
         assert 0 < n_ann < pair.d
         col = 0 if side == "e" else pair.d - 1
-        l_rows = kernel_complement(clean.n_prime_basis, len(clean.w_vectors))[0]
+        l_rows = skeleton_lattices(clean.dec_etilde, pair.d)[4]
         stack = IntMatrix(clean.ann_basis.data + l_rows)
         adjugate = bridge_mod.adjugate
         stacks = []
@@ -659,14 +694,68 @@ class TestBridge:
         from doublemirror.errors import InternalError
 
         pair, decs = pp33
-        real = bridge_mod._annihilator_basis
+        real = bridge_mod.skeleton_lattices
 
-        def doubled(q, d):
-            basis = real(q, d)
-            return IntMatrix((vscale(2, basis.data[0]),) + basis.data[1:])
+        def doubled(dec, d):
+            basis, index, row_of, ann, l_rows, l_coords = real(dec, d)
+            ann = IntMatrix((vscale(2, ann.data[0]),) + ann.data[1:])
+            return basis, index, row_of, ann, l_rows, l_coords
 
-        monkeypatch.setattr(bridge_mod, "_annihilator_basis", doubled)
+        monkeypatch.setattr(bridge_mod, "skeleton_lattices", doubled)
         with pytest.raises(InternalError, match=r"entry exponent left Ann\(e, e~\)"):
+            bridge_skeleton(pair, decs[0], decs[1])
+
+    @pytest.mark.parametrize("p", [((-2, 0), (1, 0), (1, 0)), ((-2,), (1,), (1,))])
+    def test_dependent_block_vectors_rejected(self, p):
+        # make_decomposition's rank check rules this out, so the record is
+        # built directly: two equal W rows, then more W rows than d
+        dec = Decomposition(p=p, blocks=((0, 1, 2),))
+        with pytest.raises(InternalError, match="block vectors are linearly dependent"):
+            skeleton_lattices(dec, len(p[0]))
+
+    def test_corrupted_transform_inverse_rejected(self, pp33, monkeypatch):
+        # the last complement row, a column of u's inverse, doubled: the N'
+        # basis then has twice the index of W in its saturation
+        import doublemirror.bridge as bridge_mod
+
+        pair, decs = pp33
+        w = [decs[1].p[i] for block in decs[1].blocks for i in block[1:]]
+        assert len(w) < pair.d
+        _, u = hnf(IntMatrix(tuple(zip(*w))))
+        real = bridge_mod.adjugate
+
+        def corrupted(a):
+            det, adj = real(a)
+            if a == u:
+                adj = IntMatrix(tuple(r[:-1] + (2 * r[-1],) for r in adj.data))
+            return det, adj
+
+        monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
+        with pytest.raises(InternalError, match="auxiliary lattice index mismatch"):
+            bridge_skeleton(pair, decs[0], decs[1])
+
+    @pytest.mark.parametrize("corrupt, message", [
+        ("drop_ann_row", r"Ann\(e, e~\) has unexpected rank"),
+        ("double_l_row", r"Ann\(e\) does not split as Ann\(e,e~\) \(\+\) L"),
+    ], ids=["drop_ann_row", "double_l_row"])
+    def test_corrupted_split_rejected(self, pp33, corrupt, message, monkeypatch):
+        # one Ann row fewer than d - k; one L row doubled, so the stack of
+        # Ann and L has determinant +-2
+        import doublemirror.bridge as bridge_mod
+
+        pair, decs = pp33
+        real = bridge_mod.skeleton_lattices
+
+        def corrupted(dec, d):
+            basis, index, row_of, ann, l_rows, l_coords = real(dec, d)
+            if corrupt == "drop_ann_row":
+                ann = IntMatrix(ann.data[1:])
+            else:
+                l_rows = (vscale(2, l_rows[0]),) + l_rows[1:]
+            return basis, index, row_of, ann, l_rows, l_coords
+
+        monkeypatch.setattr(bridge_mod, "skeleton_lattices", corrupted)
+        with pytest.raises(InternalError, match=message):
             bridge_skeleton(pair, decs[0], decs[1])
 
     def test_trivial_tuple_rejected_when_sum_nonzero(self):
@@ -714,29 +803,42 @@ class TestBridge:
 
 
 class TestComplementInvariance:
-    """The reports do not depend on the complement ``build_auxiliary_lattice``
-    picks for the W rows (the argument is in its docstring)."""
+    """The reports do not depend on the transform ``skeleton_lattices`` reads
+    the complement, L and Ann(e, e~) off (the argument is in its docstring)."""
 
     @staticmethod
-    def perturbed(build, seed):
-        # adds seeded multiples of the W rows and of earlier complement rows
-        # to each complement row: another complement of the same lattice
+    def perturbed(real_hnf, seed):
+        # u -> [[I, X], [0, G]] . u with X integral and G unimodular, a row
+        # swap or a sign flip making det G = -1: u . W^T = [T ; 0] still
+        # holds, and the complement, L and Ann's rows before their HNF move
+        # together.  Only the W^T call asks for the transform
         rng = random.Random(seed)
 
-        def build_perturbed(dec, d):
-            basis, index, row_of = build(dec, d)
-            rows = [list(r) for r in basis.data]
-            for i in range(len(row_of), d):
+        def hnf_perturbed(a, transform=True):
+            h, u = real_hnf(a, transform)
+            if not transform:
+                return h, u
+            d, k = u.rows, sum(1 for row in h.data if any(row))
+            g = [[int(i == j) for j in range(d - k)] for i in range(d - k)]
+            if d - k == 1:
+                g[0][0] = -1
+            elif d - k > 1:
+                g[0], g[1] = g[1], g[0]
+            for i in range(d - k):
                 for j in range(i):
-                    c = rng.randint(-3, 3)
-                    rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-            changed = IntMatrix(tuple(map(tuple, rows)))
-            assert len(row_of) == d or changed != basis
-            return changed, index, row_of
+                    g[i] = [x + rng.randint(-2, 2) * y for x, y in zip(g[i], g[j])]
+            m = tuple(
+                tuple(int(i == j) for j in range(k)) + tuple(rng.randint(-3, 3) for _ in g)
+                for i in range(k)
+            ) + tuple((0,) * k + tuple(row) for row in g)
+            changed = IntMatrix(m).mul(u)
+            assert k == d or changed != u
+            return h, changed
 
-        return build_perturbed
+        return hnf_perturbed
 
-    @pytest.mark.parametrize("name,pair", [("pp33", "1 2"), ("pp33", "2 3"), ("pp53", "1 2")])
+    @pytest.mark.parametrize("name,pair", [("pp33", "1 2"), ("pp33", "2 3"), ("pp53", "1 2"),
+                                           ("p5-222", "1 2"), ("p5-222", "2 3")])
     @pytest.mark.parametrize("command", [["bridge"], ["verify", "--samples", "6"]])
     def test_reports_unchanged(self, name, pair, command, monkeypatch, capsys):
         import doublemirror.bridge as bridge_mod
@@ -745,8 +847,8 @@ class TestComplementInvariance:
         argv = [command[0], f"{name}.json", "--pair", *pair.split(), *command[1:]]
         assert main(argv) == 0
         expected = capsys.readouterr().out
-        build = bridge_mod.build_auxiliary_lattice
+        real = bridge_mod.hnf
         for seed in range(3):
-            monkeypatch.setattr(bridge_mod, "build_auxiliary_lattice", self.perturbed(build, seed))
+            monkeypatch.setattr(bridge_mod, "hnf", self.perturbed(real, seed))
             assert main(argv) == 0
             assert capsys.readouterr().out == expected

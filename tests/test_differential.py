@@ -19,7 +19,7 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  # noqa: E402
 
-from doublemirror.bridge import build_auxiliary_lattice  # noqa: E402
+from doublemirror.bridge import skeleton_lattices  # noqa: E402
 from doublemirror.errors import InternalError  # noqa: E402
 from doublemirror.intmat import (  # noqa: E402
     IntMatrix,
@@ -112,7 +112,7 @@ def test_snf(seed):
         assert abs(to_sympy(integral_preimage_lattice(w, den)).det()) == expected
         if rank_of(w) < w.rows:
             continue
-        basis, index, _ = build_auxiliary_lattice(one_block_decomposition(w.data), n)
+        basis, index, *_ = skeleton_lattices(one_block_decomposition(w.data), n)
         assert index == prod(factors) == abs(to_sympy(basis).det())
 
 

@@ -1,4 +1,5 @@
-"""Exact linear algebra: HNF, ranks, kernels, saturation, solving."""
+"""Exact linear algebra: HNF, ranks, kernels, solving, and the saturation
+oracle of ``tests/oracles.py``."""
 
 import itertools
 import random
@@ -10,7 +11,6 @@ from doublemirror.intmat import (
     hnf,
     independent_rows,
     kernel_basis,
-    saturation,
     vprimitive,
 )
 from doublemirror.lattices import LatticeEmbedding
@@ -21,6 +21,7 @@ from oracles import (
     max_minor_gcd,
     mul_vec,
     rational_rank,
+    saturation,
 )
 
 
