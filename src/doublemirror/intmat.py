@@ -2,7 +2,7 @@
 
 All arithmetic uses Python's arbitrary-precision integers; nothing here ever
 touches floating point.  Three eliminations, one job each: the row HNF gives
-everything lattice-valued (kernels, and ``z . a = b`` by forward
+everything lattice-valued (kernels and ``z . a = b`` by forward
 substitution, factored once per basis in ``RowSolver``);
 ``adjugate`` gives every determinant and inverse; and ``independent_rows``
 gives every rank.  Saturations are no library job: the one the bridge needs

@@ -298,7 +298,7 @@ class TestAuxiliaryLattice:
         assert basis.data[:k] == w and row_of == {i + 1: i for i in range(k)}
         assert is_unimodular(IntMatrix(saturation(IntMatrix(w)).data + basis.data[k:]))
         assert index == max_minor_gcd(w) == abs(leibniz_det(basis.data))
-        assert ann == (kernel_basis(IntMatrix(w)) if k < d else IntMatrix(()))
+        assert ann == kernel_basis(IntMatrix(w))
         complement = IntMatrix(basis.data[k:])
         expected = kernel_basis(complement).data if k < d else IntMatrix.identity(d).data
         assert hnf(IntMatrix(l_rows), transform=False)[0].data == expected
