@@ -681,6 +681,14 @@ class TestNoTraceback:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: cone index 2 equals its rank")
 
+    def test_cone_without_generators_is_an_input_error(self, tmp_path, capsys):
+        # the rank comes from the lattice, not from a generator, so an empty
+        # list is a flat cone rather than an index out of range
+        data = {"lattice": {"ambient_rank": 2, "kind": "full"}, "cone": {"generators": []}}
+        assert main(["cone", write_instance(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: cone is not full-dimensional\n"
+
     @pytest.mark.parametrize(
         "command, payload",
         [("cone", {"cone": {"generators": [[1, 0], [1, 1]]}}),
