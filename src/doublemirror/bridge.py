@@ -30,12 +30,14 @@ from .errors import (
     InternalError,
 )
 from .intmat import (
-    IntMatrix,
     RowSolver,
     adjugate,
     dot,
     hnf,
+    identity,
     independent_rows,
+    matmul,
+    transpose,
     vadd,
     vneg,
     vscale,
@@ -167,19 +169,19 @@ def skeleton_lattices(dec: Decomposition, d: int):
     w_slots = [i for block in dec.blocks for i in block[1:]]
     rows = tuple(dec.p[i] for i in w_slots)
     k = len(rows)
-    h, u = hnf(IntMatrix(tuple(tuple(row[c] for row in rows) for c in range(d))))
-    t = IntMatrix(h.data[:k])
+    h, u = hnf(tuple(tuple(row[c] for row in rows) for c in range(d)))
+    t = h[:k]
     # a nonzero T_ii makes column i a pivot, so the rows below T are zero
-    if k > d or not all(t.data[i][i] for i in range(k)):
+    if k > d or not all(t[i][i] for i in range(k)):
         raise InternalError("non-leading block vectors are linearly dependent")
-    index = prod(t.data[i][i] for i in range(k))
+    index = prod(t[i][i] for i in range(k))
     det_u, adj_u = adjugate(u)  # u^-1 = det_u . adj_u, as det_u = +-1
-    basis = IntMatrix(rows + tuple(vscale(det_u, col) for col in zip(*adj_u.data))[k:])
+    basis = rows + tuple(vscale(det_u, col) for col in zip(*adj_u))[k:]
     if abs(adjugate(basis)[0]) != index:
         raise InternalError("auxiliary lattice index mismatch")
-    ann_basis, _ = hnf(IntMatrix(u.data[k:]), transform=False)
+    ann_basis, _ = hnf(u[k:], transform=False)
     row_of = {slot: idx for idx, slot in enumerate(w_slots)}
-    return basis, index, row_of, ann_basis, u.data[:k], t
+    return basis, index, row_of, ann_basis, u[:k], t
 
 
 @record
@@ -194,21 +196,21 @@ class BridgeSkeleton:
 
     pair: GorensteinConePair  # renormalized so dec_e is the reference
     dec_etilde: Decomposition  # q, with the reference decomposition trivial
-    n_prime_basis: IntMatrix
+    n_prime_basis: tuple  # rows
     sat_index: int
     w_vectors: dict  # (block, position >= 1) -> Mbar' vector
     u_vectors: dict  # (block, position >= 0) -> Mbar' vector
-    ann_basis: IntMatrix  # rows: basis of {m : <m, q_i> = 0}, in M coords
+    ann_basis: tuple  # rows: basis of {m : <m, q_i> = 0}, in M coords
     slice_supports: dict  # (i, j) -> slice points of g_ij
     gt_supports: tuple  # per slot j: slice points of g~_j
     entries: dict  # (block, row, column) -> {slice point: Ann(e, e~) exponent} of the entry
     identity_results: dict  # support partitions and matrix identities, by report key
     diag_exps: tuple  # per block: Ann exponent of the diagonal witness monomial
-    fiber_map: IntMatrix  # rows: exponents over y ++ omega of the fiber point's coordinates
+    fiber_map: tuple  # rows: exponents over y ++ omega of the fiber point's coordinates
 
     @property
     def torus_rank(self):
-        return self.ann_basis.rows
+        return len(self.ann_basis)
 
     @property
     def blocks(self):
@@ -346,11 +348,11 @@ def bridge_vectors(dec: Decomposition, row_of, s, d):
     return w_vectors, u_vectors, p_nprime
 
 
-def _mbar_to_mbarprime(v, s, n_prime_basis: IntMatrix):
+def _mbar_to_mbarprime(v, s, n_prime_basis):
     """Convert (a ; m) in split coordinates to (a ; m . B^T)."""
     a = tuple(v[:s])
     m = tuple(v[s:])
-    mprime = tuple(dot(m, row) for row in n_prime_basis.data)
+    mprime = tuple(dot(m, row) for row in n_prime_basis)
     return a + mprime
 
 
@@ -374,7 +376,7 @@ def bridge_skeleton(
     r = dec_et2.r
     n_prime_basis, sat_index, row_of, ann_basis, l_rows, l_coords = skeleton_lattices(dec_et2, d)
     w_vectors, u_vectors, p_nprime = bridge_vectors(dec_et2, row_of, s, d)
-    if IntMatrix(tuple(p_nprime[i] for i in range(s))).mul(n_prime_basis).data != q:
+    if matmul(tuple(p_nprime[i] for i in range(s)), n_prime_basis) != q:
         raise InternalError("e~ summands misread over N'")
 
     # pairing tables, verified exactly
@@ -396,7 +398,7 @@ def bridge_skeleton(
             if dot(u, et_rows[i]) != (1 if i == block[0] else 0):
                 raise InternalError("u vector violates its e~ pairing table")
 
-    dd_rank = ann_basis.rows
+    dd_rank = len(ann_basis)
     if dd_rank != d - (s - r):
         raise InternalError("Ann(e, e~) has unexpected rank")
     # saturation of Ann(e, e~) needs no check: det(stack_e) = +-1 below forces it
@@ -420,8 +422,7 @@ def bridge_skeleton(
     # every entry exponent over a basis of Ann(e, e~).  Its e part is 0 with no
     # check: the row identity makes it mbar'(v) - u_i - w_j, and the pairing
     # tables give u_i and the slot point v the same e part and w_j none
-    ann_mp = IntMatrix(tuple(tuple(dot(m, b) for b in n_prime_basis.data) for m in ann_basis.data))
-    ann_solver = RowSolver(ann_mp)
+    ann_solver = RowSolver(matmul(ann_basis, transpose(n_prime_basis)))
     ann_coords = {}
     for terms in entries.values():
         for exp in terms.values():
@@ -444,21 +445,19 @@ def bridge_skeleton(
     # own: with B the N' basis, [Ann ; L] . B^T = diag(I, l_coords) . [Ann' ; w'],
     # and |det B| = sat_index = |det l_coords|, so the two stacks have the
     # same |det|
-    stack_e = IntMatrix(tuple(ann_basis.data) + l_rows)
-    det_e, adj_e = adjugate(stack_e) if stack_e.rows == d else (0, None)
+    stack_e = ann_basis + l_rows
+    det_e, adj_e = adjugate(stack_e) if len(stack_e) == d else (0, None)
     if det_e not in (1, -1):
         raise InternalError("Ann(e) does not split as Ann(e,e~) (+) L")
-    stack_e_inv = IntMatrix(tuple(vscale(det_e, row) for row in adj_e.data))
-    if stack_e.mul(stack_e_inv) != IntMatrix.identity(d):
+    stack_e_inv = tuple(vscale(det_e, row) for row in adj_e)
+    if matmul(stack_e, stack_e_inv) != identity(d):
         raise InternalError("projection of the fiber point disagrees with the sample")
     # a fiber point is y and the L values, the monomials l_coords of the kernel
     # ratios omega, pushed through the stack inverse: one monomial map of
     # z = y ++ omega.  It projects back to y, as ann_basis . fiber_map = [I | 0].
     # u~' = -w', so L~ = -L and the E~ side reads the map at y ++ omega^-1
-    fiber_map = stack_e_inv.mul(IntMatrix(
-        tuple(tuple(int(i == j) for j in range(d)) for i in range(dd_rank))
-        + tuple((0,) * dd_rank + row for row in l_coords.data)
-    ))
+    diag = identity(d)[:dd_rank] + tuple((0,) * dd_rank + row for row in l_coords)
+    fiber_map = matmul(stack_e_inv, diag)
 
     return BridgeSkeleton(
         pair=pair2,

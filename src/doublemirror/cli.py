@@ -51,7 +51,7 @@ def _pair_from_instance(instance: Instance):
             info["shift"] = note
         return pair, info
     pair, norm = normalize_cone(
-        instance.lattice,
+        instance.lattice.rank,
         instance.cone_generators,
         instance.cone_deg,
         instance.cone_deg_dual,
@@ -151,19 +151,18 @@ def cmd_nefdual(args):
     instance = _load_instance(args.file)
     pair, info = _pair_from_instance(instance)
     np_ = pair.parts
-    dual = pair.dual_parts
     # dual_nef_partition checked that the minima at a vertex w != 0 of
     # nabla_j are delta_ij, and all minima at w = 0 are 0
     minima = {}
-    for j, nabla in enumerate(dual.parts):
-        for w in nabla.vertices:
+    for j, nabla in enumerate(pair.dual_parts):
+        for w in nabla:
             key = ",".join(map(str, w))
-            minima[key] = [int(i == j and any(w)) for i in range(np_.length)]
+            minima[key] = [int(i == j and any(w)) for i in range(pair.s)]
     result = {
         "normalization": info,
-        "parts": [p.vertices for p in np_.parts],
-        "sum_vertices": sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertices,
-        "dual_parts": [p.vertices for p in dual.parts],
+        "parts": np_.parts,
+        "sum_vertices": sum_from_cayley_rays(np_.parts, np_.cayley_rays),
+        "dual_parts": pair.dual_parts,
         "pairing_minima_at_dual_vertices": minima,
     }
     return result, [], instance
@@ -176,7 +175,7 @@ def cmd_cone(args):
     result = {
         "normalization": info,
         "reflexive_gorenstein": True,
-        "index": pair.index,
+        "index": pair.s,
         "s": pair.s,
         "d": pair.d,
         "k_generator_count": len(pair.k_generators),
@@ -219,12 +218,12 @@ def cmd_pipeline(args):
         "normalization": info,
         "cone": {
             "reflexive_gorenstein": True,
-            "index": pair.index,
+            "index": pair.s,
             "s": pair.s,
             "d": pair.d,
             "k_generator_count": len(pair.k_generators),
         },
-        "dual_parts": [p.vertices for p in pair.dual_parts.parts],
+        "dual_parts": pair.dual_parts,
     }
     result.update(_decomposition_payload(decs))
     warnings = []

@@ -37,17 +37,17 @@ from .errors import (
     NotGorensteinError,
 )
 from .intmat import (
-    IntMatrix,
     RowSolver,
     dot,
+    identity,
     independent_rows,
     kernel_basis,
+    matmul,
     vadd,
     vsub,
 )
-from .lattices import LatticeEmbedding
 from .nefpart import NefPartition, dual_nef_partition, validate_nef_partition
-from .polytope import Polytope, lattice_points, part_lattice_points, point_tuples
+from .polytope import lattice_points, part_lattice_points, point_tuples
 from .records import field, record
 
 
@@ -60,21 +60,17 @@ class GorensteinConePair:
     """
 
     parts: NefPartition
-    dual_parts: tuple  # DualNefPartition
-    to_root: IntMatrix  # rows: images of Mbar basis vectors in root coordinates
+    dual_parts: tuple  # per dual part, its sorted vertex tuple
+    to_root: tuple  # rows: images of Mbar basis vectors in root coordinates
     _cache: dict = field(default_factory=dict, compare=False)
 
     @property
-    def index(self):
-        return self.parts.length
-
-    @property
     def s(self):
-        return self.index
+        return len(self.parts.parts)
 
     @property
     def d(self):
-        return self.parts.lattice.rank
+        return len(self.parts.parts[0][0])
 
     @property
     def deg(self):
@@ -94,10 +90,7 @@ class GorensteinConePair:
         return tuple(sorted(set(self.parts.cayley_rays).union(units)))
 
     def point_to_root(self, v):
-        return tuple(
-            sum(v[i] * self.to_root.data[i][j] for i in range(len(v)))
-            for j in range(self.to_root.cols)
-        )
+        return matmul((v,), self.to_root)[0]
 
     def slice_roots(self):
         """Root-frame image of each lattice point of S, computed once per pair."""
@@ -115,7 +108,7 @@ class GorensteinConePair:
         vertex of P_i is a vertex of S, and S has no others.
         """
         return tuple(sorted(
-            self.slot_point(i, v) for i, part in enumerate(self.parts.parts) for v in part.vertices
+            self.slot_point(i, v) for i, part in enumerate(self.parts.parts) for v in part
         ))
 
     def part_points(self):
@@ -132,10 +125,10 @@ class GorensteinConePair:
         if "dual_part_points" not in self._cache:
             parts = self.parts.parts
             self._cache["dual_part_points"] = tuple(
-                tuple(lattice_points(nabla.vertices, [
-                    (v, int(i == j)) for i, part in enumerate(parts) for v in part.vertices
+                tuple(lattice_points(nabla, [
+                    (v, int(i == j)) for i, part in enumerate(parts) for v in part
                 ]))
-                for j, nabla in enumerate(self.dual_parts.parts)
+                for j, nabla in enumerate(self.dual_parts)
             )
         return self._cache["dual_part_points"]
 
@@ -149,7 +142,7 @@ class GorensteinConePair:
         return tuple(1 if k == i else 0 for k in range(self.s)) + tuple(m)
 
 
-def build_cone(np: NefPartition, to_root: IntMatrix | None = None) -> GorensteinConePair:
+def build_cone(np: NefPartition, to_root=None) -> GorensteinConePair:
     """Cone pair of a nef-partition, its dual checked by ``dual_nef_partition``.
 
     The pair is reflexive Gorenstein of index s with no further check:
@@ -162,7 +155,7 @@ def build_cone(np: NefPartition, to_root: IntMatrix | None = None) -> Gorenstein
     sum holds the origin, every part having it.
     """
     if to_root is None:
-        to_root = IntMatrix.identity(np.length + np.lattice.rank)
+        to_root = identity(len(np.parts) + len(np.parts[0][0]))
     return GorensteinConePair(np, dual_nef_partition(np), to_root)
 
 
@@ -215,17 +208,14 @@ def renormalize(pair: GorensteinConePair, e_tilde) -> GorensteinConePair:
     # summand, and the summands add up to s there: each is 1.  Its slot
     # entries are its pairings with the (delta_k ; 0) in K, so >= 0, and one
     # of them is 1; the slot entries add up to those of deg_dual, all 1
-    frame = IntMatrix(tuple(
+    frame = tuple(
         [e[:s] + (0,) * d for e in e_tilde]
         + [tuple(-sum(e[s + j] * e[k] for e in e_tilde) for k in range(s))
            + tuple(int(k == j) for k in range(d)) for j in range(d)]
-    ))
-    rays = sorted(tuple(dot(row, y) for row in frame.data) for y in pair.parts.cayley_rays)
-    np = validate_nef_partition(
-        [Polytope(pair.parts.lattice, tuple(sorted(v[s:] for v in face))) for face in faces],
-        rays,
     )
-    return build_cone(np, frame.mul(pair.to_root))
+    rays = sorted(tuple(dot(row, y) for row in frame) for y in pair.parts.cayley_rays)
+    np = validate_nef_partition([tuple(sorted(v[s:] for v in face)) for face in faces], rays)
+    return build_cone(np, matmul(frame, pair.to_root))
 
 
 def _split_by_faces(vertices, summands, message):
@@ -243,17 +233,17 @@ def _split_by_faces(vertices, summands, message):
     return groups
 
 
-def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=None):
+def normalize_cone(rank, generators, deg=None, deg_dual=None):
     """Rewrite a directly-entered Gorenstein cone in split nef-partition form.
 
+    ``generators`` are in the basis coordinates of a lattice of this rank.
     Returns ``(pair, info)`` where ``info`` records the reference
     decomposition and section used for the coordinate change.  The returned
     pair's ``to_root`` maps split coordinates to the input lattice's basis
     coordinates.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
-    n = lattice.rank
-    if len(independent_rows(gens, n)) != n:
+    if len(independent_rows(gens, rank)) != rank:
         raise NotGorensteinError("cone is not full-dimensional")
 
     computed_deg_dual = _height_one_functional(gens)
@@ -271,7 +261,7 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
         raise InputError("supplied deg does not support the dual rays at height one")
     deg = computed_deg
     s = dot(deg, deg_dual)
-    if s == n:
+    if s == rank:
         raise InputError(
             f"cone index {s} equals its rank: its nef-partition would live in a rank-zero lattice"
         )
@@ -308,19 +298,18 @@ def normalize_cone(lattice: LatticeEmbedding, generators, deg=None, deg_dual=Non
     # of rank d = n - s.  So x - sum_i <x, e_i> section_i lies in it for
     # every integral x: [section ; ann_basis] is a lattice basis, and v minus
     # section_i, for v in group i, has integral coordinates over ann_basis
-    ann_basis = kernel_basis(IntMatrix(tuple(reference)))
-    d = ann_basis.rows
+    ann_basis = kernel_basis(reference)
     ann_solver = RowSolver(ann_basis)
-    part_polys = []
-    for i, group in enumerate(groups):
-        verts = [ann_solver.solve(vsub(v, section[i])) for v in group]
-        # an affine unimodular image of the vertices of the face S_i
-        part_polys.append(Polytope(LatticeEmbedding.full(d), tuple(sorted(verts))))
-    to_root = IntMatrix(tuple(list(section) + list(ann_basis.data)))
+    # each part is an affine unimodular image of the vertices of the face S_i
+    parts = [
+        tuple(sorted(ann_solver.solve(vsub(v, section[i])) for v in group))
+        for i, group in enumerate(groups)
+    ]
+    to_root = tuple(section) + ann_basis
     # K-dual in split coordinates: w_split = to_root . w_root, a unimodular
     # map, so the rays stay primitive
-    split_rays = sorted(tuple(dot(row, w) for row in to_root.data) for w in rays)
-    pair = build_cone(validate_nef_partition(part_polys, split_rays), to_root)
+    split_rays = sorted(tuple(dot(row, w) for row in to_root) for w in rays)
+    pair = build_cone(validate_nef_partition(parts, split_rays), to_root)
     info = {
         "reference_decomposition": tuple(reference),
         "section": tuple(section),
@@ -345,8 +334,8 @@ def _height_one_functional(vectors):
     most a line; being saturated, it is spanned by ``+-(x, 1)`` exactly when
     an integral x exists.
     """
-    ker = kernel_basis(IntMatrix(tuple(tuple(v) + (-1,) for v in vectors)))
-    if ker.rows != 1 or ker.data[0][-1] not in (1, -1):
+    ker = kernel_basis(tuple(tuple(v) + (-1,) for v in vectors))
+    if len(ker) != 1 or ker[0][-1] not in (1, -1):
         return None
-    return tuple(ker.data[0][-1] * x for x in ker.data[0][:-1])
+    return tuple(ker[0][-1] * x for x in ker[0][:-1])
 

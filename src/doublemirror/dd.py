@@ -9,7 +9,7 @@ test runs on active-constraint bitsets.
 from __future__ import annotations
 
 from .errors import InternalError, RankDeficiencyError
-from .intmat import IntMatrix, adjugate, independent_rows, vprimitive
+from .intmat import adjugate, independent_rows, matmul, vprimitive
 
 
 class NotPointedError(RankDeficiencyError):
@@ -34,14 +34,14 @@ def extreme_rays(constraints):
 
     # the initial cone's rays are the columns of the adjugate, signed so that
     # each is nonnegative on the chosen constraints
-    base = IntMatrix(tuple(ordered[:n]))
+    base = ordered[:n]
     det, adj = adjugate(base)
     if det == 0:
         raise InternalError("independent subset produced singular matrix")
-    if base.mul(adj) != IntMatrix(tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))):
+    if matmul(base, adj) != tuple(tuple(det * (i == j) for j in range(n)) for i in range(n)):
         raise InternalError("failed to invert initial cone basis")
     sign = 1 if det > 0 else -1
-    rays = [vprimitive(tuple(sign * x for x in col)) for col in zip(*adj.data)]
+    rays = [vprimitive(tuple(sign * x for x in col)) for col in zip(*adj)]
     activity = [((1 << n) - 1) ^ (1 << j) for j in range(n)]
 
     for k in range(n, len(ordered)):

@@ -26,10 +26,6 @@ class LowerDimensionalError(InputError):
         self.affine_dim = affine_dim
 
 
-class LatticeMismatchError(InputError):
-    """Operands live in different lattices."""
-
-
 class NefPartitionError(InputError):
     """Base class for nef-partition validation failures."""
 

@@ -220,7 +220,7 @@ def fiber(bridge: BridgeData, y, prime, side="e", values=None):
     z_invs = fp_inverses(z, p)
     # ann_basis . fiber_map = [I | 0], so the point projects back to y along
     # Ann(e, e~)
-    point = tuple(fp_monomial(row, z, z_invs, p) for row in bridge.skeleton.fiber_map.data)
+    point = tuple(fp_monomial(row, z, z_invs, p) for row in bridge.skeleton.fiber_map)
     vanishes, full_rank = _log_jacobian(bridge.term_tables()[1][side], point, p)
     if not vanishes:
         raise InternalError("reconstructed fiber point violates a defining equation")

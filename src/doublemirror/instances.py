@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import sub
 
 # hashlib loads OpenSSL, megabytes of RSS and milliseconds of start-up for one
 # digest; the interpreter's built-in SHA-256 gives the same bytes
@@ -38,17 +39,11 @@ except ImportError:
 
 from .canned import product_projective, square_part, two_segment_parts
 from .errors import InputError, SumNotReflexiveError
-from .intmat import IntMatrix, RowSolver, dot
+from .intmat import RowSolver, dot, transpose
 from .lattices import LatticeEmbedding
 from .laurent import MASK64, RATIONAL
 from .nefpart import reject_zero_parts, validate_nef_partition
-from .polytope import (
-    Polytope,
-    cayley_dual_rays,
-    part_lattice_points,
-    part_vertices,
-    point_tuples,
-)
+from .polytope import cayley_dual_rays, part_lattice_points, part_vertices, point_tuples
 from .records import record
 
 
@@ -237,11 +232,11 @@ def _parse_lattice(spec, rank) -> LatticeEmbedding:
         if not rows:
             raise InputError(f"{kind} lattice requires {key!r}")
         rows = tuple(_as_vector(r, f"lattice {noun}") for r in _as_list(rows, f"lattice {key}"))
-        # every row, not only the first: IntMatrix refuses ragged rows
+        # every row, not only the first: no later step checks a row's length
         if any(len(r) != rank for r in rows):
             raise InputError(f"{noun} rows must have length ambient_rank")
         build = LatticeEmbedding.from_kernel if kind == "kernel" else LatticeEmbedding.from_quotient
-        lattice = build(IntMatrix(rows))
+        lattice = build(rows)
     else:
         raise InputError(f"unknown lattice kind {kind!r}")
     if lattice.rank < 1:
@@ -318,29 +313,28 @@ def build_partition(instance: Instance):
     """
     if instance.kind != "nef_partition":
         raise InputError("instance does not declare a nef-partition")
-    lattice = LatticeEmbedding.full(instance.lattice.rank)
     point_sets = [sorted(set(points)) for points in instance.parts]
     # before the double description, as a part {0} can make the sum flat
     reject_zero_parts(point_sets)
     rays = cayley_dual_rays(point_sets)
-    polys = [Polytope(lattice, part_vertices(pts, rays, i)) for i, pts in enumerate(point_sets)]
+    parts = [part_vertices(pts, rays, i) for i, pts in enumerate(point_sets)]
     try:
-        return validate_nef_partition(polys, rays), None
+        return validate_nef_partition(parts, rays), None
     except SumNotReflexiveError as exc:
-        normals = IntMatrix(tuple(w for w, _ in exc.facets))
-        u = RowSolver(normals.transpose()).solve([1 - b for _, b in exc.facets])
+        normals = transpose(w for w, _ in exc.facets)
+        u = RowSolver(normals).solve([1 - b for _, b in exc.facets])
         if u is None:
             raise
-        points = part_lattice_points(polys, rays)
+        points = part_lattice_points(parts, rays)
         if u in points[0]:
-            split = (u,) + ((0,) * len(u),) * (len(polys) - 1)
+            split = (u,) + ((0,) * len(u),) * (len(parts) - 1)
             note = "partition translated by " + _negated(u)
         else:
             split = next(point_tuples(points, u), None)
             if split is None:
                 raise
             note = "parts translated by " + ", ".join(_negated(q) for q in split)
-    shifted = [p.translate(tuple(-x for x in q)) for p, q in zip(polys, split)]
+    shifted = [tuple(sorted(tuple(map(sub, v, q)) for v in p)) for p, q in zip(parts, split)]
     s = len(split)
     rays = sorted(tuple(a + dot(q, r[s:]) for a, q in zip(r, split)) + r[s:] for r in rays)
     return validate_nef_partition(shifted, rays), note

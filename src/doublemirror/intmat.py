@@ -9,7 +9,8 @@ gives every rank.  Saturations are no library job: the one the bridge needs
 is read off an HNF transform (``bridge.skeleton_lattices``), and the
 kernel of the kernel is a test oracle.  Conventions:
 
-* Matrices are row-major and immutable (``IntMatrix``).
+* A matrix is a tuple of row tuples of ints; ``transpose``, ``matmul`` and
+  ``identity`` are the only operations on it as a whole.
 * Row Hermite normal form: pivot entries positive, entries above each pivot
   reduced into ``[0, pivot)``, pivot columns strictly increasing, zero rows
   at the bottom.
@@ -19,48 +20,17 @@ from __future__ import annotations
 
 from math import gcd
 
-from .records import record
+
+def transpose(a):
+    return tuple(zip(*a))
 
 
-@record
-class IntMatrix:
-    """Immutable integer matrix stored as a tuple of row tuples."""
+def matmul(a, b):
+    return tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
 
-    data: tuple
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "data", rows)
-
-    @property
-    def rows(self):
-        return len(self.data)
-
-    @property
-    def cols(self):
-        return len(self.data[0]) if self.data else 0
-
-    @staticmethod
-    def identity(n):
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def transpose(self):
-        return IntMatrix(tuple(zip(*self.data))) if self.data else IntMatrix(())
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        bt = tuple(zip(*other.data)) if other.data else ()
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.data)
-        )
-
-    def __iter__(self):
-        return iter(self.data)
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _row_sub(m, i, j, q):
@@ -69,16 +39,16 @@ def _row_sub(m, i, j, q):
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
 
 
-def hnf(a: IntMatrix, transform=True):
+def hnf(a, transform=True):
     """Row Hermite normal form.
 
     Returns ``(h, u)`` with ``u`` unimodular and ``h = u * a`` in the
     canonical form described in the module docstring.  With
     ``transform=False`` the transform is not built and ``u`` is None.
     """
-    m, n = a.rows, a.cols
+    m, n = len(a), len(a[0]) if a else 0
     # the transform rides along as extra columns of the working rows
-    h = [list(r) for r in a.data]
+    h = [list(r) for r in a]
     if transform:
         for i, r in enumerate(h):
             r.extend(int(i == j) for j in range(m))
@@ -105,21 +75,19 @@ def hnf(a: IntMatrix, transform=True):
         pivot_row += 1
         if pivot_row == m:
             break
-    u = IntMatrix(tuple(tuple(r[n:]) for r in h)) if transform else None
-    return IntMatrix(tuple(tuple(r[:n]) for r in h)), u
+    u = tuple(tuple(r[n:]) for r in h) if transform else None
+    return tuple(tuple(r[:n]) for r in h), u
 
 
-def adjugate(a: IntMatrix):
+def adjugate(a):
     """``(det, adj)`` with ``a * adj = adj * a = det * I``, fraction-free.
 
     Bareiss's Gauss-Jordan elimination on ``[a | I]``: every division is
     exact, and the right half ends as ``+-adj``.  A singular ``a`` gives
     ``(0, None)``.
     """
-    n = a.rows
-    if n != a.cols:
-        raise ValueError("adjugate of non-square matrix")
-    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a.data)]
+    n = len(a)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(a)]
     sign = 1
     prev = 1
     for k in range(n):
@@ -135,7 +103,7 @@ def adjugate(a: IntMatrix):
                 f = m[i][k]
                 m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], m[k])]
         prev = pk
-    return sign * prev, IntMatrix(tuple(tuple(sign * x for x in r[n:]) for r in m))
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
 
 
 def independent_rows(rows, limit):
@@ -161,18 +129,14 @@ def independent_rows(rows, limit):
     return chosen
 
 
-def kernel_basis(a: IntMatrix) -> IntMatrix:
+def kernel_basis(a):
     """HNF-canonical basis of the saturated right kernel ``{x : a.x = 0}``.
 
     Basis vectors are returned as rows.
     """
-    at = a.transpose()
-    h, u = hnf(at)
-    rows = [u.data[i] for i in range(h.rows) if all(x == 0 for x in h.data[i])]
-    if not rows:
-        return IntMatrix(())
-    canon, _ = hnf(IntMatrix(tuple(rows)), transform=False)
-    return canon
+    h, u = hnf(transpose(a))
+    rows = [u[i] for i in range(len(h)) if not any(h[i])]
+    return hnf(rows, transform=False)[0] if rows else ()
 
 
 def forward_substitute(rows, pivots, b):
@@ -200,12 +164,12 @@ class RowSolver:
     ``a`` are dependent, ``z`` is one solution among many.
     """
 
-    def __init__(self, a: IntMatrix):
+    def __init__(self, a):
         h, u = hnf(a)
-        self._rows = tuple(r for r in h.data if any(r))
+        self._rows = tuple(r for r in h if any(r))
         self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self._rows)
-        self._u = u.data[: len(self._rows)]
-        self._m = a.rows
+        self._u = u[: len(self._rows)]
+        self._m = len(a)
 
     def solve(self, b):
         """One integer ``z`` with ``z . a = b``, or None when none exists."""

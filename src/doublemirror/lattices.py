@@ -18,7 +18,7 @@ that the pairing of basis coordinates is the standard dot product.
 from __future__ import annotations
 
 from .errors import InputError
-from .intmat import IntMatrix, RowSolver, kernel_basis
+from .intmat import RowSolver, kernel_basis
 from .records import field, record, replace
 
 
@@ -28,7 +28,7 @@ class LatticeEmbedding:
 
     ambient_rank: int
     kind: str  # "full" | "kernel" | "quotient"
-    basis: IntMatrix | None  # None for "full": its coordinates are the ambient ones
+    basis: tuple | None  # rows; None for "full": its coordinates are the ambient ones
     rank: int
     _solver: RowSolver | None = field(default=None, compare=False)
 
@@ -37,12 +37,12 @@ class LatticeEmbedding:
         return LatticeEmbedding(n, "full", None, n)
 
     @staticmethod
-    def from_kernel(equations: IntMatrix) -> "LatticeEmbedding":
+    def from_kernel(equations) -> "LatticeEmbedding":
         basis = kernel_basis(equations)
-        return LatticeEmbedding(equations.cols, "kernel", basis, basis.rows)
+        return LatticeEmbedding(len(equations[0]), "kernel", basis, len(basis))
 
     @staticmethod
-    def from_quotient(relations: IntMatrix) -> "LatticeEmbedding":
+    def from_quotient(relations) -> "LatticeEmbedding":
         return LatticeEmbedding.from_kernel(relations).dual()
 
     def dual(self) -> "LatticeEmbedding":
@@ -59,7 +59,7 @@ class LatticeEmbedding:
             return tuple(int(x) for x in ambient)
         if self.kind == "quotient":
             # [a] -> B . a, which kills exactly the saturated relation span
-            return tuple(sum(b * x for b, x in zip(row, ambient)) for row in self.basis.data)
+            return tuple(sum(b * x for b, x in zip(row, ambient)) for row in self.basis)
         if self._solver is None:
             object.__setattr__(self, "_solver", RowSolver(self.basis))
         coords = self._solver.solve(ambient)

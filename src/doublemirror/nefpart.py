@@ -3,6 +3,7 @@
 A nef-partition is a list of lattice polytopes, each containing the origin,
 whose Minkowski sum is reflexive; equivalently, whose Cayley cone
 K = Cone(Cayley(P_1, ..., P_s)) is reflexive Gorenstein (Batyrev-Nill).
+A part, like a dual part, is its sorted vertex tuple.
 Each extreme ray ``(a ; w)`` of K-dual with w != 0 is a facet
 ``<x, w> >= -(a_1 + ... + a_s)`` of the sum, so the sum's facets come from
 one double description, which the origin test, the reflexivity test and the
@@ -29,15 +30,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import (
-    DegeneratePartError,
-    InternalError,
-    LatticeMismatchError,
-    OriginMissingError,
-    SumNotReflexiveError,
-)
+from .errors import DegeneratePartError, InternalError, OriginMissingError, SumNotReflexiveError
 from .intmat import independent_rows
-from .polytope import Polytope, sum_facets
+from .polytope import sum_facets
 from .records import field, record
 
 
@@ -45,23 +40,6 @@ from .records import field, record
 class NefPartition:
     parts: tuple
     cayley_rays: tuple = field(compare=False)  # ``cayley_dual_rays(parts)``
-
-    @property
-    def length(self):
-        return len(self.parts)
-
-    @property
-    def lattice(self):
-        return self.parts[0].lattice
-
-
-@record
-class DualNefPartition:
-    parts: tuple
-
-    @property
-    def lattice(self):
-        return self.parts[0].lattice
 
 
 def reject_zero_parts(point_sets):
@@ -89,11 +67,7 @@ def validate_nef_partition(parts, rays) -> NefPartition:
     """
     if not parts:
         raise OriginMissingError("empty partition")
-    lattice = parts[0].lattice
-    for p in parts:
-        if p.lattice != lattice:
-            raise LatticeMismatchError("parts live in different lattices")
-    reject_zero_parts([p.vertices for p in parts])
+    reject_zero_parts(parts)
     # (delta_i ; 0) lies in K exactly when 0 lies in P_i: a non-negative
     # combination of slot points with slot part delta_i takes weights only on
     # slot i, adding up to 1.  K-dual being the cone over the rays, part i
@@ -113,13 +87,14 @@ def validate_nef_partition(parts, rays) -> NefPartition:
     return NefPartition(tuple(parts), tuple(rays))
 
 
-def dual_nef_partition(np: NefPartition) -> DualNefPartition:
-    """The dual nef-partition, verified against both duality relations.
+def dual_nef_partition(np: NefPartition):
+    """The dual parts, verified against both duality relations.
 
-    Part j holds the w of the rays ``(delta_j ; w)``: the sum being
-    reflexive, a ray has ``a >= 0`` integral with ``a_1 + ... + a_s = 1``.
+    Part j holds the w of the rays ``(delta_j ; w)``, sorted as the rays are:
+    the sum being reflexive, a ray has ``a >= 0`` integral with
+    ``a_1 + ... + a_s = 1``.
     """
-    s = np.length
+    s = len(np.parts)
     groups = [[] for _ in range(s)]
     for ray in np.cayley_rays:
         if sorted(ray[:s]) != [0] * (s - 1) + [1]:
@@ -129,13 +104,13 @@ def dual_nef_partition(np: NefPartition) -> DualNefPartition:
         raise InternalError("dual part without a vertex")
     # the rays are integral (a double description's, or an integral map of
     # one), so the nabla_j are lattice polytopes
-    duals = [Polytope(np.lattice.dual(), tuple(group)) for group in groups]
+    duals = tuple(map(tuple, groups))
 
     for i, part in enumerate(np.parts):
         for j, nabla in enumerate(duals):
             target = -1 if i == j else 0
-            for w in nabla.vertices:
-                m = min(sum(x * y for x, y in zip(v, w)) for v in part.vertices)
+            for w in nabla:
+                m = min(sum(x * y for x, y in zip(v, w)) for v in part)
                 if m < target:
                     raise InternalError("pairing minimum fell below -delta_ij")
                 if any(x != 0 for x in w) and m != target:
@@ -143,7 +118,7 @@ def dual_nef_partition(np: NefPartition) -> DualNefPartition:
     # no check of Conv(union of the nabla_j) = dual(sum): the sum's facets are
     # the rays with w != 0, each at offset 1 by the unit slots above, so the
     # vertices of dual(sum) are those w (module docstring)
-    return DualNefPartition(tuple(duals))
+    return duals
 
 
 def is_two_independent(np: NefPartition):
@@ -151,10 +126,10 @@ def is_two_independent(np: NefPartition):
 
     Returns ``(flag, witness_subset_or_None)``.
     """
-    s = np.length
+    s = len(np.parts)
     for size in range(1, s + 1):
         for subset in itertools.combinations(range(s), size):
-            rows = tuple(v for i in subset for v in np.parts[i].vertices)
+            rows = tuple(v for i in subset for v in np.parts[i])
             dim = len(independent_rows(rows, len(rows[0]))) if rows else 0
             if dim <= size:
                 return False, subset

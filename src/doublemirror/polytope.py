@@ -3,10 +3,11 @@
 Every polytope here is integral.  Input coordinates are integers (the
 parser rejects anything else), ``normalize_cone`` maps them through a
 ``RowSolver``, ``renormalize`` projects them, and the dual parts are
-integral rays.  Vertices are tuples of ints in lattice basis coordinates.
-Facets are pairs ``(normal, offset)`` of integers, jointly primitive,
-meaning the halfspace ``<x, normal> >= -offset``.  All vertex and facet
-lists are sorted lexicographically so every derived report is byte-stable.
+integral rays.  A polytope is its vertex tuple, each vertex a tuple of
+ints in lattice basis coordinates.  Facets are pairs ``(normal, offset)``
+of integers, jointly primitive, meaning the halfspace
+``<x, normal> >= -offset``.  All vertex and facet lists are sorted
+lexicographically so every derived report is byte-stable.
 
 One double description serves a nef-partition: the rays of the dual Cayley
 cone of its parts' points.  They cut out each part, whose vertices are the
@@ -23,8 +24,6 @@ from operator import sub
 from .dd import extreme_rays
 from .errors import InternalError, SumNotFullDimensionalError
 from .intmat import dot, independent_rows, vprimitive
-from .lattices import LatticeEmbedding
-from .records import record
 
 
 def _vertices_from_facets(facets, dim):
@@ -37,20 +36,6 @@ def _vertices_from_facets(facets, dim):
     if any(ray[0] != 1 for ray in rays):
         raise InternalError("facets cut out no lattice polytope")
     return sorted(ray[1:] for ray in rays)
-
-
-@record
-class Polytope:
-    """Lattice polytope, given by its integral vertices."""
-
-    lattice: LatticeEmbedding
-    vertices: tuple
-
-    def translate(self, shift):
-        return Polytope(
-            self.lattice,
-            tuple(sorted(tuple(a + b for a, b in zip(v, shift)) for v in self.vertices)),
-        )
 
 
 def point_tuples(groups, target):
@@ -191,19 +176,19 @@ def part_vertices(points, rays, i):
     )
 
 
-def part_lattice_points(polys, rays):
-    """The lattice points of each polytope P_i, from the rays ``(a ; w)`` of
-    ``cayley_dual_rays`` of their points: P_i is cut out by ``<x, w> >= -a_i``.
+def part_lattice_points(parts, rays):
+    """The lattice points of each polytope P_i, given by its vertices, from the
+    rays ``(a ; w)`` of ``cayley_dual_rays`` of their points: P_i is cut out by
+    ``<x, w> >= -a_i``.
 
     ``(delta_i ; x)`` lies in the Cayley cone K exactly when x lies in P_i:
     a non-negative combination of slot points with slot part delta_i weighs
     only slot i, with weights adding up to 1.  K-dual is the cone over the
     rays, so K is cut out by the pairings with them.
     """
-    s = len(polys)
+    s = len(parts)
     return tuple(
-        tuple(lattice_points(p.vertices, [(ray[s:], ray[i]) for ray in rays]))
-        for i, p in enumerate(polys)
+        tuple(lattice_points(p, [(ray[s:], ray[i]) for ray in rays])) for i, p in enumerate(parts)
     )
 
 
@@ -221,7 +206,6 @@ def sum_facets(s, rays):
     return sorted((row[:-1], row[-1]) for row in rows)
 
 
-def sum_from_cayley_rays(polys, rays) -> Polytope:
-    """The sum of the polytopes, its vertices enumerated from ``sum_facets``."""
-    facets = sum_facets(len(polys), rays)
-    return Polytope(polys[0].lattice, tuple(_vertices_from_facets(facets, polys[0].lattice.rank)))
+def sum_from_cayley_rays(parts, rays):
+    """The vertices of the sum of the parts, enumerated from ``sum_facets``."""
+    return tuple(_vertices_from_facets(sum_facets(len(parts), rays), len(parts[0][0])))

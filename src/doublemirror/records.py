@@ -19,14 +19,13 @@ class field:
 
 
 def record(cls):
-    """Give ``cls`` ``__init__`` (then ``__post_init__``), ``__eq__``, ``__hash__``
+    """Give ``cls`` ``__init__``, ``__eq__``, ``__hash__``
     and ``__repr__`` over the fields it annotates, and refuse assignment."""
     specs = {name: vars(cls).get(name, _MISSING) for name in cls.__annotations__}
     specs = {name: f if isinstance(f, field) else field(f) for name, f in specs.items()}
     names = tuple(name for name, f in specs.items() if f.init)
     fills = tuple((n, f) for n, f in specs.items() if f.default is not _MISSING or f.factory)
     compared = tuple(name for name, f in specs.items() if f.compare)
-    post_init = getattr(cls, "__post_init__", None)
 
     def __init__(self, *args, **kwargs):
         values = self.__dict__
@@ -39,8 +38,6 @@ def record(cls):
                 values[name] = f.default if f.factory is None else f.factory()
         if len(values) != len(specs):
             raise TypeError(f"{cls.__name__}() missing {set(names) - set(values)}")
-        if post_init is not None:
-            post_init(self)
 
     def key(self):
         return tuple([getattr(self, name) for name in compared])

@@ -14,20 +14,22 @@ from doublemirror.errors import InputError, InternalError, LowerDimensionalError
 from doublemirror.evidence import _log_jacobian
 from doublemirror.instances import loads, parse_instance
 from doublemirror.intmat import (
-    IntMatrix,
     adjugate,
     dot,
     forward_substitute,
     hnf,
+    identity,
     independent_rows,
     kernel_basis,
+    matmul,
+    transpose,
     vneg,
     vprimitive,
 )
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.nefpart import validate_nef_partition as _validate_with_rays
-from doublemirror.polytope import Polytope, cayley_dual_rays, sum_from_cayley_rays
+from doublemirror.polytope import cayley_dual_rays, sum_from_cayley_rays
 
 
 def _exact(x):
@@ -53,20 +55,22 @@ def _scale_to_int(row):
     return vprimitive(tuple(x.numerator * (denom // x.denominator) for x in row))
 
 
-def saturation(b: IntMatrix) -> IntMatrix:
+def saturation(b):
     """HNF-canonical basis of the saturation of the row span of ``b``.
 
     The saturation is the kernel of the kernel; dependent rows give a basis
     of the span's rank.
     """
+    if not b:
+        return ()
     kernel = kernel_basis(b)
-    return kernel_basis(kernel) if kernel.rows else IntMatrix.identity(b.cols)
+    return kernel_basis(kernel) if kernel else identity(len(b[0]))
 
 
 def affine_basis(points):
     """Base point plus an integer basis of the saturated direction lattice.
 
-    Returns ``(x0, W)`` where ``W`` is an ``IntMatrix`` whose rows span the
+    Returns ``(x0, W)`` where ``W`` is a matrix whose rows span the
     direction space; ``W`` is a saturated row HNF, so integer points of the
     affine hull have integer coordinates over it.  When the points span the
     space W is the identity and x0 the origin: coordinates are ambient.
@@ -79,12 +83,12 @@ def affine_basis(points):
         if any(x != 0 for x in d):
             dir_rows.append(_scale_to_int(d))
     if not dir_rows:
-        return x0, IntMatrix(())
-    w = saturation(IntMatrix(tuple(dir_rows)))
-    return ((0,) * len(x0) if w.rows == len(x0) else x0), w
+        return x0, ()
+    w = saturation(dir_rows)
+    return ((0,) * len(x0) if len(w) == len(x0) else x0), w
 
 
-def _to_affine_coords(points, x0, w: IntMatrix):
+def _to_affine_coords(points, x0, w):
     """Coordinates ``z`` with ``p = x0 + z.W`` for each point, exact.
 
     ``W`` is a saturated row HNF (as from ``affine_basis``), so once the
@@ -94,19 +98,19 @@ def _to_affine_coords(points, x0, w: IntMatrix):
     """
     den = lcm(*(x.denominator for p in points for x in p), *(x.denominator for x in x0))
     x0s = [x * den for x in x0]
-    pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in w]
     coords = []
     for p in points:
-        z, r = forward_substitute(w.data, pivots, [int(a * den - b) for a, b in zip(p, x0s)])
+        z, r = forward_substitute(w, pivots, [int(a * den - b) for a, b in zip(p, x0s)])
         if any(r):
             raise InternalError("point left its own affine hull")
         coords.append(tuple(_quo(q, den) for q in z))
     return coords
 
 
-def _from_affine_coords(z, x0, w: IntMatrix):
+def _from_affine_coords(z, x0, w):
     return tuple(
-        _exact(x0[j] + sum(zi * w.data[i][j] for i, zi in enumerate(z)))
+        _exact(x0[j] + sum(zi * w[i][j] for i, zi in enumerate(z)))
         for j in range(len(x0))
     )
 
@@ -134,25 +138,17 @@ def hull_vertices(points):
     if len(pts) == 1:
         return tuple(pts)
     x0, w = affine_basis(pts)
-    if w.rows == 0:
+    if not w:
         return (pts[0],)
     facets = _facets_fulldim(_to_affine_coords(pts, x0, w))
-    z_vertices = _vertices_from_facets(facets, w.rows)
+    z_vertices = _vertices_from_facets(facets, len(w))
     return tuple(sorted(_from_affine_coords(z, x0, w) for z in z_vertices))
-
-
-def polytope_from_points(lattice, points):
-    """The polytope of the hull of rational points, its vertices by ``hull_vertices``."""
-    verts = hull_vertices(points)
-    if len(verts[0]) != lattice.rank:
-        raise InputError("point dimension does not match lattice rank")
-    return Polytope(lattice, verts)
 
 
 def validate_nef_partition(parts):
     """The library's validation, with the Cayley rays computed from the
     parts' vertices."""
-    return _validate_with_rays(parts, cayley_dual_rays([p.vertices for p in parts]))
+    return _validate_with_rays(parts, cayley_dual_rays(parts))
 
 
 def dual_instance(report):
@@ -173,28 +169,34 @@ def lattice_enclosure(vertices):
 
 
 def product_projective_lattice(n: int, t: int):
-    """The (n, t) example's lattice embedding and cone data in basis coordinates."""
+    """The (n, t) example's lattice embedding, as the parser builds it."""
+    return LatticeEmbedding.from_kernel(tuple(product_projective(n, t)["equations"]))
+
+
+def product_projective_cone(n: int, t: int):
+    """The (n, t) example's cone data in basis coordinates, as ``normalize_cone``
+    takes it: ``(rank, generators, deg, deg_dual)``."""
     data = product_projective(n, t)
-    lattice = LatticeEmbedding.from_kernel(IntMatrix(tuple(data["equations"])))
+    lattice = product_projective_lattice(n, t)
     gens = [lattice.to_coords(g) for g in data["generators"]]
     deg = lattice.to_coords(data["deg"])
     deg_dual = lattice.dual().to_coords(data["deg_dual"])
-    return lattice, sorted(gens), deg, deg_dual
+    return lattice.rank, sorted(gens), deg, deg_dual
 
 
 def cone_inputs():
-    """``(label, lattice, generators, deg, deg_dual)`` of the cone inputs the
+    """``(label, rank, generators, deg, deg_dual)`` of the cone inputs the
     differential tests walk: the pp33 and pp53 goldens, then product-projective
     (n, t) for 2 <= n <= 5 and 2 <= t <= 3."""
     inputs = []
     for name in ("pp33", "pp53"):
         path = Path(__file__).parent / "golden" / f"{name}.json"
         inst = parse_instance(loads(path.read_text(encoding="utf-8")))
-        inputs.append((f"golden-{name}", inst.lattice, inst.cone_generators,
+        inputs.append((f"golden-{name}", inst.lattice.rank, inst.cone_generators,
                        inst.cone_deg, inst.cone_deg_dual))
     for n in range(2, 6):
         for t in (2, 3):
-            inputs.append((f"pp{n}{t}", *product_projective_lattice(n, t)))
+            inputs.append((f"pp{n}{t}", *product_projective_cone(n, t)))
     return inputs
 
 
@@ -203,11 +205,10 @@ def projective_space_parts(sizes):
     E_1, ..., E_s split the fan vertices e_1, ..., e_n, -(e_1 + ... + e_n)
     into consecutive blocks of the given sizes."""
     n = sum(sizes) - 1
-    rays = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(-1,) * n]
-    lattice = LatticeEmbedding.full(n)
+    rays = list(identity(n)) + [(-1,) * n]
     parts, start = [], 0
     for size in sizes:
-        parts.append(polytope_from_points(lattice, [(0,) * n] + rays[start:start + size]))
+        parts.append(hull_vertices([(0,) * n] + rays[start:start + size]))
         start += size
     return parts
 
@@ -239,20 +240,20 @@ def box_scan_lattice_points(vertices):
 
 def affine_dim(p):
     """The dimension of a polytope's affine hull."""
-    return affine_basis(p.vertices)[1].rows
+    return len(affine_basis(p)[1])
 
 
 def facets(p):
     """The facets of a polytope over the coordinates z of its affine hull,
     ``x = x0 + z.W`` (the ambient ones when it is full-dimensional)."""
-    return _facets_fulldim(_to_affine_coords(p.vertices, *affine_basis(p.vertices)))
+    return _facets_fulldim(_to_affine_coords(p, *affine_basis(p)))
 
 
 def polytope_contains(p, point):
     """Exact membership in a polytope of any dimension: the point lies on
     the affine hull, and its coordinates there meet every facet."""
     try:
-        z = _to_affine_coords([tuple(point)], *affine_basis(p.vertices))[0]
+        z = _to_affine_coords([tuple(point)], *affine_basis(p))[0]
     except InternalError:
         return False
     return all(sum(c * x for c, x in zip(normal, z)) >= -off for normal, off in facets(p))
@@ -267,13 +268,12 @@ def dual_polytope(p):
 
     Requires the origin strictly interior (hence ``p`` full-dimensional).
     """
-    if affine_dim(p) != p.lattice.rank:
+    if affine_dim(p) != len(p[0]):
         raise OriginNotInteriorError("polytope is not full-dimensional")
     halfspaces = facets(p)
     if any(off <= 0 for _, off in halfspaces):
         raise OriginNotInteriorError("origin is not strictly interior")
-    vertices = sorted(tuple(_quo(c, off) for c in normal) for normal, off in halfspaces)
-    return Polytope(p.lattice.dual(), tuple(vertices))
+    return tuple(sorted(tuple(_quo(c, off) for c in normal) for normal, off in halfspaces))
 
 
 ReflexivityCertificate = namedtuple(
@@ -288,12 +288,12 @@ def is_reflexive(p):
         dual = dual_polytope(p)
     except OriginNotInteriorError:
         return ReflexivityCertificate(False, None, None, interior_witness=False)
-    if any(x.denominator != 1 for v in p.vertices for x in v):
+    if any(x.denominator != 1 for v in p for x in v):
         return ReflexivityCertificate(False, None, None, interior_witness=True)
-    for v in dual.vertices:
+    for v in dual:
         if any(x.denominator != 1 for x in v):
             return ReflexivityCertificate(False, None, witness=v, interior_witness=True)
-    return ReflexivityCertificate(True, dual.vertices, None, interior_witness=True)
+    return ReflexivityCertificate(True, dual, None, interior_witness=True)
 
 
 def ambient_inequalities(p):
@@ -306,17 +306,17 @@ def ambient_inequalities(p):
     as a pair of opposite inequalities.  Each row ``(normal ; offset)`` is
     scaled to integers.
     """
-    x0, w = affine_basis(p.vertices)
+    x0, w = affine_basis(p)
     rows = []
-    if w.rows:
-        pivots = [next(j for j, x in enumerate(row) if x) for row in w.data]
-        det, adj = adjugate(IntMatrix(tuple(tuple(row[j] for j in pivots) for row in w.data)))
+    if w:
+        pivots = [next(j for j, x in enumerate(row) if x) for row in w]
+        det, adj = adjugate(tuple(tuple(row[j] for j in pivots) for row in w))
         for normal, off in facets(p):
             ambient = [0] * len(x0)
-            for j, row in zip(pivots, adj.data):
+            for j, row in zip(pivots, adj):
                 ambient[j] = Fraction(dot(row, normal), det)
             rows.append(ambient + [off - dot(ambient, x0)])
-    for c in (kernel_basis(w) if w.rows else IntMatrix.identity(len(x0))).data:
+    for c in kernel_basis(w) if w else identity(len(x0)):
         rows.append(list(c) + [-dot(c, x0)])
         rows.append([-x for x in c] + [dot(c, x0)])
     scaled = []
@@ -349,7 +349,7 @@ def _row_reducer(rows):
     return [row[cols:] for row in m], r
 
 
-def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
+def integral_preimage_lattice(num, den: int):
     """Basis of ``{c : c * num / den  is an integer vector}``.
 
     ``num`` is ``k x n`` integral and ``den`` a positive integer; the result
@@ -357,19 +357,19 @@ def integral_preimage_lattice(num: IntMatrix, den: int) -> IntMatrix:
     """
     if den <= 0:
         raise ValueError("denominator must be positive")
-    k = num.rows
+    k = len(num)
     if den == 1 or k == 0:
-        return IntMatrix.identity(k)
+        return identity(k)
     # c * num = den * y for an integer y  <=>  (c, -y) . [num ; den I] = 0,
     # and c = 0 forces y = 0: c runs over the kernel's first k coordinates
-    n = num.cols
-    stacked = IntMatrix(num.data + tuple(tuple(den * (i == j) for j in range(n)) for i in range(n)))
-    rows = tuple(row[:k] for row in kernel_basis(stacked.transpose()).data)
-    canon, _ = hnf(IntMatrix(rows), transform=False)
+    n = len(num[0])
+    stacked = tuple(num) + tuple(tuple(den * (i == j) for j in range(n)) for i in range(n))
+    rows = tuple(row[:k] for row in kernel_basis(transpose(stacked)))
+    canon, _ = hnf(rows, transform=False)
     return canon
 
 
-def m_level_complement(v_mprime: IntMatrix, n_prime_basis: IntMatrix):
+def m_level_complement(v_mprime, n_prime_basis):
     """``(coords, rows)``: L = span(v) meet M through a rational preimage lattice.
 
     ``v_mprime`` holds the M' parts of the spanning vectors.  A combination c
@@ -377,25 +377,25 @@ def m_level_complement(v_mprime: IntMatrix, n_prime_basis: IntMatrix):
     c runs over the preimage lattice of ``num / det`` with ``num`` the product
     with the adjugate of B^T, and its M rows are ``c . num / det``.
     """
-    if v_mprime.rows == 0:
-        return IntMatrix(()), ()
-    det, adj = adjugate(n_prime_basis.transpose())
-    num = v_mprime.mul(adj)
+    if not v_mprime:
+        return (), ()
+    det, adj = adjugate(transpose(n_prime_basis))
+    num = matmul(v_mprime, adj)
     if det < 0:
-        det, num = -det, IntMatrix(tuple(tuple(-x for x in row) for row in num.data))
+        det, num = -det, tuple(vneg(row) for row in num)
     coords = integral_preimage_lattice(num, det)
     rows = []
-    for combo in coords.mul(num).data:
+    for combo in matmul(coords, num):
         assert all(x % det == 0 for x in combo), "L combination failed to be integral"
         rows.append(tuple(x // det for x in combo))
     return coords, tuple(rows)
 
 
-def mul_vec(a: IntMatrix, v):
+def mul_vec(a, v):
     """The matrix-vector product ``a . v``."""
-    if a.cols != len(v):
+    if any(len(row) != len(v) for row in a):
         raise ValueError("dimension mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a.data)
+    return tuple(dot(row, v) for row in a)
 
 
 def leibniz_det(rows):
@@ -409,8 +409,8 @@ def leibniz_det(rows):
     return total
 
 
-def is_unimodular(a: IntMatrix):
-    return a.rows == a.cols and leibniz_det(a.data) in (1, -1)
+def is_unimodular(a):
+    return all(len(row) == len(a) for row in a) and leibniz_det(a) in (1, -1)
 
 
 def rational_rank(rows):
@@ -503,11 +503,8 @@ def pairwise_minkowski_sum(polys):
     """
     total = polys[0]
     for q in polys[1:]:
-        candidates = [
-            tuple(a + b for a, b in zip(u, v))
-            for u, v in itertools.product(total.vertices, q.vertices)
-        ]
-        total = Polytope(total.lattice, hull_vertices(candidates))
+        candidates = [tuple(a + b for a, b in zip(u, v)) for u, v in itertools.product(total, q)]
+        total = hull_vertices(candidates)
     return total
 
 
@@ -521,9 +518,9 @@ def facet_enumeration(vertices):
     if not pts:
         raise InputError("empty vertex set")
     _, w = affine_basis(pts)
-    if w.rows < len(pts[0]):
+    if len(w) < len(pts[0]):
         raise LowerDimensionalError(
-            f"polytope has affine dimension {w.rows} < {len(pts[0])}", affine_dim=w.rows
+            f"polytope has affine dimension {len(w)} < {len(pts[0])}", affine_dim=len(w)
         )
     return _facets_fulldim(pts)
 
@@ -537,12 +534,12 @@ def halfspace_dual_parts(np_):
     """Vertices of each dual part ``nabla_j = {y : <x, y> >= -delta_ij on part i}``,
     one halfspace vertex enumeration per part."""
     duals = []
-    for j in range(np_.length):
+    for j in range(len(np_.parts)):
         halfspaces = {
             (tuple(int(x) for x in v), int(i == j))
-            for i, part in enumerate(np_.parts) for v in part.vertices if any(v)
+            for i, part in enumerate(np_.parts) for v in part if any(v)
         }
-        duals.append(tuple(_vertices_from_facets(sorted(halfspaces), np_.lattice.rank)))
+        duals.append(tuple(_vertices_from_facets(sorted(halfspaces), len(np_.parts[0][0]))))
     return duals
 
 
@@ -550,7 +547,7 @@ def pairing_minima(np_, w):
     """``m_i = -min over the vertices of part i of <x, w>``."""
     w = tuple(w)
     return tuple(
-        -min(sum(int(x) * y for x, y in zip(v, w)) for v in part.vertices)
+        -min(sum(int(x) * y for x, y in zip(v, w)) for v in part)
         for part in np_.parts
     )
 
@@ -558,9 +555,9 @@ def pairing_minima(np_, w):
 def minima_dual_generators(np_):
     """Generators of K-dual from the dual of the sum: ``(m ; w)`` with m the
     pairing minima at each vertex w of dual(sum), plus the unit summands."""
-    s, d = np_.length, np_.lattice.rank
+    s, d = len(np_.parts), len(np_.parts[0][0])
     total = sum_from_cayley_rays(np_.parts, np_.cayley_rays)
-    gens = {tuple(pairing_minima(np_, w)) + tuple(w) for w in dual_polytope(total).vertices}
+    gens = {tuple(pairing_minima(np_, w)) + tuple(w) for w in dual_polytope(total)}
     gens.update(tuple(int(k == i) for k in range(s)) + (0,) * d for i in range(s))
     return tuple(sorted(gens))
 
@@ -589,9 +586,8 @@ def kernel_column_block_partition(p_vectors):
     """
     p_vectors = [tuple(int(x) for x in p) for p in p_vectors]
     s = len(p_vectors)
-    mat = IntMatrix(tuple(p_vectors)).transpose()
-    basis = kernel_basis(mat)
-    columns = [tuple(row[i] for row in basis.data) for i in range(s)]
+    basis = kernel_basis(transpose(p_vectors))
+    columns = [tuple(row[i] for row in basis) for i in range(s)]
     groups = {}
     for i, col in enumerate(columns):
         groups.setdefault(col, []).append(i)
@@ -619,7 +615,7 @@ def laurent_shift(f, exp):
 def to_mbar_prime(skeleton, f):
     """A polynomial in Ann(e, e~) exponents, read over the skeleton's Mbar'
     coordinates (a ; m . B^T): an exponent a is the point (0 ; a . Ann)."""
-    s, ann, basis = skeleton.pair.s, skeleton.ann_basis.data, skeleton.n_prime_basis.data
+    s, ann, basis = skeleton.pair.s, skeleton.ann_basis, skeleton.n_prime_basis
     terms = {}
     for exp, c in f.terms:
         m = [sum(a * row[col] for a, row in zip(exp, ann)) for col in range(skeleton.pair.d)]
@@ -630,7 +626,7 @@ def to_mbar_prime(skeleton, f):
 def slice_polynomial(bridge, points):
     """The bridge's coefficients on slice points, in Mbar' exponents."""
     skeleton, pair = bridge.skeleton, bridge.pair
-    basis = skeleton.n_prime_basis.data
+    basis = skeleton.n_prime_basis
     terms = {
         tuple(v[: pair.s]) + tuple(dot(v[pair.s :], b) for b in basis):
             bridge.coeffs.value(pair.point_to_root(v))

@@ -23,14 +23,13 @@ from doublemirror.cones import build_cone, normalize_cone
 from doublemirror.evidence import fiber, sample_determinantal_points
 from doublemirror.instances import dumps, example_instance
 from doublemirror.intmat import (
-    IntMatrix,
     RowSolver,
     dot,
     hnf,
     kernel_basis,
+    matmul,
     vsub,
 )
-from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL
 from doublemirror.polytope import sum_from_cayley_rays
 from oracles import (
@@ -45,7 +44,7 @@ from oracles import (
     max_minor_gcd,
     mul_vec,
     pairwise_minkowski_sum,
-    polytope_from_points,
+    product_projective_cone,
     product_projective_lattice,
     validate_nef_partition,
     verify_reflexive_gorenstein,
@@ -62,22 +61,21 @@ def _report(name, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def pp53():
-    lattice, gens, deg, deg_dual = product_projective_lattice(5, 3)
-    pair, info = normalize_cone(lattice, gens, deg, deg_dual)
+    rank, gens, deg, deg_dual = product_projective_cone(5, 3)
+    pair, info = normalize_cone(rank, gens, deg, deg_dual)
     decs = enumerate_decompositions(pair)
-    return lattice, pair, info, decs
+    return product_projective_lattice(5, 3), pair, info, decs
 
 
 @pytest.fixture(scope="module")
 def corpus():
     """(name, pair, decompositions) for the full test corpus."""
-    Z2 = LatticeEmbedding.full(2)
-    parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
+    parts = [hull_vertices(pts) for pts in two_segment_parts()]
     two_seg = build_cone(validate_nef_partition(parts))
     items = [("two-segment", two_seg, enumerate_decompositions(two_seg))]
     for n, t in ((2, 2), (3, 3)):
-        lattice, gens, deg, deg_dual = product_projective_lattice(n, t)
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        rank, gens, deg, deg_dual = product_projective_cone(n, t)
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         items.append((f"product-projective({n},{t})", pair, enumerate_decompositions(pair)))
     return items
 
@@ -153,7 +151,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
             ambients = []
             for m in pts:
                 root = bridge.pair.point_to_root(bridge.pair.slot_point(i, m))
-                amb = IntMatrix((root,)).mul(lattice.basis).data[0]
+                amb = matmul((root,), lattice.basis)[0]
                 supp = tuple(sorted(k for k, x in enumerate(amb) if x == 1))
                 assert len(supp) == 3 and all(x in (0, 1) for x in amb)
                 ambients.append(tuple(s % 5 for s in supp))
@@ -281,7 +279,7 @@ def test_criterion_5_duality_properties(pp53, corpus):
             cert = is_reflexive(poly)
             assert cert.is_reflexive, name
             dd = dual_polytope(dual_polytope(poly))
-            assert set(dd.vertices) == set(poly.vertices), name
+            assert set(dd) == set(poly), name
             reflexive_count += 1
 
         # Prop 2.5 on every enumerated decomposition: sum of slices minus deg
@@ -290,33 +288,29 @@ def test_criterion_5_duality_properties(pp53, corpus):
         t_verts = [tuple(int(x) for x in w) for w in pair.k_dual_generators]
         for dec in decs:
             e_tilde = dec.e_tilde()
-            ann = kernel_basis(IntMatrix(tuple(e_tilde)))
+            ann = kernel_basis(e_tilde)
             slice_polys = []
-            lat = LatticeEmbedding.full(pair.s + pair.d)
             for e in e_tilde:
                 verts = [v for v in s_verts if dot(v, e) == 1]
                 assert verts, name
-                slice_polys.append(polytope_from_points(lat, verts))
+                slice_polys.append(hull_vertices(verts))
             # the slices live in the degree hyperplanes, so their sum is
             # lower-dimensional and only the hull oracle forms it
-            total_slice = pairwise_minkowski_sum(slice_polys).translate(
-                tuple(-x for x in pair.deg)
-            )
-            z_lat = LatticeEmbedding.full(ann.rows)
+            total_slice = [vsub(v, pair.deg) for v in pairwise_minkowski_sum(slice_polys)]
             z_verts = []
             ann_solver = RowSolver(ann)
-            for v in total_slice.vertices:
+            for v in total_slice:
                 z = ann_solver.solve(tuple(int(x) for x in v))
                 assert z is not None, name
                 z_verts.append(z)
-            shifted = polytope_from_points(z_lat, z_verts)
+            shifted = hull_vertices(z_verts)
             cert = is_reflexive(shifted)
             assert cert.is_reflexive, name
             reflexive_count += 1
 
-            projected_t = [tuple(dot(row, w) for row in ann.data) for w in t_verts]
-            t_bar = set(hull_vertices(projected_t)) if ann.rows else set()
-            dual_verts = set(dual_polytope(shifted).vertices) if ann.rows else set()
+            projected_t = [tuple(dot(row, w) for row in ann) for w in t_verts]
+            t_bar = set(hull_vertices(projected_t)) if ann else set()
+            dual_verts = set(dual_polytope(shifted)) if ann else set()
             assert dual_verts == t_bar, name
     elapsed = time.monotonic() - started
     _report(
@@ -332,20 +326,18 @@ def test_criterion_6_lattice_algebra_oracles():
     for _ in range(1000):
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
-        a = IntMatrix(
-            tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
-        )
+        a = tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(m))
         h, u = hnf(a)
         assert is_unimodular(u)
-        assert u.mul(a) == h
+        assert matmul(u, a) == h
         assert is_row_hnf(h)
         assert same_row_span(a, h)
 
         kern = kernel_basis(a)
-        for row in kern.data:
+        for row in kern:
             assert all(x == 0 for x in mul_vec(a, row))
-        if kern.rows:
-            assert max_minor_gcd(kern.data) == 1
+        if kern:
+            assert max_minor_gcd(kern) == 1
     elapsed = time.monotonic() - started
     assert elapsed < 60
     _report(
@@ -359,8 +351,8 @@ def test_criterion_7_delta_regularity():
     from doublemirror.records import replace
 
     prime = 10007
-    lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
-    pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+    rank, gens, deg, deg_dual = product_projective_cone(3, 3)
+    pair, _ = normalize_cone(rank, gens, deg, deg_dual)
     decs = enumerate_decompositions(pair)
     coeffs = random_coefficients(pair, prime, seed=42)
     bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)

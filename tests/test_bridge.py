@@ -24,22 +24,24 @@ from doublemirror.errors import InternalError
 from doublemirror.evidence import fiber, fp_echelon, sample_determinantal_points
 from doublemirror.instances import build_partition, parse_instance
 from doublemirror.intmat import (
-    IntMatrix,
     adjugate,
     dot,
     hnf,
+    identity,
     kernel_basis,
+    matmul,
+    transpose,
     vadd,
     vneg,
     vscale,
     vsub,
 )
-from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, det_cofactor
 from oracles import (
     bridge_identity_results,
     det_permutation,
     dual_instance,
+    hull_vertices,
     is_unimodular,
     kernel_column_block_partition,
     laurent_add,
@@ -48,8 +50,7 @@ from oracles import (
     m_level_complement,
     max_minor_gcd,
     one_block_decomposition,
-    polytope_from_points,
-    product_projective_lattice,
+    product_projective_cone,
     projective_space_parts,
     rational_rank,
     saturation,
@@ -63,15 +64,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture(scope="module")
 def two_segment_pair():
-    Z2 = LatticeEmbedding.full(2)
-    parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
+    parts = [hull_vertices(pts) for pts in two_segment_parts()]
     return build_cone(validate_nef_partition(parts))
 
 
 @pytest.fixture(scope="module")
 def pp33():
-    lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
-    pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+    rank, gens, deg, deg_dual = product_projective_cone(3, 3)
+    pair, _ = normalize_cone(rank, gens, deg, deg_dual)
     decs = enumerate_decompositions(pair)
     return pair, decs
 
@@ -125,11 +125,11 @@ class TestBlockPartition:
             assert dec.blocks == kernel_column_block_partition(dec.p)
 
     def test_enumeration_takes_one_rank_check_per_decomposition(self, monkeypatch):
-        # subset sums give the blocks: no IntMatrix, kernel basis or HNF, and
-        # one rank count per decomposition
+        # subset sums give the blocks: no matrix product, kernel basis or HNF,
+        # and one rank count per decomposition
         pair = build_cone(validate_nef_partition(projective_space_parts((2, 2, 2))))
         pair.dual_part_points()  # the points are cached before the path
-        calls = dict.fromkeys(["IntMatrix", "kernel_basis", "hnf", "independent_rows"], 0)
+        calls = dict.fromkeys(["matmul", "kernel_basis", "hnf", "independent_rows"], 0)
 
         def counting(name, real):
             def counted(*args, **kwargs):
@@ -137,15 +137,14 @@ class TestBlockPartition:
                 return real(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(IntMatrix, "__init__", counting("IntMatrix", IntMatrix.__init__))
-        for name in ("kernel_basis", "hnf", "independent_rows"):
+        for name in calls:
             counted = counting(name, getattr(intmat, name))
             for module in (bridge, cones, dd, intmat, lattices, nefpart, polytope):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         decs = enumerate_decompositions(pair)
         assert len(decs) == 90
-        assert calls == {"IntMatrix": 0, "kernel_basis": 0, "hnf": 0, "independent_rows": 90}
+        assert calls == {"matmul": 0, "kernel_basis": 0, "hnf": 0, "independent_rows": 90}
 
 
 def _random_block_tuple(rng, max_s=7, dim_max=4, bound=3):
@@ -209,8 +208,8 @@ class TestEnumerate:
                 assert all(dot(g, e) >= 0 for g in pair.k_generators)
 
     def test_pp22_two(self):
-        lattice, gens, deg, deg_dual = product_projective_lattice(2, 2)
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        rank, gens, deg, deg_dual = product_projective_cone(2, 2)
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         decs = enumerate_decompositions(pair)
         assert len(decs) == 2
 
@@ -268,14 +267,14 @@ class TestAuxiliaryLattice:
         dec = make_decomposition([(0, 0), (0, 0)])
         basis, index, row_of, ann, l_rows, l_coords = skeleton_lattices(dec, 2)
         assert index == 1
-        assert basis == ann == IntMatrix.identity(2)
-        assert row_of == {} and l_rows == () and l_coords == IntMatrix(())
+        assert basis == ann == identity(2)
+        assert row_of == {} and l_rows == () and l_coords == ()
 
     def test_contrived_index_two(self):
         dec = make_decomposition([(2, 0), (-2, 0)])
         basis, index, *_ = skeleton_lattices(dec, 2)
         assert index == 2
-        assert abs(leibniz_det(basis.data)) == 2
+        assert abs(leibniz_det(basis)) == 2
 
     def test_index_equals_divisor_product(self, pp33):
         # the product of the elementary divisors of W is the gcd of its k x k minors
@@ -295,14 +294,13 @@ class TestAuxiliaryLattice:
         basis, index, row_of, ann, l_rows, l_coords = skeleton_lattices(
             one_block_decomposition(w), d
         )
-        assert basis.data[:k] == w and row_of == {i + 1: i for i in range(k)}
-        assert is_unimodular(IntMatrix(saturation(IntMatrix(w)).data + basis.data[k:]))
-        assert index == max_minor_gcd(w) == abs(leibniz_det(basis.data))
-        assert ann == kernel_basis(IntMatrix(w))
-        complement = IntMatrix(basis.data[k:])
-        expected = kernel_basis(complement).data if k < d else IntMatrix.identity(d).data
-        assert hnf(IntMatrix(l_rows), transform=False)[0].data == expected
-        assert l_coords == IntMatrix(l_rows).mul(IntMatrix(w).transpose())
+        assert basis[:k] == w and row_of == {i + 1: i for i in range(k)}
+        assert is_unimodular(saturation(w) + basis[k:])
+        assert index == max_minor_gcd(w) == abs(leibniz_det(basis))
+        assert ann == kernel_basis(w)
+        expected = kernel_basis(basis[k:]) if k < d else identity(d)
+        assert hnf(l_rows, transform=False)[0] == expected
+        assert l_coords == matmul(l_rows, transpose(w))
 
     @pytest.mark.parametrize("w", [((2, 0),), ((2, 2, 0), (0, 2, 4))])
     def test_complement_of_non_saturated_rows(self, w):
@@ -321,7 +319,7 @@ class TestAuxiliaryLattice:
 @pytest.fixture(scope="module")
 def corpus():
     """Pairs and decompositions of pp33, pp53 and P^5 (2,2,2)."""
-    pairs = [normalize_cone(*product_projective_lattice(n, 3))[0] for n in (3, 5)]
+    pairs = [normalize_cone(*product_projective_cone(n, 3))[0] for n in (3, 5)]
     pairs.append(build_cone(validate_nef_partition(projective_space_parts((2, 2, 2)))))
     return [(pair, enumerate_decompositions(pair)) for pair in pairs]
 
@@ -335,7 +333,7 @@ class TestBridgeVectors:
         e_rows = [tuple(1 if j == i else 0 for j in range(s)) + (0,) * d for i in range(s)]
         et_rows = [e_rows[i][:s] + p_nprime[i] for i in range(s)]
         for i in range(s):
-            assert IntMatrix((p_nprime[i],)).mul(basis).data[0] == dec.p[i]
+            assert matmul((p_nprime[i],), basis)[0] == dec.p[i]
         for vec in (*w.values(), *u.values()):
             assert vec[s + k :] == (0,) * (d - k)
         for (kk, pos), vec in w.items():
@@ -405,23 +403,21 @@ class TestMLevelComplement:
     def spanning_rows(w_vectors, u_vectors, s):
         """The M' parts of the w, and of the u~ = u - u_lead that span L~."""
         order = sorted(w_vectors)
-        w_mprime = IntMatrix(tuple(w_vectors[key][s:] for key in order))
-        ut_mprime = IntMatrix(
-            tuple(vsub(u_vectors[key], u_vectors[(key[0], 0)])[s:] for key in order)
-        )
+        w_mprime = tuple(w_vectors[key][s:] for key in order)
+        ut_mprime = tuple(vsub(u_vectors[key], u_vectors[(key[0], 0)])[s:] for key in order)
         return w_mprime, ut_mprime
 
     def check(self, dec, s, d):
         basis, _, row_of, _, rows, coords = skeleton_lattices(dec, d)
         w_vectors, u_vectors, _ = bridge_vectors(dec, row_of, s, d)
         w_mprime, ut_mprime = self.spanning_rows(w_vectors, u_vectors, s)
-        k = w_mprime.rows
+        k = len(w_mprime)
         o_coords, o_rows = m_level_complement(w_mprime, basis)
         # the same lattice, and each row's M' image is its combination of the w'
-        canon = [hnf(IntMatrix(r), transform=False)[0] for r in (rows, o_rows)]
+        canon = [hnf(r, transform=False)[0] for r in (rows, o_rows)]
         assert canon[0] == canon[1]
-        assert coords.data == tuple(tuple(dot(m, b) for b in basis.data[:k]) for m in rows)
-        assert IntMatrix(rows).mul(basis.transpose()) == coords.mul(w_mprime)
+        assert coords == tuple(tuple(dot(m, b) for b in basis[:k]) for m in rows)
+        assert matmul(rows, transpose(basis)) == matmul(coords, w_mprime)
         # u~' = -w': L~ is -L with the same coordinates
         ot_coords, ot_rows = m_level_complement(ut_mprime, basis)
         assert ot_rows == tuple(vneg(m) for m in o_rows) and ot_coords == o_coords
@@ -432,19 +428,16 @@ class TestMLevelComplement:
             for dec in decs[1:]:
                 skeleton = bridge_skeleton(pair, decs[0], dec)
                 rows, coords = self.check(skeleton.dec_etilde, pair.s, pair.d)
-                stack = IntMatrix(skeleton.ann_basis.data + rows)
+                stack = skeleton.ann_basis + rows
                 # the fiber map is the stack inverse times diag(I, coords)
-                n_ann = skeleton.ann_basis.rows
-                diag = IntMatrix(
-                    tuple(tuple(int(i == j) for j in range(pair.d)) for i in range(n_ann))
-                    + tuple((0,) * n_ann + row for row in coords.data)
-                )
-                assert stack.mul(skeleton.fiber_map) == diag
+                n_ann = len(skeleton.ann_basis)
+                diag = identity(pair.d)[:n_ann] + tuple((0,) * n_ann + row for row in coords)
+                assert matmul(stack, skeleton.fiber_map) == diag
         # W of index 2 in its saturation, and W spanning all of M (k = d)
         dec = make_decomposition([(2, 0), (-2, 0)])
         assert skeleton_lattices(dec, 2)[1] == 2
         assert self.check(dec, 2, 2)[0] == ((-1, 0),)
-        assert self.check(make_decomposition([(1,), (-1,)]), 2, 1) == (((-1,),), IntMatrix(((1,),)))
+        assert self.check(make_decomposition([(1,), (-1,)]), 2, 1) == (((-1,),), ((1,),))
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_etilde_fiber_through_negated_stack(self, n):
@@ -458,18 +451,16 @@ class TestMLevelComplement:
                 val = val * pow(x, e, p) % p
             return val
 
-        pair, _ = normalize_cone(*product_projective_lattice(n, 3))
+        pair, _ = normalize_cone(*product_projective_cone(n, 3))
         decs = enumerate_decompositions(pair)
         for dec in decs[1:]:
             skeleton = bridge_skeleton(pair, decs[0], dec)
-            basis, ann = skeleton.n_prime_basis, skeleton.ann_basis.data
+            basis, ann = skeleton.n_prime_basis, skeleton.ann_basis
             w_mprime, ut_mprime = self.spanning_rows(skeleton.w_vectors, skeleton.u_vectors, pair.s)
-            det, adj = adjugate(IntMatrix(ann + m_level_complement(w_mprime, basis)[1]))
-            negated = IntMatrix(
-                tuple(vscale(det, row[: len(ann)] + vneg(row[len(ann) :])) for row in adj.data)
-            )
+            det, adj = adjugate(ann + m_level_complement(w_mprime, basis)[1])
+            negated = tuple(vscale(det, row[: len(ann)] + vneg(row[len(ann) :])) for row in adj)
             lt_coords, lt_rows = m_level_complement(ut_mprime, basis)
-            assert IntMatrix(ann + lt_rows).mul(negated) == IntMatrix.identity(pair.d)
+            assert matmul(ann + lt_rows, negated) == identity(pair.d)
             bridge = skeleton.instantiate(random_coefficients(pair, p, 5))
             samples = list(sample_determinantal_points(bridge, 5, p, 7, {}))
             assert len(samples) == 5
@@ -478,8 +469,8 @@ class TestMLevelComplement:
                 for mat in sp.values:
                     (vec,) = fp_echelon(list(zip(*mat)), p, reduced=True)[1]
                     omega.extend(v * pow(vec[0], -1, p) % p for v in vec[1:])
-                values = list(sp.y) + [monomial(omega, c) for c in lt_coords.data]
-                expected = tuple(monomial(values, row) for row in negated.data)
+                values = list(sp.y) + [monomial(omega, c) for c in lt_coords]
+                expected = tuple(monomial(values, row) for row in negated)
                 assert fiber(bridge, sp.y, p, "etilde", sp.values)[0] == [expected]
 
 
@@ -597,11 +588,11 @@ class TestBridge:
 
         pair, decs = pp33
         clean = bridge_skeleton(pair, decs[0], decs[1])
-        n_ann = clean.ann_basis.rows
+        n_ann = len(clean.ann_basis)
         assert 0 < n_ann < pair.d
         col = 0 if side == "e" else pair.d - 1
         l_rows = skeleton_lattices(clean.dec_etilde, pair.d)[4]
-        stack = IntMatrix(clean.ann_basis.data + l_rows)
+        stack = clean.ann_basis + l_rows
         adjugate = bridge_mod.adjugate
         stacks = []
 
@@ -609,9 +600,9 @@ class TestBridge:
             det, adj = adjugate(a)
             if a == stack:
                 stacks.append(a)
-                rows = [list(r) for r in adj.data]
+                rows = [list(r) for r in adj]
                 rows[0][col] += 1
-                adj = IntMatrix(tuple(map(tuple, rows)))
+                adj = tuple(map(tuple, rows))
             return det, adj
 
         monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
@@ -631,10 +622,11 @@ class TestBridge:
         pair, decs = pp33
         clean = bridge_skeleton(pair, decs[0], decs[1])
         col = 0 if side == "e" else pair.d - 1
-        assert col < clean.ann_basis.rows if side == "e" else col >= clean.ann_basis.rows
-        rows = [list(r) for r in clean.fiber_map.data]
+        n_ann = len(clean.ann_basis)
+        assert col < n_ann if side == "e" else col >= n_ann
+        rows = [list(r) for r in clean.fiber_map]
         rows[0][col] += 1
-        corrupted = replace(clean, fiber_map=IntMatrix(tuple(map(tuple, rows))))
+        corrupted = replace(clean, fiber_map=tuple(map(tuple, rows)))
         p = 10007
         coeffs = random_coefficients(pair, p, 0)
         bridge = clean.instantiate(coeffs)
@@ -698,7 +690,7 @@ class TestBridge:
 
         def doubled(dec, d):
             basis, index, row_of, ann, l_rows, l_coords = real(dec, d)
-            ann = IntMatrix((vscale(2, ann.data[0]),) + ann.data[1:])
+            ann = (vscale(2, ann[0]),) + ann[1:]
             return basis, index, row_of, ann, l_rows, l_coords
 
         monkeypatch.setattr(bridge_mod, "skeleton_lattices", doubled)
@@ -721,13 +713,13 @@ class TestBridge:
         pair, decs = pp33
         w = [decs[1].p[i] for block in decs[1].blocks for i in block[1:]]
         assert len(w) < pair.d
-        _, u = hnf(IntMatrix(tuple(zip(*w))))
+        _, u = hnf(transpose(w))
         real = bridge_mod.adjugate
 
         def corrupted(a):
             det, adj = real(a)
             if a == u:
-                adj = IntMatrix(tuple(r[:-1] + (2 * r[-1],) for r in adj.data))
+                adj = tuple(r[:-1] + (2 * r[-1],) for r in adj)
             return det, adj
 
         monkeypatch.setattr(bridge_mod, "adjugate", corrupted)
@@ -749,7 +741,7 @@ class TestBridge:
         def corrupted(dec, d):
             basis, index, row_of, ann, l_rows, l_coords = real(dec, d)
             if corrupt == "drop_ann_row":
-                ann = IntMatrix(ann.data[1:])
+                ann = ann[1:]
             else:
                 l_rows = (vscale(2, l_rows[0]),) + l_rows[1:]
             return basis, index, row_of, ann, l_rows, l_coords
@@ -818,7 +810,7 @@ class TestComplementInvariance:
             h, u = real_hnf(a, transform)
             if not transform:
                 return h, u
-            d, k = u.rows, sum(1 for row in h.data if any(row))
+            d, k = len(u), sum(1 for row in h if any(row))
             g = [[int(i == j) for j in range(d - k)] for i in range(d - k)]
             if d - k == 1:
                 g[0][0] = -1
@@ -831,7 +823,7 @@ class TestComplementInvariance:
                 tuple(int(i == j) for j in range(k)) + tuple(rng.randint(-3, 3) for _ in g)
                 for i in range(k)
             ) + tuple((0,) * k + tuple(row) for row in g)
-            changed = IntMatrix(m).mul(u)
+            changed = matmul(m, u)
             assert k == d or changed != u
             return h, changed
 

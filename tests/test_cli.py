@@ -14,9 +14,9 @@ import pytest
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import build_partition, dumps, example_instance, loads, parse_instance
-from doublemirror.lattices import LatticeEmbedding
+from doublemirror import intmat
 from doublemirror.polytope import cayley_dual_rays, sum_facets
-from oracles import facets, polytope_from_points, product_projective_lattice
+from oracles import facets, hull_vertices, product_projective_cone
 
 
 def run_cli(args, capsys):
@@ -37,6 +37,15 @@ def two_segment_file(tmp_path):
 
 
 SQUARE = [[1, 1], [1, -1], [-1, 1], [-1, -1]]
+
+
+def patch_identity(monkeypatch, fn):
+    """Replace ``intmat.identity`` with ``fn`` in every module that imports it."""
+    modules = [module for name, module in sys.modules.items() if name.startswith("doublemirror")
+               and getattr(module, "identity", None) is intmat.identity]
+    assert "doublemirror.cones" in {module.__name__ for module in modules}
+    for module in modules:
+        monkeypatch.setattr(module, "identity", fn)
 
 
 def one_part(vertices):
@@ -69,7 +78,7 @@ class TestDualize:
         match = re.search(r"its facet <x, \(([-\d,]+)\)> >= (-?\d+) has offset", captured.err)
         w, b = tuple(int(x) for x in match.group(1).split(",")), -int(match.group(2))
         assert b != 1
-        assert (w, b) in facets(polytope_from_points(LatticeEmbedding.full(2), triangle))
+        assert (w, b) in facets(hull_vertices(triangle))
 
     def test_simplex(self, tmp_path, capsys):
         path = write_instance(tmp_path, one_part([[-1, -1], [1, 0], [0, 1]]))
@@ -101,15 +110,13 @@ class TestParsing:
     def test_payload_checked_before_the_lattice_is_built(self, tmp_path, capsys, monkeypatch):
         # a full lattice of ambient rank n holds an n x n identity; a payload
         # of the wrong length must be rejected before any is built
-        from doublemirror.intmat import IntMatrix
-
         built = []
 
         def identity(n):
             built.append(n)
             raise AssertionError(f"identity({n}) built before the payload was checked")
 
-        monkeypatch.setattr(IntMatrix, "identity", staticmethod(identity))
+        patch_identity(monkeypatch, identity)
         data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "cone": {"generators": [[0, 0]]}}
         assert main(["cone", write_instance(tmp_path, data)]) == 1
         assert capsys.readouterr().err == "error: ambient vector has wrong length\n"
@@ -118,16 +125,14 @@ class TestParsing:
     def test_full_lattice_builds_no_matrix(self, tmp_path, capsys, monkeypatch):
         # a full lattice's coordinates are the ambient ones: a matching
         # one-point payload in rank 1500 must not cost an n x n matrix
-        from doublemirror.intmat import IntMatrix
-
         built = []
-        identity = IntMatrix.identity
+        identity = intmat.identity
 
         def recording_identity(n):
             built.append(n)
             return identity(n)
 
-        monkeypatch.setattr(IntMatrix, "identity", staticmethod(recording_identity))
+        patch_identity(monkeypatch, recording_identity)
         data = one_part([[1] + [0] * 1499])
         assert main(["nefdual", write_instance(tmp_path, data)]) == 1
         assert capsys.readouterr().err == "error: Minkowski sum has dimension 0 < 1500\n"
@@ -767,8 +772,8 @@ class TestShiftedPartitions:
         assert result["normalization"]["shift"] == "parts translated by -(1,0), -(0,1)"
 
     def test_every_order_of_shifted_pp33_parts(self):
-        pair, _ = normalize_cone(*product_projective_lattice(3, 3))
-        parts = [[list(v) for v in part.vertices] for part in pair.parts.parts]
+        pair, _ = normalize_cone(*product_projective_cone(3, 3))
+        parts = [[list(v) for v in part] for part in pair.parts.parts]
         lattice = {"ambient_rank": pair.d, "kind": "full"}
         base, _ = build_partition(parse_instance({"lattice": lattice, "nef_partition": parts}))
         runs = 0
@@ -783,7 +788,7 @@ class TestShiftedPartitions:
                     np_, note = build_partition(parse_instance(data))
                     s = len(parts)
                     assert sum_facets(s, np_.cayley_rays) == sum_facets(s, base.cayley_rays)
-                    assert list(np_.cayley_rays) == cayley_dual_rays([p.vertices for p in np_.parts])
+                    assert list(np_.cayley_rays) == cayley_dual_rays(np_.parts)
                     if order[0] == i:
                         moved = ",".join(str(-x) for x in v)
                         assert note == f"partition translated by -({moved})"

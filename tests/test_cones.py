@@ -20,8 +20,7 @@ from doublemirror.dd import extreme_rays
 from doublemirror.cli import _pair_from_instance, main
 from doublemirror.errors import DecompositionError, InternalError, NotGorensteinError
 from doublemirror.instances import build_partition, loads, parse_instance
-from doublemirror.intmat import IntMatrix, dot, independent_rows, vadd
-from doublemirror.lattices import LatticeEmbedding
+from doublemirror.intmat import dot, independent_rows, matmul, vadd
 from doublemirror.nefpart import NefPartition
 from doublemirror.polytope import cayley_dual_rays
 from oracles import (
@@ -32,33 +31,31 @@ from oracles import (
     greedy_independent_subset,
     hull_vertices,
     minima_dual_generators,
-    polytope_from_points,
-    product_projective_lattice,
+    product_projective_cone,
     validate_nef_partition,
     verify_reflexive_gorenstein,
     verify_reflexive_gorenstein_data,
 )
 
-Z2 = LatticeEmbedding.full(2)
 CONE_INPUTS = cone_inputs()
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_PARTITIONS = ("square", "two-segment", "shifted-square", "shifted-two-segment")
 
 
-def polys(lattice, vertex_lists):
-    return [polytope_from_points(lattice, pts) for pts in vertex_lists]
+def polys(vertex_lists):
+    return [hull_vertices(pts) for pts in vertex_lists]
 
 
 @pytest.fixture(scope="module")
 def two_segment_pair():
-    np_ = validate_nef_partition(polys(Z2, two_segment_parts()))
+    np_ = validate_nef_partition(polys(two_segment_parts()))
     return build_cone(np_)
 
 
 class TestBuildCone:
     def test_two_segment(self, two_segment_pair):
         pair = two_segment_pair
-        assert pair.index == 2
+        assert pair.s == 2
         # spec's listed generating set spans the same cone as ours
         listed = [
             (1, 0, 1, 0),
@@ -75,9 +72,9 @@ class TestBuildCone:
             assert cone_contains(g, listed)
 
     def test_length_one_square(self):
-        np_ = validate_nef_partition(polys(Z2, square_part()))
+        np_ = validate_nef_partition(polys(square_part()))
         pair = build_cone(np_)
-        assert pair.index == 1
+        assert pair.s == 1
         assert len(pair.k_generators) == 4
 
     def test_dual_generators_two_segment(self, two_segment_pair):
@@ -92,16 +89,16 @@ class TestBuildCone:
         assert set(two_segment_pair.k_dual_generators) == expected
 
     def test_dual_generators_square(self):
-        np_ = validate_nef_partition(polys(Z2, square_part()))
+        np_ = validate_nef_partition(polys(square_part()))
         gens = build_cone(np_).k_dual_generators
         assert (1, 0, 0) in gens
         # cross-polytope vertices at first coordinate one
         assert set(gens) == {(1, 0, 0), (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1)}
 
-    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+    @pytest.mark.parametrize("label,rank,gens,deg,deg_dual", CONE_INPUTS,
                              ids=[c[0] for c in CONE_INPUTS])
-    def test_k_dual_generators_of_normalized_cones(self, label, lattice, gens, deg, deg_dual):
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+    def test_k_dual_generators_of_normalized_cones(self, label, rank, gens, deg, deg_dual):
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         assert pair.k_dual_generators == minima_dual_generators(pair.parts)
 
     @pytest.mark.parametrize("name", GOLDEN_PARTITIONS)
@@ -114,8 +111,8 @@ class TestBuildCone:
         # the symmetric description (b ; sum b_i nabla_i) generates the same dual cone
         pair = two_segment_pair
         symmetric = []
-        for j, nabla in enumerate(pair.dual_parts.parts):
-            for w in nabla.vertices:
+        for j, nabla in enumerate(pair.dual_parts):
+            for w in nabla:
                 symmetric.append(
                     tuple(1 if k == j else 0 for k in range(pair.s))
                     + tuple(int(x) for x in w)
@@ -147,7 +144,7 @@ class TestConeToNefPartition:
         e = [(1, 0, 0, 0), (0, 1, 0, 0)]
         np_new = renormalize(pair, e).parts
         for old, new in zip(pair.parts.parts, np_new.parts):
-            assert set(old.vertices) == set(new.vertices)
+            assert set(old) == set(new)
 
     def test_bad_sum_rejected(self, two_segment_pair):
         with pytest.raises(DecompositionError):
@@ -182,9 +179,9 @@ class TestRenormalize:
         # renormalization from each result by every decomposition, mapped into
         # the new frame: 220 renormalizations over the six cones
         if case == "two-segment":
-            pair = build_cone(validate_nef_partition(polys(Z2, two_segment_parts())))
+            pair = build_cone(validate_nef_partition(polys(two_segment_parts())))
         else:
-            pair, _ = normalize_cone(*product_projective_lattice(*case))
+            pair, _ = normalize_cone(*product_projective_cone(*case))
         s, d = pair.s, pair.d
         decs = [dec.e_tilde() for dec in enumerate_decompositions(pair)]
         direct = [renormalize(pair, e).parts.parts for e in decs]
@@ -192,15 +189,15 @@ class TestRenormalize:
             for order in itertools.islice(itertools.permutations(range(s)), 6):
                 e_tilde = [e[i] for i in order]
                 new = renormalize(pair, e_tilde)
-                assert list(new.parts.cayley_rays) == cayley_dual_rays([p.vertices for p in new.parts.parts])
+                assert list(new.parts.cayley_rays) == cayley_dual_rays(new.parts.parts)
                 frame = frame_rows(e_tilde, s, d)
-                assert new.to_root == IntMatrix(tuple(frame)).mul(pair.to_root)
+                assert new.to_root == matmul(frame, pair.to_root)
                 for other, parts in zip(decs, direct):
                     mapped = [tuple(dot(r, y) for r in frame) for y in other]
                     again = renormalize(new, mapped)
-                    assert list(again.parts.cayley_rays) == cayley_dual_rays([p.vertices for p in again.parts.parts])
-                    assert [set(p.vertices) for p in again.parts.parts] == [
-                        set(p.vertices) for p in parts
+                    assert list(again.parts.cayley_rays) == cayley_dual_rays(again.parts.parts)
+                    assert [set(p) for p in again.parts.parts] == [
+                        set(p) for p in parts
                     ]
 
 
@@ -209,21 +206,21 @@ def projective_pairs():
     """Normalized (3,3) and (5,3) pairs with their decompositions."""
     result = {}
     for n, t in ((3, 3), (5, 3)):
-        lattice, gens, deg, deg_dual = product_projective_lattice(n, t)
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        rank, gens, deg, deg_dual = product_projective_cone(n, t)
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         result[(n, t)] = (pair, enumerate_decompositions(pair))
     return result
 
 
 def slot_point_hull(pair):
     """Test oracle: the hull of every slot point (delta_i ; v)."""
-    pts = [pair.slot_point(i, v) for i, part in enumerate(pair.parts.parts) for v in part.vertices]
+    pts = [pair.slot_point(i, v) for i, part in enumerate(pair.parts.parts) for v in part]
     return tuple(hull_vertices(pts))
 
 
 class TestSliceVertices:
     def test_matches_hull_of_slot_points(self, two_segment_pair, projective_pairs):
-        square = build_cone(validate_nef_partition(polys(Z2, square_part())))
+        square = build_cone(validate_nef_partition(polys(square_part())))
         pairs = [two_segment_pair, square]
         for pair, decs in projective_pairs.values():
             pairs.append(pair)
@@ -232,11 +229,11 @@ class TestSliceVertices:
         for pair in pairs:
             assert pair.s_vertices() == slot_point_hull(pair)
 
-    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+    @pytest.mark.parametrize("label,rank,gens,deg,deg_dual", CONE_INPUTS,
                              ids=[c[0] for c in CONE_INPUTS])
-    def test_normalized_s_vertices_match_generator_hull(self, label, lattice, gens, deg, deg_dual):
+    def test_normalized_s_vertices_match_generator_hull(self, label, rank, gens, deg, deg_dual):
         # normalize_cone reads S off the rays of K-dual; the oracle hulls the generators
-        pair, info = normalize_cone(lattice, gens, deg, deg_dual)
+        pair, info = normalize_cone(rank, gens, deg, deg_dual)
         expected = generator_hull(gens)
         assert tuple(sorted(pair.point_to_root(v) for v in pair.s_vertices())) == expected
         assert info["s_vertex_count"] == len(expected)
@@ -244,15 +241,13 @@ class TestSliceVertices:
     def test_renormalization_takes_no_hull(self, projective_pairs):
         pair, decs = projective_pairs[(5, 3)]
         skeleton = bridge_skeleton(pair, decs[1], decs[2])
-        assert skeleton.pair.parts.lattice.rank == pair.d
+        assert skeleton.pair.d == pair.d
         # the library has no hull to take: the hull and its affine-hull
         # coordinates are test oracles
         for module in (polytope, cones, nefpart):
             for name in ("hull_vertices", "affine_basis", "_to_affine_coords",
                          "_from_affine_coords", "_facets_fulldim"):
                 assert not hasattr(module, name), (module.__name__, name)
-        assert not hasattr(polytope.Polytope, "from_points")
-        assert not hasattr(polytope.Polytope, "is_lattice_polytope")
         assert "fractions" not in inspect.getsource(polytope)
 
     def test_vertex_on_two_faces_rejected(self, two_segment_pair, monkeypatch):
@@ -320,7 +315,7 @@ class TestImpliedChecks:
     def test_repeated_reference_summand_rejected(self, monkeypatch):
         self._corrupt_reference(monkeypatch, lambda ref: (ref[0],) + ref[:-1])
         with pytest.raises(InternalError, match="slice vertex not in exactly one reference slot"):
-            normalize_cone(*product_projective_lattice(3, 3))
+            normalize_cone(*product_projective_cone(3, 3))
 
     def test_reference_summand_on_no_vertex_rejected(self, monkeypatch):
         # 0 and e_1 + e_2 in place of e_1 and e_2: every vertex still pairs to
@@ -328,7 +323,7 @@ class TestImpliedChecks:
         self._corrupt_reference(monkeypatch, lambda ref: ((0,) * len(ref[0]), vadd(ref[0], ref[1]))
                                 + ref[2:])
         with pytest.raises(NotGorensteinError, match="no lattice section"):
-            normalize_cone(*product_projective_lattice(3, 3))
+            normalize_cone(*product_projective_cone(3, 3))
 
     @pytest.mark.parametrize("corrupt", ["doubled", "dropped"])
     def test_broken_annihilator_basis_gives_no_report(self, corrupt, monkeypatch, capsys):
@@ -339,12 +334,11 @@ class TestImpliedChecks:
 
         def broken(a):
             basis = real(a)
-            if a.rows != 3:  # _height_one_functional, not the annihilator
+            if len(a) != 3:  # _height_one_functional, not the annihilator
                 return basis
-            rows = basis.data
             if corrupt == "doubled":
-                return IntMatrix((tuple(2 * x for x in rows[0]),) + rows[1:])
-            return IntMatrix(rows[1:])
+                return (tuple(2 * x for x in basis[0]),) + basis[1:]
+            return basis[1:]
 
         monkeypatch.setattr(cones, "kernel_basis", broken)
         monkeypatch.chdir(GOLDEN)
@@ -356,10 +350,10 @@ class TestImpliedChecks:
 class TestNormalizeCone:
     @pytest.mark.parametrize("n,t,rank,gens", [(2, 2, 3, 4), (3, 3, 7, 27)])
     def test_product_projective(self, n, t, rank, gens):
-        lattice, gvecs, deg, deg_dual = product_projective_lattice(n, t)
-        assert lattice.rank == rank
+        cone_rank, gvecs, deg, deg_dual = product_projective_cone(n, t)
+        assert cone_rank == rank
         assert len(gvecs) == gens
-        pair, info = normalize_cone(lattice, gvecs, deg, deg_dual)
+        pair, info = normalize_cone(rank, gvecs, deg, deg_dual)
         assert verify_reflexive_gorenstein(pair) == (True, n)
         assert pair.d == (n - 1) * (t - 1)
         assert info["generator_count"] == gens
@@ -369,24 +363,23 @@ class TestNormalizeCone:
             assert dot(root, deg_dual) == 1
 
     def test_computed_degrees_match(self):
-        lattice, gvecs, deg, deg_dual = product_projective_lattice(2, 2)
-        pair, info = normalize_cone(lattice, gvecs)
+        rank, gvecs, deg, deg_dual = product_projective_cone(2, 2)
+        pair, info = normalize_cone(rank, gvecs)
         assert info["deg_root"] == deg
         assert info["deg_dual_root"] == deg_dual
 
     def test_index_one_cone_over_square(self):
         # s = 1: the reference decomposition is deg_dual itself and the
         # section is deg, an interior slice point rather than a vertex
-        lattice = LatticeEmbedding.full(3)
         gens = [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
-        pair, info = normalize_cone(lattice, gens)
+        pair, info = normalize_cone(3, gens)
         assert pair.s == 1 and pair.d == 2
         assert verify_reflexive_gorenstein(pair) == (True, 1)
-        assert len(pair.parts.parts[0].vertices) == 4
+        assert len(pair.parts.parts[0]) == 4
 
     def test_hull_preserved(self):
-        lattice, gvecs, _, _ = product_projective_lattice(3, 3)
-        pair, info = normalize_cone(lattice, gvecs)
+        rank, gvecs, _, _ = product_projective_cone(3, 3)
+        pair, info = normalize_cone(rank, gvecs)
         # root images of the split generators are cone generators
         root_gens = {pair.point_to_root(g) for g in pair.k_generators}
         for g in root_gens:
@@ -427,10 +420,10 @@ class TestLatticePointInequalities:
     @staticmethod
     def assert_points_match_box_scan(pair):
         assert pair.part_points() == tuple(
-            tuple(box_scan_lattice_points(p.vertices)) for p in pair.parts.parts
+            tuple(box_scan_lattice_points(p)) for p in pair.parts.parts
         )
         assert pair.dual_part_points() == tuple(
-            tuple(box_scan_lattice_points(p.vertices)) for p in pair.dual_parts.parts
+            tuple(box_scan_lattice_points(p)) for p in pair.dual_parts
         )
 
     @pytest.mark.parametrize("name", GOLDEN_PARTITIONS + ("pp33", "p5-222"))

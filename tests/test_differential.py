@@ -22,22 +22,21 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors  #
 from doublemirror.bridge import skeleton_lattices  # noqa: E402
 from doublemirror.errors import InternalError  # noqa: E402
 from doublemirror.intmat import (  # noqa: E402
-    IntMatrix,
     RowSolver,
     adjugate,
     hnf,
     kernel_basis,
+    matmul,
 )
-from doublemirror.lattices import LatticeEmbedding  # noqa: E402
 from doublemirror.polytope import lattice_points  # noqa: E402
 from oracles import (  # noqa: E402
     _to_affine_coords,
     affine_basis,
     ambient_inequalities,
+    hull_vertices,
     integral_preimage_lattice,
     lattice_enclosure,
     one_block_decomposition,
-    polytope_from_points,
 )
 from test_intmat import is_row_hnf  # noqa: E402
 
@@ -45,13 +44,11 @@ SEEDS = range(8)
 
 
 def random_matrix(rng, rows, cols, bound=6):
-    return IntMatrix(
-        tuple(tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows))
-    )
+    return tuple(tuple(rng.randint(-bound, bound) for _ in range(cols)) for _ in range(rows))
 
 
-def to_sympy(a: IntMatrix):
-    return sympy.Matrix(a.rows, a.cols, [x for row in a.data for x in row])
+def to_sympy(a):
+    return sympy.Matrix(len(a), len(a[0]), [x for row in a for x in row])
 
 
 def to_fraction(r):
@@ -72,8 +69,8 @@ def test_det_and_adjugate(seed):
             assert adj is None
             continue
         assert to_sympy(adj) == to_sympy(a).adjugate()
-        scalar = IntMatrix(tuple(tuple(det * (i == j) for j in range(n)) for i in range(n)))
-        assert a.mul(adj) == scalar
+        scalar = tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))
+        assert matmul(a, adj) == scalar
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -85,11 +82,11 @@ def test_hnf_with_and_without_transform(seed):
         h_only, none = hnf(a, transform=False)
         assert none is None and h_only == h
         assert is_row_hnf(h)
-        assert u.mul(a) == h and to_sympy(u).det() in (1, -1)
+        assert matmul(u, a) == h and to_sympy(u).det() in (1, -1)
         # same row lattice: sympy's (column-style) HNF of the transposes agrees
-        nonzero = IntMatrix(tuple(r for r in h.data if any(r)))
+        nonzero = tuple(r for r in h if any(r))
         rank = to_sympy(a).rank()
-        assert nonzero.rows == rank
+        assert len(nonzero) == rank
         if rank:
             assert hermite_normal_form(to_sympy(a).T) == hermite_normal_form(to_sympy(nonzero).T)
 
@@ -104,38 +101,38 @@ def test_snf(seed):
         n = rng.randint(1, 5)
         w = random_matrix(rng, rng.randint(1, n), n)
         factors = [abs(int(x)) for x in invariant_factors(to_sympy(w), domain=sympy.ZZ)]
-        factors += [0] * (w.rows - len(factors))
+        factors += [0] * (len(w) - len(factors))
         den = rng.randint(1, 12)
         expected = 1
         for f in factors:
             expected *= den // gcd(f, den)
         assert abs(to_sympy(integral_preimage_lattice(w, den)).det()) == expected
-        if rank_of(w) < w.rows:
+        if rank_of(w) < len(w):
             continue
-        basis, index, *_ = skeleton_lattices(one_block_decomposition(w.data), n)
+        basis, index, *_ = skeleton_lattices(one_block_decomposition(w), n)
         assert index == prod(factors) == abs(to_sympy(basis).det())
 
 
-def rank_of(a: IntMatrix):
-    return to_sympy(a).rank() if a.rows else 0
+def rank_of(a):
+    return to_sympy(a).rank() if a else 0
 
 
-def random_combination(rng, a: IntMatrix):
-    x = tuple(rng.randint(-4, 4) for _ in range(a.rows))
-    return x, tuple(sum(xi * row[j] for xi, row in zip(x, a.data)) for j in range(a.cols))
+def random_combination(rng, a):
+    x = tuple(rng.randint(-4, 4) for _ in range(len(a)))
+    return x, matmul((x,), a)[0]
 
 
-def in_row_lattice(a: IntMatrix, b):
+def in_row_lattice(a, b):
     """sympy: ``b`` is an integer combination of the rows of ``a``."""
     if rank_of(a) == 0:
         return not any(b)
-    with_b = IntMatrix(a.data + (tuple(b),))
+    with_b = a + (tuple(b),)
     return hermite_normal_form(to_sympy(with_b).T) == hermite_normal_form(to_sympy(a).T)
 
 
-def check_solution(a: IntMatrix, b, z):
-    assert z is not None and len(z) == a.rows
-    assert all(sum(zi * row[j] for zi, row in zip(z, a.data)) == b[j] for j in range(a.cols))
+def check_solution(a, b, z):
+    assert z is not None and len(z) == len(a)
+    assert matmul((z,), a)[0] == tuple(b)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -144,7 +141,7 @@ def test_row_solver_full_row_rank(seed):
     for _ in range(25):
         n = rng.randint(1, 6)
         a = random_matrix(rng, rng.randint(1, n), n)
-        if rank_of(a) < a.rows:
+        if rank_of(a) < len(a):
             continue
         solver = RowSolver(a)
         for _ in range(4):
@@ -159,8 +156,8 @@ def test_row_solver_dependent_rows(seed):
     for _ in range(25):
         base = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
         extra = tuple(random_combination(rng, base)[1] for _ in range(rng.randint(1, 3)))
-        a = IntMatrix(base.data + extra)
-        assert rank_of(a) < a.rows
+        a = base + extra
+        assert rank_of(a) < len(a)
         solver = RowSolver(a)
         for _ in range(4):
             _, b = random_combination(rng, a)
@@ -174,13 +171,13 @@ def test_row_solver_rational_but_not_integral(seed):
     for _ in range(25):
         n = rng.randint(1, 5)
         r = random_matrix(rng, rng.randint(1, n), n)
-        if rank_of(r) < r.rows:
+        if rank_of(r) < len(r):
             continue
         # scaling row 0 by m leaves r_0 = (1/m) a_0 in the span over Q only
         m = rng.randint(2, 5)
-        a = IntMatrix(((tuple(m * x for x in r.data[0]),) + r.data[1:]))
+        a = (tuple(m * x for x in r[0]),) + r[1:]
         _, c = random_combination(rng, a)
-        b = tuple(x + y for x, y in zip(r.data[0], c))
+        b = tuple(x + y for x, y in zip(r[0], c))
         assert not in_row_lattice(a, b)
         assert RowSolver(a).solve(b) is None
         checked += 1
@@ -197,7 +194,7 @@ def test_row_solver_matches_lattice_membership(seed):
         solver = RowSolver(a)
         for _ in range(4):
             b = tuple(rng.randint(-6, 6) for _ in range(n))
-            outside += rank_of(IntMatrix(a.data + (b,))) > rank_of(a)
+            outside += rank_of(a + (b,)) > rank_of(a)
             z = solver.solve(b)
             if in_row_lattice(a, b):
                 check_solution(a, b, z)
@@ -213,7 +210,7 @@ def random_rational_polytope(rng):
     k = rng.randint(0, n)
     while True:
         b = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(k)]
-        if k == 0 or to_sympy(IntMatrix(tuple(map(tuple, b)))).rank() == k:
+        if k == 0 or to_sympy(b).rank() == k:
             break
     x0 = [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2, 3])) for _ in range(n)]
     points = []
@@ -254,15 +251,15 @@ def test_lattice_points_against_box_scan(seed):
     rng = random.Random(1000 + seed)
     for _ in range(6):
         n, k, points = random_rational_polytope(rng)
-        p = polytope_from_points(LatticeEmbedding.full(n), points)
-        maps = _simplex_maps(p.vertices, k)
+        p = hull_vertices(points)
+        maps = _simplex_maps(p, k)
         box = [range(ceil(min(v[j] for v in points)), floor(max(v[j] for v in points)) + 1)
                for j in range(n)]
         expected = [x for x in itertools.product(*box) if _inside(x, maps)]
         # the library's polytopes are integral: a rational one enters
         # through an integral box around it and its exact inequalities
-        assert lattice_points(lattice_enclosure(p.vertices), ambient_inequalities(p)) == expected
-        assert all(type(x) is int for v in p.vertices for x in v if x.denominator == 1)
+        assert lattice_points(lattice_enclosure(p), ambient_inequalities(p)) == expected
+        assert all(type(x) is int for v in p for x in v if x.denominator == 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -282,7 +279,7 @@ def test_affine_coords_against_sympy_solve(seed):
             assert params.shape[0] == 0
             assert list(z) == [to_fraction(x) for x in sol]
         if k < n:
-            normal = kernel_basis(w).data[0] if k else (1,) + (0,) * (n - 1)
+            normal = kernel_basis(w)[0] if k else (1,) + (0,) * (n - 1)
             off_hull = tuple(a + b for a, b in zip(points[0], normal))
             with pytest.raises(InternalError, match="left its own affine hull"):
                 _to_affine_coords([off_hull], x0, w)

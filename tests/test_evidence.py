@@ -21,14 +21,13 @@ from doublemirror.evidence import (
     sample_determinantal_points,
 )
 from doublemirror.laurent import LaurentPoly, TermTable, fp_roots
-from doublemirror.lattices import LatticeEmbedding
 from oracles import (
     block_determinant,
     delta_regularity_probe,
+    hull_vertices,
     laurent_shift,
     leibniz_det,
-    polytope_from_points,
-    product_projective_lattice,
+    product_projective_cone,
     validate_nef_partition,
 )
 
@@ -37,7 +36,7 @@ P = 10007
 
 def pipeline_bridge(n, t, prime, seed):
     """The F_p bridge that ``pipeline`` builds for the pair (1, 2) of pp(n, t)."""
-    pair, _ = normalize_cone(*product_projective_lattice(n, t))
+    pair, _ = normalize_cone(*product_projective_cone(n, t))
     decs = enumerate_decompositions(pair)
     coeffs = random_coefficients(pair, prime, seed)
     return bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
@@ -146,8 +145,8 @@ class TestLineRestriction:
     # built; the oracle evaluates block 0 at the point and eliminates
     @pytest.mark.parametrize("n,i,j", [(3, 1, 2), (3, 2, 3), (5, 1, 2)])
     def test_matches_block_determinant(self, n, i, j):
-        lattice, gens, deg, deg_dual = product_projective_lattice(n, 3)
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        rank, gens, deg, deg_dual = product_projective_cone(n, 3)
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         decs = enumerate_decompositions(pair)
         coeffs = random_coefficients(pair, P, 0)
         bridge = bridge_skeleton(pair, decs[i - 1], decs[j - 1]).instantiate(coeffs)
@@ -227,8 +226,8 @@ class TestEvidence:
 
     def test_side_symmetry(self):
         # swapping the decompositions swaps the histograms, same seed
-        lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        rank, gens, deg, deg_dual = product_projective_cone(3, 3)
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         decs = enumerate_decompositions(pair)
         coeffs = random_coefficients(pair, P, 0)
         fwd = bridge_skeleton(pair, decs[1], decs[2]).instantiate(coeffs)
@@ -275,8 +274,7 @@ class TestEvidence:
         assert report.verdict is False
 
     def test_two_segment_warns_not_two_independent(self):
-        Z2 = LatticeEmbedding.full(2)
-        parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
+        parts = [hull_vertices(pts) for pts in two_segment_parts()]
         pair = build_cone(validate_nef_partition(parts))
         decs = enumerate_decompositions(pair)
         coeffs = random_coefficients(pair, P, 0)

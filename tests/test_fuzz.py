@@ -22,7 +22,7 @@ from doublemirror import cli
 from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.instances import dumps
-from oracles import product_projective_lattice
+from oracles import product_projective_cone
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -32,8 +32,8 @@ def _golden_parts(name):
 
 
 def _pp33_parts():
-    pair, _ = normalize_cone(*product_projective_lattice(3, 3))
-    return [[list(v) for v in part.vertices] for part in pair.parts.parts]
+    pair, _ = normalize_cone(*product_projective_cone(3, 3))
+    return [[list(v) for v in part] for part in pair.parts.parts]
 
 
 def _nudge(parts, rng):

@@ -51,7 +51,7 @@ from doublemirror.cli import main
 from doublemirror.cones import normalize_cone
 from doublemirror.evidence import sample_determinantal_points
 from doublemirror.instances import dumps, loads, parse_instance
-from oracles import product_projective_lattice
+from oracles import product_projective_cone
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,8 +209,8 @@ def test_digest_is_sha256_of_the_canonical_input(name):
 def test_sampled_points_match_golden():
     # the reports carry only histograms; this pins the exact D points chosen
     golden = json.loads((GOLDEN / "samples-pp33.json").read_text(encoding="utf-8"))
-    lattice, gens, deg, deg_dual = product_projective_lattice(3, 3)
-    pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+    rank, gens, deg, deg_dual = product_projective_cone(3, 3)
+    pair, _ = normalize_cone(rank, gens, deg, deg_dual)
     decs = enumerate_decompositions(pair)
     for prime, expected in golden.items():
         p = int(prime)

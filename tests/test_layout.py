@@ -5,7 +5,8 @@ by name somewhere under ``src/``: a routine whose only callers are tests
 belongs in ``tests/oracles.py``.  A method counts as referenced only through
 attribute access (``x.name``), so a local variable of the same name does not
 hide it.  Dunders and hooks that a base class calls by name are exempt.
-Every name a module under ``src/`` imports must also be read in that module.
+Every name a module under ``src/`` imports must also be read in that module,
+and only the parser knows how a lattice is presented.
 """
 
 import ast
@@ -86,3 +87,20 @@ def test_every_import_under_src_is_read():
                     if name not in loaded
                 ]
     assert not unread, "imported under src/ but never read: " + ", ".join(unread)
+
+
+def test_only_the_parser_imports_lattices():
+    # past parsing every vector is in basis coordinates, so no geometry
+    # record carries a lattice presentation
+    importers = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[-1] == "lattices" for name in names):
+                importers.append(path.name)
+    assert importers == ["instances.py"]

@@ -13,7 +13,6 @@ from doublemirror.errors import (
     OriginMissingError,
     SumNotFullDimensionalError,
 )
-from doublemirror.lattices import LatticeEmbedding
 from doublemirror.nefpart import (
     NefPartition,
     dual_nef_partition,
@@ -31,42 +30,40 @@ from oracles import (
     hull_vertices,
     pairing_minima,
     polytope_contains,
-    polytope_from_points,
     projective_space_parts,
     validate_nef_partition,
 )
 
-Z2 = LatticeEmbedding.full(2)
 CONE_INPUTS = cone_inputs()
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def two_segment_partition():
-    d1 = polytope_from_points(Z2, [(-1, 0), (0, 0), (1, 0)])
-    d2 = polytope_from_points(Z2, [(0, -1), (0, 0), (0, 1)])
+    d1 = hull_vertices([(-1, 0), (0, 0), (1, 0)])
+    d2 = hull_vertices([(0, -1), (0, 0), (0, 1)])
     return validate_nef_partition([d1, d2])
 
 
 class TestValidation:
     def test_two_segments(self):
         np_ = two_segment_partition()
-        assert np_.length == 2
-        assert set(sum_from_cayley_rays(np_.parts, np_.cayley_rays).vertices) == {
+        assert len(np_.parts) == 2
+        assert set(sum_from_cayley_rays(np_.parts, np_.cayley_rays)) == {
             tuple(map(Fraction, v)) for v in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         }
 
     def test_single_part(self):
-        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        square = hull_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
         np_ = validate_nef_partition([square])
-        assert np_.length == 1
+        assert len(np_.parts) == 1
 
     def test_not_full_dimensional(self):
-        seg = polytope_from_points(Z2, [(0, 0), (1, 0)])
+        seg = hull_vertices([(0, 0), (1, 0)])
         with pytest.raises(SumNotFullDimensionalError):
             validate_nef_partition([seg, seg])
 
     def test_origin_missing(self):
-        off = polytope_from_points(Z2, [(1, 0), (2, 0), (1, 1)])
+        off = hull_vertices([(1, 0), (2, 0), (1, 1)])
         with pytest.raises(OriginMissingError):
             validate_nef_partition([off])
 
@@ -75,12 +72,12 @@ class TestValidation:
         # the origin test reads a_i >= 0 off the Cayley rays, of the parts'
         # vertices or of input points with a non-vertex among them; part 2
         # misses the origin, the sum does not
-        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
-        off = polytope_from_points(Z2, [(1, 0), (1, 1)])
+        square = hull_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        off = hull_vertices([(1, 0), (1, 1)])
         parts = [square, off]
         with pytest.raises(OriginMissingError, match=r"^part 2 does not contain the origin$"):
             if given_rays:
-                points = [square.vertices + ((0, 0),), off.vertices]
+                points = [square + ((0, 0),), off]
                 nefpart.validate_nef_partition(parts, cayley_dual_rays(points))
             else:
                 validate_nef_partition(parts)
@@ -102,7 +99,7 @@ class TestValidation:
             calls.clear()
             validate_nef_partition(parts)
             assert len(calls) == 1
-            rays = cayley_dual_rays([p.vertices for p in parts])
+            rays = cayley_dual_rays([p for p in parts])
             calls.clear()
             nefpart.validate_nef_partition(parts, rays)
             assert len(calls) == 0
@@ -127,8 +124,8 @@ class TestValidation:
         assert out == "" and message in err and len(err.splitlines()) == 1
 
     def test_degenerate_part(self):
-        zero = polytope_from_points(Z2, [(0, 0)])
-        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        zero = hull_vertices([(0, 0)])
+        square = hull_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
         with pytest.raises(DegeneratePartError):
             validate_nef_partition([square, zero])
 
@@ -138,46 +135,46 @@ class TestDualPartition:
         # nabla_1 = conv{0, +-e1}: the origin is relative-interior, not a vertex
         np_ = two_segment_partition()
         dual = dual_nef_partition(np_)
-        assert set(dual.parts[0].vertices) == {
+        assert set(dual[0]) == {
             (Fraction(1), Fraction(0)),
             (Fraction(-1), Fraction(0)),
         }
-        assert polytope_contains(dual.parts[0], (0, 0))
-        assert set(dual.parts[1].vertices) == {
+        assert polytope_contains(dual[0], (0, 0))
+        assert set(dual[1]) == {
             (Fraction(0), Fraction(1)),
             (Fraction(0), Fraction(-1)),
         }
-        assert polytope_contains(dual.parts[1], (0, 0))
+        assert polytope_contains(dual[1], (0, 0))
 
     def test_length_one_collapses_to_dual(self):
-        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        square = hull_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
         np_ = validate_nef_partition([square])
         dual = dual_nef_partition(np_)
-        assert set(dual.parts[0].vertices) == set(dual_polytope(square).vertices)
+        assert set(dual[0]) == set(dual_polytope(square))
 
     def test_round_trip_hull(self):
         np_ = two_segment_partition()
         dual = dual_nef_partition(np_)
-        dual_np = validate_nef_partition(list(dual.parts))
+        dual_np = validate_nef_partition(list(dual))
         double = dual_nef_partition(dual_np)
-        hull1 = set(hull_vertices([v for p in double.parts for v in p.vertices]))
-        hull2 = set(hull_vertices([v for p in np_.parts for v in p.vertices]))
+        hull1 = set(hull_vertices([v for p in double for v in p]))
+        hull2 = set(hull_vertices([v for p in np_.parts for v in p]))
         assert hull1 == hull2
 
-    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+    @pytest.mark.parametrize("label,rank,gens,deg,deg_dual", CONE_INPUTS,
                              ids=[c[0] for c in CONE_INPUTS])
-    def test_cone_inputs_match_halfspace_duals(self, label, lattice, gens, deg, deg_dual):
+    def test_cone_inputs_match_halfspace_duals(self, label, rank, gens, deg, deg_dual):
         # the library groups the dual Cayley rays by slot; the oracle runs one
         # halfspace vertex enumeration per part
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
         dual = dual_nef_partition(pair.parts)
-        assert [p.vertices for p in dual.parts] == halfspace_dual_parts(pair.parts)
+        assert list(dual) == halfspace_dual_parts(pair.parts)
 
     @pytest.mark.parametrize("sizes", [(2, 2), (2, 3), (3, 3), (2, 2, 2)])
     def test_projective_space_family_matches_halfspace_duals(self, sizes):
         np_ = validate_nef_partition(projective_space_parts(sizes))
         dual = dual_nef_partition(np_)
-        assert [p.vertices for p in dual.parts] == halfspace_dual_parts(np_)
+        assert list(dual) == halfspace_dual_parts(np_)
 
     @pytest.mark.parametrize("name", ["square", "two-segment", "pp33", "pp53", "p5-222"])
     def test_dual_sum_vertices_are_the_dual_part_vertices(self, name):
@@ -186,9 +183,9 @@ class TestDualPartition:
         # of the nablas
         inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
         np_ = _pair_from_instance(inst)[0].parts
-        nonzero = {w for p in dual_nef_partition(np_).parts for w in p.vertices if any(w)}
+        nonzero = {w for p in dual_nef_partition(np_) for w in p if any(w)}
         total = sum_from_cayley_rays(np_.parts, np_.cayley_rays)
-        assert set(dual_polytope(total).vertices) == nonzero
+        assert set(dual_polytope(total)) == nonzero
 
     def test_dual_sum_vertex_outside_the_parts_rejected(self):
         # a ray (a ; w) with a_1 + a_2 = 2 puts the vertex w / 2 into
@@ -197,7 +194,7 @@ class TestDualPartition:
         for ray in [(1, 1, 1, 0), (2, 0, 1, 0)]:
             rays = tuple(sorted(ray if r == (1, 0, 1, 0) else r for r in np_.cayley_rays))
             corrupted = NefPartition(np_.parts, rays)
-            assert set(dual_polytope(sum_from_cayley_rays(np_.parts, rays)).vertices) == {
+            assert set(dual_polytope(sum_from_cayley_rays(np_.parts, rays))) == {
                 (-1, 0), (0, -1), (0, 1), (Fraction(1, 2), 0)
             }
             with pytest.raises(InternalError, match="dual Cayley ray off the unit slots"):
@@ -286,19 +283,18 @@ class TestOneDoubleDescriptionPerCone:
         capsys.readouterr()
         assert len(calls) == expected
 
-    @pytest.mark.parametrize("label,lattice,gens,deg,deg_dual", CONE_INPUTS,
+    @pytest.mark.parametrize("label,rank,gens,deg,deg_dual", CONE_INPUTS,
                              ids=[c[0] for c in CONE_INPUTS])
-    def test_cone_rays_mapped_to_the_split_frame(self, label, lattice, gens, deg, deg_dual):
-        pair, _ = normalize_cone(lattice, gens, deg, deg_dual)
-        points = [p.vertices for p in pair.parts.parts]
-        assert list(pair.parts.cayley_rays) == cayley_dual_rays(points)
+    def test_cone_rays_mapped_to_the_split_frame(self, label, rank, gens, deg, deg_dual):
+        pair, _ = normalize_cone(rank, gens, deg, deg_dual)
+        assert list(pair.parts.cayley_rays) == cayley_dual_rays(pair.parts.parts)
 
     @pytest.mark.parametrize("name", ["shifted-square", "shifted-two-segment"])
     def test_rays_mapped_across_the_translation(self, name):
         inst = parse_instance(loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8")))
         np_, note = build_partition(inst)
         assert "translated" in note
-        assert list(np_.cayley_rays) == cayley_dual_rays([p.vertices for p in np_.parts])
+        assert list(np_.cayley_rays) == cayley_dual_rays(np_.parts)
 
 
 class TestPairingMinima:
@@ -313,12 +309,12 @@ class TestPairingMinima:
     def test_dual_vertices_attain_delta(self):
         np_ = two_segment_partition()
         dual = dual_nef_partition(np_)
-        for j, nabla in enumerate(dual.parts):
-            for w in nabla.vertices:
+        for j, nabla in enumerate(dual):
+            for w in nabla:
                 if all(x == 0 for x in w):
                     continue
                 minima = pairing_minima(np_, tuple(int(x) for x in w))
-                assert minima == tuple(1 if i == j else 0 for i in range(np_.length))
+                assert minima == tuple(1 if i == j else 0 for i in range(len(np_.parts)))
 
 
     @pytest.mark.parametrize(
@@ -332,7 +328,7 @@ class TestPairingMinima:
             parts = projective_space_parts((2, 2, 2))
             data = {
                 "lattice": {"ambient_rank": 5, "kind": "full"},
-                "nef_partition": [[[int(x) for x in v] for v in p.vertices] for p in parts],
+                "nef_partition": [[[int(x) for x in v] for v in p] for p in parts],
             }
             path = tmp_path / "p5.json"
             path.write_text(json.dumps(data), encoding="utf-8")
@@ -357,7 +353,7 @@ class TestTwoIndependence:
         assert witness is not None
 
     def test_square_passes(self):
-        square = polytope_from_points(Z2, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+        square = hull_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
         np_ = validate_nef_partition([square])
         flag, _ = is_two_independent(np_)
         assert flag

@@ -7,10 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from doublemirror import nefpart
-from doublemirror.errors import LatticeMismatchError, LowerDimensionalError
+from doublemirror.errors import LowerDimensionalError
 from doublemirror.cones import normalize_cone
-from doublemirror.lattices import LatticeEmbedding
 from doublemirror.polytope import (
     cayley_dual_rays,
     lattice_points,
@@ -32,23 +30,14 @@ from oracles import (
     lattice_enclosure,
     pairwise_minkowski_sum,
     polytope_contains,
-    polytope_from_points,
-    product_projective_lattice,
+    product_projective_cone,
 )
-
-Z1 = LatticeEmbedding.full(1)
-Z2 = LatticeEmbedding.full(2)
-Z3 = LatticeEmbedding.full(3)
-
-
-def poly(lattice, pts):
-    return polytope_from_points(lattice, pts)
 
 
 def points_of(p):
     """``lattice_points`` of a polytope, on its ambient H-description; a
     rational polytope enters through an integral box around it."""
-    return lattice_points(lattice_enclosure(p.vertices), ambient_inequalities(p))
+    return lattice_points(lattice_enclosure(p), ambient_inequalities(p))
 
 
 SEGMENT = [(-1,), (1,)]
@@ -117,9 +106,9 @@ class TestHull:
     def test_round_trip(self):
         # vertices of the H-representation equal the input vertex set
         for pts in (SEGMENT, SQUARE, SIMPLEX):
-            p = poly(LatticeEmbedding.full(len(pts[0])), pts)
-            again = hull_vertices(p.vertices)
-            assert set(again) == set(p.vertices)
+            p = hull_vertices(pts)
+            again = hull_vertices(p)
+            assert set(again) == set(p)
 
     def test_lower_dim_hull(self):
         verts = hull_vertices([(0, 0), (1, 1), (2, 2)])
@@ -128,14 +117,14 @@ class TestHull:
 
 class TestDual:
     def test_segment_self_dual(self):
-        p = poly(Z1, SEGMENT)
+        p = hull_vertices(SEGMENT)
         d = dual_polytope(p)
-        assert set(d.vertices) == set(p.vertices)
+        assert set(d) == set(p)
 
     def test_square_cross(self):
-        p = poly(Z2, SQUARE)
+        p = hull_vertices(SQUARE)
         d = dual_polytope(p)
-        assert set(d.vertices) == {
+        assert set(d) == {
             (Fraction(1), Fraction(0)),
             (Fraction(-1), Fraction(0)),
             (Fraction(0), Fraction(1)),
@@ -143,9 +132,9 @@ class TestDual:
         }
 
     def test_simplex(self):
-        p = poly(Z2, SIMPLEX)
+        p = hull_vertices(SIMPLEX)
         d = dual_polytope(p)
-        assert set(d.vertices) == {
+        assert set(d) == {
             (Fraction(-1), Fraction(-1)),
             (Fraction(-1), Fraction(2)),
             (Fraction(2), Fraction(-1)),
@@ -153,65 +142,65 @@ class TestDual:
 
     def test_double_dual(self):
         for pts in (SEGMENT, SQUARE, SIMPLEX):
-            p = poly(LatticeEmbedding.full(len(pts[0])), pts)
+            p = hull_vertices(pts)
             dd = dual_polytope(dual_polytope(p))
-            assert set(dd.vertices) == set(p.vertices)
+            assert set(dd) == set(p)
 
     def test_origin_not_interior(self):
         with pytest.raises(OriginNotInteriorError):
-            dual_polytope(poly(Z2, [(0, 0), (1, 0), (0, 1)]))
+            dual_polytope(hull_vertices([(0, 0), (1, 0), (0, 1)]))
 
     def test_order_reversal(self):
         # q inside p implies dual(p) inside dual(q), membership-checked on vertices
-        p = poly(Z2, SQUARE)
-        q = poly(Z2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+        p = hull_vertices(SQUARE)
+        q = hull_vertices([(1, 0), (-1, 0), (0, 1), (0, -1)])
         dp, dq = dual_polytope(p), dual_polytope(q)
-        for v in dp.vertices:
+        for v in dp:
             assert polytope_contains(dq, v)
 
 
 class TestReflexive:
     def test_square(self):
-        cert = is_reflexive(poly(Z2, SQUARE))
+        cert = is_reflexive(hull_vertices(SQUARE))
         assert cert.is_reflexive and cert.interior_witness
 
     def test_flat_diamond_not_reflexive(self):
-        cert = is_reflexive(poly(Z2, [(2, 0), (-2, 0), (0, 1), (0, -1)]))
+        cert = is_reflexive(hull_vertices([(2, 0), (-2, 0), (0, 1), (0, -1)]))
         assert not cert.is_reflexive
         assert cert.interior_witness
         assert cert.witness is not None
         assert any(x.denominator == 2 for x in cert.witness)
 
     def test_simplex(self):
-        cert = is_reflexive(poly(Z2, SIMPLEX))
+        cert = is_reflexive(hull_vertices(SIMPLEX))
         assert cert.is_reflexive
 
     def test_no_interior(self):
-        cert = is_reflexive(poly(Z2, [(0, 0), (1, 0), (0, 1)]))
+        cert = is_reflexive(hull_vertices([(0, 0), (1, 0), (0, 1)]))
         assert not cert.is_reflexive and not cert.interior_witness
 
 
 class TestLatticePoints:
     def test_square(self):
-        pts = points_of(poly(Z2, SQUARE))
+        pts = points_of(hull_vertices(SQUARE))
         assert len(pts) == 9
 
     def test_diagonal_segment(self):
-        pts = points_of(poly(Z2, [(0, 0), (2, 2)]))
+        pts = points_of(hull_vertices([(0, 0), (2, 2)]))
         assert pts == [(0, 0), (1, 1), (2, 2)]
 
     def test_triangle(self):
-        pts = points_of(poly(Z2, [(0, 0), (1, 0), (0, 1)]))
+        pts = points_of(hull_vertices([(0, 0), (1, 0), (0, 1)]))
         assert pts == [(0, 0), (0, 1), (1, 0)]
 
     def test_against_bounding_box_oracle(self):
         rng = random.Random(31415)
         for _ in range(25):
             pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(6)]
-            p = poly(Z2, pts)
+            p = hull_vertices(pts)
             got = points_of(p)
-            lo = [min(int(v[j]) - 1 for v in p.vertices) for j in range(2)]
-            hi = [max(int(v[j]) + 2 for v in p.vertices) for j in range(2)]
+            lo = [min(int(v[j]) - 1 for v in p) for j in range(2)]
+            hi = [max(int(v[j]) + 2 for v in p) for j in range(2)]
             expected = [
                 x
                 for x in itertools.product(range(lo[0], hi[0] + 1), range(lo[1], hi[1] + 1))
@@ -220,11 +209,11 @@ class TestLatticePoints:
             assert got == sorted(expected)
 
     def test_rational_vertices(self):
-        p = poly(Z1, [(Fraction(-1, 2),), (Fraction(3, 2),)])
+        p = hull_vertices([(Fraction(-1, 2),), (Fraction(3, 2),)])
         assert points_of(p) == [(0,), (1,)]
 
     def test_no_lattice_points(self):
-        p = poly(Z2, [(Fraction(1, 3), 0), (Fraction(2, 3), 0)])
+        p = hull_vertices([(Fraction(1, 3), 0), (Fraction(2, 3), 0)])
         assert points_of(p) == []
 
 
@@ -254,10 +243,10 @@ class TestLatticePointsAgainstBoxScan:
         rng = random.Random(f"{kind}-{seed}")
         for _ in range(5):
             pts = seeded_polytope_points(rng, kind)
-            p = polytope_from_points(LatticeEmbedding.full(len(pts[0])), pts)
+            p = hull_vertices(pts)
             if kind == "full" and affine_dim(p) < len(pts[0]):
                 continue
-            assert points_of(p) == box_scan_lattice_points(p.vertices)
+            assert points_of(p) == box_scan_lattice_points(p)
 
 
 class TestPointTuples:
@@ -370,21 +359,21 @@ def test_part_vertices_match_the_oracle_hull():
 
 class TestMinkowski:
     def test_cross_from_segments(self):
-        a = poly(Z2, [(-1, 0), (1, 0)])
-        b = poly(Z2, [(0, -1), (0, 1)])
-        s = sum_from_cayley_rays([a, b], cayley_dual_rays([a.vertices, b.vertices]))
-        assert set(s.vertices) == set(poly(Z2, SQUARE).vertices)
+        a = hull_vertices([(-1, 0), (1, 0)])
+        b = hull_vertices([(0, -1), (0, 1)])
+        s = sum_from_cayley_rays([a, b], cayley_dual_rays([a, b]))
+        assert set(s) == set(hull_vertices(SQUARE))
 
     def test_identity(self):
-        p = poly(Z2, SIMPLEX)
-        zero = poly(Z2, [(0, 0)])
-        total = sum_from_cayley_rays([p, zero], cayley_dual_rays([p.vertices, zero.vertices]))
-        assert set(total.vertices) == set(p.vertices)
+        p = hull_vertices(SIMPLEX)
+        zero = hull_vertices([(0, 0)])
+        total = sum_from_cayley_rays([p, zero], cayley_dual_rays([p, zero]))
+        assert set(total) == set(p)
 
     def test_grid_membership_oracle(self):
-        p = poly(Z2, [(0, 0), (1, 0), (0, 1)])
-        q = poly(Z2, [(0, 0), (1, 0)])
-        s = sum_from_cayley_rays([p, q], cayley_dual_rays([p.vertices, q.vertices]))
+        p = hull_vertices([(0, 0), (1, 0), (0, 1)])
+        q = hull_vertices([(0, 0), (1, 0)])
+        s = sum_from_cayley_rays([p, q], cayley_dual_rays([p, q]))
         for x in itertools.product(range(-1, 4), repeat=2):
             in_sum = any(
                 polytope_contains(p, (Fraction(x[0]) - b[0], Fraction(x[1]) - b[1]))
@@ -399,16 +388,9 @@ class TestMinkowski:
                     for a in points_of(p)
                 ) or in_sum
         # every vertex sum is inside
-        for u in p.vertices:
-            for v in q.vertices:
+        for u in p:
+            for v in q:
                 assert polytope_contains(s, (u[0] + v[0], u[1] + v[1]))
-
-    def test_lattice_mismatch(self):
-        # point sets carry no lattice; the parts of a partition do
-        a = poly(Z2, SQUARE)
-        b = poly(Z1, SEGMENT)
-        with pytest.raises(LatticeMismatchError):
-            nefpart.validate_nef_partition([a, b], cayley_dual_rays([a.vertices]))
 
 
 def _random_parts(rng, dim, count, width=2):
@@ -420,7 +402,7 @@ def _random_parts(rng, dim, count, width=2):
 
 
 def _hulls(point_sets):
-    return [polytope_from_points(LatticeEmbedding.full(len(pts[0])), pts) for pts in point_sets]
+    return [hull_vertices(pts) for pts in point_sets]
 
 
 def _assert_matches_oracle(point_sets):
@@ -428,14 +410,14 @@ def _assert_matches_oracle(point_sets):
     parts = _hulls(point_sets)
     # each part's vertices, read off the rays, against the oracle hull
     assert [part_vertices(pts, rays, i) for i, pts in enumerate(point_sets)] == [
-        p.vertices for p in parts
+        p for p in parts
     ]
     total = sum_from_cayley_rays(parts, rays)
     expected = pairwise_minkowski_sum(parts)
-    assert total.vertices == expected.vertices
+    assert total == expected
     # the facets the Cayley cone gives, against an enumeration of the
     # oracle's vertices
-    assert sum_facets(len(parts), rays) == facet_enumeration(expected.vertices)
+    assert sum_facets(len(parts), rays) == facet_enumeration(expected)
 
 
 class TestMinkowskiCayley:
@@ -452,8 +434,8 @@ class TestMinkowskiCayley:
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_product_projective_parts(self, n):
-        pair, _ = normalize_cone(*product_projective_lattice(n, 3))
-        _assert_matches_oracle([p.vertices for p in pair.parts.parts])
+        pair, _ = normalize_cone(*product_projective_cone(n, 3))
+        _assert_matches_oracle([p for p in pair.parts.parts])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_lower_dimensional_sum_raises(self, seed):

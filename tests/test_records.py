@@ -2,23 +2,26 @@
 
 import pytest
 
-from doublemirror.bridge import bridge_skeleton, enumerate_decompositions, random_coefficients
+from doublemirror.bridge import (
+    Decomposition,
+    bridge_skeleton,
+    enumerate_decompositions,
+    random_coefficients,
+)
 from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone
 from doublemirror.instances import CoefficientSpec
-from doublemirror.intmat import IntMatrix
 from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import RATIONAL, LaurentPoly
-from doublemirror.polytope import Polytope
 from doublemirror.records import replace
-from oracles import polytope_from_points, validate_nef_partition
+from oracles import hull_vertices, validate_nef_partition
 
 Z2 = LatticeEmbedding.full(2)
 SQUARE = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def two_segment_bridge(domain):
-    parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
+    parts = [hull_vertices(pts) for pts in two_segment_parts()]
     pair = build_cone(validate_nef_partition(parts))
     decs = enumerate_decompositions(pair)
     return bridge_skeleton(pair, decs[0], decs[0]).instantiate(random_coefficients(pair, domain, 3))
@@ -28,8 +31,8 @@ class TestImmutability:
     @pytest.mark.parametrize(
         "obj,name",
         [
-            (IntMatrix(((1, 2),)), "data"),
-            (Polytope(Z2, SQUARE), "vertices"),
+            (validate_nef_partition([SQUARE]), "parts"),
+            (Decomposition(((0, 0),), ((0,),)), "blocks"),
             (LaurentPoly.from_dict(2, {}, RATIONAL), "_table"),
             (LaurentPoly.from_dict(2, {}, RATIONAL), "terms"),
             (Z2, "rank"),
@@ -45,7 +48,7 @@ class TestImmutability:
 
     def test_new_attributes_are_refused(self):
         with pytest.raises(AttributeError):
-            IntMatrix(((1,),)).extra = 1
+            Decomposition(((0, 0),), ((0,),)).extra = 1
 
 
 class TestConstruction:
@@ -56,29 +59,21 @@ class TestConstruction:
         assert poly._table is None and poly == LaurentPoly(1, (), 7)
 
     def test_default_factory_gives_each_record_its_own_value(self):
-        parts = [polytope_from_points(Z2, pts) for pts in two_segment_parts()]
+        parts = [hull_vertices(pts) for pts in two_segment_parts()]
         a = build_cone(validate_nef_partition(parts))
         b = replace(a)
         assert a == b and a._cache is b._cache  # replace copies init fields
         assert build_cone(validate_nef_partition(parts))._cache is not a._cache
 
-    def test_post_init_normalizes_and_rejects_ragged_rows(self):
-        assert IntMatrix([[True, 2.0]]).data == ((1, 2),)
-        assert replace(IntMatrix(((1, 2),)), data=[[3, 4]]).data == ((3, 4),)
-        with pytest.raises(ValueError, match="ragged"):
-            IntMatrix(((1, 2), (3,)))
-        with pytest.raises(ValueError, match="ragged"):
-            replace(IntMatrix(((1, 2),)), data=((1,), (2, 3)))
-
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: IntMatrix(),
-            lambda: IntMatrix(((1,),), ((2,),)),
-            lambda: IntMatrix(((1,),), data=((2,),)),
-            lambda: IntMatrix(((1,),), rows=1),
+            lambda: Decomposition(),
+            lambda: Decomposition((), (), ()),
+            lambda: Decomposition((), p=()),
+            lambda: Decomposition((), (), s=1),
             lambda: LaurentPoly(2, ()),
-            lambda: Polytope(Z2, SQUARE, facets=[]),
+            lambda: LatticeEmbedding(2, "full", None, 2, facets=[]),
         ],
     )
     def test_missing_or_unexpected_argument_raises_type_error(self, make):
@@ -107,9 +102,10 @@ class TestEqualityAndHash:
             hash(bridge)
 
     def test_repr_leaves_out_cache_fields(self):
-        text = repr(Polytope(Z2, ((0, 0),)))
-        assert text.startswith("Polytope(lattice=LatticeEmbedding(ambient_rank=2")
-        assert "vertices=((0, 0),)" in text and "_solver" not in text
+        kernel = LatticeEmbedding.from_kernel(((1, 1),))
+        assert kernel.to_coords((2, -2)) == (2,) and kernel._solver is not None
+        text = repr(kernel)
+        assert text == "LatticeEmbedding(ambient_rank=2, kind='kernel', basis=((1, -1),), rank=1)"
         poly = LaurentPoly.from_dict(1, {(1,): 1}, 7)
         poly.evaluate((2,))
         assert poly._table is not None and "_table" not in repr(poly)
@@ -127,5 +123,5 @@ class TestReplace:
     def test_replace_keeps_other_fields(self):
         dual = Z2.dual()
         assert (dual.kind, dual.rank) == ("full", 2) and dual == Z2
-        q = LatticeEmbedding.from_kernel(IntMatrix(((1, 1, 1),)))
+        q = LatticeEmbedding.from_kernel(((1, 1, 1),))
         assert q.dual().kind == "quotient" and q.dual().basis == q.basis
