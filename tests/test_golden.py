@@ -36,6 +36,9 @@ a fix of the two-block bridge regenerates that one report on purpose.
 ``bridge-digests.json`` holds the SHA-256 of the ``bridge`` report of every
 (1, j) pair of p5-222 and pp33-dual and of (2, j) for j = 3...12, the
 renormalizing path.  Regenerate it with ``bridge_digests`` below.
+``rank-zero.json`` is the two-part partition {0, 1}, {0, -1} of Z^1: its
+(1, 2) bridge has torus rank 0, so ``verify-rank-zero.json`` pins the
+warning that the determinantal locus is empty.
 """
 
 import hashlib
@@ -128,6 +131,8 @@ NAMED_CASES = [
     ("bridge-pp33-p10007-values", ["bridge", "pp33-p10007-values.json"]),
     ("verify-pp33-p10007-values", ["verify", "pp33-p10007-values.json", "--samples", "20"]),
     ("pipeline-pp33-p10007-values", ["pipeline", "pp33-p10007-values.json", "--samples", "20"]),
+    # torus rank 0: the determinants are constants, and D is empty
+    ("verify-rank-zero", ["verify", "rank-zero.json", "--pair", "1", "2", "--samples", "5"]),
 ]
 
 
