@@ -319,6 +319,20 @@ class TestDeterminism:
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
 
+    def test_pretty_report_is_the_compact_one_indented(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(Path(__file__).parent / "golden")
+        texts = []
+        for flags in ([], ["--pretty"]):
+            out_path = tmp_path / f"report{len(flags)}.json"
+            assert main(["pipeline", "pp33.json", *flags, "--output", str(out_path)]) == 0
+            texts.append(out_path.read_bytes().decode("utf-8"))
+        compact, pretty = texts
+        report = json.loads(compact)
+        assert json.loads(pretty) == report
+        assert pretty == json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert pretty.startswith('{\n  "args": {\n    "')
+        assert "\r" not in pretty and pretty.endswith("}\n") and not pretty.endswith("\n\n")
+
 
 def explicit_two_segment(tmp_path, field):
     """The two-segment example with one explicit value per slice point."""
@@ -616,7 +630,55 @@ class TestFlagValidation:
         assert len(err.splitlines()) == 1 and "cannot certify" in err
 
 
+FULL2 = '{"lattice":{"ambient_rank":2,"kind":"full"},'
+# (id, argv, the text of in.json or None for no file, the one stderr line after "error: ")
+INPUT_ERROR_LINES = [
+    ("truncated JSON", ["nefdual", "in.json"], "{",
+     "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
+    ("top-level list", ["nefdual", "in.json"], "[]", "instance file must be a JSON object"),
+    ("lattice not an object", ["nefdual", "in.json"], '{"lattice":5,"nef_partition":[[[0,0]]]}',
+     "'lattice' must be an object"),
+    ("empty part", ["nefdual", "in.json"], FULL2 + '"nef_partition":[[]]}',
+     "part 1 must be a non-empty vertex list"),
+    ("cone without generators", ["cone", "in.json"], FULL2 + '"cone":{}}',
+     "'cone' must be an object with a 'generators' list"),
+    ("boolean coordinate", ["nefdual", "in.json"], FULL2 + '"nef_partition":[[[true,0]]]}',
+     "part 1 vertex: expected an integer, got a boolean"),
+    ("coefficient key", ["bridge", "in.json"],
+     FULL2 + '"nef_partition":[[[0,0]]],"coefficients":{"values":{"a,b":1}}}',
+     "coefficient key 'a,b' is not comma-separated integers"),
+    ("coefficient 1/0", ["bridge", "in.json"],
+     FULL2 + '"nef_partition":[[[0,0]]],"coefficients":{"values":{"0,0":"1/0"}}}',
+     "coefficient 0,0: '1/0' is not an exact rational"),
+    ("coefficient list", ["bridge", "in.json"],
+     FULL2 + '"nef_partition":[[[0,0]]],"coefficients":{"values":{"0,0":[1]}}}',
+     "coefficient 0,0: expected an integer or 'num/den' string"),
+    ("generators off height one", ["cone", "in.json"],
+     FULL2 + '"cone":{"generators":[[1,0],[0,1],[1,2]]}}',
+     "generators do not lie on an integral height-one hyperplane"),
+    ("deg_dual off height one", ["cone", "in.json"],
+     FULL2 + '"cone":{"generators":[[1,0],[1,1]],"deg_dual":[2,0]}}',
+     "supplied deg_dual does not support the generators at height one"),
+    ("missing file", ["cone", "missing.json"], None,
+     "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'"),
+    ("example without --n and --t", ["example", "product-projective"], None,
+     "product-projective requires --n and --t"),
+    ("unknown example", ["example", "nope"], None, "unknown example 'nope'"),
+]
+
+
 class TestNoTraceback:
+    @pytest.mark.parametrize("argv,text,line", [c[1:] for c in INPUT_ERROR_LINES],
+                             ids=[c[0] for c in INPUT_ERROR_LINES])
+    def test_input_error_line(self, argv, text, line, tmp_path, monkeypatch, capsys):
+        # every input error is one InputError, so its message is what tells it apart
+        monkeypatch.chdir(tmp_path)
+        if text is not None:
+            (tmp_path / "in.json").write_text(text, encoding="utf-8")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {line}\n"
+
     def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "nested.json"
         path.write_text("[" * 100000, encoding="utf-8")
