@@ -24,11 +24,7 @@ from itertools import combinations
 from math import prod
 
 from .cones import GorensteinConePair, in_dual_cone, renormalize
-from .errors import (
-    DecompositionError,
-    DegenerateCoefficientsError,
-    InternalError,
-)
+from .errors import InputError, InternalError
 from .intmat import (
     RowSolver,
     adjugate,
@@ -95,7 +91,7 @@ def block_partition(p_vectors):
             if not any(map(sum, zip(p_vectors[i], *(p_vectors[j] for j in others)))):
                 break
         else:
-            raise DecompositionError("p vectors do not sum to zero")
+            raise InputError("p vectors do not sum to zero")
         blocks.append((i,) + others)
         remaining = [j for j in rest if j not in others]
     return tuple(blocks)
@@ -196,12 +192,8 @@ class BridgeSkeleton:
 
     pair: GorensteinConePair  # renormalized so dec_e is the reference
     dec_etilde: Decomposition  # q, with the reference decomposition trivial
-    n_prime_basis: tuple  # rows
     sat_index: int
-    w_vectors: dict  # (block, position >= 1) -> Mbar' vector
-    u_vectors: dict  # (block, position >= 0) -> Mbar' vector
     ann_basis: tuple  # rows: basis of {m : <m, q_i> = 0}, in M coords
-    slice_supports: dict  # (i, j) -> slice points of g_ij
     gt_supports: tuple  # per slot j: slice points of g~_j
     entries: dict  # (block, row, column) -> {slice point: Ann(e, e~) exponent} of the entry
     identity_results: dict  # support partitions and matrix identities, by report key
@@ -245,7 +237,7 @@ class BridgeSkeleton:
         diag_witness = []
         for k, det in enumerate(determinants):
             if det.is_zero():
-                raise DegenerateCoefficientsError(
+                raise InputError(
                     f"det A_{k + 1} vanished for these coefficients; resample advised"
                 )
             diag_witness.append(dict(det.terms).get(self.diag_exps[k], 0) != 0)
@@ -284,7 +276,7 @@ class BridgeData:
     equations_etilde: tuple
     warnings: tuple
     diag_witness: tuple  # per block: diagonal monomial coefficient nonzero?
-    # not an init field, so a bridge made by ``records.replace`` compiles its own
+    # not an init field, so a copy made from the init fields compiles its own
     _tables: tuple = field(default=None, init=False, compare=False)
 
     @property
@@ -462,12 +454,8 @@ def bridge_skeleton(
     return BridgeSkeleton(
         pair=pair2,
         dec_etilde=dec_et2,
-        n_prime_basis=n_prime_basis,
         sat_index=sat_index,
-        w_vectors=w_vectors,
-        u_vectors=u_vectors,
         ann_basis=ann_basis,
-        slice_supports=slice_supports,
         gt_supports=gt_supports,
         entries=entries,
         identity_results=identity_results,

@@ -51,10 +51,7 @@ def _pair_from_instance(instance: Instance):
             info["shift"] = note
         return pair, info
     pair, norm = normalize_cone(
-        instance.lattice.rank,
-        instance.cone_generators,
-        instance.cone_deg,
-        instance.cone_deg_dual,
+        instance.rank, instance.cone_generators, instance.cone_deg, instance.cone_deg_dual
     )
     info = {"input_mode": "cone"}
     info.update(norm)

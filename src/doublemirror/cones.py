@@ -30,12 +30,7 @@ rays, mapped to the split frame, are the dual Cayley rays of the new parts.
 from __future__ import annotations
 
 from .dd import extreme_rays
-from .errors import (
-    DecompositionError,
-    InputError,
-    InternalError,
-    NotGorensteinError,
-)
+from .errors import InputError, InternalError
 from .intmat import (
     RowSolver,
     dot,
@@ -185,16 +180,16 @@ def renormalize(pair: GorensteinConePair, e_tilde) -> GorensteinConePair:
     s, d = pair.s, pair.d
     e_tilde = [tuple(int(x) for x in e) for e in e_tilde]
     if len(e_tilde) != s:
-        raise DecompositionError(f"expected {s} summands, got {len(e_tilde)}")
+        raise InputError(f"expected {s} summands, got {len(e_tilde)}")
     total = (0,) * len(pair.deg_dual)
     for idx, e in enumerate(e_tilde):
         if all(x == 0 for x in e):
-            raise DecompositionError(f"summand {idx + 1} is zero")
+            raise InputError(f"summand {idx + 1} is zero")
         if not in_dual_cone(pair, e):
-            raise DecompositionError(f"summand {idx + 1} is not in the dual cone")
+            raise InputError(f"summand {idx + 1} is not in the dual cone")
         total = vadd(total, e)
     if total != pair.deg_dual:
-        raise DecompositionError("summands do not add up to deg_dual")
+        raise InputError("summands do not add up to deg_dual")
 
     # no face is empty: a summand is >= 0 on the vertices of S, which span K,
     # and the summands add up to 1 there, so a summand that is 1 on none of
@@ -244,11 +239,11 @@ def normalize_cone(rank, generators, deg=None, deg_dual=None):
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if len(independent_rows(gens, rank)) != rank:
-        raise NotGorensteinError("cone is not full-dimensional")
+        raise InputError("cone is not full-dimensional")
 
     computed_deg_dual = _height_one_functional(gens)
     if computed_deg_dual is None:
-        raise NotGorensteinError("generators do not lie on an integral height-one hyperplane")
+        raise InputError("generators do not lie on an integral height-one hyperplane")
     if deg_dual is not None and tuple(deg_dual) != computed_deg_dual:
         raise InputError("supplied deg_dual does not support the generators at height one")
     deg_dual = computed_deg_dual
@@ -256,7 +251,7 @@ def normalize_cone(rank, generators, deg=None, deg_dual=None):
     rays = extreme_rays(gens)
     computed_deg = _height_one_functional(rays)
     if computed_deg is None:
-        raise NotGorensteinError("dual cone is not Gorenstein (no integral degree element)")
+        raise InputError("dual cone is not Gorenstein (no integral degree element)")
     if deg is not None and tuple(deg) != computed_deg:
         raise InputError("supplied deg does not support the dual rays at height one")
     deg = computed_deg
@@ -272,7 +267,7 @@ def normalize_cone(rank, generators, deg=None, deg_dual=None):
     t_points = lattice_points(rays, _slice_inequalities(gens, deg))
     reference = next(point_tuples([t_points] * s, deg_dual), None)
     if reference is None:
-        raise NotGorensteinError("deg_dual admits no decomposition into dual slice points")
+        raise InputError("deg_dual admits no decomposition into dual slice points")
 
     # At a vertex v of S the pairings <v, e_i> are integers >= 0 (e_i lies
     # in T, in K-dual) adding up to <v, deg_dual> = 1.  A summand 1 at no vertex would be 0 on all of them,
@@ -288,7 +283,7 @@ def normalize_cone(rank, generators, deg=None, deg_dual=None):
         point_groups = [[v for v in s_points if dot(v, e) == 1] for e in reference]
         section = next(point_tuples(point_groups, deg), None)
     if section is None:
-        raise NotGorensteinError(
+        raise InputError(
             "no lattice section of deg: the cone is not of nef-partition type "
             "for the reference decomposition"
         )

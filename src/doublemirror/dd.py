@@ -8,27 +8,23 @@ test runs on active-constraint bitsets.
 
 from __future__ import annotations
 
-from .errors import InternalError, RankDeficiencyError
+from .errors import InputError, InternalError
 from .intmat import adjugate, independent_rows, matmul, vprimitive
-
-
-class NotPointedError(RankDeficiencyError):
-    """The constraint rows do not have full column rank."""
 
 
 def extreme_rays(constraints):
     """Extreme rays of the pointed cone ``{x : <c, x> >= 0 for all c}``.
 
     Returns primitive integer rays, lexicographically sorted.  Raises
-    ``NotPointedError`` when the constraints do not force pointedness.
+    ``InputError`` when the constraints do not force pointedness.
     """
     constraints = [tuple(int(x) for x in c) for c in constraints]
     if not constraints:
-        raise NotPointedError("no constraints")
+        raise InputError("no constraints")
     n = len(constraints[0])
     chosen = independent_rows(constraints, n)
     if len(chosen) < n:
-        raise NotPointedError("constraint matrix is rank deficient; cone contains a line")
+        raise InputError("constraint matrix is rank deficient; cone contains a line")
     order = chosen + [i for i in range(len(constraints)) if i not in set(chosen)]
     ordered = [constraints[i] for i in order]
 

@@ -39,8 +39,7 @@ except ImportError:
 
 from .canned import product_projective, square_part, two_segment_parts
 from .errors import InputError, SumNotReflexiveError
-from .intmat import RowSolver, dot, transpose
-from .lattices import LatticeEmbedding
+from .intmat import RowSolver, dot, kernel_basis, transpose
 from .laurent import MASK64, RATIONAL
 from .nefpart import reject_zero_parts, validate_nef_partition
 from .polytope import cayley_dual_rays, part_lattice_points, part_vertices, point_tuples
@@ -129,7 +128,7 @@ class CoefficientSpec:
 
 @record
 class Instance:
-    lattice: LatticeEmbedding
+    rank: int  # of the presented lattice
     kind: str  # "nef_partition" | "cone"
     parts: tuple | None  # vertex lists in lattice coordinates
     cone_generators: tuple | None
@@ -137,7 +136,6 @@ class Instance:
     cone_deg_dual: tuple | None
     coefficients: CoefficientSpec | None
     canonical: dict  # the loaded JSON; ``dumps`` sorts its keys
-    shift_note: str | None = None
 
     def digest(self) -> str:
         return sha256(dumps(self.canonical).encode("utf-8")).hexdigest()
@@ -163,8 +161,8 @@ def parse_instance(data) -> Instance:
     _check_keys(data, ("lattice", kind, "coefficients"), "the instance")
 
     # Every payload vector is read and its length checked before the lattice
-    # is built: a full lattice of ambient rank n holds n x n matrices, which
-    # a one-line payload must not make this process allocate.
+    # is built: the coordinate maps take the ambient length as given, and a
+    # payload of the wrong length costs no Hermite form.
     def ambient(value, context):
         vec = _as_vector(value, context)
         if len(vec) != rank:
@@ -197,19 +195,19 @@ def parse_instance(data) -> Instance:
         if "deg_dual" in cone:
             deg_dual = ambient(cone["deg_dual"], "deg_dual")
 
-    lattice = _parse_lattice(lattice_spec, rank)
+    lattice_rank, coords, dual_coords = _parse_lattice(lattice_spec, rank)
     if parts is not None:
-        parts = tuple(tuple(lattice.to_coords(v) for v in vl) for vl in parts)
+        parts = tuple(tuple(map(coords, vl)) for vl in parts)
     if generators is not None:
-        generators = tuple(lattice.to_coords(g) for g in generators)
+        generators = tuple(map(coords, generators))
     if deg is not None:
-        deg = lattice.to_coords(deg)
+        deg = coords(deg)
     if deg_dual is not None:
-        deg_dual = lattice.dual().to_coords(deg_dual)
+        deg_dual = dual_coords(deg_dual)
 
     coefficients = _parse_coefficients(data.get("coefficients"))
     return Instance(
-        lattice=lattice,
+        rank=lattice_rank,
         kind=kind,
         parts=parts,
         cone_generators=generators,
@@ -220,11 +218,24 @@ def parse_instance(data) -> Instance:
     )
 
 
-def _parse_lattice(spec, rank) -> LatticeEmbedding:
+def _parse_lattice(spec, rank):
+    """The presented lattice's rank, and the maps from ambient vectors to
+    basis coordinates of the lattice and of its dual.
+
+    A ``full`` lattice is Z^n in the ambient coordinates and holds no matrix.
+    A ``kernel`` lattice is the saturated integer kernel of its equations,
+    with the basis B = ``kernel_basis``; a vector's coordinates solve
+    z . B = v.  A ``quotient`` lattice is Z^n modulo the saturation of its
+    relation rows, and the class [a] gets the coordinates B . a, with B the
+    kernel basis of the same rows, which kills exactly that saturation.  A
+    kernel lattice and the quotient by the same rows are dual, and these
+    coordinates make the pairing the standard dot product, so the dual of
+    either presentation swaps the two maps.
+    """
     kind = spec.get("kind", "full")
     if kind == "full":
         _check_keys(spec, ("ambient_rank", "kind"), "a 'full' lattice")
-        lattice = LatticeEmbedding.full(rank)
+        basis = None
     elif kind in ("kernel", "quotient"):
         key, noun = ("equations", "equation") if kind == "kernel" else ("relations", "relation")
         _check_keys(spec, ("ambient_rank", "kind", key), f"a {kind!r} lattice")
@@ -235,13 +246,28 @@ def _parse_lattice(spec, rank) -> LatticeEmbedding:
         # every row, not only the first: no later step checks a row's length
         if any(len(r) != rank for r in rows):
             raise InputError(f"{noun} rows must have length ambient_rank")
-        build = LatticeEmbedding.from_kernel if kind == "kernel" else LatticeEmbedding.from_quotient
-        lattice = build(rows)
+        basis = kernel_basis(rows)
     else:
         raise InputError(f"unknown lattice kind {kind!r}")
-    if lattice.rank < 1:
-        raise InputError(f"the {kind} lattice has rank {lattice.rank}; a positive rank is required")
-    return lattice
+    lattice_rank = rank if basis is None else len(basis)
+    if lattice_rank < 1:
+        raise InputError(f"the {kind} lattice has rank {lattice_rank}; a positive rank is required")
+    if basis is None:
+        return rank, tuple, tuple
+    solver = RowSolver(basis)
+
+    def solve(vector):
+        coords = solver.solve(vector)
+        if coords is None:
+            raise InputError("vector does not lie in the kernel lattice")
+        return coords
+
+    def times_basis(vector):
+        return tuple(dot(row, vector) for row in basis)
+
+    if kind == "quotient":
+        return lattice_rank, times_basis, solve
+    return lattice_rank, solve, times_basis
 
 
 def _parse_coefficients(spec) -> CoefficientSpec | None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DegeneratePartError, InternalError, OriginMissingError, SumNotReflexiveError
+from .errors import InputError, InternalError, SumNotReflexiveError
 from .intmat import independent_rows
 from .polytope import sum_facets
 from .records import field, record
@@ -43,16 +43,18 @@ class NefPartition:
 
 
 def reject_zero_parts(point_sets):
-    """Raise ``DegeneratePartError`` at the first part whose points are all 0."""
+    """Raise ``InputError`` at the first part whose points are all 0."""
     for idx, points in enumerate(point_sets):
         if not any(map(any, points)):
-            raise DegeneratePartError(
+            raise InputError(
                 f"part {idx + 1} is the single point 0, giving a zero degree summand"
             )
 
 
 def validate_nef_partition(parts, rays) -> NefPartition:
-    """Check the nef-partition invariants, raising a distinct error per kind.
+    """Check the nef-partition invariants.  A sum that is not reflexive raises
+    ``SumNotReflexiveError`` carrying the sum's facets, and every other
+    failure an ``InputError``.
 
     ``rays`` are the rays of the dual Cayley cone of the parts: the caller's
     ``cayley_dual_rays``, or those of another frame of the same cone, mapped.
@@ -66,7 +68,7 @@ def validate_nef_partition(parts, rays) -> NefPartition:
     of its dual is integral; as gcd(w, b) = 1, b divides w only when b = 1.
     """
     if not parts:
-        raise OriginMissingError("empty partition")
+        raise InputError("empty partition")
     reject_zero_parts(parts)
     # (delta_i ; 0) lies in K exactly when 0 lies in P_i: a non-negative
     # combination of slot points with slot part delta_i takes weights only on
@@ -74,7 +76,7 @@ def validate_nef_partition(parts, rays) -> NefPartition:
     # holds the origin exactly when every ray (a ; w) has a_i >= 0
     for idx in range(len(parts)):
         if any(ray[idx] < 0 for ray in rays):
-            raise OriginMissingError(f"part {idx + 1} does not contain the origin")
+            raise InputError(f"part {idx + 1} does not contain the origin")
     facets = sum_facets(len(parts), rays)
     for w, b in facets:
         if b != 1:
@@ -82,7 +84,6 @@ def validate_nef_partition(parts, rays) -> NefPartition:
                 "Minkowski sum of the parts is not reflexive: its facet "
                 f"<x, ({','.join(map(str, w))})> >= {-b} has offset {b}, not 1",
                 facets,
-                rays,
             )
     return NefPartition(tuple(parts), tuple(rays))
 

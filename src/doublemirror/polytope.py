@@ -22,7 +22,7 @@ from __future__ import annotations
 from operator import sub
 
 from .dd import extreme_rays
-from .errors import InternalError, SumNotFullDimensionalError
+from .errors import InputError, InternalError
 from .intmat import dot, independent_rows, vprimitive
 
 
@@ -140,16 +140,14 @@ def cayley_dual_rays(point_sets):
     ... + P_s), P_i the hull of the i-th set: one double description, which
     gives the parts' vertices, the sum and a nef-partition's dual parts.  A
     point that is no vertex of its P_i only adds a redundant generator.
-    Raises ``SumNotFullDimensionalError`` for a lower-dimensional sum.
+    Raises ``InputError`` for a lower-dimensional sum.
     """
     s, d = len(point_sets), len(point_sets[0][0])
     gens = [tuple(int(k == i) for k in range(s)) + tuple(x)
             for i, points in enumerate(point_sets) for x in points]
     rank = len(independent_rows(gens, s + d))
     if rank < s + d:
-        raise SumNotFullDimensionalError(
-            f"Minkowski sum has dimension {rank - s} < {d}", affine_dim=rank - s
-        )
+        raise InputError(f"Minkowski sum has dimension {rank - s} < {d}")
     return extreme_rays(gens)
 
 

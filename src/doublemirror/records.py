@@ -54,12 +54,5 @@ def record(cls):
     cls.__init__, cls.__eq__, cls.__repr__ = __init__, __eq__, __repr__
     cls.__hash__ = lambda self: hash(key(self))
     cls.__setattr__ = cls.__delattr__ = refuse
-    cls._init_fields = names
     return cls
 
-
-def replace(obj, **changes):
-    """A copy of ``obj`` with ``changes``; fields outside ``__init__`` start afresh."""
-    for name in obj._init_fields:
-        changes.setdefault(name, getattr(obj, name))
-    return type(obj)(**changes)

@@ -7,12 +7,17 @@ from fractions import Fraction
 from math import ceil, floor, gcd, lcm
 from pathlib import Path
 
-from doublemirror.bridge import make_decomposition
+from doublemirror.bridge import (
+    _slice_supports,
+    bridge_vectors,
+    make_decomposition,
+    skeleton_lattices,
+)
 from doublemirror.canned import product_projective
 from doublemirror.dd import extreme_rays
-from doublemirror.errors import InputError, InternalError, LowerDimensionalError
+from doublemirror.errors import InputError, InternalError
 from doublemirror.evidence import _log_jacobian
-from doublemirror.instances import loads, parse_instance
+from doublemirror.instances import example_instance, loads, parse_instance
 from doublemirror.intmat import (
     adjugate,
     dot,
@@ -26,10 +31,10 @@ from doublemirror.intmat import (
     vneg,
     vprimitive,
 )
-from doublemirror.lattices import LatticeEmbedding
 from doublemirror.laurent import LaurentPoly, TermTable
 from doublemirror.nefpart import validate_nef_partition as _validate_with_rays
 from doublemirror.polytope import cayley_dual_rays, sum_from_cayley_rays
+from doublemirror.records import field
 
 
 def _exact(x):
@@ -168,20 +173,17 @@ def lattice_enclosure(vertices):
     return list(itertools.product(*box))
 
 
-def product_projective_lattice(n: int, t: int):
-    """The (n, t) example's lattice embedding, as the parser builds it."""
-    return LatticeEmbedding.from_kernel(tuple(product_projective(n, t)["equations"]))
+def product_projective_basis(n: int, t: int):
+    """The rows B of the (n, t) example's kernel lattice, as the parser reads
+    them: a vector with basis coordinates z is z . B in the ambient Z^(nt)."""
+    return kernel_basis(tuple(product_projective(n, t)["equations"]))
 
 
 def product_projective_cone(n: int, t: int):
     """The (n, t) example's cone data in basis coordinates, as ``normalize_cone``
     takes it: ``(rank, generators, deg, deg_dual)``."""
-    data = product_projective(n, t)
-    lattice = product_projective_lattice(n, t)
-    gens = [lattice.to_coords(g) for g in data["generators"]]
-    deg = lattice.to_coords(data["deg"])
-    deg_dual = lattice.dual().to_coords(data["deg_dual"])
-    return lattice.rank, sorted(gens), deg, deg_dual
+    inst = parse_instance(example_instance("product-projective", n, t))
+    return inst.rank, sorted(inst.cone_generators), inst.cone_deg, inst.cone_deg_dual
 
 
 def cone_inputs():
@@ -192,7 +194,7 @@ def cone_inputs():
     for name in ("pp33", "pp53"):
         path = Path(__file__).parent / "golden" / f"{name}.json"
         inst = parse_instance(loads(path.read_text(encoding="utf-8")))
-        inputs.append((f"golden-{name}", inst.lattice.rank, inst.cone_generators,
+        inputs.append((f"golden-{name}", inst.rank, inst.cone_generators,
                        inst.cone_deg, inst.cone_deg_dual))
     for n in range(2, 6):
         for t in (2, 3):
@@ -511,17 +513,14 @@ def pairwise_minkowski_sum(polys):
 def facet_enumeration(vertices):
     """Irredundant facets of a full-dimensional vertex set.
 
-    Raises ``LowerDimensionalError`` (carrying the affine hull dimension)
-    when the points do not span the ambient space.
+    Raises ``InputError`` when the points do not span the ambient space.
     """
     pts = [tuple(Fraction(x) for x in p) for p in vertices]
     if not pts:
         raise InputError("empty vertex set")
     _, w = affine_basis(pts)
     if len(w) < len(pts[0]):
-        raise LowerDimensionalError(
-            f"polytope has affine dimension {len(w)} < {len(pts[0])}", affine_dim=len(w)
-        )
+        raise InputError(f"polytope has affine dimension {len(w)} < {len(pts[0])}")
     return _facets_fulldim(pts)
 
 
@@ -612,10 +611,19 @@ def laurent_shift(f, exp):
     )
 
 
+def skeleton_vectors(skeleton):
+    """``(n_prime_basis, w_vectors, u_vectors, slice_supports)`` of a skeleton,
+    read again as ``bridge_skeleton`` reads them from its pair and q."""
+    pair, dec = skeleton.pair, skeleton.dec_etilde
+    basis, _, row_of, *_ = skeleton_lattices(dec, pair.d)
+    w_vectors, u_vectors, _ = bridge_vectors(dec, row_of, pair.s, pair.d)
+    return basis, w_vectors, u_vectors, _slice_supports(pair, dec.p)[0]
+
+
 def to_mbar_prime(skeleton, f):
     """A polynomial in Ann(e, e~) exponents, read over the skeleton's Mbar'
     coordinates (a ; m . B^T): an exponent a is the point (0 ; a . Ann)."""
-    s, ann, basis = skeleton.pair.s, skeleton.ann_basis, skeleton.n_prime_basis
+    s, ann, basis = skeleton.pair.s, skeleton.ann_basis, skeleton_vectors(skeleton)[0]
     terms = {}
     for exp, c in f.terms:
         m = [sum(a * row[col] for a, row in zip(exp, ann)) for col in range(skeleton.pair.d)]
@@ -626,7 +634,7 @@ def to_mbar_prime(skeleton, f):
 def slice_polynomial(bridge, points):
     """The bridge's coefficients on slice points, in Mbar' exponents."""
     skeleton, pair = bridge.skeleton, bridge.pair
-    basis = skeleton.n_prime_basis
+    basis = skeleton_vectors(skeleton)[0]
     terms = {
         tuple(v[: pair.s]) + tuple(dot(v[pair.s :], b) for b in basis):
             bridge.coeffs.value(pair.point_to_root(v))
@@ -648,12 +656,13 @@ def bridge_identity_results(bridge):
         for e in skeleton.dec_etilde.e_tilde()
     ]
     zero = LaurentPoly.from_dict(pair.s + pair.d, {}, bridge.coeffs.domain)
+    _, w_vectors, u_vectors, _ = skeleton_vectors(skeleton)
     results = {}
     for k, block in enumerate(skeleton.blocks):
         mat = [[to_mbar_prime(skeleton, f) for f in row] for row in bridge.matrices[k]]
-        u = [skeleton.u_vectors[(k, pos)] for pos in range(len(block))]
+        u = [u_vectors[(k, pos)] for pos in range(len(block))]
         w = [(0,) * (pair.s + pair.d)]
-        w += [skeleton.w_vectors[(k, pos)] for pos in range(1, len(block))]
+        w += [w_vectors[(k, pos)] for pos in range(1, len(block))]
         for pos, slot in enumerate(block):
             row = col = zero
             for other in range(len(block)):
@@ -773,3 +782,14 @@ def poly_powmod(base, e, f, p):
         if bit == "1":
             result = poly_mulmod(result, base, f, p)
     return result
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with ``changes``; fields outside
+    ``__init__`` start afresh."""
+    cls = type(obj)
+    for name in cls.__annotations__:
+        spec = vars(cls).get(name)
+        if not (isinstance(spec, field) and not spec.init):
+            changes.setdefault(name, getattr(obj, name))
+    return cls(**changes)

@@ -44,8 +44,9 @@ from oracles import (
     max_minor_gcd,
     mul_vec,
     pairwise_minkowski_sum,
+    product_projective_basis,
     product_projective_cone,
-    product_projective_lattice,
+    replace,
     validate_nef_partition,
     verify_reflexive_gorenstein,
 )
@@ -64,7 +65,7 @@ def pp53():
     rank, gens, deg, deg_dual = product_projective_cone(5, 3)
     pair, info = normalize_cone(rank, gens, deg, deg_dual)
     decs = enumerate_decompositions(pair)
-    return product_projective_lattice(5, 3), pair, info, decs
+    return product_projective_basis(5, 3), pair, info, decs
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +83,11 @@ def corpus():
 
 def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
     started = time.monotonic()
-    lattice, pair, info, decs = pp53
+    basis, pair, info, decs = pp53
 
     instance = example_instance("product-projective", 5, 3)
     assert len(instance["cone"]["generators"]) == 125
-    assert lattice.rank == 13
+    assert len(basis) == 13
     assert info["generator_count"] == 125
     assert len(decs) == 3
 
@@ -151,7 +152,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
             ambients = []
             for m in pts:
                 root = bridge.pair.point_to_root(bridge.pair.slot_point(i, m))
-                amb = matmul((root,), lattice.basis)[0]
+                amb = matmul((root,), basis)[0]
                 supp = tuple(sorted(k for k, x in enumerate(amb) if x == 1))
                 assert len(supp) == 3 and all(x in (0, 1) for x in amb)
                 ambients.append(tuple(s % 5 for s in supp))
@@ -182,7 +183,7 @@ def test_criterion_1_structural_reproduction(pp53, tmp_path, capsys):
 
 def test_criterion_2_birationality_evidence(pp53, tmp_path):
     started = time.monotonic()
-    lattice, pair, info, decs = pp53
+    basis, pair, info, decs = pp53
     from doublemirror.evidence import birationality_evidence
 
     skeleton = bridge_skeleton(pair, decs[0], decs[1])
@@ -348,8 +349,6 @@ def test_criterion_6_lattice_algebra_oracles():
 
 
 def test_criterion_7_delta_regularity():
-    from doublemirror.records import replace
-
     prime = 10007
     rank, gens, deg, deg_dual = product_projective_cone(3, 3)
     pair, _ = normalize_cone(rank, gens, deg, deg_dual)

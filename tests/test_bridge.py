@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from doublemirror import bridge, cones, dd, intmat, lattices, nefpart, polytope
+from doublemirror import bridge, cones, dd, instances, intmat, nefpart, polytope
 from doublemirror.bridge import (
     Decomposition,
     block_partition,
@@ -54,6 +54,7 @@ from oracles import (
     projective_space_parts,
     rational_rank,
     saturation,
+    skeleton_vectors,
     slice_polynomial,
     to_mbar_prime,
     validate_nef_partition,
@@ -139,7 +140,7 @@ class TestBlockPartition:
 
         for name in calls:
             counted = counting(name, getattr(intmat, name))
-            for module in (bridge, cones, dd, intmat, lattices, nefpart, polytope):
+            for module in (bridge, cones, dd, instances, intmat, nefpart, polytope):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
         decs = enumerate_decompositions(pair)
@@ -455,8 +456,9 @@ class TestMLevelComplement:
         decs = enumerate_decompositions(pair)
         for dec in decs[1:]:
             skeleton = bridge_skeleton(pair, decs[0], dec)
-            basis, ann = skeleton.n_prime_basis, skeleton.ann_basis
-            w_mprime, ut_mprime = self.spanning_rows(skeleton.w_vectors, skeleton.u_vectors, pair.s)
+            basis, w_vectors, u_vectors, _ = skeleton_vectors(skeleton)
+            ann = skeleton.ann_basis
+            w_mprime, ut_mprime = self.spanning_rows(w_vectors, u_vectors, pair.s)
             det, adj = adjugate(ann + m_level_complement(w_mprime, basis)[1])
             negated = tuple(vscale(det, row[: len(ann)] + vneg(row[len(ann) :])) for row in adj)
             lt_coords, lt_rows = m_level_complement(ut_mprime, basis)
@@ -539,7 +541,7 @@ class TestBridge:
             assert bridge.torus_rank == 2
             assert [len(m) for m in bridge.matrices] == [3]
         # every slice has 3 lattice points
-        for (i, j), support in skeleton.slice_supports.items():
+        for (i, j), support in skeleton_vectors(skeleton)[3].items():
             assert len(support) == 3
 
     def test_pp33_nontrivial_pair(self, pp33):
@@ -617,7 +619,7 @@ class TestBridge:
         # intersection, which the exact check of its equations rejects: the
         # E side corrupts a y column, the E~ side an omega column
         from doublemirror.errors import InternalError
-        from doublemirror.records import replace
+        from oracles import replace
 
         pair, decs = pp33
         clean = bridge_skeleton(pair, decs[0], decs[1])
@@ -751,9 +753,9 @@ class TestBridge:
             bridge_skeleton(pair, decs[0], decs[1])
 
     def test_trivial_tuple_rejected_when_sum_nonzero(self):
-        from doublemirror.errors import DecompositionError
+        from doublemirror.errors import InputError
 
-        with pytest.raises(DecompositionError):
+        with pytest.raises(InputError, match=r"^p vectors do not sum to zero$"):
             make_decomposition([(1, 0), (0, 1)])
 
     def test_slice_polynomials_standalone(self, pp33):
@@ -765,21 +767,22 @@ class TestBridge:
         bridge = bridge_skeleton(pair, decs[0], decs[1]).instantiate(coeffs)
         skeleton, s = bridge.skeleton, pair.s
         (block,) = skeleton.blocks
+        _, w_vectors, u_vectors, slice_supports = skeleton_vectors(skeleton)
         assert sorted(block) == list(range(s))
 
         def g(i, j):
             # entry (i, j) of A_1 is X^{-u_i - w_j} g_ij, w_0 = 0
             pos_i, pos_j = block.index(i), block.index(j)
-            shift = skeleton.u_vectors[(0, pos_i)]
+            shift = u_vectors[(0, pos_i)]
             if pos_j >= 1:
-                shift = vadd(shift, skeleton.w_vectors[(0, pos_j)])
+                shift = vadd(shift, w_vectors[(0, pos_j)])
             return laurent_shift(to_mbar_prime(skeleton, bridge.matrices[0][pos_i][pos_j]), shift)
 
         for i, slot_points in enumerate(skeleton.pair.slice_points()):
             total = g(i, 0)
-            assert total == slice_polynomial(bridge, skeleton.slice_supports[(i, 0)])
+            assert total == slice_polynomial(bridge, slice_supports[(i, 0)])
             for j in range(1, s):
-                assert g(i, j) == slice_polynomial(bridge, skeleton.slice_supports[(i, j)])
+                assert g(i, j) == slice_polynomial(bridge, slice_supports[(i, j)])
                 total = laurent_add(total, g(i, j))
             assert total == slice_polynomial(bridge, slot_points)
 

@@ -108,19 +108,19 @@ class TestParsing:
         assert inst.parts[0] == ((-9223372036854775809,), (9223372036854775809,))
 
     def test_payload_checked_before_the_lattice_is_built(self, tmp_path, capsys, monkeypatch):
-        # a full lattice of ambient rank n holds an n x n identity; a payload
-        # of the wrong length must be rejected before any is built
-        built = []
+        # a kernel lattice costs a Hermite form of its equations, which grows
+        # with the ambient rank; a payload of the wrong length must be
+        # rejected before it is computed
+        import doublemirror.instances as instances
 
-        def identity(n):
-            built.append(n)
-            raise AssertionError(f"identity({n}) built before the payload was checked")
+        def kernel_basis(rows):
+            raise AssertionError("kernel basis computed before the payload was checked")
 
-        patch_identity(monkeypatch, identity)
-        data = {"lattice": {"ambient_rank": 1500, "kind": "full"}, "cone": {"generators": [[0, 0]]}}
+        monkeypatch.setattr(instances, "kernel_basis", kernel_basis)
+        data = {"lattice": {"ambient_rank": 3, "kind": "kernel", "equations": [[1, 1, 1]]},
+                "cone": {"generators": [[0, 0]]}}
         assert main(["cone", write_instance(tmp_path, data)]) == 1
         assert capsys.readouterr().err == "error: ambient vector has wrong length\n"
-        assert built == []
 
     def test_full_lattice_builds_no_matrix(self, tmp_path, capsys, monkeypatch):
         # a full lattice's coordinates are the ambient ones: a matching
@@ -528,7 +528,7 @@ class TestExample:
         data = json.loads(out)
         assert len(data["cone"]["generators"]) == 125
         inst = parse_instance(data)
-        assert inst.lattice.rank == 13
+        assert inst.rank == 13
 
     def test_small_sizes(self, capsys):
         for n, t, rank, gens in [(3, 3, 7, 27), (2, 2, 3, 4)]:
@@ -537,7 +537,7 @@ class TestExample:
             )
             data = json.loads(out)
             assert len(data["cone"]["generators"]) == gens
-            assert parse_instance(data).lattice.rank == rank
+            assert parse_instance(data).rank == rank
 
     def test_bad_parameters(self, capsys):
         code, _ = run_cli(["example", "product-projective", "--n", "1", "--t", "3"], capsys)

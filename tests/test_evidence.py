@@ -201,7 +201,7 @@ class TestFiber:
     def test_rank_deficient_marks_non_generic(self, pp33_bridge):
         # kernel-dimension >= 2 must surface as the non-generic marker:
         # craft a bridge whose matrix vanishes identically at every point
-        from doublemirror.records import replace
+        from oracles import replace
 
         zero = LaurentPoly.from_dict(pp33_bridge.torus_rank, {}, P)
         crafted = replace(
@@ -242,7 +242,7 @@ class TestEvidence:
         # the crafted system of TestDeltaRegularity.test_duplicated_equation_fails,
         # run end to end: its fiber points still satisfy every equation, but
         # the logarithmic Jacobian of the E side never has full rank
-        from doublemirror.records import replace
+        from oracles import replace
 
         eq1 = pp33_bridge.equations_e[0]
         shifted = laurent_shift(eq1, (1, 0, 0, 0))
@@ -259,7 +259,7 @@ class TestEvidence:
     def test_non_generic_samples_in_report(self, pp33_bridge):
         # the crafted bridge of TestFiber.test_rank_deficient_marks_non_generic:
         # every sample has a two-dimensional kernel on both sides
-        from doublemirror.records import replace
+        from oracles import replace
 
         zero = LaurentPoly.from_dict(pp33_bridge.torus_rank, {}, P)
         crafted = replace(
@@ -321,7 +321,7 @@ class TestEvaluationCounts:
         # the crafted system of TestDeltaRegularity.test_duplicated_equation_fails,
         # built after the original bridge compiled its tables: the fiber must
         # be checked against the new equations, whose Jacobian is degenerate
-        from doublemirror.records import replace
+        from oracles import replace
 
         (sp,) = list(sample_determinantal_points(pp33_bridge, 1, P, 2, {}))
         assert fiber(pp33_bridge, sp.y, P, "e", sp.values)[1] == 1
@@ -347,7 +347,7 @@ class TestDeltaRegularity:
     def test_duplicated_equation_fails(self, pp33_bridge):
         # craft a system with f2 = X^delta f1: the logarithmic Jacobian rows
         # become proportional at common zeros, so the probe must report 0
-        from doublemirror.records import replace
+        from oracles import replace
 
         d = pp33_bridge.pair.d
         eq1 = pp33_bridge.equations_e[0]

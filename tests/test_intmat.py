@@ -1,5 +1,5 @@
-"""Exact linear algebra: HNF, ranks, kernels, solving, and the saturation
-oracle of ``tests/oracles.py``."""
+"""Exact linear algebra: HNF, ranks, kernels, solving, the parser's lattice
+coordinates, and the saturation oracle of ``tests/oracles.py``."""
 
 import itertools
 import random
@@ -15,7 +15,7 @@ from doublemirror.intmat import (
     transpose,
     vprimitive,
 )
-from doublemirror.lattices import LatticeEmbedding
+from doublemirror.instances import _parse_lattice
 from oracles import (
     integral_preimage_lattice,
     is_unimodular,
@@ -254,32 +254,38 @@ class TestHelpers:
 
 
 class TestLattices:
+    """``instances._parse_lattice``: the rank and the coordinate maps of a
+    presented lattice and of its dual."""
+
     def test_kernel_presentation(self):
-        eqs = ((1, 1, 1),)
-        lat = LatticeEmbedding.from_kernel(eqs)
-        assert lat.rank == 2
-        for row in lat.basis:
+        eqs = [[1, 1, 1]]
+        rank, coords, _ = _parse_lattice({"kind": "kernel", "equations": eqs}, 3)
+        basis = kernel_basis(eqs)
+        assert rank == len(basis) == 2
+        for row in basis:
             assert sum(row) == 0
-        v = matmul(((2, -3),), lat.basis)[0]
+        v = matmul(((2, -3),), basis)[0]
         assert sum(v) == 0
-        assert lat.to_coords(v) == (2, -3)
+        assert coords(v) == (2, -3)
 
     def test_quotient_presentation(self):
-        rels = ((1, 1, 1),)
-        lat = LatticeEmbedding.from_quotient(rels)
-        assert lat.rank == 2
+        rels = [[1, 1, 1]]
+        rank, coords, _ = _parse_lattice({"kind": "quotient", "relations": rels}, 3)
+        assert rank == 2
         # relation representatives map to zero
-        assert lat.to_coords((1, 1, 1)) == (0, 0)
-        c1, c2 = lat.to_coords((1, 0, 0)), lat.to_coords((0, 1, 0))
-        assert lat.to_coords((0, -1, -1)) == c1
+        assert coords((1, 1, 1)) == (0, 0)
+        c1, c2 = coords((1, 0, 0)), coords((0, 1, 0))
+        assert coords((0, -1, -1)) == c1
         # [e1] and [e2] form a basis of the quotient
         assert abs(leibniz_det((c1, c2))) == 1
 
     def test_dual_pairing_gram(self):
-        eqs = ((1, 1, 1, -1),)
-        lat = LatticeEmbedding.from_kernel(eqs)
+        eqs = [[1, 1, 1, -1]]
+        _, _, dual_coords = _parse_lattice({"kind": "kernel", "equations": eqs}, 4)
         # pairing in coordinates equals ambient pairing of representatives
-        m = matmul(((1, 2, 0),), lat.basis)[0]
+        m = matmul(((1, 2, 0),), kernel_basis(eqs))[0]
         n_amb = (5, -1, 2, 3)
-        n_coords = lat.dual().to_coords(n_amb)
-        assert dot((1, 2, 0), n_coords) == dot(m, n_amb)
+        assert dot((1, 2, 0), dual_coords(n_amb)) == dot(m, n_amb)
+        # the quotient by the same rows swaps the two maps
+        _, quotient, quotient_dual = _parse_lattice({"kind": "quotient", "relations": eqs}, 4)
+        assert quotient(n_amb) == dual_coords(n_amb) and quotient_dual(m) == (1, 2, 0)

@@ -6,7 +6,7 @@ belongs in ``tests/oracles.py``.  A method counts as referenced only through
 attribute access (``x.name``), so a local variable of the same name does not
 hide it.  Dunders and hooks that a base class calls by name are exempt.
 Every name a module under ``src/`` imports must also be read in that module,
-and only the parser knows how a lattice is presented.
+and every field of a record must be read as an attribute under ``src/``.
 """
 
 import ast
@@ -89,18 +89,20 @@ def test_every_import_under_src_is_read():
     assert not unread, "imported under src/ but never read: " + ", ".join(unread)
 
 
-def test_only_the_parser_imports_lattices():
-    # past parsing every vector is in basis coordinates, so no geometry
-    # record carries a lattice presentation
-    importers = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""] + [alias.name for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            if any(name.split(".")[-1] == "lattices" for name in names):
-                importers.append(path.name)
-    assert importers == ["instances.py"]
+def test_every_record_field_is_read_in_the_library():
+    # a field that only tests read is test-only data the library carries
+    trees = [parse(path) for path in sorted(SRC.rglob("*.py"))]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        f"{cls.name}.{stmt.target.id}"
+        for tree in trees for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(d, ast.Name) and d.id == "record" for d in cls.decorator_list)
+        for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+    ]
+    assert fields, "no @record class found"
+    unread = [f for f in fields if f.split(".")[1] not in read]
+    assert not unread, "record fields never read under src/: " + ", ".join(unread)

@@ -10,14 +10,13 @@ from doublemirror.bridge import (
 )
 from doublemirror.canned import two_segment_parts
 from doublemirror.cones import build_cone
-from doublemirror.instances import CoefficientSpec
-from doublemirror.lattices import LatticeEmbedding
+from doublemirror.instances import CoefficientSpec, parse_instance
 from doublemirror.laurent import RATIONAL, LaurentPoly
-from doublemirror.records import replace
-from oracles import hull_vertices, validate_nef_partition
+from oracles import hull_vertices, replace, validate_nef_partition
 
-Z2 = LatticeEmbedding.full(2)
 SQUARE = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+SQUARE_INSTANCE = {"lattice": {"ambient_rank": 2, "kind": "full"},
+                   "nef_partition": [[list(v) for v in SQUARE]]}
 
 
 def two_segment_bridge(domain):
@@ -35,7 +34,7 @@ class TestImmutability:
             (Decomposition(((0, 0),), ((0,),)), "blocks"),
             (LaurentPoly.from_dict(2, {}, RATIONAL), "_table"),
             (LaurentPoly.from_dict(2, {}, RATIONAL), "terms"),
-            (Z2, "rank"),
+            (parse_instance(SQUARE_INSTANCE), "rank"),
         ],
     )
     def test_assigning_or_deleting_a_field_raises(self, obj, name):
@@ -73,7 +72,7 @@ class TestConstruction:
             lambda: Decomposition((), p=()),
             lambda: Decomposition((), (), s=1),
             lambda: LaurentPoly(2, ()),
-            lambda: LatticeEmbedding(2, "full", None, 2, facets=[]),
+            lambda: CoefficientSpec(RATIONAL, 0, None, facets=[]),
         ],
     )
     def test_missing_or_unexpected_argument_raises_type_error(self, make):
@@ -102,10 +101,9 @@ class TestEqualityAndHash:
             hash(bridge)
 
     def test_repr_leaves_out_cache_fields(self):
-        kernel = LatticeEmbedding.from_kernel(((1, 1),))
-        assert kernel.to_coords((2, -2)) == (2,) and kernel._solver is not None
-        text = repr(kernel)
-        assert text == "LatticeEmbedding(ambient_rank=2, kind='kernel', basis=((1, -1),), rank=1)"
+        square = validate_nef_partition([SQUARE])
+        assert square.cayley_rays
+        assert repr(square) == f"NefPartition(parts=({SQUARE!r},))"
         poly = LaurentPoly.from_dict(1, {(1,): 1}, 7)
         poly.evaluate((2,))
         assert poly._table is not None and "_table" not in repr(poly)
@@ -121,7 +119,7 @@ class TestReplace:
             replace(bridge, _tables=tables)
 
     def test_replace_keeps_other_fields(self):
-        dual = Z2.dual()
-        assert (dual.kind, dual.rank) == ("full", 2) and dual == Z2
-        q = LatticeEmbedding.from_kernel(((1, 1, 1),))
-        assert q.dual().kind == "quotient" and q.dual().basis == q.basis
+        spec = replace(CoefficientSpec(7, seed=3, explicit={(0,): 1}), seed=4)
+        assert (spec.domain, spec.seed, spec.explicit) == (7, 4, {(0,): 1})
+        square = validate_nef_partition([SQUARE])
+        assert replace(square).cayley_rays is square.cayley_rays
